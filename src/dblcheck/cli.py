@@ -24,14 +24,12 @@ from .hom import FLAVORS, hom_double_category, populate_squares
 from .monads import (
     check_monad, comp, enumerate_distributive_laws, enumerate_monads,
     verify_comp_diagram)
-from .quasi import (
-    QuasiFunctor, check_q_hor, check_q_vert, check_quasi_functor, curry0,
-    uncurry0)
+from .quasi import QuasiFunctor, check_quasi_functor, curry0, uncurry0
 from .strictify import destrictify0, strictify0
 from .tensor import verify_universal_property
 from .transform import (
-    HorTransform, LAX, Modification, OPLAX, VertTransform,
-    check_hor_transform, check_modification, check_vert_transform)
+    HorTransform, LAX, OPLAX, VertTransform, check_hor_transform,
+    check_vert_transform)
 
 
 class SchemaError(Exception):
@@ -64,14 +62,56 @@ def _dc_from_doc(doc):
     if "builtin" in doc:
         name = doc["builtin"]
         if name == "bool_matrix":
-            return bool_matrix_double_category(int(doc.get("size", 2)))
+            size = doc.get("size", 2)
+            if type(size) is not int or not 0 <= size <= 3:
+                raise SchemaError("bool_matrix size must be an integer 0 to 3")
+            return bool_matrix_double_category(size)
         if name not in BUILTINS:
             raise SchemaError("unknown builtin %r" % name)
         return BUILTINS[name]()
+    _check_tables_doc(doc)
     try:
         return from_json(doc)
     except (KeyError, DblError) as exc:
         raise SchemaError("bad double category tables: %s" % exc)
+
+
+def _check_tables_doc(doc):
+    """Reject explicit tables whose fields have the wrong JSON types."""
+    def names(xs, n=None):
+        return (isinstance(xs, list) and (n is None or len(xs) == n)
+                and all(isinstance(x, str) for x in xs))
+
+    def cells(xs, fields):
+        return isinstance(xs, list) and all(
+            isinstance(x, dict) and all(isinstance(x.get(k), str)
+                                        for k in fields) for x in xs)
+
+    def name_map(m):
+        return isinstance(m, dict) and all(isinstance(v, str)
+                                           for v in m.values())
+
+    if not names(doc.get("objects")):
+        raise SchemaError('"objects" must be a list of names')
+    for key in ("hcells", "vcells"):
+        if not cells(doc.get(key, []), ("name", "src", "tgt")):
+            raise SchemaError('"%s" must be a list of objects with string '
+                              '"name", "src" and "tgt"' % key)
+    for key in ("hcomp_h", "vcomp_v", "hcomp_sq", "vcomp_sq"):
+        triples = doc.get(key, [])
+        if not (isinstance(triples, list)
+                and all(names(t, 3) for t in triples)):
+            raise SchemaError('"%s" must be a list of name triples' % key)
+    flat = doc.get("flat", False)
+    if not isinstance(flat, bool):
+        raise SchemaError('"flat" must be true or false')
+    sides = ("top", "bottom", "left", "right") + (() if flat else ("name",))
+    if not cells(doc.get("squares", []), sides):
+        raise SchemaError('"squares" must be a list of objects with string '
+                          + ", ".join('"%s"' % k for k in sides))
+    for key in ("sq_v_id", "sq_h_id"):
+        if not name_map(doc.get(key, {})):
+            raise SchemaError('"%s" must map cell names to square names' % key)
 
 
 def _index(names, kind):
@@ -266,7 +306,8 @@ def main():
 @main.command()
 @click.argument("path", type=click.Path(exists=True))
 @click.option("--bound", type=int, default=None,
-              help="limit for flat square closure enumeration")
+              help="most composable pairs of flat squares to check for "
+                   "closure; a larger category fails with flat-too-large")
 @_json_option
 def validate(path, bound, json_path):
     """Validate the double category axioms on a JSON description."""

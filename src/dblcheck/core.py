@@ -16,6 +16,7 @@ left-to-right (the left factor first) and ``vcomp`` glues top-to-bottom (the
 top factor first).  ``hcomp_h(f, g)`` is the composite "f then g".
 """
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import product as iproduct
 import json
@@ -433,7 +434,9 @@ def validate_double_category(d, closure_limit=None, max_checks=None, seed=0):
     equality of squares is determined by the boundary, so associativity,
     unitality and interchange are automatic once composites exist; what is
     checked is the existence of identity squares and closure of the square
-    set under both compositions (optionally capped by ``closure_limit``).
+    set under both compositions.  ``closure_limit`` bounds the number of
+    composable pairs of flat squares; a larger category fails with
+    ``flat-too-large`` rather than being checked in part.
     """
     rep = ValidationReport()
     _validate_one_cat(rep, "h", d.n_hcells, d.hsrc, d.htgt,
@@ -496,32 +499,78 @@ def _validate_flat_squares(rep, d, closure_limit):
     for bound in d.iter_flat_boundaries():
         bounds.append(bound)
         if closure_limit is not None and len(bounds) > closure_limit:
-            rep.add("flat-too-large", limit=closure_limit)
+            # with identity squares present every square closes at least
+            # one pair, so the pair count exceeds the limit as well
+            rep.add("flat-too-large", limit=closure_limit, squares=len(bounds))
             return
-    by_right = {}
-    by_top = {}
-    for bound in bounds:
-        by_right.setdefault(bound[3], []).append(bound)
-        by_top.setdefault(bound[0], []).append(bound)
-    have = set(bounds)
-    checked = 0
-    for b2 in bounds:
-        for b1 in by_right.get(b2[2], []):
-            top = d.hcomp_h(b1[0], b2[0])
-            bottom = d.hcomp_h(b1[1], b2[1])
-            if (top, bottom, b1[2], b2[3]) not in have:
-                rep.add("hcomp-sq-closure", left=b1, right=b2)
-            checked += 1
-            if closure_limit is not None and checked > closure_limit:
-                return
-        for b1 in by_top.get(b2[1], []):
-            left = d.vcomp_v(b2[2], b1[2])
-            right = d.vcomp_v(b2[3], b1[3])
-            if (b2[0], b1[1], left, right) not in have:
-                rep.add("vcomp-sq-closure", top=b2, bottom=b1)
-            checked += 1
-            if closure_limit is not None and checked > closure_limit:
-                return
+    if closure_limit is not None:
+        pairs = _flat_closure_pairs(bounds)
+        if pairs > closure_limit:
+            rep.add("flat-too-large", limit=closure_limit, pairs=pairs)
+            return
+    nh, nv = d.n_hcells, d.n_vcells
+    pos = {b: i for i, b in enumerate(bounds)}
+    # misses are reported in the order of a scan over squares s, checking
+    # for each s its pairs as right factor, then as top factor:
+    # (position of s, h before v, position of the other square)
+    missing = [(pos[b2], 0, pos[b1]) for b1, b2 in
+               _hcomp_closure_misses(bounds, d._hh, nh, nv)]
+    # vertical closure is horizontal closure of the transposed squares
+    transposed = ((l, r, t, o) for t, o, l, r in bounds)
+    missing += [(pos[t, h, l1, r1], 1, pos[h, o, l2, r2])
+                for (l1, r1, t, h), (l2, r2, _, o) in
+                _hcomp_closure_misses(transposed, d._vv, nv, nh)]
+    for i, vertical, j in sorted(missing):
+        if vertical:
+            rep.add("vcomp-sq-closure", top=bounds[i], bottom=bounds[j])
+        else:
+            rep.add("hcomp-sq-closure", left=bounds[j], right=bounds[i])
+
+
+def _flat_closure_pairs(bounds):
+    """The number of composable pairs of flat squares, both directions."""
+    tops, bottoms, lefts, rights = (Counter(b[i] for b in bounds)
+                                    for i in range(4))
+    return (sum(n * lefts[e] for e, n in rights.items())
+            + sum(n * tops[e] for e, n in bottoms.items()))
+
+
+def _hcomp_closure_misses(bounds, comp, n_outer, n_inner):
+    """Yield each pair of boundaries ``(t1, o1, l, m)``, ``(t2, o2, m, r)``
+    whose composite ``(comp[t1, t2], comp[o1, o2], l, r)`` is not in
+    ``bounds``.  Outer edges ``t, o`` range over ``n_outer`` cells, inner
+    edges ``l, m, r`` over ``n_inner`` cells; ``comp`` is total on
+    composable outer edges.
+
+    The squares on either side of a shared edge ``m`` are grouped by their
+    outer edges, and a group keeps its free inner edges as a Python-int
+    bitset: the left group spread out (bit ``l*n_inner``), the right group
+    plain (bit ``r``).  Their product has bit ``l*n_inner + r`` for every
+    pair in the two groups, so one mask test checks all those pairs.
+    """
+    lefts, rights = {}, {}
+    have = [0] * (n_outer * n_outer)
+    for t, o, l, r in bounds:
+        group = lefts.setdefault(r, {})
+        group[t, o] = group.get((t, o), 0) | 1 << l * n_inner
+        group = rights.setdefault(l, {})
+        group[t, o] = group.get((t, o), 0) | 1 << r
+        have[t * n_outer + o] |= 1 << l * n_inner + r
+    lacking = [~bits for bits in have]
+    rows = [[0] * n_outer for _ in range(n_outer)]
+    for (f, g), h in comp.items():
+        rows[f][g] = h
+    for m, group1 in lefts.items():
+        group2 = list(rights.get(m, {}).items())
+        for (t1, o1), spread in group1.items():
+            row_t, row_o = rows[t1], rows[o1]
+            for (t2, o2), bits in group2:
+                miss = bits * spread & lacking[row_t[t2] * n_outer + row_o[o2]]
+                while miss:
+                    low = miss & -miss
+                    l, r = divmod(low.bit_length() - 1, n_inner)
+                    yield (t1, o1, l, m), (t2, o2, m, r)
+                    miss ^= low
 
 
 def _validate_explicit_squares(rep, d, max_checks=None, seed=0):

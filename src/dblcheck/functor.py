@@ -8,8 +8,8 @@ square from F(f) then F(g) down to F(f then g); the unitor for an object A
 goes from the identity on F(A) down to F(1_A).
 """
 
-from .core import SQUARE, ValidationReport
-from .errors import BoundaryMismatch, DblError, DomainMismatch, MalformedTables
+from .core import ValidationReport
+from .errors import DblError, DomainMismatch, MalformedTables
 
 
 class LaxDoubleFunctor:

@@ -21,7 +21,6 @@ families indexed by the objects of A and B), currying to and from the hom
 double category, and a lazily interned double category of quasi functors.
 """
 
-from itertools import product as iproduct
 
 from .core import DoubleCat, ValidationReport
 from .errors import ChainMismatch, DomainMismatch
@@ -686,15 +685,17 @@ def curry0(q, hom=None):
 
     Curried functors are cached per hom so that repeated calls hand back
     the same object; transformation and modification corners are compared
-    by identity.
+    by identity.  The cache is keyed by ``q`` itself and so keeps it alive:
+    a key by ``id(q)`` would hand a collected functor's entry to a new
+    quasi functor at the same address.
     """
     A, B, C = q.A, q.B, q.C
     if hom is None:
         hom = HomDoubleCat(B, C, HOP)
     if not hasattr(hom, "_curried"):
         hom._curried = {}
-    if id(q) in hom._curried:
-        return hom._curried[id(q)]
+    if q in hom._curried:
+        return hom._curried[q]
     ob, hmap, vmap, sqmap = {}, {}, {}, {}
     # local transform objects keep the corners anchored to this quasi
     # functor's own family objects; interning dedupes only the cell ids
@@ -719,7 +720,7 @@ def curry0(q, hom=None):
         unit[a] = hom.intern_modification(_curry_unitor(q, a, hts))
     P = LaxDoubleFunctor(A, hom, ob, hmap, vmap, sqmap, comp, unit,
                          name="curry(%s)" % q.name)
-    hom._curried[id(q)] = P
+    hom._curried[q] = P
     return P
 
 

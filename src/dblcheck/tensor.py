@@ -19,7 +19,6 @@ from .core import (
     CellRef, Gen, HComp, HCELL, HId, OBJECT, SQUARE, VCELL, VComp, VId,
     eval_pasting)
 from .errors import DomainMismatch, RelationViolated
-from .quasi import QuasiFunctor
 
 
 def _vcomp_many(terms):

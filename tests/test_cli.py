@@ -3,6 +3,7 @@
 import json
 import os
 
+import pytest
 from click.testing import CliRunner
 
 from dblcheck.cli import main, render_text
@@ -38,6 +39,32 @@ def test_validate_schema_error(tmp_path):
     bad.write_text(json.dumps({"builtin": "no-such-thing"}))
     res = run("validate", str(bad))
     assert res.exit_code == 2
+
+
+@pytest.mark.parametrize("doc", [
+    {"objects": ["*"], "hcells": ["R"]},
+    {"objects": "ab"},
+    {"objects": ["*"], "hcells": [{"name": "R", "src": "*"}]},
+    {"objects": ["*"], "hcomp_h": [["1_*", "1_*"]]},
+    {"objects": ["*"], "flat": "yes"},
+    {"objects": ["*"], "squares": [{"top": "1_*"}], "flat": True},
+    {"builtin": "bool_matrix", "size": "2"},
+], ids=["hcell-name-only", "objects-string", "hcell-no-tgt", "pair-not-triple",
+        "flat-string", "square-no-sides", "size-string"])
+def test_validate_schema_types(tmp_path, doc):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    res = run("validate", str(bad))
+    assert res.exit_code == 2, res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+
+
+def test_validate_bound_fails_when_exceeded():
+    res = run("validate", "--bound", "5000", fx("bool2.json"))
+    assert res.exit_code == 1, res.output
+    assert "flat-too-large" in res.output
+    res = run("validate", "--bound", "2000000", fx("bool2.json"))
+    assert res.exit_code == 0, res.output
 
 
 def test_functor_check():

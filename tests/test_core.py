@@ -1,6 +1,8 @@
 """Tests for the core double-category structures and fixtures."""
 
 import json
+import os
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +11,7 @@ from dblcheck.core import (
     HCELL, VCELL, SQUARE, OBJECT, CellRef, Gen, HComp, VComp, HId, VId,
     FIXTURES, bool_matrix_double_category, dc_product, eval_pasting,
     from_json, parity, product_projections, to_json, trivial,
-    validate_double_category, walk_h, walk_sq, walk_v)
+    ValidationReport, validate_double_category, walk_h, walk_sq, walk_v)
 from dblcheck.errors import BoundaryMismatch, SizeBound
 
 
@@ -142,6 +144,146 @@ def test_validator_detects_flat_closure_gap():
     rep = validate_double_category(d)
     assert not rep.passed
     assert "sq-h-id-missing" in rep.laws_failed()
+
+
+# -- flat closure: grouped bitset check against the pair-by-pair reference --
+
+FIXTURES_DIR = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+
+
+def reference_flat_failures(d):
+    """Failures of the flat square checks, found pair by pair.
+
+    The reference for the grouped check in ``validate_double_category``:
+    identity squares, then a scan over the squares that checks each one's
+    pairs as right factor, then as top factor.  Run it after
+    ``validate_double_category``, which fills the 1-cell tables it reads.
+    """
+    rep = ValidationReport()
+    for f in range(d.n_hcells):
+        if not d.square_exists(f, f, d.v_id(d.hsrc[f]), d.v_id(d.htgt[f])):
+            rep.add("sq-v-id-missing", hcell=CellRef(HCELL, f))
+    for u in range(d.n_vcells):
+        if not d.square_exists(d.h_id(d.vsrc[u]), d.h_id(d.vtgt[u]), u, u):
+            rep.add("sq-h-id-missing", vcell=CellRef(VCELL, u))
+    bounds = list(d.iter_flat_boundaries())
+    by_right, by_top = {}, {}
+    for b in bounds:
+        by_right.setdefault(b[3], []).append(b)
+        by_top.setdefault(b[0], []).append(b)
+    have = set(bounds)
+    hh, vv = d._hh, d._vv
+    for b2 in bounds:
+        for b1 in by_right.get(b2[2], []):
+            if (hh[b1[0], b2[0]], hh[b1[1], b2[1]], b1[2], b2[3]) not in have:
+                rep.add("hcomp-sq-closure", left=b1, right=b2)
+        for b1 in by_top.get(b2[1], []):
+            if (b2[0], b1[1], vv[b2[2], b1[2]], vv[b2[3], b1[3]]) not in have:
+                rep.add("vcomp-sq-closure", top=b2, bottom=b1)
+    return rep.failures
+
+
+def closure_pairs(d):
+    bounds = list(d.iter_flat_boundaries())
+    return sum(1 for b1 in bounds for b2 in bounds if b1[3] == b2[2]) + \
+        sum(1 for b1 in bounds for b2 in bounds if b1[1] == b2[0])
+
+
+def without(d, dropped):
+    """``d`` with the squares on the given boundaries removed."""
+    pred = d.square_pred
+    dropped = set(dropped)
+    d.set_flat(lambda t, b, l, r: (t, b, l, r) not in dropped
+               and pred(t, b, l, r))
+    return d
+
+
+def is_identity_boundary(d, b):
+    t, o, l, r = b
+    return ((t == o and d.is_v_identity(l) and d.is_v_identity(r))
+            or (l == r and d.is_h_identity(t) and d.is_h_identity(o)))
+
+
+def bool2_minus_composite(seed):
+    """bool2 less one non-identity square that composes two others."""
+    d = bool_matrix_double_category(2)
+    bounds = list(d.iter_flat_boundaries())
+    plain = [b for b in bounds if not is_identity_boundary(d, b)]
+    rng = random.Random(seed)
+    while True:
+        b1 = rng.choice(plain)
+        mates = [b for b in plain if b[2] == b1[3]]
+        if not mates:
+            continue
+        b2 = rng.choice(mates)
+        s = (d.hcomp_h(b1[0], b2[0]), d.hcomp_h(b1[1], b2[1]), b1[2], b2[3])
+        if s not in (b1, b2) and not is_identity_boundary(d, s):
+            return without(d, [s])
+
+
+def bool2_minus_random(seed, k):
+    d = bool_matrix_double_category(2)
+    bounds = list(d.iter_flat_boundaries())
+    return without(d, random.Random(seed).sample(bounds, k))
+
+
+def preorder_fixture():
+    with open(os.path.join(FIXTURES_DIR, "preorder.json")) as fh:
+        return from_json(json.load(fh))
+
+
+FLAT_INPUTS = {
+    "bool1": lambda: bool_matrix_double_category(1),
+    "bool2": lambda: bool_matrix_double_category(2),
+    "preorder": preorder_fixture,
+    "bool1xbool1xpreorder": lambda: dc_product(dc_product(
+        bool_matrix_double_category(1), bool_matrix_double_category(1)),
+        preorder_fixture()),
+}
+FLAT_INPUTS.update({"bool2-minus-composite-%d" % seed:
+                    (lambda seed=seed: bool2_minus_composite(seed))
+                    for seed in range(5)})
+FLAT_INPUTS.update({"bool2-minus-%d-random" % k:
+                    (lambda k=k: bool2_minus_random(k, k))
+                    for k in (5, 30)})
+
+
+def assert_same_as_reference(d):
+    rep = validate_double_category(d)
+    assert rep.failures == reference_flat_failures(d)
+    return rep
+
+
+@pytest.mark.parametrize("name", sorted(FLAT_INPUTS))
+def test_flat_closure_matches_reference(name):
+    rep = assert_same_as_reference(FLAT_INPUTS[name]())
+    assert rep.passed == (name in ("bool1", "bool2", "preorder",
+                                   "bool1xbool1xpreorder"))
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.data())
+def test_flat_closure_matches_reference_on_deletions(data):
+    d = bool_matrix_double_category(2)
+    bounds = list(d.iter_flat_boundaries())
+    dropped = data.draw(st.sets(st.sampled_from(bounds), max_size=40))
+    assert_same_as_reference(without(d, dropped))
+
+
+def test_flat_closure_limit_counts_pairs():
+    d = bool_matrix_double_category(1)
+    pairs = closure_pairs(d)
+    assert validate_double_category(d, closure_limit=pairs).passed
+    rep = validate_double_category(d, closure_limit=pairs - 1)
+    assert rep.failures == [("flat-too-large",
+                             {"limit": pairs - 1, "pairs": pairs})]
+
+
+def test_capped_flat_validation_never_passes_silently():
+    rep = validate_double_category(bool2_minus_composite(0),
+                                   closure_limit=5000)
+    assert not rep.passed
+    assert rep.laws_failed() == ["flat-too-large"]
 
 
 @pytest.mark.parametrize("name", ["trivial", "walk_h", "walk_v", "walk_sq", "parity"])

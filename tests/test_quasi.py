@@ -1,7 +1,10 @@
 """Tests for quasi functors, their cells, and currying."""
 
+import gc
+
 import pytest
 
+from dblcheck import quasi
 from dblcheck.core import bool_matrix_double_category, parity, trivial, walk_h
 from dblcheck.errors import ChainMismatch
 from dblcheck.functor import (
@@ -312,3 +315,23 @@ def test_q_hom_category_smoke():
     u = qh.v_id(a1)
     s2 = qh.sq_h_id(u)
     assert qh.sq_bounds[s2][2] == u and qh.sq_bounds[s2][3] == u
+
+
+def test_curry_cache_not_reused_after_collection(monkeypatch):
+    # A collected quasi functor's address may be handed to a new one, and a
+    # cache keyed by id() would then return the collected one's functor.
+    # Every id() in the quasi module collides here, so such a cache fails
+    # whatever the allocator does.
+    monkeypatch.setattr(quasi, "id", lambda obj: 0, raising=False)
+    q = sign_quasi({0: 0, 1: 1})
+    w, t, p = q.A, q.B, q.C
+    hom = HomDoubleCat(t, p, HOP)
+    Pa = curry0(q, hom)
+    del q
+    gc.collect()
+    q = sign_quasi({0: 1, 1: 0}, w=w, t=t, p=p)
+    Pb = curry0(q, hom)
+    assert Pb is not Pa
+    assert [Pb.obj(a) for a in range(w.n_objects)] != \
+        [Pa.obj(a) for a in range(w.n_objects)]
+    assert check_quasi_functor(uncurry0(Pb)).passed
