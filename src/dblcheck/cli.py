@@ -119,10 +119,26 @@ def _index(names, kind):
     for i, nm in enumerate(names):
         lookup[nm] = i
     def resolve(nm):
-        if nm not in lookup:
+        if not isinstance(nm, str) or nm not in lookup:
             raise SchemaError("unknown %s %r" % (kind, nm))
         return lookup[nm]
     return resolve
+
+
+def _object(doc, what):
+    if not isinstance(doc, dict):
+        raise SchemaError("%s must be a JSON object" % what)
+    return doc
+
+
+def _field(doc, key, what, required=False):
+    """The field ``key`` of ``doc``, which must be a JSON object; ``{}``
+    when an optional field is absent."""
+    if key not in doc:
+        if required:
+            raise SchemaError("%s needs %r" % (what, key))
+        return {}
+    return _object(doc[key], '%s field "%s"' % (what, key))
 
 
 def _square_ref(d, ref, oh, ov):
@@ -139,25 +155,30 @@ def _square_ref(d, ref, oh, ov):
 
 
 def _functor_from_doc(doc, dom, cod, name="F"):
+    what = "functor description"
+    _object(doc, what)
     do, dh, dv = (_index(dom.objects, "object"), _index(dom.hnames, "1h-cell"),
                   _index(dom.vnames, "1v-cell"))
     co, ch, cv = (_index(cod.objects, "object"), _index(cod.hnames, "1h-cell"),
                   _index(cod.vnames, "1v-cell"))
     try:
-        ob = {do(k): co(v) for k, v in doc["ob"].items()}
-        hmap = {dh(k): ch(v) for k, v in doc["hmap"].items()}
-        vmap = {dv(k): cv(v) for k, v in doc["vmap"].items()}
+        ob = {do(k): co(v)
+              for k, v in _field(doc, "ob", what, True).items()}
+        hmap = {dh(k): ch(v)
+                for k, v in _field(doc, "hmap", what, True).items()}
+        vmap = {dv(k): cv(v)
+                for k, v in _field(doc, "vmap", what, True).items()}
         sqmap = None
-        if doc.get("sqmap"):
+        if _field(doc, "sqmap", what):
             ds, cs = (_index(dom.sq_names, "square"),
                       _index(cod.sq_names, "square"))
             sqmap = {ds(k): cs(v) for k, v in doc["sqmap"].items()}
         comp_t = {}
-        for key, ref in doc.get("comp", {}).items():
+        for key, ref in _field(doc, "comp", what).items():
             f, g = key.split(",")
             comp_t[(dh(f), dh(g))] = _square_ref(cod, ref, ch, cv)
         unit = {do(k): _square_ref(cod, ref, ch, cv)
-                for k, ref in doc.get("unit", {}).items()}
+                for k, ref in _field(doc, "unit", what).items()}
         return LaxDoubleFunctor(dom, cod, ob, hmap, vmap, sqmap,
                                 comp_t or None, unit or None,
                                 name=doc.get("name", name))
@@ -166,6 +187,7 @@ def _functor_from_doc(doc, dom, cod, name="F"):
 
 
 def _load_functor(doc):
+    _object(doc, "functor description")
     if "dom" not in doc or "cod" not in doc:
         raise SchemaError("functor description needs dom and cod")
     dom = _dc_from_doc(doc["dom"])
@@ -174,6 +196,8 @@ def _load_functor(doc):
 
 
 def _load_quasi(doc):
+    what = "quasi functor description"
+    _object(doc, what)
     for key in ("A", "B", "C"):
         if key not in doc:
             raise SchemaError("quasi functor description needs %s" % key)
@@ -186,13 +210,13 @@ def _load_quasi(doc):
     ch, cv = _index(C.hnames, "1h-cell"), _index(C.vnames, "1v-cell")
     try:
         fam_a = {ao(k): _functor_from_doc(sub, B, C, name="F_%s" % k)
-                 for k, sub in doc["fam_a"].items()}
+                 for k, sub in _field(doc, "fam_a", what, True).items()}
         fam_b = {bo(k): _functor_from_doc(sub, A, C, name="F_%s" % k)
-                 for k, sub in doc["fam_b"].items()}
+                 for k, sub in _field(doc, "fam_b", what, True).items()}
 
         def table(field, left, right):
             out = {}
-            for key, ref in doc.get(field, {}).items():
+            for key, ref in _field(doc, field, what).items():
                 x, y = key.split(",")
                 out[(left(x), right(y))] = _square_ref(C, ref, ch, cv)
             return out
@@ -206,9 +230,13 @@ def _load_quasi(doc):
 
 
 def _load_transform(doc):
-    kind = doc.get("kind")
+    what = "transform description"
+    kind = _object(doc, what).get("kind")
     if kind not in ("hor", "vert"):
         raise SchemaError('transform description needs kind "hor" or "vert"')
+    for key in ("dom", "cod", "F", "G"):
+        if key not in doc:
+            raise SchemaError("%s needs %r" % (what, key))
     dom = _dc_from_doc(doc["dom"])
     cod = _dc_from_doc(doc["cod"])
     F = _functor_from_doc(doc["F"], dom, cod, name="F")
@@ -221,18 +249,20 @@ def _load_transform(doc):
         raise SchemaError("unknown orientation %r" % orientation)
     try:
         if kind == "hor":
-            comp0 = {do(k): ch(v) for k, v in doc["at"].items()}
+            comp0 = {do(k): ch(v)
+                     for k, v in _field(doc, "at", what, True).items()}
             comp_v = {dv(k): _square_ref(cod, ref, ch, cv)
-                      for k, ref in doc.get("sq_v", {}).items()}
+                      for k, ref in _field(doc, "sq_v", what).items()}
             delta = {dh(k): _square_ref(cod, ref, ch, cv)
-                     for k, ref in doc.get("delta", {}).items()}
+                     for k, ref in _field(doc, "delta", what).items()}
             return HorTransform(F, G, comp0, comp_v, delta, orientation,
                                 name=doc.get("name", "alpha"))
-        comp0 = {do(k): cv(v) for k, v in doc["at"].items()}
+        comp0 = {do(k): cv(v)
+                 for k, v in _field(doc, "at", what, True).items()}
         comp_h = {dh(k): _square_ref(cod, ref, ch, cv)
-                  for k, ref in doc.get("sq_h", {}).items()}
+                  for k, ref in _field(doc, "sq_h", what).items()}
         comp_v = {dv(k): _square_ref(cod, ref, ch, cv)
-                  for k, ref in doc.get("sq_v", {}).items()}
+                  for k, ref in _field(doc, "sq_v", what).items()}
         return VertTransform(F, G, comp0, comp_h, comp_v, orientation,
                              name=doc.get("name", "alpha0"))
     except (KeyError, ValueError) as exc:
@@ -249,6 +279,7 @@ def _payload(command, rep, started, details=None):
         "command": command,
         "verdict": "passed" if rep.passed else "failed",
         "failures": failures,
+        "sampled": rep.sampled,
         "elapsed": round(time.monotonic() - started, 3),
         "details": details or {},
     }
@@ -259,6 +290,9 @@ def render_text(payload):
                                  payload["elapsed"])]
     for key in sorted(payload["details"]):
         lines.append("  %s: %s" % (key, payload["details"][key]))
+    for law, info in sorted(payload.get("sampled", {}).items()):
+        lines.append("  sampled %s: %d draws, seed %d"
+                     % (law, info["draws"], info["seed"]))
     for failure in payload["failures"]:
         wit = ", ".join("%s=%s" % (k, v)
                         for k, v in sorted(failure["witness"].items()))

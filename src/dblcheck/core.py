@@ -16,10 +16,10 @@ left-to-right (the left factor first) and ``vcomp`` glues top-to-bottom (the
 top factor first).  ``hcomp_h(f, g)`` is the composite "f then g".
 """
 
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import product as iproduct
-import json
+from itertools import accumulate, chain, product as iproduct, repeat
 import random
 
 from .errors import BoundaryMismatch, MalformedTables, NotFlat, SizeBound
@@ -39,8 +39,14 @@ class CellRef:
 
 @dataclass
 class ValidationReport:
-    """Outcome of a law check: a verdict plus per-law failure witnesses."""
+    """Outcome of a law check: a verdict plus per-law failure witnesses.
+
+    ``sampled`` maps each law family that was checked on a seeded sample of
+    its instances, not on all of them, to ``{"draws": n, "seed": k}``.  A
+    report can pass with sampled families; it then says so here.
+    """
     failures: list = field(default_factory=list)
+    sampled: dict = field(default_factory=dict)
 
     @property
     def passed(self):
@@ -49,9 +55,14 @@ class ValidationReport:
     def add(self, law, **witness):
         self.failures.append((law, witness))
 
+    def mark_sampled(self, law, draws, seed):
+        self.sampled[law] = {"draws": draws, "seed": seed}
+
     def merge(self, other, prefix=""):
         for law, witness in other.failures:
             self.failures.append((prefix + law, witness))
+        for law, info in other.sampled.items():
+            self.sampled[prefix + law] = info
 
     def laws_failed(self):
         return sorted({law for law, _ in self.failures})
@@ -430,7 +441,13 @@ def validate_double_category(d, closure_limit=None, max_checks=None, seed=0):
 
     For the explicit backend this checks table totality and boundaries,
     associativity and unitality of all four compositions, identity-square
-    functoriality, and interchange on all 2x2 grids.  For the flat backend
+    functoriality, and interchange on all 2x2 grids.  Once the totality and
+    boundary passes hold, every composite a law asks for is of a composable
+    pair, so the laws read composites straight from the checked tables.
+    With ``max_checks``, the square associativity and interchange laws are
+    checked on a sample of that many draws, seeded by ``seed``, whenever
+    they have more instances; the report's ``sampled`` names those laws.
+    For the flat backend
     equality of squares is determined by the boundary, so associativity,
     unitality and interchange are automatic once composites exist; what is
     checked is the existence of identity squares and closure of the square
@@ -574,129 +591,171 @@ def _hcomp_closure_misses(bounds, comp, n_outer, n_inner):
 
 
 def _validate_explicit_squares(rep, d, max_checks=None, seed=0):
-    ns = d.n_squares
+    bounds = d.sq_bounds
+    hs, vs = d._hs, d._vs
+    hh, vv = d._hh, d._vv
+    sqv, sqh = d._sqvid, d._sqhid
+    hsrc, htgt, vsrc, vtgt = d.hsrc, d.htgt, d.vsrc, d.vtgt
+    h_id, v_id = d._h_id, d._v_id
     for f in range(d.n_hcells):
-        if f not in d._sqvid:
+        if f not in sqv:
             rep.add("sq-v-id-missing", hcell=CellRef(HCELL, f))
-        else:
-            s = d._sqvid[f]
-            if d.sq_bounds[s] != (f, f, d.v_id(d.hsrc[f]), d.v_id(d.htgt[f])):
-                rep.add("sq-v-id-boundary", hcell=CellRef(HCELL, f))
+        elif bounds[sqv[f]] != (f, f, v_id[hsrc[f]], v_id[htgt[f]]):
+            rep.add("sq-v-id-boundary", hcell=CellRef(HCELL, f))
     for u in range(d.n_vcells):
-        if u not in d._sqhid:
+        if u not in sqh:
             rep.add("sq-h-id-missing", vcell=CellRef(VCELL, u))
-        else:
-            s = d._sqhid[u]
-            if d.sq_bounds[s] != (d.h_id(d.vsrc[u]), d.h_id(d.vtgt[u]), u, u):
-                rep.add("sq-h-id-boundary", vcell=CellRef(VCELL, u))
+        elif bounds[sqh[u]] != (h_id[vsrc[u]], h_id[vtgt[u]], u, u):
+            rep.add("sq-h-id-boundary", vcell=CellRef(VCELL, u))
     if not rep.passed:
         return
     for a in range(d.n_objects):
-        if d.sq_h_id(d.v_id(a)) != d.sq_v_id(d.h_id(a)):
+        if sqh[v_id[a]] != sqv[h_id[a]]:
             rep.add("sq-obj-id", object=CellRef(OBJECT, a))
-    by_left, by_top = {}, {}
-    for s in range(ns):
-        by_left.setdefault(d.sq_left(s), []).append(s)
-        by_top.setdefault(d.sq_top(s), []).append(s)
-    hpairs = [(s1, s2) for s1 in range(ns)
-              for s2 in by_left.get(d.sq_right(s1), [])]
-    vpairs = [(s1, s2) for s1 in range(ns)
-              for s2 in by_top.get(d.sq_bottom(s1), [])]
-    for s1, s2 in hpairs:
-        if (s1, s2) not in d._hs:
-            rep.add("hcomp-sq-total", left=CellRef(SQUARE, s1), right=CellRef(SQUARE, s2))
-            continue
-        s = d._hs[(s1, s2)]
-        want = (d.hcomp_h(d.sq_top(s1), d.sq_top(s2)),
-                d.hcomp_h(d.sq_bottom(s1), d.sq_bottom(s2)),
-                d.sq_left(s1), d.sq_right(s2))
-        if d.sq_bounds[s] != want:
-            rep.add("hcomp-sq-boundary", left=CellRef(SQUARE, s1), right=CellRef(SQUARE, s2))
-    for s1, s2 in vpairs:
-        if (s1, s2) not in d._vs:
-            rep.add("vcomp-sq-total", top=CellRef(SQUARE, s1), bottom=CellRef(SQUARE, s2))
-            continue
-        s = d._vs[(s1, s2)]
-        want = (d.sq_top(s1), d.sq_bottom(s2),
-                d.vcomp_v(d.sq_left(s1), d.sq_left(s2)),
-                d.vcomp_v(d.sq_right(s1), d.sq_right(s2)))
-        if d.sq_bounds[s] != want:
-            rep.add("vcomp-sq-boundary", top=CellRef(SQUARE, s1), bottom=CellRef(SQUARE, s2))
+    by_left, by_top, by_tl = {}, {}, {}
+    for s, (t, _, l, _) in enumerate(bounds):
+        by_left.setdefault(l, []).append(s)
+        by_top.setdefault(t, []).append(s)
+        by_tl.setdefault((t, l), []).append(s)
+    hpairs = _SquarePairs(bounds, by_left, 3)
+    vpairs = _SquarePairs(bounds, by_top, 1)
+    _check_square_table(rep, "hcomp-sq", ("left", "right"), hs, hpairs,
+                        bounds, hh)
+    # vertical composition is horizontal composition of transposed squares
+    _check_square_table(rep, "vcomp-sq", ("top", "bottom"), vs, vpairs,
+                        [(l, r, t, o) for t, o, l, r in bounds], vv)
     if not rep.passed:
         return
-    for s in range(ns):
-        if d.vcomp_sq(d.sq_v_id(d.sq_top(s)), s) != s \
-                or d.vcomp_sq(s, d.sq_v_id(d.sq_bottom(s))) != s:
+    # from here on every composite asked for is of a composable pair, so
+    # it is in the tables just checked
+    for s, (t, o, l, r) in enumerate(bounds):
+        if vs[sqv[t], s] != s or vs[s, sqv[o]] != s:
             rep.add("vcomp-sq-unit", square=CellRef(SQUARE, s))
-        if d.hcomp_sq(d.sq_h_id(d.sq_left(s)), s) != s \
-                or d.hcomp_sq(s, d.sq_h_id(d.sq_right(s))) != s:
+        if hs[sqh[l], s] != s or hs[s, sqh[r]] != s:
             rep.add("hcomp-sq-unit", square=CellRef(SQUARE, s))
     rng = random.Random(seed)
+    biggest = max(map(len, chain(by_left.values(), by_top.values())),
+                  default=0)
 
-    def triples(pairs, extend):
-        """All (s1, s2, s3) with s3 extending the pair, or a seeded sample."""
-        biggest = max((len(g) for g in by_left.values()), default=0)
-        biggest = max(biggest, max((len(g) for g in by_top.values()), default=0))
+    def triples(law, pairs):
+        """For each pair (s1, s2) of ``pairs``, the s3 with (s2, s3) in
+        ``pairs`` as well: all of them, or a seeded sample of triples."""
         if max_checks is None or len(pairs) * biggest <= max_checks:
             for s1, s2 in pairs:
-                for s3 in extend(s2):
-                    yield (s1, s2, s3)
+                yield s1, s2, pairs.rows[s2]
             return
+        rep.mark_sampled(law, max_checks, seed)
         for _ in range(max_checks):
             s1, s2 = pairs[rng.randrange(len(pairs))]
-            grp = extend(s2)
+            grp = pairs.rows[s2]
             if grp:
-                yield (s1, s2, grp[rng.randrange(len(grp))])
+                yield s1, s2, (grp[rng.randrange(len(grp))],)
 
-    for s1, s2, s3 in triples(hpairs, lambda s: by_left.get(d.sq_right(s), [])):
-        if d.hcomp_sq(d.hcomp_sq(s1, s2), s3) != d.hcomp_sq(s1, d.hcomp_sq(s2, s3)):
-            rep.add("hcomp-sq-assoc", first=CellRef(SQUARE, s1),
-                    second=CellRef(SQUARE, s2), third=CellRef(SQUARE, s3))
-    for s1, s2, s3 in triples(vpairs, lambda s: by_top.get(d.sq_bottom(s), [])):
-        if d.vcomp_sq(d.vcomp_sq(s1, s2), s3) != d.vcomp_sq(s1, d.vcomp_sq(s2, s3)):
-            rep.add("vcomp-sq-assoc", first=CellRef(SQUARE, s1),
-                    second=CellRef(SQUARE, s2), third=CellRef(SQUARE, s3))
+    for law, comp, pairs in (("hcomp-sq-assoc", hs, hpairs),
+                             ("vcomp-sq-assoc", vs, vpairs)):
+        for s1, s2, s3s in triples(law, pairs):
+            s12 = comp[s1, s2]
+            for s3 in s3s:
+                if comp[s12, s3] != comp[s1, comp[s2, s3]]:
+                    rep.add(law, first=CellRef(SQUARE, s1),
+                            second=CellRef(SQUARE, s2),
+                            third=CellRef(SQUARE, s3))
     for f in range(d.n_hcells):
         for g in range(d.n_hcells):
-            if d.htgt[f] == d.hsrc[g]:
-                if d.hcomp_sq(d.sq_v_id(f), d.sq_v_id(g)) != d.sq_v_id(d.hcomp_h(f, g)):
-                    rep.add("sq-v-id-functorial", first=CellRef(HCELL, f),
-                            second=CellRef(HCELL, g))
+            if htgt[f] == hsrc[g] and hs[sqv[f], sqv[g]] != sqv[hh[f, g]]:
+                rep.add("sq-v-id-functorial", first=CellRef(HCELL, f),
+                        second=CellRef(HCELL, g))
     for u in range(d.n_vcells):
         for v in range(d.n_vcells):
-            if d.vtgt[u] == d.vsrc[v]:
-                if d.vcomp_sq(d.sq_h_id(u), d.sq_h_id(v)) != d.sq_h_id(d.vcomp_v(u, v)):
-                    rep.add("sq-h-id-functorial", first=CellRef(VCELL, u),
-                            second=CellRef(VCELL, v))
-    by_tl = {}
-    for s in range(ns):
-        by_tl.setdefault((d.sq_top(s), d.sq_left(s)), []).append(s)
+            if vtgt[u] == vsrc[v] and vs[sqh[u], sqh[v]] != sqh[vv[u, v]]:
+                rep.add("sq-h-id-functorial", first=CellRef(VCELL, u),
+                        second=CellRef(VCELL, v))
 
     def grids():
-        big_top = max((len(g) for g in by_top.values()), default=0)
-        big_tl = max((len(g) for g in by_tl.values()), default=0)
+        """For each 2x2 grid's top left, top right and bottom left square,
+        its bottom right squares: all grids, or a seeded sample."""
+        big_top = max(map(len, by_top.values()), default=0)
+        big_tl = max(map(len, by_tl.values()), default=0)
         if max_checks is None or len(hpairs) * big_top * big_tl <= max_checks:
             for a, b in hpairs:
-                for c in by_top.get(d.sq_bottom(a), []):
-                    for e in by_tl.get((d.sq_bottom(b), d.sq_right(c)), []):
-                        yield (a, b, c, e)
+                for c in vpairs.rows[a]:
+                    yield a, b, c, by_tl.get((bounds[b][1], bounds[c][3]), ())
             return
+        rep.mark_sampled("interchange", max_checks, seed)
         for _ in range(max_checks):
             a, b = hpairs[rng.randrange(len(hpairs))]
-            cs = by_top.get(d.sq_bottom(a), [])
+            cs = vpairs.rows[a]
             if not cs:
                 continue
             c = cs[rng.randrange(len(cs))]
-            es = by_tl.get((d.sq_bottom(b), d.sq_right(c)), [])
+            es = by_tl.get((bounds[b][1], bounds[c][3]), [])
             if es:
-                yield (a, b, c, es[rng.randrange(len(es))])
+                yield a, b, c, (es[rng.randrange(len(es))],)
 
-    for a, b, c, e in grids():
-        lhs = d.vcomp_sq(d.hcomp_sq(a, b), d.hcomp_sq(c, e))
-        rhs = d.hcomp_sq(d.vcomp_sq(a, c), d.vcomp_sq(b, e))
-        if lhs != rhs:
-            rep.add("interchange", tl=CellRef(SQUARE, a), tr=CellRef(SQUARE, b),
-                    bl=CellRef(SQUARE, c), br=CellRef(SQUARE, e))
+    for a, b, c, es in grids():
+        ab, ac = hs[a, b], vs[a, c]
+        for e in es:
+            if vs[ab, hs[c, e]] != hs[ac, vs[b, e]]:
+                rep.add("interchange", tl=CellRef(SQUARE, a),
+                        tr=CellRef(SQUARE, b), bl=CellRef(SQUARE, c),
+                        br=CellRef(SQUARE, e))
+
+
+class _SquarePairs:
+    """The pairs ``(s1, s2)`` of squares with ``s2`` in ``rows[s1]``, in the
+    order of ``s1`` and then of its row, as a read-only sequence.  Row
+    ``s1`` is the group of squares on the far side of edge ``side`` of
+    ``s1``, so the pairs are the composable ones."""
+
+    def __init__(self, bounds, groups, side):
+        self.rows = [groups.get(b[side], ()) for b in bounds]
+        self.starts = list(accumulate(map(len, self.rows), initial=0))
+
+    def __len__(self):
+        return self.starts[-1]
+
+    def __getitem__(self, i):
+        s1 = bisect_right(self.starts, i) - 1
+        return s1, self.rows[s1][i - self.starts[s1]]
+
+    def __iter__(self):
+        for s1, row in enumerate(self.rows):
+            for s2 in row:
+                yield s1, s2
+
+
+def _check_square_table(rep, law, sides, table, pairs, bounds, edge_comp):
+    """Check that ``table`` composes every pair of squares ``(t1, o1, l, m)``,
+    ``(t2, o2, m, r)`` to one with boundary ``(edge_comp[t1, t2],
+    edge_comp[o1, o2], l, r)``, reporting ``<law>-total`` and
+    ``<law>-boundary`` failures in pair order.  ``edge_comp`` is total on
+    the outer edges of such pairs.
+
+    The pairs that share a first square are looked up and compared with
+    the boundaries they call for as one row; only a row that differs is
+    scanned pair by pair for its witnesses.
+    """
+    rows = {}
+    for (f, g), h in edge_comp.items():
+        rows.setdefault(f, {})[g] = h
+    sq_bound = bounds.__getitem__
+    for s1, group in enumerate(pairs.rows):
+        if not group:
+            continue
+        got = list(map(table.get, zip(repeat(s1), group)))
+        t1, o1, l1, _ = bounds[s1]
+        row_t, row_o = rows[t1], rows[o1]
+        want = [(row_t[t2], row_o[o2], l1, r2)
+                for t2, o2, _, r2 in map(sq_bound, group)]
+        if None not in got and list(map(sq_bound, got)) == want:
+            continue
+        for s2, s, w in zip(group, got, want):
+            if s is None:
+                rep.add(law + "-total", **{sides[0]: CellRef(SQUARE, s1),
+                                           sides[1]: CellRef(SQUARE, s2)})
+            elif bounds[s] != w:
+                rep.add(law + "-boundary", **{sides[0]: CellRef(SQUARE, s1),
+                                              sides[1]: CellRef(SQUARE, s2)})
 
 
 # -- product ----------------------------------------------------------------
@@ -1285,12 +1344,3 @@ def _fill_identity_square_composites(d):
         d.set_hs(d.sq_h_id(d.sq_left(s)), s, s)
         d.set_hs(s, d.sq_h_id(d.sq_right(s)), s)
 
-
-def load_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return from_json(json.load(fh))
-
-
-def dump_json(d, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(to_json(d), fh, indent=2)

@@ -49,10 +49,6 @@ class NotDecomposable(DblError):
     """An operation requiring a decomposable functor received another one."""
 
 
-class WitnessNotInvertible(DblError):
-    """An equivalence witness component has no inverse."""
-
-
 class RelationViolated(DblError):
     """A presentation relation failed to hold under an assignment."""
 

@@ -86,14 +86,6 @@ class QuasiFunctor:
             self.name, self.A.name, self.B.name, self.C.name)
 
 
-def quasi_from_functor_pair(A, B, C, build_fa, build_fb):
-    """Convenience constructor from callables producing the two families;
-    interchangers must be attached afterwards."""
-    fam_a = {a: build_fa(a) for a in range(A.n_objects)}
-    fam_b = {b: build_fb(b) for b in range(B.n_objects)}
-    return QuasiFunctor(A, B, C, fam_a, fam_b)
-
-
 def _check_quasi_wellformed(rep, q):
     A, B, C = q.A, q.B, q.C
     for a in range(A.n_objects):

@@ -59,6 +59,43 @@ def test_validate_schema_types(tmp_path, doc):
     assert res.exception is None or isinstance(res.exception, SystemExit)
 
 
+@pytest.mark.parametrize("verb, fixture, path, value", [
+    ("functor-check", "monad-functor.json", ["ob"], ["*"]),
+    ("functor-check", "monad-functor.json", ["unit"], ["*"]),
+    ("functor-check", "monad-functor.json", ["sqmap"], ["*"]),
+    ("functor-check", "monad-functor.json", ["hmap", "1_*"], ["R"]),
+    ("functor-check", "monad-functor.json", [], ["*"]),
+    ("quasi-check", "preorder-pair.json", ["fam_a", "*", "ob"], ["*"]),
+    ("quasi-check", "preorder-pair.json", ["fam_a"], ["*"]),
+    ("quasi-check", "preorder-pair.json", ["fam_b", "*"], ["*"]),
+    ("quasi-check", "preorder-pair.json", ["kk"], ["*"]),
+    ("transform-check", "transform-hor.json", ["F", "ob"], ["*"]),
+    ("transform-check", "transform-hor.json", ["at"], ["*"]),
+    ("transform-check", "transform-hor.json", ["delta"], ["*"]),
+    ("transform-check", "transform-hor.json", ["G"], None),
+], ids=["functor-ob", "functor-unit", "functor-sqmap", "functor-name-list",
+        "functor-doc", "quasi-fam-ob", "quasi-fam-a", "quasi-fam-b-entry",
+        "quasi-kk", "transform-functor-ob", "transform-at", "transform-delta",
+        "transform-no-G"])
+def test_loaders_reject_non_object_fields(tmp_path, verb, fixture, path,
+                                          value):
+    doc = json.load(open(fx(fixture)))
+    if not path:
+        doc = value
+    elif value is None:
+        del doc[path[0]]
+    else:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    res = run(verb, str(bad))
+    assert res.exit_code == 2, res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+
+
 def test_validate_bound_fails_when_exceeded():
     res = run("validate", "--bound", "5000", fx("bool2.json"))
     assert res.exit_code == 1, res.output
@@ -151,3 +188,18 @@ def test_json_report_roundtrip(tmp_path):
     assert render_text(payload) == res.output.rstrip("\n")
     # the machine format survives a serialization cycle losslessly
     assert json.loads(json.dumps(payload)) == payload
+
+
+def test_hom_reports_sampled_laws(tmp_path):
+    out = tmp_path / "report.json"
+    res = run("hom", fx("trivial.json"), fx("parity.json"), "--bound", "100",
+              "--json", str(out))
+    assert res.exit_code == 0, res.output
+    payload = json.loads(out.read_text())
+    assert payload["sampled"]["interchange"] == {"draws": 100, "seed": 0}
+    assert "sampled interchange: 100 draws, seed 0" in res.output
+    assert render_text(payload) == res.output.rstrip("\n")
+    res = run("validate", fx("parity.json"), "--json", str(out))
+    assert res.exit_code == 0, res.output
+    assert json.loads(out.read_text())["sampled"] == {}
+    assert "sampled" not in res.output

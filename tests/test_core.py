@@ -13,6 +13,8 @@ from dblcheck.core import (
     from_json, parity, product_projections, to_json, trivial,
     ValidationReport, validate_double_category, walk_h, walk_sq, walk_v)
 from dblcheck.errors import BoundaryMismatch, SizeBound
+from dblcheck.hom import FLAVORS, hom_double_category, populate_squares
+from dblcheck.monads import mnd_double_category
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
@@ -284,6 +286,252 @@ def test_capped_flat_validation_never_passes_silently():
                                    closure_limit=5000)
     assert not rep.passed
     assert rep.laws_failed() == ["flat-too-large"]
+
+
+
+# -- explicit laws: direct table reads against the method-call reference ----
+
+
+def reference_explicit_failures(d, max_checks=None, seed=0):
+    """Failures of the explicit square checks, with every composite taken
+    through ``hcomp_sq``/``vcomp_sq`` and every boundary through the
+    accessors.
+
+    The reference for the table reads in ``validate_double_category``, with
+    the same instance order and the same seeded draws.  Run it after
+    ``validate_double_category``, which fills the 1-cell tables it reads.
+    """
+    rep = ValidationReport()
+    ns = d.n_squares
+    for f in range(d.n_hcells):
+        if f not in d._sqvid:
+            rep.add("sq-v-id-missing", hcell=CellRef(HCELL, f))
+        else:
+            s = d._sqvid[f]
+            if d.sq_bounds[s] != (f, f, d.v_id(d.hsrc[f]), d.v_id(d.htgt[f])):
+                rep.add("sq-v-id-boundary", hcell=CellRef(HCELL, f))
+    for u in range(d.n_vcells):
+        if u not in d._sqhid:
+            rep.add("sq-h-id-missing", vcell=CellRef(VCELL, u))
+        else:
+            s = d._sqhid[u]
+            if d.sq_bounds[s] != (d.h_id(d.vsrc[u]), d.h_id(d.vtgt[u]), u, u):
+                rep.add("sq-h-id-boundary", vcell=CellRef(VCELL, u))
+    if not rep.passed:
+        return rep.failures
+    for a in range(d.n_objects):
+        if d.sq_h_id(d.v_id(a)) != d.sq_v_id(d.h_id(a)):
+            rep.add("sq-obj-id", object=CellRef(OBJECT, a))
+    by_left, by_top = {}, {}
+    for s in range(ns):
+        by_left.setdefault(d.sq_left(s), []).append(s)
+        by_top.setdefault(d.sq_top(s), []).append(s)
+    hpairs = [(s1, s2) for s1 in range(ns)
+              for s2 in by_left.get(d.sq_right(s1), [])]
+    vpairs = [(s1, s2) for s1 in range(ns)
+              for s2 in by_top.get(d.sq_bottom(s1), [])]
+    for s1, s2 in hpairs:
+        if (s1, s2) not in d._hs:
+            rep.add("hcomp-sq-total", left=CellRef(SQUARE, s1), right=CellRef(SQUARE, s2))
+            continue
+        s = d._hs[(s1, s2)]
+        want = (d.hcomp_h(d.sq_top(s1), d.sq_top(s2)),
+                d.hcomp_h(d.sq_bottom(s1), d.sq_bottom(s2)),
+                d.sq_left(s1), d.sq_right(s2))
+        if d.sq_bounds[s] != want:
+            rep.add("hcomp-sq-boundary", left=CellRef(SQUARE, s1), right=CellRef(SQUARE, s2))
+    for s1, s2 in vpairs:
+        if (s1, s2) not in d._vs:
+            rep.add("vcomp-sq-total", top=CellRef(SQUARE, s1), bottom=CellRef(SQUARE, s2))
+            continue
+        s = d._vs[(s1, s2)]
+        want = (d.sq_top(s1), d.sq_bottom(s2),
+                d.vcomp_v(d.sq_left(s1), d.sq_left(s2)),
+                d.vcomp_v(d.sq_right(s1), d.sq_right(s2)))
+        if d.sq_bounds[s] != want:
+            rep.add("vcomp-sq-boundary", top=CellRef(SQUARE, s1), bottom=CellRef(SQUARE, s2))
+    if not rep.passed:
+        return rep.failures
+    for s in range(ns):
+        if d.vcomp_sq(d.sq_v_id(d.sq_top(s)), s) != s \
+                or d.vcomp_sq(s, d.sq_v_id(d.sq_bottom(s))) != s:
+            rep.add("vcomp-sq-unit", square=CellRef(SQUARE, s))
+        if d.hcomp_sq(d.sq_h_id(d.sq_left(s)), s) != s \
+                or d.hcomp_sq(s, d.sq_h_id(d.sq_right(s))) != s:
+            rep.add("hcomp-sq-unit", square=CellRef(SQUARE, s))
+    rng = random.Random(seed)
+
+    def triples(pairs, extend):
+        biggest = max((len(g) for g in by_left.values()), default=0)
+        biggest = max(biggest, max((len(g) for g in by_top.values()), default=0))
+        if max_checks is None or len(pairs) * biggest <= max_checks:
+            for s1, s2 in pairs:
+                for s3 in extend(s2):
+                    yield (s1, s2, s3)
+            return
+        for _ in range(max_checks):
+            s1, s2 = pairs[rng.randrange(len(pairs))]
+            grp = extend(s2)
+            if grp:
+                yield (s1, s2, grp[rng.randrange(len(grp))])
+
+    for s1, s2, s3 in triples(hpairs, lambda s: by_left.get(d.sq_right(s), [])):
+        if d.hcomp_sq(d.hcomp_sq(s1, s2), s3) != d.hcomp_sq(s1, d.hcomp_sq(s2, s3)):
+            rep.add("hcomp-sq-assoc", first=CellRef(SQUARE, s1),
+                    second=CellRef(SQUARE, s2), third=CellRef(SQUARE, s3))
+    for s1, s2, s3 in triples(vpairs, lambda s: by_top.get(d.sq_bottom(s), [])):
+        if d.vcomp_sq(d.vcomp_sq(s1, s2), s3) != d.vcomp_sq(s1, d.vcomp_sq(s2, s3)):
+            rep.add("vcomp-sq-assoc", first=CellRef(SQUARE, s1),
+                    second=CellRef(SQUARE, s2), third=CellRef(SQUARE, s3))
+    for f in range(d.n_hcells):
+        for g in range(d.n_hcells):
+            if d.htgt[f] == d.hsrc[g]:
+                if d.hcomp_sq(d.sq_v_id(f), d.sq_v_id(g)) != d.sq_v_id(d.hcomp_h(f, g)):
+                    rep.add("sq-v-id-functorial", first=CellRef(HCELL, f),
+                            second=CellRef(HCELL, g))
+    for u in range(d.n_vcells):
+        for v in range(d.n_vcells):
+            if d.vtgt[u] == d.vsrc[v]:
+                if d.vcomp_sq(d.sq_h_id(u), d.sq_h_id(v)) != d.sq_h_id(d.vcomp_v(u, v)):
+                    rep.add("sq-h-id-functorial", first=CellRef(VCELL, u),
+                            second=CellRef(VCELL, v))
+    by_tl = {}
+    for s in range(ns):
+        by_tl.setdefault((d.sq_top(s), d.sq_left(s)), []).append(s)
+
+    def grids():
+        big_top = max((len(g) for g in by_top.values()), default=0)
+        big_tl = max((len(g) for g in by_tl.values()), default=0)
+        if max_checks is None or len(hpairs) * big_top * big_tl <= max_checks:
+            for a, b in hpairs:
+                for c in by_top.get(d.sq_bottom(a), []):
+                    for e in by_tl.get((d.sq_bottom(b), d.sq_right(c)), []):
+                        yield (a, b, c, e)
+            return
+        for _ in range(max_checks):
+            a, b = hpairs[rng.randrange(len(hpairs))]
+            cs = by_top.get(d.sq_bottom(a), [])
+            if not cs:
+                continue
+            c = cs[rng.randrange(len(cs))]
+            es = by_tl.get((d.sq_bottom(b), d.sq_right(c)), [])
+            if es:
+                yield (a, b, c, es[rng.randrange(len(es))])
+
+    for a, b, c, e in grids():
+        lhs = d.vcomp_sq(d.hcomp_sq(a, b), d.hcomp_sq(c, e))
+        rhs = d.hcomp_sq(d.vcomp_sq(a, c), d.vcomp_sq(b, e))
+        if lhs != rhs:
+            rep.add("interchange", tl=CellRef(SQUARE, a), tr=CellRef(SQUARE, b),
+                    bl=CellRef(SQUARE, c), br=CellRef(SQUARE, e))
+    return rep.failures
+
+
+def swap_composite(d, table, seed):
+    """``d`` with one seeded entry of ``d._hs`` or ``d._vs`` replaced by
+    another square on the same boundary (a sign flip in parity), or by any
+    other square when its boundary carries no second one."""
+    entries = getattr(d, table)
+    key = sorted(entries)[random.Random(seed).randrange(len(entries))]
+    good = entries[key]
+    others = [s for s in d._sq_by_bound[d.sq_bounds[good]] if s != good]
+    entries[key] = others[0] if others else (good + 1) % d.n_squares
+    return d
+
+
+def drop_composite(d, seed):
+    """``d`` less one seeded entry of its horizontal square table."""
+    del d._hs[sorted(d._hs)[random.Random(seed).randrange(len(d._hs))]]
+    return d
+
+
+def break_composite_boundary(d, seed):
+    """``d`` with one seeded ``_vs`` entry set to a square on another
+    boundary."""
+    key = sorted(d._vs)[random.Random(seed).randrange(len(d._vs))]
+    bound = d.sq_bounds[d._vs[key]]
+    d._vs[key] = next(s for s in range(d.n_squares) if d.sq_bounds[s] != bound)
+    return d
+
+
+def populated_hom(flavor):
+    h = hom_double_category(trivial(), parity(), FLAVORS[flavor], bound=5000)
+    return populate_squares(h)
+
+
+def populated_mnd():
+    return populate_squares(mnd_double_category(parity(), bound=5000))
+
+
+# name -> (build, max_checks, seed)
+EXPLICIT_INPUTS = {
+    "parity": (parity, None, 0),
+    "parityxwalk_h": (lambda: dc_product(parity(), walk_h()), None, 0),
+    "mnd-parity": (populated_mnd, 5000, 1),
+}
+EXPLICIT_INPUTS.update({
+    "parityxparity-sampled-%d" % seed:
+    (lambda: dc_product(parity(), parity()), 20000, seed)
+    for seed in range(3)})
+# the sample finds this flip; a sample may as well miss one
+EXPLICIT_INPUTS["parityxparity-sampled-flip-0"] = (
+    lambda: swap_composite(dc_product(parity(), parity()), "_hs", 0),
+    20000, 0)
+EXPLICIT_INPUTS.update({
+    "parity-flip-%s-%d" % (table, seed):
+    (lambda table=table, seed=seed: swap_composite(parity(), table, seed),
+     None, 0)
+    for table in ("_hs", "_vs") for seed in range(6)})
+EXPLICIT_INPUTS.update({
+    "parityxwalk_h-flip-%s-%d" % (table, seed):
+    (lambda table=table, seed=seed: swap_composite(
+        dc_product(parity(), walk_h()), table, seed), None, 0)
+    for table in ("_hs", "_vs") for seed in range(1)})
+EXPLICIT_INPUTS.update({
+    "parity-drop-%d" % seed: (lambda seed=seed: drop_composite(parity(), seed),
+                              None, 0)
+    for seed in range(2)})
+EXPLICIT_INPUTS.update({
+    "parity-break-boundary-%d" % seed:
+    (lambda seed=seed: break_composite_boundary(parity(), seed), None, 0)
+    for seed in range(2)})
+EXPLICIT_INPUTS.update({
+    "hom-%s-%d" % (flavor, seed):
+    (lambda flavor=flavor: populated_hom(flavor), 5000, seed)
+    for flavor in sorted(FLAVORS) for seed in range(2)})
+EXPLICIT_INPUTS.update({
+    "hom-%s-flip" % flavor:
+    (lambda flavor=flavor: swap_composite(populated_hom(flavor), "_hs", 3),
+     5000, 1)
+    for flavor in sorted(FLAVORS)})
+
+
+@pytest.mark.parametrize("name", sorted(EXPLICIT_INPUTS))
+def test_explicit_laws_match_reference(name):
+    build, max_checks, seed = EXPLICIT_INPUTS[name]
+    d = build()
+    rep = validate_double_category(d, max_checks=max_checks, seed=seed)
+    assert rep.failures == reference_explicit_failures(d, max_checks, seed)
+    clean = "flip" not in name and "drop" not in name and "break" not in name
+    assert rep.passed == clean
+
+
+def test_explicit_validation_marks_sampled_laws():
+    p = dc_product(parity(), parity())
+    rep = validate_double_category(p, max_checks=20000, seed=5)
+    assert rep.passed
+    assert rep.sampled == {
+        law: {"draws": 20000, "seed": 5}
+        for law in ("hcomp-sq-assoc", "vcomp-sq-assoc", "interchange")}
+    assert validate_double_category(parity()).sampled == {}
+
+
+def test_merge_carries_sampled_laws():
+    sub = validate_double_category(parity(), max_checks=100, seed=2)
+    rep = ValidationReport()
+    rep.merge(sub, prefix="pp.")
+    assert rep.sampled["pp.interchange"] == {"draws": 100, "seed": 2}
+    assert rep.passed == sub.passed
 
 
 @pytest.mark.parametrize("name", ["trivial", "walk_h", "walk_v", "walk_sq", "parity"])
