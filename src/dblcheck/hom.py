@@ -10,7 +10,9 @@ vertical transformations or the objects to unitary functors.
 Cells are interned on demand: the category starts empty and grows as
 functors and transformations are added or produced by composition.  Every
 cell keeps its semantic payload, so composition is computed on payloads
-and deduplicated through a canonical key.
+and deduplicated through a canonical key.  ``InternedDoubleCat`` holds
+that scheme once; ``HomDoubleCat`` here and ``quasi.QHomDoubleCat`` add
+only their keys, endpoints, identities and payload compositions.
 """
 
 from dataclasses import dataclass
@@ -71,128 +73,172 @@ def _vert_key(t, fkey, gkey):
             tuple(t.sq_v(u) for u in range(d.n_vcells)))
 
 
-class HomDoubleCat(DoubleCat):
+def _vert_identity_square(t, orientation):
+    """The horizontal identity square on a vertical transformation t, with
+    identity horizontal transformations of this orientation on top and
+    bottom."""
+    top = identity_hor_transform(t.F, orientation)
+    bottom = identity_hor_transform(t.G, orientation)
+    comp = {a: t.cod.sq_h_id(t.at(a)) for a in range(t.dom.n_objects)}
+    return Modification(top, bottom, t, t, comp, name="id^%s" % t.name)
+
+
+# the four kinds of cell, indexing InternedDoubleCat's payload lists
+OBJ, HOR, VERT, SQ = range(4)
+
+
+class InternedDoubleCat(DoubleCat):
+    """A lazily populated double category whose cells carry payloads.
+
+    Each cell keeps its semantic payload (a functor, a transformation or a
+    modification) and is interned under a canonical key, so composites
+    computed on payloads deduplicate onto existing cells.  A subclass
+    supplies ``_key(kind, payload, bounds)``, the endpoints ``_ends`` of a
+    1-cell payload, the identity 1-cell payloads ``_id_payload(kind, x)``
+    on an object payload, the identity squares ``_sq_v_id_payload`` and
+    ``_sq_h_id_payload`` on a 1-cell payload, and ``_compose(op, x, y)``,
+    the composite payload that table ``_<op>`` records for op in
+    hh, vv, hs and vs.
+    """
+
+    def __init__(self, name):
+        super().__init__(name)
+        self.obj_payload = []
+        self.h_payload = []
+        self.v_payload = []
+        self.sq_payload = []
+        self._payloads = (self.obj_payload, self.h_payload, self.v_payload,
+                          self.sq_payload)
+        self._keys = {}
+        # stored payload -> its cell; sound because a payload is never
+        # mutated once interned, so its key stays the one it was filed under
+        self._cells = {}
+
+    def _intern(self, kind, x, identity_of=None):
+        """The cell of payload x, found by object, then by key, else added."""
+        cell = self._cells.get(x)
+        if cell is not None:
+            return cell
+        if kind == OBJ:
+            bounds = ()
+        elif kind == SQ:
+            bounds = (self._intern(HOR, x.top), self._intern(HOR, x.bottom),
+                      self._intern(VERT, x.left), self._intern(VERT, x.right))
+        else:
+            bounds = tuple(self._intern(OBJ, e) for e in self._ends(x))
+        key = self._key(kind, x, bounds)
+        cell = self._keys.get(key)
+        if cell is not None:
+            return cell
+        if kind == OBJ:
+            cell = self.add_object(x.name)
+        elif kind == SQ:
+            cell = self.add_square(x.name, *bounds)
+        else:
+            add = self.add_hcell if kind == HOR else self.add_vcell
+            cell = add(x.name, *bounds, identity_of=identity_of)
+        self._payloads[kind].append(x)
+        self._keys[key] = cell
+        self._cells[x] = cell
+        if kind == OBJ:
+            for k in (HOR, VERT):
+                self._intern(k, self._id_payload(k, x), identity_of=cell)
+        return cell
+
+    # -- composition through payloads --------------------------------------
+
+    def hcomp_h(self, f, g):
+        if (f, g) not in self._hh:
+            self._hh[(f, g)] = self._intern(HOR, self._compose(
+                "hh", self.h_payload[f], self.h_payload[g]))
+        return self._hh[(f, g)]
+
+    def vcomp_v(self, u, w):
+        if (u, w) not in self._vv:
+            self._vv[(u, w)] = self._intern(VERT, self._compose(
+                "vv", self.v_payload[u], self.v_payload[w]))
+        return self._vv[(u, w)]
+
+    def hcomp_sq(self, s1, s2):
+        if (s1, s2) not in self._hs:
+            self._hs[(s1, s2)] = self._intern(SQ, self._compose(
+                "hs", self.sq_payload[s1], self.sq_payload[s2]))
+        return self._hs[(s1, s2)]
+
+    def vcomp_sq(self, s1, s2):
+        if (s1, s2) not in self._vs:
+            self._vs[(s1, s2)] = self._intern(SQ, self._compose(
+                "vs", self.sq_payload[s1], self.sq_payload[s2]))
+        return self._vs[(s1, s2)]
+
+    def sq_v_id(self, f):
+        if f not in self._sqvid:
+            self._sqvid[f] = self._intern(
+                SQ, self._sq_v_id_payload(self.h_payload[f]))
+        return self._sqvid[f]
+
+    def sq_h_id(self, u):
+        if u not in self._sqhid:
+            self._sqhid[u] = self._intern(
+                SQ, self._sq_h_id_payload(self.v_payload[u]))
+        return self._sqhid[u]
+
+
+class HomDoubleCat(InternedDoubleCat):
     """A lazily populated hom double category."""
 
     def __init__(self, B, C, flavor=HOP, name=None):
         super().__init__(name or "hom(%s,%s)" % (B.name, C.name))
         self.B, self.C = B, C
         self.flavor = flavor
-        self.obj_payload = []
-        self.h_payload = []
-        self.v_payload = []
-        self.sq_payload = []
-        self._keys = {}
+        self._curried = {}  # quasi functor -> its curried functor (curry0)
 
-    # -- interning ---------------------------------------------------------
+    def _intern(self, kind, x, identity_of=None):
+        # every cell enters here, so no route bypasses the flavor
+        if kind == HOR and x.orientation != self.flavor.hor:
+            raise NotHomCodomain("wrong horizontal orientation for this hom")
+        if kind == VERT and x.orientation != self.flavor.vert:
+            raise NotHomCodomain("wrong vertical orientation for this hom")
+        return super()._intern(kind, x, identity_of)
+
+    def _key(self, kind, x, bounds):
+        if kind == OBJ:
+            return _functor_key(x)
+        if kind == SQ:
+            return ("mod",) + bounds + (
+                tuple(x.at(a) for a in range(self.B.n_objects)),)
+        return (_hor_key if kind == HOR else _vert_key)(x, *bounds)
+
+    def _ends(self, t):
+        return t.F, t.G
 
     def intern_functor(self, F):
-        key = _functor_key(F)
-        if key in self._keys:
-            return self._keys[key]
-        a = self.add_object(F.name)
-        self.obj_payload.append(F)
-        self._keys[key] = a
-        ident = identity_hor_transform(F, self.flavor.hor)
-        f = self._intern_hor(ident, identity_of=a)
-        ident_v = identity_vert_transform(F, self.flavor.vert)
-        self._intern_vert(ident_v, identity_of=a)
-        return a
-
-    def _functor_id(self, F):
-        key = _functor_key(F)
-        if key not in self._keys:
-            return self.intern_functor(F)
-        return self._keys[key]
-
-    def _intern_hor(self, t, identity_of=None):
-        src = self._functor_id(t.F)
-        tgt = self._functor_id(t.G)
-        key = _hor_key(t, src, tgt)
-        if key in self._keys:
-            return self._keys[key]
-        f = self.add_hcell(t.name, src, tgt, identity_of=identity_of)
-        self.h_payload.append(t)
-        self._keys[key] = f
-        return f
-
-    def _intern_vert(self, t, identity_of=None):
-        src = self._functor_id(t.F)
-        tgt = self._functor_id(t.G)
-        key = _vert_key(t, src, tgt)
-        if key in self._keys:
-            return self._keys[key]
-        u = self.add_vcell(t.name, src, tgt, identity_of=identity_of)
-        self.v_payload.append(t)
-        self._keys[key] = u
-        return u
+        return self._intern(OBJ, F)
 
     def intern_hor_transform(self, t):
-        if t.orientation != self.flavor.hor:
-            raise NotHomCodomain("wrong horizontal orientation for this hom")
-        return self._intern_hor(t)
+        return self._intern(HOR, t)
 
     def intern_vert_transform(self, t):
-        if t.orientation != self.flavor.vert:
-            raise NotHomCodomain("wrong vertical orientation for this hom")
-        return self._intern_vert(t)
+        return self._intern(VERT, t)
 
     def intern_modification(self, m):
-        top = self.intern_hor_transform(m.top)
-        bottom = self.intern_hor_transform(m.bottom)
-        left = self.intern_vert_transform(m.left)
-        right = self.intern_vert_transform(m.right)
-        key = ("mod", top, bottom, left, right,
-               tuple(m.at(a) for a in range(self.B.n_objects)))
-        if key in self._keys:
-            return self._keys[key]
-        s = self.add_square(m.name, top, bottom, left, right)
-        self.sq_payload.append(m)
-        self._keys[key] = s
-        return s
+        return self._intern(SQ, m)
 
-    # -- composition through payloads --------------------------------------
+    def _id_payload(self, kind, F):
+        if kind == HOR:
+            return identity_hor_transform(F, self.flavor.hor)
+        return identity_vert_transform(F, self.flavor.vert)
 
-    def hcomp_h(self, f, g):
-        if (f, g) not in self._hh:
-            self._hh[(f, g)] = self._intern_hor(
-                vcompose_hor(self.h_payload[f], self.h_payload[g]))
-        return self._hh[(f, g)]
+    def _sq_v_id_payload(self, t):
+        return identity_modification(t)
 
-    def vcomp_v(self, u, w):
-        if (u, w) not in self._vv:
-            self._vv[(u, w)] = self._intern_vert(
-                vcompose_vert(self.v_payload[u], self.v_payload[w]))
-        return self._vv[(u, w)]
+    def _sq_h_id_payload(self, t):
+        return _vert_identity_square(t, self.flavor.hor)
 
-    def hcomp_sq(self, s1, s2):
-        if (s1, s2) not in self._hs:
-            self._hs[(s1, s2)] = self.intern_modification(
-                hcompose_modifications(self.sq_payload[s1], self.sq_payload[s2]))
-        return self._hs[(s1, s2)]
-
-    def vcomp_sq(self, s1, s2):
-        if (s1, s2) not in self._vs:
-            self._vs[(s1, s2)] = self.intern_modification(
-                vcompose_modifications(self.sq_payload[s1], self.sq_payload[s2]))
-        return self._vs[(s1, s2)]
-
-    def sq_v_id(self, f):
-        if f not in self._sqvid:
-            self._sqvid[f] = self.intern_modification(
-                identity_modification(self.h_payload[f]))
-        return self._sqvid[f]
-
-    def sq_h_id(self, u):
-        if u not in self._sqhid:
-            t = self.v_payload[u]
-            top = identity_hor_transform(t.F, self.flavor.hor)
-            bottom = identity_hor_transform(t.G, self.flavor.hor)
-            comp = {a: t.cod.sq_h_id(t.at(a))
-                    for a in range(t.dom.n_objects)}
-            self._sqhid[u] = self.intern_modification(
-                Modification(top, bottom, t, t, comp, name="id^%s" % t.name))
-        return self._sqhid[u]
+    def _compose(self, op, x, y):
+        return {"hh": vcompose_hor, "vv": vcompose_vert,
+                "hs": hcompose_modifications,
+                "vs": vcompose_modifications}[op](x, y)
 
 
 def hom_double_category(B, C, flavor=HOP, bound=None):

@@ -18,14 +18,17 @@ the B-variable cell first, matching the index order of the square dicts.
 The module also provides the cells between quasi functors (horizontal and
 vertical transformations and modifications, all given by a pair of
 families indexed by the objects of A and B), currying to and from the hom
-double category, and a lazily interned double category of quasi functors.
+double category, and the double category of quasi functors, interned on
+demand through the same base as the hom (``hom.InternedDoubleCat``).
 """
 
 
-from .core import DoubleCat, ValidationReport
+from .core import ValidationReport
 from .errors import ChainMismatch, DomainMismatch
 from .functor import LaxDoubleFunctor, check_lax_functor, is_unitary, _eq
-from .hom import HOP, HomDoubleCat, _functor_key
+from .hom import (
+    HOP, HOR, OBJ, SQ, HomDoubleCat, InternedDoubleCat, _functor_key,
+    _vert_identity_square)
 from .transform import (
     LAX, OPLAX, HorTransform, Modification, VertTransform,
     check_hor_transform, check_modification, check_vert_transform,
@@ -684,8 +687,6 @@ def curry0(q, hom=None):
     A, B, C = q.A, q.B, q.C
     if hom is None:
         hom = HomDoubleCat(B, C, HOP)
-    if not hasattr(hom, "_curried"):
-        hom._curried = {}
     if q in hom._curried:
         return hom._curried[q]
     ob, hmap, vmap, sqmap = {}, {}, {}, {}
@@ -940,14 +941,17 @@ def _quasi_key(q):
             tuple(sorted(q.ku.items())), tuple(sorted(q.uu.items())))
 
 
-def _q_hor_key(t, src, tgt):
+def _q_cell_key(kind, t, src, tgt):
+    """Key of a q-horizontal (HOR) or q-vertical transformation."""
     A, B = t.q1.A, t.q1.B
-    return ("q-hor", src, tgt,
+    tag, on_h = (("q-hor", HorTransform.delta_at) if kind == HOR
+                 else ("q-vert", VertTransform.sq_h))
+    return (tag, src, tgt,
             tuple(t.th_a[a].at(b) for a in range(A.n_objects)
                   for b in range(B.n_objects)),
-            tuple(t.th_a[a].delta_at(k) for a in range(A.n_objects)
+            tuple(on_h(t.th_a[a], k) for a in range(A.n_objects)
                   for k in range(B.n_hcells)),
-            tuple(t.th_b[b].delta_at(K) for b in range(B.n_objects)
+            tuple(on_h(t.th_b[b], K) for b in range(B.n_objects)
                   for K in range(A.n_hcells)),
             tuple(t.th_a[a].sq_v(u) for a in range(A.n_objects)
                   for u in range(B.n_vcells)),
@@ -955,146 +959,57 @@ def _q_hor_key(t, src, tgt):
                   for U in range(A.n_vcells)))
 
 
-def _q_vert_key(t, src, tgt):
-    A, B = t.q1.A, t.q1.B
-    return ("q-vert", src, tgt,
-            tuple(t.th_a[a].at(b) for a in range(A.n_objects)
-                  for b in range(B.n_objects)),
-            tuple(t.th_a[a].sq_h(k) for a in range(A.n_objects)
-                  for k in range(B.n_hcells)),
-            tuple(t.th_b[b].sq_h(K) for b in range(B.n_objects)
-                  for K in range(A.n_hcells)),
-            tuple(t.th_a[a].sq_v(u) for a in range(A.n_objects)
-                  for u in range(B.n_vcells)),
-            tuple(t.th_b[b].sq_v(U) for b in range(B.n_objects)
-                  for U in range(A.n_vcells)))
-
-
-class QHomDoubleCat(DoubleCat):
+class QHomDoubleCat(InternedDoubleCat):
     """Lazily interned double category of quasi functors (A, B) -> C."""
 
     def __init__(self, A, B, C, name=None):
         super().__init__(name or "qhom(%s,%s;%s)" % (A.name, B.name, C.name))
         self.A, self.B, self.C = A, B, C
-        self.obj_payload = []
-        self.h_payload = []
-        self.v_payload = []
-        self.sq_payload = []
-        self._keys = {}
+
+    def _key(self, kind, x, bounds):
+        if kind == OBJ:
+            return _quasi_key(x)
+        if kind == SQ:
+            A, B = self.A, self.B
+            return ("q-mod",) + bounds + (
+                tuple(x.at(a, b) for a in range(A.n_objects)
+                      for b in range(B.n_objects)),)
+        return _q_cell_key(kind, x, *bounds)
+
+    def _ends(self, t):
+        return t.q1, t.q2
 
     def intern_quasi(self, q):
-        key = _quasi_key(q)
-        if key in self._keys:
-            return self._keys[key]
-        a = self.add_object(q.name)
-        self.obj_payload.append(q)
-        self._keys[key] = a
-        self._intern_q_hor(identity_q_hor(q), identity_of=a)
-        self._intern_q_vert(identity_q_vert(q), identity_of=a)
-        return a
-
-    def _quasi_id(self, q):
-        key = _quasi_key(q)
-        if key not in self._keys:
-            return self.intern_quasi(q)
-        return self._keys[key]
-
-    def _intern_q_hor(self, t, identity_of=None):
-        src = self._quasi_id(t.q1)
-        tgt = self._quasi_id(t.q2)
-        key = _q_hor_key(t, src, tgt)
-        if key in self._keys:
-            return self._keys[key]
-        f = self.add_hcell(t.name, src, tgt, identity_of=identity_of)
-        self.h_payload.append(t)
-        self._keys[key] = f
-        return f
-
-    def _intern_q_vert(self, t, identity_of=None):
-        src = self._quasi_id(t.q1)
-        tgt = self._quasi_id(t.q2)
-        key = _q_vert_key(t, src, tgt)
-        if key in self._keys:
-            return self._keys[key]
-        u = self.add_vcell(t.name, src, tgt, identity_of=identity_of)
-        self.v_payload.append(t)
-        self._keys[key] = u
-        return u
+        return self._intern(OBJ, q)
 
     def intern_q_hor(self, t):
-        return self._intern_q_hor(t)
+        return self._intern(HOR, t)
 
     def intern_q_vert(self, t):
-        return self._intern_q_vert(t)
+        return self._intern(VERT, t)
 
     def intern_q_mod(self, m):
-        top = self._intern_q_hor(m.top)
-        bottom = self._intern_q_hor(m.bottom)
-        left = self._intern_q_vert(m.left)
-        right = self._intern_q_vert(m.right)
-        A, B = self.A, self.B
-        key = ("q-mod", top, bottom, left, right,
-               tuple(m.at(a, b) for a in range(A.n_objects)
-                     for b in range(B.n_objects)))
-        if key in self._keys:
-            return self._keys[key]
-        s = self.add_square(m.name, top, bottom, left, right)
-        self.sq_payload.append(m)
-        self._keys[key] = s
-        return s
+        return self._intern(SQ, m)
 
-    def hcomp_h(self, f, g):
-        if (f, g) not in self._hh:
-            self._hh[(f, g)] = self._intern_q_hor(
-                vcompose_q_hor(self.h_payload[f], self.h_payload[g]))
-        return self._hh[(f, g)]
+    def _id_payload(self, kind, q):
+        return (identity_q_hor if kind == HOR else identity_q_vert)(q)
 
-    def vcomp_v(self, u, w):
-        if (u, w) not in self._vv:
-            self._vv[(u, w)] = self._intern_q_vert(
-                vcompose_q_vert(self.v_payload[u], self.v_payload[w]))
-        return self._vv[(u, w)]
+    def _sq_v_id_payload(self, t):
+        m_a = {a: identity_modification(t.th_a[a]) for a in t.th_a}
+        m_b = {b: identity_modification(t.th_b[b]) for b in t.th_b}
+        return QModification(t, t, identity_q_vert(t.q1),
+                             identity_q_vert(t.q2), m_a, m_b,
+                             name="Id_%s" % t.name)
 
-    def hcomp_sq(self, s1, s2):
-        if (s1, s2) not in self._hs:
-            self._hs[(s1, s2)] = self.intern_q_mod(
-                hcompose_q_mod(self.sq_payload[s1], self.sq_payload[s2]))
-        return self._hs[(s1, s2)]
+    def _sq_h_id_payload(self, t):
+        m_a = {a: _vert_identity_square(t.th_a[a], OPLAX) for a in t.th_a}
+        m_b = {b: _vert_identity_square(t.th_b[b], OPLAX) for b in t.th_b}
+        return QModification(identity_q_hor(t.q1), identity_q_hor(t.q2),
+                             t, t, m_a, m_b, name="Id^%s" % t.name)
 
-    def vcomp_sq(self, s1, s2):
-        if (s1, s2) not in self._vs:
-            self._vs[(s1, s2)] = self.intern_q_mod(
-                vcompose_q_mod(self.sq_payload[s1], self.sq_payload[s2]))
-        return self._vs[(s1, s2)]
-
-    def sq_v_id(self, f):
-        if f not in self._sqvid:
-            t = self.h_payload[f]
-            m_a = {a: identity_modification(t.th_a[a]) for a in t.th_a}
-            m_b = {b: identity_modification(t.th_b[b]) for b in t.th_b}
-            self._sqvid[f] = self.intern_q_mod(QModification(
-                t, t, identity_q_vert(t.q1), identity_q_vert(t.q2),
-                m_a, m_b, name="Id_%s" % t.name))
-        return self._sqvid[f]
-
-    def sq_h_id(self, u):
-        if u not in self._sqhid:
-            t = self.v_payload[u]
-            m_a = {a: _vert_identity_square(t.th_a[a]) for a in t.th_a}
-            m_b = {b: _vert_identity_square(t.th_b[b]) for b in t.th_b}
-            self._sqhid[u] = self.intern_q_mod(QModification(
-                identity_q_hor(t.q1), identity_q_hor(t.q2), t, t,
-                m_a, m_b, name="Id^%s" % t.name))
-        return self._sqhid[u]
-
-
-def _vert_identity_square(vt):
-    """The horizontal identity square on a vertical transformation, as a
-    modification with identity transformations on top and bottom."""
-    top = identity_hor_transform(vt.F, OPLAX)
-    bottom = identity_hor_transform(vt.G, OPLAX)
-    comp = {x: vt.cod.sq_h_id(vt.at(x)) for x in range(vt.dom.n_objects)}
-    return Modification(top, bottom, vt, vt, comp, name="id^%s" % vt.name)
+    def _compose(self, op, x, y):
+        return {"hh": vcompose_q_hor, "vv": vcompose_q_vert,
+                "hs": hcompose_q_mod, "vs": vcompose_q_mod}[op](x, y)
 
 
 def q_hom_double_category(A, B, C):

@@ -36,6 +36,20 @@ def _same_functor(F, G):
     return F is G or functor_equal(F, G)
 
 
+def _derive(cod, store, key, top, bottom, left, right, what):
+    """A stored square, or over a flat codomain the one with this boundary
+    (then stored)."""
+    if key in store:
+        return store[key]
+    if cod.flat:
+        s = cod.find_square(top, bottom, left, right)
+        if s is None:
+            raise MalformedTables("no codomain square for %s" % what)
+        store[key] = s
+        return s
+    raise MalformedTables("%s missing and codomain not flat" % what)
+
+
 class HorTransform:
     """Horizontal transformation between parallel lax double functors.
 
@@ -58,23 +72,12 @@ class HorTransform:
     def at(self, a):
         return self.comp0[a]
 
-    def _derive(self, store, key, top, bottom, left, right, what):
-        if key in store:
-            return store[key]
-        if self.cod.flat:
-            s = self.cod.find_square(top, bottom, left, right)
-            if s is None:
-                raise MalformedTables("no codomain square for %s" % what)
-            store[key] = s
-            return s
-        raise MalformedTables("%s missing and codomain not flat" % what)
-
     def sq_v(self, u):
         """The square on a 1v-cell u, with the components on top and bottom."""
-        d, c = self.dom, self.cod
-        return self._derive(self.comp_v, u,
-                            self.at(d.vsrc[u]), self.at(d.vtgt[u]),
-                            self.F.v(u), self.G.v(u), "component square")
+        d = self.dom
+        return _derive(self.cod, self.comp_v, u,
+                       self.at(d.vsrc[u]), self.at(d.vtgt[u]),
+                       self.F.v(u), self.G.v(u), "component square")
 
     def delta_at(self, f):
         """The globular structure square on a 1h-cell f."""
@@ -84,9 +87,9 @@ class HorTransform:
         lower = c.hcomp_h(self.at(a), self.G.h(f))
         if self.orientation == LAX:
             upper, lower = lower, upper
-        return self._derive(self.delta, f, upper, lower,
-                            c.v_id(self.F.obj(a)), c.v_id(self.G.obj(b)),
-                            "structure square")
+        return _derive(c, self.delta, f, upper, lower,
+                       c.v_id(self.F.obj(a)), c.v_id(self.G.obj(b)),
+                       "structure square")
 
     def __repr__(self):
         return "HorTransform(%s: %s => %s, %s)" % (
@@ -116,22 +119,11 @@ class VertTransform:
     def at(self, a):
         return self.comp0[a]
 
-    def _derive(self, store, key, top, bottom, left, right, what):
-        if key in store:
-            return store[key]
-        if self.cod.flat:
-            s = self.cod.find_square(top, bottom, left, right)
-            if s is None:
-                raise MalformedTables("no codomain square for %s" % what)
-            store[key] = s
-            return s
-        raise MalformedTables("%s missing and codomain not flat" % what)
-
     def sq_h(self, f):
         d = self.dom
-        return self._derive(self.comp_h, f, self.F.h(f), self.G.h(f),
-                            self.at(d.hsrc[f]), self.at(d.htgt[f]),
-                            "component square")
+        return _derive(self.cod, self.comp_h, f, self.F.h(f), self.G.h(f),
+                       self.at(d.hsrc[f]), self.at(d.htgt[f]),
+                       "component square")
 
     def sq_v(self, u):
         d, c = self.dom, self.cod
@@ -140,9 +132,9 @@ class VertTransform:
         right = c.vcomp_v(self.F.v(u), self.at(at_))
         if self.orientation == OPLAX:
             left, right = right, left
-        return self._derive(self.comp_v, u,
-                            c.h_id(self.F.obj(a)), c.h_id(self.G.obj(at_)),
-                            left, right, "structure square")
+        return _derive(c, self.comp_v, u,
+                       c.h_id(self.F.obj(a)), c.h_id(self.G.obj(at_)),
+                       left, right, "structure square")
 
     def __repr__(self):
         return "VertTransform(%s: %s => %s, %s)" % (

@@ -1,18 +1,25 @@
 """Tests for hom double categories and cell enumeration."""
 
+import gc
+import weakref
+
 import pytest
 
 from dblcheck.core import bool_matrix_double_category, parity, trivial, walk_h
 from dblcheck.errors import EnumerationBound, NotHomCodomain
-from dblcheck.functor import check_lax_functor, identity_functor
+from dblcheck.functor import (
+    LaxDoubleFunctor, check_lax_functor, identity_functor)
 from dblcheck.hom import (
     FLAVORS, HOP, HOP_STAR, ST, ST_U, HomDoubleCat, enumerate_hor_transforms,
     enumerate_lax_functors, enumerate_modifications, enumerate_vert_transforms,
-    hom_double_category, hom_membership)
+    hom_double_category, hom_membership, populate_squares)
+from dblcheck.quasi import curry0
 from dblcheck.transform import (
-    LAX, OPLAX, identity_hor_transform, identity_vert_transform)
+    LAX, OPLAX, identity_hor_transform, identity_modification,
+    identity_vert_transform)
 
 from test_functor import full_relation_monad_functor, parity_sign_functor
+from test_quasi import sign_quasi
 
 
 def test_enumerate_functors_point_to_parity():
@@ -52,16 +59,20 @@ def test_unitary_only_filter():
 
 
 def test_hom_category_point_to_parity():
-    hom = hom_double_category(trivial(), parity(), HOP, bound=10 ** 6)
-    assert hom.n_objects == 4
-    rep_ids = [hom.h_id(a) for a in range(hom.n_objects)]
-    assert all(x is not None for x in rep_ids)
-    # horizontal composition of 1h-cells works through payloads
-    for f in range(min(hom.n_hcells, 6)):
-        a, b = hom.hsrc[f], hom.htgt[f]
-        assert hom.hcomp_h(hom.h_id(a), f) == f or True
-        fg = hom.hcomp_h(f, hom.h_id(b))
-        assert hom.hsrc[fg] == a and hom.htgt[fg] == b
+    for flavor in FLAVORS.values():
+        hom = hom_double_category(trivial(), parity(), flavor, bound=10 ** 6)
+        assert hom.n_objects == 4
+        rep_ids = [hom.h_id(a) for a in range(hom.n_objects)]
+        assert all(x is not None for x in rep_ids)
+        # composition through payloads meets the identity cells again
+        for f in range(hom.n_hcells):
+            a, b = hom.hsrc[f], hom.htgt[f]
+            assert hom.hcomp_h(hom.h_id(a), f) == f
+            assert hom.hcomp_h(f, hom.h_id(b)) == f
+        for u in range(hom.n_vcells):
+            a, b = hom.vsrc[u], hom.vtgt[u]
+            assert hom.vcomp_v(hom.v_id(a), u) == u
+            assert hom.vcomp_v(u, hom.v_id(b)) == u
 
 
 def test_hom_identity_squares():
@@ -99,6 +110,40 @@ def test_hom_interning_dedupes():
     assert a1 == a2 and a1 != a3
 
 
+def test_hom_interning_memo():
+    p = parity()
+    t = trivial()
+    hom = HomDoubleCat(t, p, HOP)
+    F = _point_functor(p, 0, t=t)
+    a = hom.intern_functor(F)
+    G = _point_functor(p, 0, t=t)
+    assert G is not F and hom.intern_functor(G) == a
+    assert hom.obj_payload[a] is F
+    comp = dict(F.comp)
+    comp[(0, 0)] = p.parity_index[(0, 0, 0, 0, 1)]
+    H = LaxDoubleFunctor(t, p, F.ob, F.hmap, F.vmap, F.sqmap, comp, F.unit)
+    assert hom.intern_functor(H) != a
+
+
+def test_hom_memo_keeps_no_deduplicated_composite():
+    hom = hom_double_category(trivial(), parity(), HOP, bound=10 ** 6)
+    made = []
+    compose = hom._compose
+
+    def recording(op, x, y):
+        out = compose(op, x, y)
+        made.append(weakref.ref(out))
+        return out
+    hom._compose = recording
+    populate_squares(hom)
+    stored = {id(x) for xs in (hom.h_payload, hom.v_payload, hom.sq_payload)
+              for x in xs}
+    gc.collect()
+    alive = [r() for r in made if r() is not None]
+    assert all(id(x) in stored for x in alive)
+    assert len(alive) < len(made)
+
+
 def test_hom_orientation_guard():
     p = parity()
     hom = HomDoubleCat(trivial(), p, HOP)
@@ -107,6 +152,20 @@ def test_hom_orientation_guard():
         hom.intern_hor_transform(identity_hor_transform(F, LAX))
     with pytest.raises(NotHomCodomain):
         hom.intern_vert_transform(identity_vert_transform(F, OPLAX))
+
+
+def test_hom_orientation_guard_on_every_route():
+    p = parity()
+    F = _point_functor(p, 0)
+    hom = HomDoubleCat(F.dom, p, HOP)
+    with pytest.raises(NotHomCodomain):
+        hom.intern_modification(
+            identity_modification(identity_hor_transform(F, LAX)))
+    assert hom.n_objects == 0
+    # curried transformations are horizontal oplax, which hop* excludes
+    q = sign_quasi({0: 0, 1: 1})
+    with pytest.raises(NotHomCodomain):
+        curry0(q, HomDoubleCat(q.B, q.C, HOP_STAR))
 
 
 def test_hom_membership_functor():
