@@ -96,9 +96,9 @@ class InternedDoubleCat(DoubleCat):
     supplies ``_key(kind, payload, bounds)``, the endpoints ``_ends`` of a
     1-cell payload, the identity 1-cell payloads ``_id_payload(kind, x)``
     on an object payload, the identity squares ``_sq_v_id_payload`` and
-    ``_sq_h_id_payload`` on a 1-cell payload, and ``_compose(op, x, y)``,
-    the composite payload that table ``_<op>`` records for op in
-    hh, vv, hs and vs.
+    ``_sq_h_id_payload`` on a 1-cell payload, and the payload compositions
+    ``_hh_op``, ``_vv_op``, ``_hs_op`` and ``_vs_op`` behind the tables
+    ``_hh``, ``_vv``, ``_hs`` and ``_vs``.
     """
 
     def __init__(self, name):
@@ -149,26 +149,26 @@ class InternedDoubleCat(DoubleCat):
 
     def hcomp_h(self, f, g):
         if (f, g) not in self._hh:
-            self._hh[(f, g)] = self._intern(HOR, self._compose(
-                "hh", self.h_payload[f], self.h_payload[g]))
+            self._hh[(f, g)] = self._intern(HOR, self._hh_op(
+                self.h_payload[f], self.h_payload[g]))
         return self._hh[(f, g)]
 
     def vcomp_v(self, u, w):
         if (u, w) not in self._vv:
-            self._vv[(u, w)] = self._intern(VERT, self._compose(
-                "vv", self.v_payload[u], self.v_payload[w]))
+            self._vv[(u, w)] = self._intern(VERT, self._vv_op(
+                self.v_payload[u], self.v_payload[w]))
         return self._vv[(u, w)]
 
     def hcomp_sq(self, s1, s2):
         if (s1, s2) not in self._hs:
-            self._hs[(s1, s2)] = self._intern(SQ, self._compose(
-                "hs", self.sq_payload[s1], self.sq_payload[s2]))
+            self._hs[(s1, s2)] = self._intern(SQ, self._hs_op(
+                self.sq_payload[s1], self.sq_payload[s2]))
         return self._hs[(s1, s2)]
 
     def vcomp_sq(self, s1, s2):
         if (s1, s2) not in self._vs:
-            self._vs[(s1, s2)] = self._intern(SQ, self._compose(
-                "vs", self.sq_payload[s1], self.sq_payload[s2]))
+            self._vs[(s1, s2)] = self._intern(SQ, self._vs_op(
+                self.sq_payload[s1], self.sq_payload[s2]))
         return self._vs[(s1, s2)]
 
     def sq_v_id(self, f):
@@ -235,10 +235,17 @@ class HomDoubleCat(InternedDoubleCat):
     def _sq_h_id_payload(self, t):
         return _vert_identity_square(t, self.flavor.hor)
 
-    def _compose(self, op, x, y):
-        return {"hh": vcompose_hor, "vv": vcompose_vert,
-                "hs": hcompose_modifications,
-                "vs": vcompose_modifications}[op](x, y)
+    def _hh_op(self, t1, t2):
+        return vcompose_hor(t1, t2)
+
+    def _vv_op(self, t1, t2):
+        return vcompose_vert(t1, t2)
+
+    def _hs_op(self, m1, m2):
+        return hcompose_modifications(m1, m2)
+
+    def _vs_op(self, m1, m2):
+        return vcompose_modifications(m1, m2)
 
 
 def hom_double_category(B, C, flavor=HOP, bound=None):

@@ -27,7 +27,7 @@ from .core import ValidationReport
 from .errors import ChainMismatch, DomainMismatch
 from .functor import LaxDoubleFunctor, check_lax_functor, is_unitary, _eq
 from .hom import (
-    HOP, HOR, OBJ, SQ, HomDoubleCat, InternedDoubleCat, _functor_key,
+    HOP, HOR, OBJ, SQ, VERT, HomDoubleCat, InternedDoubleCat, _functor_key,
     _vert_identity_square)
 from .transform import (
     LAX, OPLAX, HorTransform, Modification, VertTransform,
@@ -464,21 +464,27 @@ class QModification:
         return self.m_a[a].at(b)
 
 
+def _check_families(fam_a, fam_b, check, A, B, tag):
+    """Check every member of both families (reported under tag-a[X]. and
+    tag-b[Y].), then, if all pass, their agreement on components."""
+    rep = ValidationReport()
+    for a in range(A.n_objects):
+        rep.merge(check(fam_a[a]), prefix="%s-a[%s]." % (tag, A.objects[a]))
+    for b in range(B.n_objects):
+        rep.merge(check(fam_b[b]), prefix="%s-b[%s]." % (tag, B.objects[b]))
+    if rep.passed:
+        for a in range(A.n_objects):
+            for b in range(B.n_objects):
+                if fam_a[a].at(b) != fam_b[b].at(a):
+                    rep.add("q-agreement", a=a, b=b)
+    return rep
+
+
 def check_q_hor(t):
     """Componentwise transformation laws plus the four mixed coherence laws."""
-    rep = ValidationReport()
     q1, q2 = t.q1, t.q2
     A, B, C = q1.A, q1.B, q1.C
-    for a in range(A.n_objects):
-        rep.merge(check_hor_transform(t.th_a[a]), prefix="th-a[%s]." % A.objects[a])
-    for b in range(B.n_objects):
-        rep.merge(check_hor_transform(t.th_b[b]), prefix="th-b[%s]." % B.objects[b])
-    if not rep.passed:
-        return rep
-    for a in range(A.n_objects):
-        for b in range(B.n_objects):
-            if t.th_a[a].at(b) != t.th_b[b].at(a):
-                rep.add("q-agreement", a=a, b=b)
+    rep = _check_families(t.th_a, t.th_b, check_hor_transform, A, B, "th")
     if not rep.passed:
         return rep
     vid = C.sq_v_id
@@ -537,19 +543,9 @@ def check_q_hor(t):
 
 def check_q_vert(t):
     """Componentwise vertical transformation laws plus mixed coherence."""
-    rep = ValidationReport()
     q1, q2 = t.q1, t.q2
     A, B, C = q1.A, q1.B, q1.C
-    for a in range(A.n_objects):
-        rep.merge(check_vert_transform(t.th_a[a]), prefix="th-a[%s]." % A.objects[a])
-    for b in range(B.n_objects):
-        rep.merge(check_vert_transform(t.th_b[b]), prefix="th-b[%s]." % B.objects[b])
-    if not rep.passed:
-        return rep
-    for a in range(A.n_objects):
-        for b in range(B.n_objects):
-            if t.th_a[a].at(b) != t.th_b[b].at(a):
-                rep.add("q-agreement", a=a, b=b)
+    rep = _check_families(t.th_a, t.th_b, check_vert_transform, A, B, "th")
     if not rep.passed:
         return rep
     hid = C.sq_h_id
@@ -608,20 +604,8 @@ def check_q_vert(t):
 
 def check_q_mod(m):
     """Componentwise modification laws; agreement of the two families."""
-    rep = ValidationReport()
-    A = m.top.q1.A
-    B = m.top.q1.B
-    for a in range(A.n_objects):
-        rep.merge(check_modification(m.m_a[a]), prefix="m-a[%s]." % A.objects[a])
-    for b in range(B.n_objects):
-        rep.merge(check_modification(m.m_b[b]), prefix="m-b[%s]." % B.objects[b])
-    if not rep.passed:
-        return rep
-    for a in range(A.n_objects):
-        for b in range(B.n_objects):
-            if m.m_a[a].at(b) != m.m_b[b].at(a):
-                rep.add("q-agreement", a=a, b=b)
-    return rep
+    q = m.top.q1
+    return _check_families(m.m_a, m.m_b, check_modification, q.A, q.B, "m")
 
 
 def vcompose_q_hor(t1, t2):
@@ -941,17 +925,29 @@ def _quasi_key(q):
             tuple(sorted(q.ku.items())), tuple(sorted(q.uu.items())))
 
 
-def _q_cell_key(kind, t, src, tgt):
-    """Key of a q-horizontal (HOR) or q-vertical transformation."""
+def _q_hor_key(t, src, tgt):
     A, B = t.q1.A, t.q1.B
-    tag, on_h = (("q-hor", HorTransform.delta_at) if kind == HOR
-                 else ("q-vert", VertTransform.sq_h))
-    return (tag, src, tgt,
+    return ("q-hor", src, tgt,
             tuple(t.th_a[a].at(b) for a in range(A.n_objects)
                   for b in range(B.n_objects)),
-            tuple(on_h(t.th_a[a], k) for a in range(A.n_objects)
+            tuple(t.th_a[a].delta_at(k) for a in range(A.n_objects)
                   for k in range(B.n_hcells)),
-            tuple(on_h(t.th_b[b], K) for b in range(B.n_objects)
+            tuple(t.th_b[b].delta_at(K) for b in range(B.n_objects)
+                  for K in range(A.n_hcells)),
+            tuple(t.th_a[a].sq_v(u) for a in range(A.n_objects)
+                  for u in range(B.n_vcells)),
+            tuple(t.th_b[b].sq_v(U) for b in range(B.n_objects)
+                  for U in range(A.n_vcells)))
+
+
+def _q_vert_key(t, src, tgt):
+    A, B = t.q1.A, t.q1.B
+    return ("q-vert", src, tgt,
+            tuple(t.th_a[a].at(b) for a in range(A.n_objects)
+                  for b in range(B.n_objects)),
+            tuple(t.th_a[a].sq_h(k) for a in range(A.n_objects)
+                  for k in range(B.n_hcells)),
+            tuple(t.th_b[b].sq_h(K) for b in range(B.n_objects)
                   for K in range(A.n_hcells)),
             tuple(t.th_a[a].sq_v(u) for a in range(A.n_objects)
                   for u in range(B.n_vcells)),
@@ -974,7 +970,7 @@ class QHomDoubleCat(InternedDoubleCat):
             return ("q-mod",) + bounds + (
                 tuple(x.at(a, b) for a in range(A.n_objects)
                       for b in range(B.n_objects)),)
-        return _q_cell_key(kind, x, *bounds)
+        return (_q_hor_key if kind == HOR else _q_vert_key)(x, *bounds)
 
     def _ends(self, t):
         return t.q1, t.q2
@@ -1007,9 +1003,17 @@ class QHomDoubleCat(InternedDoubleCat):
         return QModification(identity_q_hor(t.q1), identity_q_hor(t.q2),
                              t, t, m_a, m_b, name="Id^%s" % t.name)
 
-    def _compose(self, op, x, y):
-        return {"hh": vcompose_q_hor, "vv": vcompose_q_vert,
-                "hs": hcompose_q_mod, "vs": vcompose_q_mod}[op](x, y)
+    def _hh_op(self, t1, t2):
+        return vcompose_q_hor(t1, t2)
+
+    def _vv_op(self, t1, t2):
+        return vcompose_q_vert(t1, t2)
+
+    def _hs_op(self, m1, m2):
+        return hcompose_q_mod(m1, m2)
+
+    def _vs_op(self, m1, m2):
+        return vcompose_q_mod(m1, m2)
 
 
 def q_hom_double_category(A, B, C):

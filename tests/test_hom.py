@@ -128,13 +128,15 @@ def test_hom_interning_memo():
 def test_hom_memo_keeps_no_deduplicated_composite():
     hom = hom_double_category(trivial(), parity(), HOP, bound=10 ** 6)
     made = []
-    compose = hom._compose
 
-    def recording(op, x, y):
-        out = compose(op, x, y)
-        made.append(weakref.ref(out))
-        return out
-    hom._compose = recording
+    def recording(compose):
+        def composite(x, y):
+            out = compose(x, y)
+            made.append(weakref.ref(out))
+            return out
+        return composite
+    for op in ("_hh_op", "_vv_op", "_hs_op", "_vs_op"):
+        setattr(hom, op, recording(getattr(hom, op)))
     populate_squares(hom)
     stored = {id(x) for xs in (hom.h_payload, hom.v_payload, hom.sq_payload)
               for x in xs}
@@ -142,6 +144,22 @@ def test_hom_memo_keeps_no_deduplicated_composite():
     alive = [r() for r in made if r() is not None]
     assert all(id(x) in stored for x in alive)
     assert len(alive) < len(made)
+
+
+def test_hom_public_intern_routes():
+    # fresh identity payloads find the identity cells interned with F
+    p = parity()
+    F = _point_functor(p, 0)
+    hom = HomDoubleCat(F.dom, p, HOP)
+    a = hom.intern_functor(F)
+    f = hom.intern_hor_transform(identity_hor_transform(F, HOP.hor))
+    assert f == hom.h_id(a)
+    u = hom.intern_vert_transform(identity_vert_transform(F, HOP.vert))
+    assert u == hom.v_id(a)
+    s = hom.intern_modification(
+        identity_modification(identity_hor_transform(F, HOP.hor)))
+    assert s == hom.sq_v_id(f)
+    assert (hom.n_hcells, hom.n_vcells, hom.n_squares) == (1, 1, 1)
 
 
 def test_hom_orientation_guard():

@@ -317,6 +317,18 @@ def test_q_hom_category_smoke():
     assert qh.sq_bounds[s2][2] == u and qh.sq_bounds[s2][3] == u
 
 
+def test_q_hom_public_intern_routes():
+    # fresh identity payloads find the identity cells interned with q
+    q = sign_quasi({0: 0, 1: 1})
+    qh = q_hom_double_category(q.A, q.B, q.C)
+    a = qh.intern_quasi(q)
+    f = qh.intern_q_hor(identity_q_hor(q))
+    assert f == qh.h_id(a)
+    assert qh.intern_q_vert(identity_q_vert(q)) == qh.v_id(a)
+    assert qh.intern_q_mod(identity_q_mod(q)) == qh.sq_v_id(f)
+    assert (qh.n_hcells, qh.n_vcells, qh.n_squares) == (1, 1, 1)
+
+
 def test_curry_cache_not_reused_after_collection(monkeypatch):
     # A collected quasi functor's address may be handed to a new one, and a
     # cache keyed by id() would then return the collected one's functor.
