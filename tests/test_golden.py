@@ -1,17 +1,22 @@
-"""Golden reports: CLI payloads and interned cell tables, compared exactly.
+"""Golden reports: CLI payloads, cell tables, failures and relations.
 
 The corpus under ``tests/golden/`` pins observable behaviour for
 refactors: the ``--json`` payload (without ``elapsed``) and exit code of
 every README verb, of ``validate`` on every table fixture, of ``hom`` in
-all four flavors and of ``curry``/``uncurry`` on the quasi fixtures, plus
-the full cell tables of the populated ``hom(trivial, parity)`` flavors and
-of the sign q-hom double category.
+all four flavors, of ``curry``/``uncurry`` on the quasi fixtures and of
+functor, quasi and tensor documents into ``parity`` with one flipped
+square; the full cell tables of the populated ``hom(trivial, parity)``
+flavors and of the sign q-hom double category; the in-process failures
+(law, witness, order) of the acceptance functor mutants and of single
+square flips of the sign quasi functors; and the tensor relations of three
+small presentations, sorted per label, so they compare as multisets.
 
 Regenerate only for an intended change of behaviour, and say so:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import itertools
 import json
 import os
 
@@ -19,11 +24,15 @@ import pytest
 from click.testing import CliRunner
 
 from dblcheck.cli import main
-from dblcheck.core import parity, trivial
+from dblcheck.core import (
+    Gen, HComp, HId, VComp, VId, parity, trivial, walk_h, walk_v)
+from dblcheck.functor import check_lax_functor, identity_functor
 from dblcheck.hom import FLAVORS, hom_double_category, populate_squares
-from dblcheck.quasi import q_hom_double_category
+from dblcheck.quasi import check_quasi_functor, q_hom_double_category
+from dblcheck.tensor import tensor_presentation
 
-from test_quasi import sign_q_hor, sign_quasi
+from test_acceptance import _mutation_corpus, flip
+from test_quasi import sign_q_hor, sign_quasi, walk_into_parity
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN = os.path.join(HERE, "golden")
@@ -51,6 +60,52 @@ def _mutant(name, **changes):
     return doc
 
 
+def _functor_doc(F):
+    """The cell maps, compositors and unitors of F, by name (explicit
+    domain and codomain)."""
+    d, c = F.dom, F.cod
+    sq = lambda s: c.sq_names[s]
+    return {
+        "ob": {d.objects[a]: c.objects[F.obj(a)] for a in range(d.n_objects)},
+        "hmap": {d.hnames[f]: c.hnames[F.h(f)] for f in range(d.n_hcells)},
+        "vmap": {d.vnames[u]: c.vnames[F.v(u)] for u in range(d.n_vcells)},
+        "sqmap": {d.sq_names[s]: sq(F.sq(s)) for s in range(d.n_squares)},
+        "comp": {"%s,%s" % (d.hnames[f], d.hnames[g]): sq(s)
+                 for (f, g), s in sorted(F.comp.items())},
+        "unit": {d.objects[a]: sq(s) for a, s in sorted(F.unit.items())},
+    }
+
+
+def _parity_functor_doc():
+    """The identity functor of parity with its (h, h) compositor flipped."""
+    F = identity_functor(parity())
+    doc = dict(_functor_doc(F), dom={"builtin": "parity"},
+               cod={"builtin": "parity"}, name="id-flipped")
+    doc["comp"]["h,h"] = F.cod.sq_names[flip(F.cod, F.comp[(1, 1)])]
+    return doc
+
+
+def _parity_quasi_doc():
+    """A sign quasi functor (walk_h, point) -> parity, written out by name,
+    with its interchanger on the free 1h-cell flipped."""
+    signs = {0: 0, 1: 1}
+    w, p = walk_h(), parity()
+    q = sign_quasi(signs, w=w, p=p)
+    point = lambda sign: {
+        "ob": {"*": "*"}, "hmap": {"1_*": "1_*"}, "vmap": {"1^*": "1^*"},
+        "sqmap": {"Id_1_*": "s[0000:0]"},
+        "comp": {"1_*,1_*": "s[0000:%d]" % sign},
+        "unit": {"*": "s[0000:%d]" % sign}}
+    kk = {"1_*,%s" % w.hnames[K]: p.sq_names[s] for (_, K), s in q.kk.items()}
+    a = w.hnames.index("a")
+    kk["1_*,a"] = p.sq_names[flip(p, q.kk[(0, a)])]
+    return {"name": "sign-flipped", "A": {"builtin": "walk_h"},
+            "B": {"objects": ["*"]}, "C": {"builtin": "parity"},
+            "fam_a": {w.objects[x]: point(signs[x]) for x in signs},
+            "fam_b": {"*": _functor_doc(walk_into_parity(w, p))},
+            "kk": kk}
+
+
 def _cli_cases():
     cases = {
         "functor-check-monad-functor":
@@ -73,6 +128,11 @@ def _cli_cases():
         "transform-check-vert-underived": ["transform-check", _mutant(
             "transform-hor", kind="vert", orientation="lax",
             at={"*": "1^*"}, sq_v=None, delta=None)],
+        "functor-check-parity-flip":
+            ["functor-check", _parity_functor_doc()],
+        "quasi-check-parity-flip": ["quasi-check", _parity_quasi_doc()],
+        "tensor-factorize-parity-flip":
+            ["tensor-factorize", _parity_quasi_doc()],
     }
     for name in TABLE_FIXTURES:
         cases["validate-" + name] = ["validate", fx(name)]
@@ -139,6 +199,81 @@ TABLE_CASES = dict({"hom-trivial-parity-" + _slug(f): (lambda f=f: hom_table(f))
                    **{"qhom-sign": sign_qhom_table})
 
 
+def _failures(rep):
+    return [[law, {k: repr(v) for k, v in wit.items()}]
+            for law, wit in rep.failures]
+
+
+def functor_mutant_failures():
+    """Failures of the acceptance criterion-2 functor mutants."""
+    return {name: _failures(check_lax_functor(F))
+            for name, F, _ in _mutation_corpus()}
+
+
+def _sign_quasi_flips(signs):
+    """Every single-square flip of a sign quasi functor: each interchanger
+    and each family square image, compositor and unitor."""
+    def fresh():
+        return sign_quasi(dict(enumerate(signs)))
+    out = {}
+    for key in sorted(fresh().kk):
+        q = fresh()
+        q.kk[key] = flip(q.C, q.kk[key])
+        out["kk%d" % key[1]] = q
+    for fam in ("fam_a", "fam_b"):
+        for x in sorted(getattr(fresh(), fam)):
+            F = getattr(fresh(), fam)[x]
+            for field in ("sqmap", "comp", "unit"):
+                for key in sorted(getattr(F, field)):
+                    q = fresh()
+                    table = getattr(getattr(q, fam)[x], field)
+                    table[key] = flip(q.C, table[key])
+                    out["%s%d.%s%s" % (fam[-1], x, field, key)] = q
+    return out
+
+
+def quasi_flip_failures(derive_unit_laws):
+    out = {}
+    for signs in itertools.product((0, 1), repeat=2):
+        for name, q in _sign_quasi_flips(signs).items():
+            rep = check_quasi_functor(q, derive_unit_laws=derive_unit_laws)
+            out["sign%d%d:%s" % (signs + (name,))] = _failures(rep)
+    return out
+
+
+FAILURE_CASES = {
+    "functor-mutants": functor_mutant_failures,
+    "quasi-flips": lambda: quasi_flip_failures(False),
+    "quasi-flips-derived": lambda: quasi_flip_failures(True),
+}
+
+
+def _term(t):
+    """A compact rendering of a pasting term."""
+    if isinstance(t, Gen):
+        return t.name
+    if isinstance(t, HComp):
+        return "(%s | %s)" % (_term(t.left), _term(t.right))
+    if isinstance(t, VComp):
+        return "(%s / %s)" % (_term(t.top), _term(t.bottom))
+    return "%s(%s)" % (type(t).__name__, _term(t.of))
+
+
+def relation_table(A, B):
+    """The presentation's relations as sorted [lhs, rhs] lists per label."""
+    out = {}
+    for label, lhs, rhs in tensor_presentation(A, B).relations:
+        out.setdefault(label, []).append([_term(lhs), _term(rhs)])
+    return {label: sorted(rels) for label, rels in out.items()}
+
+
+RELATION_CASES = {
+    "trivial-x-trivial": lambda: relation_table(trivial(), trivial()),
+    "walk_h-x-trivial": lambda: relation_table(walk_h(), trivial()),
+    "walk_h-x-walk_v": lambda: relation_table(walk_h(), walk_v()),
+}
+
+
 def _golden_path(kind, name):
     return os.path.join(GOLDEN, kind, name + ".json")
 
@@ -164,8 +299,22 @@ def test_cell_table_matches_golden(name):
     assert _roundtrip(TABLE_CASES[name]()) == _load("tables", name)
 
 
+@pytest.mark.parametrize("name", sorted(FAILURE_CASES))
+def test_failures_match_golden(name):
+    assert _roundtrip(FAILURE_CASES[name]()) == _load("failures", name)
+
+
+@pytest.mark.parametrize("name", sorted(RELATION_CASES))
+def test_relations_match_golden(name):
+    assert RELATION_CASES[name]() == _load("relations", name)
+
+
+GOLDEN_KINDS = (("cli", CLI_CASES), ("tables", TABLE_CASES),
+                ("failures", FAILURE_CASES), ("relations", RELATION_CASES))
+
+
 def test_corpus_has_no_stray_files():
-    for kind, cases in (("cli", CLI_CASES), ("tables", TABLE_CASES)):
+    for kind, cases in GOLDEN_KINDS:
         stored = sorted(f[:-len(".json")]
                         for f in os.listdir(os.path.join(GOLDEN, kind)))
         assert stored == sorted(cases)
@@ -174,9 +323,9 @@ def test_corpus_has_no_stray_files():
 def _write_corpus():
     import tempfile
     with tempfile.TemporaryDirectory() as tmp:
-        for kind, cases, build in (
-                ("cli", CLI_CASES, lambda args: cli_result(args, tmp)),
-                ("tables", TABLE_CASES, lambda fn: fn())):
+        for kind, cases in GOLDEN_KINDS:
+            build = ((lambda args: cli_result(args, tmp)) if kind == "cli"
+                     else (lambda fn: fn()))
             os.makedirs(os.path.join(GOLDEN, kind), exist_ok=True)
             for name, case in sorted(cases.items()):
                 with open(_golden_path(kind, name), "w",
