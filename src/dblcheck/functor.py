@@ -8,6 +8,8 @@ square from F(f) then F(g) down to F(f then g); the unitor for an object A
 goes from the identity on F(A) down to F(1_A).
 """
 
+import functools
+
 from .core import ValidationReport
 from .errors import DblError, DomainMismatch, MalformedTables
 
@@ -183,18 +185,37 @@ def check_lax_functor(F):
     lx.f.c-nat (compositor naturality), lx.f.u-nat (unitor naturality).
     """
     rep = check_wellformed(F)
-    if not rep.passed:
-        return rep
+    if rep.passed:
+        _lax_functor_laws(F, functools.partial(_eq, rep), "lx.f")
+    return rep
+
+
+@functools.lru_cache(maxsize=None)
+def _law_labels(tag):
+    return tuple("%s.%s" % (tag, law) for law in (
+        "v1", "v2", "h1", "h2", "hex", "u", "c-nat", "u-nat"))
+
+
+def _lax_functor_laws(F, emit, tag):
+    """Every lax functor law instance of F, in report order.
+
+    Each instance goes to ``emit(law, lhs, rhs, **witness)`` with its two
+    sides as thunks over F and its codomain.  The checker compares them on
+    concrete cells; the tensor presentation runs this catalogue on the
+    generator families, whose codomain builds pasting terms, and stores
+    the instances as relations.
+    """
     d, c = F.dom, F.cod
+    v1, v2, h1, h2, hex_, unit, c_nat, u_nat = _law_labels(tag)
     for u in range(d.n_vcells):
         for w in range(d.n_vcells):
             if d.vtgt[u] == d.vsrc[w]:
-                _eq(rep, "lx.f.v1",
+                emit(v1,
                     lambda u=u, w=w: F.v(d.vcomp_v(u, w)),
                     lambda u=u, w=w: c.vcomp_v(F.v(u), F.v(w)),
                     first=u, second=w)
     for a in range(d.n_objects):
-        _eq(rep, "lx.f.v2",
+        emit(v2,
             lambda a=a: F.v(d.v_id(a)),
             lambda a=a: c.v_id(F.obj(a)), object=a)
     squares = list(d.iter_squares())
@@ -203,12 +224,12 @@ def check_lax_functor(F):
         by_top.setdefault(d.sq_top(s), []).append(s)
     for s1 in squares:
         for s2 in by_top.get(d.sq_bottom(s1), []):
-            _eq(rep, "lx.f.h1",
+            emit(h1,
                 lambda s1=s1, s2=s2: F.sq(d.vcomp_sq(s1, s2)),
                 lambda s1=s1, s2=s2: c.vcomp_sq(F.sq(s1), F.sq(s2)),
                 top=s1, bottom=s2)
     for f in range(d.n_hcells):
-        _eq(rep, "lx.f.h2",
+        emit(h2,
             lambda f=f: F.sq(d.sq_v_id(f)),
             lambda f=f: c.sq_v_id(F.h(f)), hcell=f)
     for f in range(d.n_hcells):
@@ -218,7 +239,7 @@ def check_lax_functor(F):
             for h in range(d.n_hcells):
                 if d.htgt[g] != d.hsrc[h]:
                     continue
-                _eq(rep, "lx.f.hex",
+                emit(hex_,
                     lambda f=f, g=g, h=h: c.vcomp_sq(
                         c.hcomp_sq(F.compositor(f, g), c.sq_v_id(F.h(h))),
                         F.compositor(d.hcomp_h(f, g), h)),
@@ -228,17 +249,17 @@ def check_lax_functor(F):
                     first=f, second=g, third=h)
     for f in range(d.n_hcells):
         a, b = d.hsrc[f], d.htgt[f]
-        ident = c.sq_v_id(F.h(f))
-        _eq(rep, "lx.f.u",
+        ident = lambda f=f: c.sq_v_id(F.h(f))
+        emit(unit,
             lambda f=f, a=a: c.vcomp_sq(
                 c.hcomp_sq(F.unitor(a), c.sq_v_id(F.h(f))),
                 F.compositor(d.h_id(a), f)),
-            lambda ident=ident: ident, hcell=f, side="left")
-        _eq(rep, "lx.f.u",
+            ident, hcell=f, side="left")
+        emit(unit,
             lambda f=f, b=b: c.vcomp_sq(
                 c.hcomp_sq(c.sq_v_id(F.h(f)), F.unitor(b)),
                 F.compositor(f, d.h_id(b))),
-            lambda ident=ident: ident, hcell=f, side="right")
+            ident, hcell=f, side="right")
     by_left = {}
     for s in squares:
         by_left.setdefault(d.sq_left(s), []).append(s)
@@ -246,7 +267,7 @@ def check_lax_functor(F):
         for s2 in by_left.get(d.sq_right(s1), []):
             f, g = d.sq_top(s1), d.sq_top(s2)
             fp, gp = d.sq_bottom(s1), d.sq_bottom(s2)
-            _eq(rep, "lx.f.c-nat",
+            emit(c_nat,
                 lambda s1=s1, s2=s2, fp=fp, gp=gp: c.vcomp_sq(
                     c.hcomp_sq(F.sq(s1), F.sq(s2)), F.compositor(fp, gp)),
                 lambda s1=s1, s2=s2, f=f, g=g: c.vcomp_sq(
@@ -254,11 +275,10 @@ def check_lax_functor(F):
                 left=s1, right=s2)
     for u in range(d.n_vcells):
         a, ap = d.vsrc[u], d.vtgt[u]
-        _eq(rep, "lx.f.u-nat",
+        emit(u_nat,
             lambda u=u, ap=ap: c.vcomp_sq(c.sq_h_id(F.v(u)), F.unitor(ap)),
             lambda u=u, a=a: c.vcomp_sq(F.unitor(a), F.sq(d.sq_h_id(u))),
             vcell=u)
-    return rep
 
 
 def is_unitary(F):

@@ -22,6 +22,7 @@ double category, and the double category of quasi functors, interned on
 demand through the same base as the hom (``hom.InternedDoubleCat``).
 """
 
+import functools
 
 from .core import ValidationReport
 from .errors import ChainMismatch, DomainMismatch
@@ -181,6 +182,43 @@ def check_quasi_functor(q, trivial_uU=False, unitary=False,
     if not rep.passed:
         return rep
     A, B, C = q.A, q.B, q.C
+    emit = functools.partial(_eq, rep)
+    if derive_unit_laws:
+        def emit(law, lhs, rhs, **witness):
+            if law == "(1_B,K)":
+                s = q.sq_kk(B.h_id(witness["b"]), witness["K"])
+            elif law == "(k,1_A)":
+                s = q.sq_kk(witness["k"], A.h_id(witness["a"]))
+            else:
+                return _eq(rep, law, lhs, rhs, **witness)
+            if C.vertical_inverse(s) is None:
+                rep.add(law, **witness, derived=True)
+    _quasi_laws(q, emit)
+    if trivial_uU:
+        for u in range(B.n_vcells):
+            for U in range(A.n_vcells):
+                s = q.sq_uu(u, U)
+                if (C.sq_left(s) != C.sq_right(s)
+                        or s != C.sq_h_id(C.sq_left(s))):
+                    rep.add("uu-nontrivial", u=u, U=U)
+    if unitary:
+        for a in range(A.n_objects):
+            if not is_unitary(q.fA(a)):
+                rep.add("fam-a-not-unitary", a=a)
+        for b in range(B.n_objects):
+            if not is_unitary(q.fB(b)):
+                rep.add("fam-b-not-unitary", b=b)
+    return rep
+
+
+def _quasi_laws(q, emit):
+    """Every mixed quasi functor law instance of q, in report order.
+
+    Each instance goes to ``emit(law, lhs, rhs, **witness)`` with its two
+    sides as thunks over q and its codomain, as in
+    ``functor._lax_functor_laws``; the family laws are not included.
+    """
+    A, B, C = q.A, q.B, q.C
     vid = C.sq_v_id
     hid = C.sq_h_id
 
@@ -189,11 +227,7 @@ def check_quasi_functor(q, trivial_uU=False, unitary=False,
         one = B.h_id(b)
         for K in range(A.n_hcells):
             a, ap = A.hsrc[K], A.htgt[K]
-            if derive_unit_laws:
-                if C.vertical_inverse(q.sq_kk(one, K)) is None:
-                    rep.add("(1_B,K)", b=b, K=K, derived=True)
-                continue
-            _eq(rep, "(1_B,K)",
+            emit("(1_B,K)",
                 lambda b=b, K=K, a=a, one=one: C.vcomp_sq(
                     C.hcomp_sq(q.fA(a).unitor(b), vid(q.fB(b).h(K))),
                     q.sq_kk(one, K)),
@@ -202,7 +236,7 @@ def check_quasi_functor(q, trivial_uU=False, unitary=False,
                 b=b, K=K)
         for U in range(A.n_vcells):
             a, at = A.vsrc[U], A.vtgt[U]
-            _eq(rep, "(1_B,U)",
+            emit("(1_B,U)",
                 lambda b=b, U=U, a=a, one=one: C.vcomp_sq(
                     q.fA(a).unitor(b), q.sq_ku(one, U)),
                 lambda b=b, U=U, at=at: C.vcomp_sq(
@@ -213,11 +247,7 @@ def check_quasi_functor(q, trivial_uU=False, unitary=False,
         one = A.h_id(a)
         for k in range(B.n_hcells):
             b, bp = B.hsrc[k], B.htgt[k]
-            if derive_unit_laws:
-                if C.vertical_inverse(q.sq_kk(k, one)) is None:
-                    rep.add("(k,1_A)", a=a, k=k, derived=True)
-                continue
-            _eq(rep, "(k,1_A)",
+            emit("(k,1_A)",
                 lambda a=a, k=k, b=b: C.hcomp_sq(
                     q.fB(b).unitor(a), vid(q.fA(a).h(k))),
                 lambda a=a, k=k, bp=bp, one=one: C.vcomp_sq(
@@ -226,7 +256,7 @@ def check_quasi_functor(q, trivial_uU=False, unitary=False,
                 a=a, k=k)
         for u in range(B.n_vcells):
             b, bt = B.vsrc[u], B.vtgt[u]
-            _eq(rep, "(u,1_A)",
+            emit("(u,1_A)",
                 lambda a=a, u=u, bt=bt: C.vcomp_sq(
                     hid(q.fA(a).v(u)), q.fB(bt).unitor(a)),
                 lambda a=a, u=u, b=b, one=one: C.vcomp_sq(
@@ -235,22 +265,22 @@ def check_quasi_functor(q, trivial_uU=False, unitary=False,
     # vertical identity arguments collapse to identity squares
     for K in range(A.n_hcells):
         for b in range(B.n_objects):
-            _eq(rep, "(1^B,K)",
+            emit("(1^B,K)",
                 lambda b=b, K=K: q.sq_uk(B.v_id(b), K),
                 lambda b=b, K=K: vid(q.fB(b).h(K)), b=b, K=K)
     for k in range(B.n_hcells):
         for a in range(A.n_objects):
-            _eq(rep, "(k,1^A)",
+            emit("(k,1^A)",
                 lambda a=a, k=k: q.sq_ku(k, A.v_id(a)),
                 lambda a=a, k=k: vid(q.fA(a).h(k)), a=a, k=k)
     for U in range(A.n_vcells):
         for b in range(B.n_objects):
-            _eq(rep, "(1^B,U)",
+            emit("(1^B,U)",
                 lambda b=b, U=U: q.sq_uu(B.v_id(b), U),
                 lambda b=b, U=U: hid(q.fB(b).v(U)), b=b, U=U)
     for u in range(B.n_vcells):
         for a in range(A.n_objects):
-            _eq(rep, "(u,1^A)",
+            emit("(u,1^A)",
                 lambda a=a, u=u: q.sq_uu(u, A.v_id(a)),
                 lambda a=a, u=u: hid(q.fA(a).v(u)), a=a, u=u)
     # composite horizontal arguments: ((k'k, K)) and ((k, K'K))
@@ -263,7 +293,7 @@ def check_quasi_functor(q, trivial_uU=False, unitary=False,
             bp = B.htgt[k]
             for K in range(A.n_hcells):
                 a, ap = A.hsrc[K], A.htgt[K]
-                _eq(rep, "(k'k,K)",
+                emit("(k'k,K)",
                     lambda k=k, kp=kp, K=K, a=a, ap=ap, b=b, bp=bp: C.vcomp_sq_many([
                         C.hcomp_sq(vid(q.fA(a).h(k)), q.sq_kk(kp, K)),
                         C.hcomp_sq(q.sq_kk(k, K), vid(q.fA(ap).h(kp))),
@@ -283,7 +313,7 @@ def check_quasi_functor(q, trivial_uU=False, unitary=False,
             ap = A.htgt[K]
             for k in range(B.n_hcells):
                 b, bp = B.hsrc[k], B.htgt[k]
-                _eq(rep, "(k,K'K)",
+                emit("(k,K'K)",
                     lambda k=k, K=K, Kp=Kp, Kc=Kc, a=a, bp=bp: C.vcomp_sq(
                         C.hcomp_sq(vid(q.fA(a).h(k)),
                                    q.fB(bp).compositor(K, Kp)),
@@ -297,7 +327,7 @@ def check_quasi_functor(q, trivial_uU=False, unitary=False,
                     k=k, K=K, Kp=Kp)
             for u in range(B.n_vcells):
                 b, bt = B.vsrc[u], B.vtgt[u]
-                _eq(rep, "(u,K'K)",
+                emit("(u,K'K)",
                     lambda u=u, K=K, Kp=Kp, Kc=Kc, b=b: C.vcomp_sq(
                         q.fB(b).compositor(K, Kp), q.sq_uk(u, Kc)),
                     lambda u=u, K=K, Kp=Kp, bt=bt: C.vcomp_sq(
@@ -311,7 +341,7 @@ def check_quasi_functor(q, trivial_uU=False, unitary=False,
             kc = B.hcomp_h(k, kp)
             for U in range(A.n_vcells):
                 a, at = A.vsrc[U], A.vtgt[U]
-                _eq(rep, "(k'k,U)",
+                emit("(k'k,U)",
                     lambda k=k, kp=kp, U=U, at=at: C.vcomp_sq(
                         C.hcomp_sq(q.sq_ku(k, U), q.sq_ku(kp, U)),
                         q.fA(at).compositor(k, kp)),
@@ -325,14 +355,14 @@ def check_quasi_functor(q, trivial_uU=False, unitary=False,
                 continue
             uc = B.vcomp_v(u, up)
             for K in range(A.n_hcells):
-                _eq(rep, "(u/u',K)",
+                emit("(u/u',K)",
                     lambda u=u, up=up, uc=uc, K=K: q.sq_uk(uc, K),
                     lambda u=u, up=up, K=K: C.vcomp_sq(
                         q.sq_uk(u, K), q.sq_uk(up, K)),
                     u=u, up=up, K=K)
             for U in range(A.n_vcells):
                 a, at = A.vsrc[U], A.vtgt[U]
-                _eq(rep, "(u/u',U)",
+                emit("(u/u',U)",
                     lambda u=u, up=up, uc=uc, U=U: q.sq_uu(uc, U),
                     lambda u=u, up=up, U=U, a=a, at=at: C.hcomp_sq(
                         C.vcomp_sq(q.sq_uu(u, U),
@@ -345,14 +375,14 @@ def check_quasi_functor(q, trivial_uU=False, unitary=False,
                 continue
             Uc = A.vcomp_v(U, Up)
             for k in range(B.n_hcells):
-                _eq(rep, "(k,U/U')",
+                emit("(k,U/U')",
                     lambda k=k, U=U, Up=Up, Uc=Uc: q.sq_ku(k, Uc),
                     lambda k=k, U=U, Up=Up: C.vcomp_sq(
                         q.sq_ku(k, U), q.sq_ku(k, Up)),
                     k=k, U=U, Up=Up)
             for u in range(B.n_vcells):
                 b, bt = B.vsrc[u], B.vtgt[u]
-                _eq(rep, "(u,U/U')",
+                emit("(u,U/U')",
                     lambda u=u, U=U, Up=Up, Uc=Uc: q.sq_uu(u, Uc),
                     lambda u=u, U=U, Up=Up, b=b, bt=bt: C.hcomp_sq(
                         C.vcomp_sq(hid(q.fB(b).v(U)), q.sq_uu(u, Up)),
@@ -364,7 +394,7 @@ def check_quasi_functor(q, trivial_uU=False, unitary=False,
         u, v = B.sq_left(om), B.sq_right(om)
         for K in range(A.n_hcells):
             a, ap = A.hsrc[K], A.htgt[K]
-            _eq(rep, "(k,K)-l-nat",
+            emit("(k,K)-l-nat",
                 lambda om=om, k=k, l=l, u=u, K=K, ap=ap: C.vcomp_sq(
                     q.sq_kk(k, K),
                     C.hcomp_sq(q.sq_uk(u, K), q.fA(ap).sq(om))),
@@ -373,7 +403,7 @@ def check_quasi_functor(q, trivial_uU=False, unitary=False,
                     q.sq_kk(l, K)),
                 square=om, K=K)
         for U in range(A.n_vcells):
-            _eq(rep, "(u,U)-l-nat",
+            emit("(u,U)-l-nat",
                 lambda om=om, k=k, l=l, u=u, v=v, U=U: C.hcomp_sq(
                     q.sq_uu(u, U),
                     C.vcomp_sq(q.fA(A.vsrc[U]).sq(om), q.sq_ku(l, U))),
@@ -386,7 +416,7 @@ def check_quasi_functor(q, trivial_uU=False, unitary=False,
         U, V = A.sq_left(ze), A.sq_right(ze)
         for k in range(B.n_hcells):
             b, bp = B.hsrc[k], B.htgt[k]
-            _eq(rep, "(k,K)-r-nat",
+            emit("(k,K)-r-nat",
                 lambda ze=ze, k=k, K=K, V=V, b=b: C.vcomp_sq(
                     q.sq_kk(k, K),
                     C.hcomp_sq(q.fB(b).sq(ze), q.sq_ku(k, V))),
@@ -396,7 +426,7 @@ def check_quasi_functor(q, trivial_uU=False, unitary=False,
                 square=ze, k=k)
         for u in range(B.n_vcells):
             b, bt = B.vsrc[u], B.vtgt[u]
-            _eq(rep, "(u,U)-r-nat",
+            emit("(u,U)-r-nat",
                 lambda ze=ze, u=u, K=K, U=U, bt=bt: C.hcomp_sq(
                     q.sq_uu(u, U),
                     C.vcomp_sq(q.sq_uk(u, K), q.fB(bt).sq(ze))),
@@ -404,20 +434,6 @@ def check_quasi_functor(q, trivial_uU=False, unitary=False,
                     C.vcomp_sq(q.fB(b).sq(ze), q.sq_uk(u, L)),
                     q.sq_uu(u, V)),
                 square=ze, u=u)
-    if trivial_uU:
-        for u in range(B.n_vcells):
-            for U in range(A.n_vcells):
-                s = q.sq_uu(u, U)
-                if C.sq_left(s) != C.sq_right(s) or s != hid(C.sq_left(s)):
-                    rep.add("uu-nontrivial", u=u, U=U)
-    if unitary:
-        for a in range(A.n_objects):
-            if not is_unitary(q.fA(a)):
-                rep.add("fam-a-not-unitary", a=a)
-        for b in range(B.n_objects):
-            if not is_unitary(q.fB(b)):
-                rep.add("fam-b-not-unitary", b=b)
-    return rep
 
 
 # -- cells between quasi functors -------------------------------------------

@@ -4,21 +4,30 @@ The tensor product of A and B is given by generators and relations: one
 generator per mixed cell (object with 1-cell, object with square, laxity
 and unit cells for each generator family, and four kinds of interchanger
 squares), and one relation per instance of the family functor laws and the
-quasi functor laws.  The tensor is never materialized as a double category;
-a strict functor out of it is exactly a boundary-preserving assignment of
-target cells to generators under which every relation evaluates to an
-equality, and that is checkable directly with pasting terms.
+quasi functor laws.  The relations are not written here: they come from
+running the law catalogues the checkers use (``functor._lax_functor_laws``
+and ``quasi._quasi_laws``) on the universal quasi functor J, whose
+codomain builds pasting terms.  The tensor is never materialized as a
+double category; a strict functor out of it is exactly a
+boundary-preserving assignment of target cells to generators under which
+every relation evaluates to an equality, and that is checkable directly
+with pasting terms.
 
 Vertical identities and their normalization are built into the term
 builders: an object-with-identity-vertical generator is represented by the
 identity term on the object generator, so the unit rules hold by
-construction rather than as stored relations.
+construction.  A law instance whose two sides build the same term is such
+a rule and is not stored.
 """
+
+from functools import partial
 
 from .core import (
     CellRef, Gen, HComp, HCELL, HId, OBJECT, SQUARE, VCELL, VComp, VId,
     eval_pasting)
 from .errors import DomainMismatch, RelationViolated
+from .functor import _lax_functor_laws
+from .quasi import _quasi_laws
 
 
 def _vcomp_many(terms):
@@ -28,13 +37,34 @@ def _vcomp_many(terms):
     return out
 
 
+class _Terms:
+    """The codomain the law catalogues see when run on J: each composition
+    or identity builds the pasting term instead of looking up a cell."""
+
+    hcomp_sq = HComp
+    vcomp_sq = vcomp_v = VComp
+    sq_v_id = v_id = VId
+    sq_h_id = HId
+    vcomp_sq_many = staticmethod(_vcomp_many)
+
+
+class _Family:
+    """One generator family of J, read as a lax functor into the terms."""
+
+    def __init__(self, dom, obj, h, v, sq, compositor, unitor):
+        self.dom, self.cod = dom, _Terms
+        self.obj, self.h, self.v, self.sq = obj, h, v, sq
+        self.compositor, self.unitor = compositor, unitor
+
+
 class TensorPresentation:
     """Generators and relations presenting the tensor of A and B.
 
     Generator names are structured strings; relations are (label, lhs, rhs)
-    triples of pasting terms over Gen leaves.  Term-builder methods return
-    the normalized term for each mixed cell, collapsing identity vertical
-    arguments.
+    triples of pasting terms over Gen leaves: every law instance of the
+    catalogues run on J, in catalogue order, except those whose two sides
+    are the same term.  Term-builder methods return the normalized term for
+    each mixed cell, collapsing identity vertical arguments.
     """
 
     def __init__(self, A, B):
@@ -100,8 +130,18 @@ class TensorPresentation:
                          for U in range(A.n_vcells)
                          if not A.is_v_identity(U)]
         self.relations = []
-        self._family_relations()
-        self._mixed_relations()
+
+        def emit(label, lhs, rhs, **witness):
+            lhs, rhs = lhs(), rhs()
+            if lhs != rhs:
+                self.relations.append((label, lhs, rhs))
+
+        J = JQuasiFunctor(self)
+        for a in range(A.n_objects):
+            _lax_functor_laws(J.fA(a), emit, "fam-a")
+        for b in range(B.n_objects):
+            _lax_functor_laws(J.fB(b), emit, "fam-b")
+        _quasi_laws(J, emit)
 
     # -- term builders -------------------------------------------------------
 
@@ -162,231 +202,6 @@ class TensorPresentation:
             return HId(self.t_va(self.A.vsrc[U], u))
         return Gen("uu:%d:%d" % (u, U))
 
-    # -- relation schemata ---------------------------------------------------
-
-    def _rel(self, label, lhs, rhs):
-        self.relations.append((label, lhs, rhs))
-
-    def _family_relations(self):
-        A, B = self.A, self.B
-        for a in range(A.n_objects):
-            self._one_family(
-                "fam-a", a, B,
-                lambda k, a=a: self.t_ha(a, k),
-                lambda u, a=a: self.t_va(a, u),
-                lambda s, a=a: self.t_sqa(a, s),
-                lambda k, kp, a=a: self.t_ca(a, k, kp),
-                lambda x, a=a: self.t_ua(a, x))
-        for b in range(B.n_objects):
-            self._one_family(
-                "fam-b", b, A,
-                lambda K, b=b: self.t_hb(K, b),
-                lambda U, b=b: self.t_vb(U, b),
-                lambda s, b=b: self.t_sqb(s, b),
-                lambda K, Kp, b=b: self.t_cb(b, K, Kp),
-                lambda x, b=b: self.t_ub(b, x))
-
-    def _one_family(self, tag, fixed, d, th, tv, ts, tc, tu):
-        """Lax functor law instances for one generator family over d."""
-        for u in range(d.n_vcells):
-            for w in range(d.n_vcells):
-                if d.vtgt[u] == d.vsrc[w]:
-                    self._rel("%s.v1" % tag, tv(d.vcomp_v(u, w)),
-                              VComp(tv(u), tv(w)))
-        squares = list(d.iter_squares())
-        for s1 in squares:
-            for s2 in squares:
-                if d.sq_bottom(s1) == d.sq_top(s2):
-                    self._rel("%s.h1" % tag, ts(d.vcomp_sq(s1, s2)),
-                              VComp(ts(s1), ts(s2)))
-        for f in range(d.n_hcells):
-            self._rel("%s.h2" % tag, ts(d.sq_v_id(f)), VId(th(f)))
-        for f in range(d.n_hcells):
-            for g in range(d.n_hcells):
-                if d.htgt[f] != d.hsrc[g]:
-                    continue
-                for h in range(d.n_hcells):
-                    if d.htgt[g] != d.hsrc[h]:
-                        continue
-                    self._rel(
-                        "%s.hex" % tag,
-                        VComp(HComp(tc(f, g), VId(th(h))),
-                              tc(d.hcomp_h(f, g), h)),
-                        VComp(HComp(VId(th(f)), tc(g, h)),
-                              tc(f, d.hcomp_h(g, h))))
-        for f in range(d.n_hcells):
-            x, y = d.hsrc[f], d.htgt[f]
-            self._rel("%s.u" % tag,
-                      VComp(HComp(tu(x), VId(th(f))), tc(d.h_id(x), f)),
-                      VId(th(f)))
-            self._rel("%s.u" % tag,
-                      VComp(HComp(VId(th(f)), tu(y)), tc(f, d.h_id(y))),
-                      VId(th(f)))
-        for s1 in squares:
-            for s2 in squares:
-                if d.sq_right(s1) != d.sq_left(s2):
-                    continue
-                self._rel(
-                    "%s.c-nat" % tag,
-                    VComp(HComp(ts(s1), ts(s2)),
-                          tc(d.sq_bottom(s1), d.sq_bottom(s2))),
-                    VComp(tc(d.sq_top(s1), d.sq_top(s2)),
-                          ts(d.hcomp_sq(s1, s2))))
-        for u in range(d.n_vcells):
-            self._rel("%s.u-nat" % tag,
-                      VComp(HId(tv(u)), tu(d.vtgt[u])),
-                      VComp(tu(d.vsrc[u]), ts(d.sq_h_id(u))))
-
-    def _mixed_relations(self):
-        A, B = self.A, self.B
-        for b in range(B.n_objects):
-            one = B.h_id(b)
-            for K in range(A.n_hcells):
-                a, ap = A.hsrc[K], A.htgt[K]
-                self._rel("(1_B,K)",
-                          VComp(HComp(self.t_ua(a, b), VId(self.t_hb(K, b))),
-                                self.t_kk(one, K)),
-                          HComp(VId(self.t_hb(K, b)), self.t_ua(ap, b)))
-            for U in range(A.n_vcells):
-                a, at = A.vsrc[U], A.vtgt[U]
-                self._rel("(1_B,U)",
-                          VComp(self.t_ua(a, b), self.t_ku(one, U)),
-                          VComp(HId(self.t_vb(U, b)), self.t_ua(at, b)))
-        for a in range(A.n_objects):
-            one = A.h_id(a)
-            for k in range(B.n_hcells):
-                b, bp = B.hsrc[k], B.htgt[k]
-                self._rel("(k,1_A)",
-                          HComp(self.t_ub(b, a), VId(self.t_ha(a, k))),
-                          VComp(HComp(VId(self.t_ha(a, k)),
-                                      self.t_ub(bp, a)),
-                                self.t_kk(k, one)))
-            for u in range(B.n_vcells):
-                b, bt = B.vsrc[u], B.vtgt[u]
-                self._rel("(u,1_A)",
-                          VComp(HId(self.t_va(a, u)), self.t_ub(bt, a)),
-                          VComp(self.t_ub(b, a), self.t_uk(u, one)))
-        for k in range(B.n_hcells):
-            for kp in range(B.n_hcells):
-                if B.htgt[k] != B.hsrc[kp]:
-                    continue
-                kc = B.hcomp_h(k, kp)
-                b, bpp = B.hsrc[k], B.htgt[kp]
-                for K in range(A.n_hcells):
-                    a, ap = A.hsrc[K], A.htgt[K]
-                    self._rel(
-                        "(k'k,K)",
-                        _vcomp_many([
-                            HComp(VId(self.t_ha(a, k)), self.t_kk(kp, K)),
-                            HComp(self.t_kk(k, K), VId(self.t_ha(ap, kp))),
-                            HComp(VId(self.t_hb(K, b)),
-                                  self.t_ca(ap, k, kp))]),
-                        VComp(HComp(self.t_ca(a, k, kp),
-                                    VId(self.t_hb(K, bpp))),
-                              self.t_kk(kc, K)))
-                for U in range(A.n_vcells):
-                    a, at = A.vsrc[U], A.vtgt[U]
-                    self._rel(
-                        "(k'k,U)",
-                        VComp(HComp(self.t_ku(k, U), self.t_ku(kp, U)),
-                              self.t_ca(at, k, kp)),
-                        VComp(self.t_ca(a, k, kp), self.t_ku(kc, U)))
-        for K in range(A.n_hcells):
-            for Kp in range(A.n_hcells):
-                if A.htgt[K] != A.hsrc[Kp]:
-                    continue
-                Kc = A.hcomp_h(K, Kp)
-                a, app = A.hsrc[K], A.htgt[Kp]
-                for k in range(B.n_hcells):
-                    b, bp = B.hsrc[k], B.htgt[k]
-                    self._rel(
-                        "(k,K'K)",
-                        VComp(HComp(VId(self.t_ha(a, k)),
-                                    self.t_cb(bp, K, Kp)),
-                              self.t_kk(k, Kc)),
-                        _vcomp_many([
-                            HComp(self.t_kk(k, K), VId(self.t_hb(Kp, bp))),
-                            HComp(VId(self.t_hb(K, b)), self.t_kk(k, Kp)),
-                            HComp(self.t_cb(b, K, Kp),
-                                  VId(self.t_ha(app, k)))]))
-                for u in range(B.n_vcells):
-                    b, bt = B.vsrc[u], B.vtgt[u]
-                    self._rel(
-                        "(u,K'K)",
-                        VComp(self.t_cb(b, K, Kp), self.t_uk(u, Kc)),
-                        VComp(HComp(self.t_uk(u, K), self.t_uk(u, Kp)),
-                              self.t_cb(bt, K, Kp)))
-        for u in range(B.n_vcells):
-            for up in range(B.n_vcells):
-                if B.vtgt[u] != B.vsrc[up]:
-                    continue
-                uc = B.vcomp_v(u, up)
-                for K in range(A.n_hcells):
-                    self._rel("(u/u',K)", self.t_uk(uc, K),
-                              VComp(self.t_uk(u, K), self.t_uk(up, K)))
-                for U in range(A.n_vcells):
-                    a, at = A.vsrc[U], A.vtgt[U]
-                    self._rel(
-                        "(u/u',U)", self.t_uu(uc, U),
-                        HComp(VComp(self.t_uu(u, U),
-                                    HId(self.t_va(at, up))),
-                              VComp(HId(self.t_va(a, u)),
-                                    self.t_uu(up, U))))
-        for U in range(A.n_vcells):
-            for Up in range(A.n_vcells):
-                if A.vtgt[U] != A.vsrc[Up]:
-                    continue
-                Uc = A.vcomp_v(U, Up)
-                for k in range(B.n_hcells):
-                    self._rel("(k,U/U')", self.t_ku(k, Uc),
-                              VComp(self.t_ku(k, U), self.t_ku(k, Up)))
-                for u in range(B.n_vcells):
-                    b, bt = B.vsrc[u], B.vtgt[u]
-                    self._rel(
-                        "(u,U/U')", self.t_uu(u, Uc),
-                        HComp(VComp(HId(self.t_vb(U, b)), self.t_uu(u, Up)),
-                              VComp(self.t_uu(u, U),
-                                    HId(self.t_vb(Up, bt)))))
-        for om in B.iter_squares():
-            k, l = B.sq_top(om), B.sq_bottom(om)
-            u, v = B.sq_left(om), B.sq_right(om)
-            for K in range(A.n_hcells):
-                a, ap = A.hsrc[K], A.htgt[K]
-                self._rel(
-                    "(k,K)-l-nat",
-                    VComp(self.t_kk(k, K),
-                          HComp(self.t_uk(u, K), self.t_sqa(ap, om))),
-                    VComp(HComp(self.t_sqa(a, om), self.t_uk(v, K)),
-                          self.t_kk(l, K)))
-            for U in range(A.n_vcells):
-                self._rel(
-                    "(u,U)-l-nat",
-                    HComp(self.t_uu(u, U),
-                          VComp(self.t_sqa(self.A.vsrc[U], om),
-                                self.t_ku(l, U))),
-                    HComp(VComp(self.t_ku(k, U),
-                                self.t_sqa(self.A.vtgt[U], om)),
-                          self.t_uu(v, U)))
-        for ze in A.iter_squares():
-            K, L = A.sq_top(ze), A.sq_bottom(ze)
-            U, V = A.sq_left(ze), A.sq_right(ze)
-            for k in range(B.n_hcells):
-                b, bp = B.hsrc[k], B.htgt[k]
-                self._rel(
-                    "(k,K)-r-nat",
-                    VComp(self.t_kk(k, K),
-                          HComp(self.t_sqb(ze, b), self.t_ku(k, V))),
-                    VComp(HComp(self.t_ku(k, U), self.t_sqb(ze, bp)),
-                          self.t_kk(k, L)))
-            for u in range(B.n_vcells):
-                b, bt = B.vsrc[u], B.vtgt[u]
-                self._rel(
-                    "(u,U)-r-nat",
-                    HComp(self.t_uu(u, U),
-                          VComp(self.t_uk(u, K), self.t_sqb(ze, bt))),
-                    HComp(VComp(self.t_sqb(ze, b), self.t_uk(u, L)),
-                          self.t_uu(u, V)))
-
     # -- reporting -----------------------------------------------------------
 
     def generators(self):
@@ -413,13 +228,34 @@ def tensor_presentation(A, B):
 class JQuasiFunctor:
     """The universal quasi functor into the tensor, symbolically.
 
-    Cell images are generator terms of the presentation; there is nothing
-    to check, because every mixed law instance is a stored relation.
+    Cell images are generator terms of the presentation, and its codomain
+    C builds pasting terms; there is nothing to check, because every law
+    instance is a stored relation or holds by normalization.  fA(a) and
+    fB(b) are the generator families as lax functors into the terms.
     """
 
     def __init__(self, pres):
         self.pres = pres
-        self.A, self.B = pres.A, pres.B
+        self.A, self.B, self.C = pres.A, pres.B, _Terms
+        p = pres
+        self._fam_a = [
+            _Family(p.B, partial(p.t_obj, a), partial(p.t_ha, a),
+                    partial(p.t_va, a), partial(p.t_sqa, a),
+                    partial(p.t_ca, a), partial(p.t_ua, a))
+            for a in range(p.A.n_objects)]
+        self._fam_b = [
+            _Family(p.A, lambda a, b=b: p.t_obj(a, b),
+                    lambda K, b=b: p.t_hb(K, b),
+                    lambda U, b=b: p.t_vb(U, b),
+                    lambda ze, b=b: p.t_sqb(ze, b),
+                    partial(p.t_cb, b), partial(p.t_ub, b))
+            for b in range(p.B.n_objects)]
+
+    def fA(self, a):
+        return self._fam_a[a]
+
+    def fB(self, b):
+        return self._fam_b[b]
 
     def obj(self, a, b):
         return self.pres.t_obj(a, b)

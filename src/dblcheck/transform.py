@@ -36,13 +36,13 @@ def _same_functor(F, G):
     return F is G or functor_equal(F, G)
 
 
-def _derive(cod, store, key, top, bottom, left, right, what):
-    """A stored square, or over a flat codomain the one with this boundary
-    (then stored)."""
+def _derive(cod, store, key, bounds, what):
+    """A stored square, or over a flat codomain the one with the boundary
+    ``bounds(key)`` (then stored)."""
     if key in store:
         return store[key]
     if cod.flat:
-        s = cod.find_square(top, bottom, left, right)
+        s = cod.find_square(*bounds(key))
         if s is None:
             raise MalformedTables("no codomain square for %s" % what)
         store[key] = s
@@ -74,22 +74,27 @@ class HorTransform:
 
     def sq_v(self, u):
         """The square on a 1v-cell u, with the components on top and bottom."""
+        return _derive(self.cod, self.comp_v, u, self._sq_v_bounds,
+                       "component square")
+
+    def _sq_v_bounds(self, u):
         d = self.dom
-        return _derive(self.cod, self.comp_v, u,
-                       self.at(d.vsrc[u]), self.at(d.vtgt[u]),
-                       self.F.v(u), self.G.v(u), "component square")
+        return (self.at(d.vsrc[u]), self.at(d.vtgt[u]),
+                self.F.v(u), self.G.v(u))
 
     def delta_at(self, f):
         """The globular structure square on a 1h-cell f."""
+        return _derive(self.cod, self.delta, f, self._delta_bounds,
+                       "structure square")
+
+    def _delta_bounds(self, f):
         d, c = self.dom, self.cod
         a, b = d.hsrc[f], d.htgt[f]
         upper = c.hcomp_h(self.F.h(f), self.at(b))
         lower = c.hcomp_h(self.at(a), self.G.h(f))
         if self.orientation == LAX:
             upper, lower = lower, upper
-        return _derive(c, self.delta, f, upper, lower,
-                       c.v_id(self.F.obj(a)), c.v_id(self.G.obj(b)),
-                       "structure square")
+        return upper, lower, c.v_id(self.F.obj(a)), c.v_id(self.G.obj(b))
 
     def __repr__(self):
         return "HorTransform(%s: %s => %s, %s)" % (
@@ -120,21 +125,26 @@ class VertTransform:
         return self.comp0[a]
 
     def sq_h(self, f):
-        d = self.dom
-        return _derive(self.cod, self.comp_h, f, self.F.h(f), self.G.h(f),
-                       self.at(d.hsrc[f]), self.at(d.htgt[f]),
+        return _derive(self.cod, self.comp_h, f, self._sq_h_bounds,
                        "component square")
 
+    def _sq_h_bounds(self, f):
+        d = self.dom
+        return (self.F.h(f), self.G.h(f),
+                self.at(d.hsrc[f]), self.at(d.htgt[f]))
+
     def sq_v(self, u):
+        return _derive(self.cod, self.comp_v, u, self._sq_v_bounds,
+                       "structure square")
+
+    def _sq_v_bounds(self, u):
         d, c = self.dom, self.cod
         a, at_ = d.vsrc[u], d.vtgt[u]
         left = c.vcomp_v(self.at(a), self.G.v(u))
         right = c.vcomp_v(self.F.v(u), self.at(at_))
         if self.orientation == OPLAX:
             left, right = right, left
-        return _derive(c, self.comp_v, u,
-                       c.h_id(self.F.obj(a)), c.h_id(self.G.obj(at_)),
-                       left, right, "structure square")
+        return c.h_id(self.F.obj(a)), c.h_id(self.G.obj(at_)), left, right
 
     def __repr__(self):
         return "VertTransform(%s: %s => %s, %s)" % (
@@ -237,25 +247,18 @@ def _check_hor_wellformed(rep, t):
         return
     for u in range(d.n_vcells):
         try:
-            s = t.sq_v(u)
+            s, want = t.sq_v(u), t._sq_v_bounds(u)
         except DblError as exc:
             rep.add("wf-square-missing", vcell=u, error=str(exc))
             continue
-        want = (t.at(d.vsrc[u]), t.at(d.vtgt[u]), t.F.v(u), t.G.v(u))
         if c.sq_bounds[s] != want:
             rep.add("wf-square-boundary", vcell=u)
     for f in range(d.n_hcells):
         try:
-            s = t.delta_at(f)
+            s, want = t.delta_at(f), t._delta_bounds(f)
         except DblError as exc:
             rep.add("wf-structure-missing", hcell=f, error=str(exc))
             continue
-        a, b = d.hsrc[f], d.htgt[f]
-        upper = c.hcomp_h(t.F.h(f), t.at(b))
-        lower = c.hcomp_h(t.at(a), t.G.h(f))
-        if t.orientation == LAX:
-            upper, lower = lower, upper
-        want = (upper, lower, c.v_id(t.F.obj(a)), c.v_id(t.G.obj(b)))
         if c.sq_bounds[s] != want:
             rep.add("wf-structure-boundary", hcell=f)
 
@@ -359,25 +362,18 @@ def _check_vert_wellformed(rep, t):
         return
     for f in range(d.n_hcells):
         try:
-            s = t.sq_h(f)
+            s, want = t.sq_h(f), t._sq_h_bounds(f)
         except DblError as exc:
             rep.add("wf-square-missing", hcell=f, error=str(exc))
             continue
-        want = (t.F.h(f), t.G.h(f), t.at(d.hsrc[f]), t.at(d.htgt[f]))
         if c.sq_bounds[s] != want:
             rep.add("wf-square-boundary", hcell=f)
     for u in range(d.n_vcells):
         try:
-            s = t.sq_v(u)
+            s, want = t.sq_v(u), t._sq_v_bounds(u)
         except DblError as exc:
             rep.add("wf-structure-missing", vcell=u, error=str(exc))
             continue
-        a, at_ = d.vsrc[u], d.vtgt[u]
-        left = c.vcomp_v(t.at(a), t.G.v(u))
-        right = c.vcomp_v(t.F.v(u), t.at(at_))
-        if t.orientation == OPLAX:
-            left, right = right, left
-        want = (c.h_id(t.F.obj(a)), c.h_id(t.G.obj(at_)), left, right)
         if c.sq_bounds[s] != want:
             rep.add("wf-structure-boundary", vcell=u)
 

@@ -2,7 +2,8 @@
 
 import pytest
 
-from dblcheck.core import FIXTURES, bool_matrix_double_category, parity, trivial, walk_h
+from dblcheck.core import (
+    FIXTURES, DoubleCat, bool_matrix_double_category, parity, trivial, walk_h)
 from dblcheck.errors import DomainMismatch
 from dblcheck.functor import (
     LaxDoubleFunctor, check_lax_functor, check_wellformed, compose_lax,
@@ -130,6 +131,34 @@ def test_flipped_square_image_detected():
     F.sqmap[s] = d.parity_index[(1, 1, 1, 1, 1)]
     rep = check_lax_functor(F)
     assert not rep.passed
+
+
+def test_unit_law_reports_missing_identity_square():
+    # R carries a square R => R and a unit square 1_* => R but no Id_R, so
+    # both sides of the unit law need a square the codomain lacks: the law
+    # fails with the error as witness, and the check does not raise
+    c = DoubleCat("no-Id_R")
+    x = c.add_object("*")
+    one = c.add_hcell("1_*", x, x, identity_of=x)
+    r = c.add_hcell("R", x, x)
+    v = c.add_vcell("1^*", x, x, identity_of=x)
+    for f, g, h in ((one, one, one), (one, r, r), (r, one, r), (r, r, r)):
+        c.set_hh(f, g, h)
+    c.set_vv(v, v, v)
+    ident = c.add_square("Id_1_*", one, one, v, v)
+    c.set_sq_v_id(one, ident)
+    c.set_sq_h_id(v, ident)
+    mult = c.add_square("m", r, r, v, v)
+    eta = c.add_square("e", one, r, v, v)
+    t = trivial()
+    F = LaxDoubleFunctor(t, c, {0: x}, {0: r}, {0: v},
+                         {s: mult for s in t.iter_squares()},
+                         {(0, 0): mult}, {0: eta})
+    assert check_wellformed(F).passed
+    rep = check_lax_functor(F)
+    unit = [w for law, w in rep.failures if law == "lx.f.u"]
+    assert [w["side"] for w in unit] == ["left", "right"]
+    assert all("sq_v_id missing for R" in w["error"] for w in unit)
 
 
 def test_boundary_violation_detected():

@@ -1,14 +1,17 @@
 """Tests for the tensor presentation and its universal property."""
 
+import random
+
 import pytest
 
-from dblcheck.core import trivial
+from dblcheck.core import Gen, HComp, VId, trivial, walk_h, walk_v
 from dblcheck.errors import RelationViolated
+from dblcheck.quasi import check_quasi_functor
 from dblcheck.tensor import (
     JQuasiFunctor, factorize, j_quasi_functor, tensor_presentation,
     verify_universal_property)
-from dblcheck.core import Gen, VId
 
+from test_acceptance import flip
 from test_quasi import distributive_quasi, sign_quasi
 
 
@@ -105,6 +108,60 @@ def test_j_quasi_functor_lands_in_generators():
     assert J.sq_kk(0, 1) == Gen("kk:0:1")
     # identity vertical arguments normalize away
     assert J.v_a(0, q.B.v_id(0)) == VId(Gen("o:0:0"))
+    # the generator families, read as lax functors into the terms
+    fa, fb = J.fA(1), J.fB(0)
+    assert fa.dom is q.B and fb.dom is q.A
+    assert J.fA(0).compositor(0, 0) == pres.t_ca(0, 0, 0)
+    assert fa.obj(0) == J.obj(1, 0) and fb.obj(1) == J.obj(1, 0)
+    assert fa.h(0) == J.h_a(1, 0) and fb.h(2) == J.h_b(2, 0)
+    assert fa.v(0) == J.v_a(1, 0) and fb.v(1) == J.v_b(1, 0)
+    assert fa.sq(0) == pres.t_sqa(1, 0) and fb.sq(2) == pres.t_sqb(2, 0)
+    assert fa.unitor(0) == pres.t_ua(1, 0) and fb.unitor(1) == pres.t_ub(0, 1)
+    assert fb.compositor(0, 2) == pres.t_cb(0, 0, 2)
+    assert J.C.hcomp_sq(fa.sq(0), fb.sq(2)) == HComp(fa.sq(0), fb.sq(2))
+    assert J.C.sq_v_id(fa.h(0)) == VId(fa.h(0))
+
+
+def test_relations_have_distinct_sides():
+    # laws that hold by normalization (v2, identity vertical arguments)
+    # leave no relation behind
+    for A, B in ((trivial(), trivial()), (walk_h(), walk_v())):
+        pres = tensor_presentation(A, B)
+        assert all(lhs != rhs for _, lhs, rhs in pres.relations)
+        labels = set(pres.audit())
+        assert not labels & {"fam-a.v2", "fam-b.v2", "(1^B,K)", "(k,1^A)",
+                             "(1^B,U)", "(u,1^A)"}
+
+
+def _flip_one(q, rng):
+    """Flip one seeded square of q: an interchanger, or a square image,
+    compositor or unitor of one family functor."""
+    tables = [q.kk] + [getattr(F, field)
+                       for F in list(q.fam_a.values()) + list(q.fam_b.values())
+                       for field in ("sqmap", "comp", "unit")]
+    table = rng.choice([t for t in tables if t])
+    key = rng.choice(sorted(table))
+    table[key] = flip(q.C, table[key])
+
+
+def test_factorize_raises_exactly_when_check_fails():
+    # the checker and the presentation run one law catalogue, on the
+    # input and on J; a flipped square must trip both or neither
+    rng = random.Random(5)
+    outcomes = set()
+    for _ in range(60):
+        q = sign_quasi({0: rng.randrange(2), 1: rng.randrange(2)})
+        for _ in range(rng.randrange(3)):
+            _flip_one(q, rng)
+        failed = not check_quasi_functor(q).passed
+        try:
+            factorize(q)
+            raised = False
+        except RelationViolated:
+            raised = True
+        assert raised == failed
+        outcomes.add(failed)
+    assert outcomes == {True, False}
 
 
 def test_universal_property_sign():

@@ -2,9 +2,11 @@
 
 import pytest
 
-from dblcheck.core import FIXTURES, bool_matrix_double_category, parity, walk_h
+from dblcheck.core import (
+    FIXTURES, DoubleCat, bool_matrix_double_category, parity, trivial, walk_h)
 from dblcheck.errors import ChainMismatch
-from dblcheck.functor import check_lax_functor, identity_functor, strict_functor
+from dblcheck.functor import (
+    LaxDoubleFunctor, check_lax_functor, identity_functor, strict_functor)
 from dblcheck.transform import (
     LAX, OPLAX, HorTransform, Modification, VertTransform,
     check_hor_transform, check_modification, check_vert_transform,
@@ -293,3 +295,32 @@ def test_flat_codomain_transform_derivation():
     t0 = VertTransform(F, F, {a: b2.v_id(F.obj(a)) for a in range(b1.n_objects)})
     rep = check_vert_transform(t0)
     assert rep.passed, rep.laws_failed()
+
+
+def test_stored_square_with_undefined_boundary_reported():
+    # the structure squares are stored, but their boundaries need the
+    # composites R;R and W;W, which the codomain lacks: the well-formedness
+    # check reports the missing composite instead of raising
+    c = DoubleCat("no-RR")
+    x = c.add_object("*")
+    one = c.add_hcell("1_*", x, x, identity_of=x)
+    r = c.add_hcell("R", x, x)
+    v = c.add_vcell("1^*", x, x, identity_of=x)
+    w = c.add_vcell("W", x, x)
+    for f in (one, r):
+        c.set_hh(one, f, f)
+        c.set_hh(f, one, f)
+    for u in (v, w):
+        c.set_vv(v, u, u)
+        c.set_vv(u, v, u)
+    rr = c.add_square("rr", r, r, v, v)
+    ww = c.add_square("ww", one, one, w, w)
+    t = trivial()
+    F = LaxDoubleFunctor(t, c, {0: x}, {0: r}, {0: v})
+    rep = check_hor_transform(HorTransform(F, F, {0: r}, {0: rr}, {0: rr}))
+    assert rep.failures == [("wf-structure-missing", {
+        "hcell": 0, "error": "hcomp_h table missing entry (R, R)"})]
+    G = LaxDoubleFunctor(t, c, {0: x}, {0: one}, {0: w})
+    rep = check_vert_transform(VertTransform(G, G, {0: w}, {0: ww}, {0: ww}))
+    assert rep.failures == [("wf-structure-missing", {
+        "vcell": 0, "error": "vcomp_v table missing entry (W, W)"})]
