@@ -25,7 +25,7 @@ from click.testing import CliRunner
 
 from dblcheck.cli import main
 from dblcheck.core import (
-    Gen, HComp, HId, VComp, VId, parity, trivial, walk_h, walk_v)
+    Gen, HComp, VComp, parity, trivial, walk_h, walk_v)
 from dblcheck.functor import check_lax_functor, identity_functor
 from dblcheck.hom import FLAVORS, hom_double_category, populate_squares
 from dblcheck.quasi import check_quasi_functor, q_hom_double_category

@@ -6,7 +6,7 @@ from dblcheck.core import (
     FIXTURES, DoubleCat, bool_matrix_double_category, parity, trivial, walk_h)
 from dblcheck.errors import ChainMismatch
 from dblcheck.functor import (
-    LaxDoubleFunctor, check_lax_functor, identity_functor, strict_functor)
+    LaxDoubleFunctor, identity_functor, strict_functor)
 from dblcheck.transform import (
     LAX, OPLAX, HorTransform, Modification, VertTransform,
     check_hor_transform, check_modification, check_vert_transform,
