@@ -8,7 +8,9 @@ functor, quasi and tensor documents into ``parity`` with one flipped
 square; the full cell tables of the populated ``hom(trivial, parity)``
 flavors and of the sign q-hom double category; the in-process failures
 (law, witness, order) of the acceptance functor mutants and of single
-square flips of the sign quasi functors; and the tensor relations of three
+square flips of the sign quasi functors, of identity transformations and
+modifications in both orientations and of the sign q-cells; and the tensor
+relations of three
 small presentations, sorted per label, so they compare as multisets.
 
 Regenerate only for an intended change of behaviour, and say so:
@@ -25,11 +27,18 @@ from click.testing import CliRunner
 
 from dblcheck.cli import main
 from dblcheck.core import (
-    Gen, HComp, VComp, parity, trivial, walk_h, walk_v)
+    Gen, HComp, VComp, parity, trivial, walk_h, walk_sq, walk_v)
 from dblcheck.functor import check_lax_functor, identity_functor
-from dblcheck.hom import FLAVORS, hom_double_category, populate_squares
-from dblcheck.quasi import check_quasi_functor, q_hom_double_category
+from dblcheck.hom import (
+    FLAVORS, enumerate_lax_functors, hom_double_category, populate_squares)
+from dblcheck.quasi import (
+    QVertTransform, check_q_hor, check_q_vert, check_quasi_functor, identity_q_vert,
+    q_hom_double_category)
 from dblcheck.tensor import tensor_presentation
+from dblcheck.transform import (
+    LAX, OPLAX, check_hor_transform, check_modification,
+    check_vert_transform, identity_hor_transform, identity_modification,
+    identity_vert_transform)
 
 from test_acceptance import _mutation_corpus, flip
 from test_quasi import sign_q_hor, sign_quasi, walk_into_parity
@@ -241,10 +250,92 @@ def quasi_flip_failures(derive_unit_laws):
     return out
 
 
+def _flips(make, fields):
+    """Every single-square flip of the stored squares of a fresh ``make()``;
+    ``fields`` maps a name to a function from the cell to one of its square
+    stores.  Every cell lies in parity, whose ids agree across instances."""
+    p = parity()
+    out = {}
+    for name, store_of in fields.items():
+        for key in sorted(store_of(make())):
+            x = make()
+            store = store_of(x)
+            store[key] = flip(p, store[key])
+            out["%s%s" % (name, key)] = x
+    return out
+
+
+def transform_flip_failures():
+    """Flips of every component and structure square of the identity
+    horizontal and vertical transformations on parity, both orientations."""
+    out = {}
+    for o in (OPLAX, LAX):
+        hor = lambda: identity_hor_transform(identity_functor(parity()), o)
+        vert = lambda: identity_vert_transform(identity_functor(parity()), o)
+        for name, t in _flips(hor, {"comp_v": lambda t: t.comp_v,
+                                    "delta": lambda t: t.delta}).items():
+            out["hor-%s:%s" % (o, name)] = _failures(check_hor_transform(t))
+        for name, t in _flips(vert, {"comp_h": lambda t: t.comp_h,
+                                     "comp_v": lambda t: t.comp_v}).items():
+            out["vert-%s:%s" % (o, name)] = _failures(check_vert_transform(t))
+    return out
+
+
+def modification_flip_failures():
+    """Flips of each component of the identity modification on the identity
+    horizontal transformation of the first two lax functors walk_sq ->
+    parity, in both orientation pairings."""
+    out = {}
+    functors = list(itertools.islice(
+        enumerate_lax_functors(walk_sq(), parity()), 2))
+    for i, G in enumerate(functors):
+        for o in (OPLAX, LAX):
+            make = lambda: identity_modification(identity_hor_transform(G, o))
+            for name, m in _flips(make, {"comp": lambda m: m.comp}).items():
+                out["G%d-%s:%s" % (i, o, name)] = _failures(
+                    check_modification(m))
+    return out
+
+
+def q_cell_flip_failures():
+    """Flips of every stored square of the family transformations of the
+    sign q-horizontal transformation and of the identity q-vertical one,
+    then of each interchanger of their target quasi functor."""
+    q1 = sign_quasi({0: 0, 1: 1})
+    quasi = lambda signs: sign_quasi(signs, w=q1.A, t=q1.B, p=q1.C)
+
+    def vert(q2):
+        ident = identity_q_vert(q1)
+        return QVertTransform(q1, q2, ident.th_a, ident.th_b)
+
+    out = {}
+    for kind, make, signs, stores, check in (
+            ("q-hor", lambda q2: sign_q_hor(q1, q2), {0: 0, 1: 0},
+             ("comp_v", "delta"), check_q_hor),
+            ("q-vert", vert, {0: 0, 1: 1}, ("comp_h", "comp_v"),
+             check_q_vert)):
+        fields = {
+            "%s%d.%s" % (fam[-1], x, field):
+                lambda th, fam=fam, x=x, field=field: getattr(
+                    getattr(th, fam)[x], field)
+            for fam, n in (("th_a", q1.A.n_objects), ("th_b", q1.B.n_objects))
+            for x in range(n) for field in stores}
+        cases = _flips(lambda: make(quasi(signs)), fields)
+        targets = _flips(lambda: quasi(signs), {"kk": lambda q: q.kk})
+        for name, q2 in targets.items():
+            cases["target." + name] = make(q2)
+        for name, th in cases.items():
+            out["%s:%s" % (kind, name)] = _failures(check(th))
+    return out
+
+
 FAILURE_CASES = {
     "functor-mutants": functor_mutant_failures,
     "quasi-flips": lambda: quasi_flip_failures(False),
     "quasi-flips-derived": lambda: quasi_flip_failures(True),
+    "transform-flips": transform_flip_failures,
+    "modification-flips": modification_flip_failures,
+    "q-cell-flips": q_cell_flip_failures,
 }
 
 
@@ -307,6 +398,17 @@ def test_failures_match_golden(name):
 @pytest.mark.parametrize("name", sorted(RELATION_CASES))
 def test_relations_match_golden(name):
     assert RELATION_CASES[name]() == _load("relations", name)
+
+
+def test_flip_goldens_name_every_oriented_law():
+    """Each law whose body depends on the orientation fails in some case."""
+    covered = {law for name in ("transform-flips", "modification-flips")
+               for failures in _load("failures", name).values()
+               for law, _ in failures}
+    assert covered >= {"h.o.t.-1", "h.o.t.-2", "h.o.t.-5",
+                       "h.l.t.-1", "h.l.t.-2", "h.l.t.-5",
+                       "v.l.t.-3", "v.l.t.-5", "v.o.t.-3", "v.o.t.-5",
+                       "m.ho-vl.-1", "m.ho-vl.-2", "m.hl-vo.-1", "m.hl-vo.-2"}
 
 
 GOLDEN_KINDS = (("cli", CLI_CASES), ("tables", TABLE_CASES),
