@@ -10,6 +10,7 @@ schema errors.
 """
 
 import json
+import re
 import sys
 import time
 
@@ -146,12 +147,35 @@ def _square_ref(d, ref, oh, ov):
     if isinstance(ref, str):
         return _index(d.sq_names, "square")(ref)
     if isinstance(ref, dict):
-        s = d.find_square(oh(ref["top"]), oh(ref["bottom"]),
-                          ov(ref["left"]), ov(ref["right"]))
+        top, bottom = oh(ref["top"]), oh(ref["bottom"])
+        left, right = ov(ref["left"]), ov(ref["right"])
+        try:
+            s = d.find_square(top, bottom, left, right)
+        except DblError as exc:  # a flat category rejects an open boundary
+            raise SchemaError("bad square boundary %r: %s" % (ref, exc))
         if s is None:
             raise SchemaError("no square with boundary %r" % (ref,))
         return s
     raise SchemaError("square reference must be a name or a boundary")
+
+
+def _domain_square(d):
+    """Resolve a domain square by name.  The squares of a flat category
+    are named by their sides, ``[top/bottom;left/right]``, as
+    ``find_square`` names them when it interns them."""
+    by_name = _index(d.sq_names, "square")
+    if not d.flat:
+        return by_name
+    oh, ov = _index(d.hnames, "1h-cell"), _index(d.vnames, "1v-cell")
+
+    def resolve(nm):
+        sides = (re.fullmatch(r"\[([^/;]+)/([^/;]+);([^/;]+)/([^/;]+)\]", nm)
+                 if isinstance(nm, str) else None)
+        if sides is None:
+            return by_name(nm)
+        return _square_ref(d, dict(zip(
+            ("top", "bottom", "left", "right"), sides.groups())), oh, ov)
+    return resolve
 
 
 def _functor_from_doc(doc, dom, cod, name="F"):
@@ -170,8 +194,7 @@ def _functor_from_doc(doc, dom, cod, name="F"):
                 for k, v in _field(doc, "vmap", what, True).items()}
         sqmap = None
         if _field(doc, "sqmap", what):
-            ds, cs = (_index(dom.sq_names, "square"),
-                      _index(cod.sq_names, "square"))
+            ds, cs = _domain_square(dom), _index(cod.sq_names, "square")
             sqmap = {ds(k): cs(v) for k, v in doc["sqmap"].items()}
         comp_t = {}
         for key, ref in _field(doc, "comp", what).items():

@@ -48,16 +48,33 @@ class LaxDoubleFunctor:
         if s in self.sqmap:
             return self.sqmap[s]
         if self.cod.flat:
-            d, c = self.dom, self.cod
-            img = c.find_square(self.h(d.sq_top(s)), self.h(d.sq_bottom(s)),
-                                self.v(d.sq_left(s)), self.v(d.sq_right(s)))
+            img = self.cod.find_square(*self._sq_bounds(s))
             if img is None:
                 raise MalformedTables(
                     "no codomain square over the image boundary of %s"
-                    % d.sq_names[s])
+                    % self.dom.sq_names[s])
             self.sqmap[s] = img
             return img
         raise MalformedTables("sqmap missing an entry and codomain not flat")
+
+    def _sq_bounds(self, s):
+        """The boundary of the image of square s: its sides' images."""
+        d = self.dom
+        return (self.h(d.sq_top(s)), self.h(d.sq_bottom(s)),
+                self.v(d.sq_left(s)), self.v(d.sq_right(s)))
+
+    def _compositor_bounds(self, f, g):
+        """From the composite of the images of f and g down to the image of
+        their composite, between vertical identities."""
+        d, c = self.dom, self.cod
+        return (c.hcomp_h(self.h(f), self.h(g)), self.h(d.hcomp_h(f, g)),
+                c.v_id(self.obj(d.hsrc[f])), c.v_id(self.obj(d.htgt[g])))
+
+    def _unitor_bounds(self, a):
+        """From the identity on the image of a down to the image of 1_a."""
+        d, c = self.dom, self.cod
+        b = self.obj(a)
+        return c.h_id(b), self.h(d.h_id(a)), c.v_id(b), c.v_id(b)
 
     def compositor(self, f, g):
         key = (f, g)
@@ -146,9 +163,7 @@ def check_wellformed(F):
         except MalformedTables as exc:
             rep.add("wf-square-missing", square=s, error=str(exc))
             continue
-        want = (F.h(d.sq_top(s)), F.h(d.sq_bottom(s)),
-                F.v(d.sq_left(s)), F.v(d.sq_right(s)))
-        if c.sq_bounds[img] != want:
+        if c.sq_bounds[img] != F._sq_bounds(s):
             rep.add("wf-square-boundary", square=s)
     for f in range(d.n_hcells):
         for g in range(d.n_hcells):
@@ -159,9 +174,7 @@ def check_wellformed(F):
             except MalformedTables:
                 rep.add("wf-compositor-missing", first=f, second=g)
                 continue
-            want = (c.hcomp_h(F.h(f), F.h(g)), F.h(d.hcomp_h(f, g)),
-                    c.v_id(F.obj(d.hsrc[f])), c.v_id(F.obj(d.htgt[g])))
-            if c.sq_bounds[s] != want:
+            if c.sq_bounds[s] != F._compositor_bounds(f, g):
                 rep.add("wf-compositor-boundary", first=f, second=g)
     for a in range(d.n_objects):
         try:
@@ -169,9 +182,7 @@ def check_wellformed(F):
         except MalformedTables:
             rep.add("wf-unitor-missing", object=a)
             continue
-        want = (c.h_id(F.obj(a)), F.h(d.h_id(a)),
-                c.v_id(F.obj(a)), c.v_id(F.obj(a)))
-        if c.sq_bounds[s] != want:
+        if c.sq_bounds[s] != F._unitor_bounds(a):
             rep.add("wf-unitor-boundary", object=a)
     return rep
 

@@ -325,13 +325,15 @@ def hom_membership(hom, thing):
         if thing.orientation != hom.flavor.vert:
             rep.add("member-orientation")
             return rep
-        rep.merge(check_vert_transform(thing))
-        if hom.flavor.vert_strict:
-            c = thing.cod
+        laws = check_vert_transform(thing)
+        rep.merge(laws)
+        # the strictness scan reads every structure square and its
+        # boundary, which only a well-formed transformation has
+        if hom.flavor.vert_strict and not any(
+                law.startswith("wf-") for law, _ in laws.failures):
             for u in range(thing.dom.n_vcells):
-                if thing.sq_v(u) != c.sq_h_id(c.vcomp_v(
-                        thing.at(thing.dom.vsrc[u]), thing.G.v(u))) \
-                        and not _is_strict_structure(thing, u):
+                if not _is_strict_square(thing.cod, thing._sq_v_bounds(u),
+                                         thing.sq_v(u)):
                     rep.add("member-vert-strict", vcell=u)
         return rep
     if isinstance(thing, Modification):
@@ -341,15 +343,11 @@ def hom_membership(hom, thing):
     return rep
 
 
-def _is_strict_structure(t, u):
-    """A strict structure square is the horizontal identity on its side."""
-    c = t.cod
-    d = t.dom
-    left = c.vcomp_v(t.at(d.vsrc[u]), t.G.v(u))
-    right = c.vcomp_v(t.F.v(u), t.at(d.vtgt[u]))
-    if t.orientation == OPLAX:
-        left, right = right, left
-    return left == right and t.sq_v(u) == c.sq_h_id(left)
+def _is_strict_square(c, bounds, s):
+    """A strict structure square, with boundary ``bounds``, is the
+    horizontal identity on its side."""
+    left, right = bounds[2:]
+    return left == right and s == c.sq_h_id(left)
 
 
 # -- enumeration ------------------------------------------------------------
@@ -364,10 +362,6 @@ class _Budget:
         self.used += n
         if self.bound is not None and self.used > self.bound:
             raise EnumerationBound("candidate enumeration exceeded the bound")
-
-
-def _globular_candidates(c, top, bottom, a, b):
-    return c.squares_with_boundary(top, bottom, c.v_id(a), c.v_id(b))
 
 
 def enumerate_lax_functors(B, C, flavor=HOP, bound=None):
@@ -407,44 +401,45 @@ def enumerate_lax_functors(B, C, flavor=HOP, bound=None):
                                               dict(enumerate(vmap)))
 
 
+def _square_choices(C, groups):
+    """The candidate squares of each key of each (boundary, keys, strict)
+    group, in order: the codomain squares on the key's boundary, only the
+    strict ones if asked; None as soon as a key has none."""
+    choices = []
+    for bounds_of, keys, strict in groups:
+        for key in keys:
+            bounds = bounds_of(key)
+            cands = C.squares_with_boundary(*bounds)
+            if strict:
+                cands = [s for s in cands if _is_strict_square(C, bounds, s)]
+            if not cands:
+                return None
+            choices.append(cands)
+    return choices
+
+
 def _complete_functors(B, C, flavor, budget, ob, hmap, vmap):
+    cells = LaxDoubleFunctor(B, C, ob, hmap, vmap)
     squares = list(B.iter_squares())
-    sqchoices = []
-    for s in squares:
-        cands = C.squares_with_boundary(
-            hmap[B.sq_top(s)], hmap[B.sq_bottom(s)],
-            vmap[B.sq_left(s)], vmap[B.sq_right(s)])
-        if not cands:
-            return
-        sqchoices.append(cands)
     pairs = [(f, g) for f in range(B.n_hcells) for g in range(B.n_hcells)
              if B.htgt[f] == B.hsrc[g]]
-    compchoices = []
-    for f, g in pairs:
-        cands = _globular_candidates(
-            C, C.hcomp_h(hmap[f], hmap[g]), hmap[B.hcomp_h(f, g)],
-            ob[B.hsrc[f]], ob[B.htgt[g]])
-        if not cands:
-            return
-        compchoices.append(cands)
-    unitchoices = []
-    for a in range(B.n_objects):
-        cands = _globular_candidates(C, C.h_id(ob[a]), hmap[B.h_id(a)],
-                                     ob[a], ob[a])
-        if not cands:
-            return
-        unitchoices.append(cands)
-    for sqs in iproduct(*sqchoices):
-        for comps in iproduct(*compchoices):
-            for units in iproduct(*unitchoices):
-                budget.spend()
-                F = LaxDoubleFunctor(
-                    B, C, ob, hmap, vmap, dict(zip(squares, sqs)),
-                    dict(zip(pairs, comps)), dict(enumerate(units)))
-                if flavor.unitary_only and not is_unitary(F):
-                    continue
-                if check_lax_functor(F).passed:
-                    yield F
+    choices = _square_choices(C, (
+        (cells._sq_bounds, squares, False),
+        (lambda fg: cells._compositor_bounds(*fg), pairs, False),
+        (cells._unitor_bounds, range(B.n_objects), False)))
+    if choices is None:
+        return
+    n_sq, n_comp = len(squares), len(pairs)
+    for pick in iproduct(*choices):
+        budget.spend()
+        F = LaxDoubleFunctor(
+            B, C, ob, hmap, vmap, dict(zip(squares, pick)),
+            dict(zip(pairs, pick[n_sq:])),
+            dict(enumerate(pick[n_sq + n_comp:])))
+        if flavor.unitary_only and not is_unitary(F):
+            continue
+        if check_lax_functor(F).passed:
+            yield F
 
 
 def enumerate_hor_transforms(F, G, flavor=HOP, bound=None):
@@ -458,31 +453,18 @@ def enumerate_hor_transforms(F, G, flavor=HOP, bound=None):
 
 def _complete_hor(F, G, flavor, budget, comp0):
     B, C = F.dom, F.cod
-    vchoices = []
-    for u in range(B.n_vcells):
-        cands = C.squares_with_boundary(comp0[B.vsrc[u]], comp0[B.vtgt[u]],
-                                        F.v(u), G.v(u))
-        if not cands:
-            return
-        vchoices.append(cands)
-    dchoices = []
-    for f in range(B.n_hcells):
-        a, b = B.hsrc[f], B.htgt[f]
-        upper = C.hcomp_h(F.h(f), comp0[b])
-        lower = C.hcomp_h(comp0[a], G.h(f))
-        if flavor.hor == LAX:
-            upper, lower = lower, upper
-        cands = _globular_candidates(C, upper, lower, F.obj(a), G.obj(b))
-        if not cands:
-            return
-        dchoices.append(cands)
-    for comp_v in iproduct(*vchoices):
-        for delta in iproduct(*dchoices):
-            budget.spend()
-            t = HorTransform(F, G, comp0, dict(enumerate(comp_v)),
-                             dict(enumerate(delta)), flavor.hor)
-            if check_hor_transform(t).passed:
-                yield t
+    cells = HorTransform(F, G, comp0, orientation=flavor.hor)
+    choices = _square_choices(C, (
+        (cells._sq_v_bounds, range(B.n_vcells), False),
+        (cells._delta_bounds, range(B.n_hcells), False)))
+    if choices is None:
+        return
+    for pick in iproduct(*choices):
+        budget.spend()
+        t = HorTransform(F, G, comp0, dict(enumerate(pick[:B.n_vcells])),
+                         dict(enumerate(pick[B.n_vcells:])), flavor.hor)
+        if check_hor_transform(t).passed:
+            yield t
 
 
 def enumerate_vert_transforms(F, G, flavor=HOP, bound=None):
@@ -496,35 +478,18 @@ def enumerate_vert_transforms(F, G, flavor=HOP, bound=None):
 
 def _complete_vert(F, G, flavor, budget, comp0):
     B, C = F.dom, F.cod
-    hchoices = []
-    for f in range(B.n_hcells):
-        cands = C.squares_with_boundary(F.h(f), G.h(f),
-                                        comp0[B.hsrc[f]], comp0[B.htgt[f]])
-        if not cands:
-            return
-        hchoices.append(cands)
-    vchoices = []
-    for u in range(B.n_vcells):
-        a, at_ = B.vsrc[u], B.vtgt[u]
-        left = C.vcomp_v(comp0[a], G.v(u))
-        right = C.vcomp_v(F.v(u), comp0[at_])
-        if flavor.vert == OPLAX:
-            left, right = right, left
-        cands = C.squares_with_boundary(C.h_id(F.obj(a)), C.h_id(G.obj(at_)),
-                                        left, right)
-        if flavor.vert_strict:
-            cands = [s for s in cands
-                     if left == right and s == C.sq_h_id(left)]
-        if not cands:
-            return
-        vchoices.append(cands)
-    for comp_h in iproduct(*hchoices):
-        for comp_v in iproduct(*vchoices):
-            budget.spend()
-            t = VertTransform(F, G, comp0, dict(enumerate(comp_h)),
-                              dict(enumerate(comp_v)), flavor.vert)
-            if check_vert_transform(t).passed:
-                yield t
+    cells = VertTransform(F, G, comp0, orientation=flavor.vert)
+    choices = _square_choices(C, (
+        (cells._sq_h_bounds, range(B.n_hcells), False),
+        (cells._sq_v_bounds, range(B.n_vcells), flavor.vert_strict)))
+    if choices is None:
+        return
+    for pick in iproduct(*choices):
+        budget.spend()
+        t = VertTransform(F, G, comp0, dict(enumerate(pick[:B.n_hcells])),
+                          dict(enumerate(pick[B.n_hcells:])), flavor.vert)
+        if check_vert_transform(t).passed:
+            yield t
 
 
 def enumerate_modifications(top, bottom, left, right, bound=None):

@@ -85,6 +85,16 @@ class QuasiFunctor:
             return self.C.sq_h_id(self.fA(a).v(u))
         return self.uu[(u, U)]
 
+    def _uu_bounds(self, u, U):
+        """The boundary of the interchanger of 1v-cells u of B and U of A:
+        horizontally globular, with U's image then u's on the left and
+        u's then U's on the right."""
+        A, B, C = self.A, self.B, self.C
+        a, at, b, bt = A.vsrc[U], A.vtgt[U], B.vsrc[u], B.vtgt[u]
+        return (C.h_id(self.obj(a, b)), C.h_id(self.obj(at, bt)),
+                C.vcomp_v(self.fB(b).v(U), self.fA(at).v(u)),
+                C.vcomp_v(self.fA(a).v(u), self.fB(bt).v(U)))
+
     def __repr__(self):
         return "QuasiFunctor(%s: (%s, %s) -> %s)" % (
             self.name, self.A.name, self.B.name, self.C.name)
@@ -150,19 +160,12 @@ def _check_quasi_wellformed(rep, q):
     for u in range(B.n_vcells):
         if B.is_v_identity(u):
             continue
-        b, bt = B.vsrc[u], B.vtgt[u]
         for U in range(A.n_vcells):
             if A.is_v_identity(U):
                 continue
-            a, at = A.vsrc[U], A.vtgt[U]
             if (u, U) not in q.uu:
                 rep.add("uu-missing", u=u, U=U)
-                continue
-            s = q.uu[(u, U)]
-            want = (C.h_id(q.obj(a, b)), C.h_id(q.obj(at, bt)),
-                    C.vcomp_v(q.fB(b).v(U), q.fA(at).v(u)),
-                    C.vcomp_v(q.fA(a).v(u), q.fB(bt).v(U)))
-            if C.sq_bounds[s] != want:
+            elif C.sq_bounds[q.uu[(u, U)]] != q._uu_bounds(u, U):
                 rep.add("uu-boundary", u=u, U=U)
 
 
@@ -498,17 +501,24 @@ def _check_families(fam_a, fam_b, check, A, B, tag):
 
 def check_q_hor(t):
     """Componentwise transformation laws plus the four mixed coherence laws."""
+    q = t.q1
+    rep = _check_families(t.th_a, t.th_b, check_hor_transform, q.A, q.B, "th")
+    if rep.passed:
+        _q_hor_laws(t, functools.partial(_eq, rep))
+    return rep
+
+
+def _q_hor_laws(t, emit):
+    """Every mixed law instance of the q-horizontal transformation t, in
+    report order, emitted as in ``_quasi_laws``."""
     q1, q2 = t.q1, t.q2
     A, B, C = q1.A, q1.B, q1.C
-    rep = _check_families(t.th_a, t.th_b, check_hor_transform, A, B, "th")
-    if not rep.passed:
-        return rep
     vid = C.sq_v_id
     for k in range(B.n_hcells):
         b, bp = B.hsrc[k], B.htgt[k]
         for K in range(A.n_hcells):
             a, ap = A.hsrc[K], A.htgt[K]
-            _eq(rep, "q-hor-1",
+            emit("q-hor-1",
                 lambda k=k, K=K, a=a, ap=ap, b=b, bp=bp: C.vcomp_sq_many([
                     C.hcomp_sq(vid(q1.fA(a).h(k)), t.th_b[bp].delta_at(K)),
                     C.hcomp_sq(t.th_a[a].delta_at(k), vid(q2.fB(bp).h(K))),
@@ -522,7 +532,7 @@ def check_q_hor(t):
         b, bt = B.vsrc[u], B.vtgt[u]
         for K in range(A.n_hcells):
             a, ap = A.hsrc[K], A.htgt[K]
-            _eq(rep, "q-hor-2",
+            emit("q-hor-2",
                 lambda u=u, K=K, ap=ap, bt=bt: C.vcomp_sq(
                     C.hcomp_sq(q1.sq_uk(u, K), t.th_a[ap].sq_v(u)),
                     t.th_b[bt].delta_at(K)),
@@ -534,7 +544,7 @@ def check_q_hor(t):
         b, bp = B.hsrc[k], B.htgt[k]
         for U in range(A.n_vcells):
             a, at = A.vsrc[U], A.vtgt[U]
-            _eq(rep, "q-hor-3",
+            emit("q-hor-3",
                 lambda k=k, U=U, at=at, bp=bp: C.vcomp_sq(
                     C.hcomp_sq(q1.sq_ku(k, U), t.th_b[bp].sq_v(U)),
                     t.th_a[at].delta_at(k)),
@@ -546,7 +556,7 @@ def check_q_hor(t):
         b, bt = B.vsrc[u], B.vtgt[u]
         for U in range(A.n_vcells):
             a, at = A.vsrc[U], A.vtgt[U]
-            _eq(rep, "q-hor-4",
+            emit("q-hor-4",
                 lambda u=u, U=U, a=a, bt=bt: C.hcomp_sq(
                     q1.sq_uu(u, U),
                     C.vcomp_sq(t.th_a[a].sq_v(u), t.th_b[bt].sq_v(U))),
@@ -554,22 +564,28 @@ def check_q_hor(t):
                     C.vcomp_sq(t.th_b[b].sq_v(U), t.th_a[at].sq_v(u)),
                     q2.sq_uu(u, U)),
                 u=u, U=U)
-    return rep
 
 
 def check_q_vert(t):
     """Componentwise vertical transformation laws plus mixed coherence."""
+    q = t.q1
+    rep = _check_families(t.th_a, t.th_b, check_vert_transform, q.A, q.B, "th")
+    if rep.passed:
+        _q_vert_laws(t, functools.partial(_eq, rep))
+    return rep
+
+
+def _q_vert_laws(t, emit):
+    """Every mixed law instance of the q-vertical transformation t, in
+    report order, emitted as in ``_quasi_laws``."""
     q1, q2 = t.q1, t.q2
     A, B, C = q1.A, q1.B, q1.C
-    rep = _check_families(t.th_a, t.th_b, check_vert_transform, A, B, "th")
-    if not rep.passed:
-        return rep
     hid = C.sq_h_id
     for u in range(B.n_vcells):
         b, bt = B.vsrc[u], B.vtgt[u]
         for U in range(A.n_vcells):
             a, at = A.vsrc[U], A.vtgt[U]
-            _eq(rep, "q-vert-1",
+            emit("q-vert-1",
                 lambda u=u, U=U, a=a, b=b, at=at, bt=bt: C.hcomp_sq_many([
                     C.vcomp_sq(hid(t.at(a, b)), q2.sq_uu(u, U)),
                     C.vcomp_sq(t.th_a[a].sq_v(u), hid(q2.fB(bt).v(U))),
@@ -583,7 +599,7 @@ def check_q_vert(t):
         b, bt = B.vsrc[u], B.vtgt[u]
         for K in range(A.n_hcells):
             a, ap = A.hsrc[K], A.htgt[K]
-            _eq(rep, "q-vert-2",
+            emit("q-vert-2",
                 lambda u=u, K=K, a=a, bt=bt: C.hcomp_sq(
                     t.th_a[a].sq_v(u),
                     C.vcomp_sq(q1.sq_uk(u, K), t.th_b[bt].sq_h(K))),
@@ -595,7 +611,7 @@ def check_q_vert(t):
         b, bp = B.hsrc[k], B.htgt[k]
         for U in range(A.n_vcells):
             a, at = A.vsrc[U], A.vtgt[U]
-            _eq(rep, "q-vert-3",
+            emit("q-vert-3",
                 lambda k=k, U=U, b=b, at=at: C.hcomp_sq(
                     t.th_b[b].sq_v(U),
                     C.vcomp_sq(q1.sq_ku(k, U), t.th_a[at].sq_h(k))),
@@ -607,7 +623,7 @@ def check_q_vert(t):
         b, bp = B.hsrc[k], B.htgt[k]
         for K in range(A.n_hcells):
             a, ap = A.hsrc[K], A.htgt[K]
-            _eq(rep, "q-vert-4",
+            emit("q-vert-4",
                 lambda k=k, K=K, b=b, ap=ap: C.vcomp_sq(
                     q1.sq_kk(k, K),
                     C.hcomp_sq(t.th_b[b].sq_h(K), t.th_a[ap].sq_h(k))),
@@ -615,7 +631,6 @@ def check_q_vert(t):
                     C.hcomp_sq(t.th_a[a].sq_h(k), t.th_b[bp].sq_h(K)),
                     q2.sq_kk(k, K)),
                 k=k, K=K)
-    return rep
 
 
 def check_q_mod(m):

@@ -47,13 +47,9 @@ def _dims(dom):
 
 
 def _check_trivial_uu(q):
-    C = q.C
     for (u, U), s in q.uu.items():
-        b, bt = q.B.vsrc[u], q.B.vtgt[u]
-        a, at = q.A.vsrc[U], q.A.vtgt[U]
-        lv = C.vcomp_v(q.fB(b).v(U), q.fA(at).v(u))
-        rv = C.vcomp_v(q.fA(a).v(u), q.fB(bt).v(U))
-        if lv != rv or s != C.sq_h_id(lv):
+        lv, rv = q._uu_bounds(u, U)[2:]
+        if lv != rv or s != q.C.sq_h_id(lv):
             raise NontrivialUU(
                 "strictification needs trivial mixed vertical interchangers")
 

@@ -14,7 +14,18 @@ Two families of transformations are supported, each in two orientations:
 A modification fills the square formed by two horizontal and two vertical
 transformations; its two law sets pair horizontal-oplax with vertical-lax
 and horizontal-lax with vertical-oplax.
+
+Each law is written once for both orientations.  A lax law is its oplax
+twin with two pastings swapped; the vertical naturality law and the
+modification laws also swap their two sides.  The tables
+``_HOR_PASTINGS``, ``_VERT_PASTINGS`` and ``_MODIFICATION_PASTINGS`` give
+each orientation its labels and the order of each swapped pair, so a check
+looks its orientation up once and then emits one instance per loop step;
+``vcompose_hor`` and ``vcompose_vert`` order the two factors of a
+composite structure square from ``_COMPOSITE_FACTORS`` the same way.
 """
+
+import functools
 
 from .core import ValidationReport
 from .errors import ChainMismatch, DblError, MalformedTables, NotPseudo
@@ -37,10 +48,8 @@ def _same_functor(F, G):
 
 
 def _derive(cod, store, key, bounds, what):
-    """A stored square, or over a flat codomain the one with the boundary
-    ``bounds(key)`` (then stored)."""
-    if key in store:
-        return store[key]
+    """Over a flat codomain, the square with the boundary ``bounds(key)``,
+    then stored; called for a key that is not stored yet."""
     if cod.flat:
         s = cod.find_square(*bounds(key))
         if s is None:
@@ -74,6 +83,8 @@ class HorTransform:
 
     def sq_v(self, u):
         """The square on a 1v-cell u, with the components on top and bottom."""
+        if u in self.comp_v:
+            return self.comp_v[u]
         return _derive(self.cod, self.comp_v, u, self._sq_v_bounds,
                        "component square")
 
@@ -84,6 +95,8 @@ class HorTransform:
 
     def delta_at(self, f):
         """The globular structure square on a 1h-cell f."""
+        if f in self.delta:
+            return self.delta[f]
         return _derive(self.cod, self.delta, f, self._delta_bounds,
                        "structure square")
 
@@ -125,6 +138,8 @@ class VertTransform:
         return self.comp0[a]
 
     def sq_h(self, f):
+        if f in self.comp_h:
+            return self.comp_h[f]
         return _derive(self.cod, self.comp_h, f, self._sq_h_bounds,
                        "component square")
 
@@ -134,6 +149,8 @@ class VertTransform:
                 self.at(d.hsrc[f]), self.at(d.htgt[f]))
 
     def sq_v(self, u):
+        if u in self.comp_v:
+            return self.comp_v[u]
         return _derive(self.cod, self.comp_v, u, self._sq_v_bounds,
                        "structure square")
 
@@ -182,13 +199,17 @@ class Modification:
         if a in self.comp:
             return self.comp[a]
         if self.cod.flat:
-            s = self.cod.find_square(self.top.at(a), self.bottom.at(a),
-                                     self.left.at(a), self.right.at(a))
+            s = self.cod.find_square(*self._bounds(a))
             if s is None:
                 raise MalformedTables("no codomain square for a component")
             self.comp[a] = s
             return s
         raise MalformedTables("component missing and codomain not flat")
+
+    def _bounds(self, a):
+        """The component's boundary: the four transformations' components."""
+        return (self.top.at(a), self.bottom.at(a),
+                self.left.at(a), self.right.at(a))
 
     def __repr__(self):
         return "Modification(%s)" % self.name
@@ -234,33 +255,27 @@ def identity_modification(alpha):
 # -- checking ---------------------------------------------------------------
 
 
-def _check_hor_wellformed(rep, t):
-    d, c = t.dom, t.cod
-    for a in range(d.n_objects):
+def _check_wellformed(rep, t, src, tgt, squares):
+    """Each component between the functors' images (``src``/``tgt`` are
+    the codomain's 1-cell ends), then each square on its boundary;
+    ``squares`` lists (kind, witness key, count, accessor, boundary)."""
+    for a in range(t.dom.n_objects):
         if a not in t.comp0:
             rep.add("wf-component-missing", object=a)
-            continue
-        f = t.comp0[a]
-        if c.hsrc[f] != t.F.obj(a) or c.htgt[f] != t.G.obj(a):
+        elif (src[t.comp0[a]] != t.F.obj(a)
+              or tgt[t.comp0[a]] != t.G.obj(a)):
             rep.add("wf-component-boundary", object=a)
     if not rep.passed:
         return
-    for u in range(d.n_vcells):
-        try:
-            s, want = t.sq_v(u), t._sq_v_bounds(u)
-        except DblError as exc:
-            rep.add("wf-square-missing", vcell=u, error=str(exc))
-            continue
-        if c.sq_bounds[s] != want:
-            rep.add("wf-square-boundary", vcell=u)
-    for f in range(d.n_hcells):
-        try:
-            s, want = t.delta_at(f), t._delta_bounds(f)
-        except DblError as exc:
-            rep.add("wf-structure-missing", hcell=f, error=str(exc))
-            continue
-        if c.sq_bounds[s] != want:
-            rep.add("wf-structure-boundary", hcell=f)
+    for kind, key, n, square, bounds in squares:
+        for x in range(n):
+            try:
+                s, want = square(x), bounds(x)
+            except DblError as exc:
+                rep.add("wf-%s-missing" % kind, **{key: x, "error": str(exc)})
+                continue
+            if t.cod.sq_bounds[s] != want:
+                rep.add("wf-%s-boundary" % kind, **{key: x})
 
 
 def check_hor_transform(t):
@@ -272,110 +287,74 @@ def check_hor_transform(t):
     h.l.t.-5 (naturality over arbitrary squares).
     """
     rep = ValidationReport()
-    _check_hor_wellformed(rep, t)
-    if not rep.passed:
-        return rep
     d, c = t.dom, t.cod
-    F, G = t.F, t.G
-    oplax = t.orientation == OPLAX
-    for f in range(d.n_hcells):
-        for g in range(d.n_hcells):
-            if d.htgt[f] != d.hsrc[g]:
-                continue
-            a, b2, c2 = d.hsrc[f], d.htgt[f], d.htgt[g]
-            if oplax:
-                _eq(rep, "h.o.t.-1",
-                    lambda f=f, g=g, c2=c2: c.vcomp_sq(
-                        c.hcomp_sq(F.compositor(f, g), c.sq_v_id(t.at(c2))),
-                        t.delta_at(d.hcomp_h(f, g))),
-                    lambda f=f, g=g, a=a: c.vcomp_sq_many([
-                        c.hcomp_sq(c.sq_v_id(F.h(f)), t.delta_at(g)),
-                        c.hcomp_sq(t.delta_at(f), c.sq_v_id(G.h(g))),
-                        c.hcomp_sq(c.sq_v_id(t.at(a)), G.compositor(f, g))]),
-                    first=f, second=g)
-            else:
-                _eq(rep, "h.l.t.-1",
-                    lambda f=f, g=g, a=a: c.vcomp_sq(
-                        c.hcomp_sq(c.sq_v_id(t.at(a)), G.compositor(f, g)),
-                        t.delta_at(d.hcomp_h(f, g))),
-                    lambda f=f, g=g, c2=c2: c.vcomp_sq_many([
-                        c.hcomp_sq(t.delta_at(f), c.sq_v_id(G.h(g))),
-                        c.hcomp_sq(c.sq_v_id(F.h(f)), t.delta_at(g)),
-                        c.hcomp_sq(F.compositor(f, g), c.sq_v_id(t.at(c2)))]),
-                    first=f, second=g)
-    for a in range(d.n_objects):
-        if oplax:
-            _eq(rep, "h.o.t.-2",
-                lambda a=a: c.vcomp_sq(
-                    c.hcomp_sq(F.unitor(a), c.sq_v_id(t.at(a))),
-                    t.delta_at(d.h_id(a))),
-                lambda a=a: c.hcomp_sq(c.sq_v_id(t.at(a)), G.unitor(a)),
-                object=a)
-        else:
-            _eq(rep, "h.l.t.-2",
-                lambda a=a: c.vcomp_sq(
-                    c.hcomp_sq(c.sq_v_id(t.at(a)), G.unitor(a)),
-                    t.delta_at(d.h_id(a))),
-                lambda a=a: c.hcomp_sq(F.unitor(a), c.sq_v_id(t.at(a))),
-                object=a)
-    for u in range(d.n_vcells):
-        for w in range(d.n_vcells):
-            if d.vtgt[u] == d.vsrc[w]:
-                _eq(rep, "h.o.t.-3",
-                    lambda u=u, w=w: t.sq_v(d.vcomp_v(u, w)),
-                    lambda u=u, w=w: c.vcomp_sq(t.sq_v(u), t.sq_v(w)),
-                    first=u, second=w)
-    for a in range(d.n_objects):
-        _eq(rep, "h.o.t.-4",
-            lambda a=a: t.sq_v(d.v_id(a)),
-            lambda a=a: c.sq_v_id(t.at(a)), object=a)
-    for s in d.iter_squares():
-        f, g = d.sq_top(s), d.sq_bottom(s)
-        u, v = d.sq_left(s), d.sq_right(s)
-        if oplax:
-            _eq(rep, "h.o.t.-5",
-                lambda s=s, g=g, v=v: c.vcomp_sq(
-                    c.hcomp_sq(F.sq(s), t.sq_v(v)), t.delta_at(g)),
-                lambda s=s, f=f, u=u: c.vcomp_sq(
-                    t.delta_at(f), c.hcomp_sq(t.sq_v(u), G.sq(s))),
-                square=s)
-        else:
-            _eq(rep, "h.l.t.-5",
-                lambda s=s, g=g, u=u: c.vcomp_sq(
-                    c.hcomp_sq(t.sq_v(u), G.sq(s)), t.delta_at(g)),
-                lambda s=s, f=f, v=v: c.vcomp_sq(
-                    t.delta_at(f), c.hcomp_sq(F.sq(s), t.sq_v(v))),
-                square=s)
+    _check_wellformed(rep, t, c.hsrc, c.htgt, (
+        ("square", "vcell", d.n_vcells, t.sq_v, t._sq_v_bounds),
+        ("structure", "hcell", d.n_hcells, t.delta_at, t._delta_bounds)))
+    if rep.passed:
+        _hor_transform_laws(t, functools.partial(_eq, rep))
     return rep
 
 
-def _check_vert_wellformed(rep, t):
+# Each pair holds the F-side and the G-side pasting of a horizontal law, in
+# oplax order, as functions of the transformation and an instance's cells:
+# the compositor terms and the structure-square columns of h.*-1, the
+# unitor terms of h.*-2 and the naturality pastings of h.*-5.
+_HOR_PAIRS = (
+    (lambda t, f, g: t.cod.hcomp_sq(
+        t.F.compositor(f, g), t.cod.sq_v_id(t.at(t.dom.htgt[g]))),
+     lambda t, f, g: t.cod.hcomp_sq(
+         t.cod.sq_v_id(t.at(t.dom.hsrc[f])), t.G.compositor(f, g))),
+    (lambda t, f, g: t.cod.hcomp_sq(t.cod.sq_v_id(t.F.h(f)), t.delta_at(g)),
+     lambda t, f, g: t.cod.hcomp_sq(t.delta_at(f), t.cod.sq_v_id(t.G.h(g)))),
+    (lambda t, a: t.cod.hcomp_sq(t.F.unitor(a), t.cod.sq_v_id(t.at(a))),
+     lambda t, a: t.cod.hcomp_sq(t.cod.sq_v_id(t.at(a)), t.G.unitor(a))),
+    (lambda t, s: t.cod.hcomp_sq(t.F.sq(s), t.sq_v(t.dom.sq_right(s))),
+     lambda t, s: t.cod.hcomp_sq(t.sq_v(t.dom.sq_left(s)), t.G.sq(s))))
+_HOR_PASTINGS = {
+    OPLAX: (("h.o.t.-1", "h.o.t.-2", "h.o.t.-5"), _HOR_PAIRS),
+    LAX: (("h.l.t.-1", "h.l.t.-2", "h.l.t.-5"),
+          tuple(pair[::-1] for pair in _HOR_PAIRS))}
+
+
+def _hor_transform_laws(t, emit):
+    """Every horizontal transformation law instance of t, in report order.
+
+    Each instance goes to ``emit(law, lhs, rhs, **witness)`` with its two
+    sides as thunks, as in ``functor._lax_functor_laws``.
+    """
     d, c = t.dom, t.cod
-    for a in range(d.n_objects):
-        if a not in t.comp0:
-            rep.add("wf-component-missing", object=a)
-            continue
-        u = t.comp0[a]
-        if c.vsrc[u] != t.F.obj(a) or c.vtgt[u] != t.G.obj(a):
-            rep.add("wf-component-boundary", object=a)
-    if not rep.passed:
-        return
+    ((h1, h2, h5), ((comp1, comp2), (col1, col2), (unit1, unit2),
+                    (nat1, nat2))) = _HOR_PASTINGS[t.orientation]
     for f in range(d.n_hcells):
-        try:
-            s, want = t.sq_h(f), t._sq_h_bounds(f)
-        except DblError as exc:
-            rep.add("wf-square-missing", hcell=f, error=str(exc))
-            continue
-        if c.sq_bounds[s] != want:
-            rep.add("wf-square-boundary", hcell=f)
+        for g in range(d.n_hcells):
+            if d.htgt[f] == d.hsrc[g]:
+                emit(h1,
+                     lambda f=f, g=g: c.vcomp_sq(
+                         comp1(t, f, g), t.delta_at(d.hcomp_h(f, g))),
+                     lambda f=f, g=g: c.vcomp_sq_many(
+                         [col1(t, f, g), col2(t, f, g), comp2(t, f, g)]),
+                     first=f, second=g)
+    for a in range(d.n_objects):
+        emit(h2,
+             lambda a=a: c.vcomp_sq(unit1(t, a), t.delta_at(d.h_id(a))),
+             lambda a=a: unit2(t, a), object=a)
     for u in range(d.n_vcells):
-        try:
-            s, want = t.sq_v(u), t._sq_v_bounds(u)
-        except DblError as exc:
-            rep.add("wf-structure-missing", vcell=u, error=str(exc))
-            continue
-        if c.sq_bounds[s] != want:
-            rep.add("wf-structure-boundary", vcell=u)
+        for w in range(d.n_vcells):
+            if d.vtgt[u] == d.vsrc[w]:
+                emit("h.o.t.-3",
+                     lambda u=u, w=w: t.sq_v(d.vcomp_v(u, w)),
+                     lambda u=u, w=w: c.vcomp_sq(t.sq_v(u), t.sq_v(w)),
+                     first=u, second=w)
+    for a in range(d.n_objects):
+        emit("h.o.t.-4",
+             lambda a=a: t.sq_v(d.v_id(a)),
+             lambda a=a: c.sq_v_id(t.at(a)), object=a)
+    for s in d.iter_squares():
+        emit(h5,
+             lambda s=s: c.vcomp_sq(nat1(t, s), t.delta_at(d.sq_bottom(s))),
+             lambda s=s: c.vcomp_sq(t.delta_at(d.sq_top(s)), nat2(t, s)),
+             square=s)
 
 
 def check_vert_transform(t):
@@ -387,79 +366,75 @@ def check_vert_transform(t):
     (naturality over arbitrary squares).
     """
     rep = ValidationReport()
-    _check_vert_wellformed(rep, t)
-    if not rep.passed:
-        return rep
+    d, c = t.dom, t.cod
+    _check_wellformed(rep, t, c.vsrc, c.vtgt, (
+        ("square", "hcell", d.n_hcells, t.sq_h, t._sq_h_bounds),
+        ("structure", "vcell", d.n_vcells, t.sq_v, t._sq_v_bounds)))
+    if rep.passed:
+        _vert_transform_laws(t, functools.partial(_eq, rep))
+    return rep
+
+
+def _vert_pastings():
+    """Per orientation, the labels of the vertical laws that differ, the
+    two columns of v.*-3 (structure squares over identities, in lax order)
+    and the factors of the two sides of v.*-5, which pastes the F side,
+    F(s) over the bottom component, and the G side, the top component over
+    G(s), each beside a structure square."""
+    columns = (
+        lambda t, u, w: t.cod.vcomp_sq(t.sq_v(u), t.cod.sq_h_id(t.G.v(w))),
+        lambda t, u, w: t.cod.vcomp_sq(t.cod.sq_h_id(t.F.v(u)), t.sq_v(w)))
+    side_f = lambda t, s: t.cod.vcomp_sq(t.F.sq(s), t.sq_h(t.dom.sq_bottom(s)))
+    side_g = lambda t, s: t.cod.vcomp_sq(t.sq_h(t.dom.sq_top(s)), t.G.sq(s))
+    left = lambda t, s: t.sq_v(t.dom.sq_left(s))
+    right = lambda t, s: t.sq_v(t.dom.sq_right(s))
+    return {LAX: (("v.l.t.-3", "v.l.t.-5"), columns,
+                  ((left, side_f), (side_g, right))),
+            OPLAX: (("v.o.t.-3", "v.o.t.-5"), columns[::-1],
+                    ((side_f, right), (left, side_g)))}
+
+
+_VERT_PASTINGS = _vert_pastings()
+
+
+def _vert_transform_laws(t, emit):
+    """Every vertical transformation law instance of t, in report order,
+    emitted as in ``_hor_transform_laws``."""
     d, c = t.dom, t.cod
     F, G = t.F, t.G
-    lax = t.orientation == LAX
+    ((v3, v5), (col1, col2),
+     ((l1, l2), (r1, r2))) = _VERT_PASTINGS[t.orientation]
     for f in range(d.n_hcells):
         for g in range(d.n_hcells):
             if d.htgt[f] != d.hsrc[g]:
                 continue
-            _eq(rep, "v.l.t.-1",
-                lambda f=f, g=g: c.vcomp_sq(
-                    c.hcomp_sq(t.sq_h(f), t.sq_h(g)), G.compositor(f, g)),
-                lambda f=f, g=g: c.vcomp_sq(
-                    F.compositor(f, g), t.sq_h(d.hcomp_h(f, g))),
-                first=f, second=g)
+            emit("v.l.t.-1",
+                 lambda f=f, g=g: c.vcomp_sq(
+                     c.hcomp_sq(t.sq_h(f), t.sq_h(g)), G.compositor(f, g)),
+                 lambda f=f, g=g: c.vcomp_sq(
+                     F.compositor(f, g), t.sq_h(d.hcomp_h(f, g))),
+                 first=f, second=g)
     for a in range(d.n_objects):
-        _eq(rep, "v.l.t.-2",
-            lambda a=a: c.vcomp_sq(F.unitor(a), t.sq_h(d.h_id(a))),
-            lambda a=a: c.vcomp_sq(c.sq_h_id(t.at(a)), G.unitor(a)),
-            object=a)
+        emit("v.l.t.-2",
+             lambda a=a: c.vcomp_sq(F.unitor(a), t.sq_h(d.h_id(a))),
+             lambda a=a: c.vcomp_sq(c.sq_h_id(t.at(a)), G.unitor(a)),
+             object=a)
     for u in range(d.n_vcells):
         for w in range(d.n_vcells):
-            if d.vtgt[u] != d.vsrc[w]:
-                continue
-            if lax:
-                _eq(rep, "v.l.t.-3",
-                    lambda u=u, w=w: _vlt3_lhs(t, u, w),
-                    lambda u=u, w=w: t.sq_v(d.vcomp_v(u, w)),
-                    first=u, second=w)
-            else:
-                _eq(rep, "v.o.t.-3",
-                    lambda u=u, w=w: _vot3_lhs(t, u, w),
-                    lambda u=u, w=w: t.sq_v(d.vcomp_v(u, w)),
-                    first=u, second=w)
+            if d.vtgt[u] == d.vsrc[w]:
+                emit(v3,
+                     lambda u=u, w=w: c.hcomp_sq(col1(t, u, w), col2(t, u, w)),
+                     lambda u=u, w=w: t.sq_v(d.vcomp_v(u, w)),
+                     first=u, second=w)
     for a in range(d.n_objects):
-        _eq(rep, "v.l.t.-4",
-            lambda a=a: t.sq_v(d.v_id(a)),
-            lambda a=a: c.sq_h_id(t.at(a)), object=a)
+        emit("v.l.t.-4",
+             lambda a=a: t.sq_v(d.v_id(a)),
+             lambda a=a: c.sq_h_id(t.at(a)), object=a)
     for s in d.iter_squares():
-        f, g = d.sq_top(s), d.sq_bottom(s)
-        u, v = d.sq_left(s), d.sq_right(s)
-        if lax:
-            _eq(rep, "v.l.t.-5",
-                lambda s=s, g=g, u=u: c.hcomp_sq(
-                    t.sq_v(u), c.vcomp_sq(F.sq(s), t.sq_h(g))),
-                lambda s=s, f=f, v=v: c.hcomp_sq(
-                    c.vcomp_sq(t.sq_h(f), G.sq(s)), t.sq_v(v)),
-                square=s)
-        else:
-            _eq(rep, "v.o.t.-5",
-                lambda s=s, g=g, v=v: c.hcomp_sq(
-                    c.vcomp_sq(F.sq(s), t.sq_h(g)), t.sq_v(v)),
-                lambda s=s, f=f, u=u: c.hcomp_sq(
-                    t.sq_v(u), c.vcomp_sq(t.sq_h(f), G.sq(s))),
-                square=s)
-    return rep
-
-
-def _vlt3_lhs(t, u, w):
-    """Staircase pasting for the lax structure square on a composite."""
-    c = t.cod
-    col1 = c.vcomp_sq(t.sq_v(u), c.sq_h_id(t.G.v(w)))
-    col2 = c.vcomp_sq(c.sq_h_id(t.F.v(u)), t.sq_v(w))
-    return c.hcomp_sq(col1, col2)
-
-
-def _vot3_lhs(t, u, w):
-    """Staircase pasting for the oplax structure square on a composite."""
-    c = t.cod
-    col1 = c.vcomp_sq(c.sq_h_id(t.F.v(u)), t.sq_v(w))
-    col2 = c.vcomp_sq(t.sq_v(u), c.sq_h_id(t.G.v(w)))
-    return c.hcomp_sq(col1, col2)
+        emit(v5,
+             lambda s=s: c.hcomp_sq(l1(t, s), l2(t, s)),
+             lambda s=s: c.hcomp_sq(r1(t, s), r2(t, s)),
+             square=s)
 
 
 def check_modification(m):
@@ -476,50 +451,71 @@ def check_modification(m):
         except DblError as exc:
             rep.add("wf-component-missing", object=a, error=str(exc))
             continue
-        want = (m.top.at(a), m.bottom.at(a), m.left.at(a), m.right.at(a))
-        if c.sq_bounds[s] != want:
+        if c.sq_bounds[s] != m._bounds(a):
             rep.add("wf-component-boundary", object=a)
-    if not rep.passed:
-        return rep
-    al, be = m.top, m.bottom
-    al0, be0 = m.left, m.right
-    hor_oplax = al.orientation == OPLAX
-    for f in range(d.n_hcells):
-        a, b = d.hsrc[f], d.htgt[f]
-        if hor_oplax:
-            _eq(rep, "m.ho-vl.-1",
-                lambda f=f, b=b: c.vcomp_sq(
-                    c.hcomp_sq(al0.sq_h(f), m.at(b)), be.delta_at(f)),
-                lambda f=f, a=a: c.vcomp_sq(
-                    al.delta_at(f), c.hcomp_sq(m.at(a), be0.sq_h(f))),
-                hcell=f)
-        else:
-            _eq(rep, "m.hl-vo.-1",
-                lambda f=f, b=b: c.vcomp_sq(
-                    al.delta_at(f), c.hcomp_sq(al0.sq_h(f), m.at(b))),
-                lambda f=f, a=a: c.vcomp_sq(
-                    c.hcomp_sq(m.at(a), be0.sq_h(f)), be.delta_at(f)),
-                hcell=f)
-    for u in range(d.n_vcells):
-        a, at_ = d.vsrc[u], d.vtgt[u]
-        if hor_oplax:
-            _eq(rep, "m.ho-vl.-2",
-                lambda u=u, at_=at_: c.hcomp_sq(
-                    al0.sq_v(u), c.vcomp_sq(al.sq_v(u), m.at(at_))),
-                lambda u=u, a=a: c.hcomp_sq(
-                    c.vcomp_sq(m.at(a), be.sq_v(u)), be0.sq_v(u)),
-                vcell=u)
-        else:
-            _eq(rep, "m.hl-vo.-2",
-                lambda u=u, at_=at_: c.hcomp_sq(
-                    c.vcomp_sq(al.sq_v(u), m.at(at_)), be0.sq_v(u)),
-                lambda u=u, a=a: c.hcomp_sq(
-                    al0.sq_v(u), c.vcomp_sq(m.at(a), be.sq_v(u))),
-                vcell=u)
+    if rep.passed:
+        _modification_laws(m, functools.partial(_eq, rep))
     return rep
 
 
+def _modification_pastings():
+    """Per horizontal orientation, the labels of the modification laws and
+    the factors of their sides.  Each law pastes the component at one end
+    of a cell with the left transformation's square (the top pasting) and
+    the component at the other end with the right one's (the bottom
+    pasting), each beside a structure square of the horizontal ones."""
+    top1 = lambda m, f: m.cod.hcomp_sq(m.left.sq_h(f), m.at(m.dom.htgt[f]))
+    bottom1 = lambda m, f: m.cod.hcomp_sq(m.at(m.dom.hsrc[f]), m.right.sq_h(f))
+    top2 = lambda m, u: m.cod.vcomp_sq(m.top.sq_v(u), m.at(m.dom.vtgt[u]))
+    bottom2 = lambda m, u: m.cod.vcomp_sq(m.at(m.dom.vsrc[u]), m.bottom.sq_v(u))
+    above = lambda m, f: m.top.delta_at(f)
+    below = lambda m, f: m.bottom.delta_at(f)
+    left = lambda m, u: m.left.sq_v(u)
+    right = lambda m, u: m.right.sq_v(u)
+    return {OPLAX: (("m.ho-vl.-1", "m.ho-vl.-2"),
+                    ((top1, below), (above, bottom1)),
+                    ((left, top2), (bottom2, right))),
+            LAX: (("m.hl-vo.-1", "m.hl-vo.-2"),
+                  ((above, top1), (bottom1, below)),
+                  ((top2, right), (left, bottom2)))}
+
+
+_MODIFICATION_PASTINGS = _modification_pastings()
+
+
+def _modification_laws(m, emit):
+    """Every modification law instance of m, in report order, emitted as
+    in ``_hor_transform_laws``."""
+    d, c = m.dom, m.cod
+    ((m1, m2), ((l1, l2), (r1, r2)),
+     ((k1, k2), (s1, s2))) = _MODIFICATION_PASTINGS[m.top.orientation]
+    for f in range(d.n_hcells):
+        emit(m1, lambda f=f: c.vcomp_sq(l1(m, f), l2(m, f)),
+             lambda f=f: c.vcomp_sq(r1(m, f), r2(m, f)), hcell=f)
+    for u in range(d.n_vcells):
+        emit(m2, lambda u=u: c.hcomp_sq(k1(m, u), k2(m, u)),
+             lambda u=u: c.hcomp_sq(s1(m, u), s2(m, u)), vcell=u)
+
+
 # -- composition ------------------------------------------------------------
+
+
+def _composite_factors():
+    """The two factors of a composite structure square per orientation:
+    for horizontal transformations the rows, alpha's on top when oplax,
+    for vertical ones the columns, beta's on the left when lax."""
+    rows = (lambda al, be, f: al.cod.hcomp_sq(
+                al.delta_at(f), al.cod.sq_v_id(be.at(al.dom.htgt[f]))),
+            lambda al, be, f: al.cod.hcomp_sq(
+                al.cod.sq_v_id(al.at(al.dom.hsrc[f])), be.delta_at(f)))
+    columns = (lambda al, be, u: al.cod.vcomp_sq(
+                   al.cod.sq_h_id(al.at(al.dom.vsrc[u])), be.sq_v(u)),
+               lambda al, be, u: al.cod.vcomp_sq(
+                   al.sq_v(u), al.cod.sq_h_id(be.at(al.dom.vtgt[u]))))
+    return {OPLAX: (rows, columns[::-1]), LAX: (rows[::-1], columns)}
+
+
+_COMPOSITE_FACTORS = _composite_factors()
 
 
 def vcompose_hor(al, be):
@@ -531,17 +527,9 @@ def vcompose_hor(al, be):
     d, c = al.dom, al.cod
     comp0 = {a: c.hcomp_h(al.at(a), be.at(a)) for a in range(d.n_objects)}
     comp_v = {u: c.hcomp_sq(al.sq_v(u), be.sq_v(u)) for u in range(d.n_vcells)}
-    delta = {}
-    for f in range(d.n_hcells):
-        a, b = d.hsrc[f], d.htgt[f]
-        if al.orientation == OPLAX:
-            delta[f] = c.vcomp_sq(
-                c.hcomp_sq(al.delta_at(f), c.sq_v_id(be.at(b))),
-                c.hcomp_sq(c.sq_v_id(al.at(a)), be.delta_at(f)))
-        else:
-            delta[f] = c.vcomp_sq(
-                c.hcomp_sq(c.sq_v_id(al.at(a)), be.delta_at(f)),
-                c.hcomp_sq(al.delta_at(f), c.sq_v_id(be.at(b))))
+    upper, lower = _COMPOSITE_FACTORS[al.orientation][0]
+    delta = {f: c.vcomp_sq(upper(al, be, f), lower(al, be, f))
+             for f in range(d.n_hcells)}
     return HorTransform(al.F, be.G, comp0, comp_v, delta, al.orientation,
                         name="%s/%s" % (al.name, be.name))
 
@@ -555,16 +543,9 @@ def vcompose_vert(al, be):
     d, c = al.dom, al.cod
     comp0 = {a: c.vcomp_v(al.at(a), be.at(a)) for a in range(d.n_objects)}
     comp_h = {f: c.vcomp_sq(al.sq_h(f), be.sq_h(f)) for f in range(d.n_hcells)}
-    comp_v = {}
-    for u in range(d.n_vcells):
-        a, at_ = d.vsrc[u], d.vtgt[u]
-        if al.orientation == LAX:
-            col1 = c.vcomp_sq(c.sq_h_id(al.at(a)), be.sq_v(u))
-            col2 = c.vcomp_sq(al.sq_v(u), c.sq_h_id(be.at(at_)))
-        else:
-            col1 = c.vcomp_sq(al.sq_v(u), c.sq_h_id(be.at(at_)))
-            col2 = c.vcomp_sq(c.sq_h_id(al.at(a)), be.sq_v(u))
-        comp_v[u] = c.hcomp_sq(col1, col2)
+    left, right = _COMPOSITE_FACTORS[al.orientation][1]
+    comp_v = {u: c.hcomp_sq(left(al, be, u), right(al, be, u))
+              for u in range(d.n_vcells)}
     return VertTransform(al.F, be.G, comp0, comp_h, comp_v, al.orientation,
                          name="%s/%s" % (al.name, be.name))
 

@@ -121,6 +121,39 @@ def test_functor_check_law_failure(tmp_path):
     assert "FAIL" in res.output
 
 
+def test_functor_check_names_flat_domain_squares(tmp_path):
+    # the squares of the flat builtin trivial have no stored names; sqmap
+    # keys name them by their sides
+    sign = lambda k: "s[0000:%d]" % k
+    doc = {"dom": {"builtin": "trivial"}, "cod": {"builtin": "parity"},
+           "ob": {"*": "*"}, "hmap": {"1_*": "1_*"}, "vmap": {"1^*": "1^*"},
+           "sqmap": {"[1_*/1_*;1^*/1^*]": sign(0)},
+           "comp": {"1_*,1_*": sign(0)}, "unit": {"*": sign(0)}}
+    path = tmp_path / "point.json"
+    for image, key, code, says in (
+            (sign(0), "[1_*/1_*;1^*/1^*]", 0, "passed"),
+            (sign(1), "[1_*/1_*;1^*/1^*]", 1, "FAIL lx.f.h2"),
+            (sign(0), "Id_1_*", 2, "unknown square"),
+            (sign(0), "[1_*/1_*;1^*/x]", 2, "unknown 1v-cell")):
+        doc["sqmap"] = {key: image}
+        path.write_text(json.dumps(doc))
+        res = run("functor-check", str(path))
+        assert res.exit_code == code and says in res.output, (key, res.output)
+
+
+def test_open_boundary_reference_is_an_input_error(tmp_path):
+    # the flat matrix category rejects a boundary that does not close
+    doc = {"dom": {"builtin": "trivial"},
+           "cod": {"builtin": "bool_matrix", "size": 1},
+           "ob": {"*": "1"}, "hmap": {"1_*": "M4"}, "vmap": {"1^*": "f2"},
+           "unit": {"*": {"top": "M0", "bottom": "M4",
+                          "left": "f2", "right": "f2"}}}
+    path = tmp_path / "open.json"
+    path.write_text(json.dumps(doc))
+    res = run("functor-check", str(path))
+    assert res.exit_code == 2 and "bad square boundary" in res.output
+
+
 def test_transform_check():
     res = run("transform-check", fx("transform-hor.json"))
     assert res.exit_code == 0, res.output

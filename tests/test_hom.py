@@ -5,10 +5,10 @@ import weakref
 
 import pytest
 
-from dblcheck.core import bool_matrix_double_category, parity, trivial, walk_h
+from dblcheck.core import bool_matrix_double_category, parity, trivial, walk_v
 from dblcheck.errors import EnumerationBound, NotHomCodomain
 from dblcheck.functor import (
-    LaxDoubleFunctor, check_lax_functor, identity_functor)
+    LaxDoubleFunctor, check_lax_functor, strict_functor)
 from dblcheck.hom import (
     FLAVORS, HOP, HOP_STAR, ST, ST_U, HomDoubleCat, enumerate_hor_transforms,
     enumerate_lax_functors, enumerate_modifications, enumerate_vert_transforms,
@@ -207,6 +207,32 @@ def test_hom_membership_transform_orientation():
     rep = hom_membership(hom, identity_hor_transform(F, LAX))
     assert not rep.passed and "member-orientation" in rep.laws_failed()
     assert hom_membership(hom, identity_hor_transform(F, OPLAX)).passed
+
+
+def test_vert_strict_membership_reports_missing_structure_square():
+    # over the explicit parity a missing structure square cannot be derived;
+    # the strictness scan must not read it, so the report names it instead
+    p = parity()
+    F = _point_functor(p, 0)
+    t = identity_vert_transform(F)
+    del t.comp_v[0]
+    for flavor in (ST, ST_U):
+        rep = hom_membership(HomDoubleCat(F.dom, p, flavor), t)
+        assert rep.laws_failed() == ["wf-structure-missing"]
+
+
+def test_vert_strict_membership_matches_strict_enumeration():
+    p, w = parity(), walk_v()
+    ident = p.parity_index[(0, 0, 0, 0, 0)]
+    F = strict_functor(w, p, {0: 0, 1: 0}, dict.fromkeys(range(w.n_hcells), 0),
+                       dict.fromkeys(range(w.n_vcells), 0),
+                       dict.fromkeys(range(w.n_squares), ident))
+    hom = HomDoubleCat(w, p, ST)
+    lawful = list(enumerate_vert_transforms(F, F, HOP, bound=10 ** 5))
+    members = [t.comp_v for t in lawful if hom_membership(hom, t).passed]
+    strict = [t.comp_v for t in enumerate_vert_transforms(F, F, ST,
+                                                          bound=10 ** 5)]
+    assert members == strict and 0 < len(strict) < len(lawful)
 
 
 def test_enumerate_transforms_between_point_functors():

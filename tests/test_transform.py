@@ -1,12 +1,18 @@
 """Tests for transformations and modifications."""
 
+import collections
+
 import pytest
 
+from dblcheck import quasi, transform
 from dblcheck.core import (
-    FIXTURES, DoubleCat, bool_matrix_double_category, parity, trivial, walk_h)
+    FIXTURES, DoubleCat, bool_matrix_double_category, parity, trivial, walk_h,
+    walk_sq)
 from dblcheck.errors import ChainMismatch
 from dblcheck.functor import (
     LaxDoubleFunctor, identity_functor, strict_functor)
+from dblcheck.hom import enumerate_lax_functors
+from dblcheck.quasi import identity_q_hor, identity_q_vert
 from dblcheck.transform import (
     LAX, OPLAX, HorTransform, Modification, VertTransform,
     check_hor_transform, check_modification, check_vert_transform,
@@ -15,6 +21,7 @@ from dblcheck.transform import (
     vcompose_modifications, vcompose_vert)
 
 from test_functor import parity_sign_functor
+from test_quasi import sign_quasi
 
 
 def sign_square(d, top, bottom, left, right, sign):
@@ -324,3 +331,54 @@ def test_stored_square_with_undefined_boundary_reported():
     rep = check_vert_transform(VertTransform(G, G, {0: w}, {0: ww}, {0: ww}))
     assert rep.failures == [("wf-structure-missing", {
         "vcell": 0, "error": "vcomp_v table missing entry (W, W)"})]
+
+
+def _law_counts(laws, x):
+    """Instances per law label of one catalogue run, through an emit that
+    counts and evaluates nothing."""
+    counts = collections.Counter()
+    laws(x, lambda law, lhs, rhs, **witness: counts.update((law,)))
+    return dict(counts)
+
+
+def _composable(n, src, tgt):
+    return sum(tgt[x] == src[y] for x in range(n) for y in range(n))
+
+
+@pytest.mark.parametrize("orientation", [OPLAX, LAX])
+def test_catalogue_instance_counts(orientation):
+    walk_sq_functor = next(enumerate_lax_functors(walk_sq(), parity()))
+    for F in (identity_functor(parity()), walk_sq_functor):
+        d = F.dom
+        h_pairs = _composable(d.n_hcells, d.hsrc, d.htgt)
+        v_pairs = _composable(d.n_vcells, d.vsrc, d.vtgt)
+        n_squares = len(list(d.iter_squares()))
+        hor = "h.o.t." if orientation == OPLAX else "h.l.t."
+        t = identity_hor_transform(F, orientation)
+        assert _law_counts(transform._hor_transform_laws, t) == {
+            hor + "-1": h_pairs, hor + "-2": d.n_objects,
+            "h.o.t.-3": v_pairs, "h.o.t.-4": d.n_objects,
+            hor + "-5": n_squares}
+        vert = "v.l.t." if orientation == LAX else "v.o.t."
+        assert _law_counts(transform._vert_transform_laws,
+                           identity_vert_transform(F, orientation)) == {
+            "v.l.t.-1": h_pairs, "v.l.t.-2": d.n_objects,
+            vert + "-3": v_pairs, "v.l.t.-4": d.n_objects,
+            vert + "-5": n_squares}
+        mod = "m.ho-vl." if orientation == OPLAX else "m.hl-vo."
+        assert _law_counts(transform._modification_laws,
+                           identity_modification(t)) == {
+            mod + "-1": d.n_hcells, mod + "-2": d.n_vcells}
+
+
+def test_q_cell_catalogue_instance_counts():
+    q = sign_quasi({0: 0, 1: 1})
+    A, B = q.A, q.B
+    assert _law_counts(quasi._q_hor_laws, identity_q_hor(q)) == {
+        "q-hor-1": B.n_hcells * A.n_hcells, "q-hor-2": B.n_vcells * A.n_hcells,
+        "q-hor-3": B.n_hcells * A.n_vcells, "q-hor-4": B.n_vcells * A.n_vcells}
+    assert _law_counts(quasi._q_vert_laws, identity_q_vert(q)) == {
+        "q-vert-1": B.n_vcells * A.n_vcells,
+        "q-vert-2": B.n_vcells * A.n_hcells,
+        "q-vert-3": B.n_hcells * A.n_vcells,
+        "q-vert-4": B.n_hcells * A.n_hcells}
