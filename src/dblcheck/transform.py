@@ -296,25 +296,31 @@ def check_hor_transform(t):
     return rep
 
 
-# Each pair holds the F-side and the G-side pasting of a horizontal law, in
-# oplax order, as functions of the transformation and an instance's cells:
-# the compositor terms and the structure-square columns of h.*-1, the
-# unitor terms of h.*-2 and the naturality pastings of h.*-5.
-_HOR_PAIRS = (
-    (lambda t, f, g: t.cod.hcomp_sq(
-        t.F.compositor(f, g), t.cod.sq_v_id(t.at(t.dom.htgt[g]))),
-     lambda t, f, g: t.cod.hcomp_sq(
-         t.cod.sq_v_id(t.at(t.dom.hsrc[f])), t.G.compositor(f, g))),
-    (lambda t, f, g: t.cod.hcomp_sq(t.cod.sq_v_id(t.F.h(f)), t.delta_at(g)),
-     lambda t, f, g: t.cod.hcomp_sq(t.delta_at(f), t.cod.sq_v_id(t.G.h(g)))),
-    (lambda t, a: t.cod.hcomp_sq(t.F.unitor(a), t.cod.sq_v_id(t.at(a))),
-     lambda t, a: t.cod.hcomp_sq(t.cod.sq_v_id(t.at(a)), t.G.unitor(a))),
-    (lambda t, s: t.cod.hcomp_sq(t.F.sq(s), t.sq_v(t.dom.sq_right(s))),
-     lambda t, s: t.cod.hcomp_sq(t.sq_v(t.dom.sq_left(s)), t.G.sq(s))))
-_HOR_PASTINGS = {
-    OPLAX: (("h.o.t.-1", "h.o.t.-2", "h.o.t.-5"), _HOR_PAIRS),
-    LAX: (("h.l.t.-1", "h.l.t.-2", "h.l.t.-5"),
-          tuple(pair[::-1] for pair in _HOR_PAIRS))}
+def _hor_pastings():
+    """Per orientation, the labels of the horizontal laws that differ and
+    their swapped pairs.  Each pair holds the F-side and the G-side
+    pasting, in oplax order: the compositor terms and the structure-square
+    columns of h.*-1, the unitor terms of h.*-2 and the naturality
+    pastings of h.*-5."""
+    pairs = (
+        (lambda t, f, g: t.cod.hcomp_sq(
+            t.F.compositor(f, g), t.cod.sq_v_id(t.at(t.dom.htgt[g]))),
+         lambda t, f, g: t.cod.hcomp_sq(
+             t.cod.sq_v_id(t.at(t.dom.hsrc[f])), t.G.compositor(f, g))),
+        (lambda t, f, g: t.cod.hcomp_sq(
+            t.cod.sq_v_id(t.F.h(f)), t.delta_at(g)),
+         lambda t, f, g: t.cod.hcomp_sq(
+             t.delta_at(f), t.cod.sq_v_id(t.G.h(g)))),
+        (lambda t, a: t.cod.hcomp_sq(t.F.unitor(a), t.cod.sq_v_id(t.at(a))),
+         lambda t, a: t.cod.hcomp_sq(t.cod.sq_v_id(t.at(a)), t.G.unitor(a))),
+        (lambda t, s: t.cod.hcomp_sq(t.F.sq(s), t.sq_v(t.dom.sq_right(s))),
+         lambda t, s: t.cod.hcomp_sq(t.sq_v(t.dom.sq_left(s)), t.G.sq(s))))
+    return {OPLAX: (("h.o.t.-1", "h.o.t.-2", "h.o.t.-5"), pairs),
+            LAX: (("h.l.t.-1", "h.l.t.-2", "h.l.t.-5"),
+                  tuple(pair[::-1] for pair in pairs))}
+
+
+_HOR_PASTINGS = _hor_pastings()
 
 
 def _hor_transform_laws(t, emit):
