@@ -327,13 +327,12 @@ def hom_membership(hom, thing):
             return rep
         laws = check_vert_transform(thing)
         rep.merge(laws)
-        # the strictness scan reads every structure square and its
-        # boundary, which only a well-formed transformation has
+        # the scan reads each structure square's sides from the codomain;
+        # they are the transformation's only once it is well-formed
         if hom.flavor.vert_strict and not any(
                 law.startswith("wf-") for law, _ in laws.failures):
             for u in range(thing.dom.n_vcells):
-                if not _is_strict_square(thing.cod, thing._sq_v_bounds(u),
-                                         thing.sq_v(u)):
+                if not _is_strict_square(thing.cod, thing.sq_v(u)):
                     rep.add("member-vert-strict", vcell=u)
         return rep
     if isinstance(thing, Modification):
@@ -343,10 +342,9 @@ def hom_membership(hom, thing):
     return rep
 
 
-def _is_strict_square(c, bounds, s):
-    """A strict structure square, with boundary ``bounds``, is the
-    horizontal identity on its side."""
-    left, right = bounds[2:]
+def _is_strict_square(c, s):
+    """A strict structure square is the horizontal identity on its side."""
+    _, _, left, right = c.sq_bounds[s]
     return left == right and s == c.sq_h_id(left)
 
 
@@ -408,10 +406,9 @@ def _square_choices(C, groups):
     choices = []
     for bounds_of, keys, strict in groups:
         for key in keys:
-            bounds = bounds_of(key)
-            cands = C.squares_with_boundary(*bounds)
+            cands = C.squares_with_boundary(*bounds_of(key))
             if strict:
-                cands = [s for s in cands if _is_strict_square(C, bounds, s)]
+                cands = [s for s in cands if _is_strict_square(C, s)]
             if not cands:
                 return None
             choices.append(cands)
