@@ -303,6 +303,7 @@ def _payload(command, rep, started, details=None):
         "verdict": "passed" if rep.passed else "failed",
         "failures": failures,
         "sampled": rep.sampled,
+        "reduced": rep.reduced,
         "elapsed": round(time.monotonic() - started, 3),
         "details": details or {},
     }
@@ -316,6 +317,8 @@ def render_text(payload):
     for law, info in sorted(payload.get("sampled", {}).items()):
         lines.append("  sampled %s: %d draws, seed %d"
                      % (law, info["draws"], info["seed"]))
+    for law, n in sorted(payload.get("reduced", {}).items()):
+        lines.append("  reduced %s: %d instances" % (law, n))
     for failure in payload["failures"]:
         wit = ", ".join("%s=%s" % (k, v)
                         for k, v in sorted(failure["witness"].items()))

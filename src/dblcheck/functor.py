@@ -10,7 +10,9 @@ goes from the identity on F(A) down to F(1_A).
 
 import functools
 
-from .core import ValidationReport
+from .core import (
+    ValidationReport, composable_square_pairs, composable_triples,
+    flat_validation_steps, validate_double_category)
 from .errors import DblError, DomainMismatch, MalformedTables
 
 
@@ -194,11 +196,75 @@ def check_lax_functor(F):
     lx.f.h1 and lx.f.h2 (strictness on vertical square composition),
     lx.f.hex (compositor associativity), lx.f.u (compositor unit),
     lx.f.c-nat (compositor naturality), lx.f.u-nat (unitor naturality).
+
+    Flat reduction: in a flat double category a square is its boundary.
+    When the domain and the codomain are flat and pass
+    ``validate_double_category``, closure makes both sides of every square
+    law exist, and once F is well formed and v1 and v2 hold, the 1-cell
+    laws of the codomain give the two sides one boundary.  So h1, h2, hex,
+    u, c-nat and u-nat hold, and a passing report lists them under
+    ``reduced`` with their instance counts instead of evaluating them.
+    This is tried only where those counts exceed a bound on the work of
+    the validation.  Otherwise, and whenever a precondition fails, every
+    instance is evaluated, so a failing report is the full catalogue's.
     """
+    counts = _reduction_counts(F)
     rep = check_wellformed(F)
-    if rep.passed:
-        _lax_functor_laws(F, functools.partial(_eq, rep), "lx.f")
+    if not rep.passed:
+        return rep
+    if counts is not None and _flat_categories_valid(F):
+        head = ValidationReport()
+        _lax_functor_laws(F, functools.partial(_eq, head), "lx.f",
+                          square_laws=False)
+        if head.passed:
+            rep.reduced = counts
+            return rep
+    _lax_functor_laws(F, functools.partial(_eq, rep), "lx.f")
     return rep
+
+
+def _reduction_counts(F):
+    """The instance counts of the square laws of F when F's domain and
+    codomain are flat and the counts exceed a bound on the work of
+    validating both; None otherwise."""
+    d, c = F.dom, F.cod
+    if not (c.flat and d.flat):
+        return None
+    # validating c visits every pair of its 1-cells of each kind, and d has
+    # at most (nh nv)^2 squares, so at most twice that squared composable
+    # pairs, and at most nh^3 composable triples: a small domain goes back
+    # without a scan of either category
+    floor = c.n_hcells ** 2 + c.n_vcells ** 2
+    nh, nv = d.n_hcells, d.n_vcells
+    if 2 * (nh * nv) ** 4 + nh ** 3 + 3 * nh + nv <= floor:
+        return None
+    counts = _square_law_counts(d, "lx.f")
+    total = sum(counts.values())
+    if total <= floor:
+        return None
+    work = flat_validation_steps(d)
+    if c is not d:
+        work += flat_validation_steps(c)
+    return counts if total > work else None
+
+
+def _square_law_counts(d, tag):
+    """The instance counts of the square laws of ``_lax_functor_laws`` on a
+    functor out of the flat d, in closed form, in report order.  The scan
+    interns no square, so square ids stay as the check assigns them."""
+    _, _, h1, h2, hex_, unit, c_nat, u_nat = _law_labels(tag)
+    horizontal, vertical = composable_square_pairs(
+        list(d.iter_flat_boundaries()))
+    return {h1: vertical, h2: d.n_hcells,
+            hex_: composable_triples(d.hsrc, d.htgt),
+            unit: 2 * d.n_hcells, c_nat: horizontal, u_nat: d.n_vcells}
+
+
+def _flat_categories_valid(F):
+    """Both ends of F pass an exhaustive validation; one pass when they
+    are the same category."""
+    ends = (F.dom,) if F.dom is F.cod else (F.dom, F.cod)
+    return all(validate_double_category(x).passed for x in ends)
 
 
 @functools.lru_cache(maxsize=None)
@@ -207,14 +273,15 @@ def _law_labels(tag):
         "v1", "v2", "h1", "h2", "hex", "u", "c-nat", "u-nat"))
 
 
-def _lax_functor_laws(F, emit, tag):
+def _lax_functor_laws(F, emit, tag, square_laws=True):
     """Every lax functor law instance of F, in report order.
 
     Each instance goes to ``emit(law, lhs, rhs, **witness)`` with its two
     sides as thunks over F and its codomain.  The checker compares them on
     concrete cells; the tensor presentation runs this catalogue on the
     generator families, whose codomain builds pasting terms, and stores
-    the instances as relations.
+    the instances as relations.  With ``square_laws=False`` only the 1-cell
+    laws v1 and v2 are emitted.
     """
     d, c = F.dom, F.cod
     v1, v2, h1, h2, hex_, unit, c_nat, u_nat = _law_labels(tag)
@@ -229,6 +296,8 @@ def _lax_functor_laws(F, emit, tag):
         emit(v2,
             lambda a=a: F.v(d.v_id(a)),
             lambda a=a: c.v_id(F.obj(a)), object=a)
+    if not square_laws:
+        return
     squares = list(d.iter_squares())
     by_top = {}
     for s in squares:

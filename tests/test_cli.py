@@ -7,6 +7,8 @@ import pytest
 from click.testing import CliRunner
 
 from dblcheck.cli import main, render_text
+from dblcheck.core import bool_matrix_double_category
+from dblcheck.functor import identity_functor
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -236,3 +238,40 @@ def test_hom_reports_sampled_laws(tmp_path):
     assert res.exit_code == 0, res.output
     assert json.loads(out.read_text())["sampled"] == {}
     assert "sampled" not in res.output
+
+
+def _identity_functor_doc(d, builtin):
+    """The identity functor of a builtin category, written out by name."""
+    sides = lambda s: dict(zip(("top", "bottom", "left", "right"), (
+        d.hnames[s[0]], d.hnames[s[1]], d.vnames[s[2]], d.vnames[s[3]])))
+    F = identity_functor(d)
+    return {
+        "dom": builtin, "cod": builtin, "name": "id",
+        "ob": {x: x for x in d.objects},
+        "hmap": {f: f for f in d.hnames}, "vmap": {u: u for u in d.vnames},
+        "comp": {"%s,%s" % (d.hnames[f], d.hnames[g]): sides(d.sq_bounds[s])
+                 for (f, g), s in F.comp.items()},
+        "unit": {d.objects[a]: sides(d.sq_bounds[s])
+                 for a, s in F.unit.items()},
+    }
+
+
+def test_functor_check_reports_reduced_laws(tmp_path):
+    """A pass decided by the flat reduction names each reduced law with its
+    instance count, in the payload and in the text."""
+    doc = _identity_functor_doc(bool_matrix_double_category(2),
+                                {"builtin": "bool_matrix", "size": 2})
+    path, out = tmp_path / "functor.json", tmp_path / "report.json"
+    path.write_text(json.dumps(doc))
+    res = run("functor-check", str(path), "--json", str(out))
+    assert res.exit_code == 0, res.output
+    payload = json.loads(out.read_text())
+    assert payload["reduced"] == {
+        "lx.f.h1": 306043, "lx.f.h2": 31, "lx.f.hex": 8507, "lx.f.u": 62,
+        "lx.f.c-nat": 1401043, "lx.f.u-nat": 11}
+    assert "  reduced lx.f.c-nat: 1401043 instances" in res.output.splitlines()
+    assert render_text(payload) == res.output.rstrip("\n")
+    res = run("functor-check", fx("monad-functor.json"), "--json", str(out))
+    assert res.exit_code == 0, res.output
+    assert json.loads(out.read_text())["reduced"] == {}
+    assert "reduced" not in res.output
