@@ -12,6 +12,7 @@ existence of the unit and multiplication squares; on Boolean matrices this
 makes monads on an n-element carrier exactly the preorders on n elements.
 """
 
+import functools
 import random
 
 from .core import ValidationReport, trivial
@@ -104,9 +105,10 @@ class DistributiveLaw:
     """Two monads on one carrier with a swap square s.t => t.s.
 
     The swap square runs from the composite "t then s" down to "s then t"
-    with identity verticals.  Internally the law is stored as a quasi
-    functor from the terminal pair, with t as the first family and s as
-    the second, so strictification applies verbatim.
+    with identity verticals.  The law is also a quasi functor from the
+    terminal pair, ``quasi``, with t as the first family and s as the
+    second, so strictification applies verbatim.  It is built on first
+    use: enumerating the laws of bool3 makes hundreds of laws.
     """
 
     def __init__(self, mt, ms, swap, name="L"):
@@ -117,11 +119,14 @@ class DistributiveLaw:
         self.ms = ms
         self.swap = swap
         self.name = name
+
+    @functools.cached_property
+    def quasi(self):
         t1, t2 = trivial(), trivial()
-        self.quasi = QuasiFunctor(
-            t1, t2, mt.d,
-            {0: lax_from_monad(mt, t2)}, {0: lax_from_monad(ms, t1)},
-            {(0, 0): swap}, name=name)
+        return QuasiFunctor(
+            t1, t2, self.mt.d,
+            {0: lax_from_monad(self.mt, t2)}, {0: lax_from_monad(self.ms, t1)},
+            {(0, 0): self.swap}, name=self.name)
 
     @property
     def d(self):

@@ -101,6 +101,25 @@ def test_distributive_laws_on_matrices():
         assert rep.passed, rep.laws_failed()
 
 
+def test_distributive_law_builds_its_quasi_functor_once_on_use():
+    b2 = bool_matrix_double_category(2)
+    laws = enumerate_distributive_laws(b2, 2)
+    assert not any("quasi" in vars(lw) for lw in laws)
+    for lw in laws:
+        q = lw.quasi
+        assert q is lw.quasi
+        fa, fb = q.fA(0), q.fB(0)
+        assert (fa.h(0), fa.compositor(0, 0), fa.unitor(0)) == (
+            lw.mt.endo, lw.mt.mult, lw.mt.unit)
+        assert (fb.h(0), fb.compositor(0, 0), fb.unitor(0)) == (
+            lw.ms.endo, lw.ms.mult, lw.ms.unit)
+        assert q.kk == {(0, 0): lw.swap} and fa.dom is q.B and fb.dom is q.A
+        assert check_distributive_law(lw).passed
+    assert verify_comp_diagram(b2).passed
+    b3 = bool_matrix_double_category(3)
+    assert verify_comp_diagram(b3, sample=25, seed=3).passed
+
+
 def test_comp_agrees_with_direct_formula():
     b2 = bool_matrix_double_category(2)
     for lw in enumerate_distributive_laws(b2, 2):
