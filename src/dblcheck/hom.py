@@ -307,24 +307,34 @@ def hom_membership(hom, thing):
     report of the appropriate law check, extended with flavor conditions.
     """
     rep = ValidationReport()
+    if not isinstance(thing, (LaxDoubleFunctor, HorTransform, VertTransform,
+                              Modification)):
+        rep.add("member-kind")
+        return rep
+    if thing.dom is not hom.B or thing.cod is not hom.C:
+        rep.add("member-frame")
+        return rep
+    # the orientations of a horizontal and of a vertical transformation,
+    # or of the top and left sides of a modification
+    hor = vert = None
+    if isinstance(thing, HorTransform):
+        hor = thing.orientation
+    elif isinstance(thing, VertTransform):
+        vert = thing.orientation
+    elif isinstance(thing, Modification):
+        hor, vert = thing.top.orientation, thing.left.orientation
+    if hor not in (None, hom.flavor.hor) or vert not in (None, hom.flavor.vert):
+        rep.add("member-orientation")
+        return rep
     if isinstance(thing, LaxDoubleFunctor):
-        if thing.dom is not hom.B or thing.cod is not hom.C:
-            rep.add("member-frame")
-            return rep
         rep.merge(check_lax_functor(thing))
         if hom.flavor.unitary_only and not is_unitary(thing):
             rep.add("member-unitary")
         return rep
     if isinstance(thing, HorTransform):
-        if thing.orientation != hom.flavor.hor:
-            rep.add("member-orientation")
-            return rep
         rep.merge(check_hor_transform(thing))
         return rep
     if isinstance(thing, VertTransform):
-        if thing.orientation != hom.flavor.vert:
-            rep.add("member-orientation")
-            return rep
         laws = check_vert_transform(thing)
         rep.merge(laws)
         # the scan reads each structure square's sides from the codomain;
@@ -335,10 +345,7 @@ def hom_membership(hom, thing):
                 if not _is_strict_square(thing.cod, thing.sq_v(u)):
                     rep.add("member-vert-strict", vcell=u)
         return rep
-    if isinstance(thing, Modification):
-        rep.merge(check_modification(thing))
-        return rep
-    rep.add("member-kind")
+    rep.merge(check_modification(thing))
     return rep
 
 

@@ -8,7 +8,7 @@ import pytest
 from dblcheck.core import bool_matrix_double_category, parity, trivial, walk_v
 from dblcheck.errors import EnumerationBound, NotHomCodomain
 from dblcheck.functor import (
-    LaxDoubleFunctor, check_lax_functor, strict_functor)
+    LaxDoubleFunctor, check_lax_functor, identity_functor, strict_functor)
 from dblcheck.hom import (
     FLAVORS, HOP, HOP_STAR, ST, ST_U, HomDoubleCat, enumerate_hor_transforms,
     enumerate_lax_functors, enumerate_modifications, enumerate_vert_transforms,
@@ -207,6 +207,28 @@ def test_hom_membership_transform_orientation():
     rep = hom_membership(hom, identity_hor_transform(F, LAX))
     assert not rep.passed and "member-orientation" in rep.laws_failed()
     assert hom_membership(hom, identity_hor_transform(F, OPLAX)).passed
+
+
+def test_hom_membership_checks_the_frame_of_every_cell():
+    # identity_functor(parity()) is a parity -> parity cell, not one of
+    # hom(trivial, parity): none of its cells is a member
+    hom = HomDoubleCat(trivial(), parity(), HOP)
+    F = identity_functor(parity())
+    for cell in (F, identity_hor_transform(F, OPLAX),
+                 identity_vert_transform(F, LAX),
+                 identity_modification(identity_hor_transform(F, OPLAX))):
+        assert hom_membership(hom, cell).laws_failed() == ["member-frame"]
+
+
+def test_hom_membership_checks_modification_orientations():
+    p = parity()
+    F = _point_functor(p, 0)
+    for flavor, wrong in ((HOP, LAX), (HOP_STAR, OPLAX)):
+        hom = HomDoubleCat(F.dom, p, flavor)
+        right = identity_modification(identity_hor_transform(F, flavor.hor))
+        assert hom_membership(hom, right).passed
+        m = identity_modification(identity_hor_transform(F, wrong))
+        assert hom_membership(hom, m).laws_failed() == ["member-orientation"]
 
 
 def test_vert_strict_membership_reports_missing_structure_square():
