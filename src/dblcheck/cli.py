@@ -37,6 +37,10 @@ class SchemaError(Exception):
     """Input does not match the documented JSON formats."""
 
 
+# the least number of draws per sampled law of ``hom``: a smaller
+# enumeration budget does not weaken the check of what was enumerated
+LAW_CHECKS = 5000
+
 BUILTINS = {
     "trivial": trivial,
     "walk_h": walk_h,
@@ -500,7 +504,8 @@ def tensor_factorize(path, json_path):
 @click.argument("path_c", type=click.Path(exists=True))
 @click.option("--flavor", type=click.Choice(sorted(FLAVORS)), default="hop")
 @click.option("--bound", type=int, default=5000,
-              help="enumeration budget for eager population")
+              help="enumeration budget for eager population; also the "
+                   "draws per sampled law, but never fewer than 5000")
 @_json_option
 def hom(path_b, path_c, flavor, bound, json_path):
     """Build a hom double category by enumeration and validate it."""
@@ -509,7 +514,7 @@ def hom(path_b, path_c, flavor, bound, json_path):
         C = _dc_from_doc(_read_doc(path_c))
         h = hom_double_category(B, C, FLAVORS[flavor], bound=bound)
         populate_squares(h)
-        rep = validate_double_category(h, max_checks=bound)
+        rep = validate_double_category(h, max_checks=max(bound, LAW_CHECKS))
         return rep, {"objects": h.n_objects, "hcells": h.n_hcells,
                      "vcells": h.n_vcells, "squares": h.n_squares}
     _run("hom", json_path, body)

@@ -226,18 +226,38 @@ def test_json_report_roundtrip(tmp_path):
 
 
 def test_hom_reports_sampled_laws(tmp_path):
+    # the law check keeps at least 5000 draws, which cover every instance
+    # of hom(trivial, parity) whatever the enumeration budget
     out = tmp_path / "report.json"
     res = run("hom", fx("trivial.json"), fx("parity.json"), "--bound", "100",
               "--json", str(out))
     assert res.exit_code == 0, res.output
     payload = json.loads(out.read_text())
-    assert payload["sampled"]["interchange"] == {"draws": 100, "seed": 0}
-    assert "sampled interchange: 100 draws, seed 0" in res.output
+    assert payload["sampled"] == {}
     assert render_text(payload) == res.output.rstrip("\n")
+    payload["sampled"] = {"interchange": {"draws": 100, "seed": 0}}
+    assert ("  sampled interchange: 100 draws, seed 0"
+            in render_text(payload).splitlines())
     res = run("validate", fx("parity.json"), "--json", str(out))
     assert res.exit_code == 0, res.output
     assert json.loads(out.read_text())["sampled"] == {}
     assert "sampled" not in res.output
+
+
+def test_hom_bound_keeps_the_law_check_budget(tmp_path):
+    """A small enumeration budget does not weaken the law check: the
+    report is the default one."""
+    payloads = []
+    for extra in (["--bound", "100"], []):
+        out = tmp_path / "report.json"
+        res = run("hom", fx("trivial.json"), fx("parity.json"), *extra,
+                  "--json", str(out))
+        assert res.exit_code == 0, res.output
+        assert "sampled" not in res.output
+        payload = json.loads(out.read_text())
+        del payload["elapsed"]
+        payloads.append(payload)
+    assert payloads[0] == payloads[1]
 
 
 def _identity_functor_doc(d, builtin):
