@@ -208,10 +208,10 @@ def check_lax_functor(F):
     the validation.  Otherwise, and whenever a precondition fails, every
     instance is evaluated, so a failing report is the full catalogue's.
     """
-    counts = _reduction_counts(F)
     rep = check_wellformed(F)
     if not rep.passed:
         return rep
+    counts = _reduction_counts(F)
     if counts is not None and _flat_categories_valid(F):
         head = ValidationReport()
         _lax_functor_laws(F, functools.partial(_eq, head), "lx.f",
@@ -230,29 +230,26 @@ def _reduction_counts(F):
     d, c = F.dom, F.cod
     if not (c.flat and d.flat):
         return None
-    # validating c visits every pair of its 1-cells of each kind, and d has
-    # at most (nh nv)^2 squares, so at most twice that squared composable
-    # pairs, and at most nh^3 composable triples: a small domain goes back
-    # without a scan of either category
-    floor = c.n_hcells ** 2 + c.n_vcells ** 2
+    # validating c visits every pair of its 1-cells of each kind, while d
+    # has at most (nh nv)^2 squares, so at most twice that squared
+    # composable pairs of them, and at most nh^3 composable triples: a
+    # small domain goes back before either category is scanned
     nh, nv = d.n_hcells, d.n_vcells
-    if 2 * (nh * nv) ** 4 + nh ** 3 + 3 * nh + nv <= floor:
+    if (2 * (nh * nv) ** 4 + nh ** 3 + 3 * nh + nv
+            <= c.n_hcells ** 2 + c.n_vcells ** 2):
         return None
-    counts = _square_law_counts(d, "lx.f")
-    total = sum(counts.values())
-    if total <= floor:
-        return None
+    counts = _square_law_counts(d)
     work = flat_validation_steps(d)
     if c is not d:
         work += flat_validation_steps(c)
-    return counts if total > work else None
+    return counts if sum(counts.values()) > work else None
 
 
-def _square_law_counts(d, tag):
+def _square_law_counts(d):
     """The instance counts of the square laws of ``_lax_functor_laws`` on a
     functor out of the flat d, in closed form, in report order.  The scan
     interns no square, so square ids stay as the check assigns them."""
-    _, _, h1, h2, hex_, unit, c_nat, u_nat = _law_labels(tag)
+    _, _, h1, h2, hex_, unit, c_nat, u_nat = _law_labels("lx.f")
     horizontal, vertical = composable_square_pairs(
         list(d.iter_flat_boundaries()))
     return {h1: vertical, h2: d.n_hcells,
