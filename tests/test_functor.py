@@ -275,7 +275,6 @@ FLAT_CASES = {
     "trivial": lambda: identity_functor(trivial()),
     "bool0": lambda: identity_functor(bool_matrix_double_category(0)),
     "bool1": lambda: identity_functor(bool_matrix_double_category(1)),
-    "bool2": lambda: identity_functor(bool_matrix_double_category(2)),
     "preorder": lambda: identity_functor(preorder_fixture()),
     "bool1xbool1xpreorder": lambda: identity_functor(bool1_bool1_preorder()),
     # the flat functor fixture, trivial into the preorder
@@ -310,12 +309,27 @@ def test_flat_reduction_matches_reference(name):
 
 
 @pytest.mark.parametrize("name", [
-    "trivial", "bool0", "bool1", "bool2", "preorder", "bool1xbool1xpreorder",
+    "trivial", "bool0", "bool1", "preorder", "bool1xbool1xpreorder",
     "z3-identity"])
 def test_flat_reduction_decides_identity_functors(name):
     """Each of these passes by the reduction, not by evaluation."""
     rep = check_lax_functor(FLAT_CASES[name]())
     assert rep.passed and set(rep.reduced) == set(SQUARE_LAWS)
+
+
+# the reference catalogue on the identity functor of bool2: it passes, with
+# these instance counts (1,715,747 in all, about 7 s of evaluation on a
+# 2-core host, so pinned here rather than run)
+BOOL2_REFERENCE_COUNTS = {
+    "lx.f.v1": 47, "lx.f.v2": 3, "lx.f.h1": 306043, "lx.f.h2": 31,
+    "lx.f.hex": 8507, "lx.f.u": 62, "lx.f.c-nat": 1401043, "lx.f.u-nat": 11}
+
+
+def test_flat_reduction_matches_pinned_reference_on_bool2():
+    rep = check_lax_functor(identity_functor(bool_matrix_double_category(2)))
+    assert rep.passed
+    assert rep.reduced == {law: BOOL2_REFERENCE_COUNTS[law]
+                           for law in SQUARE_LAWS}
 
 
 @pytest.mark.parametrize("name", ["bool1-hmap-moved", "z3-v1", "z3-v2"] + [
