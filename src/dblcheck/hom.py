@@ -306,46 +306,42 @@ def hom_membership(hom, thing):
     Accepts a functor, transformation or modification and returns the
     report of the appropriate law check, extended with flavor conditions.
     """
-    rep = ValidationReport()
     if not isinstance(thing, (LaxDoubleFunctor, HorTransform, VertTransform,
                               Modification)):
-        rep.add("member-kind")
-        return rep
+        return _refused("member-kind")
     if thing.dom is not hom.B or thing.cod is not hom.C:
-        rep.add("member-frame")
-        return rep
-    # the orientations of a horizontal and of a vertical transformation,
-    # or of the top and left sides of a modification
-    hor = vert = None
-    if isinstance(thing, HorTransform):
-        hor = thing.orientation
-    elif isinstance(thing, VertTransform):
-        vert = thing.orientation
-    elif isinstance(thing, Modification):
-        hor, vert = thing.top.orientation, thing.left.orientation
-    if hor not in (None, hom.flavor.hor) or vert not in (None, hom.flavor.vert):
-        rep.add("member-orientation")
-        return rep
+        return _refused("member-frame")
     if isinstance(thing, LaxDoubleFunctor):
-        rep.merge(check_lax_functor(thing))
+        rep = check_lax_functor(thing)
         if hom.flavor.unitary_only and not is_unitary(thing):
             rep.add("member-unitary")
         return rep
     if isinstance(thing, HorTransform):
-        rep.merge(check_hor_transform(thing))
-        return rep
+        if thing.orientation != hom.flavor.hor:
+            return _refused("member-orientation")
+        return check_hor_transform(thing)
     if isinstance(thing, VertTransform):
-        laws = check_vert_transform(thing)
-        rep.merge(laws)
+        if thing.orientation != hom.flavor.vert:
+            return _refused("member-orientation")
+        rep = check_vert_transform(thing)
         # the scan reads each structure square's sides from the codomain;
         # they are the transformation's only once it is well-formed
         if hom.flavor.vert_strict and not any(
-                law.startswith("wf-") for law, _ in laws.failures):
+                law.startswith("wf-") for law, _ in rep.failures):
             for u in range(thing.dom.n_vcells):
                 if not _is_strict_square(thing.cod, thing.sq_v(u)):
                     rep.add("member-vert-strict", vcell=u)
         return rep
-    rep.merge(check_modification(thing))
+    if (thing.top.orientation != hom.flavor.hor
+            or thing.left.orientation != hom.flavor.vert):
+        return _refused("member-orientation")
+    return check_modification(thing)
+
+
+def _refused(law):
+    """A report failing only the membership condition ``law``."""
+    rep = ValidationReport()
+    rep.add(law)
     return rep
 
 
