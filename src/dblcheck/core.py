@@ -574,9 +574,9 @@ def flat_validation_steps(d):
     composable triple of 1-cells of each kind, and every boundary the
     square scan tests.  The closure pass over the squares found works on
     bitsets per shared edge and is not counted."""
-    hom = Counter(zip(d.hsrc, d.htgt))
+    hcells = Counter(zip(d.hsrc, d.htgt))
     sides = Counter(zip(d.vsrc, d.vtgt)).items()
-    scan = sum(m * n * hom[a, b] * hom[c, e]
+    scan = sum(m * n * hcells[a, b] * hcells[c, e]
                for (a, c), m in sides for (b, e), n in sides)
     return (d.n_hcells ** 2 + d.n_vcells ** 2 + scan
             + composable_triples(d.hsrc, d.htgt)

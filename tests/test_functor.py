@@ -18,7 +18,7 @@ from dblcheck.functor import (
     check_lax_functor, check_wellformed, compose_lax, functor_equal,
     identity_functor, is_pseudo, is_strict, is_unitary, strict_functor)
 
-from test_core import bool2_minus_composite, is_identity_boundary, without
+from test_core import bool2_minus_composite, without
 
 FIXTURES_DIR = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 SQUARE_LAWS = ("lx.f.h1", "lx.f.h2", "lx.f.hex", "lx.f.u", "lx.f.c-nat",
