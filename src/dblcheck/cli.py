@@ -7,6 +7,10 @@ and re-rendering it reproduces the text output exactly.
 
 Exit codes: 0 when the verdict passes, 1 on law failures, 2 on parse or
 schema errors.
+
+Only ``core`` and ``errors`` load with this module.  Each verb, or the
+loader it calls, imports the modules of its own construction, so a
+one-shot run does not compile the rest of the package.
 """
 
 import json
@@ -17,20 +21,9 @@ import time
 import click
 
 from .core import (
-    bool_matrix_double_category, from_json, parity, trivial,
+    ValidationReport, bool_matrix_double_category, from_json, parity, trivial,
     validate_double_category, walk_h, walk_v, walk_sq)
 from .errors import DblError
-from .functor import LaxDoubleFunctor, check_lax_functor
-from .hom import FLAVORS, hom_double_category, populate_squares
-from .monads import (
-    check_monad, comp, enumerate_distributive_laws, enumerate_monads,
-    verify_comp_diagram)
-from .quasi import QuasiFunctor, check_quasi_functor, curry0, uncurry0
-from .strictify import destrictify0, strictify0
-from .tensor import verify_universal_property
-from .transform import (
-    HorTransform, LAX, OPLAX, VertTransform, check_hor_transform,
-    check_vert_transform)
 
 
 class SchemaError(Exception):
@@ -40,6 +33,10 @@ class SchemaError(Exception):
 # the least number of draws per sampled law of ``hom``: a smaller
 # enumeration budget does not weaken the check of what was enumerated
 LAW_CHECKS = 5000
+
+# the keys of ``hom.FLAVORS``, spelled out so that building the command
+# line does not import ``hom``
+FLAVOR_NAMES = ["hop", "hop*", "st", "st-u"]
 
 BUILTINS = {
     "trivial": trivial,
@@ -183,6 +180,7 @@ def _domain_square(d):
 
 
 def _functor_from_doc(doc, dom, cod, name="F"):
+    from .functor import LaxDoubleFunctor
     what = "functor description"
     _object(doc, what)
     do, dh, dv = (_index(dom.objects, "object"), _index(dom.hnames, "1h-cell"),
@@ -223,6 +221,7 @@ def _load_functor(doc):
 
 
 def _load_quasi(doc):
+    from .quasi import QuasiFunctor
     what = "quasi functor description"
     _object(doc, what)
     for key in ("A", "B", "C"):
@@ -257,6 +256,7 @@ def _load_quasi(doc):
 
 
 def _load_transform(doc):
+    from .transform import LAX, OPLAX, HorTransform, VertTransform
     what = "transform description"
     kind = _object(doc, what).get("kind")
     if kind not in ("hor", "vert"):
@@ -348,7 +348,6 @@ def _run(command, json_path, fn):
         click.echo("%s: input error: %s" % (command, exc), err=True)
         sys.exit(2)
     except DblError as exc:
-        from .core import ValidationReport
         rep = ValidationReport()
         rep.add("error", reason=str(exc))
         _finish(_payload(command, rep, started), json_path)
@@ -389,6 +388,7 @@ def validate(path, bound, json_path):
 def functor_check(path, json_path):
     """Check the lax double functor laws."""
     def body():
+        from .functor import check_lax_functor
         F = _load_functor(_read_doc(path))
         return check_lax_functor(F), {"functor": F.name}
     _run("functor-check", json_path, body)
@@ -400,6 +400,7 @@ def functor_check(path, json_path):
 def transform_check(path, json_path):
     """Check a horizontal or vertical transformation."""
     def body():
+        from .transform import check_hor_transform, check_vert_transform
         doc = _read_doc(path)
         t = _load_transform(doc)
         check = (check_hor_transform if doc["kind"] == "hor"
@@ -416,6 +417,7 @@ def transform_check(path, json_path):
 def quasi_check(path, trivial_uu, json_path):
     """Check the quasi functor laws."""
     def body():
+        from .quasi import check_quasi_functor
         q = _load_quasi(_read_doc(path))
         rep = check_quasi_functor(q, trivial_uU=trivial_uu)
         return rep, {"quasi": q.name}
@@ -428,6 +430,8 @@ def quasi_check(path, trivial_uu, json_path):
 def curry(path, json_path):
     """Curry a quasi functor and check the resulting lax functor."""
     def body():
+        from .functor import check_lax_functor
+        from .quasi import curry0
         q = _load_quasi(_read_doc(path))
         P = curry0(q)
         return check_lax_functor(P), {"codomain": P.cod.name}
@@ -440,7 +444,7 @@ def curry(path, json_path):
 def uncurry(path, json_path):
     """Round-trip a quasi functor through currying and compare cells."""
     def body():
-        from .core import ValidationReport
+        from .quasi import check_quasi_functor, curry0, uncurry0
         q = _load_quasi(_read_doc(path))
         back = uncurry0(curry0(q))
         rep = ValidationReport()
@@ -466,6 +470,8 @@ def uncurry(path, json_path):
 def strictify(path, json_path):
     """Strictify a quasi functor and check the lax functor laws."""
     def body():
+        from .functor import check_lax_functor
+        from .strictify import strictify0
         q = _load_quasi(_read_doc(path))
         P = strictify0(q)
         return check_lax_functor(P), {
@@ -480,6 +486,8 @@ def strictify(path, json_path):
 def destrictify(path, json_path):
     """Strictify, destrictify back, and re-check the quasi functor laws."""
     def body():
+        from .quasi import check_quasi_functor
+        from .strictify import destrictify0, strictify0
         q = _load_quasi(_read_doc(path))
         back = destrictify0(strictify0(q), q.A, q.B)
         rep = check_quasi_functor(back, trivial_uU=True)
@@ -493,6 +501,7 @@ def destrictify(path, json_path):
 def tensor_factorize(path, json_path):
     """Factor a quasi functor through the tensor presentation."""
     def body():
+        from .tensor import verify_universal_property
         q = _load_quasi(_read_doc(path))
         rep = verify_universal_property(q)
         return rep, {"quasi": q.name}
@@ -502,14 +511,16 @@ def tensor_factorize(path, json_path):
 @main.command()
 @click.argument("path_b", type=click.Path(exists=True))
 @click.argument("path_c", type=click.Path(exists=True))
-@click.option("--flavor", type=click.Choice(sorted(FLAVORS)), default="hop")
+@click.option("--flavor", type=click.Choice(FLAVOR_NAMES), default="hop")
 @click.option("--bound", type=int, default=5000,
-              help="enumeration budget for eager population; also the "
-                   "draws per sampled law, but never fewer than 5000")
+              help="total enumeration budget: candidates tried over all "
+                   "functors and transformations together; also the draws "
+                   "per sampled law, but never fewer than 5000")
 @_json_option
 def hom(path_b, path_c, flavor, bound, json_path):
     """Build a hom double category by enumeration and validate it."""
     def body():
+        from .hom import FLAVORS, hom_double_category, populate_squares
         B = _dc_from_doc(_read_doc(path_b))
         C = _dc_from_doc(_read_doc(path_c))
         h = hom_double_category(B, C, FLAVORS[flavor], bound=bound)
@@ -535,7 +546,7 @@ def _bool_matrix_carrier(size):
 def monads_enumerate(semiring, size, json_path):
     """List the monads on a Boolean matrix carrier."""
     def body():
-        from .core import ValidationReport
+        from .monads import enumerate_monads
         d, carrier = _bool_matrix_carrier(size)
         monads = enumerate_monads(d, carrier)
         details = {"count": len(monads)}
@@ -551,7 +562,7 @@ def monads_enumerate(semiring, size, json_path):
 def monads_comp(size, json_path):
     """Compose every distributive law and check the composite monads."""
     def body():
-        from .core import ValidationReport
+        from .monads import check_monad, comp, enumerate_distributive_laws
         d, carrier = _bool_matrix_carrier(size)
         rep = ValidationReport()
         laws = enumerate_distributive_laws(d, carrier)
@@ -571,6 +582,7 @@ def monads_comp(size, json_path):
 def monads_diagram(size, sample, seed, json_path):
     """Compare strictified and direct monad composition on all laws."""
     def body():
+        from .monads import verify_comp_diagram
         if size < 0 or size > 3:
             raise SchemaError("--size must be between 0 and 3")
         d = bool_matrix_double_category(size)

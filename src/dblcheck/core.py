@@ -491,6 +491,8 @@ def _validate_one_cat(rep, tag, n, src, tgt, comp, table, ident, n_objects, d):
             bad = True
     if bad:
         return
+    # every composite, also one a lazy composition function computes now,
+    # must exist and have the right endpoints before a law composes it
     for f in range(n):
         for g in range(n):
             if tgt[f] != src[g]:
@@ -499,6 +501,16 @@ def _validate_one_cat(rep, tag, n, src, tgt, comp, table, ident, n_objects, d):
                 fg = comp(f, g)
             except MalformedTables:
                 rep.add(tag + "-table-total", first=f, second=g)
+                bad = True
+                continue
+            if src[fg] != src[f] or tgt[fg] != tgt[g]:
+                rep.add(tag + "-table-boundary", first=f, second=g)
+                bad = True
+    if bad:
+        return
+    for f in range(n):
+        for g in range(n):
+            if tgt[f] != src[g]:
                 continue
             for h in range(n):
                 if tgt[g] != src[h]:

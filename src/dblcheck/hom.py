@@ -250,17 +250,19 @@ class HomDoubleCat(InternedDoubleCat):
 
 def hom_double_category(B, C, flavor=HOP, bound=None):
     """The hom double category; with a bound, eagerly populated by
-    enumeration (EnumerationBound if the candidate space is larger)."""
+    enumeration.  The bound caps the candidates of the functor and of all
+    the transformation enumerations together (EnumerationBound past it)."""
     hom = HomDoubleCat(B, C, flavor)
     if bound is not None:
-        for F in enumerate_lax_functors(B, C, flavor, bound):
+        budget = _Budget(bound)
+        for F in _lax_functors(B, C, flavor, budget):
             hom.intern_functor(F)
         objs = list(hom.obj_payload)
         for F in objs:
             for G in objs:
-                for t in enumerate_hor_transforms(F, G, flavor, bound):
+                for t in _hor_transforms(F, G, flavor, budget):
                     hom.intern_hor_transform(t)
-                for t in enumerate_vert_transforms(F, G, flavor, bound):
+                for t in _vert_transforms(F, G, flavor, budget):
                     hom.intern_vert_transform(t)
     return hom
 
@@ -371,7 +373,10 @@ def enumerate_lax_functors(B, C, flavor=HOP, bound=None):
     Practical only for very small B; the budget counts candidate partial
     assignments and raises EnumerationBound when exhausted.
     """
-    budget = _Budget(bound)
+    yield from _lax_functors(B, C, flavor, _Budget(bound))
+
+
+def _lax_functors(B, C, flavor, budget):
     if C.flat:
         C.materialize_flat_squares()
     out = []
@@ -444,7 +449,10 @@ def _complete_functors(B, C, flavor, budget, ob, hmap, vmap):
 
 def enumerate_hor_transforms(F, G, flavor=HOP, bound=None):
     """All horizontal transformations F => G in the flavor's orientation."""
-    budget = _Budget(bound)
+    yield from _hor_transforms(F, G, flavor, _Budget(bound))
+
+
+def _hor_transforms(F, G, flavor, budget):
     B, C = F.dom, F.cod
     choices = [C.hcells_between(F.obj(a), G.obj(a)) for a in range(B.n_objects)]
     for comp0 in iproduct(*choices):
@@ -469,7 +477,10 @@ def _complete_hor(F, G, flavor, budget, comp0):
 
 def enumerate_vert_transforms(F, G, flavor=HOP, bound=None):
     """All vertical transformations F => G in the flavor's orientation."""
-    budget = _Budget(bound)
+    yield from _vert_transforms(F, G, flavor, _Budget(bound))
+
+
+def _vert_transforms(F, G, flavor, budget):
     B, C = F.dom, F.cod
     choices = [C.vcells_between(F.obj(a), G.obj(a)) for a in range(B.n_objects)]
     for comp0 in iproduct(*choices):

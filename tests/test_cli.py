@@ -2,6 +2,9 @@
 
 import json
 import os
+import re
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -11,6 +14,7 @@ from dblcheck.core import bool_matrix_double_category
 from dblcheck.functor import identity_functor
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
 
 def fx(name):
@@ -19,6 +23,14 @@ def fx(name):
 
 def run(*args):
     return CliRunner().invoke(main, list(args))
+
+
+def run_child(*args, timeout):
+    """Run ``python args...`` in a fresh interpreter on the package
+    sources, as a user of an uninstalled checkout would."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, *args], env=env, timeout=timeout,
+                          capture_output=True, text=True)
 
 
 def test_validate_fixtures():
@@ -227,9 +239,10 @@ def test_json_report_roundtrip(tmp_path):
 
 def test_hom_reports_sampled_laws(tmp_path):
     # the law check keeps at least 5000 draws, which cover every instance
-    # of hom(trivial, parity) whatever the enumeration budget
+    # of hom(trivial, parity) whatever the enumeration budget; the 300
+    # candidates cover its enumeration (277 in all)
     out = tmp_path / "report.json"
-    res = run("hom", fx("trivial.json"), fx("parity.json"), "--bound", "100",
+    res = run("hom", fx("trivial.json"), fx("parity.json"), "--bound", "300",
               "--json", str(out))
     assert res.exit_code == 0, res.output
     payload = json.loads(out.read_text())
@@ -248,7 +261,7 @@ def test_hom_bound_keeps_the_law_check_budget(tmp_path):
     """A small enumeration budget does not weaken the law check: the
     report is the default one."""
     payloads = []
-    for extra in (["--bound", "100"], []):
+    for extra in (["--bound", "300"], []):
         out = tmp_path / "report.json"
         res = run("hom", fx("trivial.json"), fx("parity.json"), *extra,
                   "--json", str(out))
@@ -295,3 +308,80 @@ def test_functor_check_reports_reduced_laws(tmp_path):
     assert res.exit_code == 0, res.output
     assert json.loads(out.read_text())["reduced"] == {}
     assert "reduced" not in res.output
+
+
+def test_hom_bound_caps_the_total_enumeration(tmp_path):
+    """``--bound`` caps the candidates of all enumerations together: a
+    one-cell domain into parity stops at the bound instead of trying up
+    to the bound for every pair of functors.  The child's timeout turns
+    a regression into a failure, not a hang."""
+    out = tmp_path / "report.json"
+    res = run_child("-m", "dblcheck.cli", "hom", fx("walk.json"),
+                    fx("parity.json"), "--bound", "5000", "--json", str(out),
+                    timeout=60)
+    assert res.returncode == 1, res.stdout + res.stderr
+    payload = json.loads(out.read_text())
+    assert payload["failures"] == [{
+        "law": "error",
+        "witness": {"reason": "'candidate enumeration exceeded the bound'"}}]
+    assert payload["elapsed"] < 10
+
+
+def test_cli_import_loads_only_core_and_errors():
+    """Importing the command line loads no construction module: each verb
+    imports its own, so start-up does not compile the whole package."""
+    res = run_child("-c", "import json, sys, dblcheck.cli; print(json.dumps("
+                    "sorted(m for m in sys.modules if m.split('.')[0] == "
+                    "'dblcheck')))", timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout) == [
+        "dblcheck", "dblcheck.cli", "dblcheck.core", "dblcheck.errors"]
+
+
+def test_flavor_choices_are_the_hom_flavors():
+    from dblcheck.hom import FLAVORS
+    flavor = [p for p in main.commands["hom"].params if p.name == "flavor"]
+    assert list(flavor[0].type.choices) == sorted(FLAVORS)
+
+
+# the usage line and the option column of ``--help``, per verb (None for
+# the group itself)
+HELP = {
+    None: ("[OPTIONS] COMMAND [ARGS]...", ["--help"]),
+    "curry": ("curry [OPTIONS] PATH", ["--json PATH", "--help"]),
+    "destrictify": ("destrictify [OPTIONS] PATH", ["--json PATH", "--help"]),
+    "functor-check": ("functor-check [OPTIONS] PATH",
+                      ["--json PATH", "--help"]),
+    "hom": ("hom [OPTIONS] PATH_B PATH_C",
+            ["--flavor [hop|hop*|st|st-u]", "--bound INTEGER", "--json PATH",
+             "--help"]),
+    "monads-comp": ("monads-comp [OPTIONS]",
+                    ["--size INTEGER", "--json PATH", "--help"]),
+    "monads-diagram": ("monads-diagram [OPTIONS]",
+                       ["--size INTEGER", "--sample INTEGER", "--seed INTEGER",
+                        "--json PATH", "--help"]),
+    "monads-enumerate": ("monads-enumerate [OPTIONS]",
+                         ["--semiring [bool]", "--size INTEGER", "--json PATH",
+                          "--help"]),
+    "quasi-check": ("quasi-check [OPTIONS] PATH",
+                    ["--trivial-uu", "--json PATH", "--help"]),
+    "strictify": ("strictify [OPTIONS] PATH", ["--json PATH", "--help"]),
+    "tensor-factorize": ("tensor-factorize [OPTIONS] PATH",
+                         ["--json PATH", "--help"]),
+    "transform-check": ("transform-check [OPTIONS] PATH",
+                        ["--json PATH", "--help"]),
+    "uncurry": ("uncurry [OPTIONS] PATH", ["--json PATH", "--help"]),
+    "validate": ("validate [OPTIONS] PATH",
+                 ["--bound INTEGER", "--json PATH", "--help"]),
+}
+
+
+@pytest.mark.parametrize("verb", [None] + sorted(HELP.keys() - {None}))
+def test_help_lists_the_same_options(verb):
+    res = run(*([verb] if verb else []), "--help")
+    assert res.exit_code == 0, res.output
+    usage, options = HELP[verb]
+    assert res.output.splitlines()[0] == "Usage: main " + usage
+    assert re.findall(r"^  (--?[\w-]+(?: \S+)?)", res.output, re.M) == options
+    if verb is None:
+        assert sorted(main.commands) == sorted(HELP.keys() - {None})

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dblcheck.core import (
-    HCELL, VCELL, SQUARE, OBJECT, CellRef, Gen, HComp, VComp, HId, VId,
-    FIXTURES, bool_matrix_double_category, dc_product, eval_pasting,
+    HCELL, VCELL, SQUARE, OBJECT, CellRef, DoubleCat, Gen, HComp, VComp,
+    HId, VId, FIXTURES, bool_matrix_double_category, dc_product, eval_pasting,
     from_json, parity, product_projections, to_json, trivial,
     ValidationReport, validate_double_category, walk_h, walk_sq, walk_v)
 from dblcheck.errors import BoundaryMismatch, SizeBound
@@ -118,6 +118,51 @@ def test_validator_detects_broken_unit():
     rep = validate_double_category(d)
     assert not rep.passed
     assert any(law in ("h-unit", "h-table-boundary") for law in rep.laws_failed())
+
+
+def _two_objects_lazy(hh):
+    """A flat category on objects a, b with one 1h-cell f: a -> b, whose
+    1h-composites come from the function ``hh`` as they are asked for."""
+    d = DoubleCat("lazy")
+    a, b = d.add_object("a"), d.add_object("b")
+    ida = d.add_hcell("1_a", a, a, identity_of=a)
+    d.add_hcell("1_b", b, b, identity_of=b)
+    f = d.add_hcell("f", a, b)
+    for x in (a, b):
+        u = d.add_vcell("1^" + d.objects[x], x, x, identity_of=x)
+        d.set_vv(u, u, u)
+    d.hcomp_h_fn = lambda g, h: hh(d, g, h)
+    d.set_flat(lambda t, b, l, r: t == b)
+    return d, ida, f
+
+
+def test_validator_checks_lazy_composite_boundaries():
+    # every composite is its first factor, so 1_a then f is computed
+    # lazily as 1_a, which ends at a, not b
+    d, ida, f = _two_objects_lazy(lambda d, g, h: g)
+    assert d._hh == {}
+    rep = validate_double_category(d)
+    assert rep.failures == [("h-table-boundary", {"first": ida, "second": f})]
+
+
+def test_validator_passes_lazy_composites_with_right_ends():
+    def hh(d, g, h):
+        return h if d.is_h_identity(g) else g
+    d, *_ = _two_objects_lazy(hh)
+    assert validate_double_category(d).passed
+
+
+def test_validator_reports_missing_composites():
+    # an explicit table with no entry for g then f is not total: each
+    # missing pair is a failure, not an error from the associativity pass
+    d = from_json({
+        "objects": ["a", "b"], "flat": True,
+        "hcells": [{"name": "f", "src": "a", "tgt": "b"},
+                   {"name": "g", "src": "b", "tgt": "a"}],
+        "hcomp_h": [["f", "g", "1_a"]]})
+    g, f = d.hnames.index("g"), d.hnames.index("f")
+    rep = validate_double_category(d)
+    assert rep.failures == [("h-table-total", {"first": g, "second": f})]
 
 
 def test_validator_detects_broken_interchange():

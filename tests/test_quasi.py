@@ -1,6 +1,8 @@
 """Tests for quasi functors, their cells, and currying."""
 
 import gc
+import os
+from collections import Counter
 
 import pytest
 
@@ -347,3 +349,49 @@ def test_curry_cache_not_reused_after_collection(monkeypatch):
     assert [Pb.obj(a) for a in range(w.n_objects)] != \
         [Pa.obj(a) for a in range(w.n_objects)]
     assert check_quasi_functor(uncurry0(Pb)).passed
+
+
+def _quasi_closed_form_counts(A, B):
+    """Instance counts of every law of the mixed quasi functor catalogue on
+    a quasi functor A x B -> C, in closed form over the cells of A and B."""
+    def pairs(src, tgt):  # composable pairs: f then g with tgt f = src g
+        return sum(src.count(x) for x in tgt)
+
+    ah, av, bh, bv = A.n_hcells, A.n_vcells, B.n_hcells, B.n_vcells
+    ao, bo = A.n_objects, B.n_objects
+    a_hh, a_vv = pairs(A.hsrc, A.htgt), pairs(A.vsrc, A.vtgt)
+    b_hh, b_vv = pairs(B.hsrc, B.htgt), pairs(B.vsrc, B.vtgt)
+    a_sq, b_sq = len(list(A.iter_squares())), len(list(B.iter_squares()))
+    return {
+        "(1_B,K)": bo * ah, "(1_B,U)": bo * av,
+        "(k,1_A)": ao * bh, "(u,1_A)": ao * bv,
+        "(1^B,K)": bo * ah, "(k,1^A)": ao * bh,
+        "(1^B,U)": bo * av, "(u,1^A)": ao * bv,
+        "(k'k,K)": b_hh * ah, "(k,K'K)": a_hh * bh, "(u,K'K)": a_hh * bv,
+        "(k'k,U)": b_hh * av,
+        "(u/u',K)": b_vv * ah, "(u/u',U)": b_vv * av,
+        "(k,U/U')": a_vv * bh, "(u,U/U')": a_vv * bv,
+        "(k,K)-l-nat": b_sq * ah, "(u,U)-l-nat": b_sq * av,
+        "(k,K)-r-nat": a_sq * bh, "(u,U)-r-nat": a_sq * bv,
+    }
+
+
+def _preorder_pair():
+    from dblcheck.cli import _load_quasi, _read_doc
+    return _load_quasi(_read_doc(os.path.join(
+        os.path.dirname(__file__), "..", "fixtures", "preorder-pair.json")))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: sign_quasi({0: 0, 1: 0}), lambda: sign_quasi({0: 0, 1: 1}),
+    lambda: sign_quasi({0: 1, 1: 0}), lambda: sign_quasi({0: 1, 1: 1}),
+    _preorder_pair], ids=["sign00", "sign01", "sign10", "sign11",
+                          "preorder-pair"])
+def test_quasi_catalogue_instance_counts(make):
+    """The mixed quasi functor catalogue emits the closed-form number of
+    instances of each law: for example ``(1_B,K)`` once per object of B and
+    1h-cell of A."""
+    q = make()
+    emitted = Counter()
+    quasi._quasi_laws(q, lambda law, lhs, rhs, **w: emitted.update((law,)))
+    assert emitted == _quasi_closed_form_counts(q.A, q.B)
