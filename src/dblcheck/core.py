@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 from itertools import accumulate, chain, product as iproduct, repeat
 import random
 
-from .errors import BoundaryMismatch, MalformedTables, NotFlat, SizeBound
+from .errors import (BoundaryMismatch, DblError, MalformedTables, NotFlat,
+                     SizeBound)
 
 OBJECT = "object"
 HCELL = "hcell"
@@ -463,6 +464,18 @@ def validate_double_category(d, closure_limit=None, max_checks=None, seed=0):
     set under both compositions.  ``closure_limit`` bounds the number of
     composable pairs of flat squares; a larger category fails with
     ``flat-too-large`` rather than being checked in part.
+
+    Product reduction: the laws of a product hold componentwise.  When d
+    is an explicit ``dc_product`` of explicit factors, its 1-cell and
+    identity checks pass, both factors pass an exhaustive validation (once
+    when they are one category), and every cell and table of d is still
+    the componentwise one, the square checks are not evaluated: each is
+    listed in ``reduced`` with its instance count, the product of the
+    factors' counts.  Under ``max_checks`` this is tried only when no
+    check of a factor has more instances than both ``max_checks`` and the
+    number of composable pairs of squares of d, which the square pass
+    evaluates in full in any case.  Otherwise the square pass runs as
+    above, so a failing report is the full pass's.
     """
     rep = ValidationReport()
     _validate_one_cat(rep, "h", d.n_hcells, d.hsrc, d.htgt,
@@ -478,9 +491,135 @@ def validate_double_category(d, closure_limit=None, max_checks=None, seed=0):
         return rep
     if d.flat:
         _validate_flat_squares(rep, d, closure_limit)
-    else:
+    elif not _reduce_product(rep, d, max_checks):
         _validate_explicit_squares(rep, d, max_checks, seed)
     return rep
+
+
+def _reduce_product(rep, d, max_checks):
+    """Mark every square check of the explicit product d as reduced, and
+    return True, when its factors decide them; see
+    ``validate_double_category``."""
+    factors = getattr(d, "_factors", None)
+    if factors is None or any(x.flat for x in factors):
+        return False
+    d1, d2 = factors
+    counts1 = _square_pass_counts(d1)
+    counts2 = counts1 if d2 is d1 else _square_pass_counts(d2)
+    counts = {law: n * counts2[law] for law, n in counts1.items()}
+    if max_checks is not None:
+        limit = max(max_checks,
+                    counts["hcomp-sq-total"] + counts["vcomp-sq-total"])
+        if max(chain(counts1.values(), counts2.values())) > limit:
+            return False
+    for x in (d1,) if d2 is d1 else factors:
+        try:
+            if not validate_double_category(x).passed:
+                return False
+        except (DblError, LookupError):  # tables too broken to read
+            return False
+    if not _is_product_of(d, d1, d2):
+        return False
+    rep.reduced.update(counts)
+    return True
+
+
+def _square_pass_counts(d):
+    """The instance count of each check of ``_validate_explicit_squares``
+    on the explicit d, from its boundaries alone, in report order."""
+    bounds = d.sq_bounds
+    tops, bottoms, lefts, rights = (
+        [b[i] for b in bounds] for i in range(4))
+    hpairs, vpairs = composable_square_pairs(bounds)
+    # a 2x2 grid is a top left square a with a square b on its right edge
+    # and c on its bottom edge, then a square e with top left (bottom of
+    # b, right of c): group a by those two edges, b by its left edge and
+    # c by its top edge
+    corners = Counter(zip(rights, bottoms))
+    below, beside = {}, {}
+    for t, o, l, r in bounds:
+        below.setdefault(l, Counter())[o] += 1
+        beside.setdefault(t, Counter())[r] += 1
+    top_left = Counter(zip(tops, lefts))
+    grids = sum(k * m * n * top_left[x, y]
+                for (r, o), k in corners.items()
+                for x, m in below.get(r, {}).items()
+                for y, n in beside.get(o, {}).items())
+    ns, nh, nv = d.n_squares, d.n_hcells, d.n_vcells
+    return {
+        "sq-v-id-missing": nh, "sq-v-id-boundary": nh,
+        "sq-h-id-missing": nv, "sq-h-id-boundary": nv,
+        "sq-obj-id": d.n_objects,
+        "hcomp-sq-total": hpairs, "hcomp-sq-boundary": hpairs,
+        "vcomp-sq-total": vpairs, "vcomp-sq-boundary": vpairs,
+        "vcomp-sq-unit": ns, "hcomp-sq-unit": ns,
+        "hcomp-sq-assoc": composable_triples(lefts, rights),
+        "vcomp-sq-assoc": composable_triples(tops, bottoms),
+        "sq-v-id-functorial": sum(map(Counter(d.hsrc).__getitem__, d.htgt)),
+        "sq-h-id-functorial": sum(map(Counter(d.vsrc).__getitem__, d.vtgt)),
+        "interchange": grids,
+    }
+
+
+def _is_product_of(d, d1, d2):
+    """Whether every cell and table of d is the componentwise one of
+    ``dc_product(d1, d2)``.  The factors have passed validation, so their
+    1-cell composites, read through ``hcomp_h``/``vcomp_v`` because a lazy
+    table fills on use, exist on every composable pair."""
+    no2, nh2, nv2, ns2 = d2.n_objects, d2.n_hcells, d2.n_vcells, d2.n_squares
+
+    def pairs(xs1, xs2, n2):
+        return [x1 * n2 + x2 for x1 in xs1 for x2 in xs2]
+
+    def id_table(t1, t2, n2):
+        return {k1 * n2 + k2: s1 * ns2 + s2
+                for k1, s1 in t1.items() for k2, s2 in t2.items()}
+
+    if ((d.n_objects, d.n_hcells, d.n_vcells, d.n_squares)
+            != (d1.n_objects * no2, d1.n_hcells * nh2, d1.n_vcells * nv2,
+                d1.n_squares * ns2)
+            or d.hsrc != pairs(d1.hsrc, d2.hsrc, no2)
+            or d.htgt != pairs(d1.htgt, d2.htgt, no2)
+            or d.vsrc != pairs(d1.vsrc, d2.vsrc, no2)
+            or d.vtgt != pairs(d1.vtgt, d2.vtgt, no2)
+            or d._h_id != pairs(d1._h_id, d2._h_id, nh2)
+            or d._v_id != pairs(d1._v_id, d2._v_id, nv2)
+            or d._sqvid != id_table(d1._sqvid, d2._sqvid, nh2)
+            or d._sqhid != id_table(d1._sqhid, d2._sqhid, nv2)):
+        return False
+    if d.sq_bounds != [
+            (t1 * nh2 + t2, o1 * nh2 + o2, l1 * nv2 + l2, r1 * nv2 + r2)
+            for t1, o1, l1, r1 in d1.sq_bounds
+            for t2, o2, l2, r2 in d2.sq_bounds]:
+        return False
+    # the 1-cell pass has put every composable pair, and only those, in
+    # d's tables
+    for table, comp1, comp2, n2 in ((d._hh, d1.hcomp_h, d2.hcomp_h, nh2),
+                                    (d._vv, d1.vcomp_v, d2.vcomp_v, nv2)):
+        for (f, g), h in table.items():
+            if h != (comp1(f // n2, g // n2) * n2
+                     + comp2(f % n2, g % n2)):
+                return False
+    return all(_is_product_table(t, t1, t2, ns2)
+               for t, t1, t2 in ((d._hs, d1._hs, d2._hs),
+                                 (d._vs, d1._vs, d2._vs)))
+
+
+def _is_product_table(table, table1, table2, ns2):
+    """Whether the square table ``table`` holds exactly the componentwise
+    entries of ``table1`` and ``table2``, the second factor having ``ns2``
+    squares.  Each entry is split into its components, and no two keys
+    split alike: with as many entries as pairs of factor entries, every
+    pair is then one entry.  Reading the large table in its own order is
+    faster than looking up each pair in it."""
+    if len(table) != len(table1) * len(table2):
+        return False
+    try:
+        return all(c == table1[s // ns2, t // ns2] * ns2
+                   + table2[s % ns2, t % ns2]
+                   for (s, t), c in table.items())
+    except KeyError:  # an entry that is no pair of factor entries
+        return False
 
 
 def _validate_one_cat(rep, tag, n, src, tgt, comp, table, ident, n_objects, d):
@@ -805,8 +944,13 @@ def _check_square_table(rep, law, sides, table, pairs, bounds, edge_comp):
 
 
 def dc_product(d1, d2, square_cap=250000):
-    """Cartesian product of double categories, cells componentwise."""
+    """Cartesian product of double categories, cells componentwise.
+
+    The factors are kept as ``_factors``; validation decides the square
+    laws of an explicit product from them.
+    """
     p = DoubleCat("%sx%s" % (d1.name, d2.name))
+    p._factors = (d1, d2)
     for a1 in range(d1.n_objects):
         for a2 in range(d2.n_objects):
             p.add_object("(%s,%s)" % (d1.objects[a1], d2.objects[a2]))
@@ -1303,20 +1447,25 @@ def from_json(doc):
 
     Identities named ``1_<obj>`` / ``1^<obj>`` / ``Id_<h>`` / ``Id^<v>`` are
     recognized; missing identity 1-cells and, in the explicit backend,
-    missing identity squares are generated.
+    missing identity squares are generated.  A name listed twice among
+    the objects, the 1h-cells, the 1v-cells or the named squares, and a
+    pair given two different composites, raise ``MalformedTables``.
     """
     d = DoubleCat("json")
     oid = {}
     for nm in doc["objects"]:
+        _new_name(oid, nm, "object")
         oid[nm] = d.add_object(nm)
     hid = {}
     for h in doc.get("hcells", []):
+        _new_name(hid, h["name"], "1h-cell")
         ident = oid[h["src"]] if h["name"] == "1_%s" % h["src"] \
             and h["src"] == h["tgt"] else None
         hid[h["name"]] = d.add_hcell(h["name"], oid[h["src"]], oid[h["tgt"]],
                                      identity_of=ident)
     vid = {}
     for v in doc.get("vcells", []):
+        _new_name(vid, v["name"], "1v-cell")
         ident = oid[v["src"]] if v["name"] == "1^%s" % v["src"] \
             and v["src"] == v["tgt"] else None
         vid[v["name"]] = d.add_vcell(v["name"], oid[v["src"]], oid[v["tgt"]],
@@ -1326,10 +1475,8 @@ def from_json(doc):
             hid["1_%s" % nm] = d.add_hcell("1_%s" % nm, o, o, identity_of=o)
         if d._v_id[o] is None:
             vid["1^%s" % nm] = d.add_vcell("1^%s" % nm, o, o, identity_of=o)
-    for f, g, h in doc.get("hcomp_h", []):
-        d.set_hh(hid[f], hid[g], hid[h])
-    for u, v, w in doc.get("vcomp_v", []):
-        d.set_vv(vid[u], vid[v], vid[w])
+    _set_rows(d._hh, doc, "hcomp_h", hid)
+    _set_rows(d._vv, doc, "vcomp_v", vid)
     for o in range(d.n_objects):
         d.set_hh(d.h_id(o), d.h_id(o), d.h_id(o))
         d.set_vv(d.v_id(o), d.v_id(o), d.v_id(o))
@@ -1352,6 +1499,7 @@ def from_json(doc):
         return d
     sid = {}
     for s in doc.get("squares", []):
+        _new_name(sid, s["name"], "square")
         sid[s["name"]] = d.add_square(s["name"], hid[s["top"]], hid[s["bottom"]],
                                       vid[s["left"]], vid[s["right"]])
     svid = doc.get("sq_v_id", {})
@@ -1371,12 +1519,25 @@ def from_json(doc):
         if nm not in sid:
             sid[nm] = d.add_square(nm, d.h_id(d.vsrc[u]), d.h_id(d.vtgt[u]), u, u)
         d.set_sq_h_id(u, sid[nm])
-    for a, b, c in doc.get("hcomp_sq", []):
-        d.set_hs(sid[a], sid[b], sid[c])
-    for a, b, c in doc.get("vcomp_sq", []):
-        d.set_vs(sid[a], sid[b], sid[c])
+    _set_rows(d._hs, doc, "hcomp_sq", sid)
+    _set_rows(d._vs, doc, "vcomp_sq", sid)
     _fill_identity_square_composites(d)
     return d
+
+
+def _new_name(ids, name, kind):
+    if name in ids:
+        raise MalformedTables("%s %r is listed twice" % (kind, name))
+
+
+def _set_rows(table, doc, key, ids):
+    """Enter the composition rows ``doc[key]`` in ``table``; a pair may
+    be listed again only with the same composite."""
+    for a, b, c in doc.get(key, []):
+        pair = ids[a], ids[b]
+        if table.setdefault(pair, ids[c]) != ids[c]:
+            raise MalformedTables("%s gives (%s, %s) two composites"
+                                  % (key, a, b))
 
 
 def _fill_identity_square_composites(d):

@@ -31,12 +31,11 @@ def product_dom(A, B):
 
     Flat factors are cloned to the explicit backend first; the clone keeps
     every cell id, so indices computed against the originals stay valid.
-    The factors and a memo of functors already built over this product are
-    attached to the result so repeated strictifications share one domain.
+    ``dc_product`` keeps the factors on the result, and a memo of functors
+    already built over this product is attached so repeated
+    strictifications share one domain.
     """
-    e1, e2 = explicit_clone(A), explicit_clone(B)
-    dom = dc_product(e1, e2)
-    dom._factors = (e1, e2)
+    dom = dc_product(explicit_clone(A), explicit_clone(B))
     dom._strictified = {}
     return dom
 

@@ -73,6 +73,47 @@ def test_validate_schema_types(tmp_path, doc):
     assert res.exception is None or isinstance(res.exception, SystemExit)
 
 
+def _one_object(**fields):
+    doc = {"objects": ["*"], "hcells": [], "vcells": [], "hcomp_h": [],
+           "vcomp_v": [], "squares": [], "flat": False}
+    doc.update(fields)
+    return doc
+
+
+R = {"name": "R", "src": "*", "tgt": "*"}
+SQUARE = {"top": "1_*", "bottom": "1_*", "left": "1^*", "right": "1^*"}
+
+
+@pytest.mark.parametrize("doc", [
+    {"objects": ["a", "a"], "hcells": [], "vcells": [], "hcomp_h": [],
+     "vcomp_v": [], "squares": [], "flat": True},
+    _one_object(hcells=[R, R]),
+    _one_object(vcells=[R, R]),
+    _one_object(squares=[dict(SQUARE, name="s"), dict(SQUARE, name="s")]),
+    _one_object(hcells=[R], hcomp_h=[["R", "R", "R"], ["R", "R", "1_*"]]),
+    _one_object(vcells=[R], vcomp_v=[["R", "R", "1^*"], ["R", "R", "R"]]),
+    _one_object(squares=[dict(SQUARE, name="s"), dict(SQUARE, name="t")],
+                hcomp_sq=[["s", "s", "s"], ["s", "s", "t"]]),
+    _one_object(squares=[dict(SQUARE, name="s"), dict(SQUARE, name="t")],
+                vcomp_sq=[["t", "t", "s"], ["t", "t", "t"]]),
+], ids=["objects", "hcells", "vcells", "squares", "hcomp_h", "vcomp_v",
+        "hcomp_sq", "vcomp_sq"])
+def test_validate_rejects_repeated_names_and_rows(tmp_path, doc):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    res = run("validate", str(bad))
+    assert res.exit_code == 2, res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+
+
+def test_validate_accepts_a_repeated_row(tmp_path):
+    doc = _one_object(hcells=[R], hcomp_h=[["R", "R", "1_*"]] * 2, flat=True)
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps(doc))
+    res = run("validate", str(path))
+    assert res.exit_code == 0, res.output
+
+
 @pytest.mark.parametrize("verb, fixture, path, value", [
     ("functor-check", "monad-functor.json", ["ob"], ["*"]),
     ("functor-check", "monad-functor.json", ["unit"], ["*"]),

@@ -1,5 +1,6 @@
 """Tests for the core double-category structures and fixtures."""
 
+import copy
 import json
 import os
 import random
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from dblcheck.core import (
     HCELL, VCELL, SQUARE, OBJECT, CellRef, DoubleCat, Gen, HComp, VComp,
     HId, VId, FIXTURES, bool_matrix_double_category, dc_product, eval_pasting,
-    from_json, parity, product_projections, to_json, trivial,
+    explicit_clone, from_json, parity, product_projections, to_json, trivial,
     ValidationReport, validate_double_category, walk_h, walk_sq, walk_v)
 from dblcheck.errors import BoundaryMismatch, SizeBound
 from dblcheck.hom import FLAVORS, hom_double_category, populate_squares
@@ -508,11 +509,30 @@ def populated_mnd():
     return populate_squares(mnd_double_category(parity(), bound=5000))
 
 
+def unfactored(d):
+    """A copy of the product d that shares its tables but not its
+    factors, so validation evaluates its square laws."""
+    c = copy.copy(d)
+    del c._factors
+    return c
+
+
+# the checks of the explicit square pass, in report order
+SQUARE_PASS = [
+    "sq-v-id-missing", "sq-v-id-boundary", "sq-h-id-missing",
+    "sq-h-id-boundary", "sq-obj-id", "hcomp-sq-total", "hcomp-sq-boundary",
+    "vcomp-sq-total", "vcomp-sq-boundary", "vcomp-sq-unit", "hcomp-sq-unit",
+    "hcomp-sq-assoc", "vcomp-sq-assoc", "sq-v-id-functorial",
+    "sq-h-id-functorial", "interchange"]
+
+
 # name -> (build, max_checks, seed)
 EXPLICIT_INPUTS = {
     "parity": (parity, None, 0),
     "parityxwalk_h": (lambda: dc_product(parity(), walk_h()), None, 0),
     "mnd-parity": (populated_mnd, 5000, 1),
+    "parityxparity-unfactored-sampled-0": (
+        lambda: unfactored(dc_product(parity(), parity())), 20000, 0),
 }
 EXPLICIT_INPUTS.update({
     "parityxparity-sampled-%d" % seed:
@@ -559,16 +579,164 @@ def test_explicit_laws_match_reference(name):
     assert rep.failures == reference_explicit_failures(d, max_checks, seed)
     clean = "flip" not in name and "drop" not in name and "break" not in name
     assert rep.passed == clean
+    if hasattr(d, "_factors"):
+        # a sound product is decided from its factors, a broken one by the
+        # square pass, as if it had none
+        plain = validate_double_category(unfactored(d), max_checks=max_checks,
+                                         seed=seed)
+        assert rep.failures == plain.failures
+        assert list(rep.reduced) == (SQUARE_PASS if clean else [])
 
 
 def test_explicit_validation_marks_sampled_laws():
-    p = dc_product(parity(), parity())
+    p = unfactored(dc_product(parity(), parity()))
     rep = validate_double_category(p, max_checks=20000, seed=5)
     assert rep.passed
     assert rep.sampled == {
         law: {"draws": 20000, "seed": 5}
         for law in ("hcomp-sq-assoc", "vcomp-sq-assoc", "interchange")}
     assert validate_double_category(parity()).sampled == {}
+
+
+def test_product_is_reduced():
+    p = dc_product(parity(), parity())
+    rep = validate_double_category(p, max_checks=20000, seed=5)
+    assert rep.passed
+    assert rep.sampled == {}
+    assert list(rep.reduced) == SQUARE_PASS
+    # parity has 65,536 interchange grids, so its square has 65,536^2
+    assert rep.reduced["interchange"] == 65536 ** 2
+    assert rep.reduced["hcomp-sq-unit"] == p.n_squares
+
+
+def brute_force_counts(d):
+    """The instances of each check of the explicit square pass on d,
+    enumerated one by one."""
+    sq = range(d.n_squares)
+    b = d.sq_bounds
+    hpairs = [(x, y) for x in sq for y in sq if b[x][3] == b[y][2]]
+    vpairs = [(x, y) for x in sq for y in sq if b[x][1] == b[y][0]]
+    by_left, by_top = {}, {}
+    for s in sq:
+        by_left.setdefault(b[s][2], []).append(s)
+        by_top.setdefault(b[s][0], []).append(s)
+    grids = sum(1 for x, y in hpairs for z in by_top.get(b[x][1], [])
+                for e in by_top.get(b[y][1], []) if b[e][2] == b[z][3])
+    h = range(d.n_hcells)
+    v = range(d.n_vcells)
+    return dict(zip(SQUARE_PASS, [
+        d.n_hcells, d.n_hcells, d.n_vcells, d.n_vcells, d.n_objects,
+        len(hpairs), len(hpairs), len(vpairs), len(vpairs),
+        d.n_squares, d.n_squares,
+        sum(len(by_left.get(b[y][3], [])) for _, y in hpairs),
+        sum(len(by_top.get(b[y][1], [])) for _, y in vpairs),
+        sum(1 for f in h for g in h if d.htgt[f] == d.hsrc[g]),
+        sum(1 for u in v for w in v if d.vtgt[u] == d.vsrc[w]),
+        grids]))
+
+
+def test_reduced_counts_match_enumeration():
+    p = dc_product(parity(), walk_h())
+    rep = validate_double_category(p)
+    assert rep.reduced == brute_force_counts(p)
+    assert rep.reduced["interchange"] == 65536 * 4
+
+
+def test_product_reduction_keeps_a_small_budget():
+    # parity's 65,536 interchange grids outnumber both max_checks and the
+    # 3,584 composable pairs of squares of parity x walk_h
+    p = dc_product(parity(), walk_h())
+    rep = validate_double_category(p, max_checks=100, seed=0)
+    assert rep.passed and rep.reduced == {}
+    assert "interchange" in rep.sampled
+
+
+def flip_factor_after_product():
+    a = parity()
+    p = dc_product(a, walk_h())
+    swap_composite(a, "_hs", 0)
+    return p
+
+
+def break_factor_after_product():
+    """A factor whose identity square table, edited after the product was
+    built, names no square: validating it raises."""
+    a = parity()
+    p = dc_product(a, walk_h())
+    a._sqvid[0] = a.n_squares
+    return p
+
+
+def change_one_cell_composite():
+    """parity x trivial with h.h set to h: its 1h-cells still form a
+    category, with h idempotent, but not the componentwise one."""
+    p = dc_product(parity(), explicit_clone(trivial()))
+    p.set_hh(1, 1, 1)
+    return p
+
+
+def add_square_composite():
+    p = dc_product(parity(), walk_h())
+    b = p.sq_bounds
+    pair = next((x, y) for x in range(p.n_squares) for y in range(p.n_squares)
+                if b[x][3] != b[y][2])
+    p._hs[pair] = 0
+    return p
+
+
+def swap_square_bounds():
+    p = dc_product(parity(), walk_h())
+    b = p.sq_bounds
+    t = next(t for t in range(p.n_squares) if b[t] != b[0])
+    b[0], b[t] = b[t], b[0]
+    return p
+
+
+def other_identity_square():
+    """parity x walk_h with Id_f replaced by the other square on its
+    boundary, for f = (h, a)."""
+    p = dc_product(parity(), walk_h())
+    s = p._sqvid[5]
+    p._sqvid[5] = next(t for t in p._sq_by_bound[p.sq_bounds[s]] if t != s)
+    return p
+
+
+# products beyond those of EXPLICIT_INPUTS:
+# name -> (build, max_checks, seed, reduced, passed)
+PRODUCT_INPUTS = {
+    "parityxwalk_hxwalk_v": (lambda: dc_product(
+        dc_product(parity(), walk_h()), walk_v()), None, 0, True, True),
+    "factor-flipped-after-product": (flip_factor_after_product, None, 0,
+                                     False, True),
+    "factor-unreadable-after-product": (break_factor_after_product, None, 0,
+                                        False, True),
+    "changed-1-cell-composite": (change_one_cell_composite, None, 0,
+                                 False, False),
+    "extra-square-composite": (add_square_composite, None, 0, False, True),
+    "dropped-square-composite": (lambda: drop_composite(
+        dc_product(parity(), walk_h()), 0), None, 0, False, False),
+    "swapped-square-bounds": (swap_square_bounds, None, 0, False, False),
+    "other-identity-square": (other_identity_square, None, 0, False, False),
+    "broken-factor": (lambda: dc_product(
+        swap_composite(parity(), "_vs", 1), walk_h()), None, 0, False, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCT_INPUTS))
+def test_product_reduction_matches_reference(name):
+    build, max_checks, seed, reduced, passed = PRODUCT_INPUTS[name]
+    d = build()
+    rep = validate_double_category(d, max_checks=max_checks, seed=seed)
+    plain = validate_double_category(unfactored(d), max_checks=max_checks,
+                                     seed=seed)
+    assert rep.failures == plain.failures
+    assert rep.failures == reference_explicit_failures(d, max_checks, seed)
+    assert rep.passed == passed
+    assert plain.reduced == {}
+    if reduced:
+        assert rep.sampled == {} and list(rep.reduced) == SQUARE_PASS
+    else:
+        assert rep.reduced == {} and rep.sampled == plain.sampled
 
 
 def test_merge_carries_sampled_laws():
