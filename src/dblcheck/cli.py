@@ -583,9 +583,7 @@ def monads_diagram(size, sample, seed, json_path):
     """Compare strictified and direct monad composition on all laws."""
     def body():
         from .monads import verify_comp_diagram
-        if size < 0 or size > 3:
-            raise SchemaError("--size must be between 0 and 3")
-        d = bool_matrix_double_category(size)
+        d, _ = _bool_matrix_carrier(size)
         rep = verify_comp_diagram(d, sample=sample, seed=seed)
         return rep, {"checked": rep.checked}
     _run("monads-diagram", json_path, body)

@@ -413,20 +413,13 @@ class DoubleCat:
                         if self.square_pred(top, bottom, left, right):
                             yield (top, bottom, left, right)
 
-    def materialize_flat_squares(self, limit=None):
+    def materialize_flat_squares(self):
         """Intern every flat square; returns the number of squares."""
-        count = 0
         for bound in self.iter_flat_boundaries():
             self.find_square(*bound)
-            count += 1
-            if limit is not None and count > limit:
-                raise SizeBound("flat square count exceeds limit %d" % limit)
         return self.n_squares
 
     # -- cell refs ---------------------------------------------------------
-
-    def ref(self, kind, idx):
-        return CellRef(kind, idx)
 
     def cell_name(self, ref):
         if ref.kind == OBJECT:
@@ -943,7 +936,10 @@ def _check_square_table(rep, law, sides, table, pairs, bounds, edge_comp):
 # -- product ----------------------------------------------------------------
 
 
-def dc_product(d1, d2, square_cap=250000):
+PRODUCT_SQUARE_CAP = 250000
+
+
+def dc_product(d1, d2):
     """Cartesian product of double categories, cells componentwise.
 
     The factors are kept as ``_factors``; validation decides the square
@@ -987,7 +983,7 @@ def dc_product(d1, d2, square_cap=250000):
     if d1.flat or d2.flat:
         raise MalformedTables(
             "product needs both factors explicit or both flat; materialize first")
-    if d1.n_squares * d2.n_squares > square_cap:
+    if d1.n_squares * d2.n_squares > PRODUCT_SQUARE_CAP:
         raise SizeBound("product square count above cap")
     ns2 = d2.n_squares
     for s1 in range(d1.n_squares):
@@ -1011,7 +1007,7 @@ def dc_product(d1, d2, square_cap=250000):
     return p
 
 
-def explicit_clone(d, limit=None):
+def explicit_clone(d):
     """Explicit-table copy of a flat double category, with identical ids.
 
     Products need both factors on the same backend; cloning the flat one
@@ -1020,18 +1016,7 @@ def explicit_clone(d, limit=None):
     """
     if not d.flat:
         return d
-    d.materialize_flat_squares(limit)
-    hs, vs = {}, {}
-    while True:
-        n = d.n_squares
-        for s1 in range(n):
-            for s2 in range(n):
-                if (s1, s2) not in hs and d.sq_right(s1) == d.sq_left(s2):
-                    hs[(s1, s2)] = d.hcomp_sq(s1, s2)
-                if (s1, s2) not in vs and d.sq_bottom(s1) == d.sq_top(s2):
-                    vs[(s1, s2)] = d.vcomp_sq(s1, s2)
-        if d.n_squares == n:
-            break
+    d.materialize_flat_squares()
     e = DoubleCat(d.name)
     e.objects = list(d.objects)
     e.hnames, e.hsrc, e.htgt = list(d.hnames), list(d.hsrc), list(d.htgt)
@@ -1041,12 +1026,11 @@ def explicit_clone(d, limit=None):
     e.vcomp_v_fn = d.vcomp_v
     for s in range(d.n_squares):
         e.add_square(d.sq_names[s], *d.sq_bounds[s])
-    e._hs.update(hs)
-    e._vs.update(vs)
     for f in range(d.n_hcells):
         e.set_sq_v_id(f, d.sq_v_id(f))
     for u in range(d.n_vcells):
         e.set_sq_h_id(u, d.sq_h_id(u))
+    _derive_flat_tables(e)
     return e
 
 
@@ -1477,15 +1461,18 @@ def from_json(doc):
             vid["1^%s" % nm] = d.add_vcell("1^%s" % nm, o, o, identity_of=o)
     _set_rows(d._hh, doc, "hcomp_h", hid)
     _set_rows(d._vv, doc, "vcomp_v", vid)
+    # unit rows fill only pairs the document left out, so that a wrong
+    # listed row reaches validation
+    hh, vv = d._hh.setdefault, d._vv.setdefault
     for o in range(d.n_objects):
-        d.set_hh(d.h_id(o), d.h_id(o), d.h_id(o))
-        d.set_vv(d.v_id(o), d.v_id(o), d.v_id(o))
+        hh((d.h_id(o), d.h_id(o)), d.h_id(o))
+        vv((d.v_id(o), d.v_id(o)), d.v_id(o))
     for f in range(d.n_hcells):
-        d.set_hh(d.h_id(d.hsrc[f]), f, f)
-        d.set_hh(f, d.h_id(d.htgt[f]), f)
+        hh((d.h_id(d.hsrc[f]), f), f)
+        hh((f, d.h_id(d.htgt[f])), f)
     for u in range(d.n_vcells):
-        d.set_vv(d.v_id(d.vsrc[u]), u, u)
-        d.set_vv(u, d.v_id(d.vtgt[u]), u)
+        vv((d.v_id(d.vsrc[u]), u), u)
+        vv((u, d.v_id(d.vtgt[u])), u)
     if doc.get("flat", False):
         bounds = set()
         for s in doc.get("squares", []):
@@ -1541,10 +1528,12 @@ def _set_rows(table, doc, key, ids):
 
 
 def _fill_identity_square_composites(d):
-    """Complete square tables on pairs involving identity squares."""
+    """Complete square tables on pairs involving identity squares that the
+    tables leave out."""
+    hs, vs = d._hs.setdefault, d._vs.setdefault
     for s in range(d.n_squares):
-        d.set_vs(d.sq_v_id(d.sq_top(s)), s, s)
-        d.set_vs(s, d.sq_v_id(d.sq_bottom(s)), s)
-        d.set_hs(d.sq_h_id(d.sq_left(s)), s, s)
-        d.set_hs(s, d.sq_h_id(d.sq_right(s)), s)
+        vs((d.sq_v_id(d.sq_top(s)), s), s)
+        vs((s, d.sq_v_id(d.sq_bottom(s))), s)
+        hs((d.sq_h_id(d.sq_left(s)), s), s)
+        hs((s, d.sq_h_id(d.sq_right(s))), s)
 

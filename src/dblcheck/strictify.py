@@ -402,16 +402,6 @@ class EquivalenceWitness:
     kappa: object
     lam: object
 
-    @property
-    def chi_a(self):
-        """Per-object comparison transformations on the first factor."""
-        return self.kappa.th_a
-
-    @property
-    def chi_b(self):
-        """Per-object comparison transformations on the second factor."""
-        return self.kappa.th_b
-
 
 def comparison_hor(q, q_back):
     """The comparison from a quasi functor to its round trip.

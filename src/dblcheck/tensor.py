@@ -18,6 +18,11 @@ builders: an object-with-identity-vertical generator is represented by the
 identity term on the object generator, so the unit rules hold by
 construction.  A law instance whose two sides build the same term is such
 a rule and is not stored.
+
+The generators come from one walk, ``_cells``, over the cells of a quasi
+functor that a generator names.  Walked on J it gives the generator terms;
+walked on J and an input side by side it gives the assignment of the input
+and the cells its composite with J must reproduce.
 """
 
 from functools import partial
@@ -73,62 +78,16 @@ class TensorPresentation:
             A.materialize_flat_squares()
         if B.flat:
             B.materialize_flat_squares()
-        self.obj_gens = ["o:%d:%d" % (a, b)
-                         for a in range(A.n_objects)
-                         for b in range(B.n_objects)]
-        self.h_gens = (["Ak:%d:%d" % (a, k)
-                        for a in range(A.n_objects)
-                        for k in range(B.n_hcells)]
-                       + ["KB:%d:%d" % (K, b)
-                          for K in range(A.n_hcells)
-                          for b in range(B.n_objects)])
-        self.v_gens = (["Au:%d:%d" % (a, u)
-                        for a in range(A.n_objects)
-                        for u in range(B.n_vcells)
-                        if not B.is_v_identity(u)]
-                       + ["UB:%d:%d" % (U, b)
-                          for U in range(A.n_vcells)
-                          for b in range(B.n_objects)
-                          if not A.is_v_identity(U)])
-        self.sq_gens = []
-        self.sq_gens += ["Aom:%d:%d" % (a, om)
-                         for a in range(A.n_objects)
-                         for om in range(B.n_squares)]
-        self.sq_gens += ["zeB:%d:%d" % (ze, b)
-                         for ze in range(A.n_squares)
-                         for b in range(B.n_objects)]
-        self.sq_gens += ["cA:%d:%d:%d" % (a, k, kp)
-                         for a in range(A.n_objects)
-                         for k in range(B.n_hcells)
-                         for kp in range(B.n_hcells)
-                         if B.htgt[k] == B.hsrc[kp]]
-        self.sq_gens += ["uA:%d:%d" % (a, b)
-                         for a in range(A.n_objects)
-                         for b in range(B.n_objects)]
-        self.sq_gens += ["cB:%d:%d:%d" % (b, K, Kp)
-                         for b in range(B.n_objects)
-                         for K in range(A.n_hcells)
-                         for Kp in range(A.n_hcells)
-                         if A.htgt[K] == A.hsrc[Kp]]
-        self.sq_gens += ["uB:%d:%d" % (b, a)
-                         for b in range(B.n_objects)
-                         for a in range(A.n_objects)]
-        self.sq_gens += ["kk:%d:%d" % (k, K)
-                         for k in range(B.n_hcells)
-                         for K in range(A.n_hcells)]
-        self.sq_gens += ["uk:%d:%d" % (u, K)
-                         for u in range(B.n_vcells)
-                         if not B.is_v_identity(u)
-                         for K in range(A.n_hcells)]
-        self.sq_gens += ["ku:%d:%d" % (k, U)
-                         for k in range(B.n_hcells)
-                         for U in range(A.n_vcells)
-                         if not A.is_v_identity(U)]
-        self.sq_gens += ["uu:%d:%d" % (u, U)
-                         for u in range(B.n_vcells)
-                         if not B.is_v_identity(u)
-                         for U in range(A.n_vcells)
-                         if not A.is_v_identity(U)]
+        # J's cells in the order of _cells: the generator terms, and
+        # normal forms for cells with a vertical identity argument
+        J = JQuasiFunctor(self)
+        self.j_cells = list(_cells(J))
+        gens = {OBJECT: [], HCELL: [], VCELL: [], SQUARE: []}
+        for kind, term in self.j_cells:
+            if isinstance(term, Gen):
+                gens[kind].append(term.name)
+        self.obj_gens, self.h_gens, self.v_gens, self.sq_gens = (
+            gens[OBJECT], gens[HCELL], gens[VCELL], gens[SQUARE])
         self.relations = []
 
         def emit(label, lhs, rhs, **witness):
@@ -136,7 +95,6 @@ class TensorPresentation:
             if lhs != rhs:
                 self.relations.append((label, lhs, rhs))
 
-        J = JQuasiFunctor(self)
         for a in range(A.n_objects):
             _lax_functor_laws(J.fA(a), emit, "fam-a")
         for b in range(B.n_objects):
@@ -260,18 +218,6 @@ class JQuasiFunctor:
     def obj(self, a, b):
         return self.pres.t_obj(a, b)
 
-    def h_a(self, a, k):
-        return self.pres.t_ha(a, k)
-
-    def h_b(self, K, b):
-        return self.pres.t_hb(K, b)
-
-    def v_a(self, a, u):
-        return self.pres.t_va(a, u)
-
-    def v_b(self, U, b):
-        return self.pres.t_vb(U, b)
-
     def sq_kk(self, k, K):
         return self.pres.t_kk(k, K)
 
@@ -315,60 +261,58 @@ class StrictAssignment:
             self.name, len(self.env), self.target.name)
 
 
-def _assignment_env(q, pres):
-    """The generator images induced by a quasi functor."""
-    A, B = pres.A, pres.B
-    env = {}
+def _family_cells(F):
+    """The cells of one generator family that a generator names: its
+    unitors, then its images of 1h-cells, 1v-cells and squares, then its
+    compositors."""
+    D = F.dom
+    for x in range(D.n_objects):
+        yield SQUARE, F.unitor(x)
+    for f in range(D.n_hcells):
+        yield HCELL, F.h(f)
+    for u in range(D.n_vcells):
+        yield VCELL, F.v(u)
+    for s in range(D.n_squares):
+        yield SQUARE, F.sq(s)
+    for f in range(D.n_hcells):
+        for g in range(D.n_hcells):
+            if D.htgt[f] == D.hsrc[g]:
+                yield SQUARE, F.compositor(f, g)
+
+
+def _cells(q):
+    """(kind, cell) for every cell of q that a tensor generator names.
+
+    The order is fixed by A and B alone, so walking the universal quasi
+    functor J and any q from A and B side by side pairs each generator with
+    its image under q.  On J, a cell with a vertical identity argument is a
+    normal form, not a Gen.
+    """
+    A, B = q.A, q.B
     for a in range(A.n_objects):
         for b in range(B.n_objects):
-            env["o:%d:%d" % (a, b)] = CellRef(OBJECT, q.obj(a, b))
-            env["uA:%d:%d" % (a, b)] = CellRef(SQUARE, q.fA(a).unitor(b))
-            env["uB:%d:%d" % (b, a)] = CellRef(SQUARE, q.fB(b).unitor(a))
-    for a in range(A.n_objects):
-        for k in range(B.n_hcells):
-            env["Ak:%d:%d" % (a, k)] = CellRef(HCELL, q.fA(a).h(k))
-        for u in range(B.n_vcells):
-            if not B.is_v_identity(u):
-                env["Au:%d:%d" % (a, u)] = CellRef(VCELL, q.fA(a).v(u))
-        for om in range(B.n_squares):
-            env["Aom:%d:%d" % (a, om)] = CellRef(SQUARE, q.fA(a).sq(om))
-        for k in range(B.n_hcells):
-            for kp in range(B.n_hcells):
-                if B.htgt[k] == B.hsrc[kp]:
-                    env["cA:%d:%d:%d" % (a, k, kp)] = CellRef(
-                        SQUARE, q.fA(a).compositor(k, kp))
+            yield OBJECT, q.obj(a, b)
+        yield from _family_cells(q.fA(a))
     for b in range(B.n_objects):
-        for K in range(A.n_hcells):
-            env["KB:%d:%d" % (K, b)] = CellRef(HCELL, q.fB(b).h(K))
-        for U in range(A.n_vcells):
-            if not A.is_v_identity(U):
-                env["UB:%d:%d" % (U, b)] = CellRef(VCELL, q.fB(b).v(U))
-        for ze in range(A.n_squares):
-            env["zeB:%d:%d" % (ze, b)] = CellRef(SQUARE, q.fB(b).sq(ze))
-        for K in range(A.n_hcells):
-            for Kp in range(A.n_hcells):
-                if A.htgt[K] == A.hsrc[Kp]:
-                    env["cB:%d:%d:%d" % (b, K, Kp)] = CellRef(
-                        SQUARE, q.fB(b).compositor(K, Kp))
+        yield from _family_cells(q.fB(b))
     for k in range(B.n_hcells):
         for K in range(A.n_hcells):
-            env["kk:%d:%d" % (k, K)] = CellRef(SQUARE, q.sq_kk(k, K))
+            yield SQUARE, q.sq_kk(k, K)
     for u in range(B.n_vcells):
-        if B.is_v_identity(u):
-            continue
         for K in range(A.n_hcells):
-            env["uk:%d:%d" % (u, K)] = CellRef(SQUARE, q.sq_uk(u, K))
+            yield SQUARE, q.sq_uk(u, K)
+        for U in range(A.n_vcells):
+            yield SQUARE, q.sq_uu(u, U)
     for k in range(B.n_hcells):
         for U in range(A.n_vcells):
-            if not A.is_v_identity(U):
-                env["ku:%d:%d" % (k, U)] = CellRef(SQUARE, q.sq_ku(k, U))
-    for u in range(B.n_vcells):
-        if B.is_v_identity(u):
-            continue
-        for U in range(A.n_vcells):
-            if not A.is_v_identity(U):
-                env["uu:%d:%d" % (u, U)] = CellRef(SQUARE, q.sq_uu(u, U))
-    return env
+            yield SQUARE, q.sq_ku(k, U)
+
+
+def _assignment_env(q, pres):
+    """The generator images induced by a quasi functor."""
+    return {term.name: CellRef(kind, cell)
+            for (kind, term), (_, cell) in zip(pres.j_cells, _cells(q))
+            if isinstance(term, Gen)}
 
 
 def factorize(q, pres=None):
@@ -407,33 +351,8 @@ def verify_universal_property(q, pres=None, bar=None):
         bar = factorize(q, pres)
     rep = ValidationReport()
     A, B, C = pres.A, pres.B, q.C
-    J = JQuasiFunctor(pres)
     # the composite with J gives back the input
-    checks = []
-    for a in range(A.n_objects):
-        for b in range(B.n_objects):
-            checks.append((J.obj(a, b), OBJECT, q.obj(a, b)))
-        for k in range(B.n_hcells):
-            checks.append((J.h_a(a, k), HCELL, q.fA(a).h(k)))
-        for u in range(B.n_vcells):
-            checks.append((J.v_a(a, u), VCELL, q.fA(a).v(u)))
-    for b in range(B.n_objects):
-        for K in range(A.n_hcells):
-            checks.append((J.h_b(K, b), HCELL, q.fB(b).h(K)))
-        for U in range(A.n_vcells):
-            checks.append((J.v_b(U, b), VCELL, q.fB(b).v(U)))
-    for k in range(B.n_hcells):
-        for K in range(A.n_hcells):
-            checks.append((J.sq_kk(k, K), SQUARE, q.sq_kk(k, K)))
-    for u in range(B.n_vcells):
-        for K in range(A.n_hcells):
-            checks.append((J.sq_uk(u, K), SQUARE, q.sq_uk(u, K)))
-        for U in range(A.n_vcells):
-            checks.append((J.sq_uu(u, U), SQUARE, q.sq_uu(u, U)))
-    for k in range(B.n_hcells):
-        for U in range(A.n_vcells):
-            checks.append((J.sq_ku(k, U), SQUARE, q.sq_ku(k, U)))
-    for term, kind, want in checks:
+    for (kind, term), (_, want) in zip(pres.j_cells, _cells(q)):
         got = bar.eval(term)
         if got.kind != kind or got.id != want:
             rep.add("factor-mismatch", term=term, want=want, got=got)
@@ -441,11 +360,11 @@ def verify_universal_property(q, pres=None, bar=None):
     bounds = {}
     for a in range(A.n_objects):
         for k in range(B.n_hcells):
-            bounds["Ak:%d:%d" % (a, k)] = (
+            bounds[pres.t_ha(a, k).name] = (
                 q.obj(a, B.hsrc[k]), q.obj(a, B.htgt[k]))
     for b in range(B.n_objects):
         for K in range(A.n_hcells):
-            bounds["KB:%d:%d" % (K, b)] = (
+            bounds[pres.t_hb(K, b).name] = (
                 q.obj(A.hsrc[K], b), q.obj(A.htgt[K], b))
     for gen, (src, tgt) in bounds.items():
         f = bar[gen].id

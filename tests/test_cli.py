@@ -114,6 +114,34 @@ def test_validate_accepts_a_repeated_row(tmp_path):
     assert res.exit_code == 0, res.output
 
 
+@pytest.mark.parametrize("doc, law", [
+    (_one_object(hcells=[R], flat=True,
+                 hcomp_h=[["R", "R", "1_*"], ["1_*", "R", "1_*"]]), "h-unit"),
+    (_one_object(vcells=[R], flat=True,
+                 vcomp_v=[["R", "R", "1^*"], ["R", "1^*", "1^*"]]), "v-unit"),
+    (_one_object(squares=[dict(SQUARE, name="s")],
+                 hcomp_sq=[["s", "s", "s"], ["Id_1_*", "s", "Id_1_*"]],
+                 vcomp_sq=[["s", "s", "s"]]), "hcomp-sq-unit"),
+], ids=["hcomp_h", "vcomp_v", "hcomp_sq"])
+def test_validate_keeps_a_listed_unit_row(tmp_path, doc, law):
+    # a row the document lists with an identity is checked, not replaced
+    # by the generated unit row
+    path = tmp_path / "unit.json"
+    path.write_text(json.dumps(doc))
+    res = run("validate", str(path))
+    assert res.exit_code == 1, res.output
+    assert "FAIL %s " % law in res.output
+
+
+@pytest.mark.parametrize("verb", [
+    "monads-enumerate", "monads-comp", "monads-diagram"])
+@pytest.mark.parametrize("size", ["-1", "4"])
+def test_monads_size_out_of_range(verb, size):
+    res = run(verb, "--size", size)
+    assert res.exit_code == 2, res.output
+    assert "--size must be between 0 and 3" in res.output
+
+
 @pytest.mark.parametrize("verb, fixture, path, value", [
     ("functor-check", "monad-functor.json", ["ob"], ["*"]),
     ("functor-check", "monad-functor.json", ["unit"], ["*"]),

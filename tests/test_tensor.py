@@ -1,10 +1,12 @@
 """Tests for the tensor presentation and its universal property."""
 
 import random
+from collections import Counter
 
 import pytest
 
-from dblcheck.core import Gen, HComp, VId, trivial, walk_h, walk_v
+from dblcheck.core import (
+    SQUARE, VCELL, CellRef, Gen, HComp, HId, VId, trivial, walk_h, walk_v)
 from dblcheck.errors import RelationViolated
 from dblcheck.quasi import check_quasi_functor
 from dblcheck.tensor import (
@@ -51,6 +53,48 @@ def test_generator_counts_linear():
     nvb = sum(1 for U in range(A.n_vcells) if not A.is_v_identity(U))
     assert len(pres.v_gens) == (A.n_objects * nva + nvb * B.n_objects)
     assert "kk:0:%d" % (A.n_hcells - 1) in pres.sq_gens
+
+
+def _closed_form_counts(A, B):
+    """Generators per name prefix, from the cell counts of A and B."""
+    def nv(D):
+        return sum(1 for u in range(D.n_vcells) if not D.is_v_identity(u))
+
+    def composable(D):
+        return sum(1 for f in range(D.n_hcells) for g in range(D.n_hcells)
+                   if D.htgt[f] == D.hsrc[g])
+
+    oA, oB = A.n_objects, B.n_objects
+    return {"o": oA * oB, "Ak": oA * B.n_hcells, "KB": A.n_hcells * oB,
+            "Au": oA * nv(B), "UB": nv(A) * oB,
+            "Aom": oA * B.n_squares, "zeB": A.n_squares * oB,
+            "cA": oA * composable(B), "uA": oA * oB,
+            "cB": oB * composable(A), "uB": oB * oA,
+            "kk": B.n_hcells * A.n_hcells, "uk": nv(B) * A.n_hcells,
+            "ku": B.n_hcells * nv(A), "uu": nv(B) * nv(A)}
+
+
+def _sign_factors():
+    q = sign_quasi({0: 0, 1: 1})
+    return q.A, q.B
+
+
+@pytest.mark.parametrize("factors", [
+    lambda: (trivial(), trivial()),
+    lambda: (walk_h(), walk_v()),
+    lambda: (walk_v(), walk_v()),
+    _sign_factors,
+], ids=["trivial", "walk_h-walk_v", "walk_v-walk_v", "sign"])
+def test_generator_counts_per_family(factors):
+    pres = tensor_presentation(*factors())
+    gens = pres.generators()
+    assert len(set(gens)) == len(gens)
+    got = Counter(g.split(":")[0] for g in gens)
+    want = _closed_form_counts(pres.A, pres.B)
+    assert got == Counter({k: n for k, n in want.items() if n})
+    for kind, prefixes in (("obj_gens", {"o"}), ("h_gens", {"Ak", "KB"}),
+                           ("v_gens", {"Au", "UB"})):
+        assert len(getattr(pres, kind)) == sum(want[p] for p in prefixes)
 
 
 def test_identity_normalization_relation_present():
@@ -107,14 +151,14 @@ def test_j_quasi_functor_lands_in_generators():
     assert J.obj(0, 0) == Gen("o:0:0")
     assert J.sq_kk(0, 1) == Gen("kk:0:1")
     # identity vertical arguments normalize away
-    assert J.v_a(0, q.B.v_id(0)) == VId(Gen("o:0:0"))
+    assert J.fA(0).v(q.B.v_id(0)) == VId(Gen("o:0:0"))
     # the generator families, read as lax functors into the terms
     fa, fb = J.fA(1), J.fB(0)
     assert fa.dom is q.B and fb.dom is q.A
     assert J.fA(0).compositor(0, 0) == pres.t_ca(0, 0, 0)
     assert fa.obj(0) == J.obj(1, 0) and fb.obj(1) == J.obj(1, 0)
-    assert fa.h(0) == J.h_a(1, 0) and fb.h(2) == J.h_b(2, 0)
-    assert fa.v(0) == J.v_a(1, 0) and fb.v(1) == J.v_b(1, 0)
+    assert fa.h(0) == pres.t_ha(1, 0) and fb.h(2) == pres.t_hb(2, 0)
+    assert fa.v(0) == pres.t_va(1, 0) and fb.v(1) == pres.t_vb(1, 0)
     assert fa.sq(0) == pres.t_sqa(1, 0) and fb.sq(2) == pres.t_sqb(2, 0)
     assert fa.unitor(0) == pres.t_ua(1, 0) and fb.unitor(1) == pres.t_ub(0, 1)
     assert fb.compositor(0, 2) == pres.t_cb(0, 0, 2)
@@ -162,6 +206,24 @@ def test_factorize_raises_exactly_when_check_fails():
         assert raised == failed
         outcomes.add(failed)
     assert outcomes == {True, False}
+
+
+def test_universal_property_flags_a_family_breaking_v2():
+    # a family that sends an identity 1v-cell to v breaks the composite
+    # with J exactly on the cells whose J side is an identity normal form
+    q = sign_quasi({0: 0, 1: 1})
+    q.fam_a[0].vmap[0] = 1
+    assert verify_universal_property(q).failures == [
+        ("factor-mismatch", {"term": VId(Gen("o:0:0")), "want": 1,
+                             "got": CellRef(VCELL, 0)})]
+    q = sign_quasi({0: 0, 1: 1})
+    q.fam_b[0].vmap[q.A.v_id(0)] = 1
+    assert q.C.sq_h_id(1) == 6
+    assert verify_universal_property(q).failures == [
+        ("factor-mismatch", {"term": VId(Gen("o:0:0")), "want": 1,
+                             "got": CellRef(VCELL, 0)}),
+        ("factor-mismatch", {"term": HId(VId(Gen("o:0:0"))), "want": 6,
+                             "got": CellRef(SQUARE, 0)})]
 
 
 def test_universal_property_sign():
