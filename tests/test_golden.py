@@ -9,9 +9,12 @@ square; the full cell tables of the populated ``hom(trivial, parity)``
 flavors and of the sign q-hom double category; the in-process failures
 (law, witness, order) of the acceptance functor mutants and of single
 square flips of the sign quasi functors, of identity transformations and
-modifications in both orientations and of the sign q-cells; and the tensor
-relations of three
-small presentations, sorted per label, so they compare as multisets.
+modifications in both orientations and of the sign q-cells; the family
+members of the q-cells that destrictification, uncurrying, memberwise
+composition and identities produce from the sign quasi functors, each
+read through its accessors on every domain cell; and the tensor relations
+of three small presentations, sorted per label, so they compare as
+multisets.
 
 Regenerate only for an intended change of behaviour, and say so:
 
@@ -31,17 +34,24 @@ from dblcheck.core import (
 from dblcheck.functor import check_lax_functor, identity_functor
 from dblcheck.hom import (
     FLAVORS, enumerate_lax_functors, hom_double_category, populate_squares)
+from dblcheck.hom import HomDoubleCat
 from dblcheck.quasi import (
-    QVertTransform, check_q_hor, check_q_vert, check_quasi_functor, identity_q_vert,
-    q_hom_double_category)
+    QModification, QVertTransform, check_q_hor, check_q_vert,
+    check_quasi_functor, curry_hor, curry_mod, curry_vert, hcompose_q_mod,
+    identity_q_hor, identity_q_vert, q_hom_double_category, uncurry_hor,
+    uncurry_mod, uncurry_vert, vcompose_q_hor, vcompose_q_mod,
+    vcompose_q_vert)
+from dblcheck.strictify import (
+    destrictify_hor, destrictify_mod, destrictify_vert, product_dom,
+    strictify_hor, strictify_mod, strictify_vert)
 from dblcheck.tensor import tensor_presentation
 from dblcheck.transform import (
-    LAX, OPLAX, check_hor_transform, check_modification,
-    check_vert_transform, identity_hor_transform, identity_modification,
-    identity_vert_transform)
+    LAX, OPLAX, HorTransform, Modification, check_hor_transform,
+    check_modification, check_vert_transform, identity_hor_transform,
+    identity_modification, identity_vert_transform)
 
 from test_acceptance import _mutation_corpus, flip
-from test_quasi import sign_q_hor, sign_quasi, walk_into_parity
+from test_quasi import identity_q_mod, sign_q_hor, sign_quasi, walk_into_parity
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN = os.path.join(HERE, "golden")
@@ -339,6 +349,86 @@ FAILURE_CASES = {
 }
 
 
+def _member(x):
+    """A family member's name, orientation and accessor value on every
+    domain cell; a modification's orientation is its horizontal then its
+    vertical one."""
+    d = x.dom
+    cells = lambda n, read: [read(c) for c in range(n)]
+    out = {"name": x.name, "at": cells(d.n_objects, x.at)}
+    if isinstance(x, Modification):
+        out["orientation"] = [x.top.orientation, x.left.orientation]
+        return out
+    out["orientation"] = x.orientation
+    if isinstance(x, HorTransform):
+        out["sq_v"] = cells(d.n_vcells, x.sq_v)
+        out["delta_at"] = cells(d.n_hcells, x.delta_at)
+    else:
+        out["sq_h"] = cells(d.n_hcells, x.sq_h)
+        out["sq_v"] = cells(d.n_vcells, x.sq_v)
+    return out
+
+
+def _q_cell(c):
+    """Every member of both families of a q-cell, by index."""
+    fams = ("m_a", "m_b") if isinstance(c, QModification) else ("th_a", "th_b")
+    out = {"name": c.name}
+    for fam in fams:
+        members = getattr(c, fam)
+        out[fam] = [_member(members[x]) for x in sorted(members)]
+    return out
+
+
+def sign_cells(signs):
+    """The q-cells that unpack, compose or build identities memberwise,
+    on the identity q-cells of one sign quasi functor."""
+    q = sign_quasi(dict(enumerate(signs)))
+    hor, vert, mod = identity_q_hor(q), identity_q_vert(q), identity_q_mod(q)
+    dom = product_dom(q.A, q.B)
+    hom = HomDoubleCat(q.B, q.C)
+    cells = {
+        "identity_q_hor": hor, "identity_q_vert": vert,
+        "vcompose_q_hor": vcompose_q_hor(hor, hor),
+        "vcompose_q_vert": vcompose_q_vert(vert, vert),
+        "hcompose_q_mod": hcompose_q_mod(mod, mod),
+        "vcompose_q_mod": vcompose_q_mod(mod, mod),
+        "destrictify_hor": destrictify_hor(
+            strictify_hor(hor, dom), q.A, q.B),
+        "destrictify_vert": destrictify_vert(
+            strictify_vert(vert, dom), q.A, q.B),
+        "destrictify_mod": destrictify_mod(
+            strictify_mod(mod, dom), q.A, q.B),
+        "uncurry_hor": uncurry_hor(curry_hor(hor, hom), hom),
+        "uncurry_vert": uncurry_vert(curry_vert(vert, hom), hom),
+        "uncurry_mod": uncurry_mod(curry_mod(mod, hom), hom),
+    }
+    return {name: _q_cell(c) for name, c in cells.items()}
+
+
+def sign_q_hor_cells():
+    """The same for the sign q-horizontal transformation between two sign
+    quasi functors, composed with an identity on either side."""
+    q1 = sign_quasi({0: 0, 1: 1})
+    q2 = sign_quasi({0: 0, 1: 0}, w=q1.A, t=q1.B, p=q1.C)
+    t = sign_q_hor(q1, q2)
+    dom = product_dom(q1.A, q1.B)
+    hom = HomDoubleCat(q1.B, q1.C)
+    cells = {
+        "sign_q_hor": t,
+        "vcompose_q_hor-id-after": vcompose_q_hor(t, identity_q_hor(q2)),
+        "vcompose_q_hor-id-before": vcompose_q_hor(identity_q_hor(q1), t),
+        "destrictify_hor": destrictify_hor(
+            strictify_hor(t, dom), q1.A, q1.B),
+        "uncurry_hor": uncurry_hor(curry_hor(t, hom), hom),
+    }
+    return {name: _q_cell(c) for name, c in cells.items()}
+
+
+CELL_CASES = dict({"sign%d%d" % signs: (lambda signs=signs: sign_cells(signs))
+                   for signs in itertools.product((0, 1), repeat=2)},
+                  **{"sign-q-hor": sign_q_hor_cells})
+
+
 def _term(t):
     """A compact rendering of a pasting term."""
     if isinstance(t, Gen):
@@ -395,6 +485,11 @@ def test_failures_match_golden(name):
     assert _roundtrip(FAILURE_CASES[name]()) == _load("failures", name)
 
 
+@pytest.mark.parametrize("name", sorted(CELL_CASES))
+def test_q_cell_members_match_golden(name):
+    assert _roundtrip(CELL_CASES[name]()) == _load("cells", name)
+
+
 @pytest.mark.parametrize("name", sorted(RELATION_CASES))
 def test_relations_match_golden(name):
     assert RELATION_CASES[name]() == _load("relations", name)
@@ -412,7 +507,8 @@ def test_flip_goldens_name_every_oriented_law():
 
 
 GOLDEN_KINDS = (("cli", CLI_CASES), ("tables", TABLE_CASES),
-                ("failures", FAILURE_CASES), ("relations", RELATION_CASES))
+                ("failures", FAILURE_CASES), ("cells", CELL_CASES),
+                ("relations", RELATION_CASES))
 
 
 def test_corpus_has_no_stray_files():
