@@ -22,11 +22,11 @@ from .core import DoubleCat, ValidationReport
 from .errors import EnumerationBound, NotHomCodomain
 from .functor import LaxDoubleFunctor, check_lax_functor, is_unitary
 from .transform import (
-    LAX, OPLAX, HorTransform, Modification, VertTransform,
+    LAX, OPLAX, TRANSFORM_KINDS, HorTransform, Modification, VertTransform,
     check_hor_transform, check_modification, check_vert_transform,
-    hcompose_modifications, identity_hor_transform, identity_modification,
-    identity_vert_transform, vcompose_hor, vcompose_modifications,
-    vcompose_vert)
+    field_squares, hcompose_modifications, identity_hor_transform,
+    identity_modification, identity_vert_transform, vcompose_hor,
+    vcompose_modifications, vcompose_vert)
 
 
 @dataclass(frozen=True)
@@ -55,22 +55,6 @@ def _functor_key(F):
             tuple(F.sq(s) for s in d.iter_squares()),
             tuple(sorted(F.comp.items())),
             tuple(sorted(F.unit.items())))
-
-
-def _hor_key(t, fkey, gkey):
-    d = t.dom
-    return ("hor", fkey, gkey, t.orientation,
-            tuple(t.at(a) for a in range(d.n_objects)),
-            tuple(t.sq_v(u) for u in range(d.n_vcells)),
-            tuple(t.delta_at(f) for f in range(d.n_hcells)))
-
-
-def _vert_key(t, fkey, gkey):
-    d = t.dom
-    return ("vert", fkey, gkey, t.orientation,
-            tuple(t.at(a) for a in range(d.n_objects)),
-            tuple(t.sq_h(f) for f in range(d.n_hcells)),
-            tuple(t.sq_v(u) for u in range(d.n_vcells)))
 
 
 def _vert_identity_square(t, orientation):
@@ -204,10 +188,11 @@ class HomDoubleCat(InternedDoubleCat):
     def _key(self, kind, x, bounds):
         if kind == OBJ:
             return _functor_key(x)
+        at = tuple(map(x.at, range(self.B.n_objects)))
         if kind == SQ:
-            return ("mod",) + bounds + (
-                tuple(x.at(a) for a in range(self.B.n_objects)),)
-        return (_hor_key if kind == HOR else _vert_key)(x, *bounds)
+            return ("mod",) + bounds + (at,)
+        return ((TRANSFORM_KINDS[type(x)].tag,) + bounds + (x.orientation, at)
+                + field_squares(x))
 
     def _ends(self, t):
         return t.F, t.G

@@ -31,11 +31,11 @@ from .hom import (
     HOP, HOR, OBJ, SQ, VERT, HomDoubleCat, InternedDoubleCat, _functor_key,
     _vert_identity_square)
 from .transform import (
-    LAX, OPLAX, HorTransform, Modification, VertTransform,
+    LAX, OPLAX, TRANSFORM_KINDS, HorTransform, Modification, VertTransform,
     check_hor_transform, check_modification, check_vert_transform,
-    hcompose_modifications, identity_hor_transform, identity_modification,
-    identity_vert_transform, vcompose_hor, vcompose_modifications,
-    vcompose_vert)
+    field_squares, hcompose_modifications, identity_hor_transform,
+    identity_modification, identity_vert_transform, vcompose_hor,
+    vcompose_modifications, vcompose_vert)
 
 
 class QuasiFunctor:
@@ -445,6 +445,7 @@ def _quasi_laws(q, emit):
 class QHorTransform:
     """Horizontal transformation of quasi functors: a family of horizontal
     transformations in each variable, agreeing on components."""
+    kind = TRANSFORM_KINDS[HorTransform]
 
     def __init__(self, q1, q2, th_a, th_b, name="theta"):
         self.q1, self.q2 = q1, q2
@@ -458,6 +459,7 @@ class QHorTransform:
 
 class QVertTransform:
     """Vertical transformation of quasi functors."""
+    kind = TRANSFORM_KINDS[VertTransform]
 
     def __init__(self, q1, q2, th_a, th_b, name="theta0"):
         self.q1, self.q2 = q1, q2
@@ -467,6 +469,10 @@ class QVertTransform:
 
     def at(self, a, b):
         return self.th_a[a].at(b)
+
+
+# the q-cell class whose family members are of each transformation kind
+Q_TRANSFORMS = {HorTransform: QHorTransform, VertTransform: QVertTransform}
 
 
 class QModification:
@@ -639,52 +645,59 @@ def check_q_mod(m):
     return _check_families(m.m_a, m.m_b, check_modification, q.A, q.B, "m")
 
 
-def vcompose_q_hor(t1, t2):
-    """Componentwise vertical composition of q-horizontal transformations."""
+def _memberwise(op, *fams):
+    """The family whose member at each index of the first of ``fams`` is
+    op of the members of all of them there."""
+    return {x: op(*(fam[x] for fam in fams)) for x in fams[0]}
+
+
+def _vcompose_q(t1, t2, op):
+    """Vertical composition of q-transformations, op composing members."""
     if t1.q2 is not t2.q1:
         raise ChainMismatch("q-transformation chain does not match")
-    th_a = {a: vcompose_hor(t1.th_a[a], t2.th_a[a]) for a in t1.th_a}
-    th_b = {b: vcompose_hor(t1.th_b[b], t2.th_b[b]) for b in t1.th_b}
-    return QHorTransform(t1.q1, t2.q2, th_a, th_b,
-                         name="%s/%s" % (t1.name, t2.name))
+    return type(t1)(t1.q1, t2.q2, _memberwise(op, t1.th_a, t2.th_a),
+                    _memberwise(op, t1.th_b, t2.th_b),
+                    name="%s/%s" % (t1.name, t2.name))
+
+
+def vcompose_q_hor(t1, t2):
+    """Componentwise vertical composition of q-horizontal transformations."""
+    return _vcompose_q(t1, t2, vcompose_hor)
 
 
 def vcompose_q_vert(t1, t2):
     """Componentwise composition of q-vertical transformations."""
-    if t1.q2 is not t2.q1:
-        raise ChainMismatch("q-transformation chain does not match")
-    th_a = {a: vcompose_vert(t1.th_a[a], t2.th_a[a]) for a in t1.th_a}
-    th_b = {b: vcompose_vert(t1.th_b[b], t2.th_b[b]) for b in t1.th_b}
-    return QVertTransform(t1.q1, t2.q2, th_a, th_b,
-                          name="%s/%s" % (t1.name, t2.name))
+    return _vcompose_q(t1, t2, vcompose_vert)
 
 
 def hcompose_q_mod(m1, m2):
-    m_a = {a: hcompose_modifications(m1.m_a[a], m2.m_a[a]) for a in m1.m_a}
-    m_b = {b: hcompose_modifications(m1.m_b[b], m2.m_b[b]) for b in m1.m_b}
     return QModification(vcompose_q_hor(m1.top, m2.top),
                          vcompose_q_hor(m1.bottom, m2.bottom),
-                         m1.left, m2.right, m_a, m_b)
+                         m1.left, m2.right,
+                         _memberwise(hcompose_modifications, m1.m_a, m2.m_a),
+                         _memberwise(hcompose_modifications, m1.m_b, m2.m_b))
 
 
 def vcompose_q_mod(m1, m2):
-    m_a = {a: vcompose_modifications(m1.m_a[a], m2.m_a[a]) for a in m1.m_a}
-    m_b = {b: vcompose_modifications(m1.m_b[b], m2.m_b[b]) for b in m1.m_b}
     return QModification(m1.top, m2.bottom,
                          vcompose_q_vert(m1.left, m2.left),
-                         vcompose_q_vert(m1.right, m2.right), m_a, m_b)
+                         vcompose_q_vert(m1.right, m2.right),
+                         _memberwise(vcompose_modifications, m1.m_a, m2.m_a),
+                         _memberwise(vcompose_modifications, m1.m_b, m2.m_b))
+
+
+def _identity_q(q, cls, op):
+    """The identity q-transformation of class cls, op making members."""
+    return cls(q, q, _memberwise(op, q.fam_a), _memberwise(op, q.fam_b),
+               name="id(%s)" % q.name)
 
 
 def identity_q_hor(q):
-    th_a = {a: identity_hor_transform(q.fA(a)) for a in range(q.A.n_objects)}
-    th_b = {b: identity_hor_transform(q.fB(b)) for b in range(q.B.n_objects)}
-    return QHorTransform(q, q, th_a, th_b, name="id(%s)" % q.name)
+    return _identity_q(q, QHorTransform, identity_hor_transform)
 
 
 def identity_q_vert(q):
-    th_a = {a: identity_vert_transform(q.fA(a)) for a in range(q.A.n_objects)}
-    th_b = {b: identity_vert_transform(q.fB(b)) for b in range(q.B.n_objects)}
-    return QVertTransform(q, q, th_a, th_b, name="id(%s)" % q.name)
+    return _identity_q(q, QVertTransform, identity_vert_transform)
 
 
 # -- currying ---------------------------------------------------------------
@@ -851,23 +864,29 @@ def curry_hor(t, hom):
                         name="curry(%s)" % t.name)
 
 
+def _uncurry_cell(tr, hom):
+    """The q-cell of a horizontal or vertical transformation tr between
+    curried functors.  Its A-family holds the hom cells of tr's components;
+    its member at an object b of B reads every square field of tr's kind,
+    each a modification, at b."""
+    kind = TRANSFORM_KINDS[type(tr)]
+    A, B = tr.dom, hom.B
+    q1, q2 = uncurry0(tr.F), uncurry0(tr.G)
+    payload = hom.h_payload if kind.cls is HorTransform else hom.v_payload
+    th_a = {a: payload[tr.at(a)] for a in range(A.n_objects)}
+    mods = [[hom.sq_payload[s] for s in field] for field in field_squares(tr)]
+    th_b = {b: kind.cls(q1.fB(b), q2.fB(b),
+                        {a: th_a[a].at(b) for a in range(A.n_objects)},
+                        *(dict(enumerate(m.at(b) for m in ms)) for ms in mods),
+                        kind.hop, name="(%s,-)" % B.objects[b])
+            for b in range(B.n_objects)}
+    return Q_TRANSFORMS[kind.cls](q1, q2, th_a, th_b,
+                                  name="uncurry(%s)" % tr.name)
+
+
 def uncurry_hor(tr, hom):
     """The q-horizontal transformation from one between curried functors."""
-    P1, P2 = tr.F, tr.G
-    A, B = P1.dom, hom.B
-    q1 = uncurry0(P1)
-    q2 = uncurry0(P2)
-    th_a = {a: hom.h_payload[tr.at(a)] for a in range(A.n_objects)}
-    th_b = {}
-    for b in range(B.n_objects):
-        comp0 = {a: th_a[a].at(b) for a in range(A.n_objects)}
-        comp_v = {U: hom.sq_payload[tr.sq_v(U)].at(b)
-                  for U in range(A.n_vcells)}
-        delta = {K: hom.sq_payload[tr.delta_at(K)].at(b)
-                 for K in range(A.n_hcells)}
-        th_b[b] = HorTransform(q1.fB(b), q2.fB(b), comp0, comp_v, delta,
-                               OPLAX, name="(%s,-)" % B.objects[b])
-    return QHorTransform(q1, q2, th_a, th_b, name="uncurry(%s)" % tr.name)
+    return _uncurry_cell(tr, hom)
 
 
 def curry_vert(t, hom):
@@ -898,21 +917,7 @@ def curry_vert(t, hom):
 
 def uncurry_vert(tr, hom):
     """The q-vertical transformation from one between curried functors."""
-    P1, P2 = tr.F, tr.G
-    A, B = P1.dom, hom.B
-    q1 = uncurry0(P1)
-    q2 = uncurry0(P2)
-    th_a = {a: hom.v_payload[tr.at(a)] for a in range(A.n_objects)}
-    th_b = {}
-    for b in range(B.n_objects):
-        comp0 = {a: th_a[a].at(b) for a in range(A.n_objects)}
-        comp_h = {K: hom.sq_payload[tr.sq_h(K)].at(b)
-                  for K in range(A.n_hcells)}
-        comp_v = {U: hom.sq_payload[tr.sq_v(U)].at(b)
-                  for U in range(A.n_vcells)}
-        th_b[b] = VertTransform(q1.fB(b), q2.fB(b), comp0, comp_h, comp_v,
-                                LAX, name="(%s,-)" % B.objects[b])
-    return QVertTransform(q1, q2, th_a, th_b, name="uncurry(%s)" % tr.name)
+    return _uncurry_cell(tr, hom)
 
 
 def curry_mod(m, hom):
@@ -935,11 +940,10 @@ def uncurry_mod(mod, hom):
     left = uncurry_vert(mod.left, hom)
     right = uncurry_vert(mod.right, hom)
     m_a = {a: hom.sq_payload[mod.at(a)] for a in range(A.n_objects)}
-    m_b = {}
-    for b in range(B.n_objects):
-        comp = {a: m_a[a].at(b) for a in range(A.n_objects)}
-        m_b[b] = Modification(top.th_b[b], bottom.th_b[b],
-                              left.th_b[b], right.th_b[b], comp)
+    comps = {b: {a: m_a[a].at(b) for a in range(A.n_objects)}
+             for b in range(B.n_objects)}
+    m_b = _memberwise(Modification, top.th_b, bottom.th_b, left.th_b,
+                      right.th_b, comps)
     return QModification(top, bottom, left, right, m_a, m_b,
                          name="uncurry(%s)" % mod.name)
 
@@ -956,36 +960,6 @@ def _quasi_key(q):
             tuple(sorted(q.ku.items())), tuple(sorted(q.uu.items())))
 
 
-def _q_hor_key(t, src, tgt):
-    A, B = t.q1.A, t.q1.B
-    return ("q-hor", src, tgt,
-            tuple(t.th_a[a].at(b) for a in range(A.n_objects)
-                  for b in range(B.n_objects)),
-            tuple(t.th_a[a].delta_at(k) for a in range(A.n_objects)
-                  for k in range(B.n_hcells)),
-            tuple(t.th_b[b].delta_at(K) for b in range(B.n_objects)
-                  for K in range(A.n_hcells)),
-            tuple(t.th_a[a].sq_v(u) for a in range(A.n_objects)
-                  for u in range(B.n_vcells)),
-            tuple(t.th_b[b].sq_v(U) for b in range(B.n_objects)
-                  for U in range(A.n_vcells)))
-
-
-def _q_vert_key(t, src, tgt):
-    A, B = t.q1.A, t.q1.B
-    return ("q-vert", src, tgt,
-            tuple(t.th_a[a].at(b) for a in range(A.n_objects)
-                  for b in range(B.n_objects)),
-            tuple(t.th_a[a].sq_h(k) for a in range(A.n_objects)
-                  for k in range(B.n_hcells)),
-            tuple(t.th_b[b].sq_h(K) for b in range(B.n_objects)
-                  for K in range(A.n_hcells)),
-            tuple(t.th_a[a].sq_v(u) for a in range(A.n_objects)
-                  for u in range(B.n_vcells)),
-            tuple(t.th_b[b].sq_v(U) for b in range(B.n_objects)
-                  for U in range(A.n_vcells)))
-
-
 class QHomDoubleCat(InternedDoubleCat):
     """Lazily interned double category of quasi functors (A, B) -> C."""
 
@@ -996,12 +970,15 @@ class QHomDoubleCat(InternedDoubleCat):
     def _key(self, kind, x, bounds):
         if kind == OBJ:
             return _quasi_key(x)
+        A, B = self.A, self.B
+        at = tuple(x.at(a, b) for a in range(A.n_objects)
+                   for b in range(B.n_objects))
         if kind == SQ:
-            A, B = self.A, self.B
-            return ("q-mod",) + bounds + (
-                tuple(x.at(a, b) for a in range(A.n_objects)
-                      for b in range(B.n_objects)),)
-        return (_q_hor_key if kind == HOR else _q_vert_key)(x, *bounds)
+            return ("q-mod",) + bounds + (at,)
+        # a q-transformation's key adds the field squares of every member
+        return ("q-" + x.kind.tag,) + bounds + (at,) + tuple(map(
+            field_squares, [x.th_a[a] for a in range(A.n_objects)]
+            + [x.th_b[b] for b in range(B.n_objects)]))
 
     def _ends(self, t):
         return t.q1, t.q2

@@ -19,11 +19,11 @@ from .core import (
 from .errors import NontrivialUU, NotDecomposable, NotUnitary
 from .functor import LaxDoubleFunctor
 from .quasi import (
-    QHorTransform, QModification, QuasiFunctor, QVertTransform, check_q_hor,
-    check_q_mod, vcompose_q_hor)
+    Q_TRANSFORMS, QHorTransform, QModification, QuasiFunctor, _memberwise,
+    check_q_hor, check_q_mod, vcompose_q_hor)
 from .transform import (
-    LAX, OPLAX, HorTransform, Modification, VertTransform,
-    check_hor_transform, check_modification, vcompose_hor)
+    LAX, OPLAX, TRANSFORM_KINDS, HorTransform, Modification, VertTransform,
+    check_hor_transform, check_modification, field_squares, vcompose_hor)
 
 
 def product_dom(A, B):
@@ -313,54 +313,43 @@ def destrictify0(P, A, B):
                         name="dst(%s)" % P.name)
 
 
-def destrictify_hor(tr, A, B, q1=None, q2=None):
-    """Unpack a horizontal transformation between product functors."""
+def _destrictify_cell(tr, A, B, q1, q2):
+    """Unpack a horizontal or vertical transformation between product
+    functors.  The member of each family at an object reads tr along that
+    object's identity padding: its components and every square field of
+    tr's kind."""
+    kind = TRANSFORM_KINDS[type(tr)]
     if q1 is None:
         q1 = destrictify0(tr.F, A, B)
     if q2 is None:
         q2 = destrictify0(tr.G, A, B)
-    no2, nh2, nv2, _ = _dims(tr.F.dom)
-    th_a, th_b = {}, {}
-    for a in range(A.n_objects):
-        th_a[a] = HorTransform(
-            q1.fam_a[a], q2.fam_a[a],
-            {b: tr.at(a * no2 + b) for b in range(B.n_objects)},
-            {u: tr.sq_v(A.v_id(a) * nv2 + u) for u in range(B.n_vcells)},
-            {k: tr.delta_at(A.h_id(a) * nh2 + k)
-             for k in range(B.n_hcells)}, OPLAX)
-    for b in range(B.n_objects):
-        th_b[b] = HorTransform(
-            q1.fam_b[b], q2.fam_b[b],
-            {a: tr.at(a * no2 + b) for a in range(A.n_objects)},
-            {U: tr.sq_v(U * nv2 + B.v_id(b)) for U in range(A.n_vcells)},
-            {K: tr.delta_at(K * nh2 + B.h_id(b))
-             for K in range(A.n_hcells)}, OPLAX)
-    return QHorTransform(q1, q2, th_a, th_b, name="dst(%s)" % tr.name)
+    reads = [(getattr(tr, field.accessor), field) for field in kind.fields]
+    pad_a, pad_b = _split_pads(tr.F, A, B)
+
+    def member(F, G, pad, dom):
+        po, ph, pv, _ = pad
+        cell = {"h": ph, "v": pv}
+        return kind.cls(F, G, {x: tr.at(po(x)) for x in range(dom.n_objects)},
+                        *({x: read(cell[field.cells](x))
+                           for x in field.domain(dom)}
+                          for read, field in reads), kind.hop)
+
+    th_a = {a: member(q1.fam_a[a], q2.fam_a[a], pad_a(a), B)
+            for a in range(A.n_objects)}
+    th_b = {b: member(q1.fam_b[b], q2.fam_b[b], pad_b(b), A)
+            for b in range(B.n_objects)}
+    return Q_TRANSFORMS[kind.cls](q1, q2, th_a, th_b,
+                                  name="dst(%s)" % tr.name)
+
+
+def destrictify_hor(tr, A, B, q1=None, q2=None):
+    """Unpack a horizontal transformation between product functors."""
+    return _destrictify_cell(tr, A, B, q1, q2)
 
 
 def destrictify_vert(tr, A, B, q1=None, q2=None):
     """Unpack a vertical transformation between product functors."""
-    if q1 is None:
-        q1 = destrictify0(tr.F, A, B)
-    if q2 is None:
-        q2 = destrictify0(tr.G, A, B)
-    no2, nh2, nv2, _ = _dims(tr.F.dom)
-    th_a, th_b = {}, {}
-    for a in range(A.n_objects):
-        th_a[a] = VertTransform(
-            q1.fam_a[a], q2.fam_a[a],
-            {b: tr.at(a * no2 + b) for b in range(B.n_objects)},
-            {k: tr.sq_h(A.h_id(a) * nh2 + k) for k in range(B.n_hcells)},
-            {u: tr.sq_v(A.v_id(a) * nv2 + u) for u in range(B.n_vcells)},
-            LAX)
-    for b in range(B.n_objects):
-        th_b[b] = VertTransform(
-            q1.fam_b[b], q2.fam_b[b],
-            {a: tr.at(a * no2 + b) for a in range(A.n_objects)},
-            {K: tr.sq_h(K * nh2 + B.h_id(b)) for K in range(A.n_hcells)},
-            {U: tr.sq_v(U * nv2 + B.v_id(b)) for U in range(A.n_vcells)},
-            LAX)
-    return QVertTransform(q1, q2, th_a, th_b, name="dst(%s)" % tr.name)
+    return _destrictify_cell(tr, A, B, q1, q2)
 
 
 def destrictify_mod(m, A, B):
@@ -374,17 +363,17 @@ def destrictify_mod(m, A, B):
     left = destrictify_vert(m.left, A, B, q_tl, q_bl)
     right = destrictify_vert(m.right, A, B, q_tr, q_br)
     no2 = _dims(m.top.F.dom)[0]
-    m_a, m_b = {}, {}
-    for a in range(A.n_objects):
-        m_a[a] = Modification(
-            top.th_a[a], bottom.th_a[a], left.th_a[a], right.th_a[a],
-            {b: m.at(a * no2 + b) for b in range(B.n_objects)})
-    for b in range(B.n_objects):
-        m_b[b] = Modification(
-            top.th_b[b], bottom.th_b[b], left.th_b[b], right.th_b[b],
-            {a: m.at(a * no2 + b) for a in range(A.n_objects)})
-    return QModification(top, bottom, left, right, m_a, m_b,
-                         name="dst(%s)" % m.name)
+    comps_a = {a: {b: m.at(a * no2 + b) for b in range(B.n_objects)}
+               for a in range(A.n_objects)}
+    comps_b = {b: {a: m.at(a * no2 + b) for a in range(A.n_objects)}
+               for b in range(B.n_objects)}
+    return QModification(
+        top, bottom, left, right,
+        _memberwise(Modification, top.th_a, bottom.th_a, left.th_a,
+                    right.th_a, comps_a),
+        _memberwise(Modification, top.th_b, bottom.th_b, left.th_b,
+                    right.th_b, comps_b),
+        name="dst(%s)" % m.name)
 
 
 # -- round-trip comparison ---------------------------------------------------
@@ -457,16 +446,11 @@ def build_witnesses(q, dom=None):
     return EquivalenceWitness(q, P, q_back, P_back, kappa, lam)
 
 
-def _roundtrip_hor(t, w1, w2):
-    """Strictify then unpack a horizontal transformation, reusing the
-    witnesses' round-trip endpoints."""
-    tr = strictify_hor(t, w1.strict.dom)
-    return destrictify_hor(tr, t.q1.A, t.q1.B, w1.q_back, w2.q_back)
-
-
-def _roundtrip_vert(t, w1, w2):
-    tr = strictify_vert(t, w1.strict.dom)
-    return destrictify_vert(tr, t.q1.A, t.q1.B, w1.q_back, w2.q_back)
+def _roundtrip(t, w1, w2, strictify):
+    """Strictify then unpack a q-transformation, reusing the witnesses'
+    round-trip endpoints."""
+    return _destrictify_cell(strictify(t, w1.strict.dom), t.q1.A, t.q1.B,
+                             w1.q_back, w2.q_back)
 
 
 def kappa_vert(theta0, w1, w2):
@@ -474,18 +458,16 @@ def kappa_vert(theta0, w1, w2):
     between quasi functors and its round trip; components are identity
     squares on the transformation's own components."""
     C = theta0.q1.C
-    right = _roundtrip_vert(theta0, w1, w2)
-    m_a, m_b = {}, {}
-    for a, th in theta0.th_a.items():
-        comp = {b: C.sq_h_id(th.at(b)) for b in th.comp0}
-        m_a[a] = Modification(w1.kappa.th_a[a], w2.kappa.th_a[a],
-                              th, right.th_a[a], comp)
-    for b, th in theta0.th_b.items():
-        comp = {a: C.sq_h_id(th.at(a)) for a in th.comp0}
-        m_b[b] = Modification(w1.kappa.th_b[b], w2.kappa.th_b[b],
-                              th, right.th_b[b], comp)
-    return QModification(w1.kappa, w2.kappa, theta0, right, m_a, m_b,
-                         name="kappa(%s)" % theta0.name)
+    right = _roundtrip(theta0, w1, w2, strictify_vert)
+    member = lambda th, top, bottom, back: Modification(
+        top, bottom, th, back, {x: C.sq_h_id(th.at(x)) for x in th.comp0})
+    return QModification(
+        w1.kappa, w2.kappa, theta0, right,
+        _memberwise(member, theta0.th_a, w1.kappa.th_a, w2.kappa.th_a,
+                    right.th_a),
+        _memberwise(member, theta0.th_b, w1.kappa.th_b, w2.kappa.th_b,
+                    right.th_b),
+        name="kappa(%s)" % theta0.name)
 
 
 def lambda_vert(sigma0, w1, w2):
@@ -503,12 +485,8 @@ def lambda_vert(sigma0, w1, w2):
 
 def _hor_cells_equal(t1, t2):
     """Componentwise equality of parallel horizontal transformations."""
-    d = t1.dom
-    if any(t1.at(a) != t2.at(a) for a in range(d.n_objects)):
-        return False
-    if any(t1.delta_at(f) != t2.delta_at(f) for f in range(d.n_hcells)):
-        return False
-    return all(t1.sq_v(u) == t2.sq_v(u) for u in range(d.n_vcells))
+    return (all(t1.at(a) == t2.at(a) for a in range(t1.dom.n_objects))
+            and field_squares(t1) == field_squares(t2))
 
 
 def _q_hor_equal(t1, t2):
@@ -546,7 +524,7 @@ def check_equivalence(witnesses, hor_cells=(), vert_cells=()):
     by_q = {id(w.q): w for w in witnesses}
     for t in hor_cells:
         w1, w2 = by_q[id(t.q1)], by_q[id(t.q2)]
-        back = _roundtrip_hor(t, w1, w2)
+        back = _roundtrip(t, w1, w2, strictify_hor)
         lhs = vcompose_q_hor(t, w2.kappa)
         rhs = vcompose_q_hor(w1.kappa, back)
         if not _q_hor_equal(lhs, rhs):

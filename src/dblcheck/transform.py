@@ -23,9 +23,18 @@ each orientation its labels and the order of each swapped pair, so a check
 looks its orientation up once and then emits one instance per loop step;
 ``vcompose_hor`` and ``vcompose_vert`` order the two factors of a
 composite structure square from ``_COMPOSITE_FACTORS`` the same way.
+
+``TRANSFORM_KINDS`` gives each kind its key tag, its orientation in the
+hom flavor ``hop`` (oplax for horizontal, lax for vertical) and its square
+fields in constructor order: ``sq_v``/``delta_at`` for horizontal and
+``sq_h``/``sq_v`` for vertical transformations, each with its accessor and
+bounds method, the domain cells indexing it (``h`` or ``v``) and its
+``wf-`` label and witness key.  Well-formedness, the hom and q-hom keys,
+destrictification and uncurrying read the fields from this table.
 """
 
 import functools
+from collections import namedtuple
 
 from .core import ValidationReport
 from .errors import ChainMismatch, DblError, MalformedTables, NotPseudo
@@ -168,6 +177,35 @@ class VertTransform:
             self.name, self.F.name, self.G.name, self.orientation)
 
 
+class _Field(namedtuple("_Field", "accessor bounds cells label key")):
+    """A square field of a transformation kind: the names of its accessor
+    and bounds methods, the domain cells indexing it (``"h"`` or ``"v"``),
+    and its ``wf-`` label and witness key."""
+    __slots__ = ()
+
+    def domain(self, d):
+        return range(d.n_hcells if self.cells == "h" else d.n_vcells)
+
+
+_Kind = namedtuple("_Kind", "cls tag hop fields")
+TRANSFORM_KINDS = {kind.cls: kind for kind in (
+    _Kind(HorTransform, "hor", OPLAX, (
+        _Field("sq_v", "_sq_v_bounds", "v", "square", "vcell"),
+        _Field("delta_at", "_delta_bounds", "h", "structure", "hcell"))),
+    _Kind(VertTransform, "vert", LAX, (
+        _Field("sq_h", "_sq_h_bounds", "h", "square", "hcell"),
+        _Field("sq_v", "_sq_v_bounds", "v", "structure", "vcell"))))}
+
+
+def field_squares(t):
+    """The squares of t on the domain cells of its kind's two fields, in
+    table order; written out, since a loop would cost the keys a generator."""
+    d = t.dom
+    first, second = TRANSFORM_KINDS[type(t)].fields
+    return (tuple(map(getattr(t, first.accessor), first.domain(d))),
+            tuple(map(getattr(t, second.accessor), second.domain(d))))
+
+
 class Modification:
     """A square of transformations filled by component squares.
 
@@ -255,10 +293,10 @@ def identity_modification(alpha):
 # -- checking ---------------------------------------------------------------
 
 
-def _check_wellformed(rep, t, src, tgt, squares):
+def _check_wellformed(rep, t, src, tgt):
     """Each component between the functors' images (``src``/``tgt`` are
-    the codomain's 1-cell ends), then each square on its boundary;
-    ``squares`` lists (kind, witness key, count, accessor, boundary)."""
+    the codomain's 1-cell ends), then each square of every field of t's
+    kind on its boundary."""
     for a in range(t.dom.n_objects):
         if a not in t.comp0:
             rep.add("wf-component-missing", object=a)
@@ -267,15 +305,17 @@ def _check_wellformed(rep, t, src, tgt, squares):
             rep.add("wf-component-boundary", object=a)
     if not rep.passed:
         return
-    for kind, key, n, square, bounds in squares:
-        for x in range(n):
+    for field in TRANSFORM_KINDS[type(t)].fields:
+        square, bounds = getattr(t, field.accessor), getattr(t, field.bounds)
+        for x in field.domain(t.dom):
             try:
                 s, want = square(x), bounds(x)
             except DblError as exc:
-                rep.add("wf-%s-missing" % kind, **{key: x, "error": str(exc)})
+                rep.add("wf-%s-missing" % field.label,
+                        **{field.key: x, "error": str(exc)})
                 continue
             if t.cod.sq_bounds[s] != want:
-                rep.add("wf-%s-boundary" % kind, **{key: x})
+                rep.add("wf-%s-boundary" % field.label, **{field.key: x})
 
 
 def check_hor_transform(t):
@@ -287,10 +327,7 @@ def check_hor_transform(t):
     h.l.t.-5 (naturality over arbitrary squares).
     """
     rep = ValidationReport()
-    d, c = t.dom, t.cod
-    _check_wellformed(rep, t, c.hsrc, c.htgt, (
-        ("square", "vcell", d.n_vcells, t.sq_v, t._sq_v_bounds),
-        ("structure", "hcell", d.n_hcells, t.delta_at, t._delta_bounds)))
+    _check_wellformed(rep, t, t.cod.hsrc, t.cod.htgt)
     if rep.passed:
         _hor_transform_laws(t, functools.partial(_eq, rep))
     return rep
@@ -372,10 +409,7 @@ def check_vert_transform(t):
     (naturality over arbitrary squares).
     """
     rep = ValidationReport()
-    d, c = t.dom, t.cod
-    _check_wellformed(rep, t, c.vsrc, c.vtgt, (
-        ("square", "hcell", d.n_hcells, t.sq_h, t._sq_h_bounds),
-        ("structure", "vcell", d.n_vcells, t.sq_v, t._sq_v_bounds)))
+    _check_wellformed(rep, t, t.cod.vsrc, t.cod.vtgt)
     if rep.passed:
         _vert_transform_laws(t, functools.partial(_eq, rep))
     return rep
