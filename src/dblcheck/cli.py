@@ -30,6 +30,10 @@ class SchemaError(Exception):
     """Input does not match the documented JSON formats."""
 
 
+class _IllFormed(Exception):
+    """A well-formedness pass failed; carries its report and details."""
+
+
 # the least number of draws per sampled law of ``hom``: a smaller
 # enumeration budget does not weaken the check of what was enumerated
 LAW_CHECKS = 5000
@@ -239,6 +243,11 @@ def _load_quasi(doc):
                  for k, sub in _field(doc, "fam_a", what, True).items()}
         fam_b = {bo(k): _functor_from_doc(sub, A, C, name="F_%s" % k)
                  for k, sub in _field(doc, "fam_b", what, True).items()}
+        for key, fam, X in (("fam_a", fam_a, A), ("fam_b", fam_b, B)):
+            missing = [nm for x, nm in enumerate(X.objects) if x not in fam]
+            if missing:
+                raise SchemaError("%s leaves out object %r"
+                                  % (key, missing[0]))
 
         def table(field, left, right):
             out = {}
@@ -253,6 +262,19 @@ def _load_quasi(doc):
                             name=doc.get("name", "H"))
     except (KeyError, ValueError) as exc:
         raise SchemaError("bad quasi functor description: %s" % exc)
+
+
+def _wellformed_quasi(path):
+    """The quasi functor of the document at path.  The verbs that build on
+    it first run the well-formedness pass of ``quasi-check``; a failure
+    ends the verb with that pass's report."""
+    from .quasi import _check_quasi_wellformed
+    q = _load_quasi(_read_doc(path))
+    rep = ValidationReport()
+    _check_quasi_wellformed(rep, q)
+    if not rep.passed:
+        raise _IllFormed(rep, {"quasi": q.name})
+    return q
 
 
 def _load_transform(doc):
@@ -347,6 +369,8 @@ def _run(command, json_path, fn):
     except SchemaError as exc:
         click.echo("%s: input error: %s" % (command, exc), err=True)
         sys.exit(2)
+    except _IllFormed as exc:
+        rep, details = exc.args
     except DblError as exc:
         rep = ValidationReport()
         rep.add("error", reason=str(exc))
@@ -432,7 +456,7 @@ def curry(path, json_path):
     def body():
         from .functor import check_lax_functor
         from .quasi import curry0
-        q = _load_quasi(_read_doc(path))
+        q = _wellformed_quasi(path)
         P = curry0(q)
         return check_lax_functor(P), {"codomain": P.cod.name}
     _run("curry", json_path, body)
@@ -445,7 +469,7 @@ def uncurry(path, json_path):
     """Round-trip a quasi functor through currying and compare cells."""
     def body():
         from .quasi import check_quasi_functor, curry0, uncurry0
-        q = _load_quasi(_read_doc(path))
+        q = _wellformed_quasi(path)
         back = uncurry0(curry0(q))
         rep = ValidationReport()
         for a, F in q.fam_a.items():
@@ -472,7 +496,7 @@ def strictify(path, json_path):
     def body():
         from .functor import check_lax_functor
         from .strictify import strictify0
-        q = _load_quasi(_read_doc(path))
+        q = _wellformed_quasi(path)
         P = strictify0(q)
         return check_lax_functor(P), {
             "domain-objects": P.dom.n_objects,
@@ -488,7 +512,7 @@ def destrictify(path, json_path):
     def body():
         from .quasi import check_quasi_functor
         from .strictify import destrictify0, strictify0
-        q = _load_quasi(_read_doc(path))
+        q = _wellformed_quasi(path)
         back = destrictify0(strictify0(q), q.A, q.B)
         rep = check_quasi_functor(back, trivial_uU=True)
         return rep, {"quasi": q.name}
@@ -502,7 +526,7 @@ def tensor_factorize(path, json_path):
     """Factor a quasi functor through the tensor presentation."""
     def body():
         from .tensor import verify_universal_property
-        q = _load_quasi(_read_doc(path))
+        q = _wellformed_quasi(path)
         rep = verify_universal_property(q)
         return rep, {"quasi": q.name}
     _run("tensor-factorize", json_path, body)

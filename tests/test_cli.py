@@ -179,6 +179,34 @@ def test_loaders_reject_non_object_fields(tmp_path, verb, fixture, path,
     assert res.exception is None or isinstance(res.exception, SystemExit)
 
 
+QUASI_VERBS = ["quasi-check", "curry", "uncurry", "strictify", "destrictify",
+               "tensor-factorize"]
+
+
+def _without_vmap(doc):
+    doc["fam_a"]["*"]["vmap"] = {}
+
+
+@pytest.mark.parametrize("verb", QUASI_VERBS)
+@pytest.mark.parametrize("edit, code, message", [
+    (_without_vmap, 1, "FAIL fam-a[*].wf-vcell-missing"),
+    (lambda doc: doc["fam_a"].pop("*"), 2, "fam_a leaves out object '*'"),
+    (lambda doc: doc["fam_b"].pop("*"), 2, "fam_b leaves out object '*'"),
+], ids=["fam-a-vmap-empty", "fam-a-entry-deleted", "fam-b-entry-deleted"])
+def test_incomplete_quasi_families_end_without_traceback(tmp_path, verb, edit,
+                                                         code, message):
+    """A family missing a cell fails the well-formedness pass before any
+    construction reads it; a family missing a member is an input error."""
+    doc = json.load(open(fx("preorder-pair.json")))
+    edit(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    res = run(verb, str(bad))
+    assert res.exit_code == code, res.output
+    assert isinstance(res.exception, SystemExit), res.exception
+    assert message in res.output
+
+
 def test_validate_bound_fails_when_exceeded():
     res = run("validate", "--bound", "5000", fx("bool2.json"))
     assert res.exit_code == 1, res.output
