@@ -6,7 +6,8 @@ every README verb, of ``validate`` on every table fixture, of ``hom`` in
 all four flavors, of ``curry``/``uncurry`` on the quasi fixtures and of
 functor, quasi and tensor documents into ``parity`` with one flipped
 square; the full cell tables of the populated ``hom(trivial, parity)``
-flavors and of the sign q-hom double category; the in-process failures
+flavors, of both monad double categories of ``parity`` and of the sign
+q-hom double category; the in-process failures
 (law, witness, order) of the acceptance functor mutants and of single
 square flips of the sign quasi functors, of identity transformations and
 modifications in both orientations and of the sign q-cells; the family
@@ -35,6 +36,7 @@ from dblcheck.functor import check_lax_functor, identity_functor
 from dblcheck.hom import (
     FLAVORS, enumerate_lax_functors, hom_double_category, populate_squares)
 from dblcheck.hom import HomDoubleCat
+from dblcheck.monads import mnd_double_category
 from dblcheck.quasi import (
     QModification, QVertTransform, check_q_hor, check_q_vert,
     check_quasi_functor, curry_hor, curry_mod, curry_vert, hcompose_q_mod,
@@ -203,6 +205,11 @@ def hom_table(flavor):
     return cell_table(populate_squares(h))
 
 
+def mnd_table(oplax):
+    m = mnd_double_category(parity(), oplax=oplax, bound=5000)
+    return cell_table(populate_squares(m))
+
+
 def sign_qhom_table():
     q1 = sign_quasi({0: 0, 1: 1})
     q2 = sign_quasi({0: 0, 1: 0}, w=q1.A, t=q1.B, p=q1.C)
@@ -215,7 +222,9 @@ def sign_qhom_table():
 
 TABLE_CASES = dict({"hom-trivial-parity-" + _slug(f): (lambda f=f: hom_table(f))
                     for f in sorted(FLAVORS)},
-                   **{"qhom-sign": sign_qhom_table})
+                   **{"qhom-sign": sign_qhom_table,
+                      "mnd-parity-lax": lambda: mnd_table(False),
+                      "mnd-parity-oplax": lambda: mnd_table(True)})
 
 
 def _failures(rep):
