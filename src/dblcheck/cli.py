@@ -277,6 +277,22 @@ def _wellformed_quasi(path):
     return q
 
 
+def _wellformed_transform(doc):
+    """The transformation of doc.  Its functors first pass the
+    well-formedness pass of ``functor-check``, reported under ``F.`` and
+    ``G.``; a failure ends the verb with that report before any
+    transformation law reads them."""
+    from .functor import check_wellformed
+    t = _load_transform(doc)
+    rep = ValidationReport()
+    for name, F in (("F", t.F), ("G", t.G)):
+        rep.merge(check_wellformed(F), prefix=name + ".")
+    if not rep.passed:
+        raise _IllFormed(rep, {"kind": doc["kind"],
+                               "orientation": t.orientation})
+    return t
+
+
 def _load_transform(doc):
     from .transform import LAX, OPLAX, HorTransform, VertTransform
     what = "transform description"
@@ -426,7 +442,7 @@ def transform_check(path, json_path):
     def body():
         from .transform import check_hor_transform, check_vert_transform
         doc = _read_doc(path)
-        t = _load_transform(doc)
+        t = _wellformed_transform(doc)
         check = (check_hor_transform if doc["kind"] == "hor"
                  else check_vert_transform)
         return check(t), {"kind": doc["kind"], "orientation": t.orientation}

@@ -16,6 +16,7 @@ only their keys, endpoints, identities and payload compositions.
 """
 
 from dataclasses import dataclass
+from heapq import merge
 from itertools import product as iproduct
 
 from .core import DoubleCat, ValidationReport
@@ -83,6 +84,12 @@ class InternedDoubleCat(DoubleCat):
     ``_sq_h_id_payload`` on a 1-cell payload, and the payload compositions
     ``_hh_op``, ``_vv_op``, ``_hs_op`` and ``_vs_op`` behind the tables
     ``_hh``, ``_vv``, ``_hs`` and ``_vs``.
+
+    A square composite reads its frame from the tables: the composites of
+    its operands' tops and bottoms (or lefts and rights) are cells of
+    ``_hh`` (or ``_vv``), whose payloads ``_hs_op`` (or ``_vs_op``) takes
+    as the frame instead of composing it again, and the composite is
+    interned under those known bounds.
     """
 
     def __init__(self, name):
@@ -98,18 +105,22 @@ class InternedDoubleCat(DoubleCat):
         # mutated once interned, so its key stays the one it was filed under
         self._cells = {}
 
-    def _intern(self, kind, x, identity_of=None):
-        """The cell of payload x, found by object, then by key, else added."""
+    def _intern(self, kind, x, identity_of=None, bounds=None):
+        """The cell of payload x, found by object, then by key, else added.
+        ``bounds`` are the cells of x's ends or frame, for a caller that
+        knows them; left out, they are interned from x."""
         cell = self._cells.get(x)
         if cell is not None:
             return cell
-        if kind == OBJ:
-            bounds = ()
-        elif kind == SQ:
-            bounds = (self._intern(HOR, x.top), self._intern(HOR, x.bottom),
-                      self._intern(VERT, x.left), self._intern(VERT, x.right))
-        else:
-            bounds = tuple(self._intern(OBJ, e) for e in self._ends(x))
+        if bounds is None:
+            if kind == OBJ:
+                bounds = ()
+            elif kind == SQ:
+                bounds = (self._intern(HOR, x.top), self._intern(HOR, x.bottom),
+                          self._intern(VERT, x.left),
+                          self._intern(VERT, x.right))
+            else:
+                bounds = tuple(self._intern(OBJ, e) for e in self._ends(x))
         key = self._key(kind, x, bounds)
         cell = self._keys.get(key)
         if cell is not None:
@@ -145,14 +156,26 @@ class InternedDoubleCat(DoubleCat):
 
     def hcomp_sq(self, s1, s2):
         if (s1, s2) not in self._hs:
+            top1, bottom1, left, _ = self.sq_bounds[s1]
+            top2, bottom2, _, right = self.sq_bounds[s2]
+            top = self.hcomp_h(top1, top2)
+            bottom = self.hcomp_h(bottom1, bottom2)
             self._hs[(s1, s2)] = self._intern(SQ, self._hs_op(
-                self.sq_payload[s1], self.sq_payload[s2]))
+                self.sq_payload[s1], self.sq_payload[s2],
+                self.h_payload[top], self.h_payload[bottom]),
+                bounds=(top, bottom, left, right))
         return self._hs[(s1, s2)]
 
     def vcomp_sq(self, s1, s2):
         if (s1, s2) not in self._vs:
+            top, _, left1, right1 = self.sq_bounds[s1]
+            _, bottom, left2, right2 = self.sq_bounds[s2]
+            left = self.vcomp_v(left1, left2)
+            right = self.vcomp_v(right1, right2)
             self._vs[(s1, s2)] = self._intern(SQ, self._vs_op(
-                self.sq_payload[s1], self.sq_payload[s2]))
+                self.sq_payload[s1], self.sq_payload[s2],
+                self.v_payload[left], self.v_payload[right]),
+                bounds=(top, bottom, left, right))
         return self._vs[(s1, s2)]
 
     def sq_v_id(self, f):
@@ -177,13 +200,13 @@ class HomDoubleCat(InternedDoubleCat):
         self.flavor = flavor
         self._curried = {}  # quasi functor -> its curried functor (curry0)
 
-    def _intern(self, kind, x, identity_of=None):
+    def _intern(self, kind, x, identity_of=None, bounds=None):
         # every cell enters here, so no route bypasses the flavor
         if kind == HOR and x.orientation != self.flavor.hor:
             raise NotHomCodomain("wrong horizontal orientation for this hom")
         if kind == VERT and x.orientation != self.flavor.vert:
             raise NotHomCodomain("wrong vertical orientation for this hom")
-        return super()._intern(kind, x, identity_of)
+        return super()._intern(kind, x, identity_of, bounds)
 
     def _key(self, kind, x, bounds):
         if kind == OBJ:
@@ -226,11 +249,11 @@ class HomDoubleCat(InternedDoubleCat):
     def _vv_op(self, t1, t2):
         return vcompose_vert(t1, t2)
 
-    def _hs_op(self, m1, m2):
-        return hcompose_modifications(m1, m2)
+    def _hs_op(self, m1, m2, top=None, bottom=None):
+        return hcompose_modifications(m1, m2, top, bottom)
 
-    def _vs_op(self, m1, m2):
-        return vcompose_modifications(m1, m2)
+    def _vs_op(self, m1, m2, left=None, right=None):
+        return vcompose_modifications(m1, m2, left, right)
 
 
 def hom_double_category(B, C, flavor=HOP, bound=None):
@@ -258,6 +281,9 @@ def populate_squares(hom):
     Interns every identity square and then both composites of every
     composable square pair until stable; composing transformations can
     intern new composite 1-cells, so the identity pass is repeated too.
+    Each round finds the composable pairs among the squares it starts with
+    by grouping them on their shared edge, and visits them in the order of
+    a scan over all pairs, which fixes the ids and names of new cells.
     The resulting square set is the composition closure of the identity
     modifications, which is enough for the whole-category validator to
     exercise unit, associativity, and interchange laws.
@@ -276,13 +302,18 @@ def populate_squares(hom):
             hom.sq_v_id(f)
         for u in range(hom.n_vcells):
             hom.sq_h_id(u)
+        # the squares so far, grouped on their left (h, False) and top
+        # (v, True) edges; merging the groups of s1's right and bottom
+        # edges visits its partners s2 in ascending order, h before v
         n = hom.n_squares
+        by_left, by_top = {}, {}
+        for s in range(n):
+            by_left.setdefault(hom.sq_left(s), []).append((s, False))
+            by_top.setdefault(hom.sq_top(s), []).append((s, True))
         for s1 in range(n):
-            for s2 in range(n):
-                if hom.sq_right(s1) == hom.sq_left(s2):
-                    hom.hcomp_sq(s1, s2)
-                if hom.sq_bottom(s1) == hom.sq_top(s2):
-                    hom.vcomp_sq(s1, s2)
+            for s2, vertical in merge(by_left.get(hom.sq_right(s1), ()),
+                                      by_top.get(hom.sq_bottom(s1), ())):
+                (hom.vcomp_sq if vertical else hom.hcomp_sq)(s1, s2)
         if (hom.n_hcells, hom.n_vcells, hom.n_squares) == n_cells:
             return hom
 

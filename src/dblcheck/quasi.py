@@ -670,20 +670,33 @@ def vcompose_q_vert(t1, t2):
     return _vcompose_q(t1, t2, vcompose_vert)
 
 
-def hcompose_q_mod(m1, m2):
-    return QModification(vcompose_q_hor(m1.top, m2.top),
-                         vcompose_q_hor(m1.bottom, m2.bottom),
-                         m1.left, m2.right,
-                         _memberwise(hcompose_modifications, m1.m_a, m2.m_a),
-                         _memberwise(hcompose_modifications, m1.m_b, m2.m_b))
+def hcompose_q_mod(m1, m2, top=None, bottom=None):
+    """Memberwise horizontal composite; ``top`` and ``bottom`` as in
+    ``hcompose_modifications``, and their members frame the members."""
+    if top is None:
+        top = vcompose_q_hor(m1.top, m2.top)
+    if bottom is None:
+        bottom = vcompose_q_hor(m1.bottom, m2.bottom)
+    return QModification(
+        top, bottom, m1.left, m2.right,
+        _memberwise(hcompose_modifications, m1.m_a, m2.m_a, top.th_a,
+                    bottom.th_a),
+        _memberwise(hcompose_modifications, m1.m_b, m2.m_b, top.th_b,
+                    bottom.th_b))
 
 
-def vcompose_q_mod(m1, m2):
-    return QModification(m1.top, m2.bottom,
-                         vcompose_q_vert(m1.left, m2.left),
-                         vcompose_q_vert(m1.right, m2.right),
-                         _memberwise(vcompose_modifications, m1.m_a, m2.m_a),
-                         _memberwise(vcompose_modifications, m1.m_b, m2.m_b))
+def vcompose_q_mod(m1, m2, left=None, right=None):
+    """Memberwise vertical composite, framed as ``hcompose_q_mod``."""
+    if left is None:
+        left = vcompose_q_vert(m1.left, m2.left)
+    if right is None:
+        right = vcompose_q_vert(m1.right, m2.right)
+    return QModification(
+        m1.top, m2.bottom, left, right,
+        _memberwise(vcompose_modifications, m1.m_a, m2.m_a, left.th_a,
+                    right.th_a),
+        _memberwise(vcompose_modifications, m1.m_b, m2.m_b, left.th_b,
+                    right.th_b))
 
 
 def _identity_q(q, cls, op):
@@ -1017,11 +1030,11 @@ class QHomDoubleCat(InternedDoubleCat):
     def _vv_op(self, t1, t2):
         return vcompose_q_vert(t1, t2)
 
-    def _hs_op(self, m1, m2):
-        return hcompose_q_mod(m1, m2)
+    def _hs_op(self, m1, m2, top=None, bottom=None):
+        return hcompose_q_mod(m1, m2, top, bottom)
 
-    def _vs_op(self, m1, m2):
-        return vcompose_q_mod(m1, m2)
+    def _vs_op(self, m1, m2, left=None, right=None):
+        return vcompose_q_mod(m1, m2, left, right)
 
 
 def q_hom_double_category(A, B, C):

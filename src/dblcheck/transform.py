@@ -38,7 +38,7 @@ from collections import namedtuple
 
 from .core import ValidationReport
 from .errors import ChainMismatch, DblError, MalformedTables, NotPseudo
-from .functor import _eq
+from .functor import _eq, functor_equal
 
 OPLAX = "oplax"
 LAX = "lax"
@@ -52,7 +52,6 @@ def _same_frame(F, G):
 def _same_functor(F, G):
     """Identity or componentwise equality; interning in hom categories can
     hand back distinct but equal functor objects."""
-    from .functor import functor_equal
     return F is G or functor_equal(F, G)
 
 
@@ -597,27 +596,35 @@ def _same_transform(t1, t2):
                         and t1.comp0 == t2.comp0)
 
 
-def hcompose_modifications(m1, m2):
-    """Paste modifications side by side along a shared vertical transformation."""
+def hcompose_modifications(m1, m2, top=None, bottom=None):
+    """Paste modifications side by side along a shared vertical
+    transformation.  ``top`` and ``bottom`` are the composites of the two
+    tops and of the two bottoms, for a caller that holds them already;
+    left out, they are composed here.  Either way the corners must close."""
     if not _same_transform(m1.right, m2.left):
         raise ChainMismatch("hcompose_modifications needs a shared vertical edge")
     c = m1.cod
     comp = {a: c.hcomp_sq(m1.at(a), m2.at(a)) for a in range(m1.dom.n_objects)}
-    return Modification(vcompose_hor(m1.top, m2.top),
-                        vcompose_hor(m1.bottom, m2.bottom),
-                        m1.left, m2.right, comp,
+    if top is None:
+        top = vcompose_hor(m1.top, m2.top)
+    if bottom is None:
+        bottom = vcompose_hor(m1.bottom, m2.bottom)
+    return Modification(top, bottom, m1.left, m2.right, comp,
                         name="%s|%s" % (m1.name, m2.name))
 
 
-def vcompose_modifications(m1, m2):
-    """Stack modifications along a shared horizontal transformation."""
+def vcompose_modifications(m1, m2, left=None, right=None):
+    """Stack modifications along a shared horizontal transformation;
+    ``left`` and ``right`` as the frame in ``hcompose_modifications``."""
     if not _same_transform(m1.bottom, m2.top):
         raise ChainMismatch("vcompose_modifications needs a shared horizontal edge")
     c = m1.cod
     comp = {a: c.vcomp_sq(m1.at(a), m2.at(a)) for a in range(m1.dom.n_objects)}
-    return Modification(m1.top, m2.bottom,
-                        vcompose_vert(m1.left, m2.left),
-                        vcompose_vert(m1.right, m2.right), comp,
+    if left is None:
+        left = vcompose_vert(m1.left, m2.left)
+    if right is None:
+        right = vcompose_vert(m1.right, m2.right)
+    return Modification(m1.top, m2.bottom, left, right, comp,
                         name="%s/%s" % (m1.name, m2.name))
 
 

@@ -48,3 +48,19 @@ def test_benchmark_verdicts(workload):
         if not jobs.judge(job, outcome):
             wrong.append((job.id, outcome, job.want))
     assert not wrong
+
+
+def test_explicit_build_q_hom_is_the_pinned_sign_q_hom():
+    """The q-hom that ``explicit-build`` populates has the cell table that
+    ``tests/golden/tables/qhom-sign.json`` pins."""
+    from dblcheck.hom import populate_squares
+    from dblcheck.quasi import q_hom_double_category
+    from test_golden import _load, _roundtrip, cell_table
+    q1 = jobs.sign_quasi({0: 0, 1: 1})
+    q2 = jobs.sign_quasi({0: 0, 1: 0}, w=q1.A, t=q1.B, p=q1.C)
+    qh = q_hom_double_category(q1.A, q1.B, q1.C)
+    qh.intern_quasi(q1)
+    qh.intern_quasi(q2)
+    qh.intern_q_hor(jobs.sign_q_hor(q1, q2))
+    assert _roundtrip(cell_table(populate_squares(qh))) == _load(
+        "tables", "qhom-sign")

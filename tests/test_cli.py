@@ -270,6 +270,25 @@ def test_transform_check():
     assert res.exit_code == 0, res.output
 
 
+@pytest.mark.parametrize("functor", ["F", "G"])
+@pytest.mark.parametrize("field, law", [
+    ("ob", "wf-object"), ("hmap", "wf-hcell-missing"),
+    ("vmap", "wf-vcell-missing")])
+def test_transform_functor_missing_a_cell_ends_without_traceback(
+        tmp_path, functor, field, law):
+    """A functor of the transformation that leaves out its one object,
+    1h-cell or 1v-cell fails its well-formedness pass before any
+    transformation law reads it."""
+    doc = json.load(open(fx("transform-hor.json")))
+    doc[functor][field] = {}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    res = run("transform-check", str(bad))
+    assert res.exit_code == 1, res.output
+    assert isinstance(res.exception, SystemExit), res.exception
+    assert "FAIL %s.%s" % (functor, law) in res.output
+
+
 def test_quasi_check():
     res = run("quasi-check", fx("preorder-pair.json"))
     assert res.exit_code == 0, res.output

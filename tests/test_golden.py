@@ -200,31 +200,27 @@ def cell_table(d):
     }
 
 
-def hom_table(flavor):
-    h = hom_double_category(trivial(), parity(), FLAVORS[flavor], bound=5000)
-    return cell_table(populate_squares(h))
-
-
-def mnd_table(oplax):
-    m = mnd_double_category(parity(), oplax=oplax, bound=5000)
-    return cell_table(populate_squares(m))
-
-
-def sign_qhom_table():
+def sign_qhom():
     q1 = sign_quasi({0: 0, 1: 1})
     q2 = sign_quasi({0: 0, 1: 0}, w=q1.A, t=q1.B, p=q1.C)
     qh = q_hom_double_category(q1.A, q1.B, q1.C)
     qh.intern_quasi(q1)
     qh.intern_quasi(q2)
     qh.intern_q_hor(sign_q_hor(q1, q2))
-    return cell_table(populate_squares(qh))
+    return qh
 
 
-TABLE_CASES = dict({"hom-trivial-parity-" + _slug(f): (lambda f=f: hom_table(f))
-                    for f in sorted(FLAVORS)},
-                   **{"qhom-sign": sign_qhom_table,
-                      "mnd-parity-lax": lambda: mnd_table(False),
-                      "mnd-parity-oplax": lambda: mnd_table(True)})
+# the categories whose populated cell tables are pinned, built unpopulated
+TABLE_CATEGORIES = dict(
+    {"hom-trivial-parity-" + _slug(f): (lambda f=f: hom_double_category(
+        trivial(), parity(), FLAVORS[f], bound=5000)) for f in sorted(FLAVORS)},
+    **{"qhom-sign": sign_qhom,
+       "mnd-parity-lax": lambda: mnd_double_category(parity(), bound=5000),
+       "mnd-parity-oplax": lambda: mnd_double_category(
+           parity(), oplax=True, bound=5000)})
+
+TABLE_CASES = {name: (lambda build=build: cell_table(populate_squares(build())))
+               for name, build in TABLE_CATEGORIES.items()}
 
 
 def _failures(rep):

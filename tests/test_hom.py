@@ -6,19 +6,21 @@ import weakref
 import pytest
 
 from dblcheck.core import bool_matrix_double_category, parity, trivial, walk_v
-from dblcheck.errors import EnumerationBound, NotHomCodomain
+from dblcheck.errors import ChainMismatch, EnumerationBound, NotHomCodomain
 from dblcheck.functor import (
     LaxDoubleFunctor, check_lax_functor, identity_functor, strict_functor)
 from dblcheck.hom import (
-    FLAVORS, HOP, HOP_STAR, ST, ST_U, HomDoubleCat, enumerate_hor_transforms,
-    enumerate_lax_functors, enumerate_modifications, enumerate_vert_transforms,
-    hom_double_category, hom_membership, populate_squares)
+    FLAVORS, HOP, HOP_STAR, SQ, ST, ST_U, HomDoubleCat,
+    enumerate_hor_transforms, enumerate_lax_functors, enumerate_modifications,
+    enumerate_vert_transforms, hom_double_category, hom_membership,
+    populate_squares)
 from dblcheck.quasi import curry0
 from dblcheck.transform import (
     LAX, OPLAX, identity_hor_transform, identity_modification,
     identity_vert_transform)
 
 from test_functor import full_relation_monad_functor, parity_sign_functor
+from test_golden import TABLE_CATEGORIES
 from test_quasi import sign_quasi
 
 
@@ -130,8 +132,8 @@ def test_hom_memo_keeps_no_deduplicated_composite():
     made = []
 
     def recording(compose):
-        def composite(x, y):
-            out = compose(x, y)
+        def composite(*args):
+            out = compose(*args)
             made.append(weakref.ref(out))
             return out
         return composite
@@ -287,3 +289,85 @@ def test_flavor_table():
     assert FLAVORS["hop*"].hor == LAX and FLAVORS["hop*"].vert == OPLAX
     assert FLAVORS["st"].vert_strict and not FLAVORS["st"].unitary_only
     assert FLAVORS["st-u"].vert_strict and FLAVORS["st-u"].unitary_only
+
+
+def _reference_populate(cat, calls):
+    """The closure of ``populate_squares`` by the reference route: every
+    pair of squares is tried, and a square composite composes its own frame
+    from the operands' payloads and is interned from that payload alone.
+    Each square composite asked for is logged to ``calls``."""
+    def hcomp_sq(s1, s2):
+        calls.append(("h", s1, s2))
+        if (s1, s2) not in cat._hs:
+            cat._hs[(s1, s2)] = cat._intern(SQ, cat._hs_op(
+                cat.sq_payload[s1], cat.sq_payload[s2]))
+        return cat._hs[(s1, s2)]
+
+    def vcomp_sq(s1, s2):
+        calls.append(("v", s1, s2))
+        if (s1, s2) not in cat._vs:
+            cat._vs[(s1, s2)] = cat._intern(SQ, cat._vs_op(
+                cat.sq_payload[s1], cat.sq_payload[s2]))
+        return cat._vs[(s1, s2)]
+
+    while True:
+        n_cells = (cat.n_hcells, cat.n_vcells, cat.n_squares)
+        for f in range(cat.n_hcells):
+            for g in range(cat.n_hcells):
+                if cat.htgt[f] == cat.hsrc[g]:
+                    cat.hcomp_h(f, g)
+        for u in range(cat.n_vcells):
+            for w in range(cat.n_vcells):
+                if cat.vtgt[u] == cat.vsrc[w]:
+                    cat.vcomp_v(u, w)
+        for f in range(cat.n_hcells):
+            cat.sq_v_id(f)
+        for u in range(cat.n_vcells):
+            cat.sq_h_id(u)
+        n = cat.n_squares
+        for s1 in range(n):
+            for s2 in range(n):
+                if cat.sq_right(s1) == cat.sq_left(s2):
+                    hcomp_sq(s1, s2)
+                if cat.sq_bottom(s1) == cat.sq_top(s2):
+                    vcomp_sq(s1, s2)
+        if (cat.n_hcells, cat.n_vcells, cat.n_squares) == n_cells:
+            return cat
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_CATEGORIES))
+def test_squares_composed_on_interned_frames_match_the_reference(name):
+    """Every category of the cell-table goldens, populated on interned
+    frames, against the reference route."""
+    fast, fast_calls, ref_calls = TABLE_CATEGORIES[name](), [], []
+    for kind, op in (("h", fast.hcomp_sq), ("v", fast.vcomp_sq)):
+        def logged(s1, s2, kind=kind, op=op):
+            fast_calls.append((kind, s1, s2))
+            return op(s1, s2)
+        setattr(fast, op.__name__, logged)
+    populate_squares(fast)
+    ref = _reference_populate(TABLE_CATEGORIES[name](), ref_calls)
+    # the grouped pairs are the composable ones, visited in the same order
+    assert fast_calls == ref_calls
+    for table in ("sq_bounds", "sq_names", "hnames", "vnames",
+                  "_hh", "_vv", "_hs", "_vs"):
+        assert getattr(fast, table) == getattr(ref, table), table
+    # the composite payloads fill their frames with the same squares
+    keys = lambda cat: [cat._key(SQ, m, b)
+                        for m, b in zip(cat.sq_payload, cat.sq_bounds)]
+    assert keys(fast) == keys(ref)
+
+
+@pytest.mark.parametrize("name", ["hom-trivial-parity-hop", "qhom-sign"])
+def test_a_composite_frame_must_close(name):
+    """A frame passed to a square composite that does not close on the
+    operands' corners raises, as a composed one would."""
+    cat = populate_squares(TABLE_CATEGORIES[name]())
+    s = cat.sq_v_id(cat.h_id(0))  # composable with itself both ways
+    other = cat.h_payload[cat.h_id(1)]  # an identity on another object
+    m = cat.sq_payload[s]
+    with pytest.raises(ChainMismatch):
+        cat._hs_op(m, m, other, other)
+    with pytest.raises(ChainMismatch):
+        cat._vs_op(m, m, cat.v_payload[cat.v_id(1)],
+                   cat.v_payload[cat.v_id(1)])
