@@ -5,12 +5,13 @@ refactors: the ``--json`` payload (without ``elapsed``) and exit code of
 every README verb, of ``validate`` on every table fixture, of ``hom`` in
 all four flavors, of ``curry``/``uncurry`` on the quasi fixtures and of
 functor, quasi and tensor documents into ``parity`` with one flipped
-square; the full cell tables of the populated ``hom(trivial, parity)``
-flavors, of both monad double categories of ``parity`` and of the sign
-q-hom double category; the in-process failures
-(law, witness, order) of the acceptance functor mutants and of single
-square flips of the sign quasi functors, of identity transformations and
-modifications in both orientations and of the sign q-cells; the family
+square; the full cell tables, with every cell's interning key, of the
+populated ``hom(trivial, parity)`` flavors, of both monad double
+categories of ``parity`` and of the sign q-hom double category; the
+in-process failures (law, witness, order) of the acceptance functor
+mutants and of single square flips of the sign quasi functors, of
+identity transformations and modifications in both orientations and of
+the sign q-cells; the family
 members of the q-cells that destrictification, uncurrying, memberwise
 composition and identities produce from the sign quasi functors, each
 read through its accessors on every domain cell; and the tensor relations
@@ -35,7 +36,7 @@ from dblcheck.core import (
 from dblcheck.functor import check_lax_functor, identity_functor
 from dblcheck.hom import (
     FLAVORS, enumerate_lax_functors, hom_double_category, populate_squares)
-from dblcheck.hom import HomDoubleCat
+from dblcheck.hom import HOR, OBJ, SQ, VERT, HomDoubleCat
 from dblcheck.monads import mnd_double_category
 from dblcheck.quasi import (
     QModification, QVertTransform, check_q_hor, check_q_vert,
@@ -186,9 +187,17 @@ def cli_result(args, tmp_dir):
 
 
 def cell_table(d):
-    """Everything interning decides: ids, names, boundaries, composites."""
+    """Everything interning decides: ids, names, boundaries, composites,
+    and the interning key of every cell, which carries its payload's
+    orientation, components and field squares."""
     pairs = lambda table: sorted([a, b, c] for (a, b), c in table.items())
-    return {
+    ends = ([()] * d.n_objects, list(zip(d.hsrc, d.htgt)),
+            list(zip(d.vsrc, d.vtgt)), d.sq_bounds)
+    keys = {"%s_keys" % name: [d._key(kind, x, tuple(bounds)) for x, bounds
+                               in zip(d._payloads[kind], ends[kind])]
+            for name, kind in (("obj", OBJ), ("h", HOR), ("v", VERT),
+                               ("sq", SQ))}
+    return dict(keys, **{
         "counts": [d.n_objects, d.n_hcells, d.n_vcells, d.n_squares],
         "objects": d.objects, "hnames": d.hnames, "vnames": d.vnames,
         "sq_names": d.sq_names,
@@ -197,7 +206,7 @@ def cell_table(d):
         "hh": pairs(d._hh), "vv": pairs(d._vv),
         "hs": pairs(d._hs), "vs": pairs(d._vs),
         "sqvid": sorted(d._sqvid.items()), "sqhid": sorted(d._sqhid.items()),
-    }
+    })
 
 
 def sign_qhom():
