@@ -1079,9 +1079,6 @@ class VId:
     of: object
 
 
-PastingTerm = (Gen, HComp, VComp, HId, VId)
-
-
 def eval_pasting(d, term, env):
     """Evaluate a pasting term to a CellRef of d under a generator assignment.
 
@@ -1196,7 +1193,6 @@ def walk_h():
     d.set_vv(0, 0, 0)
     d.set_vv(1, 1, 1)
     _identity_square_closure(d)
-    d.flat = False
     return d
 
 

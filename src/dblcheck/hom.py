@@ -268,9 +268,9 @@ def hom_double_category(B, C, flavor=HOP, bound=None):
         objs = list(hom.obj_payload)
         for F in objs:
             for G in objs:
-                for t in _hor_transforms(F, G, flavor, budget):
+                for t in _transforms(HorTransform, F, G, flavor, budget):
                     hom.intern_hor_transform(t)
-                for t in _vert_transforms(F, G, flavor, budget):
+                for t in _transforms(VertTransform, F, G, flavor, budget):
                     hom.intern_vert_transform(t)
     return hom
 
@@ -465,58 +465,43 @@ def _complete_functors(B, C, flavor, budget, ob, hmap, vmap):
 
 def enumerate_hor_transforms(F, G, flavor=HOP, bound=None):
     """All horizontal transformations F => G in the flavor's orientation."""
-    yield from _hor_transforms(F, G, flavor, _Budget(bound))
-
-
-def _hor_transforms(F, G, flavor, budget):
-    B, C = F.dom, F.cod
-    choices = [C.hcells_between(F.obj(a), G.obj(a)) for a in range(B.n_objects)]
-    for comp0 in iproduct(*choices):
-        yield from _complete_hor(F, G, flavor, budget, dict(enumerate(comp0)))
-
-
-def _complete_hor(F, G, flavor, budget, comp0):
-    B, C = F.dom, F.cod
-    cells = HorTransform(F, G, comp0, orientation=flavor.hor)
-    choices = _square_choices(C, (
-        (cells._sq_v_bounds, range(B.n_vcells), False),
-        (cells._delta_bounds, range(B.n_hcells), False)))
-    if choices is None:
-        return
-    for pick in iproduct(*choices):
-        budget.spend()
-        t = HorTransform(F, G, comp0, dict(enumerate(pick[:B.n_vcells])),
-                         dict(enumerate(pick[B.n_vcells:])), flavor.hor)
-        if check_hor_transform(t).passed:
-            yield t
+    yield from _transforms(HorTransform, F, G, flavor, _Budget(bound))
 
 
 def enumerate_vert_transforms(F, G, flavor=HOP, bound=None):
     """All vertical transformations F => G in the flavor's orientation."""
-    yield from _vert_transforms(F, G, flavor, _Budget(bound))
+    yield from _transforms(VertTransform, F, G, flavor, _Budget(bound))
 
 
-def _vert_transforms(F, G, flavor, budget):
+def _transforms(cls, F, G, flavor, budget):
+    """Every lawful transformation F => G of kind cls in the flavor's
+    orientation: each choice of components, then each choice of the
+    squares of the kind's two fields on their boundaries.  A structure
+    square of a vertical transformation is strict if the flavor says so."""
     B, C = F.dom, F.cod
-    choices = [C.vcells_between(F.obj(a), G.obj(a)) for a in range(B.n_objects)]
-    for comp0 in iproduct(*choices):
-        yield from _complete_vert(F, G, flavor, budget, dict(enumerate(comp0)))
-
-
-def _complete_vert(F, G, flavor, budget, comp0):
-    B, C = F.dom, F.cod
-    cells = VertTransform(F, G, comp0, orientation=flavor.vert)
-    choices = _square_choices(C, (
-        (cells._sq_h_bounds, range(B.n_hcells), False),
-        (cells._sq_v_bounds, range(B.n_vcells), flavor.vert_strict)))
-    if choices is None:
-        return
-    for pick in iproduct(*choices):
-        budget.spend()
-        t = VertTransform(F, G, comp0, dict(enumerate(pick[:B.n_hcells])),
-                          dict(enumerate(pick[B.n_hcells:])), flavor.vert)
-        if check_vert_transform(t).passed:
-            yield t
+    if cls is HorTransform:
+        between, orientation = C.hcells_between, flavor.hor
+        check, strict = check_hor_transform, False
+    else:
+        between, orientation = C.vcells_between, flavor.vert
+        check, strict = check_vert_transform, flavor.vert_strict
+    fields = TRANSFORM_KINDS[cls].fields
+    for comp0 in iproduct(*[between(F.obj(a), G.obj(a))
+                            for a in range(B.n_objects)]):
+        comp0 = dict(enumerate(comp0))
+        cells = cls(F, G, comp0, orientation=orientation)
+        choices = _square_choices(C, [
+            (getattr(cells, f.bounds), f.domain(B),
+             strict and f.label == "structure") for f in fields])
+        if choices is None:
+            continue
+        for pick in iproduct(*choices):
+            budget.spend()
+            squares = iter(pick)
+            t = cls(F, G, comp0, *(dict(zip(f.domain(B), squares))
+                                   for f in fields), orientation)
+            if check(t).passed:
+                yield t
 
 
 def enumerate_modifications(top, bottom, left, right, bound=None):

@@ -85,6 +85,32 @@ class QuasiFunctor:
             return self.C.sq_h_id(self.fA(a).v(u))
         return self.uu[(u, U)]
 
+    def _kk_bounds(self, k, K):
+        """The boundary of the interchanger of 1h-cells k of B and K of A:
+        vertically globular, from k's image then K's down to K's then
+        k's."""
+        A, B, C = self.A, self.B, self.C
+        a, ap, b, bp = A.hsrc[K], A.htgt[K], B.hsrc[k], B.htgt[k]
+        return (C.hcomp_h(self.fA(a).h(k), self.fB(bp).h(K)),
+                C.hcomp_h(self.fB(b).h(K), self.fA(ap).h(k)),
+                C.v_id(self.obj(a, b)), C.v_id(self.obj(ap, bp)))
+
+    def _uk_bounds(self, u, K):
+        """The interchanger of a 1v-cell u of B and a 1h-cell K of A has
+        K's images on top and bottom and u's on the sides."""
+        A, B = self.A, self.B
+        a, ap, b, bt = A.hsrc[K], A.htgt[K], B.vsrc[u], B.vtgt[u]
+        return (self.fB(b).h(K), self.fB(bt).h(K),
+                self.fA(a).v(u), self.fA(ap).v(u))
+
+    def _ku_bounds(self, k, U):
+        """The interchanger of a 1h-cell k of B and a 1v-cell U of A has
+        k's images on top and bottom and U's on the sides."""
+        A, B = self.A, self.B
+        a, at, b, bp = A.vsrc[U], A.vtgt[U], B.hsrc[k], B.htgt[k]
+        return (self.fA(a).h(k), self.fA(at).h(k),
+                self.fB(b).v(U), self.fB(bp).v(U))
+
     def _uu_bounds(self, u, U):
         """The boundary of the interchanger of 1v-cells u of B and U of A:
         horizontally globular, with U's image then u's on the left and
@@ -100,7 +126,27 @@ class QuasiFunctor:
             self.name, self.A.name, self.B.name, self.C.name)
 
 
+# the interchanger stores in report order: each store's name, then whether
+# the cells of B and of A in its keys are 1h-cells ("h") or 1v-cells ("v");
+# the name's letters are the witness keys of the two cells, B's lower case
+_INTERCHANGERS = (("kk", "h", "h"), ("uk", "v", "h"), ("ku", "h", "v"),
+                  ("uu", "v", "v"))
+
+
+def _store_keys(A, B, b_cells, a_cells):
+    """The keys (x, y) of an interchanger store, x a cell of B and y one of
+    A, B's outermost.  Each is every 1h-cell or every non-identity 1v-cell:
+    an interchanger at a vertical identity is an identity square."""
+    cells = lambda d, kind: (
+        range(d.n_hcells) if kind == "h" else
+        [u for u in range(d.n_vcells) if not d.is_v_identity(u)])
+    return [(x, y) for x in cells(B, b_cells) for y in cells(A, a_cells)]
+
+
 def _check_quasi_wellformed(rep, q):
+    """Both families as lax functors, their agreement on objects, then each
+    stored interchanger: present, and on the boundary its ``_*_bounds``
+    method gives."""
     A, B, C = q.A, q.B, q.C
     for a in range(A.n_objects):
         sub = check_lax_functor(q.fA(a))
@@ -116,57 +162,14 @@ def _check_quasi_wellformed(rep, q):
                 rep.add("agreement", a=a, b=b)
     if not rep.passed:
         return
-    for k in range(B.n_hcells):
-        for K in range(A.n_hcells):
-            a, ap = A.hsrc[K], A.htgt[K]
-            b, bp = B.hsrc[k], B.htgt[k]
-            if (k, K) not in q.kk:
-                rep.add("kk-missing", k=k, K=K)
-                continue
-            s = q.kk[(k, K)]
-            want = (C.hcomp_h(q.fA(a).h(k), q.fB(bp).h(K)),
-                    C.hcomp_h(q.fB(b).h(K), q.fA(ap).h(k)),
-                    C.v_id(q.obj(a, b)), C.v_id(q.obj(ap, bp)))
-            if C.sq_bounds[s] != want:
-                rep.add("kk-boundary", k=k, K=K)
-    for u in range(B.n_vcells):
-        if B.is_v_identity(u):
-            continue
-        b, bt = B.vsrc[u], B.vtgt[u]
-        for K in range(A.n_hcells):
-            a, ap = A.hsrc[K], A.htgt[K]
-            if (u, K) not in q.uk:
-                rep.add("uk-missing", u=u, K=K)
-                continue
-            s = q.uk[(u, K)]
-            want = (q.fB(b).h(K), q.fB(bt).h(K),
-                    q.fA(a).v(u), q.fA(ap).v(u))
-            if C.sq_bounds[s] != want:
-                rep.add("uk-boundary", u=u, K=K)
-    for k in range(B.n_hcells):
-        b, bp = B.hsrc[k], B.htgt[k]
-        for U in range(A.n_vcells):
-            if A.is_v_identity(U):
-                continue
-            a, at = A.vsrc[U], A.vtgt[U]
-            if (k, U) not in q.ku:
-                rep.add("ku-missing", k=k, U=U)
-                continue
-            s = q.ku[(k, U)]
-            want = (q.fA(a).h(k), q.fA(at).h(k),
-                    q.fB(b).v(U), q.fB(bp).v(U))
-            if C.sq_bounds[s] != want:
-                rep.add("ku-boundary", k=k, U=U)
-    for u in range(B.n_vcells):
-        if B.is_v_identity(u):
-            continue
-        for U in range(A.n_vcells):
-            if A.is_v_identity(U):
-                continue
-            if (u, U) not in q.uu:
-                rep.add("uu-missing", u=u, U=U)
-            elif C.sq_bounds[q.uu[(u, U)]] != q._uu_bounds(u, U):
-                rep.add("uu-boundary", u=u, U=U)
+    for name, b_cells, a_cells in _INTERCHANGERS:
+        store, bounds = getattr(q, name), getattr(q, "_%s_bounds" % name)
+        for x, y in _store_keys(A, B, b_cells, a_cells):
+            witness = {name[0]: x, name[1].upper(): y}
+            if (x, y) not in store:
+                rep.add(name + "-missing", **witness)
+            elif C.sq_bounds[store[(x, y)]] != bounds(x, y):
+                rep.add(name + "-boundary", **witness)
 
 
 def check_quasi_functor(q, trivial_uU=False, unitary=False,
@@ -442,33 +445,29 @@ def _quasi_laws(q, emit):
 # -- cells between quasi functors -------------------------------------------
 
 
-class QHorTransform:
-    """Horizontal transformation of quasi functors: a family of horizontal
-    transformations in each variable, agreeing on components."""
-    kind = TRANSFORM_KINDS[HorTransform]
+class _QTransform:
+    """Transformation of quasi functors: a family of transformations of
+    the class's ``kind`` in each variable, agreeing on components.  Left
+    out, the name is the class's ``default_name``."""
 
-    def __init__(self, q1, q2, th_a, th_b, name="theta"):
+    def __init__(self, q1, q2, th_a, th_b, name=None):
         self.q1, self.q2 = q1, q2
         self.th_a = dict(th_a)
         self.th_b = dict(th_b)
-        self.name = name
+        self.name = self.default_name if name is None else name
 
     def at(self, a, b):
         return self.th_a[a].at(b)
 
 
-class QVertTransform:
+class QHorTransform(_QTransform):
+    """Horizontal transformation of quasi functors."""
+    kind, default_name = TRANSFORM_KINDS[HorTransform], "theta"
+
+
+class QVertTransform(_QTransform):
     """Vertical transformation of quasi functors."""
-    kind = TRANSFORM_KINDS[VertTransform]
-
-    def __init__(self, q1, q2, th_a, th_b, name="theta0"):
-        self.q1, self.q2 = q1, q2
-        self.th_a = dict(th_a)
-        self.th_b = dict(th_b)
-        self.name = name
-
-    def at(self, a, b):
-        return self.th_a[a].at(b)
+    kind, default_name = TRANSFORM_KINDS[VertTransform], "theta0"
 
 
 # the q-cell class whose family members are of each transformation kind
@@ -831,24 +830,18 @@ def uncurry0(P):
                 for a in range(A.n_objects)}
         fam_b[b] = LaxDoubleFunctor(A, C, ob, hmap, vmap, sqmap, comp, unit,
                                     name="(%s,-)" % B.objects[b])
-    kk, uk, ku, uu = {}, {}, {}, {}
-    for K in range(A.n_hcells):
-        tr = hom.h_payload[P.h(K)]
-        for k in range(B.n_hcells):
-            kk[(k, K)] = tr.delta_at(k)
-        for u in range(B.n_vcells):
-            if not B.is_v_identity(u):
-                uk[(u, K)] = tr.sq_v(u)
-    for U in range(A.n_vcells):
-        tr = hom.v_payload[P.v(U)]
-        if A.is_v_identity(U):
-            continue
-        for k in range(B.n_hcells):
-            ku[(k, U)] = tr.sq_h(k)
-        for u in range(B.n_vcells):
-            if not B.is_v_identity(u):
-                uu[(u, U)] = tr.sq_v(u)
-    return QuasiFunctor(A, B, C, fam_a, fam_b, kk, uk, ku, uu,
+    # the interchanger at (x, y) reads the transformation that P gives the
+    # A-cell y on the B-cell x, through its kind's field on x's cells
+    stores = []
+    for _, b_cells, a_cells in _INTERCHANGERS:
+        image, payload, cls = ((P.h, hom.h_payload, HorTransform)
+                               if a_cells == "h" else
+                               (P.v, hom.v_payload, VertTransform))
+        field, = [f for f in TRANSFORM_KINDS[cls].fields
+                  if f.cells == b_cells]
+        stores.append({(x, y): getattr(payload[image(y)], field.accessor)(x)
+                       for x, y in _store_keys(A, B, b_cells, a_cells)})
+    return QuasiFunctor(A, B, C, fam_a, fam_b, *stores,
                         name="uncurry(%s)" % P.name)
 
 

@@ -13,14 +13,12 @@ cell in each direction.
 
 from dataclasses import dataclass
 
-from .core import (
-    CellRef, Gen, HComp, HCELL, SQUARE, VComp, VId, dc_product,
-    eval_pasting, explicit_clone, ValidationReport)
+from .core import dc_product, explicit_clone, ValidationReport
 from .errors import NontrivialUU, NotDecomposable, NotUnitary
 from .functor import LaxDoubleFunctor
 from .quasi import (
-    Q_TRANSFORMS, QHorTransform, QModification, QuasiFunctor, _memberwise,
-    check_q_hor, check_q_mod, vcompose_q_hor)
+    _INTERCHANGERS, Q_TRANSFORMS, QHorTransform, QModification, QuasiFunctor,
+    _memberwise, _store_keys, check_q_hor, check_q_mod, vcompose_q_hor)
 from .transform import (
     LAX, OPLAX, TRANSFORM_KINDS, HorTransform, Modification, VertTransform,
     check_hor_transform, check_modification, field_squares, vcompose_hor)
@@ -59,14 +57,15 @@ def strictify0(q, dom=None):
     The horizontal image of a product 1-cell is "first factor then second",
     the square image pastes the two family images around the two mixed
     interchangers, and the compositors absorb one interchanger of the two
-    horizontal factors together with the family compositors.  Compositor
-    and unitor pastings are also kept as term/environment pairs on the
-    result (gamma_terms, iota_terms) for inspection.
+    horizontal factors together with the family compositors; the unitors
+    set the two families' unitors side by side.  The result is cached on
+    the domain, keyed by ``q`` itself, as ``quasi.curry0`` caches on the
+    hom.
     """
     if dom is None:
         dom = product_dom(q.A, q.B)
-    if id(q) in dom._strictified:
-        return dom._strictified[id(q)][1]
+    if q in dom._strictified:
+        return dom._strictified[q]
     _check_trivial_uu(q)
     C = q.C
     A, B = dom._factors
@@ -96,9 +95,6 @@ def strictify0(q, dom=None):
             right = C.vcomp_sq(q.sq_ku(k, V), q.fA(atp).sq(om))
             sqmap[ze * ns2 + om] = C.hcomp_sq(left, right)
     comp, unit = {}, {}
-    gamma_terms, iota_terms = {}, {}
-    gamma = VComp(HComp(HComp(VId(Gen("BK")), Gen("kKp")), VId(Gen("kpA"))),
-                  HComp(Gen("compB"), Gen("compA")))
     for f1 in range(dom.n_hcells):
         K, k = f1 // nh2, f1 % nh2
         b = B.hsrc[k]
@@ -107,26 +103,20 @@ def strictify0(q, dom=None):
                 continue
             Kp, kp = f2 // nh2, f2 % nh2
             app = A.htgt[Kp]
-            env = {"BK": CellRef(HCELL, q.fB(b).h(K)),
-                   "kKp": CellRef(SQUARE, q.sq_kk(k, Kp)),
-                   "kpA": CellRef(HCELL, q.fA(app).h(kp)),
-                   "compB": CellRef(SQUARE, q.fB(b).compositor(K, Kp)),
-                   "compA": CellRef(SQUARE, q.fA(app).compositor(k, kp))}
-            gamma_terms[(f1, f2)] = (gamma, env)
-            comp[(f1, f2)] = eval_pasting(C, gamma, env).id
-    iota = HComp(Gen("unitB"), Gen("unitA"))
+            # the interchanger of k and K' between the outer images, over
+            # the compositors of the two families side by side
+            middle = C.hcomp_sq(C.hcomp_sq(C.sq_v_id(q.fB(b).h(K)),
+                                           q.sq_kk(k, Kp)),
+                                C.sq_v_id(q.fA(app).h(kp)))
+            comp[(f1, f2)] = C.vcomp_sq(middle, C.hcomp_sq(
+                q.fB(b).compositor(K, Kp), q.fA(app).compositor(k, kp)))
     for a in range(A.n_objects):
         for b in range(B.n_objects):
-            env = {"unitB": CellRef(SQUARE, q.fB(b).unitor(a)),
-                   "unitA": CellRef(SQUARE, q.fA(a).unitor(b))}
-            iota_terms[a * no2 + b] = (iota, env)
-            unit[a * no2 + b] = eval_pasting(C, iota, env).id
+            unit[a * no2 + b] = C.hcomp_sq(q.fB(b).unitor(a),
+                                           q.fA(a).unitor(b))
     P = LaxDoubleFunctor(dom, C, ob, hmap, vmap, sqmap, comp, unit,
                          name="st(%s)" % q.name)
-    P.gamma_terms = gamma_terms
-    P.iota_terms = iota_terms
-    P.source_quasi = q
-    dom._strictified[id(q)] = (q, P)
+    dom._strictified[q] = P
     return P
 
 
@@ -284,32 +274,22 @@ def destrictify0(P, A, B):
              for a in range(A.n_objects)}
     fam_b = {b: _restrict_functor(P, A, pad_b(b), "%s|b%d" % (P.name, b))
              for b in range(B.n_objects)}
-    kk, uk, ku, uu = {}, {}, {}, {}
-    for K in range(A.n_hcells):
-        a, ap = A.hsrc[K], A.htgt[K]
-        for k in range(B.n_hcells):
-            b, bp = B.hsrc[k], B.htgt[k]
-            fwd = P.compositor(A.h_id(a) * nh2 + k, K * nh2 + B.h_id(bp))
-            back = P.compositor(K * nh2 + B.h_id(b), A.h_id(ap) * nh2 + k)
-            kk[(k, K)] = C.vcomp_sq(fwd, C.vertical_inverse(back))
-    for u in range(B.n_vcells):
-        if B.is_v_identity(u):
-            continue
-        for K in range(A.n_hcells):
-            uk[(u, K)] = P.sq(A.sq_v_id(K) * ns2 + B.sq_h_id(u))
-    for k in range(B.n_hcells):
-        for U in range(A.n_vcells):
-            if A.is_v_identity(U):
-                continue
-            ku[(k, U)] = P.sq(A.sq_h_id(U) * ns2 + B.sq_v_id(k))
-    for u in range(B.n_vcells):
-        if B.is_v_identity(u):
-            continue
-        for U in range(A.n_vcells):
-            if A.is_v_identity(U):
-                continue
-            uu[(u, U)] = C.sq_h_id(P.v(U * nv2 + u))
-    return QuasiFunctor(A, B, C, fam_a, fam_b, kk, uk, ku, uu,
+
+    def kk(k, K):
+        fwd = P.compositor(A.h_id(A.hsrc[K]) * nh2 + k,
+                           K * nh2 + B.h_id(B.htgt[k]))
+        back = P.compositor(K * nh2 + B.h_id(B.hsrc[k]),
+                            A.h_id(A.htgt[K]) * nh2 + k)
+        return C.vcomp_sq(fwd, C.vertical_inverse(back))
+
+    reads = {"kk": kk,
+             "uk": lambda u, K: P.sq(A.sq_v_id(K) * ns2 + B.sq_h_id(u)),
+             "ku": lambda k, U: P.sq(A.sq_h_id(U) * ns2 + B.sq_v_id(k)),
+             "uu": lambda u, U: C.sq_h_id(P.v(U * nv2 + u))}
+    stores = [{key: reads[name](*key)
+               for key in _store_keys(A, B, b_cells, a_cells)}
+              for name, b_cells, a_cells in _INTERCHANGERS]
+    return QuasiFunctor(A, B, C, fam_a, fam_b, *stores,
                         name="dst(%s)" % P.name)
 
 

@@ -13,11 +13,14 @@ boundary-preserving assignment of target cells to generators under which
 every relation evaluates to an equality, and that is checkable directly
 with pasting terms.
 
-Vertical identities and their normalization are built into the term
-builders: an object-with-identity-vertical generator is represented by the
-identity term on the object generator, so the unit rules hold by
-construction.  A law instance whose two sides build the same term is such
-a rule and is not stored.
+Vertical identities are normalized, so the unit rules hold by
+construction.  The family term builders represent an object with an
+identity vertical by the identity term on the object generator.  J is a
+``quasi.QuasiFunctor`` whose stores hold the interchanger generators, so
+its accessors turn an interchanger with a vertical identity argument into
+an identity term, as they turn it into an identity square for any quasi
+functor.  A law instance whose two sides build the same term is such a
+rule and is not stored.
 
 The generators come from one walk, ``_cells``, over the cells of a quasi
 functor that a generator names.  Walked on J it gives the generator terms;
@@ -32,7 +35,7 @@ from .core import (
     eval_pasting)
 from .errors import DomainMismatch, RelationViolated
 from .functor import _lax_functor_laws
-from .quasi import _quasi_laws
+from .quasi import _INTERCHANGERS, QuasiFunctor, _quasi_laws, _store_keys
 
 
 def _vcomp_many(terms):
@@ -68,8 +71,9 @@ class TensorPresentation:
     Generator names are structured strings; relations are (label, lhs, rhs)
     triples of pasting terms over Gen leaves: every law instance of the
     catalogues run on J, in catalogue order, except those whose two sides
-    are the same term.  Term-builder methods return the normalized term for
-    each mixed cell, collapsing identity vertical arguments.
+    are the same term.  Term-builder methods return the term of each cell
+    of the generator families, an identity vertical 1-cell collapsing to
+    the identity term on its object; the interchanger terms are J's.
     """
 
     def __init__(self, A, B):
@@ -140,26 +144,6 @@ class TensorPresentation:
     def t_ub(self, b, a):
         return Gen("uB:%d:%d" % (b, a))
 
-    def t_kk(self, k, K):
-        return Gen("kk:%d:%d" % (k, K))
-
-    def t_uk(self, u, K):
-        if self.B.is_v_identity(u):
-            return VId(self.t_hb(K, self.B.vsrc[u]))
-        return Gen("uk:%d:%d" % (u, K))
-
-    def t_ku(self, k, U):
-        if self.A.is_v_identity(U):
-            return VId(self.t_ha(self.A.vsrc[U], k))
-        return Gen("ku:%d:%d" % (k, U))
-
-    def t_uu(self, u, U):
-        if self.B.is_v_identity(u):
-            return HId(self.t_vb(U, self.B.vsrc[u]))
-        if self.A.is_v_identity(U):
-            return HId(self.t_va(self.A.vsrc[U], u))
-        return Gen("uu:%d:%d" % (u, U))
-
     # -- reporting -----------------------------------------------------------
 
     def generators(self):
@@ -183,52 +167,33 @@ def tensor_presentation(A, B):
     return TensorPresentation(A, B)
 
 
-class JQuasiFunctor:
+class JQuasiFunctor(QuasiFunctor):
     """The universal quasi functor into the tensor, symbolically.
 
-    Cell images are generator terms of the presentation, and its codomain
-    C builds pasting terms; there is nothing to check, because every law
-    instance is a stored relation or holds by normalization.  fA(a) and
-    fB(b) are the generator families as lax functors into the terms.
+    A quasi functor whose codomain builds pasting terms: fA(a) and fB(b)
+    are the generator families as lax functors into the terms, and its
+    four interchanger stores hold the interchanger generators, so
+    ``QuasiFunctor`` normalizes a vertical identity argument as it does for
+    any quasi functor.  There is nothing to check, because every law
+    instance is a stored relation or holds by normalization.
     """
 
     def __init__(self, pres):
-        self.pres = pres
-        self.A, self.B, self.C = pres.A, pres.B, _Terms
-        p = pres
-        self._fam_a = [
-            _Family(p.B, partial(p.t_obj, a), partial(p.t_ha, a),
-                    partial(p.t_va, a), partial(p.t_sqa, a),
-                    partial(p.t_ca, a), partial(p.t_ua, a))
-            for a in range(p.A.n_objects)]
-        self._fam_b = [
-            _Family(p.A, lambda a, b=b: p.t_obj(a, b),
-                    lambda K, b=b: p.t_hb(K, b),
-                    lambda U, b=b: p.t_vb(U, b),
-                    lambda ze, b=b: p.t_sqb(ze, b),
-                    partial(p.t_cb, b), partial(p.t_ub, b))
-            for b in range(p.B.n_objects)]
-
-    def fA(self, a):
-        return self._fam_a[a]
-
-    def fB(self, b):
-        return self._fam_b[b]
-
-    def obj(self, a, b):
-        return self.pres.t_obj(a, b)
-
-    def sq_kk(self, k, K):
-        return self.pres.t_kk(k, K)
-
-    def sq_uk(self, u, K):
-        return self.pres.t_uk(u, K)
-
-    def sq_ku(self, k, U):
-        return self.pres.t_ku(k, U)
-
-    def sq_uu(self, u, U):
-        return self.pres.t_uu(u, U)
+        self.pres = p = pres
+        fam_a = {a: _Family(p.B, partial(p.t_obj, a), partial(p.t_ha, a),
+                            partial(p.t_va, a), partial(p.t_sqa, a),
+                            partial(p.t_ca, a), partial(p.t_ua, a))
+                 for a in range(p.A.n_objects)}
+        fam_b = {b: _Family(p.A, lambda a, b=b: p.t_obj(a, b),
+                            lambda K, b=b: p.t_hb(K, b),
+                            lambda U, b=b: p.t_vb(U, b),
+                            lambda ze, b=b: p.t_sqb(ze, b),
+                            partial(p.t_cb, b), partial(p.t_ub, b))
+                 for b in range(p.B.n_objects)}
+        super().__init__(p.A, p.B, _Terms, fam_a, fam_b, *(
+            {key: Gen("%s:%d:%d" % ((name,) + key))
+             for key in _store_keys(p.A, p.B, b_cells, a_cells)}
+            for name, b_cells, a_cells in _INTERCHANGERS), name="J")
 
 
 def j_quasi_functor(A, B, pres=None):

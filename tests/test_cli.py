@@ -1,6 +1,9 @@
 """Tests for the command line interface."""
 
+import copy
+import functools
 import json
+import operator
 import os
 import re
 import subprocess
@@ -287,6 +290,93 @@ def test_transform_functor_missing_a_cell_ends_without_traceback(
     assert res.exit_code == 1, res.output
     assert isinstance(res.exception, SystemExit), res.exception
     assert "FAIL %s.%s" % (functor, law) in res.output
+
+
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+UNKNOWN = "?unknown"
+# each JSON type's replacement, of another type
+OTHER_TYPE = {dict: [], list: {}, str: 0, int: "0", float: "0", bool: 0,
+              type(None): 0}
+
+
+def _readme_documents():
+    """(args, i) for every README command line and each position i of a
+    document among its arguments."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        lines = [line.split()[1:] for line in fh
+                 if line.startswith("dblcheck ")]
+    return [(args, i) for args in lines
+            for i, arg in enumerate(args) if arg.endswith(".json")]
+
+
+def _nodes(node, path=()):
+    """(path, value) for every value inside a JSON document."""
+    items = (node.items() if isinstance(node, dict) else
+             enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield path + (key,), value
+        yield from _nodes(value, path + (key,))
+
+
+def _edited(doc, path, edit):
+    """A copy of doc whose value at path is edited in its parent by
+    ``edit(parent, key)``."""
+    doc = copy.deepcopy(doc)
+    edit(functools.reduce(operator.getitem, path[:-1], doc), path[-1])
+    return doc
+
+
+def _renamed_key(parent, key):
+    items = [(UNKNOWN if k == key else k, v) for k, v in parent.items()]
+    parent.clear()
+    parent.update(items)
+
+
+def _single_mutations(doc):
+    """Every single mutation of a JSON document: change a value's JSON type
+    (the document's too), delete a key or list entry, rename a key or a
+    string to an unknown name, or duplicate a list entry."""
+    yield OTHER_TYPE[type(doc)]
+    for path, value in _nodes(doc):
+        yield _edited(doc, path, lambda p, k: p.pop(k))
+        if isinstance(path[-1], str):
+            yield _edited(doc, path, _renamed_key)
+        else:
+            yield _edited(doc, path, lambda p, k: p.insert(k + 1, p[k]))
+        replacements = [OTHER_TYPE[type(value)]]
+        if isinstance(value, str):
+            replacements.append(UNKNOWN)
+        for new in replacements:
+            yield _edited(doc, path, lambda p, k, new=new: operator.setitem(
+                p, k, new))
+
+
+def test_every_single_mutation_of_a_readme_document_ends_without_traceback(
+        tmp_path):
+    """Each document-reading README verb, on every single mutation of each
+    of its README documents, exits 0, 1 or 2 with no exception but its
+    exit, and names an input error when it exits 2."""
+    bad = str(tmp_path / "bad.json")
+    runs, failures = 0, []
+    for args, i in _readme_documents():
+        with open(os.path.join(ROOT, args[i]), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        argv = [os.path.join(ROOT, arg) if arg.endswith(".json") else arg
+                for arg in args]
+        argv[i] = bad
+        for mutant in _single_mutations(doc):
+            with open(bad, "w", encoding="utf-8") as fh:
+                json.dump(mutant, fh)
+            res = run(*argv)
+            runs += 1
+            if (res.exit_code not in (0, 1, 2)
+                    or not isinstance(res.exception, (SystemExit, type(None)))
+                    or res.exit_code == 2 and "input error" not in res.output):
+                failures.append((args[0], args[i], json.dumps(mutant)[:200],
+                                 res.exit_code, repr(res.exception)))
+    # the set is exhaustive: a smaller count means mutations went missing
+    assert runs == 1769
+    assert failures == []
 
 
 def test_quasi_check():

@@ -44,13 +44,6 @@ def test_strictify_distributive():
     assert rep.passed, rep.laws_failed()
 
 
-def test_strictify_keeps_pasting_records():
-    q = sign_quasi({0: 0, 1: 1})
-    P = strictify0(q)
-    assert set(P.gamma_terms) == set(P.comp)
-    assert set(P.iota_terms) == set(P.unit)
-
-
 def test_nontrivial_uu_guard():
     # doctored entry on identity cells; the guard only inspects stored
     # interchangers, so this exercises the rejection path directly
