@@ -133,14 +133,14 @@ _INTERCHANGERS = (("kk", "h", "h"), ("uk", "v", "h"), ("ku", "h", "v"),
                   ("uu", "v", "v"))
 
 
-def _store_keys(A, B, b_cells, a_cells):
-    """The keys (x, y) of an interchanger store, x a cell of B and y one of
-    A, B's outermost.  Each is every 1h-cell or every non-identity 1v-cell:
-    an interchanger at a vertical identity is an identity square."""
-    cells = lambda d, kind: (
-        range(d.n_hcells) if kind == "h" else
-        [u for u in range(d.n_vcells) if not d.is_v_identity(u)])
-    return [(x, y) for x in cells(B, b_cells) for y in cells(A, a_cells)]
+def _stored_cells(d, kind):
+    """The cells of d that key an interchanger store: every 1h-cell ("h"),
+    or every non-identity 1v-cell ("v"), since an interchanger at a
+    vertical identity is an identity square.  A store's keys (x, y) take x
+    from B and y from A, B's outermost."""
+    if kind == "h":
+        return range(d.n_hcells)
+    return [u for u in range(d.n_vcells) if not d.is_v_identity(u)]
 
 
 def _check_quasi_wellformed(rep, q):
@@ -164,12 +164,13 @@ def _check_quasi_wellformed(rep, q):
         return
     for name, b_cells, a_cells in _INTERCHANGERS:
         store, bounds = getattr(q, name), getattr(q, "_%s_bounds" % name)
-        for x, y in _store_keys(A, B, b_cells, a_cells):
-            witness = {name[0]: x, name[1].upper(): y}
-            if (x, y) not in store:
-                rep.add(name + "-missing", **witness)
-            elif C.sq_bounds[store[(x, y)]] != bounds(x, y):
-                rep.add(name + "-boundary", **witness)
+        for x in _stored_cells(B, b_cells):
+            for y in _stored_cells(A, a_cells):
+                witness = {name[0]: x, name[1].upper(): y}
+                if (x, y) not in store:
+                    rep.add(name + "-missing", **witness)
+                elif C.sq_bounds[store[(x, y)]] != bounds(x, y):
+                    rep.add(name + "-boundary", **witness)
 
 
 def check_quasi_functor(q, trivial_uU=False, unitary=False,
@@ -840,7 +841,8 @@ def uncurry0(P):
         field, = [f for f in TRANSFORM_KINDS[cls].fields
                   if f.cells == b_cells]
         stores.append({(x, y): getattr(payload[image(y)], field.accessor)(x)
-                       for x, y in _store_keys(A, B, b_cells, a_cells)})
+                       for x in _stored_cells(B, b_cells)
+                       for y in _stored_cells(A, a_cells)})
     return QuasiFunctor(A, B, C, fam_a, fam_b, *stores,
                         name="uncurry(%s)" % P.name)
 

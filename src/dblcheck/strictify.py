@@ -18,7 +18,7 @@ from .errors import NontrivialUU, NotDecomposable, NotUnitary
 from .functor import LaxDoubleFunctor
 from .quasi import (
     _INTERCHANGERS, Q_TRANSFORMS, QHorTransform, QModification, QuasiFunctor,
-    _memberwise, _store_keys, check_q_hor, check_q_mod, vcompose_q_hor)
+    _memberwise, _stored_cells, check_q_hor, check_q_mod, vcompose_q_hor)
 from .transform import (
     LAX, OPLAX, TRANSFORM_KINDS, HorTransform, Modification, VertTransform,
     check_hor_transform, check_modification, field_squares, vcompose_hor)
@@ -286,8 +286,8 @@ def destrictify0(P, A, B):
              "uk": lambda u, K: P.sq(A.sq_v_id(K) * ns2 + B.sq_h_id(u)),
              "ku": lambda k, U: P.sq(A.sq_h_id(U) * ns2 + B.sq_v_id(k)),
              "uu": lambda u, U: C.sq_h_id(P.v(U * nv2 + u))}
-    stores = [{key: reads[name](*key)
-               for key in _store_keys(A, B, b_cells, a_cells)}
+    stores = [{(x, y): reads[name](x, y) for x in _stored_cells(B, b_cells)
+               for y in _stored_cells(A, a_cells)}
               for name, b_cells, a_cells in _INTERCHANGERS]
     return QuasiFunctor(A, B, C, fam_a, fam_b, *stores,
                         name="dst(%s)" % P.name)

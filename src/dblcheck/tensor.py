@@ -35,7 +35,7 @@ from .core import (
     eval_pasting)
 from .errors import DomainMismatch, RelationViolated
 from .functor import _lax_functor_laws
-from .quasi import _INTERCHANGERS, QuasiFunctor, _quasi_laws, _store_keys
+from .quasi import _INTERCHANGERS, QuasiFunctor, _quasi_laws, _stored_cells
 
 
 def _vcomp_many(terms):
@@ -191,8 +191,9 @@ class JQuasiFunctor(QuasiFunctor):
                             partial(p.t_cb, b), partial(p.t_ub, b))
                  for b in range(p.B.n_objects)}
         super().__init__(p.A, p.B, _Terms, fam_a, fam_b, *(
-            {key: Gen("%s:%d:%d" % ((name,) + key))
-             for key in _store_keys(p.A, p.B, b_cells, a_cells)}
+            {(x, y): Gen("%s:%d:%d" % (name, x, y))
+             for x in _stored_cells(p.B, b_cells)
+             for y in _stored_cells(p.A, a_cells)}
             for name, b_cells, a_cells in _INTERCHANGERS), name="J")
 
 
