@@ -706,6 +706,21 @@ def composable_square_pairs(bounds):
             sum(n * tops[e] for e, n in bottoms.items()))
 
 
+def composable_pairs(src, tgt):
+    """Yield each composable pair ``(f, g)`` of 1-cells with these
+    endpoints, ``tgt[f] == src[g]``, in the order of f and then of g.
+
+    The lists are read live: the range of f is fixed when the walk starts,
+    the range of g is read again for each f.  A cell appended while the
+    pairs of f are yielded, say by a lazy composite, is a candidate g from
+    the next f on, but never a first cell f."""
+    for f in range(len(tgt)):
+        b = tgt[f]
+        for g in range(len(src)):
+            if src[g] == b:
+                yield f, g
+
+
 def composable_triples(src, tgt):
     """The number of composable triples of 1-cells with these endpoints."""
     into, out = Counter(tgt), Counter(src)
@@ -835,16 +850,14 @@ def _validate_explicit_squares(rep, d, max_checks=None, seed=0):
                     rep.add(law, first=CellRef(SQUARE, s1),
                             second=CellRef(SQUARE, s2),
                             third=CellRef(SQUARE, s3))
-    for f in range(d.n_hcells):
-        for g in range(d.n_hcells):
-            if htgt[f] == hsrc[g] and hs[sqv[f], sqv[g]] != sqv[hh[f, g]]:
-                rep.add("sq-v-id-functorial", first=CellRef(HCELL, f),
-                        second=CellRef(HCELL, g))
-    for u in range(d.n_vcells):
-        for v in range(d.n_vcells):
-            if vtgt[u] == vsrc[v] and vs[sqh[u], sqh[v]] != sqh[vv[u, v]]:
-                rep.add("sq-h-id-functorial", first=CellRef(VCELL, u),
-                        second=CellRef(VCELL, v))
+    for f, g in composable_pairs(hsrc, htgt):
+        if hs[sqv[f], sqv[g]] != sqv[hh[f, g]]:
+            rep.add("sq-v-id-functorial", first=CellRef(HCELL, f),
+                    second=CellRef(HCELL, g))
+    for u, v in composable_pairs(vsrc, vtgt):
+        if vs[sqh[u], sqh[v]] != sqh[vv[u, v]]:
+            rep.add("sq-h-id-functorial", first=CellRef(VCELL, u),
+                    second=CellRef(VCELL, v))
 
     def grids():
         """For each 2x2 grid's top left, top right and bottom left square,

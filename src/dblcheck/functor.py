@@ -11,8 +11,8 @@ goes from the identity on F(A) down to F(1_A).
 import functools
 
 from .core import (
-    ValidationReport, composable_square_pairs, composable_triples,
-    flat_validation_steps, validate_double_category)
+    ValidationReport, composable_pairs, composable_square_pairs,
+    composable_triples, flat_validation_steps, validate_double_category)
 from .errors import DblError, DomainMismatch, MalformedTables
 
 
@@ -101,10 +101,8 @@ def identity_functor(d):
     vmap = {u: u for u in range(d.n_vcells)}
     sqmap = {} if d.flat else {s: s for s in range(d.n_squares)}
     comp = {}
-    for f in range(d.n_hcells):
-        for g in range(d.n_hcells):
-            if d.htgt[f] == d.hsrc[g]:
-                comp[(f, g)] = d.sq_v_id(d.hcomp_h(f, g))
+    for f, g in composable_pairs(d.hsrc, d.htgt):
+        comp[(f, g)] = d.sq_v_id(d.hcomp_h(f, g))
     unit = {a: d.sq_v_id(d.h_id(a)) for a in range(d.n_objects)}
     return LaxDoubleFunctor(d, d, ob, hmap, vmap, sqmap, comp, unit,
                             name="id_%s" % d.name)
@@ -113,10 +111,8 @@ def identity_functor(d):
 def strict_functor(dom, cod, ob, hmap, vmap, sqmap=None, name="F"):
     """Wrap strictly functorial cell maps with identity compositors."""
     F = LaxDoubleFunctor(dom, cod, ob, hmap, vmap, sqmap, name=name)
-    for f in range(dom.n_hcells):
-        for g in range(dom.n_hcells):
-            if dom.htgt[f] == dom.hsrc[g]:
-                F.comp[(f, g)] = cod.sq_v_id(cod.hcomp_h(F.h(f), F.h(g)))
+    for f, g in composable_pairs(dom.hsrc, dom.htgt):
+        F.comp[(f, g)] = cod.sq_v_id(cod.hcomp_h(F.h(f), F.h(g)))
     for a in range(dom.n_objects):
         F.unit[a] = cod.sq_v_id(cod.h_id(F.obj(a)))
     return F
@@ -167,17 +163,14 @@ def check_wellformed(F):
             continue
         if c.sq_bounds[img] != F._sq_bounds(s):
             rep.add("wf-square-boundary", square=s)
-    for f in range(d.n_hcells):
-        for g in range(d.n_hcells):
-            if d.htgt[f] != d.hsrc[g]:
-                continue
-            try:
-                s = F.compositor(f, g)
-            except MalformedTables:
-                rep.add("wf-compositor-missing", first=f, second=g)
-                continue
-            if c.sq_bounds[s] != F._compositor_bounds(f, g):
-                rep.add("wf-compositor-boundary", first=f, second=g)
+    for f, g in composable_pairs(d.hsrc, d.htgt):
+        try:
+            s = F.compositor(f, g)
+        except MalformedTables:
+            rep.add("wf-compositor-missing", first=f, second=g)
+            continue
+        if c.sq_bounds[s] != F._compositor_bounds(f, g):
+            rep.add("wf-compositor-boundary", first=f, second=g)
     for a in range(d.n_objects):
         try:
             s = F.unitor(a)
@@ -282,13 +275,11 @@ def _lax_functor_laws(F, emit, tag, square_laws=True):
     """
     d, c = F.dom, F.cod
     v1, v2, h1, h2, hex_, unit, c_nat, u_nat = _law_labels(tag)
-    for u in range(d.n_vcells):
-        for w in range(d.n_vcells):
-            if d.vtgt[u] == d.vsrc[w]:
-                emit(v1,
-                    lambda u=u, w=w: F.v(d.vcomp_v(u, w)),
-                    lambda u=u, w=w: c.vcomp_v(F.v(u), F.v(w)),
-                    first=u, second=w)
+    for u, w in composable_pairs(d.vsrc, d.vtgt):
+        emit(v1,
+            lambda u=u, w=w: F.v(d.vcomp_v(u, w)),
+            lambda u=u, w=w: c.vcomp_v(F.v(u), F.v(w)),
+            first=u, second=w)
     for a in range(d.n_objects):
         emit(v2,
             lambda a=a: F.v(d.v_id(a)),
@@ -309,21 +300,18 @@ def _lax_functor_laws(F, emit, tag, square_laws=True):
         emit(h2,
             lambda f=f: F.sq(d.sq_v_id(f)),
             lambda f=f: c.sq_v_id(F.h(f)), hcell=f)
-    for f in range(d.n_hcells):
-        for g in range(d.n_hcells):
-            if d.htgt[f] != d.hsrc[g]:
+    for f, g in composable_pairs(d.hsrc, d.htgt):
+        for h in range(d.n_hcells):
+            if d.htgt[g] != d.hsrc[h]:
                 continue
-            for h in range(d.n_hcells):
-                if d.htgt[g] != d.hsrc[h]:
-                    continue
-                emit(hex_,
-                    lambda f=f, g=g, h=h: c.vcomp_sq(
-                        c.hcomp_sq(F.compositor(f, g), c.sq_v_id(F.h(h))),
-                        F.compositor(d.hcomp_h(f, g), h)),
-                    lambda f=f, g=g, h=h: c.vcomp_sq(
-                        c.hcomp_sq(c.sq_v_id(F.h(f)), F.compositor(g, h)),
-                        F.compositor(f, d.hcomp_h(g, h))),
-                    first=f, second=g, third=h)
+            emit(hex_,
+                lambda f=f, g=g, h=h: c.vcomp_sq(
+                    c.hcomp_sq(F.compositor(f, g), c.sq_v_id(F.h(h))),
+                    F.compositor(d.hcomp_h(f, g), h)),
+                lambda f=f, g=g, h=h: c.vcomp_sq(
+                    c.hcomp_sq(c.sq_v_id(F.h(f)), F.compositor(g, h)),
+                    F.compositor(f, d.hcomp_h(g, h))),
+                first=f, second=g, third=h)
     for f in range(d.n_hcells):
         a, b = d.hsrc[f], d.htgt[f]
         ident = lambda f=f: c.sq_v_id(F.h(f))
@@ -372,11 +360,9 @@ def is_pseudo(F):
     if not is_unitary(F):
         return False
     d, c = F.dom, F.cod
-    for f in range(d.n_hcells):
-        for g in range(d.n_hcells):
-            if d.htgt[f] == d.hsrc[g]:
-                if c.vertical_inverse(F.compositor(f, g)) is None:
-                    return False
+    for f, g in composable_pairs(d.hsrc, d.htgt):
+        if c.vertical_inverse(F.compositor(f, g)) is None:
+            return False
     return True
 
 
@@ -386,11 +372,9 @@ def is_strict(F):
     for a in range(d.n_objects):
         if F.unitor(a) != c.sq_v_id(c.h_id(F.obj(a))):
             return False
-    for f in range(d.n_hcells):
-        for g in range(d.n_hcells):
-            if d.htgt[f] == d.hsrc[g]:
-                if F.compositor(f, g) != c.sq_v_id(c.hcomp_h(F.h(f), F.h(g))):
-                    return False
+    for f, g in composable_pairs(d.hsrc, d.htgt):
+        if F.compositor(f, g) != c.sq_v_id(c.hcomp_h(F.h(f), F.h(g))):
+            return False
     return True
 
 
@@ -404,11 +388,9 @@ def compose_lax(F, G):
     vmap = {u: G.v(F.v(u)) for u in range(d.n_vcells)}
     sqmap = {s: G.sq(F.sq(s)) for s in d.iter_squares()}
     comp = {}
-    for f in range(d.n_hcells):
-        for g in range(d.n_hcells):
-            if d.htgt[f] == d.hsrc[g]:
-                comp[(f, g)] = e.vcomp_sq(G.compositor(F.h(f), F.h(g)),
-                                          G.sq(F.compositor(f, g)))
+    for f, g in composable_pairs(d.hsrc, d.htgt):
+        comp[(f, g)] = e.vcomp_sq(G.compositor(F.h(f), F.h(g)),
+                                  G.sq(F.compositor(f, g)))
     unit = {a: e.vcomp_sq(G.unitor(F.obj(a)), G.sq(F.unitor(a)))
             for a in range(d.n_objects)}
     return LaxDoubleFunctor(d, e, ob, hmap, vmap, sqmap, comp, unit,
@@ -428,9 +410,7 @@ def functor_equal(F, G):
         return False
     if any(F.sq(s) != G.sq(s) for s in d.iter_squares()):
         return False
-    for f in range(d.n_hcells):
-        for g in range(d.n_hcells):
-            if d.htgt[f] == d.hsrc[g]:
-                if F.compositor(f, g) != G.compositor(f, g):
-                    return False
+    for f, g in composable_pairs(d.hsrc, d.htgt):
+        if F.compositor(f, g) != G.compositor(f, g):
+            return False
     return all(F.unitor(a) == G.unitor(a) for a in range(d.n_objects))

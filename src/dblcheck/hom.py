@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from heapq import merge
 from itertools import product as iproduct
 
-from .core import DoubleCat, ValidationReport
+from .core import DoubleCat, ValidationReport, composable_pairs
 from .errors import EnumerationBound, NotHomCodomain
 from .functor import LaxDoubleFunctor, check_lax_functor, is_unitary
 from .transform import (
@@ -290,14 +290,10 @@ def populate_squares(hom):
     """
     while True:
         n_cells = (hom.n_hcells, hom.n_vcells, hom.n_squares)
-        for f in range(hom.n_hcells):
-            for g in range(hom.n_hcells):
-                if hom.htgt[f] == hom.hsrc[g]:
-                    hom.hcomp_h(f, g)
-        for u in range(hom.n_vcells):
-            for w in range(hom.n_vcells):
-                if hom.vtgt[u] == hom.vsrc[w]:
-                    hom.vcomp_v(u, w)
+        for f, g in composable_pairs(hom.hsrc, hom.htgt):
+            hom.hcomp_h(f, g)
+        for u, w in composable_pairs(hom.vsrc, hom.vtgt):
+            hom.vcomp_v(u, w)
         for f in range(hom.n_hcells):
             hom.sq_v_id(f)
         for u in range(hom.n_vcells):
@@ -442,8 +438,7 @@ def _square_choices(C, groups):
 def _complete_functors(B, C, flavor, budget, ob, hmap, vmap):
     cells = LaxDoubleFunctor(B, C, ob, hmap, vmap)
     squares = list(B.iter_squares())
-    pairs = [(f, g) for f in range(B.n_hcells) for g in range(B.n_hcells)
-             if B.htgt[f] == B.hsrc[g]]
+    pairs = list(composable_pairs(B.hsrc, B.htgt))
     choices = _square_choices(C, (
         (cells._sq_bounds, squares, False),
         (lambda fg: cells._compositor_bounds(*fg), pairs, False),

@@ -24,7 +24,7 @@ demand through the same base as the hom (``hom.InternedDoubleCat``).
 
 import functools
 
-from .core import ValidationReport
+from .core import ValidationReport, composable_pairs
 from .errors import ChainMismatch, DomainMismatch
 from .functor import LaxDoubleFunctor, check_lax_functor, is_unitary, _eq
 from .hom import (
@@ -291,110 +291,95 @@ def _quasi_laws(q, emit):
                 lambda a=a, u=u: q.sq_uu(u, A.v_id(a)),
                 lambda a=a, u=u: hid(q.fA(a).v(u)), a=a, u=u)
     # composite horizontal arguments: ((k'k, K)) and ((k, K'K))
-    for k in range(B.n_hcells):
-        for kp in range(B.n_hcells):
-            if B.htgt[k] != B.hsrc[kp]:
-                continue
-            kc = B.hcomp_h(k, kp)
-            b, bpp = B.hsrc[k], B.htgt[kp]
-            bp = B.htgt[k]
-            for K in range(A.n_hcells):
-                a, ap = A.hsrc[K], A.htgt[K]
-                emit("(k'k,K)",
-                    lambda k=k, kp=kp, K=K, a=a, ap=ap, b=b, bp=bp: C.vcomp_sq_many([
-                        C.hcomp_sq(vid(q.fA(a).h(k)), q.sq_kk(kp, K)),
-                        C.hcomp_sq(q.sq_kk(k, K), vid(q.fA(ap).h(kp))),
-                        C.hcomp_sq(vid(q.fB(b).h(K)),
-                                   q.fA(ap).compositor(k, kp))]),
-                    lambda k=k, kp=kp, kc=kc, K=K, a=a, bpp=bpp: C.vcomp_sq(
-                        C.hcomp_sq(q.fA(a).compositor(k, kp),
-                                   vid(q.fB(bpp).h(K))),
-                        q.sq_kk(kc, K)),
-                    k=k, kp=kp, K=K)
-    for K in range(A.n_hcells):
-        for Kp in range(A.n_hcells):
-            if A.htgt[K] != A.hsrc[Kp]:
-                continue
-            Kc = A.hcomp_h(K, Kp)
-            a, app = A.hsrc[K], A.htgt[Kp]
-            ap = A.htgt[K]
-            for k in range(B.n_hcells):
-                b, bp = B.hsrc[k], B.htgt[k]
-                emit("(k,K'K)",
-                    lambda k=k, K=K, Kp=Kp, Kc=Kc, a=a, bp=bp: C.vcomp_sq(
-                        C.hcomp_sq(vid(q.fA(a).h(k)),
-                                   q.fB(bp).compositor(K, Kp)),
-                        q.sq_kk(k, Kc)),
-                    lambda k=k, K=K, Kp=Kp, a=a, ap=ap, app=app, b=b, bp=bp:
-                        C.vcomp_sq_many([
-                            C.hcomp_sq(q.sq_kk(k, K), vid(q.fB(bp).h(Kp))),
-                            C.hcomp_sq(vid(q.fB(b).h(K)), q.sq_kk(k, Kp)),
-                            C.hcomp_sq(q.fB(b).compositor(K, Kp),
-                                       vid(q.fA(app).h(k)))]),
-                    k=k, K=K, Kp=Kp)
-            for u in range(B.n_vcells):
-                b, bt = B.vsrc[u], B.vtgt[u]
-                emit("(u,K'K)",
-                    lambda u=u, K=K, Kp=Kp, Kc=Kc, b=b: C.vcomp_sq(
-                        q.fB(b).compositor(K, Kp), q.sq_uk(u, Kc)),
-                    lambda u=u, K=K, Kp=Kp, bt=bt: C.vcomp_sq(
-                        C.hcomp_sq(q.sq_uk(u, K), q.sq_uk(u, Kp)),
-                        q.fB(bt).compositor(K, Kp)),
-                    u=u, K=K, Kp=Kp)
-    for k in range(B.n_hcells):
-        for kp in range(B.n_hcells):
-            if B.htgt[k] != B.hsrc[kp]:
-                continue
-            kc = B.hcomp_h(k, kp)
-            for U in range(A.n_vcells):
-                a, at = A.vsrc[U], A.vtgt[U]
-                emit("(k'k,U)",
-                    lambda k=k, kp=kp, U=U, at=at: C.vcomp_sq(
-                        C.hcomp_sq(q.sq_ku(k, U), q.sq_ku(kp, U)),
-                        q.fA(at).compositor(k, kp)),
-                    lambda k=k, kp=kp, kc=kc, U=U, a=a: C.vcomp_sq(
-                        q.fA(a).compositor(k, kp), q.sq_ku(kc, U)),
-                    k=k, kp=kp, U=U)
+    for k, kp in composable_pairs(B.hsrc, B.htgt):
+        kc = B.hcomp_h(k, kp)
+        b, bpp = B.hsrc[k], B.htgt[kp]
+        bp = B.htgt[k]
+        for K in range(A.n_hcells):
+            a, ap = A.hsrc[K], A.htgt[K]
+            emit("(k'k,K)",
+                lambda k=k, kp=kp, K=K, a=a, ap=ap, b=b, bp=bp: C.vcomp_sq_many([
+                    C.hcomp_sq(vid(q.fA(a).h(k)), q.sq_kk(kp, K)),
+                    C.hcomp_sq(q.sq_kk(k, K), vid(q.fA(ap).h(kp))),
+                    C.hcomp_sq(vid(q.fB(b).h(K)),
+                               q.fA(ap).compositor(k, kp))]),
+                lambda k=k, kp=kp, kc=kc, K=K, a=a, bpp=bpp: C.vcomp_sq(
+                    C.hcomp_sq(q.fA(a).compositor(k, kp),
+                               vid(q.fB(bpp).h(K))),
+                    q.sq_kk(kc, K)),
+                k=k, kp=kp, K=K)
+    for K, Kp in composable_pairs(A.hsrc, A.htgt):
+        Kc = A.hcomp_h(K, Kp)
+        a, app = A.hsrc[K], A.htgt[Kp]
+        ap = A.htgt[K]
+        for k in range(B.n_hcells):
+            b, bp = B.hsrc[k], B.htgt[k]
+            emit("(k,K'K)",
+                lambda k=k, K=K, Kp=Kp, Kc=Kc, a=a, bp=bp: C.vcomp_sq(
+                    C.hcomp_sq(vid(q.fA(a).h(k)),
+                               q.fB(bp).compositor(K, Kp)),
+                    q.sq_kk(k, Kc)),
+                lambda k=k, K=K, Kp=Kp, a=a, ap=ap, app=app, b=b, bp=bp:
+                    C.vcomp_sq_many([
+                        C.hcomp_sq(q.sq_kk(k, K), vid(q.fB(bp).h(Kp))),
+                        C.hcomp_sq(vid(q.fB(b).h(K)), q.sq_kk(k, Kp)),
+                        C.hcomp_sq(q.fB(b).compositor(K, Kp),
+                                   vid(q.fA(app).h(k)))]),
+                k=k, K=K, Kp=Kp)
+        for u in range(B.n_vcells):
+            b, bt = B.vsrc[u], B.vtgt[u]
+            emit("(u,K'K)",
+                lambda u=u, K=K, Kp=Kp, Kc=Kc, b=b: C.vcomp_sq(
+                    q.fB(b).compositor(K, Kp), q.sq_uk(u, Kc)),
+                lambda u=u, K=K, Kp=Kp, bt=bt: C.vcomp_sq(
+                    C.hcomp_sq(q.sq_uk(u, K), q.sq_uk(u, Kp)),
+                    q.fB(bt).compositor(K, Kp)),
+                u=u, K=K, Kp=Kp)
+    for k, kp in composable_pairs(B.hsrc, B.htgt):
+        kc = B.hcomp_h(k, kp)
+        for U in range(A.n_vcells):
+            a, at = A.vsrc[U], A.vtgt[U]
+            emit("(k'k,U)",
+                lambda k=k, kp=kp, U=U, at=at: C.vcomp_sq(
+                    C.hcomp_sq(q.sq_ku(k, U), q.sq_ku(kp, U)),
+                    q.fA(at).compositor(k, kp)),
+                lambda k=k, kp=kp, kc=kc, U=U, a=a: C.vcomp_sq(
+                    q.fA(a).compositor(k, kp), q.sq_ku(kc, U)),
+                k=k, kp=kp, U=U)
     # composite vertical arguments
-    for u in range(B.n_vcells):
-        for up in range(B.n_vcells):
-            if B.vtgt[u] != B.vsrc[up]:
-                continue
-            uc = B.vcomp_v(u, up)
-            for K in range(A.n_hcells):
-                emit("(u/u',K)",
-                    lambda u=u, up=up, uc=uc, K=K: q.sq_uk(uc, K),
-                    lambda u=u, up=up, K=K: C.vcomp_sq(
-                        q.sq_uk(u, K), q.sq_uk(up, K)),
-                    u=u, up=up, K=K)
-            for U in range(A.n_vcells):
-                a, at = A.vsrc[U], A.vtgt[U]
-                emit("(u/u',U)",
-                    lambda u=u, up=up, uc=uc, U=U: q.sq_uu(uc, U),
-                    lambda u=u, up=up, U=U, a=a, at=at: C.hcomp_sq(
-                        C.vcomp_sq(q.sq_uu(u, U),
-                                   hid(q.fA(at).v(up))),
-                        C.vcomp_sq(hid(q.fA(a).v(u)), q.sq_uu(up, U))),
-                    u=u, up=up, U=U)
-    for U in range(A.n_vcells):
-        for Up in range(A.n_vcells):
-            if A.vtgt[U] != A.vsrc[Up]:
-                continue
-            Uc = A.vcomp_v(U, Up)
-            for k in range(B.n_hcells):
-                emit("(k,U/U')",
-                    lambda k=k, U=U, Up=Up, Uc=Uc: q.sq_ku(k, Uc),
-                    lambda k=k, U=U, Up=Up: C.vcomp_sq(
-                        q.sq_ku(k, U), q.sq_ku(k, Up)),
-                    k=k, U=U, Up=Up)
-            for u in range(B.n_vcells):
-                b, bt = B.vsrc[u], B.vtgt[u]
-                emit("(u,U/U')",
-                    lambda u=u, U=U, Up=Up, Uc=Uc: q.sq_uu(u, Uc),
-                    lambda u=u, U=U, Up=Up, b=b, bt=bt: C.hcomp_sq(
-                        C.vcomp_sq(hid(q.fB(b).v(U)), q.sq_uu(u, Up)),
-                        C.vcomp_sq(q.sq_uu(u, U), hid(q.fB(bt).v(Up)))),
-                    u=u, U=U, Up=Up)
+    for u, up in composable_pairs(B.vsrc, B.vtgt):
+        uc = B.vcomp_v(u, up)
+        for K in range(A.n_hcells):
+            emit("(u/u',K)",
+                lambda u=u, up=up, uc=uc, K=K: q.sq_uk(uc, K),
+                lambda u=u, up=up, K=K: C.vcomp_sq(
+                    q.sq_uk(u, K), q.sq_uk(up, K)),
+                u=u, up=up, K=K)
+        for U in range(A.n_vcells):
+            a, at = A.vsrc[U], A.vtgt[U]
+            emit("(u/u',U)",
+                lambda u=u, up=up, uc=uc, U=U: q.sq_uu(uc, U),
+                lambda u=u, up=up, U=U, a=a, at=at: C.hcomp_sq(
+                    C.vcomp_sq(q.sq_uu(u, U),
+                               hid(q.fA(at).v(up))),
+                    C.vcomp_sq(hid(q.fA(a).v(u)), q.sq_uu(up, U))),
+                u=u, up=up, U=U)
+    for U, Up in composable_pairs(A.vsrc, A.vtgt):
+        Uc = A.vcomp_v(U, Up)
+        for k in range(B.n_hcells):
+            emit("(k,U/U')",
+                lambda k=k, U=U, Up=Up, Uc=Uc: q.sq_ku(k, Uc),
+                lambda k=k, U=U, Up=Up: C.vcomp_sq(
+                    q.sq_ku(k, U), q.sq_ku(k, Up)),
+                k=k, U=U, Up=Up)
+        for u in range(B.n_vcells):
+            b, bt = B.vsrc[u], B.vtgt[u]
+            emit("(u,U/U')",
+                lambda u=u, U=U, Up=Up, Uc=Uc: q.sq_uu(u, Uc),
+                lambda u=u, U=U, Up=Up, b=b, bt=bt: C.hcomp_sq(
+                    C.vcomp_sq(hid(q.fB(b).v(U)), q.sq_uu(u, Up)),
+                    C.vcomp_sq(q.sq_uu(u, U), hid(q.fB(bt).v(Up)))),
+                u=u, U=U, Up=Up)
     # naturality in either variable
     for om in B.iter_squares():
         k, l = B.sq_top(om), B.sq_bottom(om)
@@ -744,12 +729,9 @@ def curry0(q, hom=None):
     for ze in A.iter_squares():
         sqmap[ze] = hom.intern_modification(_curry_square(q, ze, hts, vts))
     comp, unit = {}, {}
-    for K in range(A.n_hcells):
-        for Kp in range(A.n_hcells):
-            if A.htgt[K] != A.hsrc[Kp]:
-                continue
-            comp[(K, Kp)] = hom.intern_modification(
-                _curry_compositor(q, K, Kp, hts))
+    for K, Kp in composable_pairs(A.hsrc, A.htgt):
+        comp[(K, Kp)] = hom.intern_modification(
+            _curry_compositor(q, K, Kp, hts))
     for a in range(A.n_objects):
         unit[a] = hom.intern_modification(_curry_unitor(q, a, hts))
     P = LaxDoubleFunctor(A, hom, ob, hmap, vmap, sqmap, comp, unit,
@@ -823,10 +805,8 @@ def uncurry0(P):
         vmap = {U: hom.v_payload[P.v(U)].at(b) for U in range(A.n_vcells)}
         sqmap = {ze: hom.sq_payload[P.sq(ze)].at(b) for ze in A.iter_squares()}
         comp = {}
-        for K in range(A.n_hcells):
-            for Kp in range(A.n_hcells):
-                if A.htgt[K] == A.hsrc[Kp]:
-                    comp[(K, Kp)] = hom.sq_payload[P.compositor(K, Kp)].at(b)
+        for K, Kp in composable_pairs(A.hsrc, A.htgt):
+            comp[(K, Kp)] = hom.sq_payload[P.compositor(K, Kp)].at(b)
         unit = {a: hom.sq_payload[P.unitor(a)].at(b)
                 for a in range(A.n_objects)}
         fam_b[b] = LaxDoubleFunctor(A, C, ob, hmap, vmap, sqmap, comp, unit,

@@ -13,7 +13,8 @@ cell in each direction.
 
 from dataclasses import dataclass
 
-from .core import dc_product, explicit_clone, ValidationReport
+from .core import (
+    ValidationReport, composable_pairs, dc_product, explicit_clone)
 from .errors import NontrivialUU, NotDecomposable, NotUnitary
 from .functor import LaxDoubleFunctor
 from .quasi import (
@@ -95,21 +96,18 @@ def strictify0(q, dom=None):
             right = C.vcomp_sq(q.sq_ku(k, V), q.fA(atp).sq(om))
             sqmap[ze * ns2 + om] = C.hcomp_sq(left, right)
     comp, unit = {}, {}
-    for f1 in range(dom.n_hcells):
+    for f1, f2 in composable_pairs(dom.hsrc, dom.htgt):
         K, k = f1 // nh2, f1 % nh2
         b = B.hsrc[k]
-        for f2 in range(dom.n_hcells):
-            if dom.htgt[f1] != dom.hsrc[f2]:
-                continue
-            Kp, kp = f2 // nh2, f2 % nh2
-            app = A.htgt[Kp]
-            # the interchanger of k and K' between the outer images, over
-            # the compositors of the two families side by side
-            middle = C.hcomp_sq(C.hcomp_sq(C.sq_v_id(q.fB(b).h(K)),
-                                           q.sq_kk(k, Kp)),
-                                C.sq_v_id(q.fA(app).h(kp)))
-            comp[(f1, f2)] = C.vcomp_sq(middle, C.hcomp_sq(
-                q.fB(b).compositor(K, Kp), q.fA(app).compositor(k, kp)))
+        Kp, kp = f2 // nh2, f2 % nh2
+        app = A.htgt[Kp]
+        # the interchanger of k and K' between the outer images, over
+        # the compositors of the two families side by side
+        middle = C.hcomp_sq(C.hcomp_sq(C.sq_v_id(q.fB(b).h(K)),
+                                       q.sq_kk(k, Kp)),
+                            C.sq_v_id(q.fA(app).h(kp)))
+        comp[(f1, f2)] = C.vcomp_sq(middle, C.hcomp_sq(
+            q.fB(b).compositor(K, Kp), q.fA(app).compositor(k, kp)))
     for a in range(A.n_objects):
         for b in range(B.n_objects):
             unit[a * no2 + b] = C.hcomp_sq(q.fB(b).unitor(a),
@@ -227,10 +225,8 @@ def _restrict_functor(P, other, pad, name):
     vmap = {u: P.v(pv(u)) for u in range(other.n_vcells)}
     sqmap = {s: P.sq(ps(s)) for s in range(other.n_squares)}
     comp = {}
-    for f in range(other.n_hcells):
-        for g in range(other.n_hcells):
-            if other.htgt[f] == other.hsrc[g]:
-                comp[(f, g)] = P.compositor(ph(f), ph(g))
+    for f, g in composable_pairs(other.hsrc, other.htgt):
+        comp[(f, g)] = P.compositor(ph(f), ph(g))
     unit = {x: P.unitor(po(x)) for x in range(other.n_objects)}
     return LaxDoubleFunctor(other, P.cod, ob, hmap, vmap, sqmap, comp, unit,
                             name=name)

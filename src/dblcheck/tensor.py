@@ -32,7 +32,7 @@ from functools import partial
 
 from .core import (
     CellRef, Gen, HComp, HCELL, HId, OBJECT, SQUARE, VCELL, VComp, VId,
-    eval_pasting)
+    composable_pairs, eval_pasting)
 from .errors import DomainMismatch, RelationViolated
 from .functor import _lax_functor_laws
 from .quasi import _INTERCHANGERS, QuasiFunctor, _quasi_laws, _stored_cells
@@ -240,10 +240,8 @@ def _family_cells(F):
         yield VCELL, F.v(u)
     for s in range(D.n_squares):
         yield SQUARE, F.sq(s)
-    for f in range(D.n_hcells):
-        for g in range(D.n_hcells):
-            if D.htgt[f] == D.hsrc[g]:
-                yield SQUARE, F.compositor(f, g)
+    for f, g in composable_pairs(D.hsrc, D.htgt):
+        yield SQUARE, F.compositor(f, g)
 
 
 def _cells(q):

@@ -36,7 +36,7 @@ destrictification and uncurrying read the fields from this table.
 import functools
 from collections import namedtuple
 
-from .core import ValidationReport
+from .core import ValidationReport, composable_pairs
 from .errors import ChainMismatch, DblError, MalformedTables, NotPseudo
 from .functor import _eq, functor_equal
 
@@ -368,26 +368,22 @@ def _hor_transform_laws(t, emit):
     d, c = t.dom, t.cod
     ((h1, h2, h5), ((comp1, comp2), (col1, col2), (unit1, unit2),
                     (nat1, nat2))) = _HOR_PASTINGS[t.orientation]
-    for f in range(d.n_hcells):
-        for g in range(d.n_hcells):
-            if d.htgt[f] == d.hsrc[g]:
-                emit(h1,
-                     lambda f=f, g=g: c.vcomp_sq(
-                         comp1(t, f, g), t.delta_at(d.hcomp_h(f, g))),
-                     lambda f=f, g=g: c.vcomp_sq_many(
-                         [col1(t, f, g), col2(t, f, g), comp2(t, f, g)]),
-                     first=f, second=g)
+    for f, g in composable_pairs(d.hsrc, d.htgt):
+        emit(h1,
+             lambda f=f, g=g: c.vcomp_sq(
+                 comp1(t, f, g), t.delta_at(d.hcomp_h(f, g))),
+             lambda f=f, g=g: c.vcomp_sq_many(
+                 [col1(t, f, g), col2(t, f, g), comp2(t, f, g)]),
+             first=f, second=g)
     for a in range(d.n_objects):
         emit(h2,
              lambda a=a: c.vcomp_sq(unit1(t, a), t.delta_at(d.h_id(a))),
              lambda a=a: unit2(t, a), object=a)
-    for u in range(d.n_vcells):
-        for w in range(d.n_vcells):
-            if d.vtgt[u] == d.vsrc[w]:
-                emit("h.o.t.-3",
-                     lambda u=u, w=w: t.sq_v(d.vcomp_v(u, w)),
-                     lambda u=u, w=w: c.vcomp_sq(t.sq_v(u), t.sq_v(w)),
-                     first=u, second=w)
+    for u, w in composable_pairs(d.vsrc, d.vtgt):
+        emit("h.o.t.-3",
+             lambda u=u, w=w: t.sq_v(d.vcomp_v(u, w)),
+             lambda u=u, w=w: c.vcomp_sq(t.sq_v(u), t.sq_v(w)),
+             first=u, second=w)
     for a in range(d.n_objects):
         emit("h.o.t.-4",
              lambda a=a: t.sq_v(d.v_id(a)),
@@ -443,28 +439,23 @@ def _vert_transform_laws(t, emit):
     F, G = t.F, t.G
     ((v3, v5), (col1, col2),
      ((l1, l2), (r1, r2))) = _VERT_PASTINGS[t.orientation]
-    for f in range(d.n_hcells):
-        for g in range(d.n_hcells):
-            if d.htgt[f] != d.hsrc[g]:
-                continue
-            emit("v.l.t.-1",
-                 lambda f=f, g=g: c.vcomp_sq(
-                     c.hcomp_sq(t.sq_h(f), t.sq_h(g)), G.compositor(f, g)),
-                 lambda f=f, g=g: c.vcomp_sq(
-                     F.compositor(f, g), t.sq_h(d.hcomp_h(f, g))),
-                 first=f, second=g)
+    for f, g in composable_pairs(d.hsrc, d.htgt):
+        emit("v.l.t.-1",
+             lambda f=f, g=g: c.vcomp_sq(
+                 c.hcomp_sq(t.sq_h(f), t.sq_h(g)), G.compositor(f, g)),
+             lambda f=f, g=g: c.vcomp_sq(
+                 F.compositor(f, g), t.sq_h(d.hcomp_h(f, g))),
+             first=f, second=g)
     for a in range(d.n_objects):
         emit("v.l.t.-2",
              lambda a=a: c.vcomp_sq(F.unitor(a), t.sq_h(d.h_id(a))),
              lambda a=a: c.vcomp_sq(c.sq_h_id(t.at(a)), G.unitor(a)),
              object=a)
-    for u in range(d.n_vcells):
-        for w in range(d.n_vcells):
-            if d.vtgt[u] == d.vsrc[w]:
-                emit(v3,
-                     lambda u=u, w=w: c.hcomp_sq(col1(t, u, w), col2(t, u, w)),
-                     lambda u=u, w=w: t.sq_v(d.vcomp_v(u, w)),
-                     first=u, second=w)
+    for u, w in composable_pairs(d.vsrc, d.vtgt):
+        emit(v3,
+             lambda u=u, w=w: c.hcomp_sq(col1(t, u, w), col2(t, u, w)),
+             lambda u=u, w=w: t.sq_v(d.vcomp_v(u, w)),
+             first=u, second=w)
     for a in range(d.n_objects):
         emit("v.l.t.-4",
              lambda a=a: t.sq_v(d.v_id(a)),
