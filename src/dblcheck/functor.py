@@ -49,15 +49,8 @@ class LaxDoubleFunctor:
     def sq(self, s):
         if s in self.sqmap:
             return self.sqmap[s]
-        if self.cod.flat:
-            img = self.cod.find_square(*self._sq_bounds(s))
-            if img is None:
-                raise MalformedTables(
-                    "no codomain square over the image boundary of %s"
-                    % self.dom.sq_names[s])
-            self.sqmap[s] = img
-            return img
-        raise MalformedTables("sqmap missing an entry and codomain not flat")
+        return _derive_square(self.cod, self.sqmap, s, self._sq_bounds,
+                              "a square's image")
 
     def _sq_bounds(self, s):
         """The boundary of the image of square s: its sides' images."""
@@ -116,6 +109,18 @@ def strict_functor(dom, cod, ob, hmap, vmap, sqmap=None, name="F"):
     for a in range(dom.n_objects):
         F.unit[a] = cod.sq_v_id(cod.h_id(F.obj(a)))
     return F
+
+
+def _derive_square(cod, store, key, bounds, what):
+    """Over a flat codomain, the square with the boundary ``bounds(key)``,
+    then stored; called for a key that is not stored yet."""
+    if cod.flat:
+        s = cod.find_square(*bounds(key))
+        if s is None:
+            raise MalformedTables("no codomain square for %s" % what)
+        store[key] = s
+        return s
+    raise MalformedTables("%s missing and codomain not flat" % what)
 
 
 def _eq(rep, law, lhs_fn, rhs_fn, **witness):

@@ -37,8 +37,8 @@ import functools
 from collections import namedtuple
 
 from .core import ValidationReport, composable_pairs
-from .errors import ChainMismatch, DblError, MalformedTables, NotPseudo
-from .functor import _eq, functor_equal
+from .errors import ChainMismatch, DblError, NotPseudo
+from .functor import _derive_square, _eq, functor_equal
 
 OPLAX = "oplax"
 LAX = "lax"
@@ -53,18 +53,6 @@ def _same_functor(F, G):
     """Identity or componentwise equality; interning in hom categories can
     hand back distinct but equal functor objects."""
     return F is G or functor_equal(F, G)
-
-
-def _derive(cod, store, key, bounds, what):
-    """Over a flat codomain, the square with the boundary ``bounds(key)``,
-    then stored; called for a key that is not stored yet."""
-    if cod.flat:
-        s = cod.find_square(*bounds(key))
-        if s is None:
-            raise MalformedTables("no codomain square for %s" % what)
-        store[key] = s
-        return s
-    raise MalformedTables("%s missing and codomain not flat" % what)
 
 
 class HorTransform:
@@ -93,8 +81,8 @@ class HorTransform:
         """The square on a 1v-cell u, with the components on top and bottom."""
         if u in self.comp_v:
             return self.comp_v[u]
-        return _derive(self.cod, self.comp_v, u, self._sq_v_bounds,
-                       "component square")
+        return _derive_square(self.cod, self.comp_v, u, self._sq_v_bounds,
+                              "component square")
 
     def _sq_v_bounds(self, u):
         d = self.dom
@@ -105,8 +93,8 @@ class HorTransform:
         """The globular structure square on a 1h-cell f."""
         if f in self.delta:
             return self.delta[f]
-        return _derive(self.cod, self.delta, f, self._delta_bounds,
-                       "structure square")
+        return _derive_square(self.cod, self.delta, f, self._delta_bounds,
+                              "structure square")
 
     def _delta_bounds(self, f):
         d, c = self.dom, self.cod
@@ -148,8 +136,8 @@ class VertTransform:
     def sq_h(self, f):
         if f in self.comp_h:
             return self.comp_h[f]
-        return _derive(self.cod, self.comp_h, f, self._sq_h_bounds,
-                       "component square")
+        return _derive_square(self.cod, self.comp_h, f, self._sq_h_bounds,
+                              "component square")
 
     def _sq_h_bounds(self, f):
         d = self.dom
@@ -159,8 +147,8 @@ class VertTransform:
     def sq_v(self, u):
         if u in self.comp_v:
             return self.comp_v[u]
-        return _derive(self.cod, self.comp_v, u, self._sq_v_bounds,
-                       "structure square")
+        return _derive_square(self.cod, self.comp_v, u, self._sq_v_bounds,
+                              "structure square")
 
     def _sq_v_bounds(self, u):
         d, c = self.dom, self.cod
@@ -235,13 +223,8 @@ class Modification:
     def at(self, a):
         if a in self.comp:
             return self.comp[a]
-        if self.cod.flat:
-            s = self.cod.find_square(*self._bounds(a))
-            if s is None:
-                raise MalformedTables("no codomain square for a component")
-            self.comp[a] = s
-            return s
-        raise MalformedTables("component missing and codomain not flat")
+        return _derive_square(self.cod, self.comp, a, self._bounds,
+                              "a component")
 
     def _bounds(self, a):
         """The component's boundary: the four transformations' components."""
