@@ -615,7 +615,7 @@ def monads_comp(size, json_path):
 
 @main.command("monads-diagram")
 @click.option("--size", type=int, default=2)
-@click.option("--sample", type=int, default=None,
+@click.option("--sample", type=click.IntRange(min=0), default=None,
               help="check a random subset of the distributive laws")
 @click.option("--seed", type=int, default=0)
 @_json_option

@@ -424,6 +424,13 @@ def test_monads_comp_and_diagram():
     assert "checked: 10" in res.output
 
 
+def test_monads_diagram_rejects_a_negative_sample():
+    res = run("monads-diagram", "--size", "2", "--sample", "-1")
+    assert res.exit_code == 2, res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert "Invalid value for '--sample'" in res.output
+
+
 def test_monads_diagram_deterministic():
     a = run("monads-diagram", "--size", "3", "--sample", "5", "--seed", "7")
     b = run("monads-diagram", "--size", "3", "--sample", "5", "--seed", "7")
