@@ -12,7 +12,8 @@ from dblcheck.core import (
     HCELL, VCELL, SQUARE, OBJECT, CellRef, DoubleCat, Gen, HComp, VComp,
     HId, VId, FIXTURES, bool_matrix_double_category, dc_product, eval_pasting,
     explicit_clone, from_json, parity, product_projections, to_json, trivial,
-    ValidationReport, validate_double_category, walk_h, walk_sq, walk_v)
+    ValidationReport, composable_pairs, validate_double_category, walk_h,
+    walk_sq, walk_v)
 from dblcheck.errors import BoundaryMismatch, SizeBound
 from dblcheck.hom import FLAVORS, hom_double_category, populate_squares
 from dblcheck.monads import mnd_double_category
@@ -119,6 +120,30 @@ def test_validator_detects_broken_unit():
     rep = validate_double_category(d)
     assert not rep.passed
     assert any(law in ("h-unit", "h-table-boundary") for law in rep.laws_failed())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=9))
+def test_composable_pairs_match_the_double_loop(cells):
+    src = [a for a, _ in cells]
+    tgt = [b for _, b in cells]
+    naive = [(f, g) for f in range(len(cells)) for g in range(len(cells))
+             if tgt[f] == src[g]]
+    assert list(composable_pairs(src, tgt)) == naive
+
+
+def test_composable_pairs_read_the_lists_live():
+    # two loops on one object; a third loop appended while the pairs of
+    # the first cell are yielded is a second cell from the next first
+    # cell on, and never a first cell itself
+    src, tgt = [0, 0], [0, 0]
+    seen = []
+    for f, g in composable_pairs(src, tgt):
+        seen.append((f, g))
+        if len(seen) == 1:
+            src.append(0)
+            tgt.append(0)
+    assert seen == [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2)]
 
 
 def _two_objects_lazy(hh):
