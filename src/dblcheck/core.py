@@ -446,7 +446,8 @@ def validate_double_category(d, closure_limit=None, max_checks=None, seed=0):
     associativity and unitality of all four compositions, identity-square
     functoriality, and interchange on all 2x2 grids.  Once the totality and
     boundary passes hold, every composite a law asks for is of a composable
-    pair, so the laws read composites straight from the checked tables.
+    pair, so the laws read it from the row of composites of its first cell
+    that those passes kept: ``row[g]`` for ``f`` then ``g``.
     With ``max_checks``, the square associativity and interchange laws are
     checked on a sample of that many draws, seeded by ``seed``, whenever
     they have more instances; the report's ``sampled`` names those laws.
@@ -624,13 +625,15 @@ def _validate_one_cat(rep, tag, n, src, tgt, comp, table, ident, n_objects, d):
     if bad:
         return
     # every composite, also one a lazy composition function computes now,
-    # must exist and have the right endpoints before a law composes it
+    # must exist and have the right endpoints before a law composes it;
+    # rows[f][g] keeps it for the laws
+    rows = [{} for _ in range(n)]
     for f in range(n):
         for g in range(n):
             if tgt[f] != src[g]:
                 continue
             try:
-                fg = comp(f, g)
+                fg = rows[f][g] = comp(f, g)
             except MalformedTables:
                 rep.add(tag + "-table-total", first=f, second=g)
                 bad = True
@@ -640,14 +643,14 @@ def _validate_one_cat(rep, tag, n, src, tgt, comp, table, ident, n_objects, d):
                 bad = True
     if bad:
         return
-    for f in range(n):
-        for g in range(n):
-            if tgt[f] != src[g]:
-                continue
-            for h in range(n):
-                if tgt[g] != src[h]:
-                    continue
-                if comp(comp(f, g), h) != comp(f, comp(g, h)):
+    # a composite the pass above added (id n or more) has no row, so its
+    # own composites go through comp, the left side first
+    for f, row_f in enumerate(rows):
+        for g, fg in row_f.items():
+            row_fg = rows[fg] if fg < n else None
+            for h, gh in rows[g].items():
+                left = row_fg[h] if row_fg is not None else comp(fg, h)
+                if left != (row_f[gh] if gh < n else comp(f, gh)):
                     rep.add(tag + "-assoc", first=f, second=g, third=h)
     for f in range(n):
         left_id = ident(src[f])
@@ -782,7 +785,6 @@ def _hcomp_closure_misses(bounds, comp, n_outer, n_inner):
 
 def _validate_explicit_squares(rep, d, max_checks=None, seed=0):
     bounds = d.sq_bounds
-    hs, vs = d._hs, d._vs
     hh, vv = d._hh, d._vv
     sqv, sqh = d._sqvid, d._sqhid
     hsrc, htgt, vsrc, vtgt = d.hsrc, d.htgt, d.vsrc, d.vtgt
@@ -809,19 +811,20 @@ def _validate_explicit_squares(rep, d, max_checks=None, seed=0):
         by_tl.setdefault((t, l), []).append(s)
     hpairs = _SquarePairs(bounds, by_left, 3)
     vpairs = _SquarePairs(bounds, by_top, 1)
-    _check_square_table(rep, "hcomp-sq", ("left", "right"), hs, hpairs,
-                        bounds, hh)
+    hs = _check_square_table(rep, "hcomp-sq", ("left", "right"), d._hs,
+                             hpairs, bounds, hh)
     # vertical composition is horizontal composition of transposed squares
-    _check_square_table(rep, "vcomp-sq", ("top", "bottom"), vs, vpairs,
-                        [(l, r, t, o) for t, o, l, r in bounds], vv)
+    vs = _check_square_table(rep, "vcomp-sq", ("top", "bottom"), d._vs,
+                             vpairs, [(l, r, t, o) for t, o, l, r in bounds],
+                             vv)
     if not rep.passed:
         return
     # from here on every composite asked for is of a composable pair, so
-    # it is in the tables just checked
+    # it is in the row of its first square: hs[s1][s2], vs[s1][s2]
     for s, (t, o, l, r) in enumerate(bounds):
-        if vs[sqv[t], s] != s or vs[s, sqv[o]] != s:
+        if vs[sqv[t]][s] != s or vs[s][sqv[o]] != s:
             rep.add("vcomp-sq-unit", square=CellRef(SQUARE, s))
-        if hs[sqh[l], s] != s or hs[s, sqh[r]] != s:
+        if hs[sqh[l]][s] != s or hs[s][sqh[r]] != s:
             rep.add("hcomp-sq-unit", square=CellRef(SQUARE, s))
     rng = random.Random(seed)
     biggest = max(map(len, chain(by_left.values(), by_top.values())),
@@ -844,18 +847,19 @@ def _validate_explicit_squares(rep, d, max_checks=None, seed=0):
     for law, comp, pairs in (("hcomp-sq-assoc", hs, hpairs),
                              ("vcomp-sq-assoc", vs, vpairs)):
         for s1, s2, s3s in triples(law, pairs):
-            s12 = comp[s1, s2]
+            row1, row2 = comp[s1], comp[s2]
+            row12 = comp[row1[s2]]
             for s3 in s3s:
-                if comp[s12, s3] != comp[s1, comp[s2, s3]]:
+                if row12[s3] != row1[row2[s3]]:
                     rep.add(law, first=CellRef(SQUARE, s1),
                             second=CellRef(SQUARE, s2),
                             third=CellRef(SQUARE, s3))
     for f, g in composable_pairs(hsrc, htgt):
-        if hs[sqv[f], sqv[g]] != sqv[hh[f, g]]:
+        if hs[sqv[f]][sqv[g]] != sqv[hh[f, g]]:
             rep.add("sq-v-id-functorial", first=CellRef(HCELL, f),
                     second=CellRef(HCELL, g))
     for u, v in composable_pairs(vsrc, vtgt):
-        if vs[sqh[u], sqh[v]] != sqh[vv[u, v]]:
+        if vs[sqh[u]][sqh[v]] != sqh[vv[u, v]]:
             rep.add("sq-h-id-functorial", first=CellRef(VCELL, u),
                     second=CellRef(VCELL, v))
 
@@ -881,9 +885,10 @@ def _validate_explicit_squares(rep, d, max_checks=None, seed=0):
                 yield a, b, c, (es[rng.randrange(len(es))],)
 
     for a, b, c, es in grids():
-        ab, ac = hs[a, b], vs[a, c]
+        ab, ac = vs[hs[a][b]], hs[vs[a][c]]
+        ce, be = hs[c], vs[b]
         for e in es:
-            if vs[ab, hs[c, e]] != hs[ac, vs[b, e]]:
+            if ab[ce[e]] != ac[be[e]]:
                 rep.add("interchange", tl=CellRef(SQUARE, a),
                         tr=CellRef(SQUARE, b), bl=CellRef(SQUARE, c),
                         br=CellRef(SQUARE, e))
@@ -921,16 +926,19 @@ def _check_square_table(rep, law, sides, table, pairs, bounds, edge_comp):
 
     The pairs that share a first square are looked up and compared with
     the boundaries they call for as one row; only a row that differs is
-    scanned pair by pair for its witnesses.
+    scanned pair by pair for its witnesses.  Returns the rows, one per
+    first square ``s1`` as ``{s2: table.get((s1, s2))}``, for the laws.
     """
     rows = {}
     for (f, g), h in edge_comp.items():
         rows.setdefault(f, {})[g] = h
     sq_bound = bounds.__getitem__
+    composites = []
     for s1, group in enumerate(pairs.rows):
+        got = list(map(table.get, zip(repeat(s1), group)))
+        composites.append(dict(zip(group, got)))
         if not group:
             continue
-        got = list(map(table.get, zip(repeat(s1), group)))
         t1, o1, l1, _ = bounds[s1]
         row_t, row_o = rows[t1], rows[o1]
         want = [(row_t[t2], row_o[o2], l1, r2)
@@ -944,6 +952,7 @@ def _check_square_table(rep, law, sides, table, pairs, bounds, edge_comp):
             elif bounds[s] != w:
                 rep.add(law + "-boundary", **{sides[0]: CellRef(SQUARE, s1),
                                               sides[1]: CellRef(SQUARE, s2)})
+    return composites
 
 
 # -- product ----------------------------------------------------------------
