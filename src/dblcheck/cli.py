@@ -408,7 +408,7 @@ def main():
 
 @main.command()
 @click.argument("path", type=click.Path(exists=True))
-@click.option("--bound", type=int, default=None,
+@click.option("--bound", type=click.IntRange(min=0), default=None,
               help="most composable pairs of flat squares to check for "
                    "closure; a larger category fails with flat-too-large")
 @_json_option
@@ -552,7 +552,7 @@ def tensor_factorize(path, json_path):
 @click.argument("path_b", type=click.Path(exists=True))
 @click.argument("path_c", type=click.Path(exists=True))
 @click.option("--flavor", type=click.Choice(FLAVOR_NAMES), default="hop")
-@click.option("--bound", type=int, default=5000,
+@click.option("--bound", type=click.IntRange(min=0), default=5000,
               help="total enumeration budget: candidates tried over all "
                    "functors and transformations together; also the draws "
                    "per sampled law, but never fewer than 5000")

@@ -226,8 +226,9 @@ def verify_comp_diagram(d, sample=None, seed=0):
     """Check that strictification and the direct composite formula agree.
 
     Every distributive law in d is composed both ways and the resulting
-    monads are compared cell by cell; with a sample size, a seeded random
-    subset of the laws is used instead of all of them.
+    monads are compared cell by cell; with a sample size smaller than the
+    number of laws, a seeded random subset of the laws is used instead of
+    all of them, and the report's ``sampled`` names ``comp-diagram``.
     """
     if not d.flat:
         raise NotFlat("the comparison enumerates distributive laws, which "
@@ -235,9 +236,10 @@ def verify_comp_diagram(d, sample=None, seed=0):
     laws = []
     for carrier in range(d.n_objects):
         laws.extend(enumerate_distributive_laws(d, carrier))
+    rep = ValidationReport()
     if sample is not None and sample < len(laws):
         laws = random.Random(seed).sample(laws, sample)
-    rep = ValidationReport()
+        rep.mark_sampled("comp-diagram", sample, seed)
     rep.checked = len(laws)
     for lw in laws:
         if comp(lw).data() != _direct_composite(lw).data():

@@ -431,6 +431,37 @@ def test_monads_diagram_rejects_a_negative_sample():
     assert "Invalid value for '--sample'" in res.output
 
 
+def test_monads_diagram_reports_a_sample_as_sampled(tmp_path):
+    # 18 distributive laws at size 2: a sample of 1 checks one of them
+    out = tmp_path / "report.json"
+    res = run("monads-diagram", "--size", "2", "--sample", "1", "--seed", "4",
+              "--json", str(out))
+    assert res.exit_code == 0, res.output
+    payload = json.loads(out.read_text())
+    assert payload["details"] == {"checked": 1}
+    assert payload["sampled"] == {"comp-diagram": {"draws": 1, "seed": 4}}
+    assert "  sampled comp-diagram: 1 draws, seed 4" in res.output.splitlines()
+    # a sample that covers every law checks them all, unsampled
+    res = run("monads-diagram", "--size", "2", "--sample", "18",
+              "--json", str(out))
+    assert res.exit_code == 0, res.output
+    payload = json.loads(out.read_text())
+    assert payload["details"] == {"checked": 18}
+    assert payload["sampled"] == {}
+
+
+@pytest.mark.parametrize("args", [
+    ["validate", fx("trivial.json")],
+    ["hom", fx("trivial.json"), fx("trivial.json")],
+])
+def test_negative_bound_is_an_input_error(args):
+    res = run(*args, "--bound", "-1")
+    assert res.exit_code == 2, res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert "Invalid value for '--bound'" in res.output
+    assert "Traceback" not in res.output
+
+
 def test_monads_diagram_deterministic():
     a = run("monads-diagram", "--size", "3", "--sample", "5", "--seed", "7")
     b = run("monads-diagram", "--size", "3", "--sample", "5", "--seed", "7")

@@ -139,6 +139,9 @@ def test_verify_comp_diagram_sampled():
     b3 = bool_matrix_double_category(3)
     rep = verify_comp_diagram(b3, sample=25, seed=3)
     assert rep.passed and rep.checked == 25
+    assert rep.sampled == {"comp-diagram": {"draws": 25, "seed": 3}}
+    rep = verify_comp_diagram(bool_matrix_double_category(2), sample=10 ** 6)
+    assert rep.passed and rep.checked == 18 and rep.sampled == {}
 
 
 def test_mnd_of_trivial_is_trivial():
