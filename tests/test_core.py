@@ -12,11 +12,12 @@ from dblcheck.core import (
     HCELL, VCELL, SQUARE, OBJECT, CellRef, DoubleCat, Gen, HComp, VComp,
     HId, VId, FIXTURES, bool_matrix_double_category, dc_product, eval_pasting,
     explicit_clone, from_json, parity, product_projections, to_json, trivial,
-    ValidationReport, composable_pairs, validate_double_category, walk_h,
-    walk_sq, walk_v)
-from dblcheck.errors import BoundaryMismatch, SizeBound
+    ValidationReport, _validate_one_cat, composable_pairs,
+    validate_double_category, walk_h, walk_sq, walk_v)
+from dblcheck.errors import BoundaryMismatch, MalformedTables, SizeBound
 from dblcheck.hom import FLAVORS, hom_double_category, populate_squares
 from dblcheck.monads import mnd_double_category
+from dblcheck.quasi import QHomDoubleCat
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
@@ -358,6 +359,152 @@ def test_capped_flat_validation_never_passes_silently():
     assert not rep.passed
     assert rep.laws_failed() == ["flat-too-large"]
 
+
+
+# -- 1-cell laws: rows of the totality pass against the composition calls ----
+
+
+def reference_one_cat_failures(d):
+    """Failures of the 1-cell checks of ``validate_double_category``, with
+    every composite of every law instance taken through ``hcomp_h`` or
+    ``vcomp_v``: horizontal cells first, then vertical, in the same
+    instance order.  A lazy composite may add cells as it goes."""
+    rep = ValidationReport()
+    for tag, n, src, tgt, comp, table, ident in (
+            ("h", d.n_hcells, d.hsrc, d.htgt, d.hcomp_h, d._hh, d.h_id),
+            ("v", d.n_vcells, d.vsrc, d.vtgt, d.vcomp_v, d._vv, d.v_id)):
+        bad = False
+        for (f, g), h in list(table.items()):
+            if tgt[f] != src[g] or src[h] != src[f] or tgt[h] != tgt[g]:
+                rep.add(tag + "-table-boundary", first=f, second=g)
+                bad = True
+        if bad:
+            continue
+        for f in range(n):
+            for g in range(n):
+                if tgt[f] != src[g]:
+                    continue
+                try:
+                    fg = comp(f, g)
+                except MalformedTables:
+                    rep.add(tag + "-table-total", first=f, second=g)
+                    bad = True
+                    continue
+                if src[fg] != src[f] or tgt[fg] != tgt[g]:
+                    rep.add(tag + "-table-boundary", first=f, second=g)
+                    bad = True
+        if bad:
+            continue
+        for f in range(n):
+            for g in range(n):
+                if tgt[f] != src[g]:
+                    continue
+                for h in range(n):
+                    if tgt[g] == src[h] and (comp(comp(f, g), h)
+                                             != comp(f, comp(g, h))):
+                        rep.add(tag + "-assoc", first=f, second=g, third=h)
+        for f in range(n):
+            left_id, right_id = ident(src[f]), ident(tgt[f])
+            if left_id is None or right_id is None:
+                continue
+            if comp(left_id, f) != f or comp(f, right_id) != f:
+                rep.add(tag + "-unit", cell=f)
+    return rep.failures
+
+
+def one_cat_failures(d):
+    """Failures of the 1-cell checks of ``validate_double_category``."""
+    rep = ValidationReport()
+    _validate_one_cat(rep, "h", d.n_hcells, d.hsrc, d.htgt, d.hcomp_h,
+                      d._hh, d.h_id, d.n_objects, d)
+    _validate_one_cat(rep, "v", d.n_vcells, d.vsrc, d.vtgt, d.vcomp_v,
+                      d._vv, d.v_id, d.n_objects, d)
+    return rep.failures
+
+
+def non_associative_loops():
+    """One object with loops a, b in either direction whose tables are
+    unital but not associative: (a a) a = b a = a, a (a a) = a b = 1."""
+    rows = [["a", "a", "b"], ["a", "b", "1"], ["b", "a", "a"], ["b", "b", "a"]]
+    return from_json({
+        "objects": ["x"], "flat": True,
+        "hcells": [{"name": n, "src": "x", "tgt": "x"} for n in "ab"],
+        "vcells": [{"name": n, "src": "x", "tgt": "x"} for n in "ab"],
+        "hcomp_h": [[f, g, "1_x" if h == "1" else h] for f, g, h in rows],
+        "vcomp_v": [[f, g, "1^x" if h == "1" else h] for f, g, h in rows]})
+
+
+def growing_qhom(signs=((0, 1), (0, 0), (1, 0))):
+    """A q-hom category on the sign quasi functors with these signs, each
+    with a q-horizontal transformation to the next, and no square
+    populated: the 1-cell pass adds the composites of the chain.  On three
+    quasi functors, their one composite is a sixth horizontal cell."""
+    from test_quasi import sign_q_hor, sign_quasi
+    q1 = sign_quasi(dict(enumerate(signs[0])))
+    qs = [q1] + [sign_quasi(dict(enumerate(s)), w=q1.A, t=q1.B, p=q1.C)
+                 for s in signs[1:]]
+    qh = QHomDoubleCat(q1.A, q1.B, q1.C)
+    for q in qs:
+        qh.intern_quasi(q)
+    for q, q_next in zip(qs, qs[1:]):
+        qh.intern_q_hor(sign_q_hor(q, q_next))
+    return qh
+
+
+def log_new_cell_composites(d, log):
+    """Make d's composition functions append ``(kind, f, g, fg)`` to
+    ``log`` for each call on a cell that d did not have when this ran."""
+    for kind, n, name in (("h", d.n_hcells, "hcomp_h"),
+                          ("v", d.n_vcells, "vcomp_v")):
+        def call(f, g, kind=kind, n=n, comp=getattr(d, name)):
+            fg = comp(f, g)
+            if max(f, g) >= n:
+                log.append((kind, f, g, fg))
+            return fg
+        setattr(d, name, call)
+
+
+ONE_CAT_INPUTS = {
+    **{"fixture-" + name: build for name, build in FIXTURES.items()},
+    "hom-hop": lambda: populated_hom("hop"),
+    "mnd-parity": lambda: populated_mnd(),
+    "non-associative-loops": non_associative_loops,
+    "growing-qhom": growing_qhom,
+    # the chain's composite of three is composed from both sides, on
+    # cells the totality pass added
+    "growing-qhom-chain": lambda: growing_qhom(
+        ((0, 1), (0, 0), (1, 0), (1, 1))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_CAT_INPUTS))
+def test_one_cat_laws_match_reference(name):
+    d, ref = ONE_CAT_INPUTS[name](), ONE_CAT_INPUTS[name]()
+    sizes = (d.n_hcells, d.n_vcells)
+    log, ref_log = [], []
+    log_new_cell_composites(d, log)
+    log_new_cell_composites(ref, ref_log)
+    failures = one_cat_failures(d)
+    assert failures == reference_one_cat_failures(ref)
+    # a cell the pass adds is composed in the same order, left side first,
+    # so a lazy composite gets the same id on both sides
+    assert log == ref_log
+    assert (d.n_hcells, d.n_vcells) == (ref.n_hcells, ref.n_vcells)
+    assert d.hsrc == ref.hsrc and d.htgt == ref.htgt
+    assert d.vsrc == ref.vsrc and d.vtgt == ref.vtgt
+    if name == "non-associative-loops":
+        laws = {law for law, _ in failures}
+        assert laws == {"h-assoc", "v-assoc"}
+    else:
+        assert failures == []
+    if name == "growing-qhom":
+        assert sizes[0] == 5 and d.n_hcells == 6
+    if name == "growing-qhom-chain":
+        # cells 4, 5, 6 are t1, t2, t3 and 7, 8 are t1 t2, t2 t3: the
+        # composite of all three is cell 9, first from (t1 t2) t3
+        assert sizes[0] == 7 and d.n_hcells == 10
+        i = log.index(("h", 7, 6, 9))
+        assert log[i + 1] == ("h", 4, 8, 9)
 
 
 # -- explicit laws: direct table reads against the method-call reference ----
