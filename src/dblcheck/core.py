@@ -447,7 +447,8 @@ def validate_double_category(d, closure_limit=None, max_checks=None, seed=0):
     functoriality, and interchange on all 2x2 grids.  Once the totality and
     boundary passes hold, every composite a law asks for is of a composable
     pair, so the laws read it from the row of composites of its first cell
-    that those passes kept: ``row[g]`` for ``f`` then ``g``.
+    that those passes kept, ``row[g]`` for ``f`` then ``g``; only the 1-cell
+    unit laws and cells a lazy composite added call the composition.
     With ``max_checks``, the square associativity and interchange laws are
     checked on a sample of that many draws, seeded by ``seed``, whenever
     they have more instances; the report's ``sampled`` names those laws.
