@@ -332,23 +332,46 @@ def _renamed_key(parent, key):
     parent.update(items)
 
 
-def _single_mutations(doc):
-    """Every single mutation of a JSON document: change a value's JSON type
-    (the document's too), delete a key or list entry, rename a key or a
-    string to an unknown name, or duplicate a list entry."""
-    yield OTHER_TYPE[type(doc)]
+def labelled_mutations(doc):
+    """(operation, path, mutant) for every single mutation of a JSON
+    document: change a value's JSON type (the document's too), delete a
+    key or list entry, rename a key or a string to an unknown name, or
+    duplicate a list entry."""
+    yield "retype", (), OTHER_TYPE[type(doc)]
     for path, value in _nodes(doc):
-        yield _edited(doc, path, lambda p, k: p.pop(k))
+        yield "delete", path, _edited(doc, path, lambda p, k: p.pop(k))
         if isinstance(path[-1], str):
-            yield _edited(doc, path, _renamed_key)
+            yield "rename", path, _edited(doc, path, _renamed_key)
         else:
-            yield _edited(doc, path, lambda p, k: p.insert(k + 1, p[k]))
-        replacements = [OTHER_TYPE[type(value)]]
+            yield "duplicate", path, _edited(
+                doc, path, lambda p, k: p.insert(k + 1, p[k]))
+        replacements = [("retype", OTHER_TYPE[type(value)])]
         if isinstance(value, str):
-            replacements.append(UNKNOWN)
-        for new in replacements:
-            yield _edited(doc, path, lambda p, k, new=new: operator.setitem(
-                p, k, new))
+            replacements.append(("unknown", UNKNOWN))
+        for op, new in replacements:
+            yield op, path, _edited(
+                doc, path, lambda p, k, new=new: operator.setitem(p, k, new))
+
+
+def _single_mutations(doc):
+    return (mutant for _, _, mutant in labelled_mutations(doc))
+
+
+def readme_mutant_runs(tmp_dir, *extra):
+    """(verb, document, operation, path, result) for every single mutation
+    of each README document, run by its README verb with ``extra``
+    arguments; the mutant is written to ``tmp_dir``."""
+    bad = os.path.join(tmp_dir, "bad.json")
+    for args, i in _readme_documents():
+        with open(os.path.join(ROOT, args[i]), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        argv = [os.path.join(ROOT, arg) if arg.endswith(".json") else arg
+                for arg in args]
+        argv[i] = bad
+        for op, path, mutant in labelled_mutations(doc):
+            with open(bad, "w", encoding="utf-8") as fh:
+                json.dump(mutant, fh)
+            yield args[0], args[i], op, path, run(*argv, *extra)
 
 
 def test_every_single_mutation_of_a_readme_document_ends_without_traceback(
@@ -460,6 +483,36 @@ def test_negative_bound_is_an_input_error(args):
     assert res.exception is None or isinstance(res.exception, SystemExit)
     assert "Invalid value for '--bound'" in res.output
     assert "Traceback" not in res.output
+
+
+# each numeric option on a small input: the arguments before it, and the
+# exit code for -1, 0, a non-integer and the largest documented value.
+# --bound and --sample document no upper limit, so the largest 64-bit
+# integer stands for it; neither input enumerates more under it.
+LARGEST = str(2 ** 63 - 1)
+NUMERIC_OPTIONS = [
+    (["validate", fx("bool2.json")], "--bound", LARGEST, [2, 1, 2, 0]),
+    (["hom", fx("trivial.json"), fx("parity.json"), "--flavor", "hop"],
+     "--bound", LARGEST, [2, 1, 2, 0]),
+    (["monads-enumerate"], "--size", "3", [2, 0, 2, 0]),
+    (["monads-comp"], "--size", "3", [2, 0, 2, 0]),
+    (["monads-diagram"], "--size", "3", [2, 0, 2, 0]),
+    (["monads-diagram", "--size", "2"], "--sample", LARGEST, [2, 0, 2, 0]),
+]
+
+
+@pytest.mark.parametrize("args, option, largest, exits", NUMERIC_OPTIONS,
+                         ids=lambda x: x[0] if isinstance(x, list) else None)
+def test_numeric_option_values_end_without_traceback(args, option, largest,
+                                                     exits):
+    for value, exit_code in zip(["-1", "0", "1.5", largest], exits):
+        res = run(*args, option, value)
+        assert res.exit_code == exit_code, (value, res.output)
+        assert res.exception is None or isinstance(res.exception,
+                                                   SystemExit), value
+        assert "Traceback" not in res.output
+        if exit_code == 2:
+            assert option in res.output, (value, res.output)
 
 
 def test_monads_diagram_deterministic():

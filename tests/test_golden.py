@@ -14,9 +14,11 @@ identity transformations and modifications in both orientations and of
 the sign q-cells; the family
 members of the q-cells that destrictification, uncurrying, memberwise
 composition and identities produce from the sign quasi functors, each
-read through its accessors on every domain cell; and the tensor relations
+read through its accessors on every domain cell; the tensor relations
 of three small presentations, sorted per label, so they compare as
-multisets.
+multisets; and the verdict of every single mutation of a README document
+(the mutations of ``tests/test_cli.py``): its exit code, then its sorted
+failed law labels or its input-error message.
 
 Regenerate only for an intended change of behaviour, and say so:
 
@@ -54,6 +56,7 @@ from dblcheck.transform import (
     identity_modification, identity_vert_transform)
 
 from test_acceptance import _mutation_corpus, flip
+from test_cli import readme_mutant_runs
 from test_quasi import identity_q_mod, sign_q_hor, sign_quasi, walk_into_parity
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -443,6 +446,30 @@ CELL_CASES = dict({"sign%d%d" % signs: (lambda signs=signs: sign_cells(signs))
                   **{"sign-q-hor": sign_q_hor_cells})
 
 
+def mutant_verdicts():
+    """The verdict of every single mutation of a README document, keyed by
+    verb, document, operation and JSON path: the exit code, then the
+    sorted failed law labels, or the message of an input error."""
+    import tempfile
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        payload = os.path.join(tmp, "payload.json")
+        for verb, doc, op, path, res in readme_mutant_runs(
+                tmp, "--json", payload):
+            key = "%s %s %s /%s" % (verb, doc, op, "/".join(map(str, path)))
+            if res.exit_code == 2:
+                out[key] = [2, res.output.strip().replace(tmp, "<tmp>")]
+                continue
+            with open(payload, encoding="utf-8") as fh:
+                failures = json.load(fh)["failures"]
+            os.remove(payload)
+            out[key] = [res.exit_code, sorted({f["law"] for f in failures})]
+    return out
+
+
+MUTANT_CASES = {"readme-documents": mutant_verdicts}
+
+
 def _term(t):
     """A compact rendering of a pasting term."""
     if isinstance(t, Gen):
@@ -509,6 +536,13 @@ def test_relations_match_golden(name):
     assert RELATION_CASES[name]() == _load("relations", name)
 
 
+@pytest.mark.parametrize("name", sorted(MUTANT_CASES))
+def test_mutant_verdicts_match_golden(name):
+    got, want = MUTANT_CASES[name](), _load("mutants", name)
+    assert sorted(got) == sorted(want)
+    assert {k: v for k, v in got.items() if v != want[k]} == {}
+
+
 def test_flip_goldens_name_every_oriented_law():
     """Each law whose body depends on the orientation fails in some case."""
     covered = {law for name in ("transform-flips", "modification-flips")
@@ -522,7 +556,7 @@ def test_flip_goldens_name_every_oriented_law():
 
 GOLDEN_KINDS = (("cli", CLI_CASES), ("tables", TABLE_CASES),
                 ("failures", FAILURE_CASES), ("cells", CELL_CASES),
-                ("relations", RELATION_CASES))
+                ("relations", RELATION_CASES), ("mutants", MUTANT_CASES))
 
 
 def test_corpus_has_no_stray_files():
