@@ -463,14 +463,18 @@ def validate_double_category(d, closure_limit=None, max_checks=None, seed=0):
     Product reduction: the laws of a product hold componentwise.  When d
     is an explicit ``dc_product`` of explicit factors, its 1-cell and
     identity checks pass, both factors pass an exhaustive validation (once
-    when they are one category), and every cell and table of d is still
-    the componentwise one, the square checks are not evaluated: each is
-    listed in ``reduced`` with its instance count, the product of the
-    factors' counts.  Under ``max_checks`` this is tried only when no
-    check of a factor has more instances than both ``max_checks`` and the
-    number of composable pairs of squares of d, which the square pass
-    evaluates in full in any case.  Otherwise the square pass runs as
-    above, so a failing report is the full pass's.
+    when they are one category), neither d nor a factor has been edited
+    since ``dc_product`` built d (their cell lists and square tables, read
+    in order, equal the snapshot taken then), and every 1-cell composite
+    of d is the componentwise one, the square checks are not evaluated:
+    each is listed in ``reduced`` with its instance count, the product of
+    the factors' counts.  Any difference from the snapshot, even an entry
+    removed and put back at the end of its table, takes the square pass.
+    Under ``max_checks`` this is tried only when no check of a factor has
+    more instances than both ``max_checks`` and the number of composable
+    pairs of squares of d, which the square pass evaluates in full in any
+    case.  Otherwise the square pass runs as above, so a failing report
+    is the full pass's.
     """
     rep = ValidationReport()
     _validate_one_cat(rep, "h", d.n_hcells, d.hsrc, d.htgt,
@@ -557,64 +561,37 @@ def _square_pass_counts(d):
 
 
 def _is_product_of(d, d1, d2):
-    """Whether every cell and table of d is the componentwise one of
-    ``dc_product(d1, d2)``.  The factors have passed validation, so their
-    1-cell composites, read through ``hcomp_h``/``vcomp_v`` because a lazy
-    table fills on use, exist on every composable pair."""
-    no2, nh2, nv2, ns2 = d2.n_objects, d2.n_hcells, d2.n_vcells, d2.n_squares
-
-    def pairs(xs1, xs2, n2):
-        return [x1 * n2 + x2 for x1 in xs1 for x2 in xs2]
-
-    def id_table(t1, t2, n2):
-        return {k1 * n2 + k2: s1 * ns2 + s2
-                for k1, s1 in t1.items() for k2, s2 in t2.items()}
-
-    if ((d.n_objects, d.n_hcells, d.n_vcells, d.n_squares)
-            != (d1.n_objects * no2, d1.n_hcells * nh2, d1.n_vcells * nv2,
-                d1.n_squares * ns2)
-            or d.hsrc != pairs(d1.hsrc, d2.hsrc, no2)
-            or d.htgt != pairs(d1.htgt, d2.htgt, no2)
-            or d.vsrc != pairs(d1.vsrc, d2.vsrc, no2)
-            or d.vtgt != pairs(d1.vtgt, d2.vtgt, no2)
-            or d._h_id != pairs(d1._h_id, d2._h_id, nh2)
-            or d._v_id != pairs(d1._v_id, d2._v_id, nv2)
-            or d._sqvid != id_table(d1._sqvid, d2._sqvid, nh2)
-            or d._sqhid != id_table(d1._sqhid, d2._sqhid, nv2)):
+    """Whether d and its factors are as ``dc_product`` built them: the
+    snapshot it stored as ``_built`` equals one taken now, and every
+    1-cell composite in d's tables is the componentwise one.  The 1-cell
+    tables are not in the snapshot, since the 1-cell pass fills them after
+    construction; the factors have passed validation, so their
+    composites, read through ``hcomp_h``/``vcomp_v`` because a lazy table
+    fills on use, exist on every composable pair."""
+    if getattr(d, "_built", None) != _product_snapshot(d, d1, d2):
         return False
-    if d.sq_bounds != [
-            (t1 * nh2 + t2, o1 * nh2 + o2, l1 * nv2 + l2, r1 * nv2 + r2)
-            for t1, o1, l1, r1 in d1.sq_bounds
-            for t2, o2, l2, r2 in d2.sq_bounds]:
-        return False
-    # the 1-cell pass has put every composable pair, and only those, in
-    # d's tables
-    for table, comp1, comp2, n2 in ((d._hh, d1.hcomp_h, d2.hcomp_h, nh2),
-                                    (d._vv, d1.vcomp_v, d2.vcomp_v, nv2)):
-        for (f, g), h in table.items():
-            if h != (comp1(f // n2, g // n2) * n2
-                     + comp2(f % n2, g % n2)):
-                return False
-    return all(_is_product_table(t, t1, t2, ns2)
-               for t, t1, t2 in ((d._hs, d1._hs, d2._hs),
-                                 (d._vs, d1._vs, d2._vs)))
+    nh2, nv2 = d2.n_hcells, d2.n_vcells
+    return all(h == comp1(f // n2, g // n2) * n2 + comp2(f % n2, g % n2)
+               for table, comp1, comp2, n2 in (
+                   (d._hh, d1.hcomp_h, d2.hcomp_h, nh2),
+                   (d._vv, d1.vcomp_v, d2.vcomp_v, nv2))
+               for (f, g), h in table.items())
 
 
-def _is_product_table(table, table1, table2, ns2):
-    """Whether the square table ``table`` holds exactly the componentwise
-    entries of ``table1`` and ``table2``, the second factor having ``ns2``
-    squares.  Each entry is split into its components, and no two keys
-    split alike: with as many entries as pairs of factor entries, every
-    pair is then one entry.  Reading the large table in its own order is
-    faster than looking up each pair in it."""
-    if len(table) != len(table1) * len(table2):
-        return False
-    try:
-        return all(c == table1[s // ns2, t // ns2] * ns2
-                   + table2[s % ns2, t % ns2]
-                   for (s, t), c in table.items())
-    except KeyError:  # an entry that is no pair of factor entries
-        return False
+def _product_snapshot(p, d1, d2):
+    """The sizes, cell lists and square tables of the explicit product p
+    and of its factors, each table as its keys and then its values in
+    insertion order.  The tuples share their items with the live
+    objects, so ``==`` on two snapshots of unedited categories compares
+    by identity, at C speed."""
+    cats = (p, d1, d2)
+    return tuple((d.n_objects, d.n_hcells, d.n_vcells, d.n_squares)
+                 for d in cats) + tuple(
+        tuple(x) for d in cats
+        for x in (d.hsrc, d.htgt, d.vsrc, d.vtgt, d._h_id, d._v_id,
+                  d.sq_bounds, d._sqvid, d._sqvid.values(), d._sqhid,
+                  d._sqhid.values(), d._hs, d._hs.values(), d._vs,
+                  d._vs.values()))
 
 
 def _validate_one_cat(rep, tag, n, src, tgt, comp, table, ident, n_objects, d):
@@ -965,8 +942,12 @@ PRODUCT_SQUARE_CAP = 250000
 def dc_product(d1, d2):
     """Cartesian product of double categories, cells componentwise.
 
-    The factors are kept as ``_factors``; validation decides the square
-    laws of an explicit product from them.
+    The factors are kept as ``_factors``.  An explicit product also keeps
+    ``_built``, a snapshot of its own and its factors' cell lists and
+    square tables (``_product_snapshot``); validation decides its square
+    laws from the factors while that snapshot still holds.  Its square
+    tables list the pairs of factor entries, the first factor's outer,
+    and share one int object per square id.
     """
     p = DoubleCat("%sx%s" % (d1.name, d2.name))
     p._factors = (d1, d2)
@@ -1015,18 +996,22 @@ def dc_product(d1, d2):
             t2, b2, l2, r2 = d2.sq_bounds[s2]
             p.add_square("(%s,%s)" % (d1.sq_names[s1], d2.sq_names[s2]),
                          t1 * nh2 + t2, b1 * nh2 + b2, l1 * nv2 + l2, r1 * nv2 + r2)
-    for (a1, b1), c1 in d1._hs.items():
-        for (a2, b2), c2 in d2._hs.items():
-            p.set_hs(a1 * ns2 + a2, b1 * ns2 + b2, c1 * ns2 + c2)
-    for (a1, b1), c1 in d1._vs.items():
-        for (a2, b2), c2 in d2._vs.items():
-            p.set_vs(a1 * ns2 + a2, b1 * ns2 + b2, c1 * ns2 + c2)
+    # every id is one shared int, so the large tables hold no int of
+    # their own
+    ids = list(range(p.n_squares))
+    for t, t1, t2 in ((p._hs, d1._hs, d2._hs), (p._vs, d1._vs, d2._vs)):
+        rows2 = list(t2.items())
+        for (a1, b1), c1 in t1.items():
+            x, y, z = a1 * ns2, b1 * ns2, c1 * ns2
+            for (a2, b2), c2 in rows2:
+                t[ids[x + a2], ids[y + b2]] = ids[z + c2]
     for u1, s1 in d1._sqhid.items():
         for u2, s2 in d2._sqhid.items():
             p.set_sq_h_id(u1 * nv2 + u2, s1 * ns2 + s2)
     for f1, s1 in d1._sqvid.items():
         for f2, s2 in d2._sqvid.items():
             p.set_sq_v_id(f1 * nh2 + f2, s1 * ns2 + s2)
+    p._built = _product_snapshot(p, d1, d2)
     return p
 
 

@@ -18,6 +18,9 @@ from dblcheck.errors import BoundaryMismatch, MalformedTables, SizeBound
 from dblcheck.hom import FLAVORS, hom_double_category, populate_squares
 from dblcheck.monads import mnd_double_category
 from dblcheck.quasi import QHomDoubleCat
+from dblcheck.strictify import product_dom
+
+from test_quasi import sign_quasi
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
@@ -873,6 +876,52 @@ def other_identity_square():
     return p
 
 
+def restore_square_composite():
+    """parity x walk_h with one composite overwritten, then restored."""
+    p = dc_product(parity(), walk_h())
+    key = next(iter(p._hs))
+    c = p._hs[key]
+    p._hs[key] = c + 1
+    p._hs[key] = c
+    return p
+
+
+def reinsert_square_composite():
+    """parity x walk_h with its first composite moved to the end of the
+    table: the same entries in another order."""
+    p = dc_product(parity(), walk_h())
+    key = next(iter(p._hs))
+    p._hs[key] = p._hs.pop(key)
+    return p
+
+
+def renew_square_key():
+    """parity x walk_h with the key of its first composite replaced by an
+    equal new tuple, in place."""
+    p = dc_product(parity(), walk_h())
+    rows = list(p._hs.items())
+    (a, b), c = rows[0]
+    rows[0] = ((a, b), c)
+    assert rows[0][0] is not next(iter(p._hs))
+    p._hs.clear()
+    p._hs.update(rows)
+    return p
+
+
+def populate_factor_after_product():
+    """A product over hom(trivial, parity) before its squares were
+    populated: it has no squares, so none of its identity squares."""
+    h = hom_double_category(trivial(), parity(), FLAVORS["hop"], bound=5000)
+    p = dc_product(h, walk_h())
+    populate_squares(h)
+    return p
+
+
+def self_product():
+    a = walk_sq()
+    return dc_product(a, a)
+
+
 # products beyond those of EXPLICIT_INPUTS:
 # name -> (build, max_checks, seed, reduced, passed)
 PRODUCT_INPUTS = {
@@ -891,6 +940,16 @@ PRODUCT_INPUTS = {
     "other-identity-square": (other_identity_square, None, 0, False, False),
     "broken-factor": (lambda: dc_product(
         swap_composite(parity(), "_vs", 1), walk_h()), None, 0, False, False),
+    # the product reduction compares a snapshot of the tables, in order,
+    # taken when dc_product built them
+    "restored-square-composite": (restore_square_composite, None, 0,
+                                  True, True),
+    "reinserted-square-composite": (reinsert_square_composite, None, 0,
+                                    False, True),
+    "renewed-square-key": (renew_square_key, None, 0, True, True),
+    "self-product": (self_product, None, 0, True, True),
+    "factor-populated-after-product": (populate_factor_after_product, None,
+                                       0, False, False),
 }
 
 
@@ -909,6 +968,42 @@ def test_product_reduction_matches_reference(name):
         assert rep.sampled == {} and list(rep.reduced) == SQUARE_PASS
     else:
         assert rep.reduced == {} and rep.sampled == plain.sampled
+
+
+def reference_product_tables(d1, d2):
+    """The square tables of the explicit ``dc_product(d1, d2)``, built one
+    ``set_hs``/``set_vs`` call per entry."""
+    p, ns2 = DoubleCat(), d2.n_squares
+    for (a1, b1), c1 in d1._hs.items():
+        for (a2, b2), c2 in d2._hs.items():
+            p.set_hs(a1 * ns2 + a2, b1 * ns2 + b2, c1 * ns2 + c2)
+    for (a1, b1), c1 in d1._vs.items():
+        for (a2, b2), c2 in d2._vs.items():
+            p.set_vs(a1 * ns2 + a2, b1 * ns2 + b2, c1 * ns2 + c2)
+    return p._hs, p._vs
+
+
+def sign_product_dom():
+    q = sign_quasi({0: 0, 1: 1})
+    return product_dom(q.A, q.B)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: dc_product(parity(), walk_h()),
+    lambda: dc_product(parity(), parity()),
+    lambda: dc_product(dc_product(parity(), walk_h()), walk_v()),
+    sign_product_dom,
+], ids=["parityxwalk_h", "parityxparity", "parityxwalk_hxwalk_v",
+        "sign-product-dom"])
+def test_product_tables_match_reference(build):
+    p = build()
+    hs, vs = reference_product_tables(*p._factors)
+    assert list(p._hs.items()) == list(hs.items())
+    assert list(p._vs.items()) == list(vs.items())
+    # every square id in the tables is one shared int
+    for table in (p._hs, p._vs):
+        assert len({id(x) for k, v in table.items()
+                    for x in (*k, v)}) <= p.n_squares
 
 
 def test_merge_carries_sampled_laws():
