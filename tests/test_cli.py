@@ -353,10 +353,6 @@ def labelled_mutations(doc):
                 doc, path, lambda p, k, new=new: operator.setitem(p, k, new))
 
 
-def _single_mutations(doc):
-    return (mutant for _, _, mutant in labelled_mutations(doc))
-
-
 def readme_mutant_runs(tmp_dir, *extra):
     """(verb, document, operation, path, result) for every single mutation
     of each README document, run by its README verb with ``extra``
@@ -379,24 +375,14 @@ def test_every_single_mutation_of_a_readme_document_ends_without_traceback(
     """Each document-reading README verb, on every single mutation of each
     of its README documents, exits 0, 1 or 2 with no exception but its
     exit, and names an input error when it exits 2."""
-    bad = str(tmp_path / "bad.json")
     runs, failures = 0, []
-    for args, i in _readme_documents():
-        with open(os.path.join(ROOT, args[i]), encoding="utf-8") as fh:
-            doc = json.load(fh)
-        argv = [os.path.join(ROOT, arg) if arg.endswith(".json") else arg
-                for arg in args]
-        argv[i] = bad
-        for mutant in _single_mutations(doc):
-            with open(bad, "w", encoding="utf-8") as fh:
-                json.dump(mutant, fh)
-            res = run(*argv)
-            runs += 1
-            if (res.exit_code not in (0, 1, 2)
-                    or not isinstance(res.exception, (SystemExit, type(None)))
-                    or res.exit_code == 2 and "input error" not in res.output):
-                failures.append((args[0], args[i], json.dumps(mutant)[:200],
-                                 res.exit_code, repr(res.exception)))
+    for verb, doc, op, path, res in readme_mutant_runs(str(tmp_path)):
+        runs += 1
+        if (res.exit_code not in (0, 1, 2)
+                or not isinstance(res.exception, (SystemExit, type(None)))
+                or res.exit_code == 2 and "input error" not in res.output):
+            failures.append((verb, doc, op, path, res.exit_code,
+                             repr(res.exception)))
     # the set is exhaustive: a smaller count means mutations went missing
     assert runs == 1769
     assert failures == []
