@@ -458,7 +458,7 @@ def mutant_verdicts():
                 tmp, "--json", payload):
             key = "%s %s %s /%s" % (verb, doc, op, "/".join(map(str, path)))
             if res.exit_code == 2:
-                out[key] = [2, res.output.strip().replace(tmp, "<tmp>")]
+                out[key] = [2, res.output.strip()]
                 continue
             with open(payload, encoding="utf-8") as fh:
                 failures = json.load(fh)["failures"]
