@@ -57,8 +57,21 @@ class ValidationReport:
     def passed(self):
         return not self.failures
 
-    def add(self, law, **witness):
+    def add(self, law, /, **witness):
         self.failures.append((law, witness))
+
+    def expect(self, law, lhs_fn, rhs_fn, /, **witness):
+        """Evaluate both sides of a law instance; a side that raises
+        ``DblError``, such as a missing flat composite, records ``error``,
+        and unequal sides record ``lhs`` and ``rhs``."""
+        try:
+            lhs = lhs_fn()
+            rhs = rhs_fn()
+        except DblError as exc:
+            self.add(law, error=str(exc), **witness)
+            return
+        if lhs != rhs:
+            self.add(law, lhs=lhs, rhs=rhs, **witness)
 
     def mark_sampled(self, law, draws, seed):
         self.sampled[law] = {"draws": draws, "seed": seed}

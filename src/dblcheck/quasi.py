@@ -22,11 +22,9 @@ double category, and the double category of quasi functors, interned on
 demand through the same base as the hom (``hom.InternedDoubleCat``).
 """
 
-import functools
-
 from .core import ValidationReport, composable_pairs
 from .errors import ChainMismatch, DomainMismatch
-from .functor import LaxDoubleFunctor, check_lax_functor, is_unitary, _eq
+from .functor import LaxDoubleFunctor, check_lax_functor, is_unitary
 from .hom import (
     HOP, HOR, OBJ, SQ, VERT, HomDoubleCat, InternedDoubleCat, _functor_key,
     _vert_identity_square)
@@ -189,7 +187,7 @@ def check_quasi_functor(q, trivial_uU=False, unitary=False,
     if not rep.passed:
         return rep
     A, B, C = q.A, q.B, q.C
-    emit = functools.partial(_eq, rep)
+    emit = rep.expect
     if derive_unit_laws:
         def emit(law, lhs, rhs, **witness):
             if law == "(1_B,K)":
@@ -197,7 +195,7 @@ def check_quasi_functor(q, trivial_uU=False, unitary=False,
             elif law == "(k,1_A)":
                 s = q.sq_kk(witness["k"], A.h_id(witness["a"]))
             else:
-                return _eq(rep, law, lhs, rhs, **witness)
+                return rep.expect(law, lhs, rhs, **witness)
             if C.vertical_inverse(s) is None:
                 rep.add(law, **witness, derived=True)
     _quasi_laws(q, emit)
@@ -495,7 +493,7 @@ def check_q_hor(t):
     q = t.q1
     rep = _check_families(t.th_a, t.th_b, check_hor_transform, q.A, q.B, "th")
     if rep.passed:
-        _q_hor_laws(t, functools.partial(_eq, rep))
+        _q_hor_laws(t, rep.expect)
     return rep
 
 
@@ -562,7 +560,7 @@ def check_q_vert(t):
     q = t.q1
     rep = _check_families(t.th_a, t.th_b, check_vert_transform, q.A, q.B, "th")
     if rep.passed:
-        _q_vert_laws(t, functools.partial(_eq, rep))
+        _q_vert_laws(t, rep.expect)
     return rep
 
 

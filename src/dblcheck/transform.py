@@ -33,12 +33,11 @@ bounds method, the domain cells indexing it (``h`` or ``v``) and its
 destrictification and uncurrying read the fields from this table.
 """
 
-import functools
 from collections import namedtuple
 
 from .core import ValidationReport, composable_pairs
 from .errors import ChainMismatch, DblError, NotPseudo
-from .functor import _derive_square, _eq, functor_equal
+from .functor import _derive_square, functor_equal
 
 OPLAX = "oplax"
 LAX = "lax"
@@ -311,7 +310,7 @@ def check_hor_transform(t):
     rep = ValidationReport()
     _check_wellformed(rep, t, t.cod.hsrc, t.cod.htgt)
     if rep.passed:
-        _hor_transform_laws(t, functools.partial(_eq, rep))
+        _hor_transform_laws(t, rep.expect)
     return rep
 
 
@@ -389,7 +388,7 @@ def check_vert_transform(t):
     rep = ValidationReport()
     _check_wellformed(rep, t, t.cod.vsrc, t.cod.vtgt)
     if rep.passed:
-        _vert_transform_laws(t, functools.partial(_eq, rep))
+        _vert_transform_laws(t, rep.expect)
     return rep
 
 
@@ -467,7 +466,7 @@ def check_modification(m):
         if c.sq_bounds[s] != m._bounds(a):
             rep.add("wf-component-boundary", object=a)
     if rep.passed:
-        _modification_laws(m, functools.partial(_eq, rep))
+        _modification_laws(m, rep.expect)
     return rep
 
 

@@ -14,7 +14,7 @@ from dblcheck.core import (
     parity, trivial, validate_double_category, walk_h)
 from dblcheck.errors import DomainMismatch
 from dblcheck.functor import (
-    LaxDoubleFunctor, _eq, _lax_functor_laws, _reduction_counts,
+    LaxDoubleFunctor, _lax_functor_laws, _reduction_counts,
     check_lax_functor, check_wellformed, compose_lax, functor_equal,
     identity_functor, is_pseudo, is_strict, is_unitary, strict_functor)
 
@@ -219,7 +219,7 @@ def reference(F):
 
     def emit(law, lhs, rhs, **witness):
         counts[law] += 1
-        _eq(rep, law, lhs, rhs, **witness)
+        rep.expect(law, lhs, rhs, **witness)
     if rep.passed:
         _lax_functor_laws(F, emit, "lx.f")
     return rep, counts

@@ -1,17 +1,22 @@
 """Tests for monads, distributive laws, and composition in a double
 category."""
 
+import itertools
+
 import pytest
 
+from dblcheck import monads
 from dblcheck.core import (
-    bool_matrix_double_category, parity, trivial)
-from dblcheck.errors import CarrierMismatch, NotFlat, NotTrivialDomain
+    DoubleCat, ValidationReport, bool_matrix_double_category, parity,
+    trivial, validate_double_category)
+from dblcheck.errors import (
+    CarrierMismatch, DblError, NotFlat, NotTrivialDomain)
 from dblcheck.functor import check_lax_functor, identity_functor
 from dblcheck.hom import LAX, OPLAX
 from dblcheck.monads import (
-    DistributiveLaw, Monad, check_distributive_law, check_monad, comp,
-    enumerate_distributive_laws, enumerate_monads, lax_from_monad,
-    mnd_double_category, monad_from_lax, verify_comp_diagram,
+    MONAD_LABELS, DistributiveLaw, Monad, check_distributive_law,
+    check_monad, comp, enumerate_distributive_laws, enumerate_monads,
+    lax_from_monad, mnd_double_category, monad_from_lax, verify_comp_diagram,
     _direct_composite)
 
 
@@ -159,3 +164,205 @@ def test_mnd_flavor_orientations():
     alt = mnd_double_category(parity(), oplax=True, bound=20000)
     assert alt.flavor.hor == OPLAX and alt.flavor.vert == LAX
     assert alt.n_objects == 4
+
+
+# -- check_monad as a lax functor out of * against the monad laws -----------
+
+
+def reference_check_monad(m):
+    """The monad laws written out by hand: the boundaries, then
+    associativity and the two unit laws; a side that raises fails."""
+    d = m.d
+    rep = ValidationReport()
+    x = m.carrier
+    want_unit = (d.h_id(x), m.endo, d.v_id(x), d.v_id(x))
+    if d.sq_bounds[m.unit] != want_unit:
+        rep.add("mnd.unit-boundary", monad=m.name)
+    want_mult = (d.hcomp_h(m.endo, m.endo), m.endo, d.v_id(x), d.v_id(x))
+    if d.sq_bounds[m.mult] != want_mult:
+        rep.add("mnd.mult-boundary", monad=m.name)
+    if not rep.passed:
+        return rep
+    ident = d.sq_v_id(m.endo)
+
+    def law(label, lhs_fn, rhs_fn):
+        try:
+            ok = lhs_fn() == rhs_fn()
+        except DblError:
+            ok = False
+        if not ok:
+            rep.add(label, monad=m.name)
+
+    law("mnd.assoc",
+        lambda: d.vcomp_sq(d.hcomp_sq(m.mult, ident), m.mult),
+        lambda: d.vcomp_sq(d.hcomp_sq(ident, m.mult), m.mult))
+    law("mnd.unit-l",
+        lambda: d.vcomp_sq(d.hcomp_sq(m.unit, ident), m.mult),
+        lambda: ident)
+    law("mnd.unit-r",
+        lambda: d.vcomp_sq(d.hcomp_sq(ident, m.unit), m.mult),
+        lambda: ident)
+    return rep
+
+
+def differential_monads():
+    """Monads, valid and not: every (endo, unit, mult) on parity with any
+    squares; the enumerated monads on every Boolean matrix carrier; the
+    composites of distributive laws; and, among the first ten monads of
+    each Boolean carrier, one's endo with another's unit and
+    multiplication, in their places and swapped."""
+    p = parity()
+    for endo in range(p.n_hcells):
+        for unit, mult in itertools.product(range(p.n_squares), repeat=2):
+            yield Monad(p, 0, endo, unit, mult)
+    for size in (1, 2, 3):
+        b = bool_matrix_double_category(size)
+        for x in range(b.n_objects):
+            ms = enumerate_monads(b, x)
+            yield from ms
+            for m1, m2 in itertools.product(ms[:10], repeat=2):
+                yield Monad(b, x, m1.endo, m2.unit, m2.mult)
+                yield Monad(b, x, m1.endo, m2.mult, m2.unit)
+    b2 = bool_matrix_double_category(2)
+    for x in range(b2.n_objects):
+        for lw in enumerate_distributive_laws(b2, x):
+            yield comp(lw)
+    b3 = bool_matrix_double_category(3)
+    for lw in enumerate_distributive_laws(b3, 3)[:200]:
+        yield comp(lw)
+
+
+def test_check_monad_matches_hand_written_laws():
+    n, failing = 0, 0
+    for m in differential_monads():
+        got, want = check_monad(m), reference_check_monad(m)
+        assert got.laws_failed() == want.laws_failed(), (m, m.data())
+        assert not got.sampled and not got.reduced
+        n += 1
+        failing += not want.passed
+    assert n > 2500 and 0 < failing < n
+
+
+def idempotent_category():
+    """One object x, the identity 1 and an idempotent e, and five squares
+    with identity sides: i1 on 1/1, eta on 1/e, and ie, a, z on e/e.  On
+    End(e) vertical composition has unit ie, a.a = ie and z absorbing;
+    horizontally i1 is a unit, eta.eta = eta, eta.g = z, g.eta = g and
+    f.g = f on End(e).  The one input here that fails mnd.assoc."""
+    d = DoubleCat("idem")
+    x = d.add_object("x")
+    one = d.add_hcell("1", x, x, identity_of=x)
+    e = d.add_hcell("e", x, x)
+    v = d.add_vcell("v", x, x, identity_of=x)
+    for f, g in itertools.product((one, e), repeat=2):
+        d.set_hh(f, g, e if e in (f, g) else one)
+    d.set_vv(v, v, v)
+    sq = {name: d.add_square(name, top, bottom, v, v)
+          for name, top, bottom in (("i1", one, one), ("eta", one, e),
+                                    ("ie", e, e), ("a", e, e), ("z", e, e))}
+    i1, eta, ie, a, z = (sq[k] for k in ("i1", "eta", "ie", "a", "z"))
+    end_e = (ie, a, z)
+    for s in (i1, eta):
+        d.set_vs(i1, s, s)
+    for g in end_e:
+        d.set_vs(eta, g, eta)
+        for f in end_e:
+            d.set_vs(f, g, z if z in (f, g) else a if (f, g).count(a) == 1
+                     else ie)
+    for s in sq.values():
+        d.set_hs(i1, s, s)
+        d.set_hs(s, i1, s)
+    d.set_hs(eta, eta, eta)
+    for g in end_e:
+        d.set_hs(eta, g, z)
+        d.set_hs(g, eta, g)
+        for f in end_e:
+            d.set_hs(f, g, f)
+    d.set_sq_v_id(one, i1)
+    d.set_sq_v_id(e, ie)
+    d.set_sq_h_id(v, i1)
+    return d, x, e, sq
+
+
+def test_idempotent_category_is_valid():
+    d, *_ = idempotent_category()
+    rep = validate_double_category(d)
+    assert rep.passed and not rep.sampled, rep.laws_failed()
+
+
+@pytest.mark.parametrize("unit, mult, failed", [
+    ("eta", "a", ["mnd.assoc", "mnd.unit-l", "mnd.unit-r"]),
+    ("eta", "ie", ["mnd.unit-l"]),
+    ("eta", "z", ["mnd.unit-l", "mnd.unit-r"]),
+    ("ie", "ie", ["mnd.unit-boundary"]),
+    ("eta", "eta", ["mnd.mult-boundary"]),
+])
+def test_idempotent_monads_fail_named_laws(unit, mult, failed):
+    d, x, e, sq = idempotent_category()
+    m = Monad(d, x, e, sq[unit], sq[mult], name="I")
+    rep = check_monad(m)
+    assert rep.laws_failed() == failed
+    assert rep.laws_failed() == reference_check_monad(m).laws_failed()
+    for law, witness in rep.failures:
+        assert witness["monad"] == "I"
+        if law in ("mnd.assoc", "mnd.unit-l", "mnd.unit-r"):
+            assert {"lhs", "rhs"} <= set(witness)
+        if law in ("mnd.unit-l", "mnd.unit-r"):
+            assert witness["side"] == ("left" if law == "mnd.unit-l"
+                                       else "right")
+
+
+def test_mutation_covers_every_monad_law():
+    d, x, e, sq = idempotent_category()
+    covered = set()
+    for unit, mult in itertools.product(sq, repeat=2):
+        covered.update(check_monad(
+            Monad(d, x, e, sq[unit], sq[mult])).laws_failed())
+    assert covered == set(MONAD_LABELS.values()) == {
+        "mnd.assoc", "mnd.unit-l", "mnd.unit-r", "mnd.mult-boundary",
+        "mnd.unit-boundary"}
+
+
+def test_endo_off_the_carrier_fails_its_boundary():
+    # the monad on the one-element carrier, moved to the two-element one:
+    # the hand-written laws named both square boundaries instead
+    b2 = bool_matrix_double_category(2)
+    m1 = enumerate_monads(b2, 1)[0]
+    m = Monad(b2, 2, m1.endo, m1.unit, m1.mult, name="moved")
+    rep = check_monad(m)
+    assert rep.failures == [("wf-hcell-boundary",
+                             {"monad": "moved", "hcell": 0})]
+    assert reference_check_monad(m).laws_failed() == [
+        "mnd.mult-boundary", "mnd.unit-boundary"]
+    # the hand-written laws read the boundary of a square id first, and
+    # one the flat codomain never interned ended in an IndexError
+    far = Monad(b2, 2, m1.endo, 10 ** 6, 10 ** 6, name="moved")
+    assert check_monad(far).failures == rep.failures
+    with pytest.raises(IndexError):
+        reference_check_monad(far)
+
+
+def test_both_boundaries_list_mult_first():
+    d, x, e, sq = idempotent_category()
+    m = Monad(d, x, e, sq["ie"], sq["eta"])
+    got, want = check_monad(m), reference_check_monad(m)
+    assert [law for law, _ in got.failures] == [
+        "mnd.mult-boundary", "mnd.unit-boundary"]
+    assert [law for law, _ in want.failures] == [
+        "mnd.unit-boundary", "mnd.mult-boundary"]
+    assert got.laws_failed() == want.laws_failed()
+
+
+def test_comp_diagram_witness_names_the_law(monkeypatch):
+    b2 = bool_matrix_double_category(2)
+    real = monads._direct_composite
+
+    def swapped(lw):
+        m = real(lw)
+        return Monad(m.d, m.carrier, m.endo, m.mult, m.unit)
+    monkeypatch.setattr(monads, "_direct_composite", swapped)
+    rep = verify_comp_diagram(b2)
+    assert rep.failures and rep.laws_failed() == ["comp-diagram"]
+    law, witness = rep.failures[0]
+    assert set(witness) == {"law", "lhs", "rhs"}
+    assert witness["law"].startswith("DistributiveLaw(")
