@@ -8,6 +8,10 @@ functor, quasi and tensor documents into ``parity`` with one flipped
 square; the full cell tables, with every cell's interning key, of the
 populated ``hom(trivial, parity)`` flavors, of both monad double
 categories of ``parity`` and of the sign q-hom double category; the
+plain cell tables of the builtins ``parity``, ``walk_h``, ``walk_v`` and
+``walk_sq``, of their ``to_json``/``from_json`` round trips and of the
+same documents with the identity squares, identity-square maps and unit
+rows left out, which ``from_json`` then generates; the
 in-process failures (law, witness, order) of the acceptance functor
 mutants and of single square flips of the sign quasi functors, of
 identity transformations and modifications in both orientations and of
@@ -34,7 +38,8 @@ from click.testing import CliRunner
 
 from dblcheck.cli import main
 from dblcheck.core import (
-    Gen, HComp, VComp, parity, trivial, walk_h, walk_sq, walk_v)
+    Gen, HComp, VComp, from_json, parity, to_json, trivial, walk_h, walk_sq,
+    walk_v)
 from dblcheck.functor import check_lax_functor, identity_functor
 from dblcheck.hom import (
     FLAVORS, enumerate_lax_functors, hom_double_category, populate_squares)
@@ -189,18 +194,11 @@ def cli_result(args, tmp_dir):
     return {"exit_code": res.exit_code, "payload": payload}
 
 
-def cell_table(d):
-    """Everything interning decides: ids, names, boundaries, composites,
-    and the interning key of every cell, which carries its payload's
-    orientation, components and field squares."""
+def plain_table(d):
+    """The cells of a double category with its composition tables: ids,
+    names, boundaries, and every table as sorted rows."""
     pairs = lambda table: sorted([a, b, c] for (a, b), c in table.items())
-    ends = ([()] * d.n_objects, list(zip(d.hsrc, d.htgt)),
-            list(zip(d.vsrc, d.vtgt)), d.sq_bounds)
-    keys = {"%s_keys" % name: [d._key(kind, x, tuple(bounds)) for x, bounds
-                               in zip(d._payloads[kind], ends[kind])]
-            for name, kind in (("obj", OBJ), ("h", HOR), ("v", VERT),
-                               ("sq", SQ))}
-    return dict(keys, **{
+    return {
         "counts": [d.n_objects, d.n_hcells, d.n_vcells, d.n_squares],
         "objects": d.objects, "hnames": d.hnames, "vnames": d.vnames,
         "sq_names": d.sq_names,
@@ -209,7 +207,20 @@ def cell_table(d):
         "hh": pairs(d._hh), "vv": pairs(d._vv),
         "hs": pairs(d._hs), "vs": pairs(d._vs),
         "sqvid": sorted(d._sqvid.items()), "sqhid": sorted(d._sqhid.items()),
-    })
+    }
+
+
+def cell_table(d):
+    """Everything interning decides: the plain table and the interning key
+    of every cell, which carries its payload's orientation, components and
+    field squares."""
+    ends = ([()] * d.n_objects, list(zip(d.hsrc, d.htgt)),
+            list(zip(d.vsrc, d.vtgt)), d.sq_bounds)
+    keys = {"%s_keys" % name: [d._key(kind, x, tuple(bounds)) for x, bounds
+                               in zip(d._payloads[kind], ends[kind])]
+            for name, kind in (("obj", OBJ), ("h", HOR), ("v", VERT),
+                               ("sq", SQ))}
+    return dict(keys, **plain_table(d))
 
 
 def sign_qhom():
@@ -233,6 +244,33 @@ TABLE_CATEGORIES = dict(
 
 TABLE_CASES = {name: (lambda build=build: cell_table(populate_squares(build())))
                for name, build in TABLE_CATEGORIES.items()}
+
+
+def _bare(doc):
+    """A ``to_json`` document without its identity squares (and the rows
+    naming one), its identity-square maps and its unit rows, so that
+    ``from_json`` generates them."""
+    ident = set(doc.pop("sq_v_id").values()) | set(doc.pop("sq_h_id").values())
+    doc["squares"] = [s for s in doc["squares"] if s["name"] not in ident]
+    for key in ("hcomp_sq", "vcomp_sq"):
+        doc[key] = [row for row in doc[key] if ident.isdisjoint(row)]
+    for key, mark in (("hcomp_h", "1_"), ("vcomp_v", "1^")):
+        units = {mark + o for o in doc["objects"]}
+        doc[key] = [row for row in doc[key] if units.isdisjoint(row[:2])]
+    return doc
+
+
+def _builtin_tables(name, build):
+    """A builtin's plain table as built, after a round trip through its
+    document, and rebuilt from its bare document."""
+    return {name: lambda: plain_table(build()),
+            name + "-json": lambda: plain_table(from_json(to_json(build()))),
+            name + "-json-bare": lambda: plain_table(
+                from_json(_bare(to_json(build()))))}
+
+
+for _builtin in (parity, walk_h, walk_sq, walk_v):
+    TABLE_CASES.update(_builtin_tables(_builtin.__name__, _builtin))
 
 
 def _failures(rep):
