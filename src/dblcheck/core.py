@@ -1160,22 +1160,6 @@ def trivial():
     return d
 
 
-def _identity_square_closure(d):
-    """Explicit backend: add identity squares only and their composites."""
-    for f in range(d.n_hcells):
-        s = d.add_square("Id_%s" % d.hnames[f], f, f,
-                         d.v_id(d.hsrc[f]), d.v_id(d.htgt[f]))
-        d.set_sq_v_id(f, s)
-    for u in range(d.n_vcells):
-        if d.is_v_identity(u):
-            d.set_sq_h_id(u, d.sq_v_id(d.h_id(d.vsrc[u])))
-        else:
-            s = d.add_square("Id^%s" % d.vnames[u], d.h_id(d.vsrc[u]),
-                             d.h_id(d.vtgt[u]), u, u)
-            d.set_sq_h_id(u, s)
-    _derive_flat_tables(d)
-
-
 def _derive_flat_tables(d):
     """Fill explicit square tables by boundary lookup (flat data only)."""
     ns = d.n_squares
@@ -1199,79 +1183,48 @@ def _derive_flat_tables(d):
                 d.set_vs(s1, s2, hit[0])
 
 
-def walk_h():
-    """Two objects, one free 1h-cell, identities elsewhere."""
-    d = DoubleCat("walk_h")
-    a = d.add_object("0")
-    b = d.add_object("1")
-    ia = d.add_hcell("1_0", a, a, identity_of=a)
-    ib = d.add_hcell("1_1", b, b, identity_of=b)
-    f = d.add_hcell("a", a, b)
-    d.add_vcell("1^0", a, a, identity_of=a)
-    d.add_vcell("1^1", b, b, identity_of=b)
-    for x, y, z in [(ia, ia, ia), (ib, ib, ib), (ia, f, f), (f, ib, f)]:
-        d.set_hh(x, y, z)
-    d.set_vv(0, 0, 0)
-    d.set_vv(1, 1, 1)
-    _identity_square_closure(d)
+def free_double_category(name, objects, hcells=(), vcells=(), squares=()):
+    """The free double category on ``(name, src, tgt)`` 1h- and 1v-cells
+    and ``(name, top, bottom, left, right)`` squares, over cell names.
+
+    Ids follow the construction: the objects; per kind the identity
+    1-cells ``1_x``/``1^x`` in object order, then the given 1-cells; the
+    identity squares ``Id_f``/``Id^u`` as ``from_json`` adds them, then the
+    given squares.  The given cells must not compose with each other;
+    where they do, deriving the square tables raises ``MalformedTables``
+    unless one square already has the composite's boundary.
+    """
+    d = DoubleCat(name)
+    oid = {nm: d.add_object(nm) for nm in objects}
+    hid, vid = {}, {}
+    _add_identity_cells(d, hid, vid)
+    for nm, src, tgt in hcells:
+        hid[nm] = d.add_hcell(nm, oid[src], oid[tgt])
+    for nm, src, tgt in vcells:
+        vid[nm] = d.add_vcell(nm, oid[src], oid[tgt])
+    _fill_unit_rows(d)
+    _add_identity_squares(d, {}, {}, {})
+    for nm, top, bottom, left, right in squares:
+        d.add_square(nm, hid[top], hid[bottom], vid[left], vid[right])
+    _derive_flat_tables(d)
     return d
+
+
+def walk_h():
+    """The free double category on one 1h-cell ``a: 0 -> 1``."""
+    return free_double_category("walk_h", ["0", "1"], [("a", "0", "1")])
 
 
 def walk_v():
-    """Two objects, one free 1v-cell, identities elsewhere."""
-    d = DoubleCat("walk_v")
-    a = d.add_object("0")
-    b = d.add_object("1")
-    d.add_hcell("1_0", a, a, identity_of=a)
-    d.add_hcell("1_1", b, b, identity_of=b)
-    ia = d.add_vcell("1^0", a, a, identity_of=a)
-    ib = d.add_vcell("1^1", b, b, identity_of=b)
-    u = d.add_vcell("x", a, b)
-    d.set_hh(0, 0, 0)
-    d.set_hh(1, 1, 1)
-    for x, y, z in [(ia, ia, ia), (ib, ib, ib), (ia, u, u), (u, ib, u)]:
-        d.set_vv(x, y, z)
-    _identity_square_closure(d)
-    return d
+    """The free double category on one 1v-cell ``x: 0 -> 1``."""
+    return free_double_category("walk_v", ["0", "1"], vcells=[("x", "0", "1")])
 
 
 def walk_sq():
-    """One free square spanning four objects, identities elsewhere."""
-    d = DoubleCat("walk_sq")
-    objs = {}
-    for nm in ["00", "01", "10", "11"]:
-        objs[nm] = d.add_object(nm)
-    hid = {}
-    for nm, o in objs.items():
-        hid[nm] = d.add_hcell("1_%s" % nm, o, o, identity_of=o)
-    t = d.add_hcell("t", objs["00"], objs["01"])
-    b = d.add_hcell("b", objs["10"], objs["11"])
-    vid = {}
-    for nm, o in objs.items():
-        vid[nm] = d.add_vcell("1^%s" % nm, o, o, identity_of=o)
-    l = d.add_vcell("l", objs["00"], objs["10"])
-    r = d.add_vcell("r", objs["01"], objs["11"])
-    for f in range(d.n_hcells):
-        d.set_hh(d.h_id(d.hsrc[f]), f, f)
-        if not d.is_h_identity(f):
-            d.set_hh(f, d.h_id(d.htgt[f]), f)
-    for u in range(d.n_vcells):
-        d.set_vv(d.v_id(d.vsrc[u]), u, u)
-        if not d.is_v_identity(u):
-            d.set_vv(u, d.v_id(d.vtgt[u]), u)
-    for f in range(d.n_hcells):
-        s = d.add_square("Id_%s" % d.hnames[f], f, f,
-                         d.v_id(d.hsrc[f]), d.v_id(d.htgt[f]))
-        d.set_sq_v_id(f, s)
-    for u in [l, r]:
-        s = d.add_square("Id^%s" % d.vnames[u], d.h_id(d.vsrc[u]),
-                         d.h_id(d.vtgt[u]), u, u)
-        d.set_sq_h_id(u, s)
-    for nm in objs:
-        d.set_sq_h_id(vid[nm], d.sq_v_id(hid[nm]))
-    d.add_square("s", t, b, l, r)
-    _derive_flat_tables(d)
-    return d
+    """The free double category on one square ``s`` framed by t, b, l, r."""
+    return free_double_category(
+        "walk_sq", ["00", "01", "10", "11"], [("t", "00", "01"), ("b", "10", "11")],
+        [("l", "00", "10"), ("r", "01", "11")], [("s", "t", "b", "l", "r")])
 
 
 def parity():
@@ -1457,39 +1410,20 @@ def from_json(doc):
     for nm in doc["objects"]:
         _new_name(oid, nm, "object")
         oid[nm] = d.add_object(nm)
-    hid = {}
-    for h in doc.get("hcells", []):
-        _new_name(hid, h["name"], "1h-cell")
-        ident = oid[h["src"]] if h["name"] == "1_%s" % h["src"] \
-            and h["src"] == h["tgt"] else None
-        hid[h["name"]] = d.add_hcell(h["name"], oid[h["src"]], oid[h["tgt"]],
-                                     identity_of=ident)
-    vid = {}
-    for v in doc.get("vcells", []):
-        _new_name(vid, v["name"], "1v-cell")
-        ident = oid[v["src"]] if v["name"] == "1^%s" % v["src"] \
-            and v["src"] == v["tgt"] else None
-        vid[v["name"]] = d.add_vcell(v["name"], oid[v["src"]], oid[v["tgt"]],
-                                     identity_of=ident)
-    for nm, o in oid.items():
-        if d._h_id[o] is None:
-            hid["1_%s" % nm] = d.add_hcell("1_%s" % nm, o, o, identity_of=o)
-        if d._v_id[o] is None:
-            vid["1^%s" % nm] = d.add_vcell("1^%s" % nm, o, o, identity_of=o)
+    hid, vid = {}, {}
+    for key, ids, add, ident_name, kind in (
+            ("hcells", hid, d.add_hcell, "1_%s", "1h-cell"),
+            ("vcells", vid, d.add_vcell, "1^%s", "1v-cell")):
+        for c in doc.get(key, []):
+            _new_name(ids, c["name"], kind)
+            ident = oid[c["src"]] if c["name"] == ident_name % c["src"] \
+                and c["src"] == c["tgt"] else None
+            ids[c["name"]] = add(c["name"], oid[c["src"]], oid[c["tgt"]],
+                                 identity_of=ident)
+    _add_identity_cells(d, hid, vid)
     _set_rows(d._hh, doc, "hcomp_h", hid)
     _set_rows(d._vv, doc, "vcomp_v", vid)
-    # unit rows fill only pairs the document left out, so that a wrong
-    # listed row reaches validation
-    hh, vv = d._hh.setdefault, d._vv.setdefault
-    for o in range(d.n_objects):
-        hh((d.h_id(o), d.h_id(o)), d.h_id(o))
-        vv((d.v_id(o), d.v_id(o)), d.v_id(o))
-    for f in range(d.n_hcells):
-        hh((d.h_id(d.hsrc[f]), f), f)
-        hh((f, d.h_id(d.htgt[f])), f)
-    for u in range(d.n_vcells):
-        vv((d.v_id(d.vsrc[u]), u), u)
-        vv((u, d.v_id(d.vtgt[u])), u)
+    _fill_unit_rows(d)
     if doc.get("flat", False):
         bounds = set()
         for s in doc.get("squares", []):
@@ -1506,8 +1440,41 @@ def from_json(doc):
         _new_name(sid, s["name"], "square")
         sid[s["name"]] = d.add_square(s["name"], hid[s["top"]], hid[s["bottom"]],
                                       vid[s["left"]], vid[s["right"]])
-    svid = doc.get("sq_v_id", {})
-    shid = doc.get("sq_h_id", {})
+    _add_identity_squares(d, sid, doc.get("sq_v_id", {}),
+                          doc.get("sq_h_id", {}))
+    _set_rows(d._hs, doc, "hcomp_sq", sid)
+    _set_rows(d._vs, doc, "vcomp_sq", sid)
+    _fill_identity_square_composites(d)
+    return d
+
+
+def _add_identity_cells(d, hid, vid):
+    """Add the ``1_x``/``1^x`` that an object x lacks to d, hid and vid."""
+    for o, nm in enumerate(d.objects):
+        if d._h_id[o] is None:
+            hid["1_%s" % nm] = d.add_hcell("1_%s" % nm, o, o, identity_of=o)
+        if d._v_id[o] is None:
+            vid["1^%s" % nm] = d.add_vcell("1^%s" % nm, o, o, identity_of=o)
+
+
+def _fill_unit_rows(d):
+    """Add each 1-cell's unit rows to d; listed rows stay for validation."""
+    hh, vv = d._hh.setdefault, d._vv.setdefault
+    for o in range(d.n_objects):
+        hh((d.h_id(o), d.h_id(o)), d.h_id(o))
+        vv((d.v_id(o), d.v_id(o)), d.v_id(o))
+    for f in range(d.n_hcells):
+        hh((d.h_id(d.hsrc[f]), f), f)
+        hh((f, d.h_id(d.htgt[f])), f)
+    for u in range(d.n_vcells):
+        vv((d.v_id(d.vsrc[u]), u), u)
+        vv((u, d.v_id(d.vtgt[u])), u)
+
+
+def _add_identity_squares(d, sid, svid, shid):
+    """Set each 1-cell's identity square: the one ``svid``/``shid`` names,
+    else ``Id_f``/``Id^u``, added to d and sid when missing; a vertical
+    identity that ``shid`` leaves out takes its object's ``Id_``."""
     for f in range(d.n_hcells):
         nm = svid.get(d.hnames[f], "Id_%s" % d.hnames[f])
         if nm not in sid:
@@ -1523,10 +1490,6 @@ def from_json(doc):
         if nm not in sid:
             sid[nm] = d.add_square(nm, d.h_id(d.vsrc[u]), d.h_id(d.vtgt[u]), u, u)
         d.set_sq_h_id(u, sid[nm])
-    _set_rows(d._hs, doc, "hcomp_sq", sid)
-    _set_rows(d._vs, doc, "vcomp_sq", sid)
-    _fill_identity_square_composites(d)
-    return d
 
 
 def _new_name(ids, name, kind):
