@@ -137,14 +137,16 @@ def check_wellformed(F):
             rep.add("wf-hcell-missing", hcell=f)
             continue
         g = F.hmap[f]
-        if c.hsrc[g] != F.obj(d.hsrc[f]) or c.htgt[g] != F.obj(d.htgt[f]):
+        if (g not in range(c.n_hcells) or c.hsrc[g] != F.obj(d.hsrc[f])
+                or c.htgt[g] != F.obj(d.htgt[f])):
             rep.add("wf-hcell-boundary", hcell=f)
     for u in range(d.n_vcells):
         if u not in F.vmap:
             rep.add("wf-vcell-missing", vcell=u)
             continue
         w = F.vmap[u]
-        if c.vsrc[w] != F.obj(d.vsrc[u]) or c.vtgt[w] != F.obj(d.vtgt[u]):
+        if (w not in range(c.n_vcells) or c.vsrc[w] != F.obj(d.vsrc[u])
+                or c.vtgt[w] != F.obj(d.vtgt[u])):
             rep.add("wf-vcell-boundary", vcell=u)
     if not rep.passed:
         return rep
@@ -154,7 +156,7 @@ def check_wellformed(F):
         except MalformedTables as exc:
             rep.add("wf-square-missing", square=s, error=str(exc))
             continue
-        if c.sq_bounds[img] != F._sq_bounds(s):
+        if not c.is_square_on(img, F._sq_bounds(s)):
             rep.add("wf-square-boundary", square=s)
     for f, g in composable_pairs(d.hsrc, d.htgt):
         try:
@@ -162,7 +164,7 @@ def check_wellformed(F):
         except MalformedTables:
             rep.add("wf-compositor-missing", first=f, second=g)
             continue
-        if c.sq_bounds[s] != F._compositor_bounds(f, g):
+        if not c.is_square_on(s, F._compositor_bounds(f, g)):
             rep.add("wf-compositor-boundary", first=f, second=g)
     for a in range(d.n_objects):
         try:
@@ -170,7 +172,7 @@ def check_wellformed(F):
         except MalformedTables:
             rep.add("wf-unitor-missing", object=a)
             continue
-        if c.sq_bounds[s] != F._unitor_bounds(a):
+        if not c.is_square_on(s, F._unitor_bounds(a)):
             rep.add("wf-unitor-boundary", object=a)
     return rep
 

@@ -167,7 +167,7 @@ def _check_quasi_wellformed(rep, q):
                 witness = {name[0]: x, name[1].upper(): y}
                 if (x, y) not in store:
                     rep.add(name + "-missing", **witness)
-                elif C.sq_bounds[store[(x, y)]] != bounds(x, y):
+                elif not C.is_square_on(store[(x, y)], bounds(x, y)):
                     rep.add(name + "-boundary", **witness)
 
 

@@ -281,7 +281,8 @@ def _check_wellformed(rep, t, src, tgt):
     for a in range(t.dom.n_objects):
         if a not in t.comp0:
             rep.add("wf-component-missing", object=a)
-        elif (src[t.comp0[a]] != t.F.obj(a)
+        elif (t.comp0[a] not in range(len(src))
+              or src[t.comp0[a]] != t.F.obj(a)
               or tgt[t.comp0[a]] != t.G.obj(a)):
             rep.add("wf-component-boundary", object=a)
     if not rep.passed:
@@ -295,7 +296,7 @@ def _check_wellformed(rep, t, src, tgt):
                 rep.add("wf-%s-missing" % field.label,
                         **{field.key: x, "error": str(exc)})
                 continue
-            if t.cod.sq_bounds[s] != want:
+            if not t.cod.is_square_on(s, want):
                 rep.add("wf-%s-boundary" % field.label, **{field.key: x})
 
 
@@ -463,7 +464,7 @@ def check_modification(m):
         except DblError as exc:
             rep.add("wf-component-missing", object=a, error=str(exc))
             continue
-        if c.sq_bounds[s] != m._bounds(a):
+        if not c.is_square_on(s, m._bounds(a)):
             rep.add("wf-component-boundary", object=a)
     if rep.passed:
         _modification_laws(m, rep.expect)

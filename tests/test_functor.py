@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from dblcheck.cli import _read_doc, _load_functor
 from dblcheck.core import (
     FIXTURES, DoubleCat, bool_matrix_double_category, dc_product, from_json,
-    parity, trivial, validate_double_category, walk_h)
+    parity, trivial, validate_double_category, walk_h, walk_v)
 from dblcheck.errors import DomainMismatch
 from dblcheck.functor import (
     LaxDoubleFunctor, _lax_functor_laws, _reduction_counts,
@@ -183,6 +183,40 @@ def test_boundary_violation_detected():
     rep = check_wellformed(F)
     assert not rep.passed
     assert "wf-hcell-boundary" in rep.laws_failed()
+
+
+# identity_functor(walk_v()) with one image moved off its boundary; walk_v
+# has the 1h-cells 1_0, 1_1, the 1v-cells 1^0, 1^1, x and the squares
+# Id_1_0, Id_1_1, Id^x, in id order
+WALK_V_BOUNDARY_MUTANTS = {
+    "vmap": (2, 0, ("wf-vcell-boundary", {"vcell": 2})),
+    "sqmap": (2, 0, ("wf-square-boundary", {"square": 2})),
+    "comp": ((0, 0), 1, ("wf-compositor-boundary", {"first": 0, "second": 0})),
+    "unit": (0, 1, ("wf-unitor-boundary", {"object": 0})),
+}
+
+
+@pytest.mark.parametrize("field", sorted(WALK_V_BOUNDARY_MUTANTS))
+def test_walk_v_functor_boundary_mutants(field):
+    key, image, failure = WALK_V_BOUNDARY_MUTANTS[field]
+    F = identity_functor(walk_v())
+    getattr(F, field)[key] = image
+    assert check_lax_functor(F).failures == [failure]
+
+
+@pytest.mark.parametrize("field, key, image, law", [
+    ("hmap", 1, -1, "wf-hcell-boundary"),
+    ("vmap", 1, 10 ** 6, "wf-vcell-boundary"),
+    ("sqmap", 3, -29, "wf-square-boundary"),
+    ("comp", (1, 1), 10 ** 6, "wf-compositor-boundary"),
+    ("unit", 0, 10 ** 6, "wf-unitor-boundary"),
+])
+def test_cell_id_out_of_range_fails_its_boundary(field, key, image, law):
+    """An id outside the range of its kind in the codomain is on no
+    boundary: a negative one is not read from the end of a list."""
+    F = identity_functor(parity())
+    getattr(F, field)[key] = image
+    assert check_lax_functor(F).laws_failed() == [law]
 
 
 def test_compose_sign_functors_cancels():

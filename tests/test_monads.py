@@ -75,6 +75,11 @@ def test_monad_boundary_check():
     assert rep.laws_failed() == ["mnd.mult-boundary"]
 
 
+def test_monad_square_ids_out_of_range_fail_their_boundaries():
+    rep = check_monad(Monad(parity(), 0, 1, 10 ** 6, 10 ** 6))
+    assert rep.laws_failed() == ["mnd.mult-boundary", "mnd.unit-boundary"]
+
+
 def test_lax_roundtrip():
     b2 = bool_matrix_double_category(2)
     m = preorder_monad(b2, {(0, 0), (1, 1), (0, 1)})

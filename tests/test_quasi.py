@@ -7,16 +7,21 @@ from collections import Counter
 import pytest
 
 from dblcheck import quasi
-from dblcheck.core import bool_matrix_double_category, parity, trivial, walk_h
+from dblcheck.core import (
+    FIXTURES, bool_matrix_double_category, parity, trivial, walk_h, walk_v)
 from dblcheck.errors import ChainMismatch
 from dblcheck.functor import (
-    LaxDoubleFunctor, check_lax_functor, strict_functor)
+    LaxDoubleFunctor, check_lax_functor, functor_equal, identity_functor,
+    strict_functor)
 from dblcheck.hom import HOP, HomDoubleCat
 from dblcheck.quasi import (
-    QHorTransform, QuasiFunctor, check_q_hor, check_q_mod, check_q_vert,
-    check_quasi_functor, curry0, curry_hor, curry_mod, curry_vert,
-    identity_q_hor, identity_q_vert, q_hom_double_category, uncurry0,
-    uncurry_hor, uncurry_mod, uncurry_vert, vcompose_q_hor, vcompose_q_vert)
+    QHorTransform, QuasiFunctor, _stored_cells, check_q_hor, check_q_mod,
+    check_q_vert, check_quasi_functor, curry0, curry_hor, curry_mod,
+    curry_vert, identity_q_hor, identity_q_vert, q_hom_double_category,
+    uncurry0, uncurry_hor, uncurry_mod, uncurry_vert, vcompose_q_hor,
+    vcompose_q_vert)
+from dblcheck.strictify import product_dom, strictify0
+from dblcheck.tensor import verify_universal_property
 from dblcheck.transform import (
     HorTransform, Modification, check_hor_transform, check_vert_transform,
     identity_hor_transform, identity_modification, identity_vert_transform)
@@ -138,6 +143,119 @@ def test_distributive_quasi_not_unitary():
     rep = check_quasi_functor(q, unitary=True)
     # the reflexive nonidentity carrier sits in the first family
     assert not rep.passed and "fam-a-not-unitary" in rep.laws_failed()
+
+
+# -- the pairing quasi functor ----------------------------------------------
+
+
+def pairing_quasi(A, B):
+    """The pairing quasi functor (A, B) -> P, with P = product_dom(A, B).
+    Its members are the strict functors b |-> (a, b) and a |-> (a, b);
+    each interchanger pairs the identity squares of its two cells, so kk
+    and uu hold P's identity squares."""
+    P = product_dom(A, B)
+    A, B = P._factors
+    no, nh, nv, ns = B.n_objects, B.n_hcells, B.n_vcells, B.n_squares
+    fam_a = {a: strict_functor(
+        B, P, {b: a * no + b for b in range(no)},
+        {k: A.h_id(a) * nh + k for k in range(nh)},
+        {u: A.v_id(a) * nv + u for u in range(nv)},
+        {om: A.sq_id_obj(a) * ns + om for om in range(ns)},
+        name="(%s,-)" % A.objects[a]) for a in range(A.n_objects)}
+    fam_b = {b: strict_functor(
+        A, P, {a: a * no + b for a in range(A.n_objects)},
+        {K: K * nh + B.h_id(b) for K in range(A.n_hcells)},
+        {U: U * nv + B.v_id(b) for U in range(A.n_vcells)},
+        {ze: ze * ns + B.sq_id_obj(b) for ze in range(A.n_squares)},
+        name="(-,%s)" % B.objects[b]) for b in range(no)}
+    hs, vs = _stored_cells(B, "h"), _stored_cells(B, "v")
+    Hs, Vs = _stored_cells(A, "h"), _stored_cells(A, "v")
+    kk = {(k, K): P.sq_v_id(K * nh + k) for k in hs for K in Hs}
+    uk = {(u, K): A.sq_v_id(K) * ns + B.sq_h_id(u) for u in vs for K in Hs}
+    ku = {(k, U): A.sq_h_id(U) * ns + B.sq_v_id(k) for k in hs for U in Vs}
+    uu = {(u, U): P.sq_h_id(U * nv + u) for u in vs for U in Vs}
+    return QuasiFunctor(A, B, P, fam_a, fam_b, kk, uk, ku, uu, name="pair")
+
+
+PAIRING_FACTORS = [("walk_v", "walk_v"), ("walk_sq", "walk_v"),
+                   ("walk_h", "walk_sq"), ("parity", "walk_v")]
+
+
+@pytest.mark.parametrize("a, b", PAIRING_FACTORS)
+def test_pairing_quasi_functor_is_lawful(a, b):
+    """Vertical cells in both variables: the pairing quasi functor passes,
+    strictifies to the identity of the product (the bifunctor theorem's
+    base case), survives currying and factors through the tensor."""
+    q = pairing_quasi(FIXTURES[a](), FIXTURES[b]())
+    assert q.uk and (q.ku or a == "walk_h")  # walk_h has no free 1v-cell
+    rep = check_quasi_functor(q, trivial_uU=True)
+    assert rep.passed, rep.laws_failed()
+    assert functor_equal(strictify0(q, q.C), identity_functor(q.C))
+    back = uncurry0(curry0(q))
+    assert (back.kk, back.uk, back.ku, back.uu) == (q.kk, q.uk, q.ku, q.uu)
+    rep = verify_universal_property(q)
+    assert rep.passed, rep.laws_failed()
+
+
+def flip_parity_factor(P, s):
+    """The square of P = parity x B whose parity factor has the other
+    sign: the same boundary, another square."""
+    A, B = P._factors
+    sa, sb = divmod(s, B.n_squares)
+    other = A.parity_index[A.sq_bounds[sa] + (1 - A.parity_sign[sa],)]
+    return other * B.n_squares + sb
+
+
+# the laws that fail when the last entry of each store of the pairing
+# quasi functor on (parity, walk_v) takes the other sign
+PAIRING_FLIP_LAWS = {
+    "kk": ["(1_B,K)", "(k'k,K)", "(k,K)-l-nat", "(k,K)-r-nat"],
+    "uk": ["(u,U)-r-nat"],
+    "ku": ["(1_B,U)", "(k'k,U)", "(k,K)-r-nat", "(u,U)-l-nat"],
+    "uu": ["(u,U)-r-nat"],
+}
+
+
+@pytest.mark.parametrize("store", sorted(PAIRING_FLIP_LAWS))
+def test_pairing_quasi_functor_mutants(store):
+    def mutant():
+        q = pairing_quasi(parity(), walk_v())
+        return q, getattr(q, store), max(getattr(q, store))
+
+    q, entries, key = mutant()
+    entries[key] = flip_parity_factor(q.C, entries[key])
+    assert check_quasi_functor(q).laws_failed() == PAIRING_FLIP_LAWS[store]
+    q, entries, key = mutant()
+    entries[key] = next(s for s in range(q.C.n_squares)
+                        if q.C.sq_bounds[s] != q.C.sq_bounds[entries[key]])
+    assert check_quasi_functor(q).laws_failed() == [store + "-boundary"]
+    q, entries, key = mutant()
+    del entries[key]
+    assert check_quasi_functor(q).laws_failed() == [store + "-missing"]
+
+
+def test_pairing_quasi_functor_labels_disagreeing_families():
+    q = pairing_quasi(walk_v(), walk_v())
+    q.fam_b[0] = q.fam_b[1]
+    assert check_quasi_functor(q).failures == [
+        ("agreement", {"a": 0, "b": 0}), ("agreement", {"a": 1, "b": 0})]
+
+
+def test_pairing_quasi_functor_labels_a_nontrivial_uu():
+    q = pairing_quasi(parity(), walk_v())
+    (key, s), = q.uu.items()
+    q.uu[key] = flip_parity_factor(q.C, s)
+    u, U = key
+    rep = check_quasi_functor(q, trivial_uU=True)
+    assert ("uu-nontrivial", {"u": u, "U": U}) in rep.failures
+    assert rep.laws_failed() == ["(u,U)-r-nat", "uu-nontrivial"]
+
+
+def test_interchanger_id_out_of_range_fails_its_boundary():
+    q = sign_quasi({0: 0, 1: 1})
+    q.kk[(0, 2)] = 10 ** 6
+    assert check_quasi_functor(q).failures == [
+        ("kk-boundary", {"k": 0, "K": 2})]
 
 
 # -- cells between quasi functors -------------------------------------------
@@ -385,8 +503,9 @@ def _preorder_pair():
 @pytest.mark.parametrize("make", [
     lambda: sign_quasi({0: 0, 1: 0}), lambda: sign_quasi({0: 0, 1: 1}),
     lambda: sign_quasi({0: 1, 1: 0}), lambda: sign_quasi({0: 1, 1: 1}),
-    _preorder_pair], ids=["sign00", "sign01", "sign10", "sign11",
-                          "preorder-pair"])
+    _preorder_pair, lambda: pairing_quasi(parity(), walk_v())],
+    ids=["sign00", "sign01", "sign10", "sign11", "preorder-pair",
+         "pairing"])
 def test_quasi_catalogue_instance_counts(make):
     """The mixed quasi functor catalogue emits the closed-form number of
     instances of each law: for example ``(1_B,K)`` once per object of B and

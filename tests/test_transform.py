@@ -333,6 +333,44 @@ def test_stored_square_with_undefined_boundary_reported():
         "vcell": 0, "error": "vcomp_v table missing entry (W, W)"})]
 
 
+def _parity_cell(kind):
+    F = identity_functor(parity())
+    if kind == "modification":
+        return identity_modification(identity_hor_transform(F))
+    return {"hor": identity_hor_transform,
+            "vert": identity_vert_transform}[kind](F)
+
+
+CHECKS = {"hor": check_hor_transform, "vert": check_vert_transform,
+          "modification": check_modification}
+
+# one entry of an identity transformation or modification on parity moved
+# to a square of another boundary (square 0 is s[0000:0]) or to an id that
+# parity lacks; every 1-cell of parity has a component's ends, so only an
+# id out of range takes a component off them
+PARITY_BOUNDARY_MUTANTS = [
+    ("hor", "comp0", 0, 10 ** 6, ("wf-component-boundary", {"object": 0})),
+    ("hor", "comp_v", 1, 0, ("wf-square-boundary", {"vcell": 1})),
+    ("hor", "delta", 1, 0, ("wf-structure-boundary", {"hcell": 1})),
+    ("hor", "delta", 1, 10 ** 6, ("wf-structure-boundary", {"hcell": 1})),
+    ("vert", "comp0", 0, -1, ("wf-component-boundary", {"object": 0})),
+    ("vert", "comp_h", 1, 0, ("wf-square-boundary", {"hcell": 1})),
+    ("vert", "comp_v", 1, 0, ("wf-structure-boundary", {"vcell": 1})),
+    ("modification", "comp", 0, 24,
+     ("wf-component-boundary", {"object": 0})),
+    ("modification", "comp", 0, 10 ** 6,
+     ("wf-component-boundary", {"object": 0})),
+]
+
+
+@pytest.mark.parametrize("kind, field, key, image, failure",
+                         PARITY_BOUNDARY_MUTANTS)
+def test_parity_transform_boundary_mutants(kind, field, key, image, failure):
+    t = _parity_cell(kind)
+    getattr(t, field)[key] = image
+    assert CHECKS[kind](t).failures == [failure]
+
+
 def _law_counts(laws, x):
     """Instances per law label of one catalogue run, through an emit that
     counts and evaluates nothing."""
