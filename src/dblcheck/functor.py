@@ -88,17 +88,11 @@ class LaxDoubleFunctor:
 
 
 def identity_functor(d):
-    """The identity functor with identity compositors and unitors."""
-    ob = {a: a for a in range(d.n_objects)}
-    hmap = {f: f for f in range(d.n_hcells)}
-    vmap = {u: u for u in range(d.n_vcells)}
-    sqmap = {} if d.flat else {s: s for s in range(d.n_squares)}
-    comp = {}
-    for f, g in composable_pairs(d.hsrc, d.htgt):
-        comp[(f, g)] = d.sq_v_id(d.hcomp_h(f, g))
-    unit = {a: d.sq_v_id(d.h_id(a)) for a in range(d.n_objects)}
-    return LaxDoubleFunctor(d, d, ob, hmap, vmap, sqmap, comp, unit,
-                            name="id_%s" % d.name)
+    """The identity functor, strict: identity compositors and unitors."""
+    ids = lambda n: {x: x for x in range(n)}
+    return strict_functor(d, d, ids(d.n_objects), ids(d.n_hcells),
+                          ids(d.n_vcells), None if d.flat else ids(d.n_squares),
+                          name="id_%s" % d.name)
 
 
 def strict_functor(dom, cod, ob, hmap, vmap, sqmap=None, name="F"):
