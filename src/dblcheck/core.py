@@ -303,7 +303,7 @@ class DoubleCat:
     def is_square_on(self, s, bounds):
         """True when s is the id of a square of self with boundary
         ``bounds``; an id out of range is on no boundary."""
-        return s in range(len(self.sq_bounds)) and self.sq_bounds[s] == bounds
+        return 0 <= s < len(self.sq_bounds) and self.sq_bounds[s] == bounds
 
     def squares_with_boundary(self, top, bottom, left, right):
         if self.flat:

@@ -131,7 +131,7 @@ def check_wellformed(F):
             rep.add("wf-hcell-missing", hcell=f)
             continue
         g = F.hmap[f]
-        if (g not in range(c.n_hcells) or c.hsrc[g] != F.obj(d.hsrc[f])
+        if (not 0 <= g < c.n_hcells or c.hsrc[g] != F.obj(d.hsrc[f])
                 or c.htgt[g] != F.obj(d.htgt[f])):
             rep.add("wf-hcell-boundary", hcell=f)
     for u in range(d.n_vcells):
@@ -139,7 +139,7 @@ def check_wellformed(F):
             rep.add("wf-vcell-missing", vcell=u)
             continue
         w = F.vmap[u]
-        if (w not in range(c.n_vcells) or c.vsrc[w] != F.obj(d.vsrc[u])
+        if (not 0 <= w < c.n_vcells or c.vsrc[w] != F.obj(d.vsrc[u])
                 or c.vtgt[w] != F.obj(d.vtgt[u])):
             rep.add("wf-vcell-boundary", vcell=u)
     if not rep.passed:
