@@ -19,6 +19,7 @@ top factor first).  ``hcomp_h(f, g)`` is the composite "f then g".
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate, chain, product as iproduct, repeat
 import random
 
@@ -483,11 +484,13 @@ def validate_double_category(d, closure_limit=None, max_checks=None, seed=0):
     identity checks pass, both factors pass an exhaustive validation (once
     when they are one category), neither d nor a factor has been edited
     since ``dc_product`` built d (their cell lists and square tables, read
-    in order, equal the snapshot taken then), and every 1-cell composite
-    of d is the componentwise one, the square checks are not evaluated:
-    each is listed in ``reduced`` with its instance count, the product of
-    the factors' counts.  Any difference from the snapshot, even an entry
-    removed and put back at the end of its table, takes the square pass.
+    in order, equal the snapshot taken then; d's square tables are filled
+    on first read and compared with the record of that fill instead), and
+    every 1-cell composite of d is the componentwise one, the square
+    checks are not evaluated: each is listed in ``reduced`` with its
+    instance count, the product of the factors' counts.  Any difference
+    from the snapshot or a fill record, even an entry removed and put
+    back at the end of its table, takes the square pass.
     Under ``max_checks`` this is tried only when no check of a factor has
     more instances than both ``max_checks`` and the number of composable
     pairs of squares of d, which the square pass evaluates in full in any
@@ -580,13 +583,18 @@ def _square_pass_counts(d):
 
 def _is_product_of(d, d1, d2):
     """Whether d and its factors are as ``dc_product`` built them: the
-    snapshot it stored as ``_built`` equals one taken now, and every
-    1-cell composite in d's tables is the componentwise one.  The 1-cell
-    tables are not in the snapshot, since the 1-cell pass fills them after
+    snapshot it stored as ``_built`` equals one taken now, each square
+    table of d is unread or equals its fill record, and every 1-cell
+    composite in d's tables is the componentwise one.  The 1-cell tables
+    are not in the snapshot, since the 1-cell pass fills them after
     construction; the factors have passed validation, so their
     composites, read through ``hcomp_h``/``vcomp_v`` because a lazy table
     fills on use, exist on every composable pair."""
     if getattr(d, "_built", None) != _product_snapshot(d, d1, d2):
+        return False
+    v = vars(d)
+    if any(t in v and (tuple(v[t]), tuple(v[t].values())) != v.get(t + "_filled")
+           for t in ("_hs", "_vs")):
         return False
     nh2, nv2 = d2.n_hcells, d2.n_vcells
     return all(h == comp1(f // n2, g // n2) * n2 + comp2(f % n2, g % n2)
@@ -597,19 +605,20 @@ def _is_product_of(d, d1, d2):
 
 
 def _product_snapshot(p, d1, d2):
-    """The sizes, cell lists and square tables of the explicit product p
-    and of its factors, each table as its keys and then its values in
-    insertion order.  The tuples share their items with the live
-    objects, so ``==`` on two snapshots of unedited categories compares
-    by identity, at C speed."""
+    """The sizes, cell lists and identity square tables of the explicit
+    product p and of its factors, and the factors' square tables, each
+    table as its keys and then its values in insertion order.  The tuples
+    share their items with the live objects, so ``==`` on two snapshots
+    of unedited categories compares by identity, at C speed."""
     cats = (p, d1, d2)
     return tuple((d.n_objects, d.n_hcells, d.n_vcells, d.n_squares)
                  for d in cats) + tuple(
         tuple(x) for d in cats
         for x in (d.hsrc, d.htgt, d.vsrc, d.vtgt, d._h_id, d._v_id,
                   d.sq_bounds, d._sqvid, d._sqvid.values(), d._sqhid,
-                  d._sqhid.values(), d._hs, d._hs.values(), d._vs,
-                  d._vs.values()))
+                  d._sqhid.values())) + tuple(
+        tuple(x) for d in (d1, d2)
+        for x in (d._hs, d._hs.values(), d._vs, d._vs.values()))
 
 
 def _validate_one_cat(rep, tag, n, src, tgt, comp, table, ident, n_objects, d):
@@ -957,17 +966,47 @@ def _check_square_table(rep, law, sides, table, pairs, bounds, edge_comp):
 PRODUCT_SQUARE_CAP = 250000
 
 
+class _ExplicitProduct(DoubleCat):
+    """An explicit ``dc_product``, its square tables filled on first read."""
+
+    def __init__(self, name):
+        super().__init__(name)
+        del self._hs, self._vs
+
+    def _fill(self, table):
+        n, ns2, rows = self._rows
+        rows1, rows2 = rows[table]
+        # every id is one shared int, so the large tables hold no int of
+        # their own
+        ids = list(range(n))
+        t = {}
+        for (a1, b1), c1 in rows1:
+            x, y, z = a1 * ns2, b1 * ns2, c1 * ns2
+            for (a2, b2), c2 in rows2:
+                t[ids[x + a2], ids[y + b2]] = ids[z + c2]
+        vars(self)[table + "_filled"] = (tuple(t), tuple(t.values()))
+        return t
+
+    _hs = cached_property(lambda self: self._fill("_hs"))
+    _vs = cached_property(lambda self: self._fill("_vs"))
+
+
 def dc_product(d1, d2):
     """Cartesian product of double categories, cells componentwise.
 
     The factors are kept as ``_factors``.  An explicit product also keeps
-    ``_built``, a snapshot of its own and its factors' cell lists and
-    square tables (``_product_snapshot``); validation decides its square
-    laws from the factors while that snapshot still holds.  Its square
-    tables list the pairs of factor entries, the first factor's outer,
-    and share one int object per square id.
+    ``_built``, a snapshot of its own and its factors' cell lists and of
+    the factors' square tables (``_product_snapshot``); validation decides
+    its square laws from the factors while that snapshot still holds.
+    Its square tables list the pairs of factor entries, the first
+    factor's outer, and share one int object per square id.  Each is
+    filled on its first read from the factor entries captured at build
+    time, and the fill records its keys and values, in order, beside it
+    as ``_hs_filled``/``_vs_filled``; a table unequal to its record has
+    been edited.
     """
-    p = DoubleCat("%sx%s" % (d1.name, d2.name))
+    p = (DoubleCat if d1.flat or d2.flat else _ExplicitProduct)(
+        "%sx%s" % (d1.name, d2.name))
     p._factors = (d1, d2)
     for a1 in range(d1.n_objects):
         for a2 in range(d2.n_objects):
@@ -1014,15 +1053,9 @@ def dc_product(d1, d2):
             t2, b2, l2, r2 = d2.sq_bounds[s2]
             p.add_square("(%s,%s)" % (d1.sq_names[s1], d2.sq_names[s2]),
                          t1 * nh2 + t2, b1 * nh2 + b2, l1 * nv2 + l2, r1 * nv2 + r2)
-    # every id is one shared int, so the large tables hold no int of
-    # their own
-    ids = list(range(p.n_squares))
-    for t, t1, t2 in ((p._hs, d1._hs, d2._hs), (p._vs, d1._vs, d2._vs)):
-        rows2 = list(t2.items())
-        for (a1, b1), c1 in t1.items():
-            x, y, z = a1 * ns2, b1 * ns2, c1 * ns2
-            for (a2, b2), c2 in rows2:
-                t[ids[x + a2], ids[y + b2]] = ids[z + c2]
+    p._rows = (p.n_squares, ns2, {
+        "_hs": (tuple(d1._hs.items()), tuple(d2._hs.items())),
+        "_vs": (tuple(d1._vs.items()), tuple(d2._vs.items()))})
     for u1, s1 in d1._sqhid.items():
         for u2, s2 in d2._sqhid.items():
             p.set_sq_h_id(u1 * nv2 + u2, s1 * ns2 + s2)

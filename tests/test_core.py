@@ -1006,6 +1006,44 @@ def test_product_tables_match_reference(build):
                     for x in (*k, v)}) <= p.n_squares
 
 
+def test_reduced_product_leaves_its_square_tables_unfilled():
+    p = dc_product(parity(), parity())
+    rep = validate_double_category(p, max_checks=20000, seed=0)
+    assert rep.passed and list(rep.reduced) == SQUARE_PASS
+    assert not {"_hs", "_vs"} & set(vars(p))
+
+
+def test_product_tables_are_filled_from_the_factors_as_built():
+    a, b = parity(), walk_h()
+    hs, vs = reference_product_tables(a, b)
+    p = dc_product(a, b)
+    swap_composite(a, "_hs", 0)
+    swap_composite(a, "_vs", 1)
+    assert list(p._hs.items()) == list(hs.items())
+    assert list(p._vs.items()) == list(vs.items())
+
+
+def test_copy_filled_first_leaves_the_product_reduced():
+    # a copy made before the fill fills tables and records of its own
+    p = dc_product(parity(), walk_h())
+    c = unfactored(p)
+    assert validate_double_category(c).reduced == {}
+    assert {"_hs", "_vs"} <= set(vars(c))
+    rep = validate_double_category(p)
+    assert rep.passed and list(rep.reduced) == SQUARE_PASS
+    assert not {"_hs", "_vs"} & set(vars(p))
+
+
+def test_product_table_edited_after_its_fill_takes_the_full_pass():
+    p = dc_product(parity(), walk_h())
+    p._vs
+    assert list(validate_double_category(p).reduced) == SQUARE_PASS
+    swap_composite(p, "_vs", 0)
+    rep = validate_double_category(p)
+    assert rep.reduced == {} and not rep.passed
+    assert rep.failures == reference_explicit_failures(p, None, 0)
+
+
 def test_merge_carries_sampled_laws():
     sub = validate_double_category(parity(), max_checks=100, seed=2)
     rep = ValidationReport()
