@@ -18,7 +18,8 @@ import functools
 import random
 
 from .core import ValidationReport, trivial
-from .errors import CarrierMismatch, NotFlat, NotTrivialDomain
+from .errors import (CarrierMismatch, MalformedTables, NotFlat,
+                     NotTrivialDomain)
 from .functor import LaxDoubleFunctor, check_lax_functor
 from .hom import FLAVORS, hom_double_category
 from .quasi import QuasiFunctor, check_quasi_functor
@@ -76,9 +77,14 @@ def lax_from_monad(m, dom=None):
     d = m.d
     if dom is None:
         dom = trivial()
-    x = m.carrier
-    return LaxDoubleFunctor(dom, d, {0: x}, {0: m.endo}, {0: d.v_id(x)},
-                            {0: d.sq_v_id(m.endo)},
+    x, f = m.carrier, m.endo
+    # an id the codomain lacks maps nothing, so check_wellformed reports it
+    vmap = {0: d.v_id(x)} if 0 <= x < d.n_objects else {}
+    try:
+        sqmap = {0: d.sq_v_id(f)} if 0 <= f < d.n_hcells else {}
+    except MalformedTables:
+        sqmap = {}
+    return LaxDoubleFunctor(dom, d, {0: x}, {0: f}, vmap, sqmap,
                             {(0, 0): m.mult}, {0: m.unit}, name=m.name)
 
 

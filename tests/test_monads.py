@@ -80,6 +80,26 @@ def test_monad_square_ids_out_of_range_fail_their_boundaries():
     assert rep.laws_failed() == ["mnd.mult-boundary", "mnd.unit-boundary"]
 
 
+@pytest.mark.parametrize("carrier, endo, law", [
+    (0, 10 ** 6, "wf-hcell-boundary"),
+    (5, 1, "wf-object"),
+    (0, -1, "wf-hcell-boundary"),
+], ids=["endo-past-the-end", "carrier-past-the-end", "negative-endo"])
+def test_monad_cell_ids_out_of_range_fail_well_formedness(carrier, endo, law):
+    # the functor packaging the monad maps no cell the codomain lacks, so
+    # its well-formedness check names the id instead of a lookup raising
+    rep = check_monad(Monad(parity(), carrier, endo, 0, 0))
+    assert rep.failures == [(law, {"monad": "T", (
+        "object" if law == "wf-object" else "hcell"): 0})]
+
+
+def test_monad_on_a_missing_identity_square_fails_well_formedness():
+    d = parity()
+    del d._sqvid[1]
+    rep = check_monad(Monad(d, 0, 1, 0, 0))
+    assert rep.failures[0][0] == "wf-square-missing"
+
+
 def test_lax_roundtrip():
     b2 = bool_matrix_double_category(2)
     m = preorder_monad(b2, {(0, 0), (1, 1), (0, 1)})
