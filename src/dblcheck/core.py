@@ -593,8 +593,8 @@ def _is_product_of(d, d1, d2):
     if getattr(d, "_built", None) != _product_snapshot(d, d1, d2):
         return False
     v = vars(d)
-    if any(t in v and (tuple(v[t]), tuple(v[t].values())) != v.get(t + "_filled")
-           for t in ("_hs", "_vs")):
+    if any(t in v and (tuple(v[t]), tuple(v[t].values()))
+           != v.get(t + "_filled") for t in ("_hs", "_vs")):
         return False
     nh2, nv2 = d2.n_hcells, d2.n_vcells
     return all(h == comp1(f // n2, g // n2) * n2 + comp2(f % n2, g % n2)
