@@ -303,8 +303,9 @@ class DoubleCat:
 
     def is_square_on(self, s, bounds):
         """True when s is the id of a square of self with boundary
-        ``bounds``; an id out of range is on no boundary."""
-        return 0 <= s < len(self.sq_bounds) and self.sq_bounds[s] == bounds
+        ``bounds``; an id out of range, or None, is on no boundary."""
+        return (s is not None and 0 <= s < len(self.sq_bounds)
+                and self.sq_bounds[s] == bounds)
 
     def squares_with_boundary(self, top, bottom, left, right):
         if self.flat:
@@ -994,7 +995,14 @@ class _ExplicitProduct(DoubleCat):
 def dc_product(d1, d2):
     """Cartesian product of double categories, cells componentwise.
 
-    The factors are kept as ``_factors``.  An explicit product also keeps
+    The factors are kept as ``_factors``.  The cell of each kind pairing
+    x1 of d1 with x2 of d2 has id ``x1 * n2 + x2``, n2 the number of
+    cells of that kind of d2: the first factor is outer.  Other modules
+    read that layout through ``product_cell`` (components to id),
+    ``product_projections`` (id to components) and ``product_cells``
+    (every cell with its components, in id order).  A flat product
+    interns its squares as they are found, so only its objects and
+    1-cells follow the layout.  An explicit product also keeps
     ``_built``, a snapshot of its own and its factors' cell lists and of
     the factors' square tables (``_product_snapshot``); validation decides
     its square laws from the factors while that snapshot still holds.
@@ -1093,17 +1101,34 @@ def explicit_clone(d):
     return e
 
 
+# the count of the cells of each kind, by attribute name
+_KIND_COUNT = {OBJECT: "n_objects", HCELL: "n_hcells", VCELL: "n_vcells",
+               SQUARE: "n_squares"}
+
+
+def product_cell(p, kind, x1, x2):
+    """The id of the cell of one kind of the product p that pairs x1 of
+    its first factor with x2 of its second."""
+    return x1 * getattr(p._factors[1], _KIND_COUNT[kind]) + x2
+
+
+def product_cells(p, kind):
+    """The cells of one kind of the product p as ``(x, x1, x2)``, in id
+    order: x is ``product_cell(p, kind, x1, x2)``."""
+    n1, n2 = (getattr(d, _KIND_COUNT[kind]) for d in p._factors)
+    return ((x1 * n2 + x2, x1, x2) for x1 in range(n1) for x2 in range(n2))
+
+
 def product_projections(d1, d2):
-    """Index maps from product cells back to their components."""
-    nh2, nv2, no2, ns2 = d2.n_hcells, d2.n_vcells, d2.n_objects, d2.n_squares
+    """Index maps from the cells of ``dc_product(d1, d2)`` back to their
+    components, the inverse of ``product_cell``."""
+    n2 = {kind: getattr(d2, count) for kind, count in _KIND_COUNT.items()}
 
     def proj1(kind, idx):
-        div = {OBJECT: no2, HCELL: nh2, VCELL: nv2, SQUARE: ns2}[kind]
-        return idx // div
+        return idx // n2[kind]
 
     def proj2(kind, idx):
-        div = {OBJECT: no2, HCELL: nh2, VCELL: nv2, SQUARE: ns2}[kind]
-        return idx % div
+        return idx % n2[kind]
 
     return proj1, proj2
 

@@ -122,7 +122,8 @@ def check_wellformed(F):
     rep = ValidationReport()
     d, c = F.dom, F.cod
     for a in range(d.n_objects):
-        if a not in F.ob or not 0 <= F.ob[a] < c.n_objects:
+        x = F.ob.get(a)
+        if x is None or not 0 <= x < c.n_objects:
             rep.add("wf-object", object=a)
     if not rep.passed:
         return rep
@@ -131,7 +132,8 @@ def check_wellformed(F):
             rep.add("wf-hcell-missing", hcell=f)
             continue
         g = F.hmap[f]
-        if (not 0 <= g < c.n_hcells or c.hsrc[g] != F.obj(d.hsrc[f])
+        if (g is None or not 0 <= g < c.n_hcells
+                or c.hsrc[g] != F.obj(d.hsrc[f])
                 or c.htgt[g] != F.obj(d.htgt[f])):
             rep.add("wf-hcell-boundary", hcell=f)
     for u in range(d.n_vcells):
@@ -139,7 +141,8 @@ def check_wellformed(F):
             rep.add("wf-vcell-missing", vcell=u)
             continue
         w = F.vmap[u]
-        if (not 0 <= w < c.n_vcells or c.vsrc[w] != F.obj(d.vsrc[u])
+        if (w is None or not 0 <= w < c.n_vcells
+                or c.vsrc[w] != F.obj(d.vsrc[u])
                 or c.vtgt[w] != F.obj(d.vtgt[u])):
             rep.add("wf-vcell-boundary", vcell=u)
     if not rep.passed:

@@ -12,9 +12,12 @@ cell in each direction.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 from .core import (
-    ValidationReport, composable_pairs, dc_product, explicit_clone)
+    HCELL, OBJECT, SQUARE, VCELL, ValidationReport, composable_pairs,
+    dc_product, explicit_clone, product_cell, product_cells,
+    product_projections)
 from .errors import NontrivialUU, NotDecomposable, NotUnitary
 from .functor import LaxDoubleFunctor
 from .quasi import (
@@ -37,11 +40,6 @@ def product_dom(A, B):
     dom = dc_product(explicit_clone(A), explicit_clone(B))
     dom._strictified = {}
     return dom
-
-
-def _dims(dom):
-    e1, e2 = dom._factors
-    return e2.n_objects, e2.n_hcells, e2.n_vcells, e2.n_squares
 
 
 def _check_trivial_uu(q):
@@ -70,36 +68,24 @@ def strictify0(q, dom=None):
     _check_trivial_uu(q)
     C = q.C
     A, B = dom._factors
-    no2, nh2, nv2, ns2 = _dims(dom)
-    ob, hmap, vmap, sqmap = {}, {}, {}, {}
-    for a in range(A.n_objects):
-        for b in range(B.n_objects):
-            ob[a * no2 + b] = q.obj(a, b)
-    for K in range(A.n_hcells):
-        ap = A.htgt[K]
-        for k in range(B.n_hcells):
-            b = B.hsrc[k]
-            hmap[K * nh2 + k] = C.hcomp_h(q.fB(b).h(K), q.fA(ap).h(k))
-    for U in range(A.n_vcells):
-        at = A.vtgt[U]
-        for u in range(B.n_vcells):
-            b = B.vsrc[u]
-            vmap[U * nv2 + u] = C.vcomp_v(q.fB(b).v(U), q.fA(at).v(u))
-    for ze in range(A.n_squares):
+    ob = {x: q.obj(a, b) for x, a, b in product_cells(dom, OBJECT)}
+    hmap = {x: C.hcomp_h(q.fB(B.hsrc[k]).h(K), q.fA(A.htgt[K]).h(k))
+            for x, K, k in product_cells(dom, HCELL)}
+    vmap = {x: C.vcomp_v(q.fB(B.vsrc[u]).v(U), q.fA(A.vtgt[U]).v(u))
+            for x, U, u in product_cells(dom, VCELL)}
+    sqmap = {}
+    for x, ze, om in product_cells(dom, SQUARE):
         L, V = A.sq_bottom(ze), A.sq_right(ze)
-        atp = A.vtgt[V]
-        for om in range(B.n_squares):
-            k, l = B.sq_top(om), B.sq_bottom(om)
-            u, v = B.sq_left(om), B.sq_right(om)
-            b = B.vsrc[u]
-            left = C.vcomp_sq(q.fB(b).sq(ze), q.sq_uk(u, L))
-            right = C.vcomp_sq(q.sq_ku(k, V), q.fA(atp).sq(om))
-            sqmap[ze * ns2 + om] = C.hcomp_sq(left, right)
-    comp, unit = {}, {}
+        k, u = B.sq_top(om), B.sq_left(om)
+        left = C.vcomp_sq(q.fB(B.vsrc[u]).sq(ze), q.sq_uk(u, L))
+        right = C.vcomp_sq(q.sq_ku(k, V), q.fA(A.vtgt[V]).sq(om))
+        sqmap[x] = C.hcomp_sq(left, right)
+    proj1, proj2 = product_projections(A, B)
+    comp = {}
     for f1, f2 in composable_pairs(dom.hsrc, dom.htgt):
-        K, k = f1 // nh2, f1 % nh2
+        K, k = proj1(HCELL, f1), proj2(HCELL, f1)
         b = B.hsrc[k]
-        Kp, kp = f2 // nh2, f2 % nh2
+        Kp, kp = proj1(HCELL, f2), proj2(HCELL, f2)
         app = A.htgt[Kp]
         # the interchanger of k and K' between the outer images, over
         # the compositors of the two families side by side
@@ -108,10 +94,8 @@ def strictify0(q, dom=None):
                             C.sq_v_id(q.fA(app).h(kp)))
         comp[(f1, f2)] = C.vcomp_sq(middle, C.hcomp_sq(
             q.fB(b).compositor(K, Kp), q.fA(app).compositor(k, kp)))
-    for a in range(A.n_objects):
-        for b in range(B.n_objects):
-            unit[a * no2 + b] = C.hcomp_sq(q.fB(b).unitor(a),
-                                           q.fA(a).unitor(b))
+    unit = {x: C.hcomp_sq(q.fB(b).unitor(a), q.fA(a).unitor(b))
+            for x, a, b in product_cells(dom, OBJECT)}
     P = LaxDoubleFunctor(dom, C, ob, hmap, vmap, sqmap, comp, unit,
                          name="st(%s)" % q.name)
     dom._strictified[q] = P
@@ -126,25 +110,16 @@ def strictify_hor(t, dom=None):
     P2 = strictify0(t.q2, dom)
     C = t.q1.C
     A, B = dom._factors
-    no2, nh2, nv2, _ = _dims(dom)
-    comp0, comp_v, delta = {}, {}, {}
-    for a in range(A.n_objects):
-        for b in range(B.n_objects):
-            comp0[a * no2 + b] = t.th_a[a].at(b)
-    for K in range(A.n_hcells):
-        ap = A.htgt[K]
-        for k in range(B.n_hcells):
-            b = B.hsrc[k]
-            delta[K * nh2 + k] = C.vcomp_sq(
-                C.hcomp_sq(C.sq_v_id(t.q1.fB(b).h(K)), t.th_a[ap].delta_at(k)),
-                C.hcomp_sq(t.th_b[b].delta_at(K),
-                           C.sq_v_id(t.q2.fA(ap).h(k))))
-    for U in range(A.n_vcells):
-        at = A.vtgt[U]
-        for u in range(B.n_vcells):
-            b = B.vsrc[u]
-            comp_v[U * nv2 + u] = C.vcomp_sq(t.th_b[b].sq_v(U),
-                                             t.th_a[at].sq_v(u))
+    comp0 = {x: t.th_a[a].at(b) for x, a, b in product_cells(dom, OBJECT)}
+    delta = {}
+    for x, K, k in product_cells(dom, HCELL):
+        ap, b = A.htgt[K], B.hsrc[k]
+        delta[x] = C.vcomp_sq(
+            C.hcomp_sq(C.sq_v_id(t.q1.fB(b).h(K)), t.th_a[ap].delta_at(k)),
+            C.hcomp_sq(t.th_b[b].delta_at(K), C.sq_v_id(t.q2.fA(ap).h(k))))
+    comp_v = {x: C.vcomp_sq(t.th_b[B.vsrc[u]].sq_v(U),
+                            t.th_a[A.vtgt[U]].sq_v(u))
+              for x, U, u in product_cells(dom, VCELL)}
     return HorTransform(P1, P2, comp0, comp_v, delta, OPLAX,
                         name="st(%s)" % t.name)
 
@@ -157,26 +132,16 @@ def strictify_vert(t, dom=None):
     P2 = strictify0(t.q2, dom)
     C = t.q1.C
     A, B = dom._factors
-    no2, nh2, nv2, _ = _dims(dom)
-    comp0, comp_h, comp_v = {}, {}, {}
-    for a in range(A.n_objects):
-        for b in range(B.n_objects):
-            comp0[a * no2 + b] = t.th_a[a].at(b)
-    for K in range(A.n_hcells):
-        ap = A.htgt[K]
-        for k in range(B.n_hcells):
-            b = B.hsrc[k]
-            comp_h[K * nh2 + k] = C.hcomp_sq(t.th_b[b].sq_h(K),
-                                             t.th_a[ap].sq_h(k))
-    for U in range(A.n_vcells):
-        at = A.vtgt[U]
-        for u in range(B.n_vcells):
-            b = B.vsrc[u]
-            col1 = C.vcomp_sq(t.th_b[b].sq_v(U),
-                              C.sq_h_id(t.q2.fA(at).v(u)))
-            col2 = C.vcomp_sq(C.sq_h_id(t.q1.fB(b).v(U)),
-                              t.th_a[at].sq_v(u))
-            comp_v[U * nv2 + u] = C.hcomp_sq(col1, col2)
+    comp0 = {x: t.th_a[a].at(b) for x, a, b in product_cells(dom, OBJECT)}
+    comp_h = {x: C.hcomp_sq(t.th_b[B.hsrc[k]].sq_h(K),
+                            t.th_a[A.htgt[K]].sq_h(k))
+              for x, K, k in product_cells(dom, HCELL)}
+    comp_v = {}
+    for x, U, u in product_cells(dom, VCELL):
+        at, b = A.vtgt[U], B.vsrc[u]
+        col1 = C.vcomp_sq(t.th_b[b].sq_v(U), C.sq_h_id(t.q2.fA(at).v(u)))
+        col2 = C.vcomp_sq(C.sq_h_id(t.q1.fB(b).v(U)), t.th_a[at].sq_v(u))
+        comp_v[x] = C.hcomp_sq(col1, col2)
     return VertTransform(P1, P2, comp0, comp_h, comp_v, LAX,
                          name="st(%s)" % t.name)
 
@@ -189,30 +154,27 @@ def strictify_mod(m, dom=None):
     bottom = strictify_hor(m.bottom, dom)
     left = strictify_vert(m.left, dom)
     right = strictify_vert(m.right, dom)
-    A, B = dom._factors
-    no2 = B.n_objects
-    comp = {a * no2 + b: m.at(a, b)
-            for a in range(A.n_objects) for b in range(B.n_objects)}
+    comp = {x: m.at(a, b) for x, a, b in product_cells(dom, OBJECT)}
     return Modification(top, bottom, left, right, comp,
                         name="st(%s)" % m.name)
 
 
 def _split_pads(P, A, B):
     """Identity-padded cell indices of the product domain."""
-    no2, nh2, nv2, ns2 = _dims(P.dom)
+    pair = partial(product_cell, P.dom)
 
     def pad_a(a):
         # B-indexed cells at a fixed A-object a
-        return (lambda b: a * no2 + b,
-                lambda k: A.h_id(a) * nh2 + k,
-                lambda u: A.v_id(a) * nv2 + u,
-                lambda om: A.sq_id_obj(a) * ns2 + om)
+        return (lambda b: pair(OBJECT, a, b),
+                lambda k: pair(HCELL, A.h_id(a), k),
+                lambda u: pair(VCELL, A.v_id(a), u),
+                lambda om: pair(SQUARE, A.sq_id_obj(a), om))
 
     def pad_b(b):
-        return (lambda a: a * no2 + b,
-                lambda K: K * nh2 + B.h_id(b),
-                lambda U: U * nv2 + B.v_id(b),
-                lambda ze: ze * ns2 + B.sq_id_obj(b))
+        return (lambda a: pair(OBJECT, a, b),
+                lambda K: pair(HCELL, K, B.h_id(b)),
+                lambda U: pair(VCELL, U, B.v_id(b)),
+                lambda ze: pair(SQUARE, ze, B.sq_id_obj(b)))
 
     return pad_a, pad_b
 
@@ -232,19 +194,20 @@ def _restrict_functor(P, other, pad, name):
                             name=name)
 
 
+def _padded_compositor(P, A, B, K, k):
+    """P's compositor on the product 1h-cell (K, k) factored as (K, 1)
+    then (1, k)."""
+    hcell = partial(product_cell, P.dom, HCELL)
+    return P.compositor(hcell(K, B.h_id(B.hsrc[k])),
+                        hcell(A.h_id(A.htgt[K]), k))
+
+
 def is_decomposable(P, A, B):
     """Whether the compositors along identity-padded factorizations of
     every product 1h-cell are vertically invertible."""
-    no2, nh2, nv2, _ = _dims(P.dom)
-    C = P.cod
-    for K in range(A.n_hcells):
-        a, ap = A.hsrc[K], A.htgt[K]
-        for k in range(B.n_hcells):
-            b = B.hsrc[k]
-            s = P.compositor(K * nh2 + B.h_id(b), A.h_id(ap) * nh2 + k)
-            if C.vertical_inverse(s) is None:
-                return False
-    return True
+    return all(
+        P.cod.vertical_inverse(_padded_compositor(P, A, B, K, k)) is not None
+        for _, K, k in product_cells(P.dom, HCELL))
 
 
 def destrictify0(P, A, B):
@@ -260,28 +223,27 @@ def destrictify0(P, A, B):
         raise NotDecomposable(
             "identity-padded compositors are not invertible")
     C = P.cod
-    no2, nh2, nv2, ns2 = _dims(P.dom)
-    for a in range(A.n_objects):
-        for b in range(B.n_objects):
-            if C.vertical_inverse(P.unitor(a * no2 + b)) is None:
-                raise NotUnitary("a unitor square is not invertible")
+    if any(C.vertical_inverse(P.unitor(x)) is None
+           for x in range(P.dom.n_objects)):
+        raise NotUnitary("a unitor square is not invertible")
     pad_a, pad_b = _split_pads(P, A, B)
     fam_a = {a: _restrict_functor(P, B, pad_a(a), "%s|a%d" % (P.name, a))
              for a in range(A.n_objects)}
     fam_b = {b: _restrict_functor(P, A, pad_b(b), "%s|b%d" % (P.name, b))
              for b in range(B.n_objects)}
 
+    pair = partial(product_cell, P.dom)
+
     def kk(k, K):
-        fwd = P.compositor(A.h_id(A.hsrc[K]) * nh2 + k,
-                           K * nh2 + B.h_id(B.htgt[k]))
-        back = P.compositor(K * nh2 + B.h_id(B.hsrc[k]),
-                            A.h_id(A.htgt[K]) * nh2 + k)
+        fwd = P.compositor(pair(HCELL, A.h_id(A.hsrc[K]), k),
+                           pair(HCELL, K, B.h_id(B.htgt[k])))
+        back = _padded_compositor(P, A, B, K, k)
         return C.vcomp_sq(fwd, C.vertical_inverse(back))
 
     reads = {"kk": kk,
-             "uk": lambda u, K: P.sq(A.sq_v_id(K) * ns2 + B.sq_h_id(u)),
-             "ku": lambda k, U: P.sq(A.sq_h_id(U) * ns2 + B.sq_v_id(k)),
-             "uu": lambda u, U: C.sq_h_id(P.v(U * nv2 + u))}
+             "uk": lambda u, K: P.sq(pair(SQUARE, A.sq_v_id(K), B.sq_h_id(u))),
+             "ku": lambda k, U: P.sq(pair(SQUARE, A.sq_h_id(U), B.sq_v_id(k))),
+             "uu": lambda u, U: C.sq_h_id(P.v(pair(VCELL, U, u)))}
     stores = [{(x, y): reads[name](x, y) for x in _stored_cells(B, b_cells)
                for y in _stored_cells(A, a_cells)}
               for name, b_cells, a_cells in _INTERCHANGERS]
@@ -338,10 +300,10 @@ def destrictify_mod(m, A, B):
     bottom = destrictify_hor(m.bottom, A, B, q_bl, q_br)
     left = destrictify_vert(m.left, A, B, q_tl, q_bl)
     right = destrictify_vert(m.right, A, B, q_tr, q_br)
-    no2 = _dims(m.top.F.dom)[0]
-    comps_a = {a: {b: m.at(a * no2 + b) for b in range(B.n_objects)}
+    obj = partial(product_cell, m.top.F.dom, OBJECT)
+    comps_a = {a: {b: m.at(obj(a, b)) for b in range(B.n_objects)}
                for a in range(A.n_objects)}
-    comps_b = {b: {a: m.at(a * no2 + b) for a in range(A.n_objects)}
+    comps_b = {b: {a: m.at(obj(a, b)) for a in range(A.n_objects)}
                for b in range(B.n_objects)}
     return QModification(
         top, bottom, left, right,
@@ -400,15 +362,10 @@ def comparison_strict(P, P_back, A, B):
     strictification; the structure squares are the compositors along
     identity-padded factorizations."""
     C = P.cod
-    no2, nh2, nv2, _ = _dims(P.dom)
     comp0 = {o: C.h_id(P.obj(o)) for o in range(P.dom.n_objects)}
     comp_v = {w: C.sq_h_id(P.v(w)) for w in range(P.dom.n_vcells)}
-    delta = {}
-    for f in range(P.dom.n_hcells):
-        K, k = f // nh2, f % nh2
-        b, ap = B.hsrc[k], A.htgt[K]
-        delta[f] = P.compositor(K * nh2 + B.h_id(b),
-                                A.h_id(ap) * nh2 + k)
+    delta = {f: _padded_compositor(P, A, B, K, k)
+             for f, K, k in product_cells(P.dom, HCELL)}
     return HorTransform(P_back, P, comp0, comp_v, delta, OPLAX, name="lambda")
 
 

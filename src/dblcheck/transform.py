@@ -281,7 +281,7 @@ def _check_wellformed(rep, t, src, tgt):
     for a in range(t.dom.n_objects):
         if a not in t.comp0:
             rep.add("wf-component-missing", object=a)
-        elif (not 0 <= t.comp0[a] < len(src)
+        elif (t.comp0[a] is None or not 0 <= t.comp0[a] < len(src)
               or src[t.comp0[a]] != t.F.obj(a)
               or tgt[t.comp0[a]] != t.G.obj(a)):
             rep.add("wf-component-boundary", object=a)

@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 from dblcheck.core import (
     HCELL, VCELL, SQUARE, OBJECT, CellRef, DoubleCat, Gen, HComp, VComp,
     HId, VId, FIXTURES, bool_matrix_double_category, dc_product, eval_pasting,
-    explicit_clone, from_json, parity, product_projections, to_json, trivial,
+    explicit_clone, from_json, parity, product_cell, product_cells,
+    product_projections, to_json, trivial,
     ValidationReport, _validate_one_cat, composable_pairs,
     validate_double_category, walk_h, walk_sq, walk_v)
 from dblcheck.errors import BoundaryMismatch, MalformedTables, SizeBound
@@ -221,6 +222,75 @@ def test_validator_detects_flat_closure_gap():
     rep = validate_double_category(d)
     assert not rep.passed
     assert "sq-h-id-missing" in rep.laws_failed()
+
+
+@pytest.mark.parametrize("bound, failure", [
+    ((3, 3, 2, 2), ("sq-v-id-missing", {"hcell": CellRef(HCELL, 3)})),
+    ((0, 4, 1, 1), ("sq-h-id-missing", {"vcell": CellRef(VCELL, 1)})),
+], ids=["Id_M3", "Id^f1"])
+def test_flat_identity_square_denied(bound, failure):
+    # bool1's empty matrix M3: 1 -> 1 and function f1: 0 -> 1 are not
+    # identities; their identity squares are missing and the composites
+    # that land on them fail closure after
+    d = bool_matrix_double_category(1)
+    orig = d.square_pred
+    d.square_pred = lambda t, b, l, r: (
+        (t, b, l, r) != bound and orig(t, b, l, r))
+    assert validate_double_category(d).failures[0] == failure
+
+
+@pytest.mark.parametrize("mutate, failure", [
+    (lambda d: d._sqhid.__setitem__(0, d.parity_index[(0, 0, 0, 0, 1)]),
+     "sq-obj-id"),
+    (lambda d: d._h_id.__setitem__(0, None), "h-identity-missing"),
+    (lambda d: d._v_id.__setitem__(0, None), "v-identity-missing"),
+], ids=["sign-1-Id^1", "no-h-identity", "no-v-identity"])
+def test_parity_identity_mutants(mutate, failure):
+    # Id^1 on the identity 1v-cell moved to the sign-1 square on its
+    # boundary is no longer Id_1 on the identity 1h-cell
+    d = parity()
+    mutate(d)
+    assert validate_double_category(d).failures == [
+        (failure, {"object": CellRef(OBJECT, 0)})]
+
+
+def idempotent_square_category():
+    """One object, no 1h-cell but its identity, 1v-cells 1 and e with
+    e;e = e, and on the boundary of Id^e a second square E, absorbing
+    under both compositions of squares on e.  Id^e stacked on Id^e is E,
+    so the horizontal identity squares are not functorial, while every
+    other law holds: E;E = E keeps associativity and interchange, and the
+    units are untouched."""
+    d = DoubleCat("idem")
+    a = d.add_object("*")
+    h = d.add_hcell("1_*", a, a, identity_of=a)
+    one = d.add_vcell("1^*", a, a, identity_of=a)
+    e = d.add_vcell("e", a, a)
+    d.set_hh(h, h, h)
+    for u in (one, e):
+        for v in (one, e):
+            d.set_vv(u, v, one if u == v == one else e)
+    i1 = d.add_square("Id^1", h, h, one, one)
+    ie = d.add_square("Id^e", h, h, e, e)
+    big = d.add_square("E", h, h, e, e)
+    d.set_hs(i1, i1, i1)
+    for s in (ie, big):
+        d.set_vs(i1, s, s)
+        d.set_vs(s, i1, s)
+        for t in (ie, big):
+            d.set_hs(s, t, ie if s == t == ie else big)
+            d.set_vs(s, t, big)
+    d.set_vs(i1, i1, i1)
+    d.set_sq_v_id(h, i1)
+    d.set_sq_h_id(one, i1)
+    d.set_sq_h_id(e, ie)
+    return d
+
+
+def test_horizontal_identity_squares_not_functorial():
+    assert validate_double_category(idempotent_square_category()).failures \
+        == [("sq-h-id-functorial", {"first": CellRef(VCELL, 1),
+                                    "second": CellRef(VCELL, 1)})]
 
 
 # -- flat closure: grouped bitset check against the pair-by-pair reference --
@@ -1087,6 +1157,44 @@ def test_product_of_parities():
     t, b, l, r = p.sq_bounds[s]
     assert d.sq_bounds[proj1(SQUARE, s)][0] == proj1(HCELL, t)
     assert d.sq_bounds[proj2(SQUARE, s)][0] == proj2(HCELL, t)
+
+
+def cell_table(d, kind):
+    """The name and the boundary of each cell of one kind of d, by id."""
+    return {OBJECT: [(n, ()) for n in d.objects],
+            HCELL: list(zip(d.hnames, zip(d.hsrc, d.htgt))),
+            VCELL: list(zip(d.vnames, zip(d.vsrc, d.vtgt))),
+            SQUARE: list(zip(d.sq_names, d.sq_bounds))}[kind]
+
+
+# the kind of each cell on the boundary of a cell of each kind
+BOUNDARY_KINDS = {OBJECT: (), HCELL: (OBJECT, OBJECT),
+                  VCELL: (OBJECT, OBJECT),
+                  SQUARE: (HCELL, HCELL, VCELL, VCELL)}
+
+
+@pytest.mark.parametrize("build", [
+    lambda: dc_product(parity(), walk_h()),
+    lambda: dc_product(walk_sq(), walk_v()),
+    sign_product_dom,
+], ids=["parityxwalk_h", "walk_sqxwalk_v", "sign-product-dom"])
+def test_product_layout_helpers_match_dc_product(build):
+    p = build()
+    d1, d2 = p._factors
+    proj1, proj2 = product_projections(d1, d2)
+    for kind, bkinds in BOUNDARY_KINDS.items():
+        t1, t2, t = (cell_table(d, kind) for d in (d1, d2, p))
+        cells = list(product_cells(p, kind))
+        assert [x for x, _, _ in cells] == list(range(len(t)))
+        assert [(x1, x2) for _, x1, x2 in cells] == [
+            (x1, x2) for x1 in range(len(t1)) for x2 in range(len(t2))]
+        for x, x1, x2 in cells:
+            (n1, b1), (n2, b2), (n, b) = t1[x1], t2[x2], t[x]
+            assert n == "(%s,%s)" % (n1, n2)
+            assert [(proj1(k, y), proj2(k, y)) for k, y in zip(bkinds, b)] \
+                == list(zip(b1, b2))
+            assert product_cell(p, kind, x1, x2) == x
+            assert (proj1(kind, x), proj2(kind, x)) == (x1, x2)
 
 
 def test_product_with_trivial_is_isomorphic():

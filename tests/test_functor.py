@@ -210,10 +210,17 @@ def test_walk_v_functor_boundary_mutants(field):
     ("sqmap", 3, -29, "wf-square-boundary"),
     ("comp", (1, 1), 10 ** 6, "wf-compositor-boundary"),
     ("unit", 0, 10 ** 6, "wf-unitor-boundary"),
+    ("ob", 0, None, "wf-object"),
+    ("hmap", 1, None, "wf-hcell-boundary"),
+    ("vmap", 0, None, "wf-vcell-boundary"),
+    ("sqmap", 3, None, "wf-square-boundary"),
+    ("comp", (1, 1), None, "wf-compositor-boundary"),
+    ("unit", 0, None, "wf-unitor-boundary"),
 ])
 def test_cell_id_out_of_range_fails_its_boundary(field, key, image, law):
     """An id outside the range of its kind in the codomain is on no
-    boundary: a negative one is not read from the end of a list."""
+    boundary: a negative one is not read from the end of a list, and
+    None is not compared with an int."""
     F = identity_functor(parity())
     getattr(F, field)[key] = image
     assert check_lax_functor(F).laws_failed() == [law]

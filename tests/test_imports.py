@@ -41,3 +41,81 @@ def test_unused_imports_are_found():
 def test_module_uses_its_imports(path):
     with open(path, encoding="utf-8") as fh:
         assert unused_imports(fh.read()) == []
+
+
+# -- the product's cell-id layout is core's --------------------------------
+
+COUNTS = {"n_objects", "n_hcells", "n_vcells", "n_squares"}
+
+
+def product_id_arithmetic(source):
+    """The lines of ``source`` that define or call ``_dims``, or that build
+    or split a product cell id by hand: a multiple of a cell count with
+    something added, or a floor division or remainder by a cell count,
+    the other operand not a constant (so ``"M%d" % d.n_hcells`` and
+    ``3 * nh + 1`` are not ids).
+    A cell count is an ``n_objects``, ``n_hcells``, ``n_vcells`` or
+    ``n_squares`` attribute, or a name assigned from an expression that
+    reads one or calls ``_dims``."""
+    tree = ast.parse(source)
+
+    def reads_count(node):
+        return any(isinstance(n, ast.Attribute) and n.attr in COUNTS
+                   or isinstance(n, ast.Call) and calls_dims(n)
+                   for n in ast.walk(node))
+
+    def calls_dims(call):
+        f = call.func
+        return (f.id if isinstance(f, ast.Name) else
+                getattr(f, "attr", None)) == "_dims"
+
+    counts = {n.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+              and reads_count(node.value)
+              for t in node.targets for n in ast.walk(t)
+              if isinstance(n, ast.Name)}
+
+    def is_count(node):
+        return (isinstance(node, ast.Attribute) and node.attr in COUNTS
+                or isinstance(node, ast.Name) and node.id in counts)
+
+    def is_multiple(node):
+        return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+                and any(is_count(x) and not isinstance(y, ast.Constant)
+                        for x, y in ((node.left, node.right),
+                                     (node.right, node.left))))
+
+    lines = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.FunctionDef) and node.name == "_dims"
+                or isinstance(node, ast.Call) and calls_dims(node)
+                or isinstance(node, ast.BinOp)
+                and (isinstance(node.op, (ast.FloorDiv, ast.Mod))
+                     and is_count(node.right)
+                     and not isinstance(node.left, ast.Constant)
+                     or isinstance(node.op, ast.Add)
+                     and (is_multiple(node.left) or is_multiple(node.right)))):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_product_id_arithmetic_is_found():
+    src = ("def _dims(dom):\n"
+           "    return dom.n_objects, dom.n_hcells\n"
+           "no2, nh2 = _dims(dom)\n"
+           "x = a * no2 + b\n"
+           "K, k = f // nh2, f % nh2\n"
+           "y = B.n_squares * z + w\n"
+           "bound = 3 * nh2 + 1\n"
+           "name = 'M%d' % d.n_hcells\n"
+           "pairs = d.n_hcells ** 2 + d.n_vcells ** 2\n")
+    assert product_id_arithmetic(src) == [1, 3, 4, 5, 6]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES
+                                  if os.path.basename(p) != "core.py"],
+                         ids=os.path.basename)
+def test_product_ids_come_from_core(path):
+    """Only ``core`` maps between a product cell and its components
+    (``product_cell``, ``product_cells``, ``product_projections``)."""
+    with open(path, encoding="utf-8") as fh:
+        assert product_id_arithmetic(fh.read()) == []

@@ -93,6 +93,15 @@ def test_monad_cell_ids_out_of_range_fail_well_formedness(carrier, endo, law):
         "object" if law == "wf-object" else "hcell"): 0})]
 
 
+def test_monad_on_a_missing_vertical_identity_fails_well_formedness():
+    # the functor packaging the monad maps the vertical 1-cell of * to
+    # the carrier's vertical identity, None here
+    d = parity()
+    d._v_id[0] = None
+    rep = check_monad(Monad(d, 0, 1, 0, 0))
+    assert rep.failures == [("wf-vcell-boundary", {"monad": "T", "vcell": 0})]
+
+
 def test_monad_on_a_missing_identity_square_fails_well_formedness():
     d = parity()
     del d._sqvid[1]

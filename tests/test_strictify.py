@@ -2,18 +2,19 @@
 
 import pytest
 
-from dblcheck.core import bool_matrix_double_category
+from dblcheck.core import HCELL, bool_matrix_double_category, product_cell
 from dblcheck.errors import NontrivialUU, NotDecomposable, NotUnitary
 from dblcheck.functor import check_lax_functor
 from dblcheck.quasi import (
-    check_q_hor, check_q_mod, check_q_vert, check_quasi_functor,
-    identity_q_vert)
+    QHorTransform, check_q_hor, check_q_mod, check_q_vert,
+    check_quasi_functor, identity_q_vert)
 from dblcheck.strictify import (
-    build_witnesses, check_equivalence, destrictify0, destrictify_hor,
-    destrictify_mod, destrictify_vert, is_decomposable, product_dom,
-    strictify0, strictify_hor, strictify_mod, strictify_vert)
+    EquivalenceWitness, build_witnesses, check_equivalence, destrictify0,
+    destrictify_hor, destrictify_mod, destrictify_vert, is_decomposable,
+    product_dom, strictify0, strictify_hor, strictify_mod, strictify_vert)
 from dblcheck.transform import (
-    check_hor_transform, check_modification, check_vert_transform)
+    HorTransform, check_hor_transform, check_modification,
+    check_vert_transform, identity_hor_transform)
 
 from test_quasi import (
     distributive_quasi, identity_q_mod, sign_q_hor, sign_quasi)
@@ -163,3 +164,86 @@ def test_equivalence_corpus_naturality():
                             hor_cells=[sign_q_hor(q1, q2)],
                             vert_cells=[qvert(q1)])
     assert rep.passed, rep.laws_failed()
+
+
+# -- check_equivalence on one wrong datum ------------------------------------
+
+
+def flip_sign(p, s):
+    """The other square of parity on the boundary of s."""
+    return p.parity_index[p.sq_bounds[s] + (1 - p.parity_sign[s],)]
+
+
+def naturality_corpus():
+    q1 = sign_quasi({0: 0, 1: 1})
+    q2 = sign_quasi({0: 0, 1: 0}, w=q1.A, t=q1.B, p=q1.C)
+    dom = product_dom(q1.A, q1.B)
+    return (build_witnesses(q1, dom), build_witnesses(q2, dom),
+            sign_q_hor(q1, q2))
+
+
+@pytest.mark.parametrize("label", ["kappa-naturality", "lambda-naturality"])
+def test_comparison_with_a_flipped_sign_is_not_natural(label):
+    # the generator a of walk_h occurs once on each side of every law of a
+    # transformation, so flipping the sign of its structure square leaves
+    # the comparison lawful; only naturality against the corpus sees it
+    w1, w2, t = naturality_corpus()
+    p, a = w1.q.C, w1.q.A.hnames.index("a")
+    if label == "kappa-naturality":
+        delta = w1.kappa.th_b[0].delta
+    else:
+        delta = w1.lam.delta
+        a = product_cell(w1.strict.dom, HCELL, a, 0)
+    delta[a] = flip_sign(p, delta[a])
+    rep = check_equivalence([w1, w2], hor_cells=[t])
+    assert rep.laws_failed() == [label]
+
+
+def shifted(th, h):
+    """th with the 1h-cell h as every component and each square moved to
+    the one of the same sign on the boundary h asks for."""
+    p = th.cod
+    out = HorTransform(th.F, th.G, {x: h for x in th.comp0}, {}, {},
+                       th.orientation)
+    for table, store, bounds in ((th.comp_v, out.comp_v, out._sq_v_bounds),
+                                 (th.delta, out.delta, out._delta_bounds)):
+        for x, s in table.items():
+            store[x] = p.parity_index[bounds(x) + (p.parity_sign[s],)]
+    return out
+
+
+def test_comparison_families_that_disagree():
+    # a component moved alone takes its squares off their boundaries, so
+    # the member at a = 0 is moved whole onto the nonidentity 1h-cell h:
+    # it stays lawful, but no longer agrees with the other family
+    w = build_witnesses(sign_quasi({0: 0, 1: 1}))
+    w.kappa.th_a[0] = shifted(w.kappa.th_a[0], 1)
+    assert check_equivalence(w).failures == [
+        ("kappa.q-agreement", {"a": 0, "b": 0})]
+
+
+@pytest.mark.parametrize("label", ["kappa-not-invertible",
+                                   "lambda-not-invertible"])
+def test_comparison_with_a_noninvertible_square(label):
+    """Every globular square of parity is invertible, and ``build_witnesses``
+    unpacks only decomposable, unitary functors, whose comparisons are
+    invertible; so the witness is put together by hand over Boolean
+    matrices.  The comparison with component R = {(1, 1)} on the preorder
+    carrier S is lawful, since the codomain is flat, but its structure
+    square is the strict inclusion of S;R in R;S."""
+    full = {(0, 0), (1, 1), (0, 1)}
+    q = distributive_quasi({(0, 0), (1, 1)}, full)
+    b2, P = q.C, strictify0(q)
+    o = b2.objects.index("2")
+    ident, rel = b2.h_id(o), b2.hindex[(o, o, frozenset({(1, 1)}))]
+
+    def comparison(h):
+        return QHorTransform(
+            q, q, {0: HorTransform(q.fam_a[0], q.fam_a[0], {0: h})},
+            {0: HorTransform(q.fam_b[0], q.fam_b[0], {0: h})})
+    if label == "kappa-not-invertible":
+        kappa, lam = comparison(rel), identity_hor_transform(P)
+    else:
+        kappa, lam = comparison(ident), HorTransform(P, P, {0: rel})
+    w = EquivalenceWitness(q, P, q, P, kappa, lam)
+    assert check_equivalence(w).failures == [(label, {"hcell": 0})]

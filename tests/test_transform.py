@@ -347,7 +347,7 @@ CHECKS = {"hor": check_hor_transform, "vert": check_vert_transform,
 # one entry of an identity transformation or modification on parity moved
 # to a square of another boundary (square 0 is s[0000:0]) or to an id that
 # parity lacks; every 1-cell of parity has a component's ends, so only an
-# id out of range takes a component off them
+# id out of range, or None, takes a component off them
 PARITY_BOUNDARY_MUTANTS = [
     ("hor", "comp0", 0, 10 ** 6, ("wf-component-boundary", {"object": 0})),
     ("hor", "comp_v", 1, 0, ("wf-square-boundary", {"vcell": 1})),
@@ -359,6 +359,11 @@ PARITY_BOUNDARY_MUTANTS = [
     ("modification", "comp", 0, 24,
      ("wf-component-boundary", {"object": 0})),
     ("modification", "comp", 0, 10 ** 6,
+     ("wf-component-boundary", {"object": 0})),
+    ("hor", "comp0", 0, None, ("wf-component-boundary", {"object": 0})),
+    ("hor", "delta", 1, None, ("wf-structure-boundary", {"hcell": 1})),
+    ("vert", "comp_h", 1, None, ("wf-square-boundary", {"hcell": 1})),
+    ("modification", "comp", 0, None,
      ("wf-component-boundary", {"object": 0})),
 ]
 
