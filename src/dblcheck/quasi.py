@@ -20,7 +20,14 @@ vertical transformations and modifications, all given by a pair of
 families indexed by the objects of A and B), currying to and from the hom
 double category, and the double category of quasi functors, interned on
 demand through the same base as the hom (``hom.InternedDoubleCat``).
+
+The mixed laws of both kinds of q-cell are written once, in the terms
+``_cell_terms`` reads from the kind (``TRANSFORM_KINDS``), and so is
+uncurrying.  Currying stays written out per kind: keeping the codomain's
+call order would branch one body on the kind twice.
 """
+
+from functools import partial
 
 from .core import ValidationReport, composable_pairs
 from .errors import ChainMismatch, DomainMismatch
@@ -493,66 +500,8 @@ def check_q_hor(t):
     q = t.q1
     rep = _check_families(t.th_a, t.th_b, check_hor_transform, q.A, q.B, "th")
     if rep.passed:
-        _q_hor_laws(t, rep.expect)
+        _q_cell_laws(t, rep.expect)
     return rep
-
-
-def _q_hor_laws(t, emit):
-    """Every mixed law instance of the q-horizontal transformation t, in
-    report order, emitted as in ``_quasi_laws``."""
-    q1, q2 = t.q1, t.q2
-    A, B, C = q1.A, q1.B, q1.C
-    vid = C.sq_v_id
-    for k in range(B.n_hcells):
-        b, bp = B.hsrc[k], B.htgt[k]
-        for K in range(A.n_hcells):
-            a, ap = A.hsrc[K], A.htgt[K]
-            emit("q-hor-1",
-                lambda k=k, K=K, a=a, ap=ap, b=b, bp=bp: C.vcomp_sq_many([
-                    C.hcomp_sq(vid(q1.fA(a).h(k)), t.th_b[bp].delta_at(K)),
-                    C.hcomp_sq(t.th_a[a].delta_at(k), vid(q2.fB(bp).h(K))),
-                    C.hcomp_sq(vid(t.at(a, b)), q2.sq_kk(k, K))]),
-                lambda k=k, K=K, a=a, ap=ap, b=b, bp=bp: C.vcomp_sq_many([
-                    C.hcomp_sq(q1.sq_kk(k, K), vid(t.at(ap, bp))),
-                    C.hcomp_sq(vid(q1.fB(b).h(K)), t.th_a[ap].delta_at(k)),
-                    C.hcomp_sq(t.th_b[b].delta_at(K), vid(q2.fA(ap).h(k)))]),
-                k=k, K=K)
-    for u in range(B.n_vcells):
-        b, bt = B.vsrc[u], B.vtgt[u]
-        for K in range(A.n_hcells):
-            a, ap = A.hsrc[K], A.htgt[K]
-            emit("q-hor-2",
-                lambda u=u, K=K, ap=ap, bt=bt: C.vcomp_sq(
-                    C.hcomp_sq(q1.sq_uk(u, K), t.th_a[ap].sq_v(u)),
-                    t.th_b[bt].delta_at(K)),
-                lambda u=u, K=K, a=a, b=b: C.vcomp_sq(
-                    t.th_b[b].delta_at(K),
-                    C.hcomp_sq(t.th_a[a].sq_v(u), q2.sq_uk(u, K))),
-                u=u, K=K)
-    for k in range(B.n_hcells):
-        b, bp = B.hsrc[k], B.htgt[k]
-        for U in range(A.n_vcells):
-            a, at = A.vsrc[U], A.vtgt[U]
-            emit("q-hor-3",
-                lambda k=k, U=U, at=at, bp=bp: C.vcomp_sq(
-                    C.hcomp_sq(q1.sq_ku(k, U), t.th_b[bp].sq_v(U)),
-                    t.th_a[at].delta_at(k)),
-                lambda k=k, U=U, a=a, b=b: C.vcomp_sq(
-                    t.th_a[a].delta_at(k),
-                    C.hcomp_sq(t.th_b[b].sq_v(U), q2.sq_ku(k, U))),
-                k=k, U=U)
-    for u in range(B.n_vcells):
-        b, bt = B.vsrc[u], B.vtgt[u]
-        for U in range(A.n_vcells):
-            a, at = A.vsrc[U], A.vtgt[U]
-            emit("q-hor-4",
-                lambda u=u, U=U, a=a, bt=bt: C.hcomp_sq(
-                    q1.sq_uu(u, U),
-                    C.vcomp_sq(t.th_a[a].sq_v(u), t.th_b[bt].sq_v(U))),
-                lambda u=u, U=U, at=at, b=b: C.hcomp_sq(
-                    C.vcomp_sq(t.th_b[b].sq_v(U), t.th_a[at].sq_v(u)),
-                    q2.sq_uu(u, U)),
-                u=u, U=U)
 
 
 def check_q_vert(t):
@@ -560,66 +509,90 @@ def check_q_vert(t):
     q = t.q1
     rep = _check_families(t.th_a, t.th_b, check_vert_transform, q.A, q.B, "th")
     if rep.passed:
-        _q_vert_laws(t, rep.expect)
+        _q_cell_laws(t, rep.expect)
     return rep
 
 
-def _q_vert_laws(t, emit):
-    """Every mixed law instance of the q-vertical transformation t, in
-    report order, emitted as in ``_quasi_laws``."""
-    q1, q2 = t.q1, t.q2
-    A, B, C = q1.A, q1.B, q1.C
-    hid = C.sq_h_id
-    for u in range(B.n_vcells):
-        b, bt = B.vsrc[u], B.vtgt[u]
-        for U in range(A.n_vcells):
-            a, at = A.vsrc[U], A.vtgt[U]
-            emit("q-vert-1",
-                lambda u=u, U=U, a=a, b=b, at=at, bt=bt: C.hcomp_sq_many([
-                    C.vcomp_sq(hid(t.at(a, b)), q2.sq_uu(u, U)),
-                    C.vcomp_sq(t.th_a[a].sq_v(u), hid(q2.fB(bt).v(U))),
-                    C.vcomp_sq(hid(q1.fA(a).v(u)), t.th_b[bt].sq_v(U))]),
-                lambda u=u, U=U, a=a, b=b, at=at, bt=bt: C.hcomp_sq_many([
-                    C.vcomp_sq(t.th_b[b].sq_v(U), hid(q2.fA(at).v(u))),
-                    C.vcomp_sq(hid(q1.fB(b).v(U)), t.th_a[at].sq_v(u)),
-                    C.vcomp_sq(q1.sq_uu(u, U), hid(t.at(at, bt)))]),
-                u=u, U=U)
-    for u in range(B.n_vcells):
-        b, bt = B.vsrc[u], B.vtgt[u]
-        for K in range(A.n_hcells):
-            a, ap = A.hsrc[K], A.htgt[K]
-            emit("q-vert-2",
-                lambda u=u, K=K, a=a, bt=bt: C.hcomp_sq(
-                    t.th_a[a].sq_v(u),
-                    C.vcomp_sq(q1.sq_uk(u, K), t.th_b[bt].sq_h(K))),
-                lambda u=u, K=K, ap=ap, b=b: C.hcomp_sq(
-                    C.vcomp_sq(t.th_b[b].sq_h(K), q2.sq_uk(u, K)),
-                    t.th_a[ap].sq_v(u)),
-                u=u, K=K)
-    for k in range(B.n_hcells):
-        b, bp = B.hsrc[k], B.htgt[k]
-        for U in range(A.n_vcells):
-            a, at = A.vsrc[U], A.vtgt[U]
-            emit("q-vert-3",
-                lambda k=k, U=U, b=b, at=at: C.hcomp_sq(
-                    t.th_b[b].sq_v(U),
-                    C.vcomp_sq(q1.sq_ku(k, U), t.th_a[at].sq_h(k))),
-                lambda k=k, U=U, a=a, bp=bp: C.hcomp_sq(
-                    C.vcomp_sq(t.th_a[a].sq_h(k), q2.sq_ku(k, U)),
-                    t.th_b[bp].sq_v(U)),
-                k=k, U=U)
-    for k in range(B.n_hcells):
-        b, bp = B.hsrc[k], B.htgt[k]
-        for K in range(A.n_hcells):
-            a, ap = A.hsrc[K], A.htgt[K]
-            emit("q-vert-4",
-                lambda k=k, K=K, b=b, ap=ap: C.vcomp_sq(
-                    q1.sq_kk(k, K),
-                    C.hcomp_sq(t.th_b[b].sq_h(K), t.th_a[ap].sq_h(k))),
-                lambda k=k, K=K, a=a, bp=bp: C.vcomp_sq(
-                    C.hcomp_sq(t.th_a[a].sq_h(k), t.th_b[bp].sq_h(K)),
-                    q2.sq_kk(k, K)),
-                k=k, K=K)
+def _cell_ends(d, cells, x):
+    """The source and target objects of the 1h-cell ("h") or 1v-cell ("v")
+    x of d."""
+    return getattr(d, cells + "src")[x], getattr(d, cells + "tgt")[x]
+
+
+def _cell_terms(t):
+    """The terms in which a q-cell's laws and strictification are written
+    once, read from its kind: the direction ("h" or "v") of the members'
+    components; the codomain's composition of squares along them, its
+    composition across them and the ``_many`` form of that; its identity
+    square on a 1-cell along them; the members' structure and component
+    squares, as functions of a member and a cell; and the order of a pair
+    or list of pastings, reversed for the lax vertical kind."""
+    component, structure = t.kind.fields
+    hv, e, C = structure.cells, component.cells, t.q1.C
+    return (hv, getattr(C, hv + "comp_sq"), getattr(C, e + "comp_sq"),
+            getattr(C, e + "comp_sq_many"), getattr(C, "sq_%s_id" % e),
+            lambda th, x: getattr(th, structure.accessor)(x),
+            lambda th, x: getattr(th, component.accessor)(x),
+            reversed if t.kind.hop == LAX else iter)
+
+
+def _q_cell_laws(t, emit):
+    """Every mixed law instance of the q-cell t, in report order, emitted
+    as in ``_quasi_laws``.
+
+    Law n is on the n-th interchanger store in the order t's kind reads
+    them: first the store whose two cells run along the members'
+    components, then uk and ku, last the store whose two cells run across.
+    Each law is written in the terms of ``_cell_terms``; x and y are the
+    store's cells of B and A, from b to bp and from a to ap.
+    """
+    q1, q2, th_a, th_b = t.q1, t.q2, t.th_a, t.th_b
+    A, B = q1.A, q1.B
+    hv, along, across, across_many, idsq, st, cp, order = _cell_terms(t)
+    pasted = lambda *parts: [p() for p in order(parts)]
+    img = lambda F, x: getattr(F, hv)(x)
+
+    def along_both(I1, I2, x, y, a, ap, b, bp):
+        return (lambda: across_many(pasted(
+                    lambda: along(idsq(img(q1.fA(a), x)), st(th_b[bp], y)),
+                    lambda: along(st(th_a[a], x), idsq(img(q2.fB(bp), y))),
+                    lambda: along(idsq(t.at(a, b)), I2(x, y)))),
+                lambda: across_many(pasted(
+                    lambda: along(I1(x, y), idsq(t.at(ap, bp))),
+                    lambda: along(idsq(img(q1.fB(b), y)), st(th_a[ap], x)),
+                    lambda: along(st(th_b[b], y), idsq(img(q2.fA(ap), x))))))
+
+    def mixed(b_along, I1, I2, x, y, a, ap, b, bp):
+        # X runs along the components and Y across them; thX is the family
+        # indexed by X's variable
+        (X, thX, sX, tX), (Y, thY, sY, tY) = (
+            ((x, th_b, b, bp), (y, th_a, a, ap)) if b_along
+            else ((y, th_a, a, ap), (x, th_b, b, bp)))
+        s1, s2 = order((lambda: st(thY[tY], X), lambda: st(thY[sY], X)))
+        return (lambda: across(*pasted(
+                    lambda: along(I1(x, y), cp(thX[tX], Y)), s1)),
+                lambda: across(*pasted(
+                    s2, lambda: along(cp(thX[sX], Y), I2(x, y)))))
+
+    def across_both(I1, I2, x, y, a, ap, b, bp):
+        left, right = order((((th_a[a], x), (th_b[bp], y)),
+                             ((th_b[b], y), (th_a[ap], x))))
+        return (lambda: along(I1(x, y), across(cp(*left[0]), cp(*left[1]))),
+                lambda: along(across(cp(*right[0]), cp(*right[1])),
+                              I2(x, y)))
+
+    kk, uk, ku, uu = _INTERCHANGERS
+    for n, (name, b_cells, a_cells) in enumerate(
+            (kk, uk, ku, uu) if hv == "h" else (uu, uk, ku, kk), 1):
+        I1, I2 = getattr(q1, "sq_" + name), getattr(q2, "sq_" + name)
+        law = (along_both if n == 1 else across_both if n == 4
+               else partial(mixed, b_cells == hv))
+        for x in range(getattr(B, "n_%scells" % b_cells)):
+            b, bp = _cell_ends(B, b_cells, x)
+            for y in range(getattr(A, "n_%scells" % a_cells)):
+                emit("q-%s-%d" % (t.kind.tag, n),
+                     *law(I1, I2, x, y, *_cell_ends(A, a_cells, y), b, bp),
+                     **{name[0]: x, name[1].upper(): y})
 
 
 def check_q_mod(m):
@@ -850,7 +823,7 @@ def curry_hor(t, hom):
                         name="curry(%s)" % t.name)
 
 
-def _uncurry_cell(tr, hom):
+def uncurry_cell(tr, hom):
     """The q-cell of a horizontal or vertical transformation tr between
     curried functors.  Its A-family holds the hom cells of tr's components;
     its member at an object b of B reads every square field of tr's kind,
@@ -868,11 +841,6 @@ def _uncurry_cell(tr, hom):
             for b in range(B.n_objects)}
     return Q_TRANSFORMS[kind.cls](q1, q2, th_a, th_b,
                                   name="uncurry(%s)" % tr.name)
-
-
-def uncurry_hor(tr, hom):
-    """The q-horizontal transformation from one between curried functors."""
-    return _uncurry_cell(tr, hom)
 
 
 def curry_vert(t, hom):
@@ -901,11 +869,6 @@ def curry_vert(t, hom):
                          name="curry(%s)" % t.name)
 
 
-def uncurry_vert(tr, hom):
-    """The q-vertical transformation from one between curried functors."""
-    return _uncurry_cell(tr, hom)
-
-
 def curry_mod(m, hom):
     """The modification between curried transformations."""
     A = m.top.q1.A
@@ -921,10 +884,8 @@ def curry_mod(m, hom):
 def uncurry_mod(mod, hom):
     """The q-modification from a modification between curried cells."""
     A, B = mod.dom, hom.B
-    top = uncurry_hor(mod.top, hom)
-    bottom = uncurry_hor(mod.bottom, hom)
-    left = uncurry_vert(mod.left, hom)
-    right = uncurry_vert(mod.right, hom)
+    top, bottom, left, right = (uncurry_cell(tr, hom) for tr in (
+        mod.top, mod.bottom, mod.left, mod.right))
     m_a = {a: hom.sq_payload[mod.at(a)] for a in range(A.n_objects)}
     comps = {b: {a: m_a[a].at(b) for a in range(A.n_objects)}
              for b in range(B.n_objects)}

@@ -7,12 +7,15 @@ result record the interchanger data.  Conversely a lax functor out of a
 product unpacks into a quasi functor when its unitors are invertible and the
 compositors along identity-padded factorizations are invertible.  Both
 directions extend to horizontal and vertical transformations and to
-modifications, and the round trip is witnessed by an invertible comparison
-cell in each direction.
+modifications, each kind of transformation handled by one function
+(``strictify_cell``, in the terms of ``quasi._cell_terms``, and
+``destrictify_cell``), and the round trip is witnessed by an invertible
+comparison cell in each direction.
 """
 
 from dataclasses import dataclass
 from functools import partial
+from operator import attrgetter
 
 from .core import (
     HCELL, OBJECT, SQUARE, VCELL, ValidationReport, composable_pairs,
@@ -22,10 +25,11 @@ from .errors import NontrivialUU, NotDecomposable, NotUnitary
 from .functor import LaxDoubleFunctor
 from .quasi import (
     _INTERCHANGERS, Q_TRANSFORMS, QHorTransform, QModification, QuasiFunctor,
-    _memberwise, _stored_cells, check_q_hor, check_q_mod, vcompose_q_hor)
+    _cell_ends, _cell_terms, _memberwise, _stored_cells, check_q_hor,
+    check_q_mod, vcompose_q_hor)
 from .transform import (
-    LAX, OPLAX, TRANSFORM_KINDS, HorTransform, Modification, VertTransform,
-    check_hor_transform, check_modification, field_squares, vcompose_hor)
+    OPLAX, TRANSFORM_KINDS, HorTransform, Modification, check_hor_transform,
+    check_modification, field_squares, vcompose_hor)
 
 
 def product_dom(A, B):
@@ -102,58 +106,46 @@ def strictify0(q, dom=None):
     return P
 
 
-def strictify_hor(t, dom=None):
-    """Strictify a horizontal transformation between quasi functors."""
+def strictify_cell(t, dom=None):
+    """Strictify a horizontal or vertical transformation between quasi
+    functors, in the terms of ``quasi._cell_terms``.  The component at
+    (a, b) is the members'.  On a product cell (Y, y) from (a, b) to
+    (at, bt), a component square pastes th_b[b]'s on Y and th_a[at]'s on
+    y across the components; a structure square pastes across them the
+    two pastings along them of th_a[at]'s and th_b[b]'s structure squares
+    with identities, in the kind's order."""
     if dom is None:
         dom = product_dom(t.q1.A, t.q1.B)
     P1 = strictify0(t.q1, dom)
     P2 = strictify0(t.q2, dom)
-    C = t.q1.C
+    q1, q2, th_a, th_b = t.q1, t.q2, t.th_a, t.th_b
     A, B = dom._factors
-    comp0 = {x: t.th_a[a].at(b) for x, a, b in product_cells(dom, OBJECT)}
-    delta = {}
-    for x, K, k in product_cells(dom, HCELL):
-        ap, b = A.htgt[K], B.hsrc[k]
-        delta[x] = C.vcomp_sq(
-            C.hcomp_sq(C.sq_v_id(t.q1.fB(b).h(K)), t.th_a[ap].delta_at(k)),
-            C.hcomp_sq(t.th_b[b].delta_at(K), C.sq_v_id(t.q2.fA(ap).h(k))))
-    comp_v = {x: C.vcomp_sq(t.th_b[B.vsrc[u]].sq_v(U),
-                            t.th_a[A.vtgt[U]].sq_v(u))
-              for x, U, u in product_cells(dom, VCELL)}
-    return HorTransform(P1, P2, comp0, comp_v, delta, OPLAX,
-                        name="st(%s)" % t.name)
-
-
-def strictify_vert(t, dom=None):
-    """Strictify a vertical transformation between quasi functors."""
-    if dom is None:
-        dom = product_dom(t.q1.A, t.q1.B)
-    P1 = strictify0(t.q1, dom)
-    P2 = strictify0(t.q2, dom)
-    C = t.q1.C
-    A, B = dom._factors
-    comp0 = {x: t.th_a[a].at(b) for x, a, b in product_cells(dom, OBJECT)}
-    comp_h = {x: C.hcomp_sq(t.th_b[B.hsrc[k]].sq_h(K),
-                            t.th_a[A.htgt[K]].sq_h(k))
-              for x, K, k in product_cells(dom, HCELL)}
-    comp_v = {}
-    for x, U, u in product_cells(dom, VCELL):
-        at, b = A.vtgt[U], B.vsrc[u]
-        col1 = C.vcomp_sq(t.th_b[b].sq_v(U), C.sq_h_id(t.q2.fA(at).v(u)))
-        col2 = C.vcomp_sq(C.sq_h_id(t.q1.fB(b).v(U)), t.th_a[at].sq_v(u))
-        comp_v[x] = C.hcomp_sq(col1, col2)
-    return VertTransform(P1, P2, comp0, comp_h, comp_v, LAX,
-                         name="st(%s)" % t.name)
+    hv, along, across, _, idsq, st, cp, order = _cell_terms(t)
+    img = lambda F, x: getattr(F, hv)(x)
+    comp0 = {x: t.at(a, b) for x, a, b in product_cells(dom, OBJECT)}
+    squares = {}
+    # the 1h-cells' field first, as a flat codomain interns in call order
+    for field in sorted(t.kind.fields, key=attrgetter("cells")):
+        c = field.cells
+        squares[field] = out = {}
+        for x, Y, y in product_cells(dom, HCELL if c == "h" else VCELL):
+            b, at = _cell_ends(B, c, y)[0], _cell_ends(A, c, Y)[1]
+            if c != hv:
+                out[x] = across(cp(th_b[b], Y), cp(th_a[at], y))
+                continue
+            out[x] = across(*(p() for p in order((
+                lambda: along(idsq(img(q1.fB(b), Y)), st(th_a[at], y)),
+                lambda: along(st(th_b[b], Y), idsq(img(q2.fA(at), y)))))))
+    return t.kind.cls(P1, P2, comp0, *map(squares.get, t.kind.fields),
+                      t.kind.hop, name="st(%s)" % t.name)
 
 
 def strictify_mod(m, dom=None):
     """Strictify a modification between quasi-level transformations."""
     if dom is None:
         dom = product_dom(m.top.q1.A, m.top.q1.B)
-    top = strictify_hor(m.top, dom)
-    bottom = strictify_hor(m.bottom, dom)
-    left = strictify_vert(m.left, dom)
-    right = strictify_vert(m.right, dom)
+    top, bottom, left, right = (strictify_cell(t, dom) for t in (
+        m.top, m.bottom, m.left, m.right))
     comp = {x: m.at(a, b) for x, a, b in product_cells(dom, OBJECT)}
     return Modification(top, bottom, left, right, comp,
                         name="st(%s)" % m.name)
@@ -251,7 +243,7 @@ def destrictify0(P, A, B):
                         name="dst(%s)" % P.name)
 
 
-def _destrictify_cell(tr, A, B, q1, q2):
+def destrictify_cell(tr, A, B, q1=None, q2=None):
     """Unpack a horizontal or vertical transformation between product
     functors.  The member of each family at an object reads tr along that
     object's identity padding: its components and every square field of
@@ -280,26 +272,16 @@ def _destrictify_cell(tr, A, B, q1, q2):
                                   name="dst(%s)" % tr.name)
 
 
-def destrictify_hor(tr, A, B, q1=None, q2=None):
-    """Unpack a horizontal transformation between product functors."""
-    return _destrictify_cell(tr, A, B, q1, q2)
-
-
-def destrictify_vert(tr, A, B, q1=None, q2=None):
-    """Unpack a vertical transformation between product functors."""
-    return _destrictify_cell(tr, A, B, q1, q2)
-
-
 def destrictify_mod(m, A, B):
     """Unpack a modification between product-level transformations."""
     q_tl = destrictify0(m.top.F, A, B)
     q_tr = destrictify0(m.top.G, A, B)
     q_bl = destrictify0(m.bottom.F, A, B)
     q_br = destrictify0(m.bottom.G, A, B)
-    top = destrictify_hor(m.top, A, B, q_tl, q_tr)
-    bottom = destrictify_hor(m.bottom, A, B, q_bl, q_br)
-    left = destrictify_vert(m.left, A, B, q_tl, q_bl)
-    right = destrictify_vert(m.right, A, B, q_tr, q_br)
+    top = destrictify_cell(m.top, A, B, q_tl, q_tr)
+    bottom = destrictify_cell(m.bottom, A, B, q_bl, q_br)
+    left = destrictify_cell(m.left, A, B, q_tl, q_bl)
+    right = destrictify_cell(m.right, A, B, q_tr, q_br)
     obj = partial(product_cell, m.top.F.dom, OBJECT)
     comps_a = {a: {b: m.at(obj(a, b)) for b in range(B.n_objects)}
                for a in range(A.n_objects)}
@@ -379,11 +361,11 @@ def build_witnesses(q, dom=None):
     return EquivalenceWitness(q, P, q_back, P_back, kappa, lam)
 
 
-def _roundtrip(t, w1, w2, strictify):
+def _roundtrip(t, w1, w2):
     """Strictify then unpack a q-transformation, reusing the witnesses'
     round-trip endpoints."""
-    return _destrictify_cell(strictify(t, w1.strict.dom), t.q1.A, t.q1.B,
-                             w1.q_back, w2.q_back)
+    return destrictify_cell(strictify_cell(t, w1.strict.dom), t.q1.A, t.q1.B,
+                            w1.q_back, w2.q_back)
 
 
 def kappa_vert(theta0, w1, w2):
@@ -391,7 +373,7 @@ def kappa_vert(theta0, w1, w2):
     between quasi functors and its round trip; components are identity
     squares on the transformation's own components."""
     C = theta0.q1.C
-    right = _roundtrip(theta0, w1, w2, strictify_vert)
+    right = _roundtrip(theta0, w1, w2)
     member = lambda th, top, bottom, back: Modification(
         top, bottom, th, back, {x: C.sq_h_id(th.at(x)) for x in th.comp0})
     return QModification(
@@ -408,7 +390,7 @@ def lambda_vert(sigma0, w1, w2):
     between strictifications and its round trip."""
     C = sigma0.cod
     A, B = w1.q.A, w1.q.B
-    left = strictify_vert(destrictify_vert(sigma0, A, B,
+    left = strictify_cell(destrictify_cell(sigma0, A, B,
                                            w1.q_back, w2.q_back),
                           w1.strict.dom)
     comp = {o: C.sq_h_id(sigma0.at(o)) for o in sigma0.comp0}
@@ -457,20 +439,20 @@ def check_equivalence(witnesses, hor_cells=(), vert_cells=()):
     by_q = {id(w.q): w for w in witnesses}
     for t in hor_cells:
         w1, w2 = by_q[id(t.q1)], by_q[id(t.q2)]
-        back = _roundtrip(t, w1, w2, strictify_hor)
+        back = _roundtrip(t, w1, w2)
         lhs = vcompose_q_hor(t, w2.kappa)
         rhs = vcompose_q_hor(w1.kappa, back)
         if not _q_hor_equal(lhs, rhs):
             rep.add("kappa-naturality", cell=t.name)
-        sig = strictify_hor(t, w1.strict.dom)
-        sig_back = strictify_hor(back, w1.strict.dom)
+        sig = strictify_cell(t, w1.strict.dom)
+        sig_back = strictify_cell(back, w1.strict.dom)
         if not _hor_cells_equal(vcompose_hor(w1.lam, sig),
                                 vcompose_hor(sig_back, w2.lam)):
             rep.add("lambda-naturality", cell=t.name)
     for t in vert_cells:
         w1, w2 = by_q[id(t.q1)], by_q[id(t.q2)]
         rep.merge(check_q_mod(kappa_vert(t, w1, w2)), prefix="kappa-vert.")
-        sig = strictify_vert(t, w1.strict.dom)
+        sig = strictify_cell(t, w1.strict.dom)
         rep.merge(check_modification(lambda_vert(sig, w1, w2)),
                   prefix="lambda-vert.")
     return rep

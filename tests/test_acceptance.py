@@ -24,11 +24,11 @@ from dblcheck.monads import (
 from dblcheck.quasi import (
     check_q_hor, check_q_mod, check_q_vert, check_quasi_functor, curry0,
     curry_hor, curry_mod, curry_vert, identity_q_hor, identity_q_vert,
-    q_hom_double_category, uncurry0, uncurry_hor, uncurry_mod, uncurry_vert,
+    q_hom_double_category, uncurry0, uncurry_cell, uncurry_mod,
     vcompose_q_hor, vcompose_q_vert)
 from dblcheck.strictify import (
     build_witnesses, check_equivalence, destrictify0, product_dom,
-    strictify0, strictify_hor, strictify_mod, strictify_vert)
+    strictify0, strictify_cell, strictify_mod)
 from dblcheck.tensor import factorize, verify_universal_property
 from dblcheck.transform import (
     check_hor_transform, check_modification, check_vert_transform,
@@ -232,7 +232,7 @@ def test_criterion_3_currying_roundtrips():
             assert back.kk == q.kk and back.uk == q.uk
             assert back.ku == q.ku and back.uu == q.uu
             th = identity_q_hor(q)
-            bh = uncurry_hor(curry_hor(th, hom), hom)
+            bh = uncurry_cell(curry_hor(th, hom), hom)
             assert all(bh.th_a[a].comp0 == th.th_a[a].comp0
                        and bh.th_a[a].delta == th.th_a[a].delta
                        for a in th.th_a)
@@ -240,7 +240,7 @@ def test_criterion_3_currying_roundtrips():
                        and bh.th_b[b].delta == th.th_b[b].delta
                        for b in th.th_b)
             tv = identity_q_vert(q)
-            bv = uncurry_vert(curry_vert(tv, hom), hom)
+            bv = uncurry_cell(curry_vert(tv, hom), hom)
             assert all(bv.th_a[a].comp0 == tv.th_a[a].comp0
                        for a in tv.th_a)
             m = identity_q_mod(q)
@@ -266,21 +266,21 @@ def test_criterion_4_strictification():
         q2 = sign_quasi({0: 0, 1: 0}, w=q1.A, t=q1.B, p=q1.C)
         dom = product_dom(q1.A, q1.B)
         th, back = sign_q_hor(q1, q2), sign_q_hor(q2, q1)
-        s1 = strictify_hor(th, dom)
-        s2 = strictify_hor(back, dom)
+        s1 = strictify_cell(th, dom)
+        s2 = strictify_cell(back, dom)
         assert check_hor_transform(s1).passed
         assert check_hor_transform(s2).passed
         tv = identity_q_vert(q1)
-        v1 = strictify_vert(tv, dom)
+        v1 = strictify_cell(tv, dom)
         assert check_vert_transform(v1).passed
         assert check_modification(strictify_mod(identity_q_mod(q1), dom)).passed
         # compositions are preserved on the nose
-        lhs = strictify_hor(vcompose_q_hor(th, back), dom)
+        lhs = strictify_cell(vcompose_q_hor(th, back), dom)
         rhs = vcompose_hor(s1, s2)
         assert lhs.comp0 == rhs.comp0
         assert lhs.comp_v == rhs.comp_v
         assert lhs.delta == rhs.delta
-        lv = strictify_vert(vcompose_q_vert(tv, tv), dom)
+        lv = strictify_cell(vcompose_q_vert(tv, tv), dom)
         rv = vcompose_vert(v1, v1)
         assert lv.comp0 == rv.comp0
         assert lv.comp_h == rv.comp_h

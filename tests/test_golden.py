@@ -48,12 +48,11 @@ from dblcheck.monads import mnd_double_category
 from dblcheck.quasi import (
     QModification, QVertTransform, check_q_hor, check_q_vert,
     check_quasi_functor, curry_hor, curry_mod, curry_vert, hcompose_q_mod,
-    identity_q_hor, identity_q_vert, q_hom_double_category, uncurry_hor,
-    uncurry_mod, uncurry_vert, vcompose_q_hor, vcompose_q_mod,
-    vcompose_q_vert)
+    identity_q_hor, identity_q_vert, q_hom_double_category, uncurry_cell,
+    uncurry_mod, vcompose_q_hor, vcompose_q_mod, vcompose_q_vert)
 from dblcheck.strictify import (
-    destrictify_hor, destrictify_mod, destrictify_vert, product_dom,
-    strictify_hor, strictify_mod, strictify_vert)
+    destrictify_cell, destrictify_mod, product_dom, strictify_cell,
+    strictify_mod)
 from dblcheck.tensor import tensor_presentation
 from dblcheck.transform import (
     LAX, OPLAX, HorTransform, Modification, check_hor_transform,
@@ -447,14 +446,14 @@ def sign_cells(signs):
         "vcompose_q_vert": vcompose_q_vert(vert, vert),
         "hcompose_q_mod": hcompose_q_mod(mod, mod),
         "vcompose_q_mod": vcompose_q_mod(mod, mod),
-        "destrictify_hor": destrictify_hor(
-            strictify_hor(hor, dom), q.A, q.B),
-        "destrictify_vert": destrictify_vert(
-            strictify_vert(vert, dom), q.A, q.B),
+        "destrictify_hor": destrictify_cell(
+            strictify_cell(hor, dom), q.A, q.B),
+        "destrictify_vert": destrictify_cell(
+            strictify_cell(vert, dom), q.A, q.B),
         "destrictify_mod": destrictify_mod(
             strictify_mod(mod, dom), q.A, q.B),
-        "uncurry_hor": uncurry_hor(curry_hor(hor, hom), hom),
-        "uncurry_vert": uncurry_vert(curry_vert(vert, hom), hom),
+        "uncurry_hor": uncurry_cell(curry_hor(hor, hom), hom),
+        "uncurry_vert": uncurry_cell(curry_vert(vert, hom), hom),
         "uncurry_mod": uncurry_mod(curry_mod(mod, hom), hom),
     }
     return {name: _q_cell(c) for name, c in cells.items()}
@@ -472,9 +471,9 @@ def sign_q_hor_cells():
         "sign_q_hor": t,
         "vcompose_q_hor-id-after": vcompose_q_hor(t, identity_q_hor(q2)),
         "vcompose_q_hor-id-before": vcompose_q_hor(identity_q_hor(q1), t),
-        "destrictify_hor": destrictify_hor(
-            strictify_hor(t, dom), q1.A, q1.B),
-        "uncurry_hor": uncurry_hor(curry_hor(t, hom), hom),
+        "destrictify_hor": destrictify_cell(
+            strictify_cell(t, dom), q1.A, q1.B),
+        "uncurry_hor": uncurry_cell(curry_hor(t, hom), hom),
     }
     return {name: _q_cell(c) for name, c in cells.items()}
 

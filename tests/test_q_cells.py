@@ -191,8 +191,8 @@ def reference_strictify_vert(t, dom=None):
 
 REFERENCE = {HorTransform: (reference_q_hor_laws, reference_strictify_hor),
              VertTransform: (reference_q_vert_laws, reference_strictify_vert)}
-LIVE = {HorTransform: (quasi._q_hor_laws, strictify.strictify_hor),
-        VertTransform: (quasi._q_vert_laws, strictify.strictify_vert)}
+LIVE = {HorTransform: (quasi._q_cell_laws, strictify.strictify_cell),
+        VertTransform: (quasi._q_cell_laws, strictify.strictify_cell)}
 
 
 # -- corpus ------------------------------------------------------------------

@@ -18,8 +18,7 @@ from dblcheck.quasi import (
     QHorTransform, QuasiFunctor, _stored_cells, check_q_hor, check_q_mod,
     check_q_vert, check_quasi_functor, curry0, curry_hor, curry_mod,
     curry_vert, identity_q_hor, identity_q_vert, q_hom_double_category,
-    uncurry0, uncurry_hor, uncurry_mod, uncurry_vert, vcompose_q_hor,
-    vcompose_q_vert)
+    uncurry0, uncurry_cell, uncurry_mod, vcompose_q_hor, vcompose_q_vert)
 from dblcheck.strictify import product_dom, strictify0
 from dblcheck.tensor import verify_universal_property
 from dblcheck.transform import (
@@ -375,7 +374,7 @@ def test_curry_roundtrip_hor():
     tr = curry_hor(th, hom)
     rep = check_hor_transform(tr)
     assert rep.passed, rep.laws_failed()
-    back = uncurry_hor(tr, hom)
+    back = uncurry_cell(tr, hom)
     assert check_q_hor(back).passed
     for a in th.th_a:
         assert back.th_a[a].comp0 == th.th_a[a].comp0
@@ -391,7 +390,7 @@ def test_curry_roundtrip_vert():
     tr = curry_vert(tv, hom)
     rep = check_vert_transform(tr)
     assert rep.passed, rep.laws_failed()
-    back = uncurry_vert(tr, hom)
+    back = uncurry_cell(tr, hom)
     assert check_q_vert(back).passed
     for a in tv.th_a:
         assert back.th_a[a].comp0 == tv.th_a[a].comp0

@@ -10,8 +10,8 @@ from dblcheck.quasi import (
     check_quasi_functor, identity_q_vert)
 from dblcheck.strictify import (
     EquivalenceWitness, build_witnesses, check_equivalence, destrictify0,
-    destrictify_hor, destrictify_mod, destrictify_vert, is_decomposable,
-    product_dom, strictify0, strictify_hor, strictify_mod, strictify_vert)
+    destrictify_cell, destrictify_mod, is_decomposable, product_dom,
+    strictify0, strictify_cell, strictify_mod)
 from dblcheck.transform import (
     HorTransform, check_hor_transform, check_modification,
     check_vert_transform, identity_hor_transform)
@@ -58,14 +58,14 @@ def test_nontrivial_uu_guard():
 def test_strictify_hor_transform():
     q1 = sign_quasi({0: 0, 1: 1})
     q2 = sign_quasi({0: 0, 1: 0}, w=q1.A, t=q1.B, p=q1.C)
-    tr = strictify_hor(sign_q_hor(q1, q2))
+    tr = strictify_cell(sign_q_hor(q1, q2))
     rep = check_hor_transform(tr)
     assert rep.passed, rep.laws_failed()
 
 
 def test_strictify_vert_transform():
     q = sign_quasi({0: 1, 1: 0})
-    tr = strictify_vert(identity_q_vert(q))
+    tr = strictify_cell(identity_q_vert(q))
     rep = check_vert_transform(tr)
     assert rep.passed, rep.laws_failed()
 
@@ -121,8 +121,8 @@ def test_destrictify_hor_roundtrip():
     q1 = sign_quasi({0: 0, 1: 1})
     q2 = sign_quasi({0: 0, 1: 0}, w=q1.A, t=q1.B, p=q1.C)
     dom = product_dom(q1.A, q1.B)
-    tr = strictify_hor(sign_q_hor(q1, q2), dom)
-    back = destrictify_hor(tr, q1.A, q1.B)
+    tr = strictify_cell(sign_q_hor(q1, q2), dom)
+    back = destrictify_cell(tr, q1.A, q1.B)
     rep = check_q_hor(back)
     assert rep.passed, rep.laws_failed()
 
@@ -130,8 +130,8 @@ def test_destrictify_hor_roundtrip():
 def test_destrictify_vert_roundtrip():
     q = sign_quasi({0: 0, 1: 1})
     dom = product_dom(q.A, q.B)
-    tr = strictify_vert(identity_q_vert(q), dom)
-    back = destrictify_vert(tr, q.A, q.B)
+    tr = strictify_cell(identity_q_vert(q), dom)
+    back = destrictify_cell(tr, q.A, q.B)
     rep = check_q_vert(back)
     assert rep.passed, rep.laws_failed()
 

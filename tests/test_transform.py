@@ -417,10 +417,10 @@ def test_catalogue_instance_counts(orientation):
 def test_q_cell_catalogue_instance_counts():
     q = sign_quasi({0: 0, 1: 1})
     A, B = q.A, q.B
-    assert _law_counts(quasi._q_hor_laws, identity_q_hor(q)) == {
+    assert _law_counts(quasi._q_cell_laws, identity_q_hor(q)) == {
         "q-hor-1": B.n_hcells * A.n_hcells, "q-hor-2": B.n_vcells * A.n_hcells,
         "q-hor-3": B.n_hcells * A.n_vcells, "q-hor-4": B.n_vcells * A.n_vcells}
-    assert _law_counts(quasi._q_vert_laws, identity_q_vert(q)) == {
+    assert _law_counts(quasi._q_cell_laws, identity_q_vert(q)) == {
         "q-vert-1": B.n_vcells * A.n_vcells,
         "q-vert-2": B.n_vcells * A.n_hcells,
         "q-vert-3": B.n_hcells * A.n_vcells,
