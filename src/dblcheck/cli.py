@@ -468,11 +468,14 @@ def quasi_check(path, trivial_uu, json_path):
 @click.argument("path", type=click.Path(exists=True))
 @_json_option
 def curry(path, json_path):
-    """Curry a quasi functor and check the resulting lax functor."""
+    """Check a quasi functor, then curry it and check the lax functor."""
     def body():
         from .functor import check_lax_functor
-        from .quasi import curry0
-        q = _wellformed_quasi(path)
+        from .quasi import check_quasi_functor, curry0
+        q = _load_quasi(_read_doc(path))
+        rep = check_quasi_functor(q)
+        if not rep.passed:
+            return rep, {"quasi": q.name}
         P = curry0(q)
         return check_lax_functor(P), {"codomain": P.cod.name}
     _run("curry", json_path, body)

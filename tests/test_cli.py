@@ -393,6 +393,22 @@ def test_quasi_check():
     assert res.exit_code == 0, res.output
 
 
+@pytest.mark.parametrize("hcell", ["1_0", "1_1", "a"])
+def test_curry_fails_a_quasi_functor_that_fails_its_laws(hcell, tmp_path):
+    """Each flip of one interchanger of a sign quasi functor curries to a
+    lawful lax functor into the hom, whose cells it does not check; so
+    ``curry`` first checks the quasi laws and fails as ``quasi-check``."""
+    from test_golden import _parity_quasi_doc
+    path = tmp_path / "quasi.json"
+    path.write_text(json.dumps(_parity_quasi_doc(hcell)))
+    got = {}
+    for verb in ("quasi-check", "curry"):
+        out = tmp_path / (verb + ".json")
+        code = run(verb, str(path), "--json", str(out)).exit_code
+        got[verb] = code, json.loads(out.read_text())["failures"]
+    assert got["curry"] == got["quasi-check"] and got["curry"][0] == 1
+
+
 def test_curry_uncurry():
     assert run("curry", fx("preorder-pair.json")).exit_code == 0
     assert run("uncurry", fx("preorder-pair.json")).exit_code == 0

@@ -5,7 +5,8 @@ refactors: the ``--json`` payload (without ``elapsed``) and exit code of
 every README verb, of ``validate`` on every table fixture, of ``hom`` in
 all four flavors, of ``curry``/``uncurry`` on the quasi fixtures and of
 functor, quasi and tensor documents into ``parity`` with one flipped
-square; the full cell tables, with every cell's interning key, of the
+square, the quasi document also through ``curry``, ``uncurry``,
+``strictify`` and ``destrictify``; the full cell tables, with every cell's interning key, of the
 populated ``hom(trivial, parity)`` flavors, of both monad double
 categories of ``parity`` and of the sign q-hom double category; the
 plain cell tables of the builtins ``parity``, ``walk_h``, ``walk_v`` and
@@ -114,9 +115,10 @@ def _parity_functor_doc():
     return doc
 
 
-def _parity_quasi_doc():
+def _parity_quasi_doc(hcell="a"):
     """A sign quasi functor (walk_h, point) -> parity, written out by name,
-    with its interchanger on the free 1h-cell flipped."""
+    with its interchanger on the 1h-cell ``hcell`` of walk_h (by default
+    the free one) flipped."""
     signs = {0: 0, 1: 1}
     w, p = walk_h(), parity()
     q = sign_quasi(signs, w=w, p=p)
@@ -126,8 +128,7 @@ def _parity_quasi_doc():
         "comp": {"1_*,1_*": "s[0000:%d]" % sign},
         "unit": {"*": "s[0000:%d]" % sign}}
     kk = {"1_*,%s" % w.hnames[K]: p.sq_names[s] for (_, K), s in q.kk.items()}
-    a = w.hnames.index("a")
-    kk["1_*,a"] = p.sq_names[flip(p, q.kk[(0, a)])]
+    kk["1_*," + hcell] = p.sq_names[flip(p, q.kk[(0, w.hnames.index(hcell))])]
     return {"name": "sign-flipped", "A": {"builtin": "walk_h"},
             "B": {"objects": ["*"]}, "C": {"builtin": "parity"},
             "fam_a": {w.objects[x]: point(signs[x]) for x in signs},
@@ -171,6 +172,9 @@ def _cli_cases():
     for verb in ("curry", "uncurry"):
         for name in ("preorder-pair", "quasi-identity"):
             cases["%s-%s" % (verb, name)] = [verb, fx(name)]
+    # the verbs that build on a quasi functor, given one that fails its laws
+    for verb in ("curry", "uncurry", "strictify", "destrictify"):
+        cases[verb + "-parity-flip"] = [verb, _parity_quasi_doc()]
     return cases
 
 
