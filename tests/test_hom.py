@@ -16,8 +16,8 @@ from dblcheck.hom import (
     populate_squares)
 from dblcheck.quasi import curry0
 from dblcheck.transform import (
-    LAX, OPLAX, identity_hor_transform, identity_modification,
-    identity_vert_transform)
+    LAX, OPLAX, check_vert_transform, identity_hor_transform,
+    identity_modification, identity_vert_transform)
 
 from test_functor import full_relation_monad_functor, parity_sign_functor
 from test_golden import TABLE_CATEGORIES
@@ -231,6 +231,28 @@ def test_hom_membership_checks_modification_orientations():
         assert hom_membership(hom, right).passed
         m = identity_modification(identity_hor_transform(F, wrong))
         assert hom_membership(hom, m).laws_failed() == ["member-orientation"]
+
+
+def test_hom_membership_refuses_a_non_cell():
+    q = sign_quasi({0: 0, 1: 1})
+    hom = HomDoubleCat(q.B, q.C, HOP)
+    assert hom_membership(hom, q).laws_failed() == ["member-kind"]
+
+
+def test_vert_strict_membership_refuses_a_lax_structure_square():
+    # a lawful lax vertical transformation of walk_v -> parity whose
+    # structure square on some 1v-cell is not an identity square
+    p, w = parity(), walk_v()
+    ident = p.parity_index[(0, 0, 0, 0, 0)]
+    F = strict_functor(w, p, {0: 0, 1: 0}, dict.fromkeys(range(w.n_hcells), 0),
+                       dict.fromkeys(range(w.n_vcells), 0),
+                       dict.fromkeys(range(w.n_squares), ident))
+    hom = HomDoubleCat(w, p, ST)
+    strict = lambda s: s == p.sq_h_id(p.sq_left(s)) == p.sq_h_id(p.sq_right(s))
+    t = next(t for t in enumerate_vert_transforms(F, F, HOP, bound=10 ** 5)
+             if not all(map(strict, t.comp_v.values())))
+    assert check_vert_transform(t).passed
+    assert hom_membership(hom, t).laws_failed() == ["member-vert-strict"]
 
 
 def test_vert_strict_membership_reports_missing_structure_square():

@@ -119,3 +119,41 @@ def test_product_ids_come_from_core(path):
     (``product_cell``, ``product_cells``, ``product_projections``)."""
     with open(path, encoding="utf-8") as fh:
         assert product_id_arithmetic(fh.read()) == []
+
+
+# -- no function is written twice --------------------------------------------
+
+
+def duplicate_bodies(sources):
+    """The groups of module-level functions, over ``sources`` (pairs of a
+    module name and its source), whose bodies are the same once a leading
+    docstring is dropped; each function as ``module.name``."""
+    groups = {}
+    for module, source in sources:
+        for node in ast.parse(source).body:
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            body = node.body
+            if (isinstance(body[0], ast.Expr)
+                    and isinstance(body[0].value, ast.Constant)
+                    and isinstance(body[0].value.value, str)):
+                body = body[1:]
+            key = ast.dump(ast.Module(body=body, type_ignores=[]))
+            groups.setdefault(key, []).append("%s.%s" % (module, node.name))
+    return sorted(group for group in groups.values() if len(group) > 1)
+
+
+def test_duplicate_bodies_are_found():
+    a = ('def f(x):\n    """One."""\n    return g(x)\n'
+         'def h(x):\n    """Two."""\n    return g(x)\n'
+         'def k(y):\n    return g(y)\n')
+    b = 'def m(x):\n    return g(x)\ndef n():\n    pass\n'
+    assert duplicate_bodies([("a", a), ("b", b)]) == [["a.f", "a.h", "b.m"]]
+
+
+def test_no_two_functions_share_a_body():
+    sources = []
+    for path in MODULES:
+        with open(path, encoding="utf-8") as fh:
+            sources.append((os.path.basename(path)[:-len(".py")], fh.read()))
+    assert duplicate_bodies(sources) == []
