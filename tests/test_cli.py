@@ -395,9 +395,10 @@ def test_quasi_check():
 
 @pytest.mark.parametrize("hcell", ["1_0", "1_1", "a"])
 def test_curry_fails_a_quasi_functor_that_fails_its_laws(hcell, tmp_path):
-    """Each flip of one interchanger of a sign quasi functor curries to a
-    lawful lax functor into the hom, whose cells it does not check; so
-    ``curry`` first checks the quasi laws and fails as ``quasi-check``."""
+    """The curried functor of each kk flip of the sign quasi functor passes
+    the lax functor laws in the hom, which does not check the cells it
+    interns; ``curry`` checks the quasi laws first and fails as
+    ``quasi-check`` does."""
     from test_golden import _parity_quasi_doc
     path = tmp_path / "quasi.json"
     path.write_text(json.dumps(_parity_quasi_doc(hcell)))
