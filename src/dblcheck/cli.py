@@ -5,20 +5,21 @@ witnesses, timing, and verb-specific details.  The text rendering is a
 pure function of the machine payload, so writing the payload with --json
 and re-rendering it reproduces the text output exactly.
 
-Exit codes: 0 when the verdict passes, 1 on law failures, 2 on parse or
-schema errors.
+Exit codes: 0 when the verdict passes, 1 on law failures, 2 on usage,
+parse or schema errors.
 
 Only ``core`` and ``errors`` load with this module.  Each verb, or the
 loader it calls, imports the modules of its own construction, so a
-one-shot run does not compile the rest of the package.
+one-shot run does not compile the rest of the package.  The command line
+is read by a stdlib ``argparse`` parser built for the invoked verb alone,
+from its row of ``VERBS``.
 """
 
 import json
+import os
 import re
 import sys
 import time
-
-import click
 
 from .core import (
     ValidationReport, bool_matrix_double_category, from_json, parity, trivial,
@@ -369,11 +370,13 @@ def render_text(payload):
     return "\n".join(lines)
 
 
+
+
 def _finish(payload, json_path):
     if json_path:
         with open(json_path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
-    click.echo(render_text(payload))
+    print(render_text(payload))
     sys.exit(0 if payload["verdict"] == "passed" else 1)
 
 
@@ -383,7 +386,7 @@ def _run(command, json_path, fn):
     try:
         rep, details = fn()
     except SchemaError as exc:
-        click.echo("%s: input error: %s" % (command, exc), err=True)
+        print("%s: input error: %s" % (command, exc), file=sys.stderr)
         sys.exit(2)
     except _IllFormed as exc:
         rep, details = exc.args
@@ -395,183 +398,282 @@ def _run(command, json_path, fn):
     _finish(_payload(command, rep, started, details), json_path)
 
 
-def _json_option(fn):
-    return click.option("--json", "json_path", type=click.Path(),
-                        default=None,
-                        help="also write the machine report here")(fn)
+# -- the verb table ---------------------------------------------------------
+
+# the option types besides ``int``: a whole number at least 0; a list
+# stands for a choice among its entries and ``bool`` for a flag
+COUNT = "count"
+
+# verb name -> (body, positional PATH arguments, options); an option is
+# keyed by its parameter name and maps to (type, default, help)
+VERBS = {}
 
 
-@click.group()
-def main():
-    """Equational checks for finite strict double categories."""
+def _verb(name, *paths, **options):
+    """Enter a verb body in ``VERBS``.  The body takes each path and
+    option by its lower-case name and returns a report and its details;
+    every verb also takes ``--json PATH``."""
+    def enter(fn):
+        VERBS[name] = (fn, paths, options)
+        return fn
+    return enter
 
 
-@main.command()
-@click.argument("path", type=click.Path(exists=True))
-@click.option("--bound", type=click.IntRange(min=0), default=None,
-              help="most composable pairs of flat squares to check for "
-                   "closure; a larger category fails with flat-too-large")
-@_json_option
-def validate(path, bound, json_path):
+def _flag(name):
+    return "--" + name.replace("_", "-")
+
+
+def _usage_error(usage, prog, message):
+    print("Usage: %s\nTry '%s --help' for help.\n\nError: %s"
+          % (usage, prog, message), file=sys.stderr)
+    sys.exit(2)
+
+
+def _value(kind, name, text):
+    """``text`` read as an option of this type; a ``ValueError`` says why
+    it is not one."""
+    if isinstance(kind, list):
+        if text in kind:
+            return text
+        why = "%r is not one of %s." % (text, ", ".join(map(repr, kind)))
+    else:
+        try:
+            n = int(text)
+        except ValueError:
+            why = "%r is not a valid integer." % text
+        else:
+            if kind is int or n >= 0:
+                return n
+            why = "%d is not in the range x>=0." % n
+    raise ValueError("Invalid value for '%s': %s" % (_flag(name), why))
+
+
+def _parse(usage, prog, paths, options, argv):
+    """The keyword arguments of a verb body, and the ``--json`` path, from
+    the verb's command line; only this verb's parser is built."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            _usage_error(usage, prog, message)
+
+    parser = Parser(prog=prog, add_help=False, allow_abbrev=False,
+                    argument_default=argparse.SUPPRESS)
+    for p in paths:
+        parser.add_argument(p.lower(), metavar=p)
+    for name, (kind, _, _) in options.items():
+        parser.add_argument(_flag(name), dest=name, action=(
+            "store_true" if kind is bool else "store"))
+    parser.add_argument("--json", dest="json_path", default=None)
+    given = vars(parser.parse_args(argv))
+    try:
+        for p in paths:
+            if not os.path.exists(given[p.lower()]):
+                raise ValueError("Invalid value for '%s': Path %r does not "
+                                 "exist." % (p, given[p.lower()]))
+        for name, (kind, default, _) in options.items():
+            given[name] = (default if name not in given else
+                           given[name] if kind is bool else
+                           _value(kind, name, given[name]))
+    except ValueError as exc:
+        _usage_error(usage, prog, exc)
+    return given, given.pop("json_path")
+
+
+def _help(usage, doc, sections):
+    """Help text: the usage line, the summary, and each titled section of
+    (term, help) rows in two columns."""
+    import textwrap
+    lines = ["Usage: " + usage, ""]
+    lines += ["  " + line for line in textwrap.wrap(" ".join(doc.split()), 77)]
+    for title, rows in sections:
+        width = max(len(term) for term, _ in rows) + 4
+        lines += ["", title + ":"]
+        for term, text in rows:
+            wrapped = textwrap.wrap(" ".join(text.split()), 79 - width) or [""]
+            lines.append(("  %-*s%s" % (width - 2, term, wrapped[0])).rstrip())
+            lines += [" " * width + line for line in wrapped[1:]]
+    return "\n".join(lines)
+
+
+def _option_row(name, kind, help_text):
+    if kind is bool:
+        return _flag(name), help_text
+    if isinstance(kind, list):
+        return "%s [%s]" % (_flag(name), "|".join(kind)), help_text
+    if kind is COUNT:
+        return _flag(name) + " INTEGER RANGE", help_text + "  [x>=0]"
+    return _flag(name) + " INTEGER", help_text
+
+
+HELP_ROW = ("--help", "Show this message and exit.")
+
+
+def main(args=None, prog_name=None):
+    """Run the verb that ``args`` (default ``sys.argv[1:]``) names; always
+    ends in ``SystemExit`` with the verb's exit code."""
+    args = sys.argv[1:] if args is None else list(args)
+    prog = prog_name or "dblcheck"
+    usage = prog + " [OPTIONS] COMMAND [ARGS]..."
+    if not args or args[0] == "--help":
+        print(_help(usage, "Equational checks for finite strict double "
+                    "categories.", [
+                        ("Options", [HELP_ROW]),
+                        ("Commands", [(name, VERBS[name][0].__doc__)
+                                      for name in sorted(VERBS)])]),
+              file=sys.stdout if args else sys.stderr)
+        sys.exit(0 if args else 2)
+    if args[0] not in VERBS:
+        _usage_error(usage, prog, "No such command %r." % args[0])
+    name, argv = args[0], args[1:]
+    fn, paths, options = VERBS[name]
+    prog += " " + name
+    usage = "%s [OPTIONS]%s" % (prog, "".join(" " + p for p in paths))
+    if "--help" in argv:
+        print(_help(usage, fn.__doc__, [("Options", [
+            _option_row(o, kind, text)
+            for o, (kind, _, text) in options.items()] + [
+            ("--json PATH", "also write the machine report here"),
+            HELP_ROW])]))
+        sys.exit(0)
+    kwargs, json_path = _parse(usage, prog, paths, options, argv)
+    _run(name, json_path, lambda: fn(**kwargs))
+
+
+# -- verbs ------------------------------------------------------------------
+
+
+@_verb("validate", "PATH", bound=(
+    COUNT, None, "most composable pairs of flat squares to check for "
+    "closure; a larger category fails with flat-too-large"))
+def validate(path, bound):
     """Validate the double category axioms on a JSON description."""
-    def body():
-        d = _dc_from_doc(_read_doc(path))
-        rep = validate_double_category(d, closure_limit=bound)
-        return rep, {"objects": d.n_objects, "hcells": d.n_hcells,
-                     "vcells": d.n_vcells}
-    _run("validate", json_path, body)
+    d = _dc_from_doc(_read_doc(path))
+    rep = validate_double_category(d, closure_limit=bound)
+    return rep, {"objects": d.n_objects, "hcells": d.n_hcells,
+                 "vcells": d.n_vcells}
 
 
-@main.command("functor-check")
-@click.argument("path", type=click.Path(exists=True))
-@_json_option
-def functor_check(path, json_path):
+@_verb("functor-check", "PATH")
+def functor_check(path):
     """Check the lax double functor laws."""
-    def body():
-        from .functor import check_lax_functor
-        F = _load_functor(_read_doc(path))
-        return check_lax_functor(F), {"functor": F.name}
-    _run("functor-check", json_path, body)
+    from .functor import check_lax_functor
+    F = _load_functor(_read_doc(path))
+    return check_lax_functor(F), {"functor": F.name}
 
 
-@main.command("transform-check")
-@click.argument("path", type=click.Path(exists=True))
-@_json_option
-def transform_check(path, json_path):
+@_verb("transform-check", "PATH")
+def transform_check(path):
     """Check a horizontal or vertical transformation."""
-    def body():
-        from .transform import check_hor_transform, check_vert_transform
-        doc = _read_doc(path)
-        t = _wellformed_transform(doc)
-        check = (check_hor_transform if doc["kind"] == "hor"
-                 else check_vert_transform)
-        return check(t), {"kind": doc["kind"], "orientation": t.orientation}
-    _run("transform-check", json_path, body)
+    from .transform import check_hor_transform, check_vert_transform
+    doc = _read_doc(path)
+    t = _wellformed_transform(doc)
+    check = (check_hor_transform if doc["kind"] == "hor"
+             else check_vert_transform)
+    return check(t), {"kind": doc["kind"], "orientation": t.orientation}
 
 
-@main.command("quasi-check")
-@click.argument("path", type=click.Path(exists=True))
-@click.option("--trivial-uu", is_flag=True,
-              help="require the (u,U) interchangers to be trivial")
-@_json_option
-def quasi_check(path, trivial_uu, json_path):
+@_verb("quasi-check", "PATH", trivial_uu=(
+    bool, False, "require the (u,U) interchangers to be trivial"))
+def quasi_check(path, trivial_uu):
     """Check the quasi functor laws."""
-    def body():
-        from .quasi import check_quasi_functor
-        q = _load_quasi(_read_doc(path))
-        rep = check_quasi_functor(q, trivial_uU=trivial_uu)
-        return rep, {"quasi": q.name}
-    _run("quasi-check", json_path, body)
+    from .quasi import check_quasi_functor
+    q = _load_quasi(_read_doc(path))
+    rep = check_quasi_functor(q, trivial_uU=trivial_uu)
+    return rep, {"quasi": q.name}
 
 
-@main.command()
-@click.argument("path", type=click.Path(exists=True))
-@_json_option
-def curry(path, json_path):
+def _lawful_quasi(path):
+    """The quasi functor of the document at path, and the report of
+    ``quasi-check`` on it when that fails (else None)."""
+    from .quasi import check_quasi_functor
+    q = _load_quasi(_read_doc(path))
+    rep = check_quasi_functor(q)
+    return q, None if rep.passed else (rep, {"quasi": q.name})
+
+
+@_verb("curry", "PATH")
+def curry(path):
     """Check a quasi functor, then curry it and check the lax functor."""
-    def body():
-        from .functor import check_lax_functor
-        from .quasi import check_quasi_functor, curry0
-        q = _load_quasi(_read_doc(path))
-        rep = check_quasi_functor(q)
-        if not rep.passed:
-            return rep, {"quasi": q.name}
-        P = curry0(q)
-        return check_lax_functor(P), {"codomain": P.cod.name}
-    _run("curry", json_path, body)
+    from .functor import check_lax_functor
+    from .quasi import curry0
+    q, failed = _lawful_quasi(path)
+    if failed:
+        return failed
+    P = curry0(q)
+    return check_lax_functor(P), {"codomain": P.cod.name}
 
 
-@main.command()
-@click.argument("path", type=click.Path(exists=True))
-@_json_option
-def uncurry(path, json_path):
+@_verb("uncurry", "PATH")
+def uncurry(path):
     """Round-trip a quasi functor through currying and compare cells."""
-    def body():
-        from .quasi import check_quasi_functor, curry0, uncurry0
-        q = _wellformed_quasi(path)
-        back = uncurry0(curry0(q))
-        rep = ValidationReport()
-        for a, F in q.fam_a.items():
-            G = back.fam_a[a]
-            if (F.ob, F.hmap, F.vmap) != (G.ob, G.hmap, G.vmap):
-                rep.add("roundtrip-fam-a", a=a)
-        for b, F in q.fam_b.items():
-            G = back.fam_b[b]
-            if (F.ob, F.hmap, F.vmap) != (G.ob, G.hmap, G.vmap):
-                rep.add("roundtrip-fam-b", b=b)
-        for field in ("kk", "uk", "ku", "uu"):
-            if getattr(q, field) != getattr(back, field):
-                rep.add("roundtrip-%s" % field)
-        rep.merge(check_quasi_functor(back))
-        return rep, {"quasi": q.name}
-    _run("uncurry", json_path, body)
+    from .quasi import check_quasi_functor, curry0, uncurry0
+    q = _wellformed_quasi(path)
+    back = uncurry0(curry0(q))
+    rep = ValidationReport()
+    for a, F in q.fam_a.items():
+        G = back.fam_a[a]
+        if (F.ob, F.hmap, F.vmap) != (G.ob, G.hmap, G.vmap):
+            rep.add("roundtrip-fam-a", a=a)
+    for b, F in q.fam_b.items():
+        G = back.fam_b[b]
+        if (F.ob, F.hmap, F.vmap) != (G.ob, G.hmap, G.vmap):
+            rep.add("roundtrip-fam-b", b=b)
+    for field in ("kk", "uk", "ku", "uu"):
+        if getattr(q, field) != getattr(back, field):
+            rep.add("roundtrip-%s" % field)
+    rep.merge(check_quasi_functor(back))
+    return rep, {"quasi": q.name}
 
 
-@main.command()
-@click.argument("path", type=click.Path(exists=True))
-@_json_option
-def strictify(path, json_path):
+@_verb("strictify", "PATH")
+def strictify(path):
     """Strictify a quasi functor and check the lax functor laws."""
-    def body():
-        from .functor import check_lax_functor
-        from .strictify import strictify0
-        q = _wellformed_quasi(path)
-        P = strictify0(q)
-        return check_lax_functor(P), {
-            "domain-objects": P.dom.n_objects,
-            "domain-hcells": P.dom.n_hcells}
-    _run("strictify", json_path, body)
+    from .functor import check_lax_functor
+    from .strictify import strictify0
+    q = _wellformed_quasi(path)
+    P = strictify0(q)
+    return check_lax_functor(P), {
+        "domain-objects": P.dom.n_objects,
+        "domain-hcells": P.dom.n_hcells}
 
 
-@main.command()
-@click.argument("path", type=click.Path(exists=True))
-@_json_option
-def destrictify(path, json_path):
+@_verb("destrictify", "PATH")
+def destrictify(path):
     """Strictify, destrictify back, and re-check the quasi functor laws."""
-    def body():
-        from .quasi import check_quasi_functor
-        from .strictify import destrictify0, strictify0
-        q = _wellformed_quasi(path)
-        back = destrictify0(strictify0(q), q.A, q.B)
-        rep = check_quasi_functor(back, trivial_uU=True)
-        return rep, {"quasi": q.name}
-    _run("destrictify", json_path, body)
+    from .quasi import check_quasi_functor
+    from .strictify import destrictify0, strictify0
+    q = _wellformed_quasi(path)
+    back = destrictify0(strictify0(q), q.A, q.B)
+    rep = check_quasi_functor(back, trivial_uU=True)
+    return rep, {"quasi": q.name}
 
 
-@main.command("tensor-factorize")
-@click.argument("path", type=click.Path(exists=True))
-@_json_option
-def tensor_factorize(path, json_path):
-    """Factor a quasi functor through the tensor presentation."""
-    def body():
-        from .tensor import verify_universal_property
-        q = _wellformed_quasi(path)
-        rep = verify_universal_property(q)
-        return rep, {"quasi": q.name}
-    _run("tensor-factorize", json_path, body)
+@_verb("tensor-factorize", "PATH")
+def tensor_factorize(path):
+    """Check a quasi functor, then factor it through the tensor
+    presentation."""
+    from .tensor import verify_universal_property
+    q, failed = _lawful_quasi(path)
+    if failed:
+        return failed
+    return verify_universal_property(q), {"quasi": q.name}
 
 
-@main.command()
-@click.argument("path_b", type=click.Path(exists=True))
-@click.argument("path_c", type=click.Path(exists=True))
-@click.option("--flavor", type=click.Choice(FLAVOR_NAMES), default="hop")
-@click.option("--bound", type=click.IntRange(min=0), default=5000,
-              help="total enumeration budget: candidates tried over all "
-                   "functors and transformations together; also the draws "
-                   "per sampled law, but never fewer than 5000")
-@_json_option
-def hom(path_b, path_c, flavor, bound, json_path):
+@_verb("hom", "PATH_B", "PATH_C", flavor=(FLAVOR_NAMES, "hop", ""), bound=(
+    COUNT, 5000, "total enumeration budget: candidates tried over all "
+    "functors and transformations together; also the draws per sampled "
+    "law, but never fewer than 5000"))
+def hom(path_b, path_c, flavor, bound):
     """Build a hom double category by enumeration and validate it."""
-    def body():
-        from .hom import FLAVORS, hom_double_category, populate_squares
-        B = _dc_from_doc(_read_doc(path_b))
-        C = _dc_from_doc(_read_doc(path_c))
-        h = hom_double_category(B, C, FLAVORS[flavor], bound=bound)
-        populate_squares(h)
-        rep = validate_double_category(h, max_checks=max(bound, LAW_CHECKS))
-        return rep, {"objects": h.n_objects, "hcells": h.n_hcells,
-                     "vcells": h.n_vcells, "squares": h.n_squares}
-    _run("hom", json_path, body)
+    from .hom import FLAVORS, hom_double_category, populate_squares
+    B = _dc_from_doc(_read_doc(path_b))
+    C = _dc_from_doc(_read_doc(path_c))
+    h = hom_double_category(B, C, FLAVORS[flavor], bound=bound)
+    populate_squares(h)
+    rep = validate_double_category(h, max_checks=max(bound, LAW_CHECKS))
+    return rep, {"objects": h.n_objects, "hcells": h.n_hcells,
+                 "vcells": h.n_vcells, "squares": h.n_squares}
 
 
 def _bool_matrix_carrier(size):
@@ -581,55 +683,41 @@ def _bool_matrix_carrier(size):
     return d, d.objects.index(str(size))
 
 
-@main.command("monads-enumerate")
-@click.option("--semiring", type=click.Choice(["bool"]), default="bool")
-@click.option("--size", type=int, default=2,
-              help="carrier size over the Boolean matrix category")
-@_json_option
-def monads_enumerate(semiring, size, json_path):
+@_verb("monads-enumerate", semiring=(["bool"], "bool", ""), size=(
+    int, 2, "carrier size over the Boolean matrix category"))
+def monads_enumerate(semiring, size):
     """List the monads on a Boolean matrix carrier."""
-    def body():
-        from .monads import enumerate_monads
-        d, carrier = _bool_matrix_carrier(size)
-        monads = enumerate_monads(d, carrier)
-        details = {"count": len(monads)}
-        for i, m in enumerate(monads):
-            details["monad-%02d" % i] = d.hnames[m.endo]
-        return ValidationReport(), details
-    _run("monads-enumerate", json_path, body)
+    from .monads import enumerate_monads
+    d, carrier = _bool_matrix_carrier(size)
+    monads = enumerate_monads(d, carrier)
+    details = {"count": len(monads)}
+    for i, m in enumerate(monads):
+        details["monad-%02d" % i] = d.hnames[m.endo]
+    return ValidationReport(), details
 
 
-@main.command("monads-comp")
-@click.option("--size", type=int, default=2)
-@_json_option
-def monads_comp(size, json_path):
+@_verb("monads-comp", size=(int, 2, ""))
+def monads_comp(size):
     """Compose every distributive law and check the composite monads."""
-    def body():
-        from .monads import check_monad, comp, enumerate_distributive_laws
-        d, carrier = _bool_matrix_carrier(size)
-        rep = ValidationReport()
-        laws = enumerate_distributive_laws(d, carrier)
-        for lw in laws:
-            sub = check_monad(comp(lw))
-            rep.merge(sub, prefix="%r: " % lw)
-        return rep, {"laws": len(laws)}
-    _run("monads-comp", json_path, body)
+    from .monads import check_monad, comp, enumerate_distributive_laws
+    d, carrier = _bool_matrix_carrier(size)
+    rep = ValidationReport()
+    laws = enumerate_distributive_laws(d, carrier)
+    for lw in laws:
+        sub = check_monad(comp(lw))
+        rep.merge(sub, prefix="%r: " % lw)
+    return rep, {"laws": len(laws)}
 
 
-@main.command("monads-diagram")
-@click.option("--size", type=int, default=2)
-@click.option("--sample", type=click.IntRange(min=0), default=None,
-              help="check a random subset of the distributive laws")
-@click.option("--seed", type=int, default=0)
-@_json_option
-def monads_diagram(size, sample, seed, json_path):
+@_verb("monads-diagram", size=(int, 2, ""), sample=(
+    COUNT, None, "check a random subset of the distributive laws"),
+    seed=(int, 0, ""))
+def monads_diagram(size, sample, seed):
     """Compare strictified and direct monad composition on all laws."""
-    def body():
-        from .monads import verify_comp_diagram
-        d, _ = _bool_matrix_carrier(size)
-        rep = verify_comp_diagram(d, sample=sample, seed=seed)
-        return rep, {"checked": rep.checked}
-    _run("monads-diagram", json_path, body)
+    from .monads import verify_comp_diagram
+    d, _ = _bool_matrix_carrier(size)
+    rep = verify_comp_diagram(d, sample=sample, seed=seed)
+    return rep, {"checked": rep.checked}
 
 
 if __name__ == "__main__":

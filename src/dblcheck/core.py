@@ -18,9 +18,9 @@ top factor first).  ``hcomp_h(f, g)`` is the composite "f then g".
 
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain, product as iproduct, repeat
+from operator import attrgetter
 import random
 
 from .errors import (BoundaryMismatch, DblError, MalformedTables, NotFlat,
@@ -32,15 +32,74 @@ VCELL = "vcell"
 SQUARE = "square"
 
 
-@dataclass(frozen=True)
-class CellRef:
+class Record:
+    """A record whose fields are its ``__slots__``, or the ``fields`` its
+    class statement names: records compare by class and fields and print
+    as ``Name(field=value, ...)``, as dataclasses do.  A plain record is
+    mutable and unhashable."""
+    __slots__ = ()
+    __hash__ = None
+    _names = ()
+
+    def __init_subclass__(cls, fields=None):
+        names = fields or cls.__slots__
+        if names:
+            cls._names = names
+            # the fields' values, as one value for a one-field record
+            cls._key = attrgetter(*names)
+
+    def __eq__(self, other):
+        cls = self.__class__
+        if other.__class__ is cls:
+            return cls._key(self) == cls._key(other)
+        return NotImplemented
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self._names))
+
+
+# sets a field of a frozen record in its constructor
+init_field = object.__setattr__
+
+
+class FrozenRecord(Record):
+    """A record that is hashable by its fields and refuses assignment
+    once built; its constructor sets each field with ``init_field``."""
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def __reduce__(self):  # copy and pickle through the constructor
+        return type(self), tuple(getattr(self, name) for name in self._names)
+
+
+class CellRef(FrozenRecord):
     """Reference to an interned cell: a kind tag and a per-kind index."""
-    kind: str
-    id: int
+    __slots__ = ("kind", "id")
+
+    def __init__(self, kind, id):
+        init_field(self, "kind", kind)
+        init_field(self, "id", id)
+
+    # written out: evaluated pastings compare CellRefs in volume
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.kind == other.kind and self.id == other.id
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.kind, self.id))
 
 
-@dataclass
-class ValidationReport:
+class ValidationReport(Record, fields=("failures", "sampled", "reduced")):
     """Outcome of a law check: a verdict plus per-law failure witnesses.
 
     ``sampled`` maps each law family that was checked on a seeded sample of
@@ -48,11 +107,15 @@ class ValidationReport:
     ``reduced`` maps each law family that was decided without evaluating
     its instances, because other checks imply it, to its instance count.
     A report can pass with sampled or reduced families; it then says so
-    here.
+    here.  ``checked``, unset but for ``monads.verify_comp_diagram``,
+    counts the distributive laws that check compared.
     """
-    failures: list = field(default_factory=list)
-    sampled: dict = field(default_factory=dict)
-    reduced: dict = field(default_factory=dict)
+    __slots__ = ("failures", "sampled", "reduced", "checked")
+
+    def __init__(self, failures=None, sampled=None, reduced=None):
+        self.failures = [] if failures is None else failures
+        self.sampled = {} if sampled is None else sampled
+        self.reduced = {} if reduced is None else reduced
 
     @property
     def passed(self):
@@ -1136,31 +1199,41 @@ def product_projections(d1, d2):
 # -- pasting terms ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Gen:
-    name: str
+class Gen(FrozenRecord):
+    __slots__ = ("name",)
+
+    def __init__(self, name):
+        init_field(self, "name", name)
 
 
-@dataclass(frozen=True)
-class HComp:
-    left: object
-    right: object
+class HComp(FrozenRecord):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left, right):
+        init_field(self, "left", left)
+        init_field(self, "right", right)
 
 
-@dataclass(frozen=True)
-class VComp:
-    top: object
-    bottom: object
+class VComp(FrozenRecord):
+    __slots__ = ("top", "bottom")
+
+    def __init__(self, top, bottom):
+        init_field(self, "top", top)
+        init_field(self, "bottom", bottom)
 
 
-@dataclass(frozen=True)
-class HId:
-    of: object
+class HId(FrozenRecord):
+    __slots__ = ("of",)
+
+    def __init__(self, of):
+        init_field(self, "of", of)
 
 
-@dataclass(frozen=True)
-class VId:
-    of: object
+class VId(FrozenRecord):
+    __slots__ = ("of",)
+
+    def __init__(self, of):
+        init_field(self, "of", of)
 
 
 def eval_pasting(d, term, env):

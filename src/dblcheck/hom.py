@@ -15,11 +15,11 @@ that scheme once; ``HomDoubleCat`` here and ``quasi.QHomDoubleCat`` add
 only their keys, endpoints, identities and payload compositions.
 """
 
-from dataclasses import dataclass
 from heapq import merge
 from itertools import product as iproduct
 
-from .core import DoubleCat, ValidationReport, composable_pairs
+from .core import (
+    DoubleCat, FrozenRecord, ValidationReport, composable_pairs, init_field)
 from .errors import EnumerationBound, NotHomCodomain
 from .functor import LaxDoubleFunctor, check_lax_functor, is_unitary
 from .transform import (
@@ -30,13 +30,16 @@ from .transform import (
     vcompose_modifications, vcompose_vert)
 
 
-@dataclass(frozen=True)
-class HomFlavor:
+class HomFlavor(FrozenRecord):
     """Orientation and restriction choices for a hom double category."""
-    hor: str = OPLAX
-    vert: str = LAX
-    vert_strict: bool = False
-    unitary_only: bool = False
+    __slots__ = ("hor", "vert", "vert_strict", "unitary_only")
+
+    def __init__(self, hor=OPLAX, vert=LAX, vert_strict=False,
+                 unitary_only=False):
+        init_field(self, "hor", hor)
+        init_field(self, "vert", vert)
+        init_field(self, "vert_strict", vert_strict)
+        init_field(self, "unitary_only", unitary_only)
 
 
 HOP = HomFlavor()

@@ -13,12 +13,11 @@ modifications, each kind of transformation handled by one function
 comparison cell in each direction.
 """
 
-from dataclasses import dataclass
 from functools import partial
 from operator import attrgetter
 
 from .core import (
-    HCELL, OBJECT, SQUARE, VCELL, ValidationReport, composable_pairs,
+    HCELL, OBJECT, SQUARE, VCELL, Record, ValidationReport, composable_pairs,
     dc_product, explicit_clone, product_cell, product_cells,
     product_projections)
 from .errors import NontrivialUU, NotDecomposable, NotUnitary
@@ -299,17 +298,15 @@ def destrictify_mod(m, A, B):
 # -- round-trip comparison ---------------------------------------------------
 
 
-@dataclass
-class EquivalenceWitness:
+class EquivalenceWitness(Record):
     """Round-trip data: the original quasi functor, its strictification,
     the quasi functor unpacked back out of it, the re-strictification, and
     the two comparison transformations."""
-    q: object
-    strict: object
-    q_back: object
-    strict_back: object
-    kappa: object
-    lam: object
+    __slots__ = ("q", "strict", "q_back", "strict_back", "kappa", "lam")
+
+    def __init__(self, q, strict, q_back, strict_back, kappa, lam):
+        self.q, self.strict, self.q_back = q, strict, q_back
+        self.strict_back, self.kappa, self.lam = strict_back, kappa, lam
 
 
 def comparison_hor(q, q_back):
@@ -418,6 +415,13 @@ def check_equivalence(witnesses, hor_cells=(), vert_cells=()):
     supplied horizontal transformation between corpus members, naturality
     of both comparisons; for each vertical one, the laws of the framing
     comparison modifications.
+
+    A lone witness does not pin its comparison cells: any lawful,
+    invertible comparison passes.  Flipping kappa's structure square on
+    walk_h's generator to the other parity sign (or lambda's on the
+    product cell over it) keeps both cells lawful, since that square sits
+    once on each side of every transformation law.  Only naturality
+    against ``hor_cells`` tells the built comparison from such another.
     """
     if isinstance(witnesses, EquivalenceWitness):
         witnesses = [witnesses]

@@ -10,9 +10,9 @@ import subprocess
 import sys
 
 import pytest
-from click.testing import CliRunner
 
-from dblcheck.cli import main, render_text
+from cli_run import invoke as run
+from dblcheck.cli import VERBS, render_text
 from dblcheck.core import bool_matrix_double_category
 from dblcheck.functor import identity_functor
 
@@ -22,10 +22,6 @@ SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
 def fx(name):
     return os.path.join(FIXTURES, name)
-
-
-def run(*args):
-    return CliRunner().invoke(main, list(args))
 
 
 def run_child(*args, timeout):
@@ -393,21 +389,36 @@ def test_quasi_check():
     assert res.exit_code == 0, res.output
 
 
+def _fails_as_quasi_check(verb, hcell, tmp_path):
+    """Exit code and failures of ``quasi-check`` and of verb on the sign
+    quasi functor whose kk entry on hcell is flipped."""
+    from test_golden import _parity_quasi_doc
+    path = tmp_path / "quasi.json"
+    path.write_text(json.dumps(_parity_quasi_doc(hcell)))
+    got = {}
+    for name in ("quasi-check", verb):
+        out = tmp_path / (name + ".json")
+        code = run(name, str(path), "--json", str(out)).exit_code
+        got[name] = code, json.loads(out.read_text())["failures"]
+    assert got[verb] == got["quasi-check"] and got[verb][0] == 1
+
+
 @pytest.mark.parametrize("hcell", ["1_0", "1_1", "a"])
 def test_curry_fails_a_quasi_functor_that_fails_its_laws(hcell, tmp_path):
     """The curried functor of each kk flip of the sign quasi functor passes
     the lax functor laws in the hom, which does not check the cells it
     interns; ``curry`` checks the quasi laws first and fails as
     ``quasi-check`` does."""
-    from test_golden import _parity_quasi_doc
-    path = tmp_path / "quasi.json"
-    path.write_text(json.dumps(_parity_quasi_doc(hcell)))
-    got = {}
-    for verb in ("quasi-check", "curry"):
-        out = tmp_path / (verb + ".json")
-        code = run(verb, str(path), "--json", str(out)).exit_code
-        got[verb] = code, json.loads(out.read_text())["failures"]
-    assert got["curry"] == got["quasi-check"] and got["curry"][0] == 1
+    _fails_as_quasi_check("curry", hcell, tmp_path)
+
+
+@pytest.mark.parametrize("hcell", ["1_0", "1_1", "a"])
+def test_tensor_factorize_fails_a_quasi_functor_that_fails_its_laws(
+        hcell, tmp_path):
+    """``tensor-factorize`` checks the quasi laws first and fails each kk
+    flip of the sign quasi functor as ``quasi-check`` does, not with one
+    ``error`` naming the first relation the flip breaks."""
+    _fails_as_quasi_check("tensor-factorize", hcell, tmp_path)
 
 
 def test_curry_uncurry():
@@ -627,21 +638,39 @@ def test_hom_bound_caps_the_total_enumeration(tmp_path):
     assert payload["elapsed"] < 10
 
 
+# modules a child must not load: click is no dependency, and dataclasses
+# loads inspect, ast, dis and tokenize before it generates any code
+START_UP_FREE = ["click", "dataclasses", "inspect"]
+
+
 def test_cli_import_loads_only_core_and_errors():
     """Importing the command line loads no construction module: each verb
-    imports its own, so start-up does not compile the whole package."""
-    res = run_child("-c", "import json, sys, dblcheck.cli; print(json.dumps("
-                    "sorted(m for m in sys.modules if m.split('.')[0] == "
-                    "'dblcheck')))", timeout=60)
+    imports its own, so start-up does not compile the whole package.  Nor
+    does it, or importing every module of the package after it, load
+    click, dataclasses or inspect, unless the interpreter had before."""
+    modules = sorted(name[:-len(".py")] for name in os.listdir(
+        os.path.join(SRC, "dblcheck")) if name.endswith(".py"))
+    res = run_child("-c", "\n".join([
+        "import importlib, json, sys",
+        "before = set(sys.modules)",
+        "import dblcheck.cli",
+        "cli = sorted(m for m in sys.modules if m.split('.')[0] == 'dblcheck')",
+        "for name in %r:" % modules,
+        "    importlib.import_module('dblcheck.' + name)",
+        "print(json.dumps([cli, sorted(set(sys.modules) - before)]))"]),
+        timeout=60)
     assert res.returncode == 0, res.stderr
-    assert json.loads(res.stdout) == [
-        "dblcheck", "dblcheck.cli", "dblcheck.core", "dblcheck.errors"]
+    cli, loaded = json.loads(res.stdout)
+    assert cli == ["dblcheck", "dblcheck.cli", "dblcheck.core",
+                   "dblcheck.errors"]
+    assert "dblcheck.monads" in loaded
+    assert [m for m in START_UP_FREE if m in loaded] == []
 
 
 def test_flavor_choices_are_the_hom_flavors():
     from dblcheck.hom import FLAVORS
-    flavor = [p for p in main.commands["hom"].params if p.name == "flavor"]
-    assert list(flavor[0].type.choices) == sorted(FLAVORS)
+    _, _, options = VERBS["hom"]
+    assert options["flavor"][0] == sorted(FLAVORS)
 
 
 # the usage line and the option column of ``--help``, per verb (None for
@@ -684,4 +713,4 @@ def test_help_lists_the_same_options(verb):
     assert res.output.splitlines()[0] == "Usage: main " + usage
     assert re.findall(r"^  (--?[\w-]+(?: \S+)?)", res.output, re.M) == options
     if verb is None:
-        assert sorted(main.commands) == sorted(HELP.keys() - {None})
+        assert sorted(VERBS) == sorted(HELP.keys() - {None})

@@ -16,7 +16,8 @@ from dblcheck.core import (
     ValidationReport, _validate_one_cat, composable_pairs,
     validate_double_category, walk_h, walk_sq, walk_v)
 from dblcheck.errors import BoundaryMismatch, MalformedTables, SizeBound
-from dblcheck.hom import FLAVORS, hom_double_category, populate_squares
+from dblcheck.hom import (
+    FLAVORS, HomFlavor, hom_double_category, populate_squares)
 from dblcheck.monads import mnd_double_category
 from dblcheck.quasi import QHomDoubleCat
 from dblcheck.strictify import product_dom
@@ -1247,3 +1248,37 @@ def test_square_boundary_accessors():
     assert d.hnames[d.sq_bottom(s)] == "b"
     assert d.vnames[d.sq_left(s)] == "l"
     assert d.vnames[d.sq_right(s)] == "r"
+
+
+# -- record classes ------------------------------------------------------------
+
+
+def test_records_compare_hash_and_print_by_class_and_fields():
+    """The record classes compare and hash by class and fields, print as
+    ``Name(field=value, ...)``, take their fields by position or keyword,
+    and the frozen ones refuse assignment and survive a copy."""
+    term = HComp(left=VId(Gen("a")), right=VComp(HId(Gen("b")), Gen("c")))
+    assert repr(term) == ("HComp(left=VId(of=Gen(name='a')), right=VComp("
+                          "top=HId(of=Gen(name='b')), bottom=Gen(name='c')))")
+    assert term == HComp(VId(Gen("a")), VComp(HId(Gen("b")), Gen("c")))
+    assert HId(Gen("x")) != VId(Gen("x"))
+    assert len({HId(Gen("x")), VId(Gen("x")), HId(Gen("x"))}) == 2
+    ref = CellRef(kind=SQUARE, id=3)
+    assert (ref, repr(ref)) == (CellRef(SQUARE, 3),
+                                "CellRef(kind='square', id=3)")
+    assert hash(ref) == hash((SQUARE, 3)) and ref != (SQUARE, 3)
+    assert ref != CellRef(SQUARE, 4) and ref != CellRef(HCELL, 3)
+    assert repr(FLAVORS["st"]) == ("HomFlavor(hor='oplax', vert='lax', "
+                                   "vert_strict=True, unitary_only=False)")
+    assert FLAVORS["hop*"] == HomFlavor(hor="lax", vert="oplax")
+    for frozen in (ref, term, FLAVORS["hop"]):
+        assert copy.deepcopy(frozen) == frozen
+        with pytest.raises(AttributeError):
+            frozen.id = 0
+        with pytest.raises(AttributeError):
+            del frozen.id
+    rep = ValidationReport()
+    rep.add("law", x=1)
+    assert rep == ValidationReport([("law", {"x": 1})]) != ValidationReport()
+    with pytest.raises(TypeError):
+        hash(rep)

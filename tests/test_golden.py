@@ -16,7 +16,8 @@ rows left out, which ``from_json`` then generates; the
 in-process failures (law, witness, order) of the acceptance functor
 mutants and of single square flips of the sign quasi functors, of
 identity transformations and modifications in both orientations and of
-the sign q-cells; the family
+the sign q-cells; the mixed-law failures of the pairing q-cells on
+(parity, walk_sq) and of their single member-square flips; the family
 members of the q-cells that destrictification, uncurrying, memberwise
 composition and identities produce from the sign quasi functors, each
 read through its accessors on every domain cell; the tensor relations
@@ -35,19 +36,18 @@ import json
 import os
 
 import pytest
-from click.testing import CliRunner
 
-from dblcheck.cli import main
+from cli_run import invoke
 from dblcheck.core import (
-    Gen, HComp, VComp, from_json, parity, to_json, trivial, walk_h, walk_sq,
-    walk_v)
+    Gen, HComp, ValidationReport, VComp, from_json, parity, to_json, trivial,
+    walk_h, walk_sq, walk_v)
 from dblcheck.functor import check_lax_functor, identity_functor
 from dblcheck.hom import (
     FLAVORS, enumerate_lax_functors, hom_double_category, populate_squares)
 from dblcheck.hom import HOR, OBJ, SQ, VERT, HomDoubleCat
 from dblcheck.monads import mnd_double_category
 from dblcheck.quasi import (
-    QModification, QVertTransform, check_q_hor, check_q_vert,
+    QModification, QVertTransform, _q_cell_laws, check_q_hor, check_q_vert,
     check_quasi_functor, curry_hor, curry_mod, curry_vert, hcompose_q_mod,
     identity_q_hor, identity_q_vert, q_hom_double_category, uncurry_cell,
     uncurry_mod, vcompose_q_hor, vcompose_q_mod, vcompose_q_vert)
@@ -62,7 +62,10 @@ from dblcheck.transform import (
 
 from test_acceptance import _mutation_corpus, flip
 from test_cli import readme_mutant_runs
-from test_quasi import identity_q_mod, sign_q_hor, sign_quasi, walk_into_parity
+from test_q_cells import _with_flips
+from test_quasi import (
+    flip_parity_factor, identity_q_mod, pairing_quasi, sign_q_hor, sign_quasi,
+    walk_into_parity)
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN = os.path.join(HERE, "golden")
@@ -190,7 +193,7 @@ def cli_result(args, tmp_dir):
             with open(args[i], "w", encoding="utf-8") as fh:
                 json.dump(arg, fh)
     out = os.path.join(tmp_dir, "payload.json")
-    res = CliRunner().invoke(main, args + ["--json", out])
+    res = invoke(*args, "--json", out)
     with open(out, encoding="utf-8") as fh:
         payload = json.load(fh)
     del payload["elapsed"]
@@ -397,6 +400,26 @@ def q_cell_flip_failures():
     return out
 
 
+def pairing_q_cell_flip_failures():
+    """The mixed-law failures of the identity q-cells of both kinds of the
+    pairing quasi functor on (parity, walk_sq), whose variables both have
+    free 1h- and 1v-cells, and of each single flip of one member square
+    (its parity factor), as in ``tests/test_q_cells.py``.  Every flip fails
+    a member's own law, which ``check_q_hor`` and ``check_q_vert`` report
+    first and alone, so the mixed laws are run here by themselves, as
+    those checks run them once the members pass."""
+    pair = lambda: pairing_quasi(parity(), walk_sq())
+    cells = _with_flips({"pair-hor": lambda: identity_q_hor(pair()),
+                         "pair-vert": lambda: identity_q_vert(pair())},
+                        flip_parity_factor)
+    out = {}
+    for name, make in cells.items():
+        rep = ValidationReport()
+        _q_cell_laws(make(), rep.expect)
+        out[name] = _failures(rep)
+    return out
+
+
 FAILURE_CASES = {
     "functor-mutants": functor_mutant_failures,
     "quasi-flips": lambda: quasi_flip_failures(False),
@@ -404,6 +427,7 @@ FAILURE_CASES = {
     "transform-flips": transform_flip_failures,
     "modification-flips": modification_flip_failures,
     "q-cell-flips": q_cell_flip_failures,
+    "pairing-q-cell-flips": pairing_q_cell_flip_failures,
 }
 
 
@@ -593,6 +617,16 @@ def test_flip_goldens_name_every_oriented_law():
                        "h.l.t.-1", "h.l.t.-2", "h.l.t.-5",
                        "v.l.t.-3", "v.l.t.-5", "v.o.t.-3", "v.o.t.-5",
                        "m.ho-vl.-1", "m.ho-vl.-2", "m.hl-vo.-1", "m.hl-vo.-2"}
+
+
+def test_pairing_q_cell_golden_names_the_mixed_labels():
+    """The mixed q-cell labels that the sign q-cells of ``q-cell-flips``
+    cannot fail are each the named failure of some pairing q-cell flip."""
+    covered = {law for failures in
+               _load("failures", "pairing-q-cell-flips").values()
+               for law, _ in failures}
+    assert covered >= {"q-hor-2", "q-hor-3", "q-hor-4",
+                       "q-vert-1", "q-vert-2", "q-vert-3"}
 
 
 GOLDEN_KINDS = (("cli", CLI_CASES), ("tables", TABLE_CASES),

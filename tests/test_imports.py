@@ -43,6 +43,39 @@ def test_module_uses_its_imports(path):
         assert unused_imports(fh.read()) == []
 
 
+# -- the package has no dependency to import --------------------------------
+
+# click is no dependency; dataclasses costs every command line child the
+# import of inspect, ast, dis and tokenize and its code generation
+BANNED = {"click", "dataclasses"}
+
+
+def banned_imports(source):
+    """The lines of ``source`` that import a module of ``BANNED`` or one
+    of its submodules."""
+    names = lambda node: ([a.name for a in node.names]
+                          if isinstance(node, ast.Import) else
+                          [node.module or ""] if node.level == 0 else [])
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, (ast.Import, ast.ImportFrom))
+                  and any(name.split(".")[0] in BANNED
+                          for name in names(node)))
+
+
+def test_banned_imports_are_found():
+    src = ("import json\nimport click\nfrom dataclasses import field\n"
+           "def f():\n    import click.testing\n"
+           "from .dataclasses import x\nimport clickhouse\n")
+    assert banned_imports(src) == [2, 3, 5]
+
+
+@pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(SRC, "*.py"))),
+                         ids=os.path.basename)
+def test_module_imports_no_click_or_dataclasses(path):
+    with open(path, encoding="utf-8") as fh:
+        assert banned_imports(fh.read()) == []
+
+
 # -- the product's cell-id layout is core's --------------------------------
 
 COUNTS = {"n_objects", "n_hcells", "n_vcells", "n_squares"}

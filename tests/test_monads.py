@@ -140,6 +140,45 @@ def test_distributive_laws_on_matrices():
         assert rep.passed, rep.laws_failed()
 
 
+def parity_law(t_sign=1, s_sign=0, swap_sign=0, flip=None):
+    """A distributive law in parity, which is not flat: t and s both on
+    the endo-cell h, t with unit and multiplication of sign t_sign, s of
+    s_sign, and the swap on 1_*/1_* of swap_sign.  The defaults pass;
+    ``flip`` names one datum (``t.unit``, ``t.mult``, ``s.unit``,
+    ``s.mult`` or ``swap``) whose sign is flipped."""
+    signs = {"t.unit": t_sign, "t.mult": t_sign, "s.unit": s_sign,
+             "s.mult": s_sign, "swap": swap_sign}
+    if flip is not None:
+        signs[flip] ^= 1
+    p = parity()
+    sq = lambda datum: p.parity_index[(0, 1, 0, 0, signs[datum])]
+    mt = Monad(p, 0, 1, sq("t.unit"), sq("t.mult"), name="T")
+    ms = Monad(p, 0, 1, sq("s.unit"), sq("s.mult"), name="S")
+    return DistributiveLaw(mt, ms, p.parity_index[(0, 0, 0, 0,
+                                                   signs["swap"])])
+
+
+def test_parity_distributive_law_passes():
+    assert check_distributive_law(parity_law()).passed
+
+
+@pytest.mark.parametrize("datum, failed", [
+    ("t.unit", ["t.mnd.unit-l", "t.mnd.unit-r"]),
+    ("t.mult", ["t.mnd.unit-l", "t.mnd.unit-r"]),
+    ("s.unit", ["s.mnd.unit-l", "s.mnd.unit-r"]),
+    ("s.mult", ["s.mnd.unit-l", "s.mnd.unit-r"]),
+    ("swap", ["(1_B,K)", "(k'k,K)", "(k,1_A)", "(k,K'K)"]),
+])
+def test_distributive_law_single_datum_fails_a_named_law(datum, failed):
+    """Flipping the sign of one unit, multiplication or swap of a passing
+    law in parity fails that monad's unit laws, under its prefix and with
+    its name, or the quasi laws of the swap."""
+    rep = check_distributive_law(parity_law(flip=datum))
+    assert rep.laws_failed() == failed
+    if datum != "swap":
+        assert {w["monad"] for _, w in rep.failures} == {datum[0].upper()}
+
+
 def test_distributive_law_builds_its_quasi_functor_once_on_use():
     b2 = bool_matrix_double_category(2)
     laws = enumerate_distributive_laws(b2, 2)
