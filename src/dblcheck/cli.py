@@ -23,7 +23,8 @@ import time
 
 from .core import (
     ValidationReport, bool_matrix_double_category, from_json, parity, trivial,
-    validate_double_category, walk_h, walk_v, walk_sq)
+    validate_double_category, validate_one_cell_tables, walk_h, walk_v,
+    walk_sq)
 from .errors import DblError
 
 
@@ -81,6 +82,20 @@ def _dc_from_doc(doc):
         return from_json(doc)
     except (KeyError, DblError) as exc:
         raise SchemaError("bad double category tables: %s" % exc)
+
+
+def _check_one_cells(docs, **cats):
+    """Validation's 1-cell table pass on each category of ``cats`` that
+    its document in ``docs``, under the same key, gives by tables rather
+    than as a builtin.  A failure ends the verb with those labels, each
+    prefixed by the key, before any law reads a missing or misplaced
+    composite."""
+    rep = ValidationReport()
+    for key, d in cats.items():
+        if "builtin" not in docs[key]:
+            rep.merge(validate_one_cell_tables(d), prefix=key + ".")
+    if not rep.passed:
+        raise _IllFormed(rep, {})
 
 
 def _check_tables_doc(doc):
@@ -222,7 +237,9 @@ def _load_functor(doc):
         raise SchemaError("functor description needs dom and cod")
     dom = _dc_from_doc(doc["dom"])
     cod = _dc_from_doc(doc["cod"])
-    return _functor_from_doc(doc, dom, cod)
+    F = _functor_from_doc(doc, dom, cod)
+    _check_one_cells(doc, dom=dom, cod=cod)
+    return F
 
 
 def _load_quasi(doc):
@@ -257,12 +274,14 @@ def _load_quasi(doc):
                 out[(left(x), right(y))] = _square_ref(C, ref, ch, cv)
             return out
 
-        return QuasiFunctor(A, B, C, fam_a, fam_b,
-                            table("kk", bh, ah), table("uk", bv, ah),
-                            table("ku", bh, av), table("uu", bv, av),
-                            name=doc.get("name", "H"))
+        q = QuasiFunctor(A, B, C, fam_a, fam_b,
+                         table("kk", bh, ah), table("uk", bv, ah),
+                         table("ku", bh, av), table("uu", bv, av),
+                         name=doc.get("name", "H"))
     except (KeyError, ValueError) as exc:
         raise SchemaError("bad quasi functor description: %s" % exc)
+    _check_one_cells(doc, A=A, B=B, C=C)
+    return q
 
 
 def _wellformed_quasi(path):
@@ -321,18 +340,21 @@ def _load_transform(doc):
                       for k, ref in _field(doc, "sq_v", what).items()}
             delta = {dh(k): _square_ref(cod, ref, ch, cv)
                      for k, ref in _field(doc, "delta", what).items()}
-            return HorTransform(F, G, comp0, comp_v, delta, orientation,
-                                name=doc.get("name", "alpha"))
-        comp0 = {do(k): cv(v)
-                 for k, v in _field(doc, "at", what, True).items()}
-        comp_h = {dh(k): _square_ref(cod, ref, ch, cv)
-                  for k, ref in _field(doc, "sq_h", what).items()}
-        comp_v = {dv(k): _square_ref(cod, ref, ch, cv)
-                  for k, ref in _field(doc, "sq_v", what).items()}
-        return VertTransform(F, G, comp0, comp_h, comp_v, orientation,
-                             name=doc.get("name", "alpha0"))
+            t = HorTransform(F, G, comp0, comp_v, delta, orientation,
+                             name=doc.get("name", "alpha"))
+        else:
+            comp0 = {do(k): cv(v)
+                     for k, v in _field(doc, "at", what, True).items()}
+            comp_h = {dh(k): _square_ref(cod, ref, ch, cv)
+                      for k, ref in _field(doc, "sq_h", what).items()}
+            comp_v = {dv(k): _square_ref(cod, ref, ch, cv)
+                      for k, ref in _field(doc, "sq_v", what).items()}
+            t = VertTransform(F, G, comp0, comp_h, comp_v, orientation,
+                              name=doc.get("name", "alpha0"))
     except (KeyError, ValueError) as exc:
         raise SchemaError("bad transform description: %s" % exc)
+    _check_one_cells(doc, dom=dom, cod=cod)
+    return t
 
 
 # -- reporting --------------------------------------------------------------
@@ -667,8 +689,9 @@ def tensor_factorize(path):
 def hom(path_b, path_c, flavor, bound):
     """Build a hom double category by enumeration and validate it."""
     from .hom import FLAVORS, hom_double_category, populate_squares
-    B = _dc_from_doc(_read_doc(path_b))
-    C = _dc_from_doc(_read_doc(path_c))
+    docs = {"B": _read_doc(path_b), "C": _read_doc(path_c)}
+    B, C = _dc_from_doc(docs["B"]), _dc_from_doc(docs["C"])
+    _check_one_cells(docs, B=B, C=C)
     h = hom_double_category(B, C, FLAVORS[flavor], bound=bound)
     populate_squares(h)
     rep = validate_double_category(h, max_checks=max(bound, LAW_CHECKS))

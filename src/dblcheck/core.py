@@ -161,7 +161,21 @@ class ValidationReport(Record, fields=("failures", "sampled", "reduced")):
 
 
 class DoubleCat:
-    """A finite strict double category backed by composition tables."""
+    """A finite strict double category backed by composition tables.
+
+    An explicit category is given its square composites and identity
+    squares in the tables ``_hs``, ``_vs``, ``_sqvid`` and ``_sqhid``,
+    and a composite missing there is an error.  A flat one (``set_flat``)
+    decides its squares by a boundary predicate; it keeps each square
+    composite and identity square it computes in those same tables, as
+    ``hcomp_h`` keeps 1-cell composites in ``_hh``.  That is sound: a flat
+    square is interned once per boundary and never decided again, square
+    ids only grow, and the 1-cell composites a square composite reads are
+    kept, so a stored entry is what computing it again would give.  An
+    entry is stored only under cell ids of 0 or more, since ``sq_bounds[-1]``
+    names another square once one more is interned.  Nothing reads a flat
+    category's square tables but these accessors.
+    """
 
     def __init__(self, name="D"):
         self.name = name
@@ -308,26 +322,30 @@ class DoubleCat:
         if self.htgt[f] != self.hsrc[g]:
             raise BoundaryMismatch("hcomp_h: %s then %s not composable"
                                    % (self.hnames[f], self.hnames[g]))
-        key = (f, g)
-        if key not in self._hh:
+        try:
+            return self._hh[f, g]
+        except KeyError:
             if self.hcomp_h_fn is None:
-                raise MalformedTables("hcomp_h table missing entry (%s, %s)"
-                                      % (self.hnames[f], self.hnames[g]))
-            self._hh[key] = self.hcomp_h_fn(f, g)
-        return self._hh[key]
+                raise MalformedTables(
+                    "hcomp_h table missing entry (%s, %s)"
+                    % (self.hnames[f], self.hnames[g])) from None
+        c = self._hh[f, g] = self.hcomp_h_fn(f, g)
+        return c
 
     def vcomp_v(self, u, v):
         """Composite 1v-cell "u then v" (u on top)."""
         if self.vtgt[u] != self.vsrc[v]:
             raise BoundaryMismatch("vcomp_v: %s then %s not composable"
                                    % (self.vnames[u], self.vnames[v]))
-        key = (u, v)
-        if key not in self._vv:
+        try:
+            return self._vv[u, v]
+        except KeyError:
             if self.vcomp_v_fn is None:
-                raise MalformedTables("vcomp_v table missing entry (%s, %s)"
-                                      % (self.vnames[u], self.vnames[v]))
-            self._vv[key] = self.vcomp_v_fn(u, v)
-        return self._vv[key]
+                raise MalformedTables(
+                    "vcomp_v table missing entry (%s, %s)"
+                    % (self.vnames[u], self.vnames[v])) from None
+        c = self._vv[u, v] = self.vcomp_v_fn(u, v)
+        return c
 
     # -- squares -----------------------------------------------------------
 
@@ -342,8 +360,11 @@ class DoubleCat:
     def find_square(self, top, bottom, left, right):
         """The square with the given boundary, or None.
 
-        In the flat backend the square is interned on first sight.  In the
-        explicit backend the boundary must carry at most one square.
+        In the flat backend the square is interned on first sight, named by
+        its sides, and found again by its boundary from then on; the square
+        composites and identity squares computed through it are kept in the
+        square tables (see ``DoubleCat``).  In the explicit backend the
+        boundary must carry at most one square.
         """
         bound = (top, bottom, left, right)
         hit = self._sq_by_bound.get(bound)
@@ -378,27 +399,35 @@ class DoubleCat:
 
     def sq_h_id(self, u):
         """The horizontal identity square Id^u on a 1v-cell u."""
-        if self.flat:
-            s = self.find_square(self.h_id(self.vsrc[u]),
-                                 self.h_id(self.vtgt[u]), u, u)
-            if s is None:
-                raise MalformedTables("flat category misses Id^%s" % self.vnames[u])
-            return s
-        if u not in self._sqhid:
-            raise MalformedTables("sq_h_id missing for %s" % self.vnames[u])
-        return self._sqhid[u]
+        try:
+            return self._sqhid[u]
+        except KeyError:
+            if not self.flat:
+                raise MalformedTables(
+                    "sq_h_id missing for %s" % self.vnames[u]) from None
+        s = self.find_square(self.h_id(self.vsrc[u]),
+                             self.h_id(self.vtgt[u]), u, u)
+        if s is None:
+            raise MalformedTables("flat category misses Id^%s" % self.vnames[u])
+        if u >= 0:
+            self._sqhid[u] = s
+        return s
 
     def sq_v_id(self, f):
         """The vertical identity square Id_f on a 1h-cell f."""
-        if self.flat:
-            s = self.find_square(f, f, self.v_id(self.hsrc[f]),
-                                 self.v_id(self.htgt[f]))
-            if s is None:
-                raise MalformedTables("flat category misses Id_%s" % self.hnames[f])
-            return s
-        if f not in self._sqvid:
-            raise MalformedTables("sq_v_id missing for %s" % self.hnames[f])
-        return self._sqvid[f]
+        try:
+            return self._sqvid[f]
+        except KeyError:
+            if not self.flat:
+                raise MalformedTables(
+                    "sq_v_id missing for %s" % self.hnames[f]) from None
+        s = self.find_square(f, f, self.v_id(self.hsrc[f]),
+                             self.v_id(self.htgt[f]))
+        if s is None:
+            raise MalformedTables("flat category misses Id_%s" % self.hnames[f])
+        if f >= 0:
+            self._sqvid[f] = s
+        return s
 
     def sq_id_obj(self, a):
         """The doubly-identity square on an object."""
@@ -406,35 +435,41 @@ class DoubleCat:
 
     def hcomp_sq(self, s1, s2):
         """Horizontal composite, s1 on the left."""
-        if self.sq_right(s1) != self.sq_left(s2):
+        b1, b2 = self.sq_bounds[s1], self.sq_bounds[s2]
+        if b1[3] != b2[2]:
             raise BoundaryMismatch("hcomp_sq: shared vertical edge differs")
-        if self.flat:
-            top = self.hcomp_h(self.sq_top(s1), self.sq_top(s2))
-            bottom = self.hcomp_h(self.sq_bottom(s1), self.sq_bottom(s2))
-            s = self.find_square(top, bottom, self.sq_left(s1), self.sq_right(s2))
-            if s is None:
-                raise MalformedTables("flat category not closed under hcomp_sq")
-            return s
-        key = (s1, s2)
-        if key not in self._hs:
-            raise MalformedTables("hcomp_sq table missing an entry")
-        return self._hs[key]
+        try:
+            return self._hs[s1, s2]
+        except KeyError:
+            if not self.flat:
+                raise MalformedTables("hcomp_sq table missing an entry") from None
+        top = self.hcomp_h(b1[0], b2[0])
+        bottom = self.hcomp_h(b1[1], b2[1])
+        s = self.find_square(top, bottom, b1[2], b2[3])
+        if s is None:
+            raise MalformedTables("flat category not closed under hcomp_sq")
+        if s1 >= 0 and s2 >= 0:
+            self._hs[s1, s2] = s
+        return s
 
     def vcomp_sq(self, s1, s2):
         """Vertical composite, s1 on top."""
-        if self.sq_bottom(s1) != self.sq_top(s2):
+        b1, b2 = self.sq_bounds[s1], self.sq_bounds[s2]
+        if b1[1] != b2[0]:
             raise BoundaryMismatch("vcomp_sq: shared horizontal edge differs")
-        if self.flat:
-            left = self.vcomp_v(self.sq_left(s1), self.sq_left(s2))
-            right = self.vcomp_v(self.sq_right(s1), self.sq_right(s2))
-            s = self.find_square(self.sq_top(s1), self.sq_bottom(s2), left, right)
-            if s is None:
-                raise MalformedTables("flat category not closed under vcomp_sq")
-            return s
-        key = (s1, s2)
-        if key not in self._vs:
-            raise MalformedTables("vcomp_sq table missing an entry")
-        return self._vs[key]
+        try:
+            return self._vs[s1, s2]
+        except KeyError:
+            if not self.flat:
+                raise MalformedTables("vcomp_sq table missing an entry") from None
+        left = self.vcomp_v(b1[2], b2[2])
+        right = self.vcomp_v(b1[3], b2[3])
+        s = self.find_square(b1[0], b2[1], left, right)
+        if s is None:
+            raise MalformedTables("flat category not closed under vcomp_sq")
+        if s1 >= 0 and s2 >= 0:
+            self._vs[s1, s2] = s
+        return s
 
     def hcomp_sq_many(self, squares):
         out = squares[0]
@@ -566,11 +601,7 @@ def validate_double_category(d, closure_limit=None, max_checks=None, seed=0):
                       d.hcomp_h, d._hh, d.h_id, d.n_objects, d)
     _validate_one_cat(rep, "v", d.n_vcells, d.vsrc, d.vtgt,
                       d.vcomp_v, d._vv, d.v_id, d.n_objects, d)
-    for a in range(d.n_objects):
-        if d.h_id(a) is None:
-            rep.add("h-identity-missing", object=CellRef(OBJECT, a))
-        if d.v_id(a) is None:
-            rep.add("v-identity-missing", object=CellRef(OBJECT, a))
+    _identity_cells(rep, d)
     if not rep.passed:
         return rep
     if d.flat:
@@ -685,17 +716,39 @@ def _product_snapshot(p, d1, d2):
         for x in (d._hs, d._hs.values(), d._vs, d._vs.values()))
 
 
-def _validate_one_cat(rep, tag, n, src, tgt, comp, table, ident, n_objects, d):
+def validate_one_cell_tables(d):
+    """The 1-cell table pass of ``validate_double_category`` alone: the
+    endpoints of every listed 1-cell composite, a composite with the right
+    endpoints on every composable pair, and the identity 1-cells, under
+    the same labels.  The associativity and unit laws are left out."""
+    rep = ValidationReport()
+    _one_cell_table(rep, "h", d.n_hcells, d.hsrc, d.htgt, d.hcomp_h, d._hh)
+    _one_cell_table(rep, "v", d.n_vcells, d.vsrc, d.vtgt, d.vcomp_v, d._vv)
+    _identity_cells(rep, d)
+    return rep
+
+
+def _identity_cells(rep, d):
+    for a in range(d.n_objects):
+        if d.h_id(a) is None:
+            rep.add("h-identity-missing", object=CellRef(OBJECT, a))
+        if d.v_id(a) is None:
+            rep.add("v-identity-missing", object=CellRef(OBJECT, a))
+
+
+def _one_cell_table(rep, tag, n, src, tgt, comp, table):
+    """Check the endpoints of the listed composites, then compose every
+    composable pair; the rows of composites, ``rows[f][g]`` for f then g,
+    or None on a failure."""
     bad = False
     for (f, g), h in list(table.items()):
         if tgt[f] != src[g] or src[h] != src[f] or tgt[h] != tgt[g]:
             rep.add(tag + "-table-boundary", first=f, second=g)
             bad = True
     if bad:
-        return
+        return None
     # every composite, also one a lazy composition function computes now,
-    # must exist and have the right endpoints before a law composes it;
-    # rows[f][g] keeps it for the laws
+    # must exist and have the right endpoints before a law composes it
     rows = [{} for _ in range(n)]
     for f in range(n):
         for g in range(n):
@@ -710,7 +763,12 @@ def _validate_one_cat(rep, tag, n, src, tgt, comp, table, ident, n_objects, d):
             if src[fg] != src[f] or tgt[fg] != tgt[g]:
                 rep.add(tag + "-table-boundary", first=f, second=g)
                 bad = True
-    if bad:
+    return None if bad else rows
+
+
+def _validate_one_cat(rep, tag, n, src, tgt, comp, table, ident, n_objects, d):
+    rows = _one_cell_table(rep, tag, n, src, tgt, comp, table)
+    if rows is None:
         return
     # a composite the pass above added (id n or more) has no row, so its
     # own composites go through comp, the left side first

@@ -47,8 +47,10 @@ class LaxDoubleFunctor:
         return self.vmap[u]
 
     def sq(self, s):
-        if s in self.sqmap:
+        try:
             return self.sqmap[s]
+        except KeyError:
+            pass
         return _derive_square(self.cod, self.sqmap, s, self._sq_bounds,
                               "a square's image")
 
@@ -72,15 +74,17 @@ class LaxDoubleFunctor:
         return c.h_id(b), self.h(d.h_id(a)), c.v_id(b), c.v_id(b)
 
     def compositor(self, f, g):
-        key = (f, g)
-        if key not in self.comp:
-            raise MalformedTables("compositor missing for a composable pair")
-        return self.comp[key]
+        try:
+            return self.comp[f, g]
+        except KeyError:
+            raise MalformedTables(
+                "compositor missing for a composable pair") from None
 
     def unitor(self, a):
-        if a not in self.unit:
-            raise MalformedTables("unitor missing for an object")
-        return self.unit[a]
+        try:
+            return self.unit[a]
+        except KeyError:
+            raise MalformedTables("unitor missing for an object") from None
 
     def __repr__(self):
         return "LaxDoubleFunctor(%s: %s -> %s)" % (

@@ -146,52 +146,70 @@ class InternedDoubleCat(DoubleCat):
     # -- composition through payloads --------------------------------------
 
     def hcomp_h(self, f, g):
-        if (f, g) not in self._hh:
-            self._hh[(f, g)] = self._intern(HOR, self._hh_op(
-                self.h_payload[f], self.h_payload[g]))
-        return self._hh[(f, g)]
+        try:
+            return self._hh[f, g]
+        except KeyError:
+            pass
+        h = self._hh[f, g] = self._intern(HOR, self._hh_op(
+            self.h_payload[f], self.h_payload[g]))
+        return h
 
     def vcomp_v(self, u, w):
-        if (u, w) not in self._vv:
-            self._vv[(u, w)] = self._intern(VERT, self._vv_op(
-                self.v_payload[u], self.v_payload[w]))
-        return self._vv[(u, w)]
+        try:
+            return self._vv[u, w]
+        except KeyError:
+            pass
+        x = self._vv[u, w] = self._intern(VERT, self._vv_op(
+            self.v_payload[u], self.v_payload[w]))
+        return x
 
     def hcomp_sq(self, s1, s2):
-        if (s1, s2) not in self._hs:
-            top1, bottom1, left, _ = self.sq_bounds[s1]
-            top2, bottom2, _, right = self.sq_bounds[s2]
-            top = self.hcomp_h(top1, top2)
-            bottom = self.hcomp_h(bottom1, bottom2)
-            self._hs[(s1, s2)] = self._intern(SQ, self._hs_op(
-                self.sq_payload[s1], self.sq_payload[s2],
-                self.h_payload[top], self.h_payload[bottom]),
-                bounds=(top, bottom, left, right))
-        return self._hs[(s1, s2)]
+        try:
+            return self._hs[s1, s2]
+        except KeyError:
+            pass
+        top1, bottom1, left, _ = self.sq_bounds[s1]
+        top2, bottom2, _, right = self.sq_bounds[s2]
+        top = self.hcomp_h(top1, top2)
+        bottom = self.hcomp_h(bottom1, bottom2)
+        s = self._hs[s1, s2] = self._intern(SQ, self._hs_op(
+            self.sq_payload[s1], self.sq_payload[s2],
+            self.h_payload[top], self.h_payload[bottom]),
+            bounds=(top, bottom, left, right))
+        return s
 
     def vcomp_sq(self, s1, s2):
-        if (s1, s2) not in self._vs:
-            top, _, left1, right1 = self.sq_bounds[s1]
-            _, bottom, left2, right2 = self.sq_bounds[s2]
-            left = self.vcomp_v(left1, left2)
-            right = self.vcomp_v(right1, right2)
-            self._vs[(s1, s2)] = self._intern(SQ, self._vs_op(
-                self.sq_payload[s1], self.sq_payload[s2],
-                self.v_payload[left], self.v_payload[right]),
-                bounds=(top, bottom, left, right))
-        return self._vs[(s1, s2)]
+        try:
+            return self._vs[s1, s2]
+        except KeyError:
+            pass
+        top, _, left1, right1 = self.sq_bounds[s1]
+        _, bottom, left2, right2 = self.sq_bounds[s2]
+        left = self.vcomp_v(left1, left2)
+        right = self.vcomp_v(right1, right2)
+        s = self._vs[s1, s2] = self._intern(SQ, self._vs_op(
+            self.sq_payload[s1], self.sq_payload[s2],
+            self.v_payload[left], self.v_payload[right]),
+            bounds=(top, bottom, left, right))
+        return s
 
     def sq_v_id(self, f):
-        if f not in self._sqvid:
-            self._sqvid[f] = self._intern(
-                SQ, self._sq_v_id_payload(self.h_payload[f]))
-        return self._sqvid[f]
+        try:
+            return self._sqvid[f]
+        except KeyError:
+            pass
+        s = self._sqvid[f] = self._intern(
+            SQ, self._sq_v_id_payload(self.h_payload[f]))
+        return s
 
     def sq_h_id(self, u):
-        if u not in self._sqhid:
-            self._sqhid[u] = self._intern(
-                SQ, self._sq_h_id_payload(self.v_payload[u]))
-        return self._sqhid[u]
+        try:
+            return self._sqhid[u]
+        except KeyError:
+            pass
+        s = self._sqhid[u] = self._intern(
+            SQ, self._sq_h_id_payload(self.v_payload[u]))
+        return s
 
 
 class HomDoubleCat(InternedDoubleCat):

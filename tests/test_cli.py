@@ -421,6 +421,47 @@ def test_tensor_factorize_fails_a_quasi_functor_that_fails_its_laws(
     _fails_as_quasi_check("tensor-factorize", hcell, tmp_path)
 
 
+def _failures(tmp_path, *args):
+    """Exit code and failures, as (law, witness) pairs, of a verb."""
+    out = tmp_path / "out.json"
+    code = run(*args, "--json", str(out)).exit_code
+    return code, [(f["law"], f["witness"])
+                  for f in json.loads(out.read_text())["failures"]]
+
+
+@pytest.mark.parametrize("verb, fixture, key", [
+    (verb, "preorder-pair.json", "C") for verb in (
+        "quasi-check", "curry", "uncurry", "strictify", "destrictify",
+        "tensor-factorize")] + [
+    ("functor-check", "monad-functor.json", "cod"),
+    ("transform-check", "transform-hor.json", "cod")])
+def test_missing_composite_is_named_by_its_validation_label(
+        verb, fixture, key, tmp_path):
+    """A category given by tables with its hcomp_h row deleted fails each
+    verb with the labels ``validate`` gives that category alone, under its
+    document key, not with one ``error`` naming the missing entry."""
+    with open(fx(fixture), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    del doc[key]["hcomp_h"]
+    cat, path = tmp_path / "cat.json", tmp_path / "doc.json"
+    cat.write_text(json.dumps(doc[key]))
+    path.write_text(json.dumps(doc))
+    code, alone = _failures(tmp_path, "validate", str(cat))
+    assert code == 1 and [law for law, _ in alone] == ["h-table-total"]
+    assert _failures(tmp_path, verb, str(path)) == (
+        1, [(key + "." + law, witness) for law, witness in alone])
+
+
+def test_hom_names_a_missing_composite_of_its_codomain(tmp_path):
+    with open(fx("preorder.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    del doc["hcomp_h"]
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    code, failures = _failures(tmp_path, "hom", fx("trivial.json"), str(path))
+    assert code == 1 and [law for law, _ in failures] == ["C.h-table-total"]
+
+
 def test_curry_uncurry():
     assert run("curry", fx("preorder-pair.json")).exit_code == 0
     assert run("uncurry", fx("preorder-pair.json")).exit_code == 0

@@ -154,6 +154,45 @@ def test_product_ids_come_from_core(path):
         assert product_id_arithmetic(fh.read()) == []
 
 
+# -- the square tables are the kernel's ---------------------------------------
+
+# a flat category fills these as it computes them; core and hom, which
+# fill them, are the only modules that know when an entry is sound, so
+# every other module reads squares through the composition methods
+SQUARE_TABLES = {"_hs", "_vs", "_sqvid", "_sqhid"}
+
+
+def square_table_accesses(source):
+    """The lines of ``source`` that read or write a square table: an
+    attribute of that name, or the name as a string (``getattr``,
+    ``vars``)."""
+    return sorted({node.lineno for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Attribute)
+                   and node.attr in SQUARE_TABLES
+                   or isinstance(node, ast.Constant)
+                   and node.value in SQUARE_TABLES})
+
+
+def test_square_table_accesses_are_found():
+    src = ("s = d._hs[(a, b)]\n"
+           "d._sqvid[f] = s\n"
+           "t = getattr(d, '_vs')\n"
+           "op = d._hs_op\n"
+           "x = d.hs, d._sqhidden, _sqhid\n"
+           "del c._sqhid[u]\n")
+    assert square_table_accesses(src) == [1, 2, 3, 6]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if os.path.basename(p)
+                                  not in ("core.py", "hom.py")],
+                         ids=os.path.basename)
+def test_square_tables_stay_in_core_and_hom(path):
+    """Only ``core`` and ``hom`` read or write ``_hs``, ``_vs``,
+    ``_sqvid`` and ``_sqhid``."""
+    with open(path, encoding="utf-8") as fh:
+        assert square_table_accesses(fh.read()) == []
+
+
 # -- no function is written twice --------------------------------------------
 
 

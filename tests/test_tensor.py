@@ -6,7 +6,8 @@ from collections import Counter
 import pytest
 
 from dblcheck.core import (
-    SQUARE, VCELL, CellRef, Gen, HComp, HId, VId, trivial, walk_h, walk_v)
+    HCELL, SQUARE, VCELL, CellRef, Gen, HComp, HId, VId, trivial, walk_h,
+    walk_v)
 from dblcheck.errors import RelationViolated
 from dblcheck.quasi import check_quasi_functor
 from dblcheck.tensor import (
@@ -14,7 +15,7 @@ from dblcheck.tensor import (
     verify_universal_property)
 
 from test_acceptance import flip
-from test_quasi import distributive_quasi, sign_quasi
+from test_quasi import distributive_quasi, pairing_quasi, sign_quasi
 
 
 def test_trivial_tensor_generators():
@@ -236,3 +237,47 @@ def test_universal_property_distributive():
     q = distributive_quasi({(0, 0), (1, 1), (1, 0)}, {(0, 0), (1, 1)})
     rep = verify_universal_property(q)
     assert rep.passed, rep.laws_failed()
+
+
+# -- one datum of the factorization changed, one check named ------------------
+
+
+def pairing_factorization():
+    """The pairing quasi functor on (walk_v, walk_v), its presentation and
+    its assignment, which pass; the codomain has four objects, so a 1h-cell
+    can be swapped for one with other endpoints."""
+    q = pairing_quasi(walk_v(), walk_v())
+    pres = tensor_presentation(q.A, q.B)
+    bar = factorize(q, pres)
+    assert verify_universal_property(q, pres, bar).passed
+    return q, pres, bar
+
+
+def test_universal_property_flags_another_square_image():
+    q, pres, bar = pairing_factorization()
+    gen = pres.sq_gens[0]
+    want = bar[gen].id
+    other = (want + 1) % q.C.n_squares
+    bar.env[gen] = CellRef(SQUARE, other)
+    assert verify_universal_property(q, pres, bar).failures == [
+        ("factor-mismatch", {"term": Gen(gen), "want": want,
+                             "got": CellRef(SQUARE, other)})]
+
+
+def test_universal_property_flags_a_1h_cell_image_off_its_boundary():
+    q, pres, bar = pairing_factorization()
+    gen = pres.t_ha(0, 0).name
+    C, f = q.C, bar[gen].id
+    other = next(g for g in range(C.n_hcells)
+                 if (C.hsrc[g], C.htgt[g]) != (C.hsrc[f], C.htgt[f]))
+    bar.env[gen] = CellRef(HCELL, other)
+    rep = verify_universal_property(q, pres, bar)
+    assert ("factor-boundary", {"generator": gen}) in rep.failures
+    assert rep.laws_failed() == ["factor-boundary", "factor-mismatch"]
+
+
+def test_universal_property_flags_an_uncovered_generator():
+    q, pres, bar = pairing_factorization()
+    pres.sq_gens.append("extra:0")
+    assert verify_universal_property(q, pres, bar).failures == [
+        ("uniqueness-uncovered", {"generator": "extra:0"})]
