@@ -255,6 +255,13 @@ class DoubleCat:
         self._sqvid[f] = s
 
     def _check_square_boundary(self, top, bottom, left, right):
+        # a negative id would read the last 1-cell of its kind
+        nh, nv = len(self.hnames), len(self.vnames)
+        if not (0 <= top < nh and 0 <= bottom < nh
+                and 0 <= left < nv and 0 <= right < nv):
+            raise BoundaryMismatch(
+                "square boundary names no 1-cells: top %r bottom %r "
+                "left %r right %r" % (top, bottom, left, right))
         ok = (self.hsrc[top] == self.vsrc[left]
               and self.htgt[top] == self.vsrc[right]
               and self.hsrc[bottom] == self.vtgt[left]
@@ -861,8 +868,9 @@ def flat_validation_steps(d):
     """A bound, from 1-cell data alone, on the loop steps that
     ``validate_double_category`` takes on the flat d: every pair and every
     composable triple of 1-cells of each kind, and every boundary the
-    square scan tests.  The closure pass over the squares found works on
-    bitsets per shared edge and is not counted."""
+    square scan tests.  The closure pass over the squares found is not
+    counted: per shared edge and left top edge it tests the right squares'
+    bitsets merged by their composite top edge (``_hcomp_closure_misses``)."""
     hcells = Counter(zip(d.hsrc, d.htgt))
     sides = Counter(zip(d.vsrc, d.vtgt)).items()
     scan = sum(m * n * hcells[a, b] * hcells[c, e]
@@ -884,12 +892,19 @@ def _hcomp_closure_misses(bounds, comp, n_outer, n_inner):
     bitset: the left group spread out (bit ``l*n_inner``), the right group
     plain (bit ``r``).  Their product has bit ``l*n_inner + r`` for every
     pair in the two groups, so one mask test checks all those pairs.
+
+    For each top edge ``t1`` on the left, the right groups whose tops
+    compose with ``t1`` to one ``T`` and which share a bottom edge ``o2``
+    meet the same mask, so their bitsets are merged by OR first; the
+    product distributes over that OR, as a right bitset lies below bit
+    ``n_inner``.  Only a hit goes back to the groups merged into it, to
+    name the pairs that miss.
     """
     lefts, rights = {}, {}
     have = [0] * (n_outer * n_outer)
     for t, o, l, r in bounds:
-        group = lefts.setdefault(r, {})
-        group[t, o] = group.get((t, o), 0) | 1 << l * n_inner
+        group = lefts.setdefault(r, {}).setdefault(t, {})
+        group[o] = group.get(o, 0) | 1 << l * n_inner
         group = rights.setdefault(l, {})
         group[t, o] = group.get((t, o), 0) | 1 << r
         have[t * n_outer + o] |= 1 << l * n_inner + r
@@ -897,17 +912,34 @@ def _hcomp_closure_misses(bounds, comp, n_outer, n_inner):
     rows = [[0] * n_outer for _ in range(n_outer)]
     for (f, g), h in comp.items():
         rows[f][g] = h
-    for m, group1 in lefts.items():
+    for m, tops in lefts.items():
         group2 = list(rights.get(m, {}).items())
-        for (t1, o1), spread in group1.items():
-            row_t, row_o = rows[t1], rows[o1]
+        for t1, group1 in tops.items():
+            row_t = rows[t1]
+            # (T * n_outer, o2) -> [merged bits, [(t2, bits), ...]]
+            merged = {}
             for (t2, o2), bits in group2:
-                miss = bits * spread & lacking[row_t[t2] * n_outer + row_o[o2]]
-                while miss:
-                    low = miss & -miss
-                    l, r = divmod(low.bit_length() - 1, n_inner)
-                    yield (t1, o1, l, m), (t2, o2, m, r)
-                    miss ^= low
+                key = row_t[t2] * n_outer, o2
+                entry = merged.get(key)
+                if entry is None:
+                    merged[key] = [bits, [(t2, bits)]]
+                else:
+                    entry[0] |= bits
+                    entry[1].append((t2, bits))
+            merged = list(merged.items())
+            for o1, spread in group1.items():
+                row_o = rows[o1]
+                for (base, o2), (bits, parts) in merged:
+                    miss = bits * spread & lacking[base + row_o[o2]]
+                    if not miss:
+                        continue
+                    for t2, bits in parts:
+                        hit = bits * spread & miss
+                        while hit:
+                            low = hit & -hit
+                            l, r = divmod(low.bit_length() - 1, n_inner)
+                            yield (t1, o1, l, m), (t2, o2, m, r)
+                            hit ^= low
 
 
 def _validate_explicit_squares(rep, d, max_checks=None, seed=0):

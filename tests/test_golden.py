@@ -14,9 +14,10 @@ plain cell tables of the builtins ``parity``, ``walk_h``, ``walk_v`` and
 same documents with the identity squares, identity-square maps and unit
 rows left out, which ``from_json`` then generates; the
 in-process failures (law, witness, order) of the acceptance functor
-mutants and of single square flips of the sign quasi functors, of
-identity transformations and modifications in both orientations and of
-the sign q-cells; the mixed-law failures of the pairing q-cells on
+mutants, of flat validation on bool1, preorder and bool1×bool1×preorder
+each less one composite square, and of single square flips of the sign
+quasi functors, of identity transformations and modifications in both
+orientations and of the sign q-cells; the mixed-law failures of the pairing q-cells on
 (parity, walk_sq) and of their single member-square flips; the family
 members of the q-cells that destrictification, uncurrying, memberwise
 composition and identities produce from the sign quasi functors, each
@@ -40,7 +41,7 @@ import pytest
 from cli_run import invoke
 from dblcheck.core import (
     Gen, HComp, ValidationReport, VComp, from_json, parity, to_json, trivial,
-    walk_h, walk_sq, walk_v)
+    validate_double_category, walk_h, walk_sq, walk_v)
 from dblcheck.functor import check_lax_functor, identity_functor
 from dblcheck.hom import (
     FLAVORS, enumerate_lax_functors, hom_double_category, populate_squares)
@@ -62,6 +63,7 @@ from dblcheck.transform import (
 
 from test_acceptance import _mutation_corpus, flip
 from test_cli import readme_mutant_runs
+from test_core import FLAT_INPUTS, is_identity_boundary, without
 from test_q_cells import _with_flips
 from test_quasi import (
     flip_parity_factor, identity_q_mod, pairing_quasi, sign_q_hor, sign_quasi,
@@ -420,7 +422,38 @@ def pairing_q_cell_flip_failures():
     return out
 
 
+def _composes(d, s, bounds):
+    """True when the boundary s is both a horizontal and a vertical
+    composite of two squares of d on ``bounds`` other than s."""
+    hh, vv = d.hcomp_h, d.vcomp_v
+    h = any(b1[3] == b2[2] and s not in (b1, b2)
+            and (hh(b1[0], b2[0]), hh(b1[1], b2[1]), b1[2], b2[3]) == s
+            for b1 in bounds for b2 in bounds)
+    return h and any(
+        b1[1] == b2[0] and s not in (b1, b2)
+        and (b1[0], b2[1], vv(b1[2], b2[2]), vv(b1[3], b2[3])) == s
+        for b1 in bounds for b2 in bounds)
+
+
+def flat_closure_failures():
+    """The flat validation failures of bool1, preorder and
+    bool1×bool1×preorder, each less one composite square: the first
+    square, in boundary order, that is no identity square and is both a
+    horizontal and a vertical composite of two others.  preorder has none,
+    each of its composites being one of its factors, so it loses its last
+    square, Id_R, the horizontal composite of its plain square and Id_R."""
+    out = {}
+    for name in ("bool1", "preorder", "bool1xbool1xpreorder"):
+        d = FLAT_INPUTS[name]()
+        bounds = list(d.iter_flat_boundaries())
+        dropped = next((s for s in bounds if not is_identity_boundary(d, s)
+                        and _composes(d, s, bounds)), bounds[-1])
+        out[name] = _failures(validate_double_category(without(d, [dropped])))
+    return out
+
+
 FAILURE_CASES = {
+    "flat-closure": flat_closure_failures,
     "functor-mutants": functor_mutant_failures,
     "quasi-flips": lambda: quasi_flip_failures(False),
     "quasi-flips-derived": lambda: quasi_flip_failures(True),

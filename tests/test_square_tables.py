@@ -132,11 +132,31 @@ def test_no_square_is_kept_under_a_negative_id():
     d.hcomp_sq(-1, ids[3])
     d.vcomp_sq(ids[0], -1)
     d.vcomp_sq(-1, ids[1])
-    # a negative 1-cell id names the last 1-cell of its kind
-    d.sq_v_id(-1)
-    d.sq_h_id(-1)
+    # a negative 1-cell id names no 1-cell, so no square is interned on it
+    n = d.n_squares
+    for identity_square in (d.sq_v_id, d.sq_h_id):
+        with pytest.raises(BoundaryMismatch, match="^square boundary names no"):
+            identity_square(-1)
+    assert d.n_squares == n
     assert kept(d)
     assert bad_entries(d) == []
+
+
+@pytest.mark.parametrize("bound", [
+    (-1, -1, 2, 2), (4, 4, -1, 2), (99, 0, 0, 0), (0, 0, 0, 3)])
+def test_a_square_on_ids_outside_the_cells_is_refused(bound):
+    # bool1 has 1h-cells 0..4 and 1v-cells 0..2; (-1, -1, 2, 2) would be a
+    # second copy of the square on (4, 4, 2, 2)
+    d = bool_matrix_double_category(1)
+    n = d.materialize_flat_squares()
+    with pytest.raises(BoundaryMismatch, match="^square boundary names no"):
+        d.find_square(*bound)
+    assert d.n_squares == n
+    e = parity()
+    n = e.n_squares
+    with pytest.raises(BoundaryMismatch, match="^square boundary names no"):
+        e.add_square("x", *bound)
+    assert e.n_squares == n
 
 
 def non_composable(d, side, other):
