@@ -262,15 +262,18 @@ class DoubleCat:
             raise BoundaryMismatch(
                 "square boundary names no 1-cells: top %r bottom %r "
                 "left %r right %r" % (top, bottom, left, right))
-        ok = (self.hsrc[top] == self.vsrc[left]
-              and self.htgt[top] == self.vsrc[right]
-              and self.hsrc[bottom] == self.vtgt[left]
-              and self.htgt[bottom] == self.vtgt[right])
-        if not ok:
+        if not self._closes(top, bottom, left, right):
             raise BoundaryMismatch(
                 "square boundary does not close: top %s bottom %s left %s right %s"
                 % (self.hnames[top], self.hnames[bottom],
                    self.vnames[left], self.vnames[right]))
+
+    def _closes(self, top, bottom, left, right):
+        """Whether four 1-cells of self meet at the corners of a square."""
+        return (self.hsrc[top] == self.vsrc[left]
+                and self.htgt[top] == self.vsrc[right]
+                and self.hsrc[bottom] == self.vtgt[left]
+                and self.htgt[bottom] == self.vtgt[right])
 
     # -- basic accessors ---------------------------------------------------
 
@@ -357,12 +360,20 @@ class DoubleCat:
     # -- squares -----------------------------------------------------------
 
     def square_exists(self, top, bottom, left, right):
+        """True when a square of self has this boundary; ids that name no
+        1-cells, or sides that do not close, bound none."""
         bound = (top, bottom, left, right)
-        if self.flat:
-            if bound in self._sq_by_bound:
-                return True
-            return self.square_pred(top, bottom, left, right)
-        return bound in self._sq_by_bound
+        if bound in self._sq_by_bound:
+            return True
+        nh, nv = range(len(self.hnames)), range(len(self.vnames))
+        return (self.flat and top in nh and bottom in nh and left in nv
+                and right in nv and self._closes(top, bottom, left, right)
+                and self.square_pred(top, bottom, left, right))
+
+    def _flat_square_on(self, bound):
+        """On a flat self, whether a square has the closing boundary
+        ``bound``."""
+        return bound in self._sq_by_bound or self.square_pred(*bound)
 
     def find_square(self, top, bottom, left, right):
         """The square with the given boundary, or None.
@@ -1197,9 +1208,13 @@ def dc_product(d1, d2):
     p.vcomp_v_fn = lambda u, v: (
         d1.vcomp_v(u // nv2, v // nv2) * nv2 + d2.vcomp_v(u % nv2, v % nv2))
     if d1.flat and d2.flat:
+        # the product passes its predicate closing boundaries only, whose
+        # components close in their factors
         def pred(top, bottom, left, right):
-            return (d1.square_exists(top // nh2, bottom // nh2, left // nv2, right // nv2)
-                    and d2.square_exists(top % nh2, bottom % nh2, left % nv2, right % nv2))
+            return (d1._flat_square_on((top // nh2, bottom // nh2,
+                                        left // nv2, right // nv2))
+                    and d2._flat_square_on((top % nh2, bottom % nh2,
+                                            left % nv2, right % nv2)))
         p.set_flat(pred)
         return p
     if d1.flat or d2.flat:

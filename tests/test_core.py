@@ -1,6 +1,7 @@
 """Tests for the core double-category structures and fixtures."""
 
 import copy
+import itertools
 import json
 import os
 import random
@@ -105,6 +106,34 @@ def test_bool_matrix_square_condition():
     assert d.square_exists(full, full, swap, swap)
     assert not d.square_exists(full, empty, swap, swap)
     assert d.square_exists(ident, full, swap, swap)
+
+
+@pytest.mark.parametrize("backend", ["flat", "explicit"])
+def test_square_exists_only_on_closing_boundaries(backend):
+    """Neither backend has a square on a boundary that does not close or
+    that names an id out of range (-1 or one past the last 1-cell);
+    every closing boundary keeps its answer from the boundary walk."""
+    d = bool_matrix_double_category(1)
+    if backend == "explicit":
+        d = explicit_clone(d)
+    nh, nv = d.n_hcells, d.n_vcells
+    closing = set(bool_matrix_double_category(1).iter_flat_boundaries())
+    opened = 0
+    for bound in itertools.product(range(nh), range(nh), range(nv),
+                                   range(nv)):
+        if not d._closes(*bound):
+            opened += 1
+            assert not d.square_exists(*bound), bound
+        else:
+            assert d.square_exists(*bound) == (bound in closing), bound
+    assert opened == 210
+    for bad in (-1, nh, nv):
+        for i in range(4):
+            bound = [0, 0, 0, 0]
+            bound[i] = bad
+            assert not d.square_exists(*bound), bound
+    assert not d.square_exists(-1, -1, 2, 2)
+    assert not d.square_exists(99, 0, 0, 0)
 
 
 @settings(max_examples=60, deadline=None)

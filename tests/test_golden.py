@@ -40,22 +40,25 @@ import pytest
 
 from cli_run import invoke
 from dblcheck.core import (
-    Gen, HComp, ValidationReport, VComp, from_json, parity, to_json, trivial,
+    Gen, HComp, ValidationReport, VComp, bool_matrix_double_category,
+    composable_pairs, from_json, parity, to_json, trivial,
     validate_double_category, walk_h, walk_sq, walk_v)
-from dblcheck.functor import check_lax_functor, identity_functor
+from dblcheck.functor import (
+    LaxDoubleFunctor, check_lax_functor, identity_functor, strict_functor)
 from dblcheck.hom import (
     FLAVORS, enumerate_lax_functors, hom_double_category, populate_squares)
 from dblcheck.hom import HOR, OBJ, SQ, VERT, HomDoubleCat
-from dblcheck.monads import mnd_double_category
+from dblcheck.monads import enumerate_distributive_laws, mnd_double_category
 from dblcheck.quasi import (
     QModification, QVertTransform, _q_cell_laws, check_q_hor, check_q_vert,
-    check_quasi_functor, curry_hor, curry_mod, curry_vert, hcompose_q_mod,
+    check_quasi_functor, curry0, curry_hor, curry_mod, curry_vert,
+    hcompose_q_mod,
     identity_q_hor, identity_q_vert, q_hom_double_category, uncurry_cell,
     uncurry_mod, vcompose_q_hor, vcompose_q_mod, vcompose_q_vert)
 from dblcheck.strictify import (
     destrictify_cell, destrictify_mod, product_dom, strictify_cell,
     strictify_mod)
-from dblcheck.tensor import tensor_presentation
+from dblcheck.tensor import tensor_presentation, verify_universal_property
 from dblcheck.transform import (
     LAX, OPLAX, HorTransform, Modification, check_hor_transform,
     check_modification, check_vert_transform, identity_hor_transform,
@@ -452,8 +455,28 @@ def flat_closure_failures():
     return out
 
 
+def row_error_failures():
+    """The failures of the strict functor from parity into a copy of
+    parity less one vertical square composite that keeps every cell but
+    takes each square to the square of sign 0 on its boundary.  The
+    missing composite is that of the last non-identity square of sign 0
+    over the vertical identity square on its bottom.  Every instance that
+    needs it records its error, and the instances after it are still
+    evaluated."""
+    d, c = parity(), parity()
+    s = max(x for x in range(c.n_squares) if c.parity_sign[x] == 0
+            and x != c.sq_v_id(c.sq_top(x)) and x != c.sq_h_id(c.sq_left(x)))
+    del c._vs[(s, c.sq_v_id(c.sq_bottom(s)))]
+    ids = lambda n: {x: x for x in range(n)}
+    F = strict_functor(d, c, ids(d.n_objects), ids(d.n_hcells),
+                       ids(d.n_vcells), {x: c.parity_index[d.sq_bounds[x] + (0,)]
+                                         for x in range(d.n_squares)})
+    return {"parity-less-one-vcomp": _failures(check_lax_functor(F))}
+
+
 FAILURE_CASES = {
     "flat-closure": flat_closure_failures,
+    "row-errors": row_error_failures,
     "functor-mutants": functor_mutant_failures,
     "quasi-flips": lambda: quasi_flip_failures(False),
     "quasi-flips-derived": lambda: quasi_flip_failures(True),
@@ -568,6 +591,62 @@ def mutant_verdicts():
 MUTANT_CASES = {"readme-documents": mutant_verdicts}
 
 
+def _interned(d):
+    """The boundaries of a flat category's squares, in interning order."""
+    return [list(b) for b in d.sq_bounds]
+
+
+def walk_h_into_bool1_interning():
+    """The squares of one fresh bool1 after checking in turn each lax
+    functor walk_h -> bool1 of the hom enumeration (run on another bool1),
+    its compositors and unitors found by their boundaries and its square
+    images left to the check to derive."""
+    w, b1 = walk_h(), bool_matrix_double_category(1)
+    out = {}
+    for n, G in enumerate(enumerate_lax_functors(
+            w, bool_matrix_double_category(1))):
+        F = LaxDoubleFunctor(w, b1, G.ob, G.hmap, G.vmap)
+        for f, g in composable_pairs(w.hsrc, w.htgt):
+            F.comp[f, g] = b1.find_square(*F._compositor_bounds(f, g))
+        for a in range(w.n_objects):
+            F.unit[a] = b1.find_square(*F._unitor_bounds(a))
+        check_lax_functor(F)
+        out["F%d" % n] = _interned(b1)
+    return out
+
+
+def bool2_distributive_law_interning():
+    """The squares of one fresh bool2 after ``check_quasi_functor`` and
+    then ``verify_universal_property`` on the first, the middle and the
+    last distributive law of its enumeration over every carrier."""
+    b2 = bool_matrix_double_category(2)
+    laws = [lw for carrier in range(b2.n_objects)
+            for lw in enumerate_distributive_laws(b2, carrier)]
+    out = {}
+    for n in (0, len(laws) // 2, len(laws) - 1):
+        q = laws[n].quasi
+        check_quasi_functor(q)
+        out["L%d-quasi" % n] = _interned(b2)
+        verify_universal_property(q)
+        out["L%d-universal" % n] = _interned(b2)
+    return out
+
+
+def curried_pairing_interning():
+    """The cell tables of the hom after ``check_lax_functor`` on the
+    curried pairing quasi functor on (parity, walk_sq)."""
+    F = curry0(pairing_quasi(parity(), walk_sq()))
+    check_lax_functor(F)
+    return cell_table(F.cod)
+
+
+INTERNING_CASES = {
+    "walk_h-into-bool1": walk_h_into_bool1_interning,
+    "bool2-distributive-laws": bool2_distributive_law_interning,
+    "curried-pairing": curried_pairing_interning,
+}
+
+
 def _term(t):
     """A compact rendering of a pasting term."""
     if isinstance(t, Gen):
@@ -624,6 +703,21 @@ def test_failures_match_golden(name):
     assert _roundtrip(FAILURE_CASES[name]()) == _load("failures", name)
 
 
+@pytest.mark.parametrize("name", sorted(INTERNING_CASES))
+def test_interning_order_matches_golden(name):
+    assert _roundtrip(INTERNING_CASES[name]()) == _load("interning", name)
+
+
+def test_row_errors_reach_the_later_instances():
+    """The deletion fails h1 and c-nat with errors only, each at more than
+    one instance, so the instances after the first error were evaluated."""
+    failures = _load("failures", "row-errors")["parity-less-one-vcomp"]
+    for law in ("lx.f.h1", "lx.f.c-nat"):
+        errors = [wit for name, wit in failures if name == law]
+        assert len(errors) > 1
+        assert all("error" in wit and "lhs" not in wit for wit in errors)
+
+
 @pytest.mark.parametrize("name", sorted(CELL_CASES))
 def test_q_cell_members_match_golden(name):
     assert _roundtrip(CELL_CASES[name]()) == _load("cells", name)
@@ -664,6 +758,7 @@ def test_pairing_q_cell_golden_names_the_mixed_labels():
 
 GOLDEN_KINDS = (("cli", CLI_CASES), ("tables", TABLE_CASES),
                 ("failures", FAILURE_CASES), ("cells", CELL_CASES),
+                ("interning", INTERNING_CASES),
                 ("relations", RELATION_CASES), ("mutants", MUTANT_CASES))
 
 

@@ -229,3 +229,51 @@ def test_no_two_functions_share_a_body():
         with open(path, encoding="utf-8") as fh:
             sources.append((os.path.basename(path)[:-len(".py")], fh.read()))
     assert duplicate_bodies(sources) == []
+
+
+# -- a law catalogue builds its side functions once per law -------------------
+
+# each emits a run of instances of one law as one row: its side functions
+# take the instance's key, so a default argument that binds loop variables
+# (a closure per instance) has no place in them
+CATALOGUES = {"functor.py": ("_lax_functor_laws",),
+              "transform.py": ("_hor_transform_laws", "_vert_transform_laws",
+                               "_modification_laws"),
+              "quasi.py": ("_quasi_laws", "_q_cell_laws")}
+
+
+def default_argument_closures(source, names):
+    """The lines inside the module-level functions ``names`` of ``source``
+    that make a lambda or a nested function with default arguments."""
+    lines = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and node.name in names:
+            for inner in ast.walk(node):
+                if (inner is not node and isinstance(
+                        inner, (ast.Lambda, ast.FunctionDef))
+                        and (inner.args.defaults
+                             or any(inner.args.kw_defaults))):
+                    lines.add(inner.lineno)
+    return sorted(lines)
+
+
+def test_default_argument_closures_are_found():
+    src = ("def laws(x, emit):\n"
+           "    for a in x:\n"
+           "        emit(lambda a=a: a)\n"
+           "    side = lambda a: a\n"
+           "    def inner(b, *, c=1):\n"
+           "        return b\n"
+           "def other(x):\n"
+           "    return lambda y=x: y\n")
+    assert default_argument_closures(src, ("laws",)) == [3, 5]
+
+
+@pytest.mark.parametrize("module", sorted(CATALOGUES))
+def test_catalogues_make_no_closure_per_instance(module):
+    with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+        source = fh.read()
+    defined = {node.name for node in ast.parse(source).body
+               if isinstance(node, ast.FunctionDef)}
+    assert set(CATALOGUES[module]) <= defined
+    assert default_argument_closures(source, CATALOGUES[module]) == []
