@@ -124,18 +124,22 @@ class ValidationReport(Record, fields=("failures", "sampled", "reduced")):
     def add(self, law, /, **witness):
         self.failures.append((law, witness))
 
-    def expect(self, law, lhs_fn, rhs_fn, /, **witness):
-        """Evaluate both sides of a law instance; a side that raises
-        ``DblError``, such as a missing flat composite, records ``error``,
-        and unequal sides record ``lhs`` and ``rhs``."""
-        try:
-            lhs = lhs_fn()
-            rhs = rhs_fn()
-        except DblError as exc:
-            self.add(law, error=str(exc), **witness)
-            return
-        if lhs != rhs:
-            self.add(law, lhs=lhs, rhs=rhs, **witness)
+    def expect(self, law, keys, lhs, rhs, witness):
+        """Evaluate a row of instances of one law: for each key of
+        ``keys``, in order, ``lhs(*key)`` and then ``rhs(*key)``.  A side
+        that raises ``DblError``, such as a missing flat composite, records
+        ``error`` and unequal sides record ``lhs`` and ``rhs``, each with
+        the fields ``witness`` names set to the key's first entries; the
+        row goes on with the next key."""
+        for key in keys:
+            try:
+                left = lhs(*key)
+                right = rhs(*key)
+            except DblError as exc:
+                self.add(law, error=str(exc), **dict(zip(witness, key)))
+                continue
+            if left != right:
+                self.add(law, lhs=left, rhs=right, **dict(zip(witness, key)))
 
     def mark_sampled(self, law, draws, seed):
         self.sampled[law] = {"draws": draws, "seed": seed}
@@ -365,9 +369,11 @@ class DoubleCat:
         bound = (top, bottom, left, right)
         if bound in self._sq_by_bound:
             return True
+        if not self.flat:
+            return False
         nh, nv = range(len(self.hnames)), range(len(self.vnames))
-        return (self.flat and top in nh and bottom in nh and left in nv
-                and right in nv and self._closes(top, bottom, left, right)
+        return (top in nh and bottom in nh and left in nv and right in nv
+                and self._closes(top, bottom, left, right)
                 and self.square_pred(top, bottom, left, right))
 
     def _flat_square_on(self, bound):

@@ -9,6 +9,7 @@ goes from the identity on F(A) down to F(1_A).
 """
 
 import functools
+from itertools import product
 
 from .core import (
     ValidationReport, composable_pairs, composable_square_pairs,
@@ -261,84 +262,73 @@ def _law_labels(tag):
 def _lax_functor_laws(F, emit, tag, square_laws=True):
     """Every lax functor law instance of F, in report order.
 
-    Each instance goes to ``emit(law, lhs, rhs, **witness)`` with its two
-    sides as thunks over F and its codomain.  The checker compares them on
-    concrete cells; the tensor presentation runs this catalogue on the
-    generator families, whose codomain builds pasting terms, and stores
-    the instances as relations.  With ``square_laws=False`` only the 1-cell
-    laws v1 and v2 are emitted.
+    The instances go out in rows, one ``emit(law, keys, lhs, rhs,
+    witness)`` per run of consecutive instances of one law: ``keys``
+    yields the instances' argument tuples, read lazily in report order;
+    ``lhs`` and ``rhs`` are the two sides as functions of a key's
+    entries, built once per law over F and its codomain; ``witness``
+    names a failing instance's witness fields, the key's first entries.
+    The checker evaluates the sides on concrete cells; the tensor
+    presentation runs this catalogue on the generator families, whose
+    codomain builds pasting terms, and stores the instances as relations.
+    With ``square_laws=False`` only the 1-cell laws v1 and v2 are emitted.
     """
     d, c = F.dom, F.cod
     v1, v2, h1, h2, hex_, unit, c_nat, u_nat = _law_labels(tag)
-    for u, w in composable_pairs(d.vsrc, d.vtgt):
-        emit(v1,
-            lambda u=u, w=w: F.v(d.vcomp_v(u, w)),
-            lambda u=u, w=w: c.vcomp_v(F.v(u), F.v(w)),
-            first=u, second=w)
-    for a in range(d.n_objects):
-        emit(v2,
-            lambda a=a: F.v(d.v_id(a)),
-            lambda a=a: c.v_id(F.obj(a)), object=a)
+    emit(v1, composable_pairs(d.vsrc, d.vtgt),
+         lambda u, w: F.v(d.vcomp_v(u, w)),
+         lambda u, w: c.vcomp_v(F.v(u), F.v(w)), ("first", "second"))
+    emit(v2, zip(range(d.n_objects)),
+         lambda a: F.v(d.v_id(a)), lambda a: c.v_id(F.obj(a)), ("object",))
     if not square_laws:
         return
     squares = list(d.iter_squares())
     by_top = {}
     for s in squares:
         by_top.setdefault(d.sq_top(s), []).append(s)
-    for s1 in squares:
-        for s2 in by_top.get(d.sq_bottom(s1), []):
-            emit(h1,
-                lambda s1=s1, s2=s2: F.sq(d.vcomp_sq(s1, s2)),
-                lambda s1=s1, s2=s2: c.vcomp_sq(F.sq(s1), F.sq(s2)),
-                top=s1, bottom=s2)
-    for f in range(d.n_hcells):
-        emit(h2,
-            lambda f=f: F.sq(d.sq_v_id(f)),
-            lambda f=f: c.sq_v_id(F.h(f)), hcell=f)
-    for f, g in composable_pairs(d.hsrc, d.htgt):
-        for h in range(d.n_hcells):
-            if d.htgt[g] != d.hsrc[h]:
-                continue
-            emit(hex_,
-                lambda f=f, g=g, h=h: c.vcomp_sq(
-                    c.hcomp_sq(F.compositor(f, g), c.sq_v_id(F.h(h))),
-                    F.compositor(d.hcomp_h(f, g), h)),
-                lambda f=f, g=g, h=h: c.vcomp_sq(
-                    c.hcomp_sq(c.sq_v_id(F.h(f)), F.compositor(g, h)),
-                    F.compositor(f, d.hcomp_h(g, h))),
-                first=f, second=g, third=h)
-    for f in range(d.n_hcells):
-        a, b = d.hsrc[f], d.htgt[f]
-        ident = lambda f=f: c.sq_v_id(F.h(f))
-        emit(unit,
-            lambda f=f, a=a: c.vcomp_sq(
-                c.hcomp_sq(F.unitor(a), c.sq_v_id(F.h(f))),
-                F.compositor(d.h_id(a), f)),
-            ident, hcell=f, side="left")
-        emit(unit,
-            lambda f=f, b=b: c.vcomp_sq(
-                c.hcomp_sq(c.sq_v_id(F.h(f)), F.unitor(b)),
-                F.compositor(f, d.h_id(b))),
-            ident, hcell=f, side="right")
+    emit(h1, ((s1, s2) for s1 in squares
+              for s2 in by_top.get(d.sq_bottom(s1), [])),
+         lambda s1, s2: F.sq(d.vcomp_sq(s1, s2)),
+         lambda s1, s2: c.vcomp_sq(F.sq(s1), F.sq(s2)), ("top", "bottom"))
+    emit(h2, zip(range(d.n_hcells)),
+         lambda f: F.sq(d.sq_v_id(f)), lambda f: c.sq_v_id(F.h(f)),
+         ("hcell",))
+    emit(hex_, ((f, g, h) for f, g in composable_pairs(d.hsrc, d.htgt)
+                for h in range(d.n_hcells) if d.htgt[g] == d.hsrc[h]),
+         lambda f, g, h: c.vcomp_sq(
+             c.hcomp_sq(F.compositor(f, g), c.sq_v_id(F.h(h))),
+             F.compositor(d.hcomp_h(f, g), h)),
+         lambda f, g, h: c.vcomp_sq(
+             c.hcomp_sq(c.sq_v_id(F.h(f)), F.compositor(g, h)),
+             F.compositor(f, d.hcomp_h(g, h))),
+         ("first", "second", "third"))
+
+    def unit_side(f, side):
+        if side == "left":
+            a = d.hsrc[f]
+            return c.vcomp_sq(c.hcomp_sq(F.unitor(a), c.sq_v_id(F.h(f))),
+                              F.compositor(d.h_id(a), f))
+        b = d.htgt[f]
+        return c.vcomp_sq(c.hcomp_sq(c.sq_v_id(F.h(f)), F.unitor(b)),
+                          F.compositor(f, d.h_id(b)))
+    emit(unit, product(range(d.n_hcells), ("left", "right")),
+         unit_side, lambda f, side: c.sq_v_id(F.h(f)), ("hcell", "side"))
     by_left = {}
     for s in squares:
         by_left.setdefault(d.sq_left(s), []).append(s)
-    for s1 in squares:
-        for s2 in by_left.get(d.sq_right(s1), []):
-            f, g = d.sq_top(s1), d.sq_top(s2)
-            fp, gp = d.sq_bottom(s1), d.sq_bottom(s2)
-            emit(c_nat,
-                lambda s1=s1, s2=s2, fp=fp, gp=gp: c.vcomp_sq(
-                    c.hcomp_sq(F.sq(s1), F.sq(s2)), F.compositor(fp, gp)),
-                lambda s1=s1, s2=s2, f=f, g=g: c.vcomp_sq(
-                    F.compositor(f, g), F.sq(d.hcomp_sq(s1, s2))),
-                left=s1, right=s2)
-    for u in range(d.n_vcells):
-        a, ap = d.vsrc[u], d.vtgt[u]
-        emit(u_nat,
-            lambda u=u, ap=ap: c.vcomp_sq(c.sq_h_id(F.v(u)), F.unitor(ap)),
-            lambda u=u, a=a: c.vcomp_sq(F.unitor(a), F.sq(d.sq_h_id(u))),
-            vcell=u)
+    emit(c_nat, ((s1, s2) for s1 in squares
+                 for s2 in by_left.get(d.sq_right(s1), [])),
+         lambda s1, s2: c.vcomp_sq(
+             c.hcomp_sq(F.sq(s1), F.sq(s2)),
+             F.compositor(d.sq_bottom(s1), d.sq_bottom(s2))),
+         lambda s1, s2: c.vcomp_sq(
+             F.compositor(d.sq_top(s1), d.sq_top(s2)),
+             F.sq(d.hcomp_sq(s1, s2))),
+         ("left", "right"))
+    emit(u_nat, zip(range(d.n_vcells)),
+         lambda u: c.vcomp_sq(c.sq_h_id(F.v(u)), F.unitor(d.vtgt[u])),
+         lambda u: c.vcomp_sq(F.unitor(d.vsrc[u]), F.sq(d.sq_h_id(u))),
+         ("vcell",))
 
 
 def is_unitary(F):

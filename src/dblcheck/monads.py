@@ -239,7 +239,7 @@ def verify_comp_diagram(d, sample=None, seed=0):
         laws = random.Random(seed).sample(laws, sample)
         rep.mark_sampled("comp-diagram", sample, seed)
     rep.checked = len(laws)
-    for lw in laws:
-        rep.expect("comp-diagram", lambda: comp(lw).data(),
-                   lambda: _direct_composite(lw).data(), law=repr(lw))
+    rep.expect("comp-diagram", ((repr(lw), lw) for lw in laws),
+               lambda name, lw: comp(lw).data(),
+               lambda name, lw: _direct_composite(lw).data(), ("law",))
     return rep

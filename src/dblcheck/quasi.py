@@ -27,7 +27,7 @@ uncurrying.  Currying stays written out per kind: keeping the codomain's
 call order would branch one body on the kind twice.
 """
 
-from functools import partial
+from itertools import product
 
 from .core import ValidationReport, composable_pairs
 from .errors import ChainMismatch, DomainMismatch
@@ -196,15 +196,15 @@ def check_quasi_functor(q, trivial_uU=False, unitary=False,
     A, B, C = q.A, q.B, q.C
     emit = rep.expect
     if derive_unit_laws:
-        def emit(law, lhs, rhs, **witness):
-            if law == "(1_B,K)":
-                s = q.sq_kk(B.h_id(witness["b"]), witness["K"])
-            elif law == "(k,1_A)":
-                s = q.sq_kk(witness["k"], A.h_id(witness["a"]))
-            else:
-                return rep.expect(law, lhs, rhs, **witness)
-            if C.vertical_inverse(s) is None:
-                rep.add(law, **witness, derived=True)
+        def emit(law, keys, lhs, rhs, witness):
+            if law not in ("(1_B,K)", "(k,1_A)"):
+                return rep.expect(law, keys, lhs, rhs, witness)
+            for key in keys:
+                w = dict(zip(witness, key))
+                s = (q.sq_kk(B.h_id(w["b"]), w["K"]) if law == "(1_B,K)"
+                     else q.sq_kk(w["k"], A.h_id(w["a"])))
+                if C.vertical_inverse(s) is None:
+                    rep.add(law, **w, derived=True)
     _quasi_laws(q, emit)
     if trivial_uU:
         for u in range(B.n_vcells):
@@ -224,213 +224,189 @@ def check_quasi_functor(q, trivial_uU=False, unitary=False,
 
 
 def _quasi_laws(q, emit):
-    """Every mixed quasi functor law instance of q, in report order.
-
-    Each instance goes to ``emit(law, lhs, rhs, **witness)`` with its two
-    sides as thunks over q and its codomain, as in
-    ``functor._lax_functor_laws``; the family laws are not included.
+    """Every mixed quasi functor law instance of q, in report order,
+    emitted in rows as in ``functor._lax_functor_laws``; the family laws
+    are not included.  A key starts with the witness cells; one with a
+    composite argument ends with the composite, and a naturality key ends
+    with its square's top, bottom, left and right.  Each name ``x`` of a
+    side below is the left side of a law and ``x_r`` its right side.
     """
     A, B, C = q.A, q.B, q.C
     vid = C.sq_v_id
     hid = C.sq_h_id
 
     # unit coherence in the B-variable: ((1_B, K)) and ((1_B, U))
+    one_K, one_K_r = (
+        lambda b, K: C.vcomp_sq(
+            C.hcomp_sq(q.fA(A.hsrc[K]).unitor(b), vid(q.fB(b).h(K))),
+            q.sq_kk(B.h_id(b), K)),
+        lambda b, K: C.hcomp_sq(vid(q.fB(b).h(K)),
+                                q.fA(A.htgt[K]).unitor(b)))
+    one_U, one_U_r = (
+        lambda b, U: C.vcomp_sq(q.fA(A.vsrc[U]).unitor(b),
+                                q.sq_ku(B.h_id(b), U)),
+        lambda b, U: C.vcomp_sq(hid(q.fB(b).v(U)),
+                                q.fA(A.vtgt[U]).unitor(b)))
     for b in range(B.n_objects):
-        one = B.h_id(b)
-        for K in range(A.n_hcells):
-            a, ap = A.hsrc[K], A.htgt[K]
-            emit("(1_B,K)",
-                lambda b=b, K=K, a=a, one=one: C.vcomp_sq(
-                    C.hcomp_sq(q.fA(a).unitor(b), vid(q.fB(b).h(K))),
-                    q.sq_kk(one, K)),
-                lambda b=b, K=K, ap=ap: C.hcomp_sq(
-                    vid(q.fB(b).h(K)), q.fA(ap).unitor(b)),
-                b=b, K=K)
-        for U in range(A.n_vcells):
-            a, at = A.vsrc[U], A.vtgt[U]
-            emit("(1_B,U)",
-                lambda b=b, U=U, a=a, one=one: C.vcomp_sq(
-                    q.fA(a).unitor(b), q.sq_ku(one, U)),
-                lambda b=b, U=U, at=at: C.vcomp_sq(
-                    hid(q.fB(b).v(U)), q.fA(at).unitor(b)),
-                b=b, U=U)
+        emit("(1_B,K)", product((b,), range(A.n_hcells)), one_K, one_K_r,
+             ("b", "K"))
+        emit("(1_B,U)", product((b,), range(A.n_vcells)), one_U, one_U_r,
+             ("b", "U"))
     # unit coherence in the A-variable: ((k, 1_A)) and ((u, 1_A))
+    k_one, k_one_r = (
+        lambda a, k: C.hcomp_sq(q.fB(B.hsrc[k]).unitor(a),
+                                vid(q.fA(a).h(k))),
+        lambda a, k: C.vcomp_sq(
+            C.hcomp_sq(vid(q.fA(a).h(k)), q.fB(B.htgt[k]).unitor(a)),
+            q.sq_kk(k, A.h_id(a))))
+    u_one, u_one_r = (
+        lambda a, u: C.vcomp_sq(hid(q.fA(a).v(u)),
+                                q.fB(B.vtgt[u]).unitor(a)),
+        lambda a, u: C.vcomp_sq(q.fB(B.vsrc[u]).unitor(a),
+                                q.sq_uk(u, A.h_id(a))))
     for a in range(A.n_objects):
-        one = A.h_id(a)
-        for k in range(B.n_hcells):
-            b, bp = B.hsrc[k], B.htgt[k]
-            emit("(k,1_A)",
-                lambda a=a, k=k, b=b: C.hcomp_sq(
-                    q.fB(b).unitor(a), vid(q.fA(a).h(k))),
-                lambda a=a, k=k, bp=bp, one=one: C.vcomp_sq(
-                    C.hcomp_sq(vid(q.fA(a).h(k)), q.fB(bp).unitor(a)),
-                    q.sq_kk(k, one)),
-                a=a, k=k)
-        for u in range(B.n_vcells):
-            b, bt = B.vsrc[u], B.vtgt[u]
-            emit("(u,1_A)",
-                lambda a=a, u=u, bt=bt: C.vcomp_sq(
-                    hid(q.fA(a).v(u)), q.fB(bt).unitor(a)),
-                lambda a=a, u=u, b=b, one=one: C.vcomp_sq(
-                    q.fB(b).unitor(a), q.sq_uk(u, one)),
-                a=a, u=u)
+        emit("(k,1_A)", product((a,), range(B.n_hcells)), k_one, k_one_r,
+             ("a", "k"))
+        emit("(u,1_A)", product((a,), range(B.n_vcells)), u_one, u_one_r,
+             ("a", "u"))
     # vertical identity arguments collapse to identity squares
-    for K in range(A.n_hcells):
-        for b in range(B.n_objects):
-            emit("(1^B,K)",
-                lambda b=b, K=K: q.sq_uk(B.v_id(b), K),
-                lambda b=b, K=K: vid(q.fB(b).h(K)), b=b, K=K)
-    for k in range(B.n_hcells):
-        for a in range(A.n_objects):
-            emit("(k,1^A)",
-                lambda a=a, k=k: q.sq_ku(k, A.v_id(a)),
-                lambda a=a, k=k: vid(q.fA(a).h(k)), a=a, k=k)
-    for U in range(A.n_vcells):
-        for b in range(B.n_objects):
-            emit("(1^B,U)",
-                lambda b=b, U=U: q.sq_uu(B.v_id(b), U),
-                lambda b=b, U=U: hid(q.fB(b).v(U)), b=b, U=U)
-    for u in range(B.n_vcells):
-        for a in range(A.n_objects):
-            emit("(u,1^A)",
-                lambda a=a, u=u: q.sq_uu(u, A.v_id(a)),
-                lambda a=a, u=u: hid(q.fA(a).v(u)), a=a, u=u)
+    emit("(1^B,K)", ((b, K) for K in range(A.n_hcells)
+                     for b in range(B.n_objects)),
+         lambda b, K: q.sq_uk(B.v_id(b), K),
+         lambda b, K: vid(q.fB(b).h(K)), ("b", "K"))
+    emit("(k,1^A)", ((a, k) for k in range(B.n_hcells)
+                     for a in range(A.n_objects)),
+         lambda a, k: q.sq_ku(k, A.v_id(a)),
+         lambda a, k: vid(q.fA(a).h(k)), ("a", "k"))
+    emit("(1^B,U)", ((b, U) for U in range(A.n_vcells)
+                     for b in range(B.n_objects)),
+         lambda b, U: q.sq_uu(B.v_id(b), U),
+         lambda b, U: hid(q.fB(b).v(U)), ("b", "U"))
+    emit("(u,1^A)", ((a, u) for u in range(B.n_vcells)
+                     for a in range(A.n_objects)),
+         lambda a, u: q.sq_uu(u, A.v_id(a)),
+         lambda a, u: hid(q.fA(a).v(u)), ("a", "u"))
     # composite horizontal arguments: ((k'k, K)) and ((k, K'K))
-    for k, kp in composable_pairs(B.hsrc, B.htgt):
-        kc = B.hcomp_h(k, kp)
-        b, bpp = B.hsrc[k], B.htgt[kp]
-        bp = B.htgt[k]
-        for K in range(A.n_hcells):
-            a, ap = A.hsrc[K], A.htgt[K]
-            emit("(k'k,K)",
-                lambda k=k, kp=kp, K=K, a=a, ap=ap, b=b, bp=bp: C.vcomp_sq_many([
-                    C.hcomp_sq(vid(q.fA(a).h(k)), q.sq_kk(kp, K)),
-                    C.hcomp_sq(q.sq_kk(k, K), vid(q.fA(ap).h(kp))),
-                    C.hcomp_sq(vid(q.fB(b).h(K)),
-                               q.fA(ap).compositor(k, kp))]),
-                lambda k=k, kp=kp, kc=kc, K=K, a=a, bpp=bpp: C.vcomp_sq(
-                    C.hcomp_sq(q.fA(a).compositor(k, kp),
-                               vid(q.fB(bpp).h(K))),
-                    q.sq_kk(kc, K)),
-                k=k, kp=kp, K=K)
+    emit("(k'k,K)", ((k, kp, K, kc)
+                     for k, kp in composable_pairs(B.hsrc, B.htgt)
+                     for kc in (B.hcomp_h(k, kp),)
+                     for K in range(A.n_hcells)),
+         lambda k, kp, K, kc: C.vcomp_sq_many([
+             C.hcomp_sq(vid(q.fA(A.hsrc[K]).h(k)), q.sq_kk(kp, K)),
+             C.hcomp_sq(q.sq_kk(k, K), vid(q.fA(A.htgt[K]).h(kp))),
+             C.hcomp_sq(vid(q.fB(B.hsrc[k]).h(K)),
+                        q.fA(A.htgt[K]).compositor(k, kp))]),
+         lambda k, kp, K, kc: C.vcomp_sq(
+             C.hcomp_sq(q.fA(A.hsrc[K]).compositor(k, kp),
+                        vid(q.fB(B.htgt[kp]).h(K))),
+             q.sq_kk(kc, K)),
+         ("k", "kp", "K"))
+    k_KK, k_KK_r = (
+        lambda k, K, Kp, Kc: C.vcomp_sq(
+            C.hcomp_sq(vid(q.fA(A.hsrc[K]).h(k)),
+                       q.fB(B.htgt[k]).compositor(K, Kp)),
+            q.sq_kk(k, Kc)),
+        lambda k, K, Kp, Kc: C.vcomp_sq_many([
+            C.hcomp_sq(q.sq_kk(k, K), vid(q.fB(B.htgt[k]).h(Kp))),
+            C.hcomp_sq(vid(q.fB(B.hsrc[k]).h(K)), q.sq_kk(k, Kp)),
+            C.hcomp_sq(q.fB(B.hsrc[k]).compositor(K, Kp),
+                       vid(q.fA(A.htgt[Kp]).h(k)))]))
+    u_KK, u_KK_r = (
+        lambda u, K, Kp, Kc: C.vcomp_sq(q.fB(B.vsrc[u]).compositor(K, Kp),
+                                        q.sq_uk(u, Kc)),
+        lambda u, K, Kp, Kc: C.vcomp_sq(
+            C.hcomp_sq(q.sq_uk(u, K), q.sq_uk(u, Kp)),
+            q.fB(B.vtgt[u]).compositor(K, Kp)))
     for K, Kp in composable_pairs(A.hsrc, A.htgt):
         Kc = A.hcomp_h(K, Kp)
-        a, app = A.hsrc[K], A.htgt[Kp]
-        ap = A.htgt[K]
-        for k in range(B.n_hcells):
-            b, bp = B.hsrc[k], B.htgt[k]
-            emit("(k,K'K)",
-                lambda k=k, K=K, Kp=Kp, Kc=Kc, a=a, bp=bp: C.vcomp_sq(
-                    C.hcomp_sq(vid(q.fA(a).h(k)),
-                               q.fB(bp).compositor(K, Kp)),
-                    q.sq_kk(k, Kc)),
-                lambda k=k, K=K, Kp=Kp, a=a, ap=ap, app=app, b=b, bp=bp:
-                    C.vcomp_sq_many([
-                        C.hcomp_sq(q.sq_kk(k, K), vid(q.fB(bp).h(Kp))),
-                        C.hcomp_sq(vid(q.fB(b).h(K)), q.sq_kk(k, Kp)),
-                        C.hcomp_sq(q.fB(b).compositor(K, Kp),
-                                   vid(q.fA(app).h(k)))]),
-                k=k, K=K, Kp=Kp)
-        for u in range(B.n_vcells):
-            b, bt = B.vsrc[u], B.vtgt[u]
-            emit("(u,K'K)",
-                lambda u=u, K=K, Kp=Kp, Kc=Kc, b=b: C.vcomp_sq(
-                    q.fB(b).compositor(K, Kp), q.sq_uk(u, Kc)),
-                lambda u=u, K=K, Kp=Kp, bt=bt: C.vcomp_sq(
-                    C.hcomp_sq(q.sq_uk(u, K), q.sq_uk(u, Kp)),
-                    q.fB(bt).compositor(K, Kp)),
-                u=u, K=K, Kp=Kp)
-    for k, kp in composable_pairs(B.hsrc, B.htgt):
-        kc = B.hcomp_h(k, kp)
-        for U in range(A.n_vcells):
-            a, at = A.vsrc[U], A.vtgt[U]
-            emit("(k'k,U)",
-                lambda k=k, kp=kp, U=U, at=at: C.vcomp_sq(
-                    C.hcomp_sq(q.sq_ku(k, U), q.sq_ku(kp, U)),
-                    q.fA(at).compositor(k, kp)),
-                lambda k=k, kp=kp, kc=kc, U=U, a=a: C.vcomp_sq(
-                    q.fA(a).compositor(k, kp), q.sq_ku(kc, U)),
-                k=k, kp=kp, U=U)
+        emit("(k,K'K)", product(range(B.n_hcells), (K,), (Kp,), (Kc,)),
+             k_KK, k_KK_r, ("k", "K", "Kp"))
+        emit("(u,K'K)", product(range(B.n_vcells), (K,), (Kp,), (Kc,)),
+             u_KK, u_KK_r, ("u", "K", "Kp"))
+    emit("(k'k,U)", ((k, kp, U, kc)
+                     for k, kp in composable_pairs(B.hsrc, B.htgt)
+                     for kc in (B.hcomp_h(k, kp),)
+                     for U in range(A.n_vcells)),
+         lambda k, kp, U, kc: C.vcomp_sq(
+             C.hcomp_sq(q.sq_ku(k, U), q.sq_ku(kp, U)),
+             q.fA(A.vtgt[U]).compositor(k, kp)),
+         lambda k, kp, U, kc: C.vcomp_sq(q.fA(A.vsrc[U]).compositor(k, kp),
+                                         q.sq_ku(kc, U)),
+         ("k", "kp", "U"))
     # composite vertical arguments
+    uu_K, uu_K_r = (
+        lambda u, up, K, uc: q.sq_uk(uc, K),
+        lambda u, up, K, uc: C.vcomp_sq(q.sq_uk(u, K), q.sq_uk(up, K)))
+    uu_U, uu_U_r = (
+        lambda u, up, U, uc: q.sq_uu(uc, U),
+        lambda u, up, U, uc: C.hcomp_sq(
+            C.vcomp_sq(q.sq_uu(u, U), hid(q.fA(A.vtgt[U]).v(up))),
+            C.vcomp_sq(hid(q.fA(A.vsrc[U]).v(u)), q.sq_uu(up, U))))
     for u, up in composable_pairs(B.vsrc, B.vtgt):
         uc = B.vcomp_v(u, up)
-        for K in range(A.n_hcells):
-            emit("(u/u',K)",
-                lambda u=u, up=up, uc=uc, K=K: q.sq_uk(uc, K),
-                lambda u=u, up=up, K=K: C.vcomp_sq(
-                    q.sq_uk(u, K), q.sq_uk(up, K)),
-                u=u, up=up, K=K)
-        for U in range(A.n_vcells):
-            a, at = A.vsrc[U], A.vtgt[U]
-            emit("(u/u',U)",
-                lambda u=u, up=up, uc=uc, U=U: q.sq_uu(uc, U),
-                lambda u=u, up=up, U=U, a=a, at=at: C.hcomp_sq(
-                    C.vcomp_sq(q.sq_uu(u, U),
-                               hid(q.fA(at).v(up))),
-                    C.vcomp_sq(hid(q.fA(a).v(u)), q.sq_uu(up, U))),
-                u=u, up=up, U=U)
+        emit("(u/u',K)", product((u,), (up,), range(A.n_hcells), (uc,)),
+             uu_K, uu_K_r, ("u", "up", "K"))
+        emit("(u/u',U)", product((u,), (up,), range(A.n_vcells), (uc,)),
+             uu_U, uu_U_r, ("u", "up", "U"))
+    k_UU, k_UU_r = (
+        lambda k, U, Up, Uc: q.sq_ku(k, Uc),
+        lambda k, U, Up, Uc: C.vcomp_sq(q.sq_ku(k, U), q.sq_ku(k, Up)))
+    u_UU, u_UU_r = (
+        lambda u, U, Up, Uc: q.sq_uu(u, Uc),
+        lambda u, U, Up, Uc: C.hcomp_sq(
+            C.vcomp_sq(hid(q.fB(B.vsrc[u]).v(U)), q.sq_uu(u, Up)),
+            C.vcomp_sq(q.sq_uu(u, U), hid(q.fB(B.vtgt[u]).v(Up)))))
     for U, Up in composable_pairs(A.vsrc, A.vtgt):
         Uc = A.vcomp_v(U, Up)
-        for k in range(B.n_hcells):
-            emit("(k,U/U')",
-                lambda k=k, U=U, Up=Up, Uc=Uc: q.sq_ku(k, Uc),
-                lambda k=k, U=U, Up=Up: C.vcomp_sq(
-                    q.sq_ku(k, U), q.sq_ku(k, Up)),
-                k=k, U=U, Up=Up)
-        for u in range(B.n_vcells):
-            b, bt = B.vsrc[u], B.vtgt[u]
-            emit("(u,U/U')",
-                lambda u=u, U=U, Up=Up, Uc=Uc: q.sq_uu(u, Uc),
-                lambda u=u, U=U, Up=Up, b=b, bt=bt: C.hcomp_sq(
-                    C.vcomp_sq(hid(q.fB(b).v(U)), q.sq_uu(u, Up)),
-                    C.vcomp_sq(q.sq_uu(u, U), hid(q.fB(bt).v(Up)))),
-                u=u, U=U, Up=Up)
+        emit("(k,U/U')", product(range(B.n_hcells), (U,), (Up,), (Uc,)),
+             k_UU, k_UU_r, ("k", "U", "Up"))
+        emit("(u,U/U')", product(range(B.n_vcells), (U,), (Up,), (Uc,)),
+             u_UU, u_UU_r, ("u", "U", "Up"))
     # naturality in either variable
+    kK_l, kK_l_r = (
+        lambda om, K, k, l, u, v: C.vcomp_sq(
+            q.sq_kk(k, K),
+            C.hcomp_sq(q.sq_uk(u, K), q.fA(A.htgt[K]).sq(om))),
+        lambda om, K, k, l, u, v: C.vcomp_sq(
+            C.hcomp_sq(q.fA(A.hsrc[K]).sq(om), q.sq_uk(v, K)),
+            q.sq_kk(l, K)))
+    uU_l, uU_l_r = (
+        lambda om, U, k, l, u, v: C.hcomp_sq(
+            q.sq_uu(u, U),
+            C.vcomp_sq(q.fA(A.vsrc[U]).sq(om), q.sq_ku(l, U))),
+        lambda om, U, k, l, u, v: C.hcomp_sq(
+            C.vcomp_sq(q.sq_ku(k, U), q.fA(A.vtgt[U]).sq(om)),
+            q.sq_uu(v, U)))
     for om in B.iter_squares():
-        k, l = B.sq_top(om), B.sq_bottom(om)
-        u, v = B.sq_left(om), B.sq_right(om)
-        for K in range(A.n_hcells):
-            a, ap = A.hsrc[K], A.htgt[K]
-            emit("(k,K)-l-nat",
-                lambda om=om, k=k, l=l, u=u, K=K, ap=ap: C.vcomp_sq(
-                    q.sq_kk(k, K),
-                    C.hcomp_sq(q.sq_uk(u, K), q.fA(ap).sq(om))),
-                lambda om=om, l=l, v=v, K=K, a=a: C.vcomp_sq(
-                    C.hcomp_sq(q.fA(a).sq(om), q.sq_uk(v, K)),
-                    q.sq_kk(l, K)),
-                square=om, K=K)
-        for U in range(A.n_vcells):
-            emit("(u,U)-l-nat",
-                lambda om=om, k=k, l=l, u=u, v=v, U=U: C.hcomp_sq(
-                    q.sq_uu(u, U),
-                    C.vcomp_sq(q.fA(A.vsrc[U]).sq(om), q.sq_ku(l, U))),
-                lambda om=om, k=k, v=v, U=U: C.hcomp_sq(
-                    C.vcomp_sq(q.sq_ku(k, U), q.fA(A.vtgt[U]).sq(om)),
-                    q.sq_uu(v, U)),
-                square=om, U=U)
+        k, l, u, v = B.sq_bounds[om]
+        emit("(k,K)-l-nat",
+             product((om,), range(A.n_hcells), (k,), (l,), (u,), (v,)),
+             kK_l, kK_l_r, ("square", "K"))
+        emit("(u,U)-l-nat",
+             product((om,), range(A.n_vcells), (k,), (l,), (u,), (v,)),
+             uU_l, uU_l_r, ("square", "U"))
+    kK_r, kK_r_r = (
+        lambda ze, k, K, L, U, V: C.vcomp_sq(
+            q.sq_kk(k, K),
+            C.hcomp_sq(q.fB(B.hsrc[k]).sq(ze), q.sq_ku(k, V))),
+        lambda ze, k, K, L, U, V: C.vcomp_sq(
+            C.hcomp_sq(q.sq_ku(k, U), q.fB(B.htgt[k]).sq(ze)),
+            q.sq_kk(k, L)))
+    uU_r, uU_r_r = (
+        lambda ze, u, K, L, U, V: C.hcomp_sq(
+            q.sq_uu(u, U),
+            C.vcomp_sq(q.sq_uk(u, K), q.fB(B.vtgt[u]).sq(ze))),
+        lambda ze, u, K, L, U, V: C.hcomp_sq(
+            C.vcomp_sq(q.fB(B.vsrc[u]).sq(ze), q.sq_uk(u, L)),
+            q.sq_uu(u, V)))
     for ze in A.iter_squares():
-        K, L = A.sq_top(ze), A.sq_bottom(ze)
-        U, V = A.sq_left(ze), A.sq_right(ze)
-        for k in range(B.n_hcells):
-            b, bp = B.hsrc[k], B.htgt[k]
-            emit("(k,K)-r-nat",
-                lambda ze=ze, k=k, K=K, V=V, b=b: C.vcomp_sq(
-                    q.sq_kk(k, K),
-                    C.hcomp_sq(q.fB(b).sq(ze), q.sq_ku(k, V))),
-                lambda ze=ze, k=k, L=L, U=U, bp=bp: C.vcomp_sq(
-                    C.hcomp_sq(q.sq_ku(k, U), q.fB(bp).sq(ze)),
-                    q.sq_kk(k, L)),
-                square=ze, k=k)
-        for u in range(B.n_vcells):
-            b, bt = B.vsrc[u], B.vtgt[u]
-            emit("(u,U)-r-nat",
-                lambda ze=ze, u=u, K=K, U=U, bt=bt: C.hcomp_sq(
-                    q.sq_uu(u, U),
-                    C.vcomp_sq(q.sq_uk(u, K), q.fB(bt).sq(ze))),
-                lambda ze=ze, u=u, L=L, V=V, b=b: C.hcomp_sq(
-                    C.vcomp_sq(q.fB(b).sq(ze), q.sq_uk(u, L)),
-                    q.sq_uu(u, V)),
-                square=ze, u=u)
+        K, L, U, V = A.sq_bounds[ze]
+        emit("(k,K)-r-nat",
+             product((ze,), range(B.n_hcells), (K,), (L,), (U,), (V,)),
+             kK_r, kK_r_r, ("square", "k"))
+        emit("(u,U)-r-nat",
+             product((ze,), range(B.n_vcells), (K,), (L,), (U,), (V,)),
+             uU_r, uU_r_r, ("square", "u"))
 
 
 # -- cells between quasi functors -------------------------------------------
@@ -538,61 +514,75 @@ def _cell_terms(t):
 
 def _q_cell_laws(t, emit):
     """Every mixed law instance of the q-cell t, in report order, emitted
-    as in ``_quasi_laws``.
+    in rows as in ``_quasi_laws``; a key is ``(x, y, a, ap, b, bp)``.
 
     Law n is on the n-th interchanger store in the order t's kind reads
     them: first the store whose two cells run along the members'
     components, then uk and ku, last the store whose two cells run across.
     Each law is written in the terms of ``_cell_terms``; x and y are the
-    store's cells of B and A, from b to bp and from a to ap.
+    store's cells of B and A, from b to bp and from a to ap, and each
+    pasting is a function of the key.
     """
     q1, q2, th_a, th_b = t.q1, t.q2, t.th_a, t.th_b
     A, B = q1.A, q1.B
     hv, along, across, across_many, idsq, st, cp, order = _cell_terms(t)
-    pasted = lambda *parts: [p() for p in order(parts)]
     img = lambda F, x: getattr(F, hv)(x)
 
-    def along_both(I1, I2, x, y, a, ap, b, bp):
-        return (lambda: across_many(pasted(
-                    lambda: along(idsq(img(q1.fA(a), x)), st(th_b[bp], y)),
-                    lambda: along(st(th_a[a], x), idsq(img(q2.fB(bp), y))),
-                    lambda: along(idsq(t.at(a, b)), I2(x, y)))),
-                lambda: across_many(pasted(
-                    lambda: along(I1(x, y), idsq(t.at(ap, bp))),
-                    lambda: along(idsq(img(q1.fB(b), y)), st(th_a[ap], x)),
-                    lambda: along(st(th_b[b], y), idsq(img(q2.fA(ap), x))))))
+    def along_both(I1, I2):
+        l1, l2, l3 = order((
+            lambda x, y, a, ap, b, bp: along(idsq(img(q1.fA(a), x)),
+                                             st(th_b[bp], y)),
+            lambda x, y, a, ap, b, bp: along(st(th_a[a], x),
+                                             idsq(img(q2.fB(bp), y))),
+            lambda x, y, a, ap, b, bp: along(idsq(t.at(a, b)), I2(x, y))))
+        r1, r2, r3 = order((
+            lambda x, y, a, ap, b, bp: along(I1(x, y), idsq(t.at(ap, bp))),
+            lambda x, y, a, ap, b, bp: along(idsq(img(q1.fB(b), y)),
+                                             st(th_a[ap], x)),
+            lambda x, y, a, ap, b, bp: along(st(th_b[b], y),
+                                             idsq(img(q2.fA(ap), x)))))
+        return (lambda *k: across_many([l1(*k), l2(*k), l3(*k)]),
+                lambda *k: across_many([r1(*k), r2(*k), r3(*k)]))
 
-    def mixed(b_along, I1, I2, x, y, a, ap, b, bp):
-        # X runs along the components and Y across them; thX is the family
-        # indexed by X's variable
-        (X, thX, sX, tX), (Y, thY, sY, tY) = (
-            ((x, th_b, b, bp), (y, th_a, a, ap)) if b_along
-            else ((y, th_a, a, ap), (x, th_b, b, bp)))
-        s1, s2 = order((lambda: st(thY[tY], X), lambda: st(thY[sY], X)))
-        return (lambda: across(*pasted(
-                    lambda: along(I1(x, y), cp(thX[tX], Y)), s1)),
-                lambda: across(*pasted(
-                    s2, lambda: along(cp(thX[sX], Y), I2(x, y)))))
+    def mixed(b_along, I1, I2):
+        # X runs along the components and Y across them, from sX to tX
+        # and from sY to tY; thX is the family indexed by X's variable
+        thX, thY = (th_b, th_a) if b_along else (th_a, th_b)
 
-    def across_both(I1, I2, x, y, a, ap, b, bp):
-        left, right = order((((th_a[a], x), (th_b[bp], y)),
-                             ((th_b[b], y), (th_a[ap], x))))
-        return (lambda: along(I1(x, y), across(cp(*left[0]), cp(*left[1]))),
-                lambda: along(across(cp(*right[0]), cp(*right[1])),
-                              I2(x, y)))
+        def framed(side):
+            # side, a function of (x, y, X, sX, tX, Y, sY, tY), as a
+            # function of a key
+            if b_along:
+                return lambda x, y, a, ap, b, bp: side(x, y, x, b, bp, y, a, ap)
+            return lambda x, y, a, ap, b, bp: side(x, y, y, a, ap, x, b, bp)
+        s1, s2 = order((lambda x, y, X, sX, tX, Y, sY, tY: st(thY[tY], X),
+                        lambda x, y, X, sX, tX, Y, sY, tY: st(thY[sY], X)))
+        l1, l2 = order((lambda x, y, X, sX, tX, Y, sY, tY: along(
+            I1(x, y), cp(thX[tX], Y)), s1))
+        r1, r2 = order((s2, lambda x, y, X, sX, tX, Y, sY, tY: along(
+            cp(thX[sX], Y), I2(x, y))))
+        return (framed(lambda *k: across(l1(*k), l2(*k))),
+                framed(lambda *k: across(r1(*k), r2(*k))))
+
+    def across_both(I1, I2):
+        left, right = order((
+            lambda x, y, a, ap, b, bp: across(cp(th_a[a], x), cp(th_b[bp], y)),
+            lambda x, y, a, ap, b, bp: across(cp(th_b[b], y), cp(th_a[ap], x))))
+        return (lambda x, y, *k: along(I1(x, y), left(x, y, *k)),
+                lambda x, y, *k: along(right(x, y, *k), I2(x, y)))
 
     kk, uk, ku, uu = _INTERCHANGERS
     for n, (name, b_cells, a_cells) in enumerate(
             (kk, uk, ku, uu) if hv == "h" else (uu, uk, ku, kk), 1):
         I1, I2 = getattr(q1, "sq_" + name), getattr(q2, "sq_" + name)
-        law = (along_both if n == 1 else across_both if n == 4
-               else partial(mixed, b_cells == hv))
-        for x in range(getattr(B, "n_%scells" % b_cells)):
-            b, bp = _cell_ends(B, b_cells, x)
-            for y in range(getattr(A, "n_%scells" % a_cells)):
-                emit("q-%s-%d" % (t.kind.tag, n),
-                     *law(I1, I2, x, y, *_cell_ends(A, a_cells, y), b, bp),
-                     **{name[0]: x, name[1].upper(): y})
+        sides = (along_both(I1, I2) if n == 1 else across_both(I1, I2)
+                 if n == 4 else mixed(b_cells == hv, I1, I2))
+        emit("q-%s-%d" % (t.kind.tag, n),
+             ((x, y, *_cell_ends(A, a_cells, y), b, bp)
+              for x in range(getattr(B, "n_%scells" % b_cells))
+              for b, bp in (_cell_ends(B, b_cells, x),)
+              for y in range(getattr(A, "n_%scells" % a_cells))),
+             *sides, (name[0], name[1].upper()))
 
 
 def check_q_mod(m):

@@ -7,7 +7,8 @@ squares), and one relation per instance of the family functor laws and the
 quasi functor laws.  The relations are not written here: they come from
 running the law catalogues the checkers use (``functor._lax_functor_laws``
 and ``quasi._quasi_laws``) on the universal quasi functor J, whose
-codomain builds pasting terms.  The tensor is never materialized as a
+codomain builds pasting terms: each row of instances of one law gives
+the relations of its keys.  The tensor is never materialized as a
 double category; a strict functor out of it is exactly a
 boundary-preserving assignment of target cells to generators under which
 every relation evaluates to an equality, and that is checkable directly
@@ -92,12 +93,13 @@ class TensorPresentation:
                 gens[kind].append(term.name)
         self.obj_gens, self.h_gens, self.v_gens, self.sq_gens = (
             gens[OBJECT], gens[HCELL], gens[VCELL], gens[SQUARE])
-        self.relations = []
+        self.relations = relations = []
 
-        def emit(label, lhs, rhs, **witness):
-            lhs, rhs = lhs(), rhs()
-            if lhs != rhs:
-                self.relations.append((label, lhs, rhs))
+        def emit(label, keys, lhs, rhs, witness):
+            for key in keys:
+                left, right = lhs(*key), rhs(*key)
+                if left != right:
+                    relations.append((label, left, right))
 
         for a in range(A.n_objects):
             _lax_functor_laws(J.fA(a), emit, "fam-a")

@@ -343,39 +343,30 @@ _HOR_PASTINGS = _hor_pastings()
 
 
 def _hor_transform_laws(t, emit):
-    """Every horizontal transformation law instance of t, in report order.
-
-    Each instance goes to ``emit(law, lhs, rhs, **witness)`` with its two
-    sides as thunks, as in ``functor._lax_functor_laws``.
-    """
+    """Every horizontal transformation law instance of t, in report order,
+    emitted in rows as in ``functor._lax_functor_laws``."""
     d, c = t.dom, t.cod
     ((h1, h2, h5), ((comp1, comp2), (col1, col2), (unit1, unit2),
                     (nat1, nat2))) = _HOR_PASTINGS[t.orientation]
-    for f, g in composable_pairs(d.hsrc, d.htgt):
-        emit(h1,
-             lambda f=f, g=g: c.vcomp_sq(
-                 comp1(t, f, g), t.delta_at(d.hcomp_h(f, g))),
-             lambda f=f, g=g: c.vcomp_sq_many(
-                 [col1(t, f, g), col2(t, f, g), comp2(t, f, g)]),
-             first=f, second=g)
-    for a in range(d.n_objects):
-        emit(h2,
-             lambda a=a: c.vcomp_sq(unit1(t, a), t.delta_at(d.h_id(a))),
-             lambda a=a: unit2(t, a), object=a)
-    for u, w in composable_pairs(d.vsrc, d.vtgt):
-        emit("h.o.t.-3",
-             lambda u=u, w=w: t.sq_v(d.vcomp_v(u, w)),
-             lambda u=u, w=w: c.vcomp_sq(t.sq_v(u), t.sq_v(w)),
-             first=u, second=w)
-    for a in range(d.n_objects):
-        emit("h.o.t.-4",
-             lambda a=a: t.sq_v(d.v_id(a)),
-             lambda a=a: c.sq_v_id(t.at(a)), object=a)
-    for s in d.iter_squares():
-        emit(h5,
-             lambda s=s: c.vcomp_sq(nat1(t, s), t.delta_at(d.sq_bottom(s))),
-             lambda s=s: c.vcomp_sq(t.delta_at(d.sq_top(s)), nat2(t, s)),
-             square=s)
+    emit(h1, composable_pairs(d.hsrc, d.htgt),
+         lambda f, g: c.vcomp_sq(comp1(t, f, g),
+                                 t.delta_at(d.hcomp_h(f, g))),
+         lambda f, g: c.vcomp_sq_many(
+             [col1(t, f, g), col2(t, f, g), comp2(t, f, g)]),
+         ("first", "second"))
+    emit(h2, zip(range(d.n_objects)),
+         lambda a: c.vcomp_sq(unit1(t, a), t.delta_at(d.h_id(a))),
+         lambda a: unit2(t, a), ("object",))
+    emit("h.o.t.-3", composable_pairs(d.vsrc, d.vtgt),
+         lambda u, w: t.sq_v(d.vcomp_v(u, w)),
+         lambda u, w: c.vcomp_sq(t.sq_v(u), t.sq_v(w)), ("first", "second"))
+    emit("h.o.t.-4", zip(range(d.n_objects)),
+         lambda a: t.sq_v(d.v_id(a)), lambda a: c.sq_v_id(t.at(a)),
+         ("object",))
+    emit(h5, zip(d.iter_squares()),
+         lambda s: c.vcomp_sq(nat1(t, s), t.delta_at(d.sq_bottom(s))),
+         lambda s: c.vcomp_sq(t.delta_at(d.sq_top(s)), nat2(t, s)),
+         ("square",))
 
 
 def check_vert_transform(t):
@@ -417,37 +408,28 @@ _VERT_PASTINGS = _vert_pastings()
 
 def _vert_transform_laws(t, emit):
     """Every vertical transformation law instance of t, in report order,
-    emitted as in ``_hor_transform_laws``."""
+    emitted in rows as in ``functor._lax_functor_laws``."""
     d, c = t.dom, t.cod
     F, G = t.F, t.G
     ((v3, v5), (col1, col2),
      ((l1, l2), (r1, r2))) = _VERT_PASTINGS[t.orientation]
-    for f, g in composable_pairs(d.hsrc, d.htgt):
-        emit("v.l.t.-1",
-             lambda f=f, g=g: c.vcomp_sq(
-                 c.hcomp_sq(t.sq_h(f), t.sq_h(g)), G.compositor(f, g)),
-             lambda f=f, g=g: c.vcomp_sq(
-                 F.compositor(f, g), t.sq_h(d.hcomp_h(f, g))),
-             first=f, second=g)
-    for a in range(d.n_objects):
-        emit("v.l.t.-2",
-             lambda a=a: c.vcomp_sq(F.unitor(a), t.sq_h(d.h_id(a))),
-             lambda a=a: c.vcomp_sq(c.sq_h_id(t.at(a)), G.unitor(a)),
-             object=a)
-    for u, w in composable_pairs(d.vsrc, d.vtgt):
-        emit(v3,
-             lambda u=u, w=w: c.hcomp_sq(col1(t, u, w), col2(t, u, w)),
-             lambda u=u, w=w: t.sq_v(d.vcomp_v(u, w)),
-             first=u, second=w)
-    for a in range(d.n_objects):
-        emit("v.l.t.-4",
-             lambda a=a: t.sq_v(d.v_id(a)),
-             lambda a=a: c.sq_h_id(t.at(a)), object=a)
-    for s in d.iter_squares():
-        emit(v5,
-             lambda s=s: c.hcomp_sq(l1(t, s), l2(t, s)),
-             lambda s=s: c.hcomp_sq(r1(t, s), r2(t, s)),
-             square=s)
+    emit("v.l.t.-1", composable_pairs(d.hsrc, d.htgt),
+         lambda f, g: c.vcomp_sq(c.hcomp_sq(t.sq_h(f), t.sq_h(g)),
+                                 G.compositor(f, g)),
+         lambda f, g: c.vcomp_sq(F.compositor(f, g), t.sq_h(d.hcomp_h(f, g))),
+         ("first", "second"))
+    emit("v.l.t.-2", zip(range(d.n_objects)),
+         lambda a: c.vcomp_sq(F.unitor(a), t.sq_h(d.h_id(a))),
+         lambda a: c.vcomp_sq(c.sq_h_id(t.at(a)), G.unitor(a)), ("object",))
+    emit(v3, composable_pairs(d.vsrc, d.vtgt),
+         lambda u, w: c.hcomp_sq(col1(t, u, w), col2(t, u, w)),
+         lambda u, w: t.sq_v(d.vcomp_v(u, w)), ("first", "second"))
+    emit("v.l.t.-4", zip(range(d.n_objects)),
+         lambda a: t.sq_v(d.v_id(a)), lambda a: c.sq_h_id(t.at(a)),
+         ("object",))
+    emit(v5, zip(d.iter_squares()),
+         lambda s: c.hcomp_sq(l1(t, s), l2(t, s)),
+         lambda s: c.hcomp_sq(r1(t, s), r2(t, s)), ("square",))
 
 
 def check_modification(m):
@@ -497,17 +479,17 @@ _MODIFICATION_PASTINGS = _modification_pastings()
 
 
 def _modification_laws(m, emit):
-    """Every modification law instance of m, in report order, emitted as
-    in ``_hor_transform_laws``."""
+    """Every modification law instance of m, in report order, emitted in
+    rows as in ``functor._lax_functor_laws``."""
     d, c = m.dom, m.cod
     ((m1, m2), ((l1, l2), (r1, r2)),
      ((k1, k2), (s1, s2))) = _MODIFICATION_PASTINGS[m.top.orientation]
-    for f in range(d.n_hcells):
-        emit(m1, lambda f=f: c.vcomp_sq(l1(m, f), l2(m, f)),
-             lambda f=f: c.vcomp_sq(r1(m, f), r2(m, f)), hcell=f)
-    for u in range(d.n_vcells):
-        emit(m2, lambda u=u: c.hcomp_sq(k1(m, u), k2(m, u)),
-             lambda u=u: c.hcomp_sq(s1(m, u), s2(m, u)), vcell=u)
+    emit(m1, zip(range(d.n_hcells)),
+         lambda f: c.vcomp_sq(l1(m, f), l2(m, f)),
+         lambda f: c.vcomp_sq(r1(m, f), r2(m, f)), ("hcell",))
+    emit(m2, zip(range(d.n_vcells)),
+         lambda u: c.hcomp_sq(k1(m, u), k2(m, u)),
+         lambda u: c.hcomp_sq(s1(m, u), s2(m, u)), ("vcell",))
 
 
 # -- composition ------------------------------------------------------------

@@ -23,6 +23,7 @@ from dblcheck.strictify import product_dom, strictify0
 from dblcheck.transform import (
     LAX, OPLAX, HorTransform, VertTransform)
 
+from law_rows import instances
 from test_acceptance import flip
 from test_quasi import (
     flip_parity_factor, pairing_quasi, sign_q_hor, sign_quasi)
@@ -191,8 +192,16 @@ def reference_strictify_vert(t, dom=None):
 
 REFERENCE = {HorTransform: (reference_q_hor_laws, reference_strictify_hor),
              VertTransform: (reference_q_vert_laws, reference_strictify_vert)}
-LIVE = {HorTransform: (quasi._q_cell_laws, strictify.strictify_cell),
-        VertTransform: (quasi._q_cell_laws, strictify.strictify_cell)}
+
+
+def live_q_cell_laws(t, emit):
+    """``quasi._q_cell_laws`` one instance at a time, as the references
+    emit."""
+    quasi._q_cell_laws(t, instances(emit))
+
+
+LIVE = {HorTransform: (live_q_cell_laws, strictify.strictify_cell),
+        VertTransform: (live_q_cell_laws, strictify.strictify_cell)}
 
 
 # -- corpus ------------------------------------------------------------------

@@ -25,6 +25,8 @@ from dblcheck.transform import (
     HorTransform, Modification, check_hor_transform, check_vert_transform,
     identity_hor_transform, identity_modification, identity_vert_transform)
 
+from law_rows import instances
+
 
 def point_functor(t, p, sign):
     """Lax functor from the point into parity with carrier 1_* and the
@@ -506,5 +508,6 @@ def test_quasi_catalogue_instance_counts(make):
     1h-cell of A."""
     q = make()
     emitted = Counter()
-    quasi._quasi_laws(q, lambda law, lhs, rhs, **w: emitted.update((law,)))
+    quasi._quasi_laws(
+        q, instances(lambda law, lhs, rhs, **w: emitted.update((law,))))
     assert emitted == _quasi_closed_form_counts(q.A, q.B)

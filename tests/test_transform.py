@@ -20,6 +20,7 @@ from dblcheck.transform import (
     identity_modification, identity_vert_transform, vcompose_hor,
     vcompose_modifications, vcompose_vert)
 
+from law_rows import instances
 from test_functor import parity_sign_functor
 from test_quasi import sign_quasi
 
@@ -380,7 +381,7 @@ def _law_counts(laws, x):
     """Instances per law label of one catalogue run, through an emit that
     counts and evaluates nothing."""
     counts = collections.Counter()
-    laws(x, lambda law, lhs, rhs, **witness: counts.update((law,)))
+    laws(x, instances(lambda law, lhs, rhs, **witness: counts.update((law,))))
     return dict(counts)
 
 
