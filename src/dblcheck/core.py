@@ -18,7 +18,7 @@ top factor first).  ``hcomp_h(f, g)`` is the composite "f then g".
 
 from bisect import bisect_right
 from collections import Counter
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate, chain, product as iproduct, repeat
 from operator import attrgetter
 import random
@@ -858,6 +858,15 @@ def composable_square_pairs(bounds):
                                     for i in range(4))
     return (sum(n * lefts[e] for e, n in rights.items()),
             sum(n * tops[e] for e, n in bottoms.items()))
+
+
+@lru_cache(maxsize=1024)
+def row_keys(n, head=(), tail=()):
+    """The keys ``head + (i,) + tail`` for i in ``range(n)``, in order: a
+    law row over one index between fixed cells.  Kept per arguments, so
+    that a row of one instance, the common case on small domains, costs
+    a lookup and not an iterator."""
+    return tuple(head + (i,) + tail for i in range(n))
 
 
 def composable_pairs(src, tgt):

@@ -13,7 +13,8 @@ from itertools import product
 
 from .core import (
     ValidationReport, composable_pairs, composable_square_pairs,
-    composable_triples, flat_validation_steps, validate_double_category)
+    composable_triples, flat_validation_steps, row_keys,
+    validate_double_category)
 from .errors import DomainMismatch, MalformedTables
 
 
@@ -278,7 +279,7 @@ def _lax_functor_laws(F, emit, tag, square_laws=True):
     emit(v1, composable_pairs(d.vsrc, d.vtgt),
          lambda u, w: F.v(d.vcomp_v(u, w)),
          lambda u, w: c.vcomp_v(F.v(u), F.v(w)), ("first", "second"))
-    emit(v2, zip(range(d.n_objects)),
+    emit(v2, row_keys(d.n_objects),
          lambda a: F.v(d.v_id(a)), lambda a: c.v_id(F.obj(a)), ("object",))
     if not square_laws:
         return
@@ -290,7 +291,7 @@ def _lax_functor_laws(F, emit, tag, square_laws=True):
               for s2 in by_top.get(d.sq_bottom(s1), [])),
          lambda s1, s2: F.sq(d.vcomp_sq(s1, s2)),
          lambda s1, s2: c.vcomp_sq(F.sq(s1), F.sq(s2)), ("top", "bottom"))
-    emit(h2, zip(range(d.n_hcells)),
+    emit(h2, row_keys(d.n_hcells),
          lambda f: F.sq(d.sq_v_id(f)), lambda f: c.sq_v_id(F.h(f)),
          ("hcell",))
     emit(hex_, ((f, g, h) for f, g in composable_pairs(d.hsrc, d.htgt)
@@ -325,7 +326,7 @@ def _lax_functor_laws(F, emit, tag, square_laws=True):
              F.compositor(d.sq_top(s1), d.sq_top(s2)),
              F.sq(d.hcomp_sq(s1, s2))),
          ("left", "right"))
-    emit(u_nat, zip(range(d.n_vcells)),
+    emit(u_nat, row_keys(d.n_vcells),
          lambda u: c.vcomp_sq(c.sq_h_id(F.v(u)), F.unitor(d.vtgt[u])),
          lambda u: c.vcomp_sq(F.unitor(d.vsrc[u]), F.sq(d.sq_h_id(u))),
          ("vcell",))

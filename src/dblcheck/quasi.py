@@ -27,9 +27,7 @@ uncurrying.  Currying stays written out per kind: keeping the codomain's
 call order would branch one body on the kind twice.
 """
 
-from itertools import product
-
-from .core import ValidationReport, composable_pairs
+from .core import ValidationReport, composable_pairs, row_keys
 from .errors import ChainMismatch, DomainMismatch
 from .functor import LaxDoubleFunctor, check_lax_functor, is_unitary
 from .hom import (
@@ -248,9 +246,9 @@ def _quasi_laws(q, emit):
         lambda b, U: C.vcomp_sq(hid(q.fB(b).v(U)),
                                 q.fA(A.vtgt[U]).unitor(b)))
     for b in range(B.n_objects):
-        emit("(1_B,K)", product((b,), range(A.n_hcells)), one_K, one_K_r,
+        emit("(1_B,K)", row_keys(A.n_hcells, (b,)), one_K, one_K_r,
              ("b", "K"))
-        emit("(1_B,U)", product((b,), range(A.n_vcells)), one_U, one_U_r,
+        emit("(1_B,U)", row_keys(A.n_vcells, (b,)), one_U, one_U_r,
              ("b", "U"))
     # unit coherence in the A-variable: ((k, 1_A)) and ((u, 1_A))
     k_one, k_one_r = (
@@ -265,9 +263,9 @@ def _quasi_laws(q, emit):
         lambda a, u: C.vcomp_sq(q.fB(B.vsrc[u]).unitor(a),
                                 q.sq_uk(u, A.h_id(a))))
     for a in range(A.n_objects):
-        emit("(k,1_A)", product((a,), range(B.n_hcells)), k_one, k_one_r,
+        emit("(k,1_A)", row_keys(B.n_hcells, (a,)), k_one, k_one_r,
              ("a", "k"))
-        emit("(u,1_A)", product((a,), range(B.n_vcells)), u_one, u_one_r,
+        emit("(u,1_A)", row_keys(B.n_vcells, (a,)), u_one, u_one_r,
              ("a", "u"))
     # vertical identity arguments collapse to identity squares
     emit("(1^B,K)", ((b, K) for K in range(A.n_hcells)
@@ -319,9 +317,9 @@ def _quasi_laws(q, emit):
             q.fB(B.vtgt[u]).compositor(K, Kp)))
     for K, Kp in composable_pairs(A.hsrc, A.htgt):
         Kc = A.hcomp_h(K, Kp)
-        emit("(k,K'K)", product(range(B.n_hcells), (K,), (Kp,), (Kc,)),
+        emit("(k,K'K)", row_keys(B.n_hcells, (), (K, Kp, Kc)),
              k_KK, k_KK_r, ("k", "K", "Kp"))
-        emit("(u,K'K)", product(range(B.n_vcells), (K,), (Kp,), (Kc,)),
+        emit("(u,K'K)", row_keys(B.n_vcells, (), (K, Kp, Kc)),
              u_KK, u_KK_r, ("u", "K", "Kp"))
     emit("(k'k,U)", ((k, kp, U, kc)
                      for k, kp in composable_pairs(B.hsrc, B.htgt)
@@ -344,9 +342,9 @@ def _quasi_laws(q, emit):
             C.vcomp_sq(hid(q.fA(A.vsrc[U]).v(u)), q.sq_uu(up, U))))
     for u, up in composable_pairs(B.vsrc, B.vtgt):
         uc = B.vcomp_v(u, up)
-        emit("(u/u',K)", product((u,), (up,), range(A.n_hcells), (uc,)),
+        emit("(u/u',K)", row_keys(A.n_hcells, (u, up), (uc,)),
              uu_K, uu_K_r, ("u", "up", "K"))
-        emit("(u/u',U)", product((u,), (up,), range(A.n_vcells), (uc,)),
+        emit("(u/u',U)", row_keys(A.n_vcells, (u, up), (uc,)),
              uu_U, uu_U_r, ("u", "up", "U"))
     k_UU, k_UU_r = (
         lambda k, U, Up, Uc: q.sq_ku(k, Uc),
@@ -358,9 +356,9 @@ def _quasi_laws(q, emit):
             C.vcomp_sq(q.sq_uu(u, U), hid(q.fB(B.vtgt[u]).v(Up)))))
     for U, Up in composable_pairs(A.vsrc, A.vtgt):
         Uc = A.vcomp_v(U, Up)
-        emit("(k,U/U')", product(range(B.n_hcells), (U,), (Up,), (Uc,)),
+        emit("(k,U/U')", row_keys(B.n_hcells, (), (U, Up, Uc)),
              k_UU, k_UU_r, ("k", "U", "Up"))
-        emit("(u,U/U')", product(range(B.n_vcells), (U,), (Up,), (Uc,)),
+        emit("(u,U/U')", row_keys(B.n_vcells, (), (U, Up, Uc)),
              u_UU, u_UU_r, ("u", "U", "Up"))
     # naturality in either variable
     kK_l, kK_l_r = (
@@ -378,12 +376,10 @@ def _quasi_laws(q, emit):
             C.vcomp_sq(q.sq_ku(k, U), q.fA(A.vtgt[U]).sq(om)),
             q.sq_uu(v, U)))
     for om in B.iter_squares():
-        k, l, u, v = B.sq_bounds[om]
-        emit("(k,K)-l-nat",
-             product((om,), range(A.n_hcells), (k,), (l,), (u,), (v,)),
+        sides = B.sq_bounds[om]
+        emit("(k,K)-l-nat", row_keys(A.n_hcells, (om,), sides),
              kK_l, kK_l_r, ("square", "K"))
-        emit("(u,U)-l-nat",
-             product((om,), range(A.n_vcells), (k,), (l,), (u,), (v,)),
+        emit("(u,U)-l-nat", row_keys(A.n_vcells, (om,), sides),
              uU_l, uU_l_r, ("square", "U"))
     kK_r, kK_r_r = (
         lambda ze, k, K, L, U, V: C.vcomp_sq(
@@ -400,12 +396,10 @@ def _quasi_laws(q, emit):
             C.vcomp_sq(q.fB(B.vsrc[u]).sq(ze), q.sq_uk(u, L)),
             q.sq_uu(u, V)))
     for ze in A.iter_squares():
-        K, L, U, V = A.sq_bounds[ze]
-        emit("(k,K)-r-nat",
-             product((ze,), range(B.n_hcells), (K,), (L,), (U,), (V,)),
+        sides = A.sq_bounds[ze]
+        emit("(k,K)-r-nat", row_keys(B.n_hcells, (ze,), sides),
              kK_r, kK_r_r, ("square", "k"))
-        emit("(u,U)-r-nat",
-             product((ze,), range(B.n_vcells), (K,), (L,), (U,), (V,)),
+        emit("(u,U)-r-nat", row_keys(B.n_vcells, (ze,), sides),
              uU_r, uU_r_r, ("square", "u"))
 
 

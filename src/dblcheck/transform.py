@@ -35,7 +35,7 @@ destrictification and uncurrying read the fields from this table.
 
 from collections import namedtuple
 
-from .core import ValidationReport, composable_pairs
+from .core import ValidationReport, composable_pairs, row_keys
 from .errors import ChainMismatch, DblError, NotPseudo
 from .functor import _derive_square, functor_equal
 
@@ -354,13 +354,13 @@ def _hor_transform_laws(t, emit):
          lambda f, g: c.vcomp_sq_many(
              [col1(t, f, g), col2(t, f, g), comp2(t, f, g)]),
          ("first", "second"))
-    emit(h2, zip(range(d.n_objects)),
+    emit(h2, row_keys(d.n_objects),
          lambda a: c.vcomp_sq(unit1(t, a), t.delta_at(d.h_id(a))),
          lambda a: unit2(t, a), ("object",))
     emit("h.o.t.-3", composable_pairs(d.vsrc, d.vtgt),
          lambda u, w: t.sq_v(d.vcomp_v(u, w)),
          lambda u, w: c.vcomp_sq(t.sq_v(u), t.sq_v(w)), ("first", "second"))
-    emit("h.o.t.-4", zip(range(d.n_objects)),
+    emit("h.o.t.-4", row_keys(d.n_objects),
          lambda a: t.sq_v(d.v_id(a)), lambda a: c.sq_v_id(t.at(a)),
          ("object",))
     emit(h5, zip(d.iter_squares()),
@@ -418,13 +418,13 @@ def _vert_transform_laws(t, emit):
                                  G.compositor(f, g)),
          lambda f, g: c.vcomp_sq(F.compositor(f, g), t.sq_h(d.hcomp_h(f, g))),
          ("first", "second"))
-    emit("v.l.t.-2", zip(range(d.n_objects)),
+    emit("v.l.t.-2", row_keys(d.n_objects),
          lambda a: c.vcomp_sq(F.unitor(a), t.sq_h(d.h_id(a))),
          lambda a: c.vcomp_sq(c.sq_h_id(t.at(a)), G.unitor(a)), ("object",))
     emit(v3, composable_pairs(d.vsrc, d.vtgt),
          lambda u, w: c.hcomp_sq(col1(t, u, w), col2(t, u, w)),
          lambda u, w: t.sq_v(d.vcomp_v(u, w)), ("first", "second"))
-    emit("v.l.t.-4", zip(range(d.n_objects)),
+    emit("v.l.t.-4", row_keys(d.n_objects),
          lambda a: t.sq_v(d.v_id(a)), lambda a: c.sq_h_id(t.at(a)),
          ("object",))
     emit(v5, zip(d.iter_squares()),
@@ -484,10 +484,10 @@ def _modification_laws(m, emit):
     d, c = m.dom, m.cod
     ((m1, m2), ((l1, l2), (r1, r2)),
      ((k1, k2), (s1, s2))) = _MODIFICATION_PASTINGS[m.top.orientation]
-    emit(m1, zip(range(d.n_hcells)),
+    emit(m1, row_keys(d.n_hcells),
          lambda f: c.vcomp_sq(l1(m, f), l2(m, f)),
          lambda f: c.vcomp_sq(r1(m, f), r2(m, f)), ("hcell",))
-    emit(m2, zip(range(d.n_vcells)),
+    emit(m2, row_keys(d.n_vcells),
          lambda u: c.hcomp_sq(k1(m, u), k2(m, u)),
          lambda u: c.hcomp_sq(s1(m, u), s2(m, u)), ("vcell",))
 
