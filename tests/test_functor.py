@@ -261,6 +261,7 @@ def reference(F):
 
     def emit(law, lhs, rhs, **witness):
         counts[law] += 1
+        # the instance as a row whose one key holds its witness values
         rep.expect(law, [tuple(witness.values())], lambda *key: lhs(),
                    lambda *key: rhs(), tuple(witness))
     if rep.passed:

@@ -23,9 +23,14 @@ members of the q-cells that destrictification, uncurrying, memberwise
 composition and identities produce from the sign quasi functors, each
 read through its accessors on every domain cell; the tensor relations
 of three small presentations, sorted per label, so they compare as
-multisets; and the verdict of every single mutation of a README document
+multisets; the verdict of every single mutation of a README document
 (the mutations of ``tests/test_cli.py``): its exit code, then its sorted
-failed law labels or its input-error message.
+failed law labels or its input-error message; the failures of a functor
+into parity less one vertical square composite, each instance that needs
+it recording its error; and the interning order a flat or hom codomain
+is left in by lax functor checks out of walk_h into bool1, by quasi
+functor and universal property checks of three bool2 distributive laws
+and by the check of the curried pairing quasi functor.
 
 Regenerate only for an intended change of behaviour, and say so:
 
