@@ -2,13 +2,16 @@
 
 Cells of each kind (objects, horizontal 1-cells, vertical 1-cells, squares)
 are interned: a cell is an integer index into per-kind lists, and equality of
-cells is equality of indices.  Squares come in two backends:
+cells is equality of indices.  Squares come in three backends, composed
+through one set of accessors (see ``DoubleCat``):
 
 * ``explicit`` — squares are listed and both square compositions are stored
   as total tables on composable pairs;
 * ``flat`` — there is at most one square per boundary, membership is decided
   by a predicate on boundary quadruples, squares are interned on demand, and
-  the composition of squares is derived from the 1-cell compositions.
+  the composition of squares is derived from the 1-cell compositions;
+* interned — every cell carries a payload and composites are computed on
+  payloads (``hom.InternedDoubleCat``).
 
 Orientation conventions used throughout: a square has a top and a bottom
 horizontal 1-cell and a left and a right vertical 1-cell; ``hcomp`` glues
@@ -167,19 +170,31 @@ class ValidationReport(Record, fields=("failures", "sampled", "reduced")):
 class DoubleCat:
     """A finite strict double category backed by composition tables.
 
-    An explicit category is given its square composites and identity
-    squares in the tables ``_hs``, ``_vs``, ``_sqvid`` and ``_sqhid``,
-    and a composite missing there is an error.  A flat one (``set_flat``)
-    decides its squares by a boundary predicate; it keeps each square
-    composite and identity square it computes in those same tables, as
-    ``hcomp_h`` keeps 1-cell composites in ``_hh``.  That is sound: a flat
-    square is interned once per boundary and never decided again, square
+    Every backend composes through the six accessors ``hcomp_h``,
+    ``vcomp_v``, ``hcomp_sq``, ``vcomp_sq``, ``sq_v_id`` and ``sq_h_id``.
+    Each checks that its operands compose, then reads its table (``_hh``,
+    ``_vv``, ``_hs``, ``_vs``, ``_sqvid``, ``_sqhid``).  A 1-cell composite
+    missing there comes from ``hcomp_h_fn``/``vcomp_v_fn``, or is an error
+    when that is None.  A missing square is an error on an explicit
+    category, which is given every entry, raised before anything is
+    composed; otherwise the accessor composes the square's frame through
+    ``hcomp_h``/``vcomp_v`` and ``_square_on`` gets the square on it: a
+    flat category (``set_flat``) decides it by ``find_square``, an
+    interned one (``hom.InternedDoubleCat``) composes payloads.
+
+    A computed entry is kept.  That is sound: a square is interned once
+    per boundary (flat) or per key (interned) and never decided again, cell
     ids only grow, and the 1-cell composites a square composite reads are
     kept, so a stored entry is what computing it again would give.  An
-    entry is stored only under cell ids of 0 or more, since ``sq_bounds[-1]``
-    names another square once one more is interned.  Nothing reads a flat
-    category's square tables but these accessors.
+    entry is stored only under cell ids of 0 or more, since
+    ``sq_bounds[-1]`` names another square once one more is interned.
+    Nothing outside this module reads or writes the tables.
     """
+
+    # set by a backend that interns each composite of payloads
+    interned = False
+    # compute a 1-cell composite missing from its table, if not None
+    hcomp_h_fn = vcomp_v_fn = None
 
     def __init__(self, name="D"):
         self.name = name
@@ -188,8 +203,6 @@ class DoubleCat:
         self.vnames, self.vsrc, self.vtgt = [], [], []
         self._h_id, self._v_id = [], []
         self._hh, self._vv = {}, {}
-        self.hcomp_h_fn = None
-        self.vcomp_v_fn = None
         self.flat = False
         self.square_pred = None
         self.sq_names = []
@@ -421,16 +434,22 @@ class DoubleCat:
             return [] if s is None else [s]
         return list(self._sq_by_bound.get((top, bottom, left, right), []))
 
+    def _square_on(self, op, bound, x, y=None):
+        """The square on the closing frame ``bound`` of the entry that the
+        accessor ``op`` misses for x (and y), or None: on a flat self the
+        one ``find_square`` decides.  An interned backend overrides it."""
+        return self.find_square(*bound)
+
     def sq_h_id(self, u):
         """The horizontal identity square Id^u on a 1v-cell u."""
         try:
             return self._sqhid[u]
         except KeyError:
-            if not self.flat:
+            if not (self.flat or self.interned):
                 raise MalformedTables(
                     "sq_h_id missing for %s" % self.vnames[u]) from None
-        s = self.find_square(self.h_id(self.vsrc[u]),
-                             self.h_id(self.vtgt[u]), u, u)
+        s = self._square_on("sq_h_id", (self.h_id(self.vsrc[u]),
+                                        self.h_id(self.vtgt[u]), u, u), u)
         if s is None:
             raise MalformedTables("flat category misses Id^%s" % self.vnames[u])
         if u >= 0:
@@ -442,11 +461,11 @@ class DoubleCat:
         try:
             return self._sqvid[f]
         except KeyError:
-            if not self.flat:
+            if not (self.flat or self.interned):
                 raise MalformedTables(
                     "sq_v_id missing for %s" % self.hnames[f]) from None
-        s = self.find_square(f, f, self.v_id(self.hsrc[f]),
-                             self.v_id(self.htgt[f]))
+        s = self._square_on("sq_v_id", (f, f, self.v_id(self.hsrc[f]),
+                                        self.v_id(self.htgt[f])), f)
         if s is None:
             raise MalformedTables("flat category misses Id_%s" % self.hnames[f])
         if f >= 0:
@@ -465,11 +484,11 @@ class DoubleCat:
         try:
             return self._hs[s1, s2]
         except KeyError:
-            if not self.flat:
+            if not (self.flat or self.interned):
                 raise MalformedTables("hcomp_sq table missing an entry") from None
         top = self.hcomp_h(b1[0], b2[0])
         bottom = self.hcomp_h(b1[1], b2[1])
-        s = self.find_square(top, bottom, b1[2], b2[3])
+        s = self._square_on("hcomp_sq", (top, bottom, b1[2], b2[3]), s1, s2)
         if s is None:
             raise MalformedTables("flat category not closed under hcomp_sq")
         if s1 >= 0 and s2 >= 0:
@@ -484,11 +503,11 @@ class DoubleCat:
         try:
             return self._vs[s1, s2]
         except KeyError:
-            if not self.flat:
+            if not (self.flat or self.interned):
                 raise MalformedTables("vcomp_sq table missing an entry") from None
         left = self.vcomp_v(b1[2], b2[2])
         right = self.vcomp_v(b1[3], b2[3])
-        s = self.find_square(b1[0], b2[1], left, right)
+        s = self._square_on("vcomp_sq", (b1[0], b2[1], left, right), s1, s2)
         if s is None:
             raise MalformedTables("flat category not closed under vcomp_sq")
         if s1 >= 0 and s2 >= 0:

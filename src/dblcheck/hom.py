@@ -11,8 +11,11 @@ Cells are interned on demand: the category starts empty and grows as
 functors and transformations are added or produced by composition.  Every
 cell keeps its semantic payload, so composition is computed on payloads
 and deduplicated through a canonical key.  ``InternedDoubleCat`` holds
-that scheme once; ``HomDoubleCat`` here and ``quasi.QHomDoubleCat`` add
-only their keys, endpoints, identities and payload compositions.
+that scheme once, as the interned backend of ``core.DoubleCat``: the
+composites of every backend are read through ``DoubleCat``'s accessors,
+and this module keeps only payloads, their keys and the intern path.
+``HomDoubleCat`` here and ``quasi.QHomDoubleCat`` add only their keys,
+endpoints, identities and payload compositions.
 """
 
 from heapq import merge
@@ -85,15 +88,18 @@ class InternedDoubleCat(DoubleCat):
     1-cell payload, the identity 1-cell payloads ``_id_payload(kind, x)``
     on an object payload, the identity squares ``_sq_v_id_payload`` and
     ``_sq_h_id_payload`` on a 1-cell payload, and the payload compositions
-    ``_hh_op``, ``_vv_op``, ``_hs_op`` and ``_vs_op`` behind the tables
-    ``_hh``, ``_vv``, ``_hs`` and ``_vs``.
+    ``_hh_op``, ``_vv_op``, ``_hs_op`` and ``_vs_op``.
 
-    A square composite reads its frame from the tables: the composites of
-    its operands' tops and bottoms (or lefts and rights) are cells of
-    ``_hh`` (or ``_vv``), whose payloads ``_hs_op`` (or ``_vs_op``) takes
-    as the frame instead of composing it again, and the composite is
-    interned under those known bounds.
+    This is the interned backend of ``DoubleCat``, whose accessors and
+    tables it uses as they are.  On a table miss, a 1-cell composite comes
+    from ``hcomp_h_fn``/``vcomp_v_fn``, which intern the composite of the
+    operands' payloads.  A square composite or identity square comes from
+    ``_square_on``, given the frame the accessor composed: the frame's
+    payloads are what ``_hs_op`` (or ``_vs_op``) takes instead of composing
+    them again, and the result is interned under that frame.
     """
+
+    interned = True
 
     def __init__(self, name):
         super().__init__(name)
@@ -143,73 +149,27 @@ class InternedDoubleCat(DoubleCat):
                 self._intern(k, self._id_payload(k, x), identity_of=cell)
         return cell
 
-    # -- composition through payloads --------------------------------------
+    def hcomp_h_fn(self, f, g):
+        return self._intern(HOR, self._hh_op(self.h_payload[f],
+                                             self.h_payload[g]))
 
-    def hcomp_h(self, f, g):
-        try:
-            return self._hh[f, g]
-        except KeyError:
-            pass
-        h = self._hh[f, g] = self._intern(HOR, self._hh_op(
-            self.h_payload[f], self.h_payload[g]))
-        return h
+    def vcomp_v_fn(self, u, w):
+        return self._intern(VERT, self._vv_op(self.v_payload[u],
+                                              self.v_payload[w]))
 
-    def vcomp_v(self, u, w):
-        try:
-            return self._vv[u, w]
-        except KeyError:
-            pass
-        x = self._vv[u, w] = self._intern(VERT, self._vv_op(
-            self.v_payload[u], self.v_payload[w]))
-        return x
-
-    def hcomp_sq(self, s1, s2):
-        try:
-            return self._hs[s1, s2]
-        except KeyError:
-            pass
-        top1, bottom1, left, _ = self.sq_bounds[s1]
-        top2, bottom2, _, right = self.sq_bounds[s2]
-        top = self.hcomp_h(top1, top2)
-        bottom = self.hcomp_h(bottom1, bottom2)
-        s = self._hs[s1, s2] = self._intern(SQ, self._hs_op(
-            self.sq_payload[s1], self.sq_payload[s2],
-            self.h_payload[top], self.h_payload[bottom]),
-            bounds=(top, bottom, left, right))
-        return s
-
-    def vcomp_sq(self, s1, s2):
-        try:
-            return self._vs[s1, s2]
-        except KeyError:
-            pass
-        top, _, left1, right1 = self.sq_bounds[s1]
-        _, bottom, left2, right2 = self.sq_bounds[s2]
-        left = self.vcomp_v(left1, left2)
-        right = self.vcomp_v(right1, right2)
-        s = self._vs[s1, s2] = self._intern(SQ, self._vs_op(
-            self.sq_payload[s1], self.sq_payload[s2],
-            self.v_payload[left], self.v_payload[right]),
-            bounds=(top, bottom, left, right))
-        return s
-
-    def sq_v_id(self, f):
-        try:
-            return self._sqvid[f]
-        except KeyError:
-            pass
-        s = self._sqvid[f] = self._intern(
-            SQ, self._sq_v_id_payload(self.h_payload[f]))
-        return s
-
-    def sq_h_id(self, u):
-        try:
-            return self._sqhid[u]
-        except KeyError:
-            pass
-        s = self._sqhid[u] = self._intern(
-            SQ, self._sq_h_id_payload(self.v_payload[u]))
-        return s
+    def _square_on(self, op, bound, x, y=None):
+        # the composite or identity payload, filed under the frame core read
+        if op == "hcomp_sq":
+            m = self._hs_op(self.sq_payload[x], self.sq_payload[y],
+                            self.h_payload[bound[0]], self.h_payload[bound[1]])
+        elif op == "vcomp_sq":
+            m = self._vs_op(self.sq_payload[x], self.sq_payload[y],
+                            self.v_payload[bound[2]], self.v_payload[bound[3]])
+        elif op == "sq_v_id":
+            m = self._sq_v_id_payload(self.h_payload[x])
+        else:
+            m = self._sq_h_id_payload(self.v_payload[x])
+        return self._intern(SQ, m, bounds=bound)
 
 
 class HomDoubleCat(InternedDoubleCat):

@@ -154,23 +154,25 @@ def test_product_ids_come_from_core(path):
         assert product_id_arithmetic(fh.read()) == []
 
 
-# -- the square tables are the kernel's ---------------------------------------
+# -- the composition tables are the kernel's ---------------------------------
 
-# a flat category fills these as it computes them; core and hom, which
-# fill them, are the only modules that know when an entry is sound, so
-# every other module reads squares through the composition methods
-SQUARE_TABLES = {"_hs", "_vs", "_sqvid", "_sqhid"}
+# a flat or interned category fills these as it computes them; core, which
+# fills them, is the only module that knows when an entry is sound, so
+# every other module reads composites through the six accessors
+TABLES = {"_hh", "_vv", "_hs", "_vs", "_sqvid", "_sqhid"}
+ACCESSORS = {"hcomp_h", "vcomp_v", "hcomp_sq", "vcomp_sq", "sq_v_id",
+             "sq_h_id"}
 
 
-def square_table_accesses(source):
-    """The lines of ``source`` that read or write a square table: an
+def table_accesses(source):
+    """The lines of ``source`` that read or write a composition table: an
     attribute of that name, or the name as a string (``getattr``,
     ``vars``)."""
     return sorted({node.lineno for node in ast.walk(ast.parse(source))
                    if isinstance(node, ast.Attribute)
-                   and node.attr in SQUARE_TABLES
+                   and node.attr in TABLES
                    or isinstance(node, ast.Constant)
-                   and node.value in SQUARE_TABLES})
+                   and node.value in TABLES})
 
 
 def test_square_table_accesses_are_found():
@@ -179,18 +181,79 @@ def test_square_table_accesses_are_found():
            "t = getattr(d, '_vs')\n"
            "op = d._hs_op\n"
            "x = d.hs, d._sqhidden, _sqhid\n"
-           "del c._sqhid[u]\n")
-    assert square_table_accesses(src) == [1, 2, 3, 6]
+           "del c._sqhid[u]\n"
+           "h = d._hh.get((f, g))\n"
+           "d._vv[u, w] = x\n"
+           "fn = d._hh_op, d.hcomp_h_fn\n")
+    assert table_accesses(src) == [1, 2, 3, 6, 7, 8]
 
 
-@pytest.mark.parametrize("path", [p for p in MODULES if os.path.basename(p)
-                                  not in ("core.py", "hom.py")],
+@pytest.mark.parametrize("path", [p for p in MODULES
+                                  if os.path.basename(p) != "core.py"],
                          ids=os.path.basename)
 def test_square_tables_stay_in_core_and_hom(path):
-    """Only ``core`` and ``hom`` read or write ``_hs``, ``_vs``,
-    ``_sqvid`` and ``_sqhid``."""
+    """Only ``core`` reads or writes ``_hh``, ``_vv``, ``_hs``, ``_vs``,
+    ``_sqvid`` and ``_sqhid``; every other module, ``hom`` included,
+    composes through the accessors."""
     with open(path, encoding="utf-8") as fh:
-        assert square_table_accesses(fh.read()) == []
+        assert table_accesses(fh.read()) == []
+
+
+def accessor_overrides(sources):
+    """The ``Class.name`` of each of the six accessors defined or assigned
+    in the body of a class of ``sources`` that derives from ``DoubleCat``,
+    following base classes by name."""
+    classes = [node for source in sources for node in ast.walk(ast.parse(source))
+               if isinstance(node, ast.ClassDef)]
+    base_names = lambda cls: {getattr(b, "id", getattr(b, "attr", None))
+                              for b in cls.bases}
+    derived, grew = set(), True
+    while grew:
+        grew = False
+        for cls in classes:
+            if (cls.name not in derived
+                    and base_names(cls) & (derived | {"DoubleCat"})):
+                derived.add(cls.name)
+                grew = True
+    found = []
+    for cls in classes:
+        if cls.name not in derived:
+            continue
+        for item in cls.body:
+            names = ([item.name] if isinstance(item, ast.FunctionDef)
+                     else [t.id for t in item.targets if isinstance(t, ast.Name)]
+                     if isinstance(item, ast.Assign) else [])
+            found += ["%s.%s" % (cls.name, n) for n in names if n in ACCESSORS]
+    return found
+
+
+def test_accessor_overrides_are_found():
+    core = ("class DoubleCat:\n"
+            "    def hcomp_sq(self, s1, s2): pass\n"
+            "class Product(DoubleCat):\n"
+            "    def hcomp_sq_many(self, squares): pass\n"
+            "    hcomp_h_fn = None\n")
+    hom = ("class Hom(Interned):\n"
+           "    sq_v_id = DoubleCat.sq_v_id\n"
+           "class Interned(core.DoubleCat):\n"
+           "    def vcomp_v(self, u, w): pass\n"
+           "class Terms:\n"
+           "    hcomp_sq = HComp\n"
+           "    def sq_h_id(self, u): pass\n"
+           "def hcomp_h(d, f, g): pass\n")
+    assert accessor_overrides([core, hom]) == ["Hom.sq_v_id",
+                                                "Interned.vcomp_v"]
+
+
+def test_only_double_cat_defines_the_accessors():
+    """Every backend composes through ``DoubleCat``'s ``hcomp_h``,
+    ``vcomp_v``, ``hcomp_sq``, ``vcomp_sq``, ``sq_v_id`` and ``sq_h_id``;
+    no subclass defines its own."""
+    sources = []
+    for path in MODULES:
+        with open(path, encoding="utf-8") as fh:
+            sources.append(fh.read())
+    assert accessor_overrides(sources) == []
 
 
 # -- no function is written twice --------------------------------------------

@@ -1,4 +1,4 @@
-"""The square tables on both backends.
+"""The square tables on every backend.
 
 A flat category keeps the square composites and identity squares it
 computes in ``_hs``, ``_vs``, ``_sqvid`` and ``_sqhid``.  After the lax
@@ -6,8 +6,12 @@ functor, quasi functor and tensor checks have run over flat inputs, every
 kept entry must be what the flat formula gives, ``find_square`` on the
 composed boundary, and none may sit under a negative id.  An explicit
 category reads the same tables and raises as before on a stray or a
-missing entry.
+missing entry; a flat one raises when its predicate refuses the square a
+missing entry names.  Hom and q-hom categories compose through the same
+accessors, so they refuse a non-composable pair before anything is filed.
 """
+
+import re
 
 import pytest
 
@@ -16,12 +20,14 @@ from dblcheck.core import (
     walk_v)
 from dblcheck.errors import BoundaryMismatch, MalformedTables
 from dblcheck.functor import check_lax_functor, identity_functor, strict_functor
+from dblcheck.hom import populate_squares
 from dblcheck.monads import enumerate_distributive_laws
 from dblcheck.quasi import (
     _INTERCHANGERS, QuasiFunctor, _stored_cells, check_quasi_functor)
 from dblcheck.tensor import verify_universal_property
 
 from test_core import FLAT_INPUTS as CORE_INPUTS
+from test_golden import TABLE_CATEGORIES
 
 TABLES = ("_hs", "_vs", "_sqvid", "_sqhid")
 
@@ -159,25 +165,58 @@ def test_a_square_on_ids_outside_the_cells_is_refused(bound):
     assert e.n_squares == n
 
 
-def non_composable(d, side, other):
-    """Two squares of d whose ``side`` and ``other`` edges differ."""
-    return next((s1, s2) for s1 in range(d.n_squares)
-                for s2 in range(d.n_squares)
-                if d.sq_bounds[s1][side] != d.sq_bounds[s2][other])
+def non_composable(first, second):
+    """The first pair (x, y) of cells whose edges ``first[x]`` and
+    ``second[y]`` differ, or None."""
+    return next(((x, y) for x in range(len(first))
+                 for y in range(len(second)) if first[x] != second[y]), None)
+
+
+def edges(d, side):
+    """The ``side`` edge (0 top, 1 bottom, 2 left, 3 right) of each square
+    of d."""
+    return [bounds[side] for bounds in d.sq_bounds]
+
+
+def tables_and_counts(d):
+    return ({table: dict(getattr(d, table)) for table in TABLES + ("_hh", "_vv")},
+            (d.n_objects, d.n_hcells, d.n_vcells, d.n_squares))
+
+
+# an explicit category, and the hom and q-hom categories of the cell-table
+# goldens populated: each composes through DoubleCat's accessors
+COMPOSING = dict(
+    {name: (lambda build=build: populate_squares(build()))
+     for name, build in TABLE_CATEGORIES.items()
+     if name.startswith(("hom-", "qhom-"))}, parity=parity)
 
 
 def test_stray_entry_on_a_non_composable_pair_still_raises():
-    d = parity()
-    s1, s2 = non_composable(d, 3, 2)
-    d.set_hs(s1, s2, 0)
-    with pytest.raises(BoundaryMismatch,
-                       match="^hcomp_sq: shared vertical edge differs$"):
-        d.hcomp_sq(s1, s2)
-    s1, s2 = non_composable(d, 1, 0)
-    d.set_vs(s1, s2, 0)
-    with pytest.raises(BoundaryMismatch,
-                       match="^vcomp_sq: shared horizontal edge differs$"):
-        d.vcomp_sq(s1, s2)
+    # a refused composite files nothing, and a stray table entry on the
+    # pair is not read
+    for name in sorted(COMPOSING):
+        d = COMPOSING[name]()
+        for compose, plant, first, second, message in (
+                (d.hcomp_sq, d.set_hs, edges(d, 3), edges(d, 2),
+                 "hcomp_sq: shared vertical edge differs$"),
+                (d.vcomp_sq, d.set_vs, edges(d, 1), edges(d, 0),
+                 "vcomp_sq: shared horizontal edge differs$"),
+                (d.hcomp_h, d.set_hh, d.htgt, d.hsrc,
+                 "hcomp_h: .* not composable$"),
+                (d.vcomp_v, d.set_vv, d.vtgt, d.vsrc,
+                 "vcomp_v: .* not composable$")):
+            pair = non_composable(first, second)
+            if pair is None:  # the 1-cells of a one-object category compose
+                assert d.n_objects == 1, name
+                continue
+            x, y = pair
+            for stray in (False, True):
+                if stray:
+                    plant(x, y, 0)
+                before = tables_and_counts(d)
+                with pytest.raises(BoundaryMismatch, match="^" + message):
+                    compose(x, y)
+                assert tables_and_counts(d) == before, name
 
 
 @pytest.mark.parametrize("table, read, message", [
@@ -194,3 +233,51 @@ def test_missing_entry_still_raises(table, read, message):
     del entries[key]
     with pytest.raises(MalformedTables, match="^%s$" % message):
         read(d, key)
+
+
+def less_one(bound):
+    """bool1, whose predicate refuses the square on ``bound``."""
+    d = bool_matrix_double_category(1)
+    pred = d.square_pred
+    d.set_flat(lambda *b: b != bound and pred(*b))
+    return d
+
+
+@pytest.mark.parametrize("op, side, other", [
+    ("hcomp_sq", 3, 2), ("vcomp_sq", 1, 0)])
+def test_flat_miss_of_a_composite_raises(op, side, other):
+    # on a flat category the missing entry is computed, so only a
+    # composite the predicate refuses raises
+    d = bool_matrix_double_category(1)
+    d.materialize_flat_squares()
+    compose, bounds = getattr(d, op), d.sq_bounds
+    b1, b2, b = next(
+        (bounds[s1], bounds[s2], bounds[compose(s1, s2)])
+        for s1 in range(d.n_squares) for s2 in range(d.n_squares)
+        if bounds[s1][side] == bounds[s2][other]
+        and compose(s1, s2) not in (s1, s2))
+    d = less_one(b)
+    s1, s2 = d.find_square(*b1), d.find_square(*b2)
+    n = d.n_squares
+    with pytest.raises(MalformedTables,
+                       match="^flat category not closed under %s$" % op):
+        getattr(d, op)(s1, s2)
+    assert d.n_squares == n
+
+
+@pytest.mark.parametrize("op", ["sq_v_id", "sq_h_id"])
+def test_flat_miss_of_an_identity_square_raises(op):
+    d = bool_matrix_double_category(1)
+    if op == "sq_v_id":
+        x = d.n_hcells - 1
+        frame = (x, x, d.v_id(d.hsrc[x]), d.v_id(d.htgt[x]))
+        message = "Id_" + d.hnames[x]
+    else:
+        x = d.n_vcells - 1
+        frame = (d.h_id(d.vsrc[x]), d.h_id(d.vtgt[x]), x, x)
+        message = "Id^" + d.vnames[x]
+    d = less_one(frame)
+    with pytest.raises(MalformedTables,
+                       match="^flat category misses %s$" % re.escape(message)):
+        getattr(d, op)(x)
+    assert d.n_squares == 0
