@@ -687,7 +687,8 @@ def tensor_factorize(path):
     "functors and transformations together; also the draws per sampled "
     "law, but never fewer than 5000"))
 def hom(path_b, path_c, flavor, bound):
-    """Build a hom double category by enumeration and validate it."""
+    """Build by enumeration and validate a hom double category, whose
+    squares are the composition closure of the identity modifications."""
     from .hom import FLAVORS, hom_double_category, populate_squares
     docs = {"B": _read_doc(path_b), "C": _read_doc(path_c)}
     B, C = _dc_from_doc(docs["B"]), _dc_from_doc(docs["C"])
@@ -696,7 +697,9 @@ def hom(path_b, path_c, flavor, bound):
     populate_squares(h)
     rep = validate_double_category(h, max_checks=max(bound, LAW_CHECKS))
     return rep, {"objects": h.n_objects, "hcells": h.n_hcells,
-                 "vcells": h.n_vcells, "squares": h.n_squares}
+                 "vcells": h.n_vcells, "squares": h.n_squares,
+                 "squares_of": "composition closure of the identity "
+                 "modifications"}
 
 
 def _bool_matrix_carrier(size):
