@@ -24,6 +24,12 @@ def fx(name):
     return os.path.join(FIXTURES, name)
 
 
+def load(name):
+    """The fixture document ``name``."""
+    with open(fx(name), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def run_child(*args, timeout):
     """Run ``python args...`` in a fresh interpreter on the package
     sources, as a user of an uninstalled checkout would."""
@@ -161,7 +167,7 @@ def test_monads_size_out_of_range(verb, size):
         "transform-no-G"])
 def test_loaders_reject_non_object_fields(tmp_path, verb, fixture, path,
                                           value):
-    doc = json.load(open(fx(fixture)))
+    doc = load(fixture)
     if not path:
         doc = value
     elif value is None:
@@ -196,7 +202,7 @@ def test_incomplete_quasi_families_end_without_traceback(tmp_path, verb, edit,
                                                          code, message):
     """A family missing a cell fails the well-formedness pass before any
     construction reads it; a family missing a member is an input error."""
-    doc = json.load(open(fx("preorder-pair.json")))
+    doc = load("preorder-pair.json")
     edit(doc)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
@@ -220,7 +226,7 @@ def test_functor_check():
 
 
 def test_functor_check_law_failure(tmp_path):
-    doc = json.load(open(fx("monad-functor.json")))
+    doc = load("monad-functor.json")
     # swap the unitor target onto the wrong boundary
     doc["unit"]["*"] = {"top": "R", "bottom": "R",
                         "left": "1^*", "right": "1^*"}
@@ -278,7 +284,7 @@ def test_transform_functor_missing_a_cell_ends_without_traceback(
     """A functor of the transformation that leaves out its one object,
     1h-cell or 1v-cell fails its well-formedness pass before any
     transformation law reads it."""
-    doc = json.load(open(fx("transform-hor.json")))
+    doc = load("transform-hor.json")
     doc[functor][field] = {}
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
