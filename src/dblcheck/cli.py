@@ -683,9 +683,9 @@ def tensor_factorize(path):
 
 
 @_verb("hom", "PATH_B", "PATH_C", flavor=(FLAVOR_NAMES, "hop", ""), bound=(
-    COUNT, 5000, "total enumeration budget: candidates tried over all "
-    "functors and transformations together; also the draws per sampled "
-    "law, but never fewer than 5000"))
+    COUNT, 5000, "total enumeration budget: partial assignments tried, "
+    "one per cell assigned, over all functors and transformations "
+    "together; also the draws per sampled law, but never fewer than 5000"))
 def hom(path_b, path_c, flavor, bound):
     """Build by enumeration and validate a hom double category, whose
     squares are the composition closure of the identity modifications."""

@@ -19,14 +19,16 @@ endpoints, identities and payload compositions.
 """
 
 from heapq import merge
-from itertools import product as iproduct
+from types import SimpleNamespace
 
 from .core import (
     DoubleCat, FrozenRecord, ValidationReport, composable_pairs, init_field)
-from .errors import EnumerationBound, NotHomCodomain
-from .functor import LaxDoubleFunctor, check_lax_functor, is_unitary
+from .errors import DblError, EnumerationBound, NotHomCodomain
+from .functor import (
+    LaxDoubleFunctor, _lax_functor_laws, check_lax_functor, is_unitary)
 from .transform import (
     LAX, OPLAX, TRANSFORM_KINDS, HorTransform, Modification, VertTransform,
+    _hor_transform_laws, _modification_laws, _vert_transform_laws,
     check_hor_transform, check_modification, check_vert_transform,
     field_squares, hcompose_modifications, identity_hor_transform,
     identity_modification, identity_vert_transform, vcompose_hor,
@@ -239,20 +241,23 @@ class HomDoubleCat(InternedDoubleCat):
 
 def hom_double_category(B, C, flavor=HOP, bound=None):
     """The hom double category; with a bound, eagerly populated by
-    enumeration.  The bound caps the candidates of the functor and of all
-    the transformation enumerations together (EnumerationBound past it)."""
+    enumeration.  The bound caps the partial assignments tried by the
+    functor and all the transformation enumerations together
+    (EnumerationBound past it)."""
     hom = HomDoubleCat(B, C, flavor)
     if bound is not None:
         budget = _Budget(bound)
         for F in _lax_functors(B, C, flavor, budget):
             hom.intern_functor(F)
         objs = list(hom.obj_payload)
+        kinds = [(cls, _transform_plan(cls, B, flavor), intern) for cls, intern
+                 in ((HorTransform, hom.intern_hor_transform),
+                     (VertTransform, hom.intern_vert_transform))]
         for F in objs:
             for G in objs:
-                for t in _transforms(HorTransform, F, G, flavor, budget):
-                    hom.intern_hor_transform(t)
-                for t in _transforms(VertTransform, F, G, flavor, budget):
-                    hom.intern_vert_transform(t)
+                for cls, plan, intern in kinds:
+                    for t in _transforms(cls, F, G, flavor, budget, plan):
+                        intern(t)
     return hom
 
 
@@ -347,152 +352,249 @@ def _is_strict_square(c, s):
 
 
 # -- enumeration ------------------------------------------------------------
+#
+# One search enumerates every kind of cell.  A candidate's cells are its
+# slots: a functor's objects, 1-cells, squares, compositors and unitors; a
+# transformation's components and the squares of its kind's two fields; a
+# modification's components.  The search assigns them one at a time, in the
+# lexicographic order of the product of their candidate lists, checks each
+# law instance as soon as the last slot it reads is set, and backtracks at
+# the first failure.  So it yields the survivors of the filtered product,
+# in its order.  A square slot's candidates are the codomain squares on its
+# boundary, read from the slots before it: a full assignment is well formed
+# by construction, so no well-formedness check runs.
 
 
 class _Budget:
+    """The partial assignments tried, against a bound: every candidate the
+    search assigns to a slot counts one."""
+
     def __init__(self, bound):
         self.bound = bound
         self.used = 0
 
-    def spend(self, n=1):
-        self.used += n
+    def spend(self):
+        self.used += 1
         if self.bound is not None and self.used > self.bound:
             raise EnumerationBound("candidate enumeration exceeded the bound")
 
 
-def enumerate_lax_functors(B, C, flavor=HOP, bound=None):
-    """Brute-force enumeration of lax double functors B -> C.
+class _Unset(Exception):
+    """A law instance read a slot the search has not set: its plan checks
+    it too early.  Not a ``DblError``, so no check takes it for a failing
+    instance, and no square is derived in place of the slot."""
 
-    Practical only for very small B; the budget counts candidate partial
-    assignments and raises EnumerationBound when exhausted.
+
+class _Slots(dict):
+    """One field of a partial cell: its assigned slots by domain cell."""
+
+    def __missing__(self, key):
+        raise _Unset(key)
+
+
+# While a catalogue is recorded, a cell of the stand-in reads as the last
+# slot it depends on, -1 for none: a slot as itself, a cell of a fixed
+# functor or transformation as -1, a composite or identity as the last of
+# its operands', as ``tensor._Terms`` builds terms.
+_READS = SimpleNamespace(hcomp_sq=max, vcomp_sq=max, vcomp_v=max,
+                         vcomp_sq_many=max, v_id=lambda x: x,
+                         sq_v_id=lambda x: x, sq_h_id=lambda x: x)
+
+
+class _NoSlots:
+    """A functor or transformation that a recorded cell is built on: its
+    cells read no slot."""
+
+    def __init__(self, orientation=None):
+        self.orientation = orientation
+
+    def __getattr__(self, accessor):
+        return lambda *key: -1
+
+
+class _Plan:
+    """The slots of one kind of cell on one domain and orientation, and the
+    law instances to check as each one is set.
+
+    ``fields`` are (store, accessor, keys) triples in the kind's
+    constructor order: the attribute holding a field, the method reading
+    it and the domain cells indexing it.  A slot is a field's index with
+    one of its keys, in that order.  The catalogue ``laws(cell, emit)``
+    runs once on a stand-in built on the cells ``fixed``, over the
+    codomain ``_READS``, whose cells read as the last slot they depend on.
+    Each instance goes to the bucket of the last slot its sides read (the
+    first, if they read none) as its catalogue row and key.  Reads depend
+    only on the domain's cells, so one plan serves every search of its
+    kind.
     """
+
+    def __init__(self, dom, laws, fields, **fixed):
+        self.laws, self.fields = laws, fields
+        self.slots = [(i, key) for i, (_, _, keys) in enumerate(fields)
+                      for key in keys]
+        stub = SimpleNamespace(dom=dom, cod=_READS, **fixed)
+        for i, (_, accessor, keys) in enumerate(fields):
+            index = {key: n for n, (j, key) in enumerate(self.slots)
+                     if j == i}
+            setattr(stub, accessor, (lambda *key, index=index: index[key])
+                    if keys and isinstance(keys[0], tuple)
+                    else index.__getitem__)
+        self.buckets = [[] for _ in self.slots]
+        rows = []
+
+        def emit(law, keys, lhs, rhs, witness):
+            for key in keys:
+                last = max(lhs(*key), rhs(*key), 0)
+                self.buckets[last].append((len(rows), key))
+            rows.append(law)
+        laws(stub, emit)
+
+
+def _search(plan, cell, choices, build, budget):
+    """Yield ``build(*fields)`` for each full assignment of the plan's
+    slots on ``cell`` that passes every law instance, in lexicographic
+    order.  ``choices[i](key)`` lists the candidates of field i's slot at
+    key.  It and the catalogue read ``cell``, whose fields now hold the
+    slots assigned so far; a side raising ``DblError`` fails its
+    instance, as in ``ValidationReport.expect``.
+
+    ``cell`` is an instance of its kind's class whose fields are
+    ``_Slots``: its accessors are the class's own, so the catalogue's call
+    sites see one class whether they check a partial cell or a payload
+    (accessors set on the instance slowed later checks of the payloads by
+    about a tenth), and they read an unset slot without deriving it."""
+    fields = [_Slots() for _ in plan.fields]
+    for (store, _, _), slots in zip(plan.fields, fields):
+        setattr(cell, store, slots)
+    rows = []
+    plan.laws(cell, lambda law, keys, lhs, rhs, witness: rows.append(
+        (lhs, rhs)))
+    steps = [(fields[i], key, choices[i],
+              [rows[row] + (args,) for row, args in bucket])
+             for (i, key), bucket in zip(plan.slots, plan.buckets)]
+    pending, depth, spend = [], 0, budget.spend
+    while depth >= 0:
+        if depth == len(steps):
+            yield build(*fields)
+            depth -= 1
+            continue
+        store, key, choose, instances = steps[depth]
+        if len(pending) == depth:
+            pending.append(iter(choose(key)))
+        for value in pending[depth]:
+            spend()
+            store[key] = value
+            try:
+                for lhs, rhs, args in instances:
+                    if lhs(*args) != rhs(*args):
+                        break
+                else:  # every instance holds: on to the next slot
+                    depth += 1
+                    break
+            except DblError:
+                pass
+        else:
+            # every candidate tried: unset the slot, back to the one before
+            store.pop(key, None)
+            pending.pop()
+            depth -= 1
+
+
+def enumerate_lax_functors(B, C, flavor=HOP, bound=None):
+    """All lax double functors B -> C, only the unitary ones if the
+    flavor says so.  Practical only for small B; the bound caps the
+    partial assignments tried and raises EnumerationBound past it."""
     yield from _lax_functors(B, C, flavor, _Budget(bound))
+
+
+def _functor_plan(B):
+    return _Plan(B, lambda F, emit: _lax_functor_laws(F, emit, "lx.f"), (
+        ("ob", "obj", range(B.n_objects)), ("hmap", "h", range(B.n_hcells)),
+        ("vmap", "v", range(B.n_vcells)),
+        ("sqmap", "sq", list(B.iter_squares())),
+        ("comp", "compositor", list(composable_pairs(B.hsrc, B.htgt))),
+        ("unit", "unitor", range(B.n_objects))))
 
 
 def _lax_functors(B, C, flavor, budget):
     if C.flat:
         C.materialize_flat_squares()
-    out = []
-    hlists = lambda ob: [C.hcells_between(ob[B.hsrc[f]], ob[B.htgt[f]])
-                         for f in range(B.n_hcells)]
-    for ob in iproduct(range(C.n_objects), repeat=B.n_objects):
-        budget.spend()
-        for hmap in iproduct(*hlists(ob)):
-            budget.spend()
-            vchoices = []
-            ok = True
-            for u in range(B.n_vcells):
-                if B.is_v_identity(u):
-                    vchoices.append([C.v_id(ob[B.vsrc[u]])])
-                else:
-                    cands = C.vcells_between(ob[B.vsrc[u]], ob[B.vtgt[u]])
-                    if not cands:
-                        ok = False
-                        break
-                    vchoices.append(cands)
-            if not ok:
-                continue
-            for vmap in iproduct(*vchoices):
-                budget.spend()
-                yield from _complete_functors(B, C, flavor, budget,
-                                              dict(enumerate(ob)),
-                                              dict(enumerate(hmap)),
-                                              dict(enumerate(vmap)))
+    F = LaxDoubleFunctor(B, C, {}, {}, {})
+    on = lambda bounds: lambda *key: C.squares_with_boundary(*bounds(*key))
 
-
-def _square_choices(C, groups):
-    """The candidate squares of each key of each (boundary, keys, strict)
-    group, in order: the codomain squares on the key's boundary, only the
-    strict ones if asked; None as soon as a key has none."""
-    choices = []
-    for bounds_of, keys, strict in groups:
-        for key in keys:
-            cands = C.squares_with_boundary(*bounds_of(key))
-            if strict:
-                cands = [s for s in cands if _is_strict_square(C, s)]
-            if not cands:
-                return None
-            choices.append(cands)
-    return choices
-
-
-def _complete_functors(B, C, flavor, budget, ob, hmap, vmap):
-    cells = LaxDoubleFunctor(B, C, ob, hmap, vmap)
-    squares = list(B.iter_squares())
-    pairs = list(composable_pairs(B.hsrc, B.htgt))
-    choices = _square_choices(C, (
-        (cells._sq_bounds, squares, False),
-        (lambda fg: cells._compositor_bounds(*fg), pairs, False),
-        (cells._unitor_bounds, range(B.n_objects), False)))
-    if choices is None:
-        return
-    n_sq, n_comp = len(squares), len(pairs)
-    for pick in iproduct(*choices):
-        budget.spend()
-        F = LaxDoubleFunctor(
-            B, C, ob, hmap, vmap, dict(zip(squares, pick)),
-            dict(zip(pairs, pick[n_sq:])),
-            dict(enumerate(pick[n_sq + n_comp:])))
-        if flavor.unitary_only and not is_unitary(F):
-            continue
-        if check_lax_functor(F).passed:
-            yield F
+    def vcells(u):
+        a, b = F.obj(B.vsrc[u]), F.obj(B.vtgt[u])
+        return [C.v_id(a)] if B.is_v_identity(u) else C.vcells_between(a, b)
+    unitors = on(F._unitor_bounds)
+    if flavor.unitary_only:
+        invertible = unitors
+        unitors = lambda a: [s for s in invertible(a)
+                             if C.vertical_inverse(s) is not None]
+    yield from _search(_functor_plan(B), F, (
+        lambda a: range(C.n_objects),
+        lambda f: C.hcells_between(F.obj(B.hsrc[f]), F.obj(B.htgt[f])),
+        vcells, on(F._sq_bounds),
+        lambda fg: C.squares_with_boundary(*F._compositor_bounds(*fg)),
+        unitors), lambda *fields: LaxDoubleFunctor(B, C, *fields), budget)
 
 
 def enumerate_hor_transforms(F, G, flavor=HOP, bound=None):
     """All horizontal transformations F => G in the flavor's orientation."""
-    yield from _transforms(HorTransform, F, G, flavor, _Budget(bound))
+    yield from _transforms(HorTransform, F, G, flavor, _Budget(bound),
+                           _transform_plan(HorTransform, F.dom, flavor))
 
 
 def enumerate_vert_transforms(F, G, flavor=HOP, bound=None):
     """All vertical transformations F => G in the flavor's orientation."""
-    yield from _transforms(VertTransform, F, G, flavor, _Budget(bound))
+    yield from _transforms(VertTransform, F, G, flavor, _Budget(bound),
+                           _transform_plan(VertTransform, F.dom, flavor))
 
 
-def _transforms(cls, F, G, flavor, budget):
+def _transform_plan(cls, B, flavor):
+    """The components, then the squares of the kind's two fields."""
+    laws, orientation = ((_hor_transform_laws, flavor.hor)
+                         if cls is HorTransform else
+                         (_vert_transform_laws, flavor.vert))
+    return _Plan(B, laws, [("comp0", "at", range(B.n_objects))] + [
+        (f.store, f.accessor, f.domain(B))
+        for f in TRANSFORM_KINDS[cls].fields],
+        F=_NoSlots(), G=_NoSlots(), orientation=orientation)
+
+
+def _transforms(cls, F, G, flavor, budget, plan):
     """Every lawful transformation F => G of kind cls in the flavor's
-    orientation: each choice of components, then each choice of the
-    squares of the kind's two fields on their boundaries.  A structure
-    square of a vertical transformation is strict if the flavor says so."""
-    B, C = F.dom, F.cod
+    orientation, searched by ``plan``, the kind's plan on F's domain.  A
+    structure square of a vertical transformation is strict if the flavor
+    says so."""
+    C = F.cod
     if cls is HorTransform:
-        between, orientation = C.hcells_between, flavor.hor
-        check, strict = check_hor_transform, False
+        between, orientation, strict = C.hcells_between, flavor.hor, False
     else:
         between, orientation = C.vcells_between, flavor.vert
-        check, strict = check_vert_transform, flavor.vert_strict
-    fields = TRANSFORM_KINDS[cls].fields
-    for comp0 in iproduct(*[between(F.obj(a), G.obj(a))
-                            for a in range(B.n_objects)]):
-        comp0 = dict(enumerate(comp0))
-        cells = cls(F, G, comp0, orientation=orientation)
-        choices = _square_choices(C, [
-            (getattr(cells, f.bounds), f.domain(B),
-             strict and f.label == "structure") for f in fields])
-        if choices is None:
-            continue
-        for pick in iproduct(*choices):
-            budget.spend()
-            squares = iter(pick)
-            t = cls(F, G, comp0, *(dict(zip(f.domain(B), squares))
-                                   for f in fields), orientation)
-            if check(t).passed:
-                yield t
+        strict = flavor.vert_strict
+    t = cls(F, G, {}, orientation=orientation)
+
+    def squares(field):
+        bounds = getattr(t, field.bounds)
+        if strict and field.label == "structure":
+            return lambda x: [s for s in C.squares_with_boundary(*bounds(x))
+                              if _is_strict_square(C, s)]
+        return lambda x: C.squares_with_boundary(*bounds(x))
+    yield from _search(plan, t, [
+        lambda a: between(F.obj(a), G.obj(a))] + [
+        squares(f) for f in TRANSFORM_KINDS[cls].fields],
+        lambda comp0, first, second: cls(F, G, comp0, first, second,
+                                         orientation), budget)
 
 
 def enumerate_modifications(top, bottom, left, right, bound=None):
     """All modifications filling the given frame of transformations."""
-    budget = _Budget(bound)
-    B, C = top.dom, top.cod
-    choices = []
-    for a in range(B.n_objects):
-        cands = C.squares_with_boundary(top.at(a), bottom.at(a),
-                                        left.at(a), right.at(a))
-        if not cands:
-            return
-        choices.append(cands)
-    for comp in iproduct(*choices):
-        budget.spend()
-        m = Modification(top, bottom, left, right, dict(enumerate(comp)))
-        if check_modification(m).passed:
-            yield m
+    plan = _Plan(top.dom, _modification_laws, [
+        ("comp", "at", range(top.dom.n_objects))],
+        top=_NoSlots(top.orientation),
+        bottom=_NoSlots(), left=_NoSlots(), right=_NoSlots())
+    m = Modification(top, bottom, left, right, {})
+    yield from _search(plan, m, [
+        lambda a: top.cod.squares_with_boundary(*m._bounds(a))],
+        lambda comp: Modification(top, bottom, left, right, comp),
+        _Budget(bound))

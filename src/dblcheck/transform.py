@@ -28,9 +28,10 @@ composite structure square from ``_COMPOSITE_FACTORS`` the same way.
 hom flavor ``hop`` (oplax for horizontal, lax for vertical) and its square
 fields in constructor order: ``sq_v``/``delta_at`` for horizontal and
 ``sq_h``/``sq_v`` for vertical transformations, each with its accessor and
-bounds method, the domain cells indexing it (``h`` or ``v``) and its
-``wf-`` label and witness key.  Well-formedness, the hom and q-hom keys,
-destrictification and uncurrying read the fields from this table.
+bounds method, the domain cells indexing it (``h`` or ``v``), its
+``wf-`` label and witness key, and the attribute storing it.
+Well-formedness, the hom and q-hom keys, destrictification, uncurrying
+and the hom enumeration read the fields from this table.
 """
 
 from collections import namedtuple
@@ -78,8 +79,10 @@ class HorTransform:
 
     def sq_v(self, u):
         """The square on a 1v-cell u, with the components on top and bottom."""
-        if u in self.comp_v:
+        try:
             return self.comp_v[u]
+        except KeyError:
+            pass
         return _derive_square(self.cod, self.comp_v, u, self._sq_v_bounds,
                               "component square")
 
@@ -90,8 +93,10 @@ class HorTransform:
 
     def delta_at(self, f):
         """The globular structure square on a 1h-cell f."""
-        if f in self.delta:
+        try:
             return self.delta[f]
+        except KeyError:
+            pass
         return _derive_square(self.cod, self.delta, f, self._delta_bounds,
                               "structure square")
 
@@ -133,8 +138,10 @@ class VertTransform:
         return self.comp0[a]
 
     def sq_h(self, f):
-        if f in self.comp_h:
+        try:
             return self.comp_h[f]
+        except KeyError:
+            pass
         return _derive_square(self.cod, self.comp_h, f, self._sq_h_bounds,
                               "component square")
 
@@ -144,8 +151,10 @@ class VertTransform:
                 self.at(d.hsrc[f]), self.at(d.htgt[f]))
 
     def sq_v(self, u):
-        if u in self.comp_v:
+        try:
             return self.comp_v[u]
+        except KeyError:
+            pass
         return _derive_square(self.cod, self.comp_v, u, self._sq_v_bounds,
                               "structure square")
 
@@ -163,10 +172,10 @@ class VertTransform:
             self.name, self.F.name, self.G.name, self.orientation)
 
 
-class _Field(namedtuple("_Field", "accessor bounds cells label key")):
+class _Field(namedtuple("_Field", "accessor bounds cells label key store")):
     """A square field of a transformation kind: the names of its accessor
     and bounds methods, the domain cells indexing it (``"h"`` or ``"v"``),
-    and its ``wf-`` label and witness key."""
+    its ``wf-`` label and witness key, and the attribute storing it."""
     __slots__ = ()
 
     def domain(self, d):
@@ -176,11 +185,13 @@ class _Field(namedtuple("_Field", "accessor bounds cells label key")):
 _Kind = namedtuple("_Kind", "cls tag hop fields")
 TRANSFORM_KINDS = {kind.cls: kind for kind in (
     _Kind(HorTransform, "hor", OPLAX, (
-        _Field("sq_v", "_sq_v_bounds", "v", "square", "vcell"),
-        _Field("delta_at", "_delta_bounds", "h", "structure", "hcell"))),
+        _Field("sq_v", "_sq_v_bounds", "v", "square", "vcell", "comp_v"),
+        _Field("delta_at", "_delta_bounds", "h", "structure", "hcell",
+               "delta"))),
     _Kind(VertTransform, "vert", LAX, (
-        _Field("sq_h", "_sq_h_bounds", "h", "square", "hcell"),
-        _Field("sq_v", "_sq_v_bounds", "v", "structure", "vcell"))))}
+        _Field("sq_h", "_sq_h_bounds", "h", "square", "hcell", "comp_h"),
+        _Field("sq_v", "_sq_v_bounds", "v", "structure", "vcell",
+               "comp_v"))))}
 
 
 def field_squares(t):
@@ -220,8 +231,10 @@ class Modification:
         self.dom, self.cod = top.dom, top.cod
 
     def at(self, a):
-        if a in self.comp:
+        try:
             return self.comp[a]
+        except KeyError:
+            pass
         return _derive_square(self.cod, self.comp, a, self._bounds,
                               "a component")
 

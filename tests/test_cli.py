@@ -597,10 +597,10 @@ def test_json_report_roundtrip(tmp_path):
 
 def test_hom_reports_sampled_laws(tmp_path):
     # the law check keeps at least 5000 draws, which cover every instance
-    # of hom(trivial, parity) whatever the enumeration budget; the 300
-    # candidates cover its enumeration (277 in all)
+    # of hom(trivial, parity) whatever the enumeration budget; the 400
+    # partial assignments cover its enumeration (341 in all)
     out = tmp_path / "report.json"
-    res = run("hom", fx("trivial.json"), fx("parity.json"), "--bound", "300",
+    res = run("hom", fx("trivial.json"), fx("parity.json"), "--bound", "400",
               "--json", str(out))
     assert res.exit_code == 0, res.output
     payload = json.loads(out.read_text())
@@ -619,7 +619,7 @@ def test_hom_bound_keeps_the_law_check_budget(tmp_path):
     """A small enumeration budget does not weaken the law check: the
     report is the default one."""
     payloads = []
-    for extra in (["--bound", "300"], []):
+    for extra in (["--bound", "400"], []):
         out = tmp_path / "report.json"
         res = run("hom", fx("trivial.json"), fx("parity.json"), *extra,
                   "--json", str(out))
