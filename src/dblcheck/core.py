@@ -559,9 +559,6 @@ class DoubleCat:
         """All boundary quadruples with a square, scanning the boundary space."""
         if not self.flat:
             raise NotFlat("iter_flat_boundaries needs the flat backend")
-        vgrp = {}
-        for u in range(self.n_vcells):
-            vgrp.setdefault(self.vsrc[u], []).append(u)
         hgrp = {}
         for f in range(self.n_hcells):
             hgrp.setdefault((self.hsrc[f], self.htgt[f]), []).append(f)
@@ -688,21 +685,19 @@ def _square_pass_counts(d):
     bounds = d.sq_bounds
     tops, bottoms, lefts, rights = (
         [b[i] for b in bounds] for i in range(4))
-    hpairs, vpairs = composable_square_pairs(bounds)
-    # a 2x2 grid is a top left square a with a square b on its right edge
-    # and c on its bottom edge, then a square e with top left (bottom of
-    # b, right of c): group a by those two edges, b by its left edge and
-    # c by its top edge
-    corners = Counter(zip(rights, bottoms))
-    below, beside = {}, {}
-    for t, o, l, r in bounds:
-        below.setdefault(l, Counter())[o] += 1
-        beside.setdefault(t, Counter())[r] += 1
+    beside, below = square_partners(bounds)
+    hpairs, vpairs = sum(map(len, beside)), sum(map(len, below))
+    # a 2x2 grid is a top left square a with a square b beside it and c
+    # below it, then a square e with top left (bottom of b, right of c):
+    # the squares a with the same partners count alike
+    shapes = {}
+    for b, c in zip(beside, below):
+        shapes.setdefault((id(b), id(c)), [b, c, 0])[2] += 1
     top_left = Counter(zip(tops, lefts))
     grids = sum(k * m * n * top_left[x, y]
-                for (r, o), k in corners.items()
-                for x, m in below.get(r, {}).items()
-                for y, n in beside.get(o, {}).items())
+                for b, c, k in shapes.values()
+                for x, m in Counter(bottoms[s] for s in b).items()
+                for y, n in Counter(rights[s] for s in c).items())
     ns, nh, nv = d.n_squares, d.n_hcells, d.n_vcells
     return {
         "sq-v-id-missing": nh, "sq-v-id-boundary": nh,
@@ -745,7 +740,9 @@ def _is_product_of(d, d1, d2):
 def _product_snapshot(p, d1, d2):
     """The sizes, cell lists and identity square tables of the explicit
     product p and of its factors, and the factors' square tables, each
-    table as its keys and then its values in insertion order.  The tuples
+    table as its keys and then its values in insertion order; the
+    factors' square tables come last, where ``_ExplicitProduct._fill``
+    reads them.  The tuples
     share their items with the live objects, so ``==`` on two snapshots
     of unedited categories compares by identity, at C speed."""
     cats = (p, d1, d2)
@@ -847,7 +844,7 @@ def _validate_flat_squares(rep, d, closure_limit):
             rep.add("flat-too-large", limit=closure_limit, squares=len(bounds))
             return
     if closure_limit is not None:
-        pairs = sum(composable_square_pairs(bounds))
+        pairs = sum(map(len, chain(*square_partners(bounds))))
         if pairs > closure_limit:
             rep.add("flat-too-large", limit=closure_limit, pairs=pairs)
             return
@@ -870,13 +867,18 @@ def _validate_flat_squares(rep, d, closure_limit):
             rep.add("hcomp-sq-closure", left=bounds[j], right=bounds[i])
 
 
-def composable_square_pairs(bounds):
-    """The numbers of horizontally and of vertically composable pairs of
-    squares with the given boundaries."""
-    tops, bottoms, lefts, rights = (Counter(b[i] for b in bounds)
-                                    for i in range(4))
-    return (sum(n * lefts[e] for e, n in rights.items()),
-            sum(n * tops[e] for e, n in bottoms.items()))
+def square_partners(bounds):
+    """``(beside, below)`` for the boundaries ``bounds`` of squares 0, 1,
+    ...: ``beside[s]`` lists, in id order, the squares whose left edge is
+    the right edge of s, ``below[s]`` those whose top edge is its bottom
+    edge.  Squares on one edge share one list.  Every walk over the
+    composable pairs of squares reads them here."""
+    by_left, by_top = {}, {}
+    for s, (t, _, l, _) in enumerate(bounds):
+        by_left.setdefault(l, []).append(s)
+        by_top.setdefault(t, []).append(s)
+    return ([by_left.get(r, ()) for _, _, _, r in bounds],
+            [by_top.get(o, ()) for _, o, _, _ in bounds])
 
 
 @lru_cache(maxsize=1024)
@@ -1008,13 +1010,11 @@ def _validate_explicit_squares(rep, d, max_checks=None, seed=0):
     for a in range(d.n_objects):
         if sqh[v_id[a]] != sqv[h_id[a]]:
             rep.add("sq-obj-id", object=CellRef(OBJECT, a))
-    by_left, by_top, by_tl = {}, {}, {}
+    beside, below = square_partners(bounds)
+    by_tl = {}
     for s, (t, _, l, _) in enumerate(bounds):
-        by_left.setdefault(l, []).append(s)
-        by_top.setdefault(t, []).append(s)
         by_tl.setdefault((t, l), []).append(s)
-    hpairs = _SquarePairs(bounds, by_left, 3)
-    vpairs = _SquarePairs(bounds, by_top, 1)
+    hpairs, vpairs = _SquarePairs(beside), _SquarePairs(below)
     hs = _check_square_table(rep, "hcomp-sq", ("left", "right"), d._hs,
                              hpairs, bounds, hh)
     # vertical composition is horizontal composition of transposed squares
@@ -1031,8 +1031,9 @@ def _validate_explicit_squares(rep, d, max_checks=None, seed=0):
         if hs[sqh[l]][s] != s or hs[s][sqh[r]] != s:
             rep.add("hcomp-sq-unit", square=CellRef(SQUARE, s))
     rng = random.Random(seed)
-    biggest = max(map(len, chain(by_left.values(), by_top.values())),
-                  default=0)
+    # every edge has its identity square, so each group of squares on an
+    # edge is some square's partners
+    biggest = max(map(len, chain(beside, below)), default=0)
 
     def triples(law, pairs):
         """For each pair (s1, s2) of ``pairs``, the s3 with (s2, s3) in
@@ -1070,7 +1071,7 @@ def _validate_explicit_squares(rep, d, max_checks=None, seed=0):
     def grids():
         """For each 2x2 grid's top left, top right and bottom left square,
         its bottom right squares: all grids, or a seeded sample."""
-        big_top = max(map(len, by_top.values()), default=0)
+        big_top = max(map(len, below), default=0)
         big_tl = max(map(len, by_tl.values()), default=0)
         if max_checks is None or len(hpairs) * big_top * big_tl <= max_checks:
             for a, b in hpairs:
@@ -1101,11 +1102,11 @@ def _validate_explicit_squares(rep, d, max_checks=None, seed=0):
 class _SquarePairs:
     """The pairs ``(s1, s2)`` of squares with ``s2`` in ``rows[s1]``, in the
     order of ``s1`` and then of its row, as a read-only sequence.  Row
-    ``s1`` is the group of squares on the far side of edge ``side`` of
-    ``s1``, so the pairs are the composable ones."""
+    ``s1`` is one side of ``square_partners`` for ``s1``, so the pairs
+    are the composable ones."""
 
-    def __init__(self, bounds, groups, side):
-        self.rows = [groups.get(b[side], ()) for b in bounds]
+    def __init__(self, rows):
+        self.rows = rows
         self.starts = list(accumulate(map(len, self.rows), initial=0))
 
     def __len__(self):
@@ -1173,11 +1174,16 @@ class _ExplicitProduct(DoubleCat):
         del self._hs, self._vs
 
     def _fill(self, table):
-        n, ns2, rows = self._rows
-        rows1, rows2 = rows[table]
+        # the snapshot ends with the keys and values of _hs and of _vs of
+        # each factor, as dc_product captured them
+        built = self._built
+        i = -8 if table == "_hs" else -6
+        rows1 = zip(built[i], built[i + 1])
+        rows2 = tuple(zip(built[i + 4], built[i + 5]))
+        ns2 = built[2][3]
         # every id is one shared int, so the large tables hold no int of
         # their own
-        ids = list(range(n))
+        ids = list(range(built[0][3]))
         t = {}
         for (a1, b1), c1 in rows1:
             x, y, z = a1 * ns2, b1 * ns2, c1 * ns2
@@ -1206,8 +1212,8 @@ def dc_product(d1, d2):
     its square laws from the factors while that snapshot still holds.
     Its square tables list the pairs of factor entries, the first
     factor's outer, and share one int object per square id.  Each is
-    filled on its first read from the factor entries captured at build
-    time, and the fill records its keys and values, in order, beside it
+    filled on its first read from the factor entries in ``_built``, and
+    the fill records its keys and values, in order, beside it
     as ``_hs_filled``/``_vs_filled``; a table unequal to its record has
     been edited.
     """
@@ -1263,9 +1269,6 @@ def dc_product(d1, d2):
             t2, b2, l2, r2 = d2.sq_bounds[s2]
             p.add_square("(%s,%s)" % (d1.sq_names[s1], d2.sq_names[s2]),
                          t1 * nh2 + t2, b1 * nh2 + b2, l1 * nv2 + l2, r1 * nv2 + r2)
-    p._rows = (p.n_squares, ns2, {
-        "_hs": (tuple(d1._hs.items()), tuple(d2._hs.items())),
-        "_vs": (tuple(d1._vs.items()), tuple(d2._vs.items()))})
     for u1, s1 in d1._sqhid.items():
         for u2, s2 in d2._sqhid.items():
             p.set_sq_h_id(u1 * nv2 + u2, s1 * ns2 + s2)
@@ -1436,26 +1439,25 @@ def trivial():
 
 
 def _derive_flat_tables(d):
-    """Fill explicit square tables by boundary lookup (flat data only)."""
-    ns = d.n_squares
-    for s1 in range(ns):
-        for s2 in range(ns):
-            if d.sq_right(s1) == d.sq_left(s2):
-                want = (d.hcomp_h(d.sq_top(s1), d.sq_top(s2)),
-                        d.hcomp_h(d.sq_bottom(s1), d.sq_bottom(s2)),
-                        d.sq_left(s1), d.sq_right(s2))
-                hit = d._sq_by_bound.get(want)
-                if hit is None or len(hit) != 1:
-                    raise MalformedTables("flat table derivation failed")
-                d.set_hs(s1, s2, hit[0])
-            if d.sq_bottom(s1) == d.sq_top(s2):
-                want = (d.sq_top(s1), d.sq_bottom(s2),
-                        d.vcomp_v(d.sq_left(s1), d.sq_left(s2)),
-                        d.vcomp_v(d.sq_right(s1), d.sq_right(s2)))
-                hit = d._sq_by_bound.get(want)
-                if hit is None or len(hit) != 1:
-                    raise MalformedTables("flat table derivation failed")
-                d.set_vs(s1, s2, hit[0])
+    """Fill explicit square tables by boundary lookup (flat data only),
+    in the order of the first square of a pair and then of the second."""
+    bounds, by_bound = d.sq_bounds, d._sq_by_bound
+    hcomp, vcomp, hs, vs = d.hcomp_h, d.vcomp_v, d._hs, d._vs
+
+    def only(bound):
+        hit = by_bound.get(bound)
+        if hit is None or len(hit) != 1:
+            raise MalformedTables("flat table derivation failed")
+        return hit[0]
+
+    beside, below = square_partners(bounds)
+    for s1, (t1, o1, l1, r1) in enumerate(bounds):
+        for s2 in beside[s1]:
+            t2, o2, _, r2 = bounds[s2]
+            hs[s1, s2] = only((hcomp(t1, t2), hcomp(o1, o2), l1, r2))
+        for s2 in below[s1]:
+            _, o2, l2, r2 = bounds[s2]
+            vs[s1, s2] = only((t1, o2, vcomp(l1, l2), vcomp(r1, r2)))
 
 
 def free_double_category(name, objects, hcells=(), vcells=(), squares=()):
@@ -1529,15 +1531,16 @@ def parity():
                         s = d.add_square(nm, top, bottom, left, right)
                         idx[(top, bottom, left, right, sign)] = s
     sign_of = {s: k[4] for k, s in idx.items()}
-    for s1 in range(d.n_squares):
-        t1, b1, l1, r1 = d.sq_bounds[s1]
-        for s2 in range(d.n_squares):
-            t2, b2, l2, r2 = d.sq_bounds[s2]
-            sgn = sign_of[s1] ^ sign_of[s2]
-            if r1 == l2:
-                d.set_hs(s1, s2, idx[(t1 ^ t2, b1 ^ b2, l1, r2, sgn)])
-            if b1 == t2:
-                d.set_vs(s1, s2, idx[(t1, b2, l1 ^ l2, r1 ^ r2, sgn)])
+    beside, below = square_partners(d.sq_bounds)
+    for s1, (t1, b1, l1, r1) in enumerate(d.sq_bounds):
+        for s2 in beside[s1]:
+            t2, b2, _, r2 = d.sq_bounds[s2]
+            d.set_hs(s1, s2, idx[(t1 ^ t2, b1 ^ b2, l1, r2,
+                                  sign_of[s1] ^ sign_of[s2])])
+        for s2 in below[s1]:
+            _, b2, l2, r2 = d.sq_bounds[s2]
+            d.set_vs(s1, s2, idx[(t1, b2, l1 ^ l2, r1 ^ r2,
+                                  sign_of[s1] ^ sign_of[s2])])
     for f in (h0, h1):
         d.set_sq_v_id(f, idx[(f, f, v0, v0, 0)])
     for u in (v0, v1):

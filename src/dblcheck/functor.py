@@ -12,8 +12,8 @@ import functools
 from itertools import product
 
 from .core import (
-    ValidationReport, composable_pairs, composable_square_pairs,
-    composable_triples, flat_validation_steps, row_keys,
+    ValidationReport, composable_pairs, composable_triples,
+    flat_validation_steps, row_keys, square_partners,
     validate_double_category)
 from .errors import DomainMismatch, MalformedTables
 
@@ -240,8 +240,8 @@ def _square_law_counts(d):
     functor out of the flat d, in closed form, in report order.  The scan
     interns no square, so square ids stay as the check assigns them."""
     _, _, h1, h2, hex_, unit, c_nat, u_nat = _law_labels("lx.f")
-    horizontal, vertical = composable_square_pairs(
-        list(d.iter_flat_boundaries()))
+    beside, below = square_partners(list(d.iter_flat_boundaries()))
+    horizontal, vertical = sum(map(len, beside)), sum(map(len, below))
     return {h1: vertical, h2: d.n_hcells,
             hex_: composable_triples(d.hsrc, d.htgt),
             unit: 2 * d.n_hcells, c_nat: horizontal, u_nat: d.n_vcells}
@@ -283,12 +283,11 @@ def _lax_functor_laws(F, emit, tag, square_laws=True):
          lambda a: F.v(d.v_id(a)), lambda a: c.v_id(F.obj(a)), ("object",))
     if not square_laws:
         return
+    # a flat d lists its squares in scan order, which the pairs keep
     squares = list(d.iter_squares())
-    by_top = {}
-    for s in squares:
-        by_top.setdefault(d.sq_top(s), []).append(s)
-    emit(h1, ((s1, s2) for s1 in squares
-              for s2 in by_top.get(d.sq_bottom(s1), [])),
+    beside, below = square_partners([d.sq_bounds[s] for s in squares])
+    emit(h1, ((s1, squares[j]) for i, s1 in enumerate(squares)
+              for j in below[i]),
          lambda s1, s2: F.sq(d.vcomp_sq(s1, s2)),
          lambda s1, s2: c.vcomp_sq(F.sq(s1), F.sq(s2)), ("top", "bottom"))
     emit(h2, row_keys(d.n_hcells),
@@ -314,11 +313,8 @@ def _lax_functor_laws(F, emit, tag, square_laws=True):
                           F.compositor(f, d.h_id(b)))
     emit(unit, product(range(d.n_hcells), ("left", "right")),
          unit_side, lambda f, side: c.sq_v_id(F.h(f)), ("hcell", "side"))
-    by_left = {}
-    for s in squares:
-        by_left.setdefault(d.sq_left(s), []).append(s)
-    emit(c_nat, ((s1, s2) for s1 in squares
-                 for s2 in by_left.get(d.sq_right(s1), [])),
+    emit(c_nat, ((s1, squares[j]) for i, s1 in enumerate(squares)
+                 for j in beside[i]),
          lambda s1, s2: c.vcomp_sq(
              c.hcomp_sq(F.sq(s1), F.sq(s2)),
              F.compositor(d.sq_bottom(s1), d.sq_bottom(s2))),

@@ -19,10 +19,12 @@ endpoints, identities and payload compositions.
 """
 
 from heapq import merge
+from itertools import repeat
 from types import SimpleNamespace
 
 from .core import (
-    DoubleCat, FrozenRecord, ValidationReport, composable_pairs, init_field)
+    DoubleCat, FrozenRecord, ValidationReport, composable_pairs, init_field,
+    square_partners)
 from .errors import DblError, EnumerationBound, NotHomCodomain
 from .functor import (
     LaxDoubleFunctor, _lax_functor_laws, check_lax_functor, is_unitary)
@@ -267,9 +269,9 @@ def populate_squares(hom):
     Interns every identity square and then both composites of every
     composable square pair until stable; composing transformations can
     intern new composite 1-cells, so the identity pass is repeated too.
-    Each round finds the composable pairs among the squares it starts with
-    by grouping them on their shared edge, and visits them in the order of
-    a scan over all pairs, which fixes the ids and names of new cells.
+    Each round reads the composable pairs among the squares it starts with
+    from ``square_partners`` and visits them in the order of a scan over
+    all pairs, which fixes the ids and names of new cells.
     The resulting square set is the composition closure of the identity
     modifications, which is enough for the whole-category validator to
     exercise unit, associativity, and interchange laws.
@@ -284,17 +286,12 @@ def populate_squares(hom):
             hom.sq_v_id(f)
         for u in range(hom.n_vcells):
             hom.sq_h_id(u)
-        # the squares so far, grouped on their left (h, False) and top
-        # (v, True) edges; merging the groups of s1's right and bottom
-        # edges visits its partners s2 in ascending order, h before v
-        n = hom.n_squares
-        by_left, by_top = {}, {}
-        for s in range(n):
-            by_left.setdefault(hom.sq_left(s), []).append((s, False))
-            by_top.setdefault(hom.sq_top(s), []).append((s, True))
-        for s1 in range(n):
-            for s2, vertical in merge(by_left.get(hom.sq_right(s1), ()),
-                                      by_top.get(hom.sq_bottom(s1), ())):
+        # merging the partners of s1 beside it (False) and below it
+        # (True) visits them in ascending order, h before v
+        beside, below = square_partners(hom.sq_bounds)
+        for s1, (right, under) in enumerate(zip(beside, below)):
+            for s2, vertical in merge(zip(right, repeat(False)),
+                                      zip(under, repeat(True))):
                 (hom.vcomp_sq if vertical else hom.hcomp_sq)(s1, s2)
         if (hom.n_hcells, hom.n_vcells, hom.n_squares) == n_cells:
             return hom

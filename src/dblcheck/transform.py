@@ -639,7 +639,7 @@ def hcompose_pseudo(al, be):
     is pseudo.  The result runs from F'F to G'G."""
     if al.cod is not be.dom:
         raise ChainMismatch("hcompose_pseudo needs alpha.cod to be beta.dom")
-    wal, FpF, FpG = whisker_functor_hor(be.F, al)
+    wal, FpF, _ = whisker_functor_hor(be.F, al)
     d, e = al.dom, be.cod
     from .functor import compose_lax
     GpG = compose_lax(al.G, be.G)
