@@ -221,7 +221,12 @@ def _functor_from_doc(doc, dom, cod, name="F"):
         comp_t = {}
         for key, ref in _field(doc, "comp", what).items():
             f, g = key.split(",")
-            comp_t[(dh(f), dh(g))] = _square_ref(cod, ref, ch, cv)
+            s = _square_ref(cod, ref, ch, cv)
+            f, g = dh(f), dh(g)
+            if dom.htgt[f] != dom.hsrc[g]:
+                raise SchemaError("comp key %r is not a composable pair"
+                                  % key)
+            comp_t[(f, g)] = s
         unit = {do(k): _square_ref(cod, ref, ch, cv)
                 for k, ref in _field(doc, "unit", what).items()}
         return LaxDoubleFunctor(dom, cod, ob, hmap, vmap, sqmap,
@@ -243,7 +248,7 @@ def _load_functor(doc):
 
 
 def _load_quasi(doc):
-    from .quasi import QuasiFunctor
+    from .quasi import _INTERCHANGERS, QuasiFunctor
     what = "quasi functor description"
     _object(doc, what)
     for key in ("A", "B", "C"):
@@ -267,16 +272,21 @@ def _load_quasi(doc):
                 raise SchemaError("%s leaves out object %r"
                                   % (key, missing[0]))
 
-        def table(field, left, right):
-            out = {}
-            for key, ref in _field(doc, field, what).items():
+        cells = {"h": (bh, ah), "v": (bv, av)}  # a cell of B, of A
+        stores = []
+        for name, b_cells, a_cells in _INTERCHANGERS:
+            stores.append({})
+            for key, ref in _field(doc, name, what).items():
                 x, y = key.split(",")
-                out[(left(x), right(y))] = _square_ref(C, ref, ch, cv)
-            return out
-
-        q = QuasiFunctor(A, B, C, fam_a, fam_b,
-                         table("kk", bh, ah), table("uk", bv, ah),
-                         table("ku", bh, av), table("uu", bv, av),
+                s = _square_ref(C, ref, ch, cv)
+                x, y = cells[b_cells][0](x), cells[a_cells][1](y)
+                if (b_cells == "v" and B.is_v_identity(x)
+                        or a_cells == "v" and A.is_v_identity(y)):
+                    raise SchemaError(
+                        "%s key %r names a vertical identity, whose "
+                        "interchanger is derived" % (name, key))
+                stores[-1][(x, y)] = s
+        q = QuasiFunctor(A, B, C, fam_a, fam_b, *stores,
                          name=doc.get("name", "H"))
     except (KeyError, ValueError) as exc:
         raise SchemaError("bad quasi functor description: %s" % exc)
@@ -314,10 +324,14 @@ def _wellformed_transform(doc):
 
 
 def _load_transform(doc):
-    from .transform import LAX, OPLAX, HorTransform, VertTransform
+    """The transformation of doc, built from its kind's fields: ``at``,
+    then each square field under its accessor's name (``delta`` for
+    ``delta_at``)."""
+    from .transform import LAX, OPLAX, TRANSFORM_KINDS
     what = "transform description"
-    kind = _object(doc, what).get("kind")
-    if kind not in ("hor", "vert"):
+    tag = _object(doc, what).get("kind")
+    kind = next((k for k in TRANSFORM_KINDS.values() if k.tag == tag), None)
+    if kind is None:
         raise SchemaError('transform description needs kind "hor" or "vert"')
     for key in ("dom", "cod", "F", "G"):
         if key not in doc:
@@ -326,33 +340,24 @@ def _load_transform(doc):
     cod = _dc_from_doc(doc["cod"])
     F = _functor_from_doc(doc["F"], dom, cod, name="F")
     G = _functor_from_doc(doc["G"], dom, cod, name="G")
-    do, dh, dv = (_index(dom.objects, "object"), _index(dom.hnames, "1h-cell"),
-                  _index(dom.vnames, "1v-cell"))
+    do = _index(dom.objects, "object")
     ch, cv = _index(cod.hnames, "1h-cell"), _index(cod.vnames, "1v-cell")
-    orientation = doc.get("orientation", "oplax" if kind == "hor" else "lax")
+    dh, dv = _index(dom.hnames, "1h-cell"), _index(dom.vnames, "1v-cell")
+    cells = {"h": (dh, ch), "v": (dv, cv)}  # a cell of dom, of cod
+    orientation = doc.get("orientation", kind.hop)
     if orientation not in (OPLAX, LAX):
         raise SchemaError("unknown orientation %r" % orientation)
     try:
-        if kind == "hor":
-            comp0 = {do(k): ch(v)
-                     for k, v in _field(doc, "at", what, True).items()}
-            comp_v = {dv(k): _square_ref(cod, ref, ch, cv)
-                      for k, ref in _field(doc, "sq_v", what).items()}
-            delta = {dh(k): _square_ref(cod, ref, ch, cv)
-                     for k, ref in _field(doc, "delta", what).items()}
-            t = HorTransform(F, G, comp0, comp_v, delta, orientation,
-                             name=doc.get("name", "alpha"))
-        else:
-            comp0 = {do(k): cv(v)
-                     for k, v in _field(doc, "at", what, True).items()}
-            comp_h = {dh(k): _square_ref(cod, ref, ch, cv)
-                      for k, ref in _field(doc, "sq_h", what).items()}
-            comp_v = {dv(k): _square_ref(cod, ref, ch, cv)
-                      for k, ref in _field(doc, "sq_v", what).items()}
-            t = VertTransform(F, G, comp0, comp_h, comp_v, orientation,
-                              name=doc.get("name", "alpha0"))
+        comp0 = {do(k): cells[kind.cells][1](v)
+                 for k, v in _field(doc, "at", what, True).items()}
+        fields = [{cells[f.cells][0](k): _square_ref(cod, ref, ch, cv)
+                   for k, ref in _field(doc, f.accessor.removesuffix("_at"),
+                                        what).items()}
+                  for f in kind.fields]
+        t = kind.cls(F, G, comp0, *fields, orientation)
     except (KeyError, ValueError) as exc:
         raise SchemaError("bad transform description: %s" % exc)
+    t.name = doc.get("name", t.name)
     _check_one_cells(doc, dom=dom, cod=cod)
     return t
 
@@ -587,12 +592,11 @@ def functor_check(path):
 @_verb("transform-check", "PATH")
 def transform_check(path):
     """Check a horizontal or vertical transformation."""
-    from .transform import check_hor_transform, check_vert_transform
+    from .transform import TRANSFORM_KINDS
     doc = _read_doc(path)
     t = _wellformed_transform(doc)
-    check = (check_hor_transform if doc["kind"] == "hor"
-             else check_vert_transform)
-    return check(t), {"kind": doc["kind"], "orientation": t.orientation}
+    return (TRANSFORM_KINDS[type(t)].check(t),
+            {"kind": doc["kind"], "orientation": t.orientation})
 
 
 @_verb("quasi-check", "PATH", trivial_uu=(
@@ -629,17 +633,16 @@ def curry(path):
 @_verb("uncurry", "PATH")
 def uncurry(path):
     """Round-trip a quasi functor through currying and compare cells."""
+    from .functor import functor_equal
     from .quasi import check_quasi_functor, curry0, uncurry0
     q = _wellformed_quasi(path)
     back = uncurry0(curry0(q))
     rep = ValidationReport()
     for a, F in q.fam_a.items():
-        G = back.fam_a[a]
-        if (F.ob, F.hmap, F.vmap) != (G.ob, G.hmap, G.vmap):
+        if not functor_equal(F, back.fam_a[a]):
             rep.add("roundtrip-fam-a", a=a)
     for b, F in q.fam_b.items():
-        G = back.fam_b[b]
-        if (F.ob, F.hmap, F.vmap) != (G.ob, G.hmap, G.vmap):
+        if not functor_equal(F, back.fam_b[b]):
             rep.add("roundtrip-fam-b", b=b)
     for field in ("kk", "uk", "ku", "uu"):
         if getattr(q, field) != getattr(back, field):

@@ -30,11 +30,10 @@ from .functor import (
     LaxDoubleFunctor, _lax_functor_laws, check_lax_functor, is_unitary)
 from .transform import (
     LAX, OPLAX, TRANSFORM_KINDS, HorTransform, Modification, VertTransform,
-    _hor_transform_laws, _modification_laws, _vert_transform_laws,
-    check_hor_transform, check_modification, check_vert_transform,
-    field_squares, hcompose_modifications, identity_hor_transform,
-    identity_modification, identity_vert_transform, vcompose_hor,
-    vcompose_modifications, vcompose_vert)
+    _modification_laws, check_modification, field_squares,
+    hcompose_modifications, identity_hor_transform, identity_modification,
+    identity_vert_transform, vcompose_hor, vcompose_modifications,
+    vcompose_vert)
 
 
 class HomFlavor(FrozenRecord):
@@ -303,8 +302,9 @@ def hom_membership(hom, thing):
     Accepts a functor, transformation or modification and returns the
     report of the appropriate law check, extended with flavor conditions.
     """
-    if not isinstance(thing, (LaxDoubleFunctor, HorTransform, VertTransform,
-                              Modification)):
+    kind = TRANSFORM_KINDS.get(type(thing))
+    if kind is None and not isinstance(thing, (LaxDoubleFunctor,
+                                               Modification)):
         return _refused("member-kind")
     if thing.dom is not hom.B or thing.cod is not hom.C:
         return _refused("member-frame")
@@ -313,21 +313,19 @@ def hom_membership(hom, thing):
         if hom.flavor.unitary_only and not is_unitary(thing):
             rep.add("member-unitary")
         return rep
-    if isinstance(thing, HorTransform):
-        if thing.orientation != hom.flavor.hor:
+    if kind is not None:
+        if thing.orientation != getattr(hom.flavor, kind.tag):
             return _refused("member-orientation")
-        return check_hor_transform(thing)
-    if isinstance(thing, VertTransform):
-        if thing.orientation != hom.flavor.vert:
-            return _refused("member-orientation")
-        rep = check_vert_transform(thing)
+        rep = kind.check(thing)
         # the scan reads each structure square's sides from the codomain;
         # they are the transformation's only once it is well-formed
-        if hom.flavor.vert_strict and not any(
+        if _strict(hom.flavor, kind) and not any(
                 law.startswith("wf-") for law, _ in rep.failures):
-            for u in range(thing.dom.n_vcells):
-                if not _is_strict_square(thing.cod, thing.sq_v(u)):
-                    rep.add("member-vert-strict", vcell=u)
+            field = kind.fields[1]
+            square = getattr(thing, field.accessor)
+            for x in field.domain(thing.dom):
+                if not _is_strict_square(thing.cod, square(x)):
+                    rep.add("member-%s-strict" % kind.tag, **{field.key: x})
         return rep
     if (thing.top.orientation != hom.flavor.hor
             or thing.left.orientation != hom.flavor.vert):
@@ -340,6 +338,13 @@ def _refused(law):
     rep = ValidationReport()
     rep.add(law)
     return rep
+
+
+def _strict(flavor, kind):
+    """Whether the flavor admits only strict structure squares for the
+    kind: ``vert_strict`` for vertical transformations, and no flavor
+    restricts horizontal ones."""
+    return getattr(flavor, kind.tag + "_strict", False)
 
 
 def _is_strict_square(c, s):
@@ -535,40 +540,27 @@ def _lax_functors(B, C, flavor, budget):
         unitors), lambda *fields: LaxDoubleFunctor(B, C, *fields), budget)
 
 
-def enumerate_hor_transforms(F, G, flavor=HOP, bound=None):
-    """All horizontal transformations F => G in the flavor's orientation."""
-    yield from _transforms(HorTransform, F, G, flavor, _Budget(bound),
-                           _transform_plan(HorTransform, F.dom, flavor))
-
-
-def enumerate_vert_transforms(F, G, flavor=HOP, bound=None):
-    """All vertical transformations F => G in the flavor's orientation."""
-    yield from _transforms(VertTransform, F, G, flavor, _Budget(bound),
-                           _transform_plan(VertTransform, F.dom, flavor))
+def enumerate_transforms(cls, F, G, flavor=HOP, bound=None):
+    """All transformations F => G of kind cls in the flavor's orientation."""
+    yield from _transforms(cls, F, G, flavor, _Budget(bound),
+                           _transform_plan(cls, F.dom, flavor))
 
 
 def _transform_plan(cls, B, flavor):
     """The components, then the squares of the kind's two fields."""
-    laws, orientation = ((_hor_transform_laws, flavor.hor)
-                         if cls is HorTransform else
-                         (_vert_transform_laws, flavor.vert))
-    return _Plan(B, laws, [("comp0", "at", range(B.n_objects))] + [
-        (f.store, f.accessor, f.domain(B))
-        for f in TRANSFORM_KINDS[cls].fields],
-        F=_NoSlots(), G=_NoSlots(), orientation=orientation)
+    kind = TRANSFORM_KINDS[cls]
+    return _Plan(B, kind.laws, [("comp0", "at", range(B.n_objects))] + [
+        (f.store, f.accessor, f.domain(B)) for f in kind.fields],
+        F=_NoSlots(), G=_NoSlots(), orientation=getattr(flavor, kind.tag))
 
 
 def _transforms(cls, F, G, flavor, budget, plan):
     """Every lawful transformation F => G of kind cls in the flavor's
-    orientation, searched by ``plan``, the kind's plan on F's domain.  A
-    structure square of a vertical transformation is strict if the flavor
-    says so."""
-    C = F.cod
-    if cls is HorTransform:
-        between, orientation, strict = C.hcells_between, flavor.hor, False
-    else:
-        between, orientation = C.vcells_between, flavor.vert
-        strict = flavor.vert_strict
+    orientation, searched by ``plan``, the kind's plan on F's domain.  Its
+    structure squares are strict if the flavor says so for the kind
+    (``vert_strict``)."""
+    kind, C = TRANSFORM_KINDS[cls], F.cod
+    orientation, strict = getattr(flavor, kind.tag), _strict(flavor, kind)
     t = cls(F, G, {}, orientation=orientation)
 
     def squares(field):
@@ -577,9 +569,9 @@ def _transforms(cls, F, G, flavor, budget, plan):
             return lambda x: [s for s in C.squares_with_boundary(*bounds(x))
                               if _is_strict_square(C, s)]
         return lambda x: C.squares_with_boundary(*bounds(x))
-    yield from _search(plan, t, [
-        lambda a: between(F.obj(a), G.obj(a))] + [
-        squares(f) for f in TRANSFORM_KINDS[cls].fields],
+    between = getattr(C, kind.cells + "cells_between")
+    yield from _search(plan, t, [lambda a: between(F.obj(a), G.obj(a))] + [
+        squares(f) for f in kind.fields],
         lambda comp0, first, second: cls(F, G, comp0, first, second,
                                          orientation), budget)
 

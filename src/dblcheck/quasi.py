@@ -21,10 +21,12 @@ families indexed by the objects of A and B), currying to and from the hom
 double category, and the double category of quasi functors, interned on
 demand through the same base as the hom (``hom.InternedDoubleCat``).
 
-The mixed laws of both kinds of q-cell are written once, in the terms
-``_cell_terms`` reads from the kind (``TRANSFORM_KINDS``), and so is
-uncurrying.  Currying stays written out per kind: keeping the codomain's
-call order would branch one body on the kind twice.
+Each q-cell kind reads its transformation kind from ``TRANSFORM_KINDS``:
+``check_q_cell`` runs the kind's checker on the members, and the mixed
+laws are written once, in the terms ``_cell_terms`` reads from it.  The
+curried 1-cells (``_curry_cell``) and uncurrying read the kind's fields.
+``curry_hor`` and ``curry_vert`` stay one per kind: keeping the
+codomain's call order would branch one body on the kind twice.
 """
 
 from .core import ValidationReport, composable_pairs, row_keys
@@ -35,10 +37,9 @@ from .hom import (
     _vert_identity_square)
 from .transform import (
     LAX, OPLAX, TRANSFORM_KINDS, HorTransform, Modification, VertTransform,
-    check_hor_transform, check_modification, check_vert_transform,
-    field_squares, hcompose_modifications, identity_hor_transform,
-    identity_modification, identity_vert_transform, vcompose_hor,
-    vcompose_modifications, vcompose_vert)
+    check_modification, field_squares, hcompose_modifications,
+    identity_hor_transform, identity_modification, identity_vert_transform,
+    vcompose_hor, vcompose_modifications, vcompose_vert)
 
 
 class QuasiFunctor:
@@ -465,19 +466,10 @@ def _check_families(fam_a, fam_b, check, A, B, tag):
     return rep
 
 
-def check_q_hor(t):
-    """Componentwise transformation laws plus the four mixed coherence laws."""
+def check_q_cell(t):
+    """The laws of t's kind on every member, then the four mixed laws."""
     q = t.q1
-    rep = _check_families(t.th_a, t.th_b, check_hor_transform, q.A, q.B, "th")
-    if rep.passed:
-        _q_cell_laws(t, rep.expect)
-    return rep
-
-
-def check_q_vert(t):
-    """Componentwise vertical transformation laws plus mixed coherence."""
-    q = t.q1
-    rep = _check_families(t.th_a, t.th_b, check_vert_transform, q.A, q.B, "th")
+    rep = _check_families(t.th_a, t.th_b, t.kind.check, q.A, q.B, "th")
     if rep.passed:
         _q_cell_laws(t, rep.expect)
     return rep
@@ -673,8 +665,8 @@ def curry0(q, hom=None):
     ob, hmap, vmap, sqmap = {}, {}, {}, {}
     # local transform objects keep the corners anchored to this quasi
     # functor's own family objects; interning dedupes only the cell ids
-    hts = {K: _curry_hcell(q, K) for K in range(A.n_hcells)}
-    vts = {U: _curry_vcell(q, U) for U in range(A.n_vcells)}
+    hts = {K: _curry_cell(q, HorTransform, K) for K in range(A.n_hcells)}
+    vts = {U: _curry_cell(q, VertTransform, U) for U in range(A.n_vcells)}
     for a in range(A.n_objects):
         ob[a] = hom.intern_functor(q.fA(a))
     for K in range(A.n_hcells):
@@ -695,24 +687,20 @@ def curry0(q, hom=None):
     return P
 
 
-def _curry_hcell(q, K):
-    A, B = q.A, q.B
-    a, ap = A.hsrc[K], A.htgt[K]
-    comp0 = {b: q.fB(b).h(K) for b in range(B.n_objects)}
-    comp_v = {u: q.sq_uk(u, K) for u in range(B.n_vcells)}
-    delta = {k: q.sq_kk(k, K) for k in range(B.n_hcells)}
-    return HorTransform(q.fA(a), q.fA(ap), comp0, comp_v, delta, OPLAX,
-                        name="(-,%s)" % A.hnames[K])
-
-
-def _curry_vcell(q, U):
-    A, B = q.A, q.B
-    a, at = A.vsrc[U], A.vtgt[U]
-    comp0 = {b: q.fB(b).v(U) for b in range(B.n_objects)}
-    comp_h = {k: q.sq_ku(k, U) for k in range(B.n_hcells)}
-    comp_v = {u: q.sq_uu(u, U) for u in range(B.n_vcells)}
-    return VertTransform(q.fA(a), q.fA(at), comp0, comp_h, comp_v, LAX,
-                         name="(-,%s)" % A.vnames[U])
+def _curry_cell(q, cls, X):
+    """The transformation of kind cls that the curried functor gives the
+    A-cell X, a 1-cell along that kind's components.  Each field reads
+    the interchangers of X with the B-cells indexing it."""
+    kind, A, B = TRANSFORM_KINDS[cls], q.A, q.B
+    e = kind.cells
+    reads = {b_cells: getattr(q, "sq_" + name)
+             for name, b_cells, a_cells in _INTERCHANGERS if a_cells == e}
+    a, ap = _cell_ends(A, e, X)
+    return cls(q.fA(a), q.fA(ap),
+               {b: getattr(q.fB(b), e)(X) for b in range(B.n_objects)},
+               *({x: reads[f.cells](x, X) for x in f.domain(B)}
+                 for f in kind.fields),
+               kind.hop, name="(-,%s)" % getattr(A, e + "names")[X])
 
 
 def _curry_square(q, ze, hts, vts):
@@ -767,14 +755,15 @@ def uncurry0(P):
         fam_b[b] = LaxDoubleFunctor(A, C, ob, hmap, vmap, sqmap, comp, unit,
                                     name="(%s,-)" % B.objects[b])
     # the interchanger at (x, y) reads the transformation that P gives the
-    # A-cell y on the B-cell x, through its kind's field on x's cells
+    # A-cell y, of the kind whose components are y's cells, on the B-cell
+    # x, through that kind's field on x's cells
     stores = []
     for _, b_cells, a_cells in _INTERCHANGERS:
-        image, payload, cls = ((P.h, hom.h_payload, HorTransform)
-                               if a_cells == "h" else
-                               (P.v, hom.v_payload, VertTransform))
-        field, = [f for f in TRANSFORM_KINDS[cls].fields
-                  if f.cells == b_cells]
+        image = getattr(P, a_cells)
+        payload = getattr(hom, a_cells + "_payload")
+        field, = [f for kind in TRANSFORM_KINDS.values()
+                  if kind.cells == a_cells
+                  for f in kind.fields if f.cells == b_cells]
         stores.append({(x, y): getattr(payload[image(y)], field.accessor)(x)
                        for x in _stored_cells(B, b_cells)
                        for y in _stored_cells(A, a_cells)})
@@ -794,11 +783,12 @@ def curry_hor(t, hom):
         comp = {b: t.th_b[b].sq_v(U) for b in range(B.n_objects)}
         comp_v[U] = hom.intern_modification(Modification(
             t.th_a[a], t.th_a[at],
-            _curry_vcell(t.q1, U), _curry_vcell(t.q2, U), comp))
+            _curry_cell(t.q1, VertTransform, U),
+            _curry_cell(t.q2, VertTransform, U), comp))
     for K in range(A.n_hcells):
         a, ap = A.hsrc[K], A.htgt[K]
-        top = vcompose_hor(_curry_hcell(t.q1, K), t.th_a[ap])
-        bottom = vcompose_hor(t.th_a[a], _curry_hcell(t.q2, K))
+        top = vcompose_hor(_curry_cell(t.q1, HorTransform, K), t.th_a[ap])
+        bottom = vcompose_hor(t.th_a[a], _curry_cell(t.q2, HorTransform, K))
         comp = {b: t.th_b[b].delta_at(K) for b in range(B.n_objects)}
         delta[K] = hom.intern_modification(Modification(
             top, bottom, identity_vert_transform(t.q1.fA(a)),
@@ -815,7 +805,7 @@ def uncurry_cell(tr, hom):
     kind = TRANSFORM_KINDS[type(tr)]
     A, B = tr.dom, hom.B
     q1, q2 = uncurry0(tr.F), uncurry0(tr.G)
-    payload = hom.h_payload if kind.cls is HorTransform else hom.v_payload
+    payload = getattr(hom, kind.cells + "_payload")
     th_a = {a: payload[tr.at(a)] for a in range(A.n_objects)}
     mods = [[hom.sq_payload[s] for s in field] for field in field_squares(tr)]
     th_b = {b: kind.cls(q1.fB(b), q2.fB(b),
@@ -838,14 +828,14 @@ def curry_vert(t, hom):
         a, ap = A.hsrc[K], A.htgt[K]
         comp = {b: t.th_b[b].sq_h(K) for b in range(B.n_objects)}
         comp_h[K] = hom.intern_modification(Modification(
-            _curry_hcell(t.q1, K), _curry_hcell(t.q2, K),
-            t.th_a[a], t.th_a[ap], comp))
+            _curry_cell(t.q1, HorTransform, K),
+            _curry_cell(t.q2, HorTransform, K), t.th_a[a], t.th_a[ap], comp))
     for U in range(A.n_vcells):
         a, at = A.vsrc[U], A.vtgt[U]
         top = identity_hor_transform(t.q1.fA(a))
         bottom = identity_hor_transform(t.q2.fA(at))
-        left = vcompose_vert(t.th_a[a], _curry_vcell(t.q2, U))
-        right = vcompose_vert(_curry_vcell(t.q1, U), t.th_a[at])
+        left = vcompose_vert(t.th_a[a], _curry_cell(t.q2, VertTransform, U))
+        right = vcompose_vert(_curry_cell(t.q1, VertTransform, U), t.th_a[at])
         comp = {b: t.th_b[b].sq_v(U) for b in range(B.n_objects)}
         comp_v[U] = hom.intern_modification(Modification(
             top, bottom, left, right, comp))

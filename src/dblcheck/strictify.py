@@ -24,7 +24,7 @@ from .errors import NontrivialUU, NotDecomposable, NotUnitary
 from .functor import LaxDoubleFunctor
 from .quasi import (
     _INTERCHANGERS, Q_TRANSFORMS, QHorTransform, QModification, QuasiFunctor,
-    _cell_ends, _cell_terms, _memberwise, _stored_cells, check_q_hor,
+    _cell_ends, _cell_terms, _memberwise, _stored_cells, check_q_cell,
     check_q_mod, vcompose_q_hor)
 from .transform import (
     OPLAX, TRANSFORM_KINDS, HorTransform, Modification, check_hor_transform,
@@ -427,7 +427,7 @@ def check_equivalence(witnesses, hor_cells=(), vert_cells=()):
         witnesses = [witnesses]
     rep = ValidationReport()
     for w in witnesses:
-        rep.merge(check_q_hor(w.kappa), prefix="kappa.")
+        rep.merge(check_q_cell(w.kappa), prefix="kappa.")
         rep.merge(check_hor_transform(w.lam), prefix="lambda.")
         if not rep.passed:
             return rep

@@ -24,14 +24,16 @@ looks its orientation up once and then emits one instance per loop step;
 ``vcompose_hor`` and ``vcompose_vert`` order the two factors of a
 composite structure square from ``_COMPOSITE_FACTORS`` the same way.
 
-``TRANSFORM_KINDS`` gives each kind its key tag, its orientation in the
-hom flavor ``hop`` (oplax for horizontal, lax for vertical) and its square
-fields in constructor order: ``sq_v``/``delta_at`` for horizontal and
-``sq_h``/``sq_v`` for vertical transformations, each with its accessor and
-bounds method, the domain cells indexing it (``h`` or ``v``), its
-``wf-`` label and witness key, and the attribute storing it.
-Well-formedness, the hom and q-hom keys, destrictification, uncurrying
-and the hom enumeration read the fields from this table.
+``TRANSFORM_KINDS`` gives each kind its tag (its flavor field in
+``hom.HomFlavor`` and its document kind), its orientation in the flavor
+``hop``, its law catalogue, its checker and its square fields in
+constructor order, the component squares, then the structure squares:
+``sq_v``/``delta_at`` for horizontal and ``sq_h``/``sq_v`` for vertical
+transformations.  A field names its accessor and bounds method, the
+domain cells indexing it (``h`` or ``v``), its ``wf-`` label and witness
+key, and the attribute storing it; the structure field's cells are the
+components'.  Every dispatch on the kind outside this module reads the
+table, which sits below the checkers and is read only at call time.
 """
 
 from collections import namedtuple
@@ -170,37 +172,6 @@ class VertTransform:
     def __repr__(self):
         return "VertTransform(%s: %s => %s, %s)" % (
             self.name, self.F.name, self.G.name, self.orientation)
-
-
-class _Field(namedtuple("_Field", "accessor bounds cells label key store")):
-    """A square field of a transformation kind: the names of its accessor
-    and bounds methods, the domain cells indexing it (``"h"`` or ``"v"``),
-    its ``wf-`` label and witness key, and the attribute storing it."""
-    __slots__ = ()
-
-    def domain(self, d):
-        return range(d.n_hcells if self.cells == "h" else d.n_vcells)
-
-
-_Kind = namedtuple("_Kind", "cls tag hop fields")
-TRANSFORM_KINDS = {kind.cls: kind for kind in (
-    _Kind(HorTransform, "hor", OPLAX, (
-        _Field("sq_v", "_sq_v_bounds", "v", "square", "vcell", "comp_v"),
-        _Field("delta_at", "_delta_bounds", "h", "structure", "hcell",
-               "delta"))),
-    _Kind(VertTransform, "vert", LAX, (
-        _Field("sq_h", "_sq_h_bounds", "h", "square", "hcell", "comp_h"),
-        _Field("sq_v", "_sq_v_bounds", "v", "structure", "vcell",
-               "comp_v"))))}
-
-
-def field_squares(t):
-    """The squares of t on the domain cells of its kind's two fields, in
-    table order; written out, since a loop would cost the keys a generator."""
-    d = t.dom
-    first, second = TRANSFORM_KINDS[type(t)].fields
-    return (tuple(map(getattr(t, first.accessor), first.domain(d))),
-            tuple(map(getattr(t, second.accessor), second.domain(d))))
 
 
 class Modification:
@@ -443,6 +414,45 @@ def _vert_transform_laws(t, emit):
     emit(v5, zip(d.iter_squares()),
          lambda s: c.hcomp_sq(l1(t, s), l2(t, s)),
          lambda s: c.hcomp_sq(r1(t, s), r2(t, s)), ("square",))
+
+
+class _Field(namedtuple("_Field", "accessor bounds cells label key store")):
+    """A square field of a transformation kind: the names of its accessor
+    and bounds methods, the domain cells indexing it (``"h"`` or ``"v"``),
+    its ``wf-`` label and witness key, and the attribute storing it."""
+    __slots__ = ()
+
+    def domain(self, d):
+        return range(d.n_hcells if self.cells == "h" else d.n_vcells)
+
+
+class _Kind(namedtuple("_Kind", "cls tag hop fields laws check")):
+    __slots__ = ()
+
+    @property
+    def cells(self):
+        """The components' cells, ``"h"`` or ``"v"``: the structure field's."""
+        return self.fields[1].cells
+
+
+TRANSFORM_KINDS = {kind.cls: kind for kind in (
+    _Kind(HorTransform, "hor", OPLAX, (
+        _Field("sq_v", "_sq_v_bounds", "v", "square", "vcell", "comp_v"),
+        _Field("delta_at", "_delta_bounds", "h", "structure", "hcell",
+               "delta")), _hor_transform_laws, check_hor_transform),
+    _Kind(VertTransform, "vert", LAX, (
+        _Field("sq_h", "_sq_h_bounds", "h", "square", "hcell", "comp_h"),
+        _Field("sq_v", "_sq_v_bounds", "v", "structure", "vcell",
+               "comp_v")), _vert_transform_laws, check_vert_transform))}
+
+
+def field_squares(t):
+    """The squares of t on the domain cells of its kind's two fields, in
+    table order; written out, since a loop would cost the keys a generator."""
+    d = t.dom
+    first, second = TRANSFORM_KINDS[type(t)].fields
+    return (tuple(map(getattr(t, first.accessor), first.domain(d))),
+            tuple(map(getattr(t, second.accessor), second.domain(d))))
 
 
 def check_modification(m):

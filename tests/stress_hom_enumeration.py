@@ -15,9 +15,8 @@ import sys
 import time
 
 from dblcheck.core import parity, walk_v
-from dblcheck.hom import (
-    HOP, enumerate_hor_transforms, enumerate_lax_functors,
-    enumerate_vert_transforms)
+from dblcheck.hom import HOP, enumerate_lax_functors, enumerate_transforms
+from dblcheck.transform import HorTransform, VertTransform
 
 EXPECTED = {"functors": 32, "hor": 8192, "vert": 8192}
 
@@ -28,8 +27,8 @@ def main():
     counts = {"functors": len(functors), "hor": 0, "vert": 0}
     for F in functors:
         for G in functors:
-            counts["hor"] += sum(1 for _ in enumerate_hor_transforms(F, G))
-            counts["vert"] += sum(1 for _ in enumerate_vert_transforms(F, G))
+            for tag, cls in (("hor", HorTransform), ("vert", VertTransform)):
+                counts[tag] += sum(1 for _ in enumerate_transforms(cls, F, G))
     elapsed = time.perf_counter() - start
     print("hom(walk_v, parity): %d functors, %d horizontal and %d vertical "
           "transformations in %.2f s" % (

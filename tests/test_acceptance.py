@@ -22,8 +22,8 @@ from dblcheck.monads import (
     check_monad, comp, enumerate_distributive_laws, enumerate_monads,
     mnd_double_category, verify_comp_diagram)
 from dblcheck.quasi import (
-    check_q_hor, check_q_mod, check_q_vert, check_quasi_functor, curry0,
-    curry_hor, curry_mod, curry_vert, identity_q_hor, identity_q_vert,
+    check_q_cell, check_q_mod, check_quasi_functor, curry0, curry_hor,
+    curry_mod, curry_vert, identity_q_hor, identity_q_vert,
     q_hom_double_category, uncurry0, uncurry_cell, uncurry_mod,
     vcompose_q_hor, vcompose_q_vert)
 from dblcheck.strictify import (

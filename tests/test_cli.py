@@ -473,6 +473,62 @@ def test_curry_uncurry():
     assert run("uncurry", fx("preorder-pair.json")).exit_code == 0
 
 
+def test_uncurry_compares_every_cell_of_a_member(tmp_path, monkeypatch):
+    """A round trip that changes one compositor of a member, and nothing
+    the member's objects and 1-cells show, fails ``roundtrip-fam-b``."""
+    import dblcheck.quasi
+    uncurry0 = dblcheck.quasi.uncurry0
+
+    def flipped(P):
+        back = uncurry0(P)
+        member = back.fam_b[0]
+        assert member.unitor(0) != member.compositor(0, 0)
+        member.comp[(0, 0)] = member.unitor(0)
+        return back
+    monkeypatch.setattr(dblcheck.quasi, "uncurry0", flipped)
+    code, failures = _failures(tmp_path, "uncurry", fx("preorder-pair.json"))
+    assert code == 1 and ("roundtrip-fam-b", {"b": "0"}) in failures
+
+
+@pytest.mark.parametrize("store, key, ref", [
+    ("uk", "1^*,1_*", ("R", "R")), ("ku", "1_*,1^*", ("R", "R")),
+    ("uu", "1^*,1^*", ("1_*", "1_*"))])
+def test_interchanger_at_a_vertical_identity_is_an_input_error(
+        tmp_path, store, key, ref):
+    """An interchanger at a vertical identity is derived; listing one,
+    even on the square it derives, exits 2 naming the key."""
+    doc = load("preorder-pair.json")
+    doc[store] = {key: {"top": ref[0], "bottom": ref[1], "left": "1^*",
+                        "right": "1^*"}}
+    path = tmp_path / "quasi.json"
+    path.write_text(json.dumps(doc))
+    res = run("quasi-check", str(path))
+    assert res.exit_code == 2, res.output
+    assert "input error: %s key %r" % (store, key) in res.output
+
+
+def test_compositor_on_a_pair_that_does_not_compose_is_an_input_error(
+        tmp_path):
+    """monad-functor.json over walk_h: its four composable compositors
+    pass; one more on ``a,a``, which does not compose, exits 2."""
+    doc = load("monad-functor.json")
+    square = {"top": "R", "bottom": "R", "left": "1^*", "right": "1^*"}
+    doc.update(dom={"builtin": "walk_h"}, ob={"0": "*", "1": "*"},
+               hmap=dict.fromkeys(("1_0", "1_1", "a"), "R"),
+               vmap={"1^0": "1^*", "1^1": "1^*"},
+               unit=dict.fromkeys("01", dict(square, top="1_*")),
+               comp=dict.fromkeys(("1_0,1_0", "1_0,a", "1_1,1_1", "a,1_1"),
+                                  square))
+    path = tmp_path / "functor.json"
+    path.write_text(json.dumps(doc))
+    assert run("functor-check", str(path)).exit_code == 0
+    doc["comp"]["a,a"] = square
+    path.write_text(json.dumps(doc))
+    res = run("functor-check", str(path))
+    assert res.exit_code == 2, res.output
+    assert "input error: comp key 'a,a' is not a composable pair" in res.output
+
+
 def test_strictify_destrictify():
     assert run("strictify", fx("preorder-pair.json")).exit_code == 0
     assert run("destrictify", fx("quasi-identity.json")).exit_code == 0

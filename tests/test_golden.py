@@ -55,7 +55,7 @@ from dblcheck.hom import (
 from dblcheck.hom import HOR, OBJ, SQ, VERT, HomDoubleCat
 from dblcheck.monads import enumerate_distributive_laws, mnd_double_category
 from dblcheck.quasi import (
-    QModification, QVertTransform, _q_cell_laws, check_q_hor, check_q_vert,
+    QModification, QVertTransform, _q_cell_laws, check_q_cell,
     check_quasi_functor, curry0, curry_hor, curry_mod, curry_vert,
     hcompose_q_mod,
     identity_q_hor, identity_q_vert, q_hom_double_category, uncurry_cell,
@@ -390,11 +390,10 @@ def q_cell_flip_failures():
         return QVertTransform(q1, q2, ident.th_a, ident.th_b)
 
     out = {}
-    for kind, make, signs, stores, check in (
+    for kind, make, signs, stores in (
             ("q-hor", lambda q2: sign_q_hor(q1, q2), {0: 0, 1: 0},
-             ("comp_v", "delta"), check_q_hor),
-            ("q-vert", vert, {0: 0, 1: 1}, ("comp_h", "comp_v"),
-             check_q_vert)):
+             ("comp_v", "delta")),
+            ("q-vert", vert, {0: 0, 1: 1}, ("comp_h", "comp_v"))):
         fields = {
             "%s%d.%s" % (fam[-1], x, field):
                 lambda th, fam=fam, x=x, field=field: getattr(
@@ -406,7 +405,7 @@ def q_cell_flip_failures():
         for name, q2 in targets.items():
             cases["target." + name] = make(q2)
         for name, th in cases.items():
-            out["%s:%s" % (kind, name)] = _failures(check(th))
+            out["%s:%s" % (kind, name)] = _failures(check_q_cell(th))
     return out
 
 
@@ -415,9 +414,9 @@ def pairing_q_cell_flip_failures():
     pairing quasi functor on (parity, walk_sq), whose variables both have
     free 1h- and 1v-cells, and of each single flip of one member square
     (its parity factor), as in ``tests/test_q_cells.py``.  Every flip fails
-    a member's own law, which ``check_q_hor`` and ``check_q_vert`` report
-    first and alone, so the mixed laws are run here by themselves, as
-    those checks run them once the members pass."""
+    a member's own law, which ``check_q_cell`` reports first and alone,
+    so the mixed laws are run here by themselves, as that check runs them
+    once the members pass."""
     pair = lambda: pairing_quasi(parity(), walk_sq())
     cells = _with_flips({"pair-hor": lambda: identity_q_hor(pair()),
                          "pair-vert": lambda: identity_q_vert(pair())},

@@ -10,14 +10,13 @@ from dblcheck.errors import ChainMismatch, EnumerationBound, NotHomCodomain
 from dblcheck.functor import (
     LaxDoubleFunctor, check_lax_functor, identity_functor, strict_functor)
 from dblcheck.hom import (
-    FLAVORS, HOP, HOP_STAR, SQ, ST, ST_U, HomDoubleCat,
-    enumerate_hor_transforms, enumerate_lax_functors, enumerate_modifications,
-    enumerate_vert_transforms, hom_double_category, hom_membership,
-    populate_squares)
+    FLAVORS, HOP, HOP_STAR, SQ, ST, ST_U, HomDoubleCat, enumerate_lax_functors,
+    enumerate_modifications, enumerate_transforms, hom_double_category,
+    hom_membership, populate_squares)
 from dblcheck.quasi import curry0
 from dblcheck.transform import (
-    LAX, OPLAX, check_vert_transform, identity_hor_transform,
-    identity_modification, identity_vert_transform)
+    LAX, OPLAX, HorTransform, VertTransform, check_vert_transform,
+    identity_hor_transform, identity_modification, identity_vert_transform)
 
 from test_functor import full_relation_monad_functor, parity_sign_functor
 from test_golden import TABLE_CATEGORIES
@@ -249,7 +248,8 @@ def test_vert_strict_membership_refuses_a_lax_structure_square():
                        dict.fromkeys(range(w.n_squares), ident))
     hom = HomDoubleCat(w, p, ST)
     strict = lambda s: s == p.sq_h_id(p.sq_left(s)) == p.sq_h_id(p.sq_right(s))
-    t = next(t for t in enumerate_vert_transforms(F, F, HOP, bound=10 ** 5)
+    t = next(t for t in enumerate_transforms(VertTransform, F, F, HOP,
+                                             bound=10 ** 5)
              if not all(map(strict, t.comp_v.values())))
     assert check_vert_transform(t).passed
     assert hom_membership(hom, t).laws_failed() == ["member-vert-strict"]
@@ -274,10 +274,11 @@ def test_vert_strict_membership_matches_strict_enumeration():
                        dict.fromkeys(range(w.n_vcells), 0),
                        dict.fromkeys(range(w.n_squares), ident))
     hom = HomDoubleCat(w, p, ST)
-    lawful = list(enumerate_vert_transforms(F, F, HOP, bound=10 ** 5))
+    lawful = list(enumerate_transforms(VertTransform, F, F, HOP,
+                                       bound=10 ** 5))
     members = [t.comp_v for t in lawful if hom_membership(hom, t).passed]
-    strict = [t.comp_v for t in enumerate_vert_transforms(F, F, ST,
-                                                          bound=10 ** 5)]
+    strict = [t.comp_v for t in enumerate_transforms(VertTransform, F, F, ST,
+                                                     bound=10 ** 5)]
     assert members == strict and 0 < len(strict) < len(lawful)
 
 
@@ -285,11 +286,11 @@ def test_enumerate_transforms_between_point_functors():
     p = parity()
     F = _point_functor(p, 0)
     G = _point_functor(p, 0, k=1, t=F.dom)
-    hor = list(enumerate_hor_transforms(F, G, HOP, bound=10 ** 5))
+    hor = list(enumerate_transforms(HorTransform, F, G, HOP, bound=10 ** 5))
     # worked out by hand: components 1_* or h; the structure sign is forced
     # to 1 by the codomain compositor; component squares forced to sign 0
     assert len(hor) == 2
-    vert = list(enumerate_vert_transforms(F, G, HOP, bound=10 ** 5))
+    vert = list(enumerate_transforms(VertTransform, F, G, HOP, bound=10 ** 5))
     assert len(vert) == 2
     mods = list(enumerate_modifications(
         hor[0], hor[0], identity_vert_transform(F),
@@ -300,8 +301,9 @@ def test_enumerate_transforms_between_point_functors():
 def test_enumerate_vert_strict_filter():
     p = parity()
     F = _point_functor(p, 0)
-    all_vert = list(enumerate_vert_transforms(F, F, HOP, bound=10 ** 5))
-    strict = list(enumerate_vert_transforms(F, F, ST, bound=10 ** 5))
+    all_vert = list(enumerate_transforms(VertTransform, F, F, HOP,
+                                         bound=10 ** 5))
+    strict = list(enumerate_transforms(VertTransform, F, F, ST, bound=10 ** 5))
     assert len(strict) <= len(all_vert)
     assert len(strict) >= 1
 

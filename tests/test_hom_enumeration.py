@@ -15,9 +15,9 @@ from dblcheck.core import (
     bool_matrix_double_category, parity, trivial, walk_h, walk_sq, walk_v)
 from dblcheck.functor import functor_equal
 from dblcheck.hom import (
-    FLAVORS, HOP, HOP_STAR, ST_U, enumerate_hor_transforms,
-    enumerate_lax_functors, enumerate_modifications,
-    enumerate_vert_transforms, hom_double_category, populate_squares)
+    FLAVORS, HOP, HOP_STAR, ST_U, enumerate_lax_functors,
+    enumerate_modifications, enumerate_transforms, hom_double_category,
+    populate_squares)
 from dblcheck.quasi import check_quasi_functor, curry0, uncurry0
 from dblcheck.transform import HorTransform, VertTransform, field_squares
 from test_core import bool2_minus_random
@@ -58,9 +58,9 @@ def same_transforms(functors, flavor):
     counts = {HorTransform: 0, VertTransform: 0}
     for F in functors:
         for G in functors:
-            for cls, search in ((HorTransform, enumerate_hor_transforms),
-                                (VertTransform, enumerate_vert_transforms)):
-                got = [transform_cells(t) for t in search(F, G, flavor)]
+            for cls in (HorTransform, VertTransform):
+                got = [transform_cells(t)
+                       for t in enumerate_transforms(cls, F, G, flavor)]
                 assert got == [transform_cells(t) for t in
                                ref.transforms(cls, F, G, flavor)]
                 counts[cls] += len(got)

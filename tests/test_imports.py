@@ -340,3 +340,42 @@ def test_catalogues_make_no_closure_per_instance(module):
                if isinstance(node, ast.FunctionDef)}
     assert set(CATALOGUES[module]) <= defined
     assert default_argument_closures(source, CATALOGUES[module]) == []
+
+
+# -- the kind of a transformation is read from its table ----------------------
+
+# ``transform.TRANSFORM_KINDS`` holds what differs between the two kinds, so
+# outside ``transform`` no code tells them apart by comparing classes
+KIND_CLASSES = {"HorTransform", "VertTransform"}
+
+
+def kind_comparisons(source):
+    """The lines of ``source`` with an ``is``, ``is not``, ``==`` or ``!=``
+    comparison that has ``HorTransform`` or ``VertTransform`` as an
+    operand, by name or as an attribute."""
+    names = lambda node: {getattr(node, "id", getattr(node, "attr", None))}
+    return sorted({node.lineno for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Compare)
+                   and any(isinstance(op, (ast.Is, ast.IsNot, ast.Eq,
+                                           ast.NotEq)) for op in node.ops)
+                   and any(names(x) & KIND_CLASSES
+                           for x in [node.left, *node.comparators])})
+
+
+def test_kind_comparisons_are_found():
+    src = ("if cls is HorTransform: pass\n"
+           "x = t.cls is not transform.VertTransform\n"
+           "y = VertTransform == kind.cls\n"
+           "z = type(t) != HorTransform\n"
+           "w = isinstance(t, HorTransform)\n"
+           "v = cls in (HorTransform, VertTransform)\n"
+           "u = kind.cls is cls\n")
+    assert kind_comparisons(src) == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES
+                                  if os.path.basename(p) != "transform.py"],
+                         ids=os.path.basename)
+def test_transformation_kind_is_read_from_its_table(path):
+    with open(path, encoding="utf-8") as fh:
+        assert kind_comparisons(fh.read()) == []

@@ -15,8 +15,8 @@ from dblcheck.functor import (
     strict_functor)
 from dblcheck.hom import HOP, HomDoubleCat
 from dblcheck.quasi import (
-    QHorTransform, QuasiFunctor, _stored_cells, check_q_hor, check_q_mod,
-    check_q_vert, check_quasi_functor, curry0, curry_hor, curry_mod,
+    QHorTransform, QuasiFunctor, _stored_cells, check_q_cell, check_q_mod,
+    check_quasi_functor, curry0, curry_hor, curry_mod,
     curry_vert, identity_q_hor, identity_q_vert, q_hom_double_category,
     uncurry0, uncurry_cell, uncurry_mod, vcompose_q_hor, vcompose_q_vert)
 from dblcheck.strictify import product_dom, strictify0
@@ -259,8 +259,8 @@ def test_interchanger_id_out_of_range_fails_its_boundary():
 
 def test_identity_q_cells_pass():
     q = sign_quasi({0: 0, 1: 1})
-    assert check_q_hor(identity_q_hor(q)).passed
-    assert check_q_vert(identity_q_vert(q)).passed
+    assert check_q_cell(identity_q_hor(q)).passed
+    assert check_q_cell(identity_q_vert(q)).passed
 
 
 def sign_q_hor(q1, q2):
@@ -289,7 +289,7 @@ def test_sign_q_hor_passes():
     q1 = sign_quasi({0: 0, 1: 1})
     q2 = sign_quasi({0: 0, 1: 0}, w=q1.A, t=q1.B, p=q1.C)
     th = sign_q_hor(q1, q2)
-    rep = check_q_hor(th)
+    rep = check_q_cell(th)
     assert rep.passed, rep.laws_failed()
 
 
@@ -302,7 +302,7 @@ def test_q_hor_mixed_law_detected():
     f = [x for x in range(q1.A.n_hcells) if q1.A.hnames[x] == "a"][0]
     img = q2.fB(0).h(f)
     q2.kk[(0, f)] = q1.C.parity_index[(img, img, 0, 0, 1)]
-    rep = check_q_hor(th)
+    rep = check_q_cell(th)
     assert not rep.passed
     assert set(rep.laws_failed()) == {"q-hor-1"}
 
@@ -313,12 +313,12 @@ def test_compose_q_cells():
     th = sign_q_hor(q1, q2)
     back = sign_q_hor(q2, q1)
     comp = vcompose_q_hor(th, back)
-    assert check_q_hor(comp).passed
+    assert check_q_cell(comp).passed
     with pytest.raises(ChainMismatch):
         vcompose_q_hor(th, th)
     v1 = identity_q_vert(q1)
     comp_v = vcompose_q_vert(v1, v1)
-    assert check_q_vert(comp_v).passed
+    assert check_q_cell(comp_v).passed
 
 
 def identity_q_mod(q):
@@ -377,7 +377,7 @@ def test_curry_roundtrip_hor():
     rep = check_hor_transform(tr)
     assert rep.passed, rep.laws_failed()
     back = uncurry_cell(tr, hom)
-    assert check_q_hor(back).passed
+    assert check_q_cell(back).passed
     for a in th.th_a:
         assert back.th_a[a].comp0 == th.th_a[a].comp0
         assert back.th_a[a].delta == th.th_a[a].delta
@@ -393,7 +393,7 @@ def test_curry_roundtrip_vert():
     rep = check_vert_transform(tr)
     assert rep.passed, rep.laws_failed()
     back = uncurry_cell(tr, hom)
-    assert check_q_vert(back).passed
+    assert check_q_cell(back).passed
     for a in tv.th_a:
         assert back.th_a[a].comp0 == tv.th_a[a].comp0
 

@@ -6,8 +6,8 @@ from dblcheck.core import HCELL, bool_matrix_double_category, product_cell
 from dblcheck.errors import NontrivialUU, NotDecomposable, NotUnitary
 from dblcheck.functor import check_lax_functor
 from dblcheck.quasi import (
-    QHorTransform, check_q_hor, check_q_mod, check_q_vert,
-    check_quasi_functor, identity_q_vert)
+    QHorTransform, check_q_cell, check_q_mod, check_quasi_functor,
+    identity_q_vert)
 from dblcheck.strictify import (
     EquivalenceWitness, build_witnesses, check_equivalence, destrictify0,
     destrictify_cell, destrictify_mod, is_decomposable, product_dom,
@@ -123,7 +123,7 @@ def test_destrictify_hor_roundtrip():
     dom = product_dom(q1.A, q1.B)
     tr = strictify_cell(sign_q_hor(q1, q2), dom)
     back = destrictify_cell(tr, q1.A, q1.B)
-    rep = check_q_hor(back)
+    rep = check_q_cell(back)
     assert rep.passed, rep.laws_failed()
 
 
@@ -132,7 +132,7 @@ def test_destrictify_vert_roundtrip():
     dom = product_dom(q.A, q.B)
     tr = strictify_cell(identity_q_vert(q), dom)
     back = destrictify_cell(tr, q.A, q.B)
-    rep = check_q_vert(back)
+    rep = check_q_cell(back)
     assert rep.passed, rep.laws_failed()
 
 
