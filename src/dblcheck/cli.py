@@ -74,8 +74,8 @@ def _dc_from_doc(doc):
             if type(size) is not int or not 0 <= size <= 3:
                 raise SchemaError("bool_matrix size must be an integer 0 to 3")
             return bool_matrix_double_category(size)
-        if name not in BUILTINS:
-            raise SchemaError("unknown builtin %r" % name)
+        if type(name) is not str or name not in BUILTINS:
+            raise SchemaError("unknown builtin %r" % (name,))
         return BUILTINS[name]()
     _check_tables_doc(doc)
     try:
@@ -300,8 +300,7 @@ def _wellformed_quasi(path):
     ends the verb with that pass's report."""
     from .quasi import _check_quasi_wellformed
     q = _load_quasi(_read_doc(path))
-    rep = ValidationReport()
-    _check_quasi_wellformed(rep, q)
+    rep = _check_quasi_wellformed(q)
     if not rep.passed:
         raise _IllFormed(rep, {"quasi": q.name})
     return q
@@ -400,9 +399,14 @@ def render_text(payload):
 
 
 def _finish(payload, json_path):
-    if json_path:
-        with open(json_path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+    try:
+        if json_path:
+            with open(json_path, "w", encoding="utf-8") as fh:
+                json.dump(payload, fh, indent=2, sort_keys=True)
+    except OSError as exc:
+        print("%s: cannot write --json %s: %s" % (
+            payload["command"], json_path, exc.strerror), file=sys.stderr)
+        sys.exit(2)
     print(render_text(payload))
     sys.exit(0 if payload["verdict"] == "passed" else 1)
 
@@ -712,9 +716,9 @@ def _bool_matrix_carrier(size):
     return d, d.objects.index(str(size))
 
 
-@_verb("monads-enumerate", semiring=(["bool"], "bool", ""), size=(
+@_verb("monads-enumerate", size=(
     int, 2, "carrier size over the Boolean matrix category"))
-def monads_enumerate(semiring, size):
+def monads_enumerate(size):
     """List the monads on a Boolean matrix carrier."""
     from .monads import enumerate_monads
     d, carrier = _bool_matrix_carrier(size)

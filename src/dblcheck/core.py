@@ -20,7 +20,7 @@ top factor first).  ``hcomp_h(f, g)`` is the composite "f then g".
 """
 
 from bisect import bisect_right
-from collections import Counter
+from collections import Counter, namedtuple
 from functools import cached_property, lru_cache
 from itertools import accumulate, chain, product as iproduct, repeat
 from operator import attrgetter
@@ -33,6 +33,11 @@ OBJECT = "object"
 HCELL = "hcell"
 VCELL = "vcell"
 SQUARE = "square"
+
+# a field of squares and a map to 1-cells, as ``ValidationReport`` reads them
+SquareField = namedtuple("SquareField",
+                         "accessor bounds keys stem witness error")
+CellMap = namedtuple("CellMap", "store src tgt count ends stem key")
 
 
 class Record:
@@ -143,6 +148,47 @@ class ValidationReport(Record, fields=("failures", "sampled", "reduced")):
                 continue
             if left != right:
                 self.add(law, lhs=left, rhs=right, **dict(zip(witness, key)))
+
+    def expect_squares(self, cell, cod, fields):
+        """The square-field pass: for each ``SquareField`` and key of its
+        ``keys(cell)``, the methods ``accessor`` and ``bounds`` of cell give
+        a square of ``cod`` and its frame, read in one ``try``: either
+        raising records ``<stem>-missing``, with ``error`` if the field says
+        so, a square elsewhere ``<stem>-boundary``, with ``witness`` set to
+        the key.  Only this pass calls ``DoubleCat.is_square_on``."""
+        for accessor, bounds, keys, stem, witness, error in fields:
+            square, frame = getattr(cell, accessor), getattr(cell, bounds)
+            for key in keys(cell):
+                try:
+                    s, want = square(*key), frame(*key)
+                except (DblError, LookupError) as exc:
+                    found = dict(zip(witness, key))
+                    if error:
+                        found["error"] = str(exc)
+                    self.add(stem + "-missing", **found)
+                    continue
+                if not cod.is_square_on(s, want):
+                    self.add(stem + "-boundary", **dict(zip(witness, key)))
+
+    def expect_cells(self, cell, cod, maps):
+        """The 1-cell-map pass: for each ``CellMap``, the dict ``store`` of
+        cell takes each x below the domain's ``count`` to a 1-cell of
+        ``cod`` whose ends, by the lists ``src`` and ``tgt`` of cod, are
+        ``ends(cell, x)``.  Either raising ``LookupError`` records
+        ``<stem>-missing``, another value ``<stem>-boundary``, each with
+        ``key`` set to x."""
+        for store, src, tgt, count, ends, stem, key in maps:
+            images = getattr(cell, store)
+            sources, targets = getattr(cod, src), getattr(cod, tgt)
+            for x in range(getattr(cell.dom, count)):
+                try:
+                    y, want = images[x], ends(cell, x)
+                except LookupError:
+                    self.add(stem + "-missing", **{key: x})
+                    continue
+                if (y is None or not 0 <= y < len(sources)
+                        or (sources[y], targets[y]) != want):
+                    self.add(stem + "-boundary", **{key: x})
 
     def mark_sampled(self, law, draws, seed):
         self.sampled[law] = {"draws": draws, "seed": seed}

@@ -12,8 +12,8 @@ import functools
 from itertools import product
 
 from .core import (
-    ValidationReport, composable_pairs, composable_triples,
-    flat_validation_steps, row_keys, square_partners,
+    CellMap, SquareField, ValidationReport, composable_pairs,
+    composable_triples, flat_validation_steps, row_keys, square_partners,
     validate_double_category)
 from .errors import DomainMismatch, MalformedTables
 
@@ -123,6 +123,21 @@ def _derive_square(cod, store, key, bounds, what):
     raise MalformedTables("%s missing and codomain not flat" % what)
 
 
+# a functor's 1-cell maps and squares, as ``check_wellformed`` reads them
+_CELL_MAPS = (
+    CellMap("hmap", "hsrc", "htgt", "n_hcells", lambda F, f: (
+        F.obj(F.dom.hsrc[f]), F.obj(F.dom.htgt[f])), "wf-hcell", "hcell"),
+    CellMap("vmap", "vsrc", "vtgt", "n_vcells", lambda F, u: (
+        F.obj(F.dom.vsrc[u]), F.obj(F.dom.vtgt[u])), "wf-vcell", "vcell"))
+_SQUARE_FIELDS = (
+    SquareField("sq", "_sq_bounds", lambda F: zip(F.dom.iter_squares()),
+                "wf-square", ("square",), True),
+    SquareField("compositor", "_compositor_bounds", lambda F: composable_pairs(
+        F.dom.hsrc, F.dom.htgt), "wf-compositor", ("first", "second"), False),
+    SquareField("unitor", "_unitor_bounds", lambda F: row_keys(
+        F.dom.n_objects), "wf-unitor", ("object",), False))
+
+
 def check_wellformed(F):
     """Boundary preservation of all cell maps and the extra square data."""
     rep = ValidationReport()
@@ -131,52 +146,10 @@ def check_wellformed(F):
         x = F.ob.get(a)
         if x is None or not 0 <= x < c.n_objects:
             rep.add("wf-object", object=a)
-    if not rep.passed:
-        return rep
-    for f in range(d.n_hcells):
-        if f not in F.hmap:
-            rep.add("wf-hcell-missing", hcell=f)
-            continue
-        g = F.hmap[f]
-        if (g is None or not 0 <= g < c.n_hcells
-                or c.hsrc[g] != F.obj(d.hsrc[f])
-                or c.htgt[g] != F.obj(d.htgt[f])):
-            rep.add("wf-hcell-boundary", hcell=f)
-    for u in range(d.n_vcells):
-        if u not in F.vmap:
-            rep.add("wf-vcell-missing", vcell=u)
-            continue
-        w = F.vmap[u]
-        if (w is None or not 0 <= w < c.n_vcells
-                or c.vsrc[w] != F.obj(d.vsrc[u])
-                or c.vtgt[w] != F.obj(d.vtgt[u])):
-            rep.add("wf-vcell-boundary", vcell=u)
-    if not rep.passed:
-        return rep
-    for s in d.iter_squares():
-        try:
-            img = F.sq(s)
-        except MalformedTables as exc:
-            rep.add("wf-square-missing", square=s, error=str(exc))
-            continue
-        if not c.is_square_on(img, F._sq_bounds(s)):
-            rep.add("wf-square-boundary", square=s)
-    for f, g in composable_pairs(d.hsrc, d.htgt):
-        try:
-            s = F.compositor(f, g)
-        except MalformedTables:
-            rep.add("wf-compositor-missing", first=f, second=g)
-            continue
-        if not c.is_square_on(s, F._compositor_bounds(f, g)):
-            rep.add("wf-compositor-boundary", first=f, second=g)
-    for a in range(d.n_objects):
-        try:
-            s = F.unitor(a)
-        except MalformedTables:
-            rep.add("wf-unitor-missing", object=a)
-            continue
-        if not c.is_square_on(s, F._unitor_bounds(a)):
-            rep.add("wf-unitor-boundary", object=a)
+    if rep.passed:
+        rep.expect_cells(F, c, _CELL_MAPS)
+    if rep.passed:
+        rep.expect_squares(F, c, _SQUARE_FIELDS)
     return rep
 
 

@@ -29,7 +29,9 @@ curried 1-cells (``_curry_cell``) and uncurrying read the kind's fields.
 codomain's call order would branch one body on the kind twice.
 """
 
-from .core import ValidationReport, composable_pairs, row_keys
+from itertools import product
+
+from .core import SquareField, ValidationReport, composable_pairs, row_keys
 from .errors import ChainMismatch, DomainMismatch
 from .functor import LaxDoubleFunctor, check_lax_functor, is_unitary
 from .hom import (
@@ -147,34 +149,21 @@ def _stored_cells(d, kind):
     return [u for u in range(d.n_vcells) if not d.is_v_identity(u)]
 
 
-def _check_quasi_wellformed(rep, q):
-    """Both families as lax functors, their agreement on objects, then each
-    stored interchanger: present, and on the boundary its ``_*_bounds``
-    method gives."""
-    A, B, C = q.A, q.B, q.C
-    for a in range(A.n_objects):
-        sub = check_lax_functor(q.fA(a))
-        rep.merge(sub, prefix="fam-a[%s]." % A.objects[a])
-    for b in range(B.n_objects):
-        sub = check_lax_functor(q.fB(b))
-        rep.merge(sub, prefix="fam-b[%s]." % B.objects[b])
-    if not rep.passed:
-        return
-    for a in range(A.n_objects):
-        for b in range(B.n_objects):
-            if q.fA(a).obj(b) != q.fB(b).obj(a):
-                rep.add("agreement", a=a, b=b)
-    if not rep.passed:
-        return
-    for name, b_cells, a_cells in _INTERCHANGERS:
-        store, bounds = getattr(q, name), getattr(q, "_%s_bounds" % name)
-        for x in _stored_cells(B, b_cells):
-            for y in _stored_cells(A, a_cells):
-                witness = {name[0]: x, name[1].upper(): y}
-                if (x, y) not in store:
-                    rep.add(name + "-missing", **witness)
-                elif not C.is_square_on(store[(x, y)], bounds(x, y)):
-                    rep.add(name + "-boundary", **witness)
+# the interchanger stores in report order, as the square-field pass reads them
+_INTERCHANGER_FIELDS = tuple(SquareField(
+    "sq_" + name, "_%s_bounds" % name,
+    lambda q, b=b, a=a: product(_stored_cells(q.B, b), _stored_cells(q.A, a)),
+    name, (name[0], name[1].upper()), False) for name, b, a in _INTERCHANGERS)
+
+
+def _check_quasi_wellformed(q):
+    """Both families as lax functors and their agreement on objects, then
+    each stored interchanger on the boundary its ``_*_bounds`` gives."""
+    rep = _check_families(q.fam_a, q.fam_b, check_lax_functor, q.A, q.B,
+                          "fam", "obj", "agreement")
+    if rep.passed:
+        rep.expect_squares(q, q.C, _INTERCHANGER_FIELDS)
+    return rep
 
 
 def check_quasi_functor(q, trivial_uU=False, unitary=False,
@@ -188,8 +177,7 @@ def check_quasi_functor(q, trivial_uU=False, unitary=False,
     granted whenever the interchanger at an identity 1-cell is vertically
     invertible, which makes them consequences of the composition laws.
     """
-    rep = ValidationReport()
-    _check_quasi_wellformed(rep, q)
+    rep = _check_quasi_wellformed(q)
     if not rep.passed:
         return rep
     A, B, C = q.A, q.B, q.C
@@ -450,9 +438,11 @@ class QModification:
         return self.m_a[a].at(b)
 
 
-def _check_families(fam_a, fam_b, check, A, B, tag):
+def _check_families(fam_a, fam_b, check, A, B, tag, at="at",
+                    agreement="q-agreement"):
     """Check every member of both families (reported under tag-a[X]. and
-    tag-b[Y].), then, if all pass, their agreement on components."""
+    tag-b[Y].), then, if all pass, their agreement: the method ``at`` of
+    the member at each a on b, and of the member at b on a."""
     rep = ValidationReport()
     for a in range(A.n_objects):
         rep.merge(check(fam_a[a]), prefix="%s-a[%s]." % (tag, A.objects[a]))
@@ -461,8 +451,8 @@ def _check_families(fam_a, fam_b, check, A, B, tag):
     if rep.passed:
         for a in range(A.n_objects):
             for b in range(B.n_objects):
-                if fam_a[a].at(b) != fam_b[b].at(a):
-                    rep.add("q-agreement", a=a, b=b)
+                if getattr(fam_a[a], at)(b) != getattr(fam_b[b], at)(a):
+                    rep.add(agreement, a=a, b=b)
     return rep
 
 

@@ -38,8 +38,9 @@ table, which sits below the checkers and is read only at call time.
 
 from collections import namedtuple
 
-from .core import ValidationReport, composable_pairs, row_keys
-from .errors import ChainMismatch, DblError, NotPseudo
+from .core import (
+    CellMap, SquareField, ValidationReport, composable_pairs, row_keys)
+from .errors import ChainMismatch, NotPseudo
 from .functor import _derive_square, functor_equal
 
 OPLAX = "oplax"
@@ -258,30 +259,16 @@ def identity_modification(alpha):
 # -- checking ---------------------------------------------------------------
 
 
-def _check_wellformed(rep, t, src, tgt):
-    """Each component between the functors' images (``src``/``tgt`` are
-    the codomain's 1-cell ends), then each square of every field of t's
-    kind on its boundary."""
-    for a in range(t.dom.n_objects):
-        if a not in t.comp0:
-            rep.add("wf-component-missing", object=a)
-        elif (t.comp0[a] is None or not 0 <= t.comp0[a] < len(src)
-              or src[t.comp0[a]] != t.F.obj(a)
-              or tgt[t.comp0[a]] != t.G.obj(a)):
-            rep.add("wf-component-boundary", object=a)
-    if not rep.passed:
-        return
-    for field in TRANSFORM_KINDS[type(t)].fields:
-        square, bounds = getattr(t, field.accessor), getattr(t, field.bounds)
-        for x in field.domain(t.dom):
-            try:
-                s, want = square(x), bounds(x)
-            except DblError as exc:
-                rep.add("wf-%s-missing" % field.label,
-                        **{field.key: x, "error": str(exc)})
-                continue
-            if not t.cod.is_square_on(s, want):
-                rep.add("wf-%s-boundary" % field.label, **{field.key: x})
+def _check(t, laws):
+    """The 1-cell maps and then the squares of t that ``_WELLFORMED`` names,
+    then the catalogue ``laws``: each step once the ones before it pass."""
+    (maps, fields), rep = _WELLFORMED[type(t)], ValidationReport()
+    rep.expect_cells(t, t.cod, maps)
+    if rep.passed:
+        rep.expect_squares(t, t.cod, fields)
+    if rep.passed:
+        laws(t, rep.expect)
+    return rep
 
 
 def check_hor_transform(t):
@@ -292,11 +279,7 @@ def check_hor_transform(t):
     of the component squares, shared by both orientations); h.o.t.-5 or
     h.l.t.-5 (naturality over arbitrary squares).
     """
-    rep = ValidationReport()
-    _check_wellformed(rep, t, t.cod.hsrc, t.cod.htgt)
-    if rep.passed:
-        _hor_transform_laws(t, rep.expect)
-    return rep
+    return _check(t, _hor_transform_laws)
 
 
 def _hor_pastings():
@@ -361,11 +344,7 @@ def check_vert_transform(t):
     v.l.t.-4 (structure on identities, shared), v.l.t.-5 or v.o.t.-5
     (naturality over arbitrary squares).
     """
-    rep = ValidationReport()
-    _check_wellformed(rep, t, t.cod.vsrc, t.cod.vtgt)
-    if rep.passed:
-        _vert_transform_laws(t, rep.expect)
-    return rep
+    return _check(t, _vert_transform_laws)
 
 
 def _vert_pastings():
@@ -425,6 +404,10 @@ class _Field(namedtuple("_Field", "accessor bounds cells label key store")):
     def domain(self, d):
         return range(d.n_hcells if self.cells == "h" else d.n_vcells)
 
+    def keys(self, t):
+        """The keys of the square-field pass on t."""
+        return zip(self.domain(t.dom))
+
 
 class _Kind(namedtuple("_Kind", "cls tag hop fields laws check")):
     __slots__ = ()
@@ -446,6 +429,20 @@ TRANSFORM_KINDS = {kind.cls: kind for kind in (
                "comp_v")), _vert_transform_laws, check_vert_transform))}
 
 
+# per class, the 1-cell maps and square fields ``_check`` reads: a
+# transformation's components run from F's image of their object to G's,
+# and a derived square's witness carries ``error``
+_WELLFORMED = {kind.cls: ((CellMap(
+    "comp0", kind.cells + "src", kind.cells + "tgt", "n_objects",
+    lambda t, a: (t.F.obj(a), t.G.obj(a)), "wf-component", "object"),),
+    tuple(SquareField(
+        f.accessor, f.bounds, f.keys, "wf-" + f.label, (f.key,), True)
+        for f in kind.fields)) for kind in TRANSFORM_KINDS.values()}
+_WELLFORMED[Modification] = ((), (SquareField(
+    "at", "_bounds", lambda m: row_keys(m.dom.n_objects), "wf-component",
+    ("object",), True),))
+
+
 def field_squares(t):
     """The squares of t on the domain cells of its kind's two fields, in
     table order; written out, since a loop would cost the keys a generator."""
@@ -461,19 +458,7 @@ def check_modification(m):
     Labels: m.ho-vl.-1/2 when the horizontal transformations are oplax and
     the vertical ones lax; m.hl-vo.-1/2 for the other pairing.
     """
-    rep = ValidationReport()
-    d, c = m.dom, m.cod
-    for a in range(d.n_objects):
-        try:
-            s = m.at(a)
-        except DblError as exc:
-            rep.add("wf-component-missing", object=a, error=str(exc))
-            continue
-        if not c.is_square_on(s, m._bounds(a)):
-            rep.add("wf-component-boundary", object=a)
-    if rep.passed:
-        _modification_laws(m, rep.expect)
-    return rep
+    return _check(m, _modification_laws)
 
 
 def _modification_pastings():

@@ -651,6 +651,31 @@ def test_json_report_roundtrip(tmp_path):
     assert json.loads(json.dumps(payload)) == payload
 
 
+@pytest.mark.parametrize("where", ["directory", "missing-directory"])
+def test_unwritable_json_path_exits_2_naming_it(tmp_path, where):
+    """A ``--json`` path that cannot be opened for writing is a usage
+    error, reported after the verb has run."""
+    out = tmp_path if where == "directory" else tmp_path / "no" / "r.json"
+    res = run("validate", fx("parity.json"), "--json", str(out))
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit), res.exception
+    assert "validate: cannot write --json %s" % out in res.output
+
+
+@pytest.mark.parametrize("builtin", [[], {}, ["parity"]])
+@pytest.mark.parametrize("verb", ["validate", "functor-check"])
+def test_non_string_builtin_is_unknown(tmp_path, builtin, verb):
+    """``builtin`` names a builtin by a string; any other value exits 2."""
+    doc = ({"builtin": builtin} if verb == "validate" else
+           dict(load("monad-functor.json"), dom={"builtin": builtin}))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    res = run(verb, str(bad))
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit), res.exception
+    assert "input error: unknown builtin %r" % (builtin,) in res.output
+
+
 def test_hom_reports_sampled_laws(tmp_path):
     # the law check keeps at least 5000 draws, which cover every instance
     # of hom(trivial, parity) whatever the enumeration budget; the 400
@@ -793,8 +818,7 @@ HELP = {
                        ["--size INTEGER", "--sample INTEGER", "--seed INTEGER",
                         "--json PATH", "--help"]),
     "monads-enumerate": ("monads-enumerate [OPTIONS]",
-                         ["--semiring [bool]", "--size INTEGER", "--json PATH",
-                          "--help"]),
+                         ["--size INTEGER", "--json PATH", "--help"]),
     "quasi-check": ("quasi-check [OPTIONS] PATH",
                     ["--trivial-uu", "--json PATH", "--help"]),
     "strictify": ("strictify [OPTIONS] PATH", ["--json PATH", "--help"]),

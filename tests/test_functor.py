@@ -176,6 +176,39 @@ def test_unit_law_reports_missing_identity_square():
     assert all("sq_v_id missing for R" in w["error"] for w in unit)
 
 
+def endo_cod(hcomp_h):
+    """A flat category on one object ``a`` with the endo 1h-cells ``e``
+    and ``e2``, the 1h-cell composites ``hcomp_h`` only, and a square from
+    ``1_a`` down to each endo cell beside the identity squares."""
+    return from_json({
+        "objects": ["a"], "flat": True, "hcomp_h": hcomp_h,
+        "hcells": [{"name": h, "src": "a", "tgt": "a"} for h in ("e", "e2")],
+        "squares": [{"top": "1_a", "bottom": h, "left": "1^a",
+                     "right": "1^a"} for h in ("e", "e2")]})
+
+
+def point_onto(c, name, dom=None):
+    """The functor from the point (``dom``, a fresh one if None) onto the
+    endo cell ``name`` of c, with the identity square on it as compositor
+    and the square from ``1_a`` as unitor; a lax functor when c composes
+    the cell with itself."""
+    h, v = c.hnames.index(name), c.v_id(0)
+    return LaxDoubleFunctor(
+        dom or trivial(), c, {0: 0}, {0: h}, {0: v}, None,
+        {(0, 0): c.find_square(h, h, v, v)},
+        {0: c.find_square(c.h_id(0), h, v, v)})
+
+
+def test_compositor_whose_frame_does_not_compose_is_missing():
+    """A compositor is read with its frame; a frame the codomain cannot
+    compose makes it missing (the parent raised the codomain's error)."""
+    F = point_onto(endo_cod([]), "e")
+    assert check_wellformed(F).failures == [
+        ("wf-compositor-missing", {"first": 0, "second": 0})]
+    assert check_lax_functor(point_onto(endo_cod([["e", "e", "e"]]),
+                                        "e")).passed
+
+
 def test_boundary_violation_detected():
     d = walk_h()
     F = identity_functor(d)

@@ -379,3 +379,49 @@ def test_kind_comparisons_are_found():
 def test_transformation_kind_is_read_from_its_table(path):
     with open(path, encoding="utf-8") as fh:
         assert kind_comparisons(fh.read()) == []
+
+
+# -- one pass places squares on their frames ----------------------------------
+
+# ``ValidationReport.expect_squares`` is the one square-field pass of every
+# cell kind, so no checker outside ``core`` grows its own boundary loop
+PASS_ONLY = {"is_square_on"}
+
+
+def square_frame_reads(source):
+    """The lines of ``source`` that read ``is_square_on``: as an attribute
+    (a call or a bound method), by name, or as a string (``getattr``)."""
+    return sorted({node.lineno for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Attribute)
+                   and node.attr in PASS_ONLY
+                   or isinstance(node, ast.Name) and node.id in PASS_ONLY
+                   or isinstance(node, ast.Constant)
+                   and node.value in PASS_ONLY})
+
+
+def test_square_frame_reads_are_found():
+    src = ("ok = c.is_square_on(s, bounds)\n"
+           "f = getattr(c, 'is_square_on')\n"
+           "g = is_square_on(s, b)\n"
+           "h = c.is_square_on\n"
+           "k = c.is_square(s), 'is_square_on here'\n"
+           "def is_square_on(self, s, bounds): pass\n")
+    assert square_frame_reads(src) == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES
+                                  if os.path.basename(p) != "core.py"],
+                         ids=os.path.basename)
+def test_only_the_square_field_pass_places_squares(path):
+    with open(path, encoding="utf-8") as fh:
+        assert square_frame_reads(fh.read()) == []
+
+
+def test_core_calls_is_square_on_once():
+    """Inside ``core`` the one call is the square-field pass's."""
+    with open(os.path.join(SRC, "core.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    callers = [fn.name for fn in ast.walk(tree)
+               if isinstance(fn, ast.FunctionDef)
+               and square_frame_reads(ast.unparse(fn))]
+    assert callers == ["expect_squares"]

@@ -97,6 +97,21 @@ def test_wrong_family_sign_detected():
     assert not rep.passed
 
 
+def test_interchanger_whose_frame_does_not_compose_is_missing():
+    """An interchanger is read with its frame: when the codomain cannot
+    compose the frame's top, the entry reports missing (the parent raised
+    the codomain's error)."""
+    from test_functor import endo_cod, point_onto
+    c = endo_cod([["e", "e", "e"], ["e2", "e2", "e2"]])
+    A, B = trivial(), trivial()
+    e = c.hnames.index("e")
+    q = QuasiFunctor(A, B, c, {0: point_onto(c, "e", B)},
+                     {0: point_onto(c, "e2", A)},
+                     kk={(0, 0): c.find_square(e, e, 0, 0)})
+    assert check_quasi_functor(q).failures == [
+        ("kk-missing", {"k": 0, "K": 0})]
+
+
 def test_missing_interchanger_detected():
     q = sign_quasi({0: 0, 1: 1})
     f = [x for x in range(q.A.n_hcells) if q.A.hnames[x] == "a"][0]

@@ -377,6 +377,40 @@ def test_parity_transform_boundary_mutants(kind, field, key, image, failure):
     assert CHECKS[kind](t).failures == [failure]
 
 
+def _without_top_component(m):
+    del m.top.comp0[0]
+
+
+def _without_functor_vcell(t):
+    del t.F.vmap[0]
+
+
+def _separate_g_without_object(t):
+    t.G = identity_functor(t.dom)
+    del t.G.ob[0]
+
+
+# a cell on parity whose entry is present but whose frame cannot be read
+# (it raises KeyError): the passes read an entry and its frame in one try,
+# so the entry is missing, where the parent raised the KeyError
+UNREADABLE_FRAMES = [
+    ("modification", _without_top_component,
+     ("wf-component-missing", {"object": 0, "error": "0"})),
+    ("hor", _without_functor_vcell,
+     ("wf-square-missing", {"vcell": 0, "error": "0"})),
+    ("hor", _separate_g_without_object,
+     ("wf-component-missing", {"object": 0})),
+]
+
+
+@pytest.mark.parametrize("kind, damage, failure", UNREADABLE_FRAMES,
+                         ids=lambda x: getattr(x, "__name__", None))
+def test_entry_with_an_unreadable_frame_is_missing(kind, damage, failure):
+    t = _parity_cell(kind)
+    damage(t)
+    assert CHECKS[kind](t).failures == [failure]
+
+
 def _law_counts(laws, x):
     """Instances per law label of one catalogue run, through an emit that
     counts and evaluates nothing."""
