@@ -163,6 +163,14 @@ def _field(doc, key, what, required=False):
     return _object(doc[key], '%s field "%s"' % (what, key))
 
 
+def _name(doc, what, default):
+    """The string ``name`` of ``doc``, ``default`` when it is absent."""
+    name = doc.get("name", default)
+    if not isinstance(name, str):
+        raise SchemaError('%s field "name" must be a string' % what)
+    return name
+
+
 def _square_ref(d, ref, oh, ov):
     """A square given by name (explicit backend) or by boundary."""
     if isinstance(ref, str):
@@ -231,7 +239,7 @@ def _functor_from_doc(doc, dom, cod, name="F"):
                 for k, ref in _field(doc, "unit", what).items()}
         return LaxDoubleFunctor(dom, cod, ob, hmap, vmap, sqmap,
                                 comp_t or None, unit or None,
-                                name=doc.get("name", name))
+                                name=_name(doc, what, name))
     except (KeyError, ValueError) as exc:
         raise SchemaError("bad functor description: %s" % exc)
 
@@ -287,7 +295,7 @@ def _load_quasi(doc):
                         "interchanger is derived" % (name, key))
                 stores[-1][(x, y)] = s
         q = QuasiFunctor(A, B, C, fam_a, fam_b, *stores,
-                         name=doc.get("name", "H"))
+                         name=_name(doc, what, "H"))
     except (KeyError, ValueError) as exc:
         raise SchemaError("bad quasi functor description: %s" % exc)
     _check_one_cells(doc, A=A, B=B, C=C)
@@ -356,7 +364,7 @@ def _load_transform(doc):
         t = kind.cls(F, G, comp0, *fields, orientation)
     except (KeyError, ValueError) as exc:
         raise SchemaError("bad transform description: %s" % exc)
-    t.name = doc.get("name", t.name)
+    t.name = _name(doc, what, t.name)
     _check_one_cells(doc, dom=dom, cod=cod)
     return t
 

@@ -152,19 +152,25 @@ class ValidationReport(Record, fields=("failures", "sampled", "reduced")):
     def expect_squares(self, cell, cod, fields):
         """The square-field pass: for each ``SquareField`` and key of its
         ``keys(cell)``, the methods ``accessor`` and ``bounds`` of cell give
-        a square of ``cod`` and its frame, read in one ``try``: either
-        raising records ``<stem>-missing``, with ``error`` if the field says
-        so, a square elsewhere ``<stem>-boundary``, with ``witness`` set to
-        the key.  Only this pass calls ``DoubleCat.is_square_on``."""
+        a square of ``cod`` and its frame: either raising records
+        ``<stem>-missing``, with ``error`` if the field says so (for a
+        ``LookupError``, the method and the missing key), a square
+        elsewhere ``<stem>-boundary``, with ``witness`` set to the key.
+        Only this pass calls ``DoubleCat.is_square_on``."""
         for accessor, bounds, keys, stem, witness, error in fields:
             square, frame = getattr(cell, accessor), getattr(cell, bounds)
             for key in keys(cell):
                 try:
-                    s, want = square(*key), frame(*key)
+                    read = accessor
+                    s = square(*key)
+                    read = bounds
+                    want = frame(*key)
                 except (DblError, LookupError) as exc:
                     found = dict(zip(witness, key))
                     if error:
-                        found["error"] = str(exc)
+                        found["error"] = str(exc) if isinstance(exc, DblError) \
+                            else "%s(%s) read a missing entry: %s" % (
+                                read, ", ".join(map(str, key)), exc)
                     self.add(stem + "-missing", **found)
                     continue
                 if not cod.is_square_on(s, want):

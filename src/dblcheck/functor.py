@@ -6,6 +6,9 @@ pair of horizontal 1-cells plus a unitor square for every object.  The
 compositor for the pair (f, g), with f first, is a vertically globular
 square from F(f) then F(g) down to F(f then g); the unitor for an object A
 goes from the identity on F(A) down to F(1_A).
+
+``_functor_key`` lists a functor's cells once: ``functor_equal``, the hom
+and the q-hom all take two functors with equal keys for one cell.
 """
 
 import functools
@@ -352,20 +355,21 @@ def compose_lax(F, G):
                             name="%s;%s" % (F.name, G.name))
 
 
-def functor_equal(F, G):
-    """Componentwise equality of two functors with the same boundary."""
-    if F.dom is not G.dom or F.cod is not G.cod:
-        return False
+def _functor_key(F):
+    """The one list of F's cells: its images of every domain cell, then
+    its stored compositors and unitors.  A hom files F under it."""
     d = F.dom
-    if any(F.obj(a) != G.obj(a) for a in range(d.n_objects)):
-        return False
-    if any(F.h(f) != G.h(f) for f in range(d.n_hcells)):
-        return False
-    if any(F.v(u) != G.v(u) for u in range(d.n_vcells)):
-        return False
-    if any(F.sq(s) != G.sq(s) for s in d.iter_squares()):
-        return False
-    for f, g in composable_pairs(d.hsrc, d.htgt):
-        if F.compositor(f, g) != G.compositor(f, g):
-            return False
-    return all(F.unitor(a) == G.unitor(a) for a in range(d.n_objects))
+    return ("functor",
+            tuple(F.obj(a) for a in range(d.n_objects)),
+            tuple(F.h(f) for f in range(d.n_hcells)),
+            tuple(F.v(u) for u in range(d.n_vcells)),
+            tuple(F.sq(s) for s in d.iter_squares()),
+            tuple(sorted(F.comp.items())),
+            tuple(sorted(F.unit.items())))
+
+
+def functor_equal(F, G):
+    """Whether F and G are one cell: the same ends and equal keys.
+    Interning in a hom can hand back distinct but equal functors."""
+    return F is G or (F.dom is G.dom and F.cod is G.cod
+                      and _functor_key(F) == _functor_key(G))

@@ -27,10 +27,11 @@ from .core import (
     square_partners)
 from .errors import DblError, EnumerationBound, NotHomCodomain
 from .functor import (
-    LaxDoubleFunctor, _lax_functor_laws, check_lax_functor, is_unitary)
+    LaxDoubleFunctor, _functor_key, _lax_functor_laws, check_lax_functor,
+    is_unitary)
 from .transform import (
     LAX, OPLAX, TRANSFORM_KINDS, HorTransform, Modification, VertTransform,
-    _modification_laws, check_modification, field_squares,
+    _modification_laws, _transform_key, check_modification,
     hcompose_modifications, identity_hor_transform, identity_modification,
     identity_vert_transform, vcompose_hor, vcompose_modifications,
     vcompose_vert)
@@ -54,17 +55,6 @@ ST = HomFlavor(vert_strict=True)
 ST_U = HomFlavor(vert_strict=True, unitary_only=True)
 
 FLAVORS = {"hop": HOP, "hop*": HOP_STAR, "st": ST, "st-u": ST_U}
-
-
-def _functor_key(F):
-    d = F.dom
-    return ("functor",
-            tuple(F.obj(a) for a in range(d.n_objects)),
-            tuple(F.h(f) for f in range(d.n_hcells)),
-            tuple(F.v(u) for u in range(d.n_vcells)),
-            tuple(F.sq(s) for s in d.iter_squares()),
-            tuple(sorted(F.comp.items())),
-            tuple(sorted(F.unit.items())))
 
 
 def _vert_identity_square(t, orientation):
@@ -195,11 +185,10 @@ class HomDoubleCat(InternedDoubleCat):
     def _key(self, kind, x, bounds):
         if kind == OBJ:
             return _functor_key(x)
-        at = tuple(map(x.at, range(self.B.n_objects)))
         if kind == SQ:
-            return ("mod",) + bounds + (at,)
-        return ((TRANSFORM_KINDS[type(x)].tag,) + bounds + (x.orientation, at)
-                + field_squares(x))
+            return ("mod",) + bounds + (tuple(map(x.at, range(
+                self.B.n_objects))),)
+        return _transform_key(x, bounds)
 
     def _ends(self, t):
         return t.F, t.G

@@ -24,18 +24,19 @@ demand through the same base as the hom (``hom.InternedDoubleCat``).
 Each q-cell kind reads its transformation kind from ``TRANSFORM_KINDS``:
 ``check_q_cell`` runs the kind's checker on the members, and the mixed
 laws are written once, in the terms ``_cell_terms`` reads from it.  The
-curried 1-cells (``_curry_cell``) and uncurrying read the kind's fields.
-``curry_hor`` and ``curry_vert`` stay one per kind: keeping the
-codomain's call order would branch one body on the kind twice.
+curried 1-cells (``_curry_cell``), ``curry_cell`` and ``uncurry_cell``
+read the kind's fields, and ``curry_cell`` orders a composite's factors
+as ``_pasting_order`` orders the laws' pastings.
 """
 
 from itertools import product
 
 from .core import SquareField, ValidationReport, composable_pairs, row_keys
 from .errors import ChainMismatch, DomainMismatch
-from .functor import LaxDoubleFunctor, check_lax_functor, is_unitary
+from .functor import (
+    LaxDoubleFunctor, _functor_key, check_lax_functor, is_unitary)
 from .hom import (
-    HOP, HOR, OBJ, SQ, VERT, HomDoubleCat, InternedDoubleCat, _functor_key,
+    HOP, HOR, OBJ, SQ, VERT, HomDoubleCat, InternedDoubleCat,
     _vert_identity_square)
 from .transform import (
     LAX, OPLAX, TRANSFORM_KINDS, HorTransform, Modification, VertTransform,
@@ -422,6 +423,8 @@ class QVertTransform(_QTransform):
 
 # the q-cell class whose family members are of each transformation kind
 Q_TRANSFORMS = {HorTransform: QHorTransform, VertTransform: QVertTransform}
+# the transformation kind whose components are 1h-cells ("h") or 1v-cells
+_KIND_ALONG = {kind.cells: kind for kind in TRANSFORM_KINDS.values()}
 
 
 class QModification:
@@ -485,7 +488,12 @@ def _cell_terms(t):
             getattr(C, e + "comp_sq_many"), getattr(C, "sq_%s_id" % e),
             lambda th, x: getattr(th, structure.accessor)(x),
             lambda th, x: getattr(th, component.accessor)(x),
-            reversed if t.kind.hop == LAX else iter)
+            _pasting_order(t.kind))
+
+
+def _pasting_order(kind):
+    """The order of a pair or list of pastings, reversed for the lax kind."""
+    return reversed if kind.hop == LAX else iter
 
 
 def _q_cell_laws(t, emit):
@@ -655,8 +663,8 @@ def curry0(q, hom=None):
     ob, hmap, vmap, sqmap = {}, {}, {}, {}
     # local transform objects keep the corners anchored to this quasi
     # functor's own family objects; interning dedupes only the cell ids
-    hts = {K: _curry_cell(q, HorTransform, K) for K in range(A.n_hcells)}
-    vts = {U: _curry_cell(q, VertTransform, U) for U in range(A.n_vcells)}
+    hts = {K: _curry_cell(q, "h", K) for K in range(A.n_hcells)}
+    vts = {U: _curry_cell(q, "v", U) for U in range(A.n_vcells)}
     for a in range(A.n_objects):
         ob[a] = hom.intern_functor(q.fA(a))
     for K in range(A.n_hcells):
@@ -677,20 +685,20 @@ def curry0(q, hom=None):
     return P
 
 
-def _curry_cell(q, cls, X):
-    """The transformation of kind cls that the curried functor gives the
-    A-cell X, a 1-cell along that kind's components.  Each field reads
-    the interchangers of X with the B-cells indexing it."""
-    kind, A, B = TRANSFORM_KINDS[cls], q.A, q.B
-    e = kind.cells
+def _curry_cell(q, e, X):
+    """The transformation that the curried functor gives the A-cell X, a
+    1h-cell (``e`` is "h") or 1v-cell ("v"), of the kind whose components
+    are such cells.  Each field reads the interchangers of X with the
+    B-cells indexing it."""
+    kind, A, B = _KIND_ALONG[e], q.A, q.B
     reads = {b_cells: getattr(q, "sq_" + name)
              for name, b_cells, a_cells in _INTERCHANGERS if a_cells == e}
     a, ap = _cell_ends(A, e, X)
-    return cls(q.fA(a), q.fA(ap),
-               {b: getattr(q.fB(b), e)(X) for b in range(B.n_objects)},
-               *({x: reads[f.cells](x, X) for x in f.domain(B)}
-                 for f in kind.fields),
-               kind.hop, name="(-,%s)" % getattr(A, e + "names")[X])
+    return kind.cls(q.fA(a), q.fA(ap),
+                    {b: getattr(q.fB(b), e)(X) for b in range(B.n_objects)},
+                    *({x: reads[f.cells](x, X) for x in f.domain(B)}
+                      for f in kind.fields),
+                    kind.hop, name="(-,%s)" % getattr(A, e + "names")[X])
 
 
 def _curry_square(q, ze, hts, vts):
@@ -751,40 +759,13 @@ def uncurry0(P):
     for _, b_cells, a_cells in _INTERCHANGERS:
         image = getattr(P, a_cells)
         payload = getattr(hom, a_cells + "_payload")
-        field, = [f for kind in TRANSFORM_KINDS.values()
-                  if kind.cells == a_cells
-                  for f in kind.fields if f.cells == b_cells]
+        field, = [f for f in _KIND_ALONG[a_cells].fields
+                  if f.cells == b_cells]
         stores.append({(x, y): getattr(payload[image(y)], field.accessor)(x)
                        for x in _stored_cells(B, b_cells)
                        for y in _stored_cells(A, a_cells)})
     return QuasiFunctor(A, B, C, fam_a, fam_b, *stores,
                         name="uncurry(%s)" % P.name)
-
-
-def curry_hor(t, hom):
-    """The horizontal transformation between curried functors."""
-    A, B = t.q1.A, t.q1.B
-    P1, P2 = curry0(t.q1, hom), curry0(t.q2, hom)
-    comp0 = {a: hom.intern_hor_transform(t.th_a[a])
-             for a in range(A.n_objects)}
-    comp_v, delta = {}, {}
-    for U in range(A.n_vcells):
-        a, at = A.vsrc[U], A.vtgt[U]
-        comp = {b: t.th_b[b].sq_v(U) for b in range(B.n_objects)}
-        comp_v[U] = hom.intern_modification(Modification(
-            t.th_a[a], t.th_a[at],
-            _curry_cell(t.q1, VertTransform, U),
-            _curry_cell(t.q2, VertTransform, U), comp))
-    for K in range(A.n_hcells):
-        a, ap = A.hsrc[K], A.htgt[K]
-        top = vcompose_hor(_curry_cell(t.q1, HorTransform, K), t.th_a[ap])
-        bottom = vcompose_hor(t.th_a[a], _curry_cell(t.q2, HorTransform, K))
-        comp = {b: t.th_b[b].delta_at(K) for b in range(B.n_objects)}
-        delta[K] = hom.intern_modification(Modification(
-            top, bottom, identity_vert_transform(t.q1.fA(a)),
-            identity_vert_transform(t.q2.fA(ap)), comp))
-    return HorTransform(P1, P2, comp0, comp_v, delta, OPLAX,
-                        name="curry(%s)" % t.name)
 
 
 def uncurry_cell(tr, hom):
@@ -807,42 +788,46 @@ def uncurry_cell(tr, hom):
                                   name="uncurry(%s)" % tr.name)
 
 
-def curry_vert(t, hom):
-    """The vertical transformation between curried functors."""
-    A, B = t.q1.A, t.q1.B
-    P1, P2 = curry0(t.q1, hom), curry0(t.q2, hom)
-    comp0 = {a: hom.intern_vert_transform(t.th_a[a])
-             for a in range(A.n_objects)}
-    comp_h, comp_v = {}, {}
-    for K in range(A.n_hcells):
-        a, ap = A.hsrc[K], A.htgt[K]
-        comp = {b: t.th_b[b].sq_h(K) for b in range(B.n_objects)}
-        comp_h[K] = hom.intern_modification(Modification(
-            _curry_cell(t.q1, HorTransform, K),
-            _curry_cell(t.q2, HorTransform, K), t.th_a[a], t.th_a[ap], comp))
-    for U in range(A.n_vcells):
-        a, at = A.vsrc[U], A.vtgt[U]
-        top = identity_hor_transform(t.q1.fA(a))
-        bottom = identity_hor_transform(t.q2.fA(at))
-        left = vcompose_vert(t.th_a[a], _curry_cell(t.q2, VertTransform, U))
-        right = vcompose_vert(_curry_cell(t.q1, VertTransform, U), t.th_a[at])
-        comp = {b: t.th_b[b].sq_v(U) for b in range(B.n_objects)}
-        comp_v[U] = hom.intern_modification(Modification(
-            top, bottom, left, right, comp))
-    return VertTransform(P1, P2, comp0, comp_h, comp_v, LAX,
-                         name="curry(%s)" % t.name)
+def curry_cell(t, hom):
+    """The transformation of t's kind between t's curried quasi functors:
+    at a, the hom cell of t's member there; on an A-cell X, the
+    modification whose component at b is t's member at b on X.  Across
+    the components it runs between X's curried cells, framed by t's
+    members at X's ends; along them, between those composed with t's
+    members at X's other ends in ``_pasting_order``, framed by identities."""
+    kind, q1, q2, th = t.kind, t.q1, t.q2, t.th_a
+    A, B, e = q1.A, q1.B, kind.cells
+    # the hom's index of t's 1-cells and of the others, and the
+    # composition of t's 1-cells
+    own, other, compose = ((HOR, VERT, hom._hh_op) if e == "h"
+                           else (VERT, HOR, hom._vv_op))
+
+    def square(field, X):
+        a, ap = _cell_ends(A, field.cells, X)
+        c1, c2 = (_curry_cell(q, field.cells, X) for q in (q1, q2))
+        if field.cells == e:
+            ends = tuple(compose(*pair) for pair in _pasting_order(kind)(
+                ((c1, th[ap]), (th[a], c2))))
+            across = (hom._id_payload(other, q1.fA(a)),
+                      hom._id_payload(other, q2.fA(ap)))
+        else:
+            ends, across = (th[a], th[ap]), (c1, c2)
+        comp = {b: getattr(t.th_b[b], field.accessor)(X)
+                for b in range(B.n_objects)}
+        # a modification's frame lists its horizontal transformations first
+        frame = ends + across if own == HOR else across + ends
+        return hom.intern_modification(Modification(*frame, comp))
+    return kind.cls(curry0(q1, hom), curry0(q2, hom),
+                    {a: hom._intern(own, th[a]) for a in range(A.n_objects)},
+                    *({X: square(f, X) for X in f.domain(A)}
+                      for f in kind.fields), kind.hop, name="curry(%s)" % t.name)
 
 
 def curry_mod(m, hom):
     """The modification between curried transformations."""
-    A = m.top.q1.A
-    top = curry_hor(m.top, hom)
-    bottom = curry_hor(m.bottom, hom)
-    left = curry_vert(m.left, hom)
-    right = curry_vert(m.right, hom)
-    comp = {a: hom.intern_modification(m.m_a[a]) for a in range(A.n_objects)}
-    return Modification(top, bottom, left, right, comp,
-                        name="curry(%s)" % m.name)
+    frame = [curry_cell(t, hom) for t in (m.top, m.bottom, m.left, m.right)]
+    comp = {a: hom.intern_modification(x) for a, x in sorted(m.m_a.items())}
+    return Modification(*frame, comp, name="curry(%s)" % m.name)
 
 
 def uncurry_mod(mod, hom):

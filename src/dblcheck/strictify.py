@@ -28,7 +28,7 @@ from .quasi import (
     check_q_mod, vcompose_q_hor)
 from .transform import (
     OPLAX, TRANSFORM_KINDS, HorTransform, Modification, check_hor_transform,
-    check_modification, field_squares, vcompose_hor)
+    check_modification, transform_equal, vcompose_hor)
 
 
 def product_dom(A, B):
@@ -395,16 +395,9 @@ def lambda_vert(sigma0, w1, w2):
                         name="lambda(%s)" % sigma0.name)
 
 
-def _hor_cells_equal(t1, t2):
-    """Componentwise equality of parallel horizontal transformations."""
-    return (all(t1.at(a) == t2.at(a) for a in range(t1.dom.n_objects))
-            and field_squares(t1) == field_squares(t2))
-
-
 def _q_hor_equal(t1, t2):
-    return (all(_hor_cells_equal(t1.th_a[a], t2.th_a[a]) for a in t1.th_a)
-            and all(_hor_cells_equal(t1.th_b[b], t2.th_b[b])
-                    for b in t1.th_b))
+    return all(transform_equal(x[k], y[k]) for x, y in (
+        (t1.th_a, t2.th_a), (t1.th_b, t2.th_b)) for k in x)
 
 
 def check_equivalence(witnesses, hor_cells=(), vert_cells=()):
@@ -450,7 +443,7 @@ def check_equivalence(witnesses, hor_cells=(), vert_cells=()):
             rep.add("kappa-naturality", cell=t.name)
         sig = strictify_cell(t, w1.strict.dom)
         sig_back = strictify_cell(back, w1.strict.dom)
-        if not _hor_cells_equal(vcompose_hor(w1.lam, sig),
+        if not transform_equal(vcompose_hor(w1.lam, sig),
                                 vcompose_hor(sig_back, w2.lam)):
             rep.add("lambda-naturality", cell=t.name)
     for t in vert_cells:

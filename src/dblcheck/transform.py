@@ -34,9 +34,11 @@ domain cells indexing it (``h`` or ``v``), its ``wf-`` label and witness
 key, and the attribute storing it; the structure field's cells are the
 components'.  Every dispatch on the kind outside this module reads the
 table, which sits below the checkers and is read only at call time.
+``transform_equal`` compares the cells ``_transform_key`` files under.
 """
 
 from collections import namedtuple
+from operator import attrgetter
 
 from .core import (
     CellMap, SquareField, ValidationReport, composable_pairs, row_keys)
@@ -50,12 +52,6 @@ LAX = "lax"
 def _same_frame(F, G):
     if F.dom is not G.dom or F.cod is not G.cod:
         raise ChainMismatch("transformation endpoints must be parallel functors")
-
-
-def _same_functor(F, G):
-    """Identity or componentwise equality; interning in hom categories can
-    hand back distinct but equal functor objects."""
-    return F is G or functor_equal(F, G)
 
 
 class HorTransform:
@@ -192,9 +188,9 @@ class Modification:
         if {top.orientation, left.orientation} not in ({OPLAX, LAX},):
             # horizontal oplax pairs with vertical lax and conversely
             raise ChainMismatch("unsupported orientation pairing")
-        if not (_same_functor(top.F, left.F) and _same_functor(top.G, right.F)
-                and _same_functor(bottom.F, left.G)
-                and _same_functor(bottom.G, right.G)):
+        if not (functor_equal(top.F, left.F) and functor_equal(top.G, right.F)
+                and functor_equal(bottom.F, left.G)
+                and functor_equal(bottom.G, right.G)):
             raise ChainMismatch("modification corners do not close")
         self.top, self.bottom = top, bottom
         self.left, self.right = left, right
@@ -452,6 +448,31 @@ def field_squares(t):
             tuple(map(getattr(t, second.accessor), second.domain(d))))
 
 
+def _transform_key(t, ends=()):
+    """t's kind's tag, ``ends`` (a hom's cells of t's functors), t's
+    orientation, components and field squares: a hom files t under it."""
+    return ((TRANSFORM_KINDS[type(t)].tag,) + ends
+            + (t.orientation, tuple(map(t.at, range(t.dom.n_objects))))
+            + field_squares(t))
+
+
+# per class, what a transformation stores: its orientation and its dicts
+_STORED = {kind.cls: attrgetter("orientation", "comp0", *(
+    f.store for f in kind.fields)) for kind in TRANSFORM_KINDS.values()}
+
+
+def transform_equal(t1, t2):
+    """Whether t1 and t2 are one cell: of one class, between equal
+    functors, with equal ``_transform_key``s.  Equal stored dicts, met by
+    most chain checks in a hom, decide it first: they fix every square."""
+    stored = _STORED[type(t1)]
+    return t1 is t2 or (
+        type(t1) is type(t2) and functor_equal(t1.F, t2.F)
+        and functor_equal(t1.G, t2.G)
+        and (stored(t1) == stored(t2)
+             or _transform_key(t1) == _transform_key(t2)))
+
+
 def check_modification(m):
     """Check the modification laws for the orientation pairing in use.
 
@@ -523,7 +544,7 @@ _COMPOSITE_FACTORS = _composite_factors()
 
 def vcompose_hor(al, be):
     """Composite of horizontal transformations alpha: F => G, beta: G => H."""
-    if not _same_functor(al.G, be.F):
+    if not functor_equal(al.G, be.F):
         raise ChainMismatch("vcompose_hor needs alpha.G to be beta.F")
     if al.orientation != be.orientation:
         raise ChainMismatch("vcompose_hor needs matching orientations")
@@ -539,7 +560,7 @@ def vcompose_hor(al, be):
 
 def vcompose_vert(al, be):
     """Composite of vertical transformations alpha0: F => G, beta0: G => H."""
-    if not _same_functor(al.G, be.F):
+    if not functor_equal(al.G, be.F):
         raise ChainMismatch("vcompose_vert needs alpha.G to be beta.F")
     if al.orientation != be.orientation:
         raise ChainMismatch("vcompose_vert needs matching orientations")
@@ -553,19 +574,12 @@ def vcompose_vert(al, be):
                          name="%s/%s" % (al.name, be.name))
 
 
-def _same_transform(t1, t2):
-    return t1 is t2 or (_same_functor(t1.F, t2.F)
-                        and _same_functor(t1.G, t2.G)
-                        and t1.orientation == t2.orientation
-                        and t1.comp0 == t2.comp0)
-
-
 def hcompose_modifications(m1, m2, top=None, bottom=None):
     """Paste modifications side by side along a shared vertical
     transformation.  ``top`` and ``bottom`` are the composites of the two
     tops and of the two bottoms, for a caller that holds them already;
     left out, they are composed here.  Either way the corners must close."""
-    if not _same_transform(m1.right, m2.left):
+    if not transform_equal(m1.right, m2.left):
         raise ChainMismatch("hcompose_modifications needs a shared vertical edge")
     c = m1.cod
     comp = {a: c.hcomp_sq(m1.at(a), m2.at(a)) for a in range(m1.dom.n_objects)}
@@ -580,7 +594,7 @@ def hcompose_modifications(m1, m2, top=None, bottom=None):
 def vcompose_modifications(m1, m2, left=None, right=None):
     """Stack modifications along a shared horizontal transformation;
     ``left`` and ``right`` as the frame in ``hcompose_modifications``."""
-    if not _same_transform(m1.bottom, m2.top):
+    if not transform_equal(m1.bottom, m2.top):
         raise ChainMismatch("vcompose_modifications needs a shared horizontal edge")
     c = m1.cod
     comp = {a: c.vcomp_sq(m1.at(a), m2.at(a)) for a in range(m1.dom.n_objects)}

@@ -22,8 +22,8 @@ from dblcheck.monads import (
     check_monad, comp, enumerate_distributive_laws, enumerate_monads,
     mnd_double_category, verify_comp_diagram)
 from dblcheck.quasi import (
-    check_q_cell, check_q_mod, check_quasi_functor, curry0, curry_hor,
-    curry_mod, curry_vert, identity_q_hor, identity_q_vert,
+    check_q_cell, check_q_mod, check_quasi_functor, curry0, curry_cell,
+    curry_mod, identity_q_hor, identity_q_vert,
     q_hom_double_category, uncurry0, uncurry_cell, uncurry_mod,
     vcompose_q_hor, vcompose_q_vert)
 from dblcheck.strictify import (
@@ -232,7 +232,7 @@ def test_criterion_3_currying_roundtrips():
             assert back.kk == q.kk and back.uk == q.uk
             assert back.ku == q.ku and back.uu == q.uu
             th = identity_q_hor(q)
-            bh = uncurry_cell(curry_hor(th, hom), hom)
+            bh = uncurry_cell(curry_cell(th, hom), hom)
             assert all(bh.th_a[a].comp0 == th.th_a[a].comp0
                        and bh.th_a[a].delta == th.th_a[a].delta
                        for a in th.th_a)
@@ -240,7 +240,7 @@ def test_criterion_3_currying_roundtrips():
                        and bh.th_b[b].delta == th.th_b[b].delta
                        for b in th.th_b)
             tv = identity_q_vert(q)
-            bv = uncurry_cell(curry_vert(tv, hom), hom)
+            bv = uncurry_cell(curry_cell(tv, hom), hom)
             assert all(bv.th_a[a].comp0 == tv.th_a[a].comp0
                        for a in tv.th_a)
             m = identity_q_mod(q)

@@ -676,6 +676,31 @@ def test_non_string_builtin_is_unknown(tmp_path, builtin, verb):
     assert "input error: unknown builtin %r" % (builtin,) in res.output
 
 
+# a document of each kind that carries a name, by its verb; the path is
+# where the name goes, in the document or in a functor it holds
+NAMED_DOCUMENTS = [
+    ("functor-check", "monad-functor.json", ()),
+    ("quasi-check", "preorder-pair.json", ()),
+    ("quasi-check", "preorder-pair.json", ("fam_a", "*")),
+    ("transform-check", "transform-hor.json", ()),
+    ("transform-check", "transform-hor.json", ("F",)),
+]
+
+
+@pytest.mark.parametrize("name", [None, 7, [], {}])
+@pytest.mark.parametrize("verb, fixture, path", NAMED_DOCUMENTS)
+def test_non_string_name_is_an_input_error(tmp_path, verb, fixture, path,
+                                           name):
+    """``name`` is a string; any other value exits 2, naming the field."""
+    doc = load(fixture)
+    functools.reduce(operator.getitem, path, doc)["name"] = name
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    res = run(verb, str(bad))
+    assert res.exit_code == 2, res.output
+    assert 'description field "name" must be a string' in res.output
+
+
 def test_hom_reports_sampled_laws(tmp_path):
     # the law check keeps at least 5000 draws, which cover every instance
     # of hom(trivial, parity) whatever the enumeration budget; the 400

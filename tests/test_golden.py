@@ -56,8 +56,7 @@ from dblcheck.hom import HOR, OBJ, SQ, VERT, HomDoubleCat
 from dblcheck.monads import enumerate_distributive_laws, mnd_double_category
 from dblcheck.quasi import (
     QModification, QVertTransform, _q_cell_laws, check_q_cell,
-    check_quasi_functor, curry0, curry_hor, curry_mod, curry_vert,
-    hcompose_q_mod,
+    check_quasi_functor, curry0, curry_cell, curry_mod, hcompose_q_mod,
     identity_q_hor, identity_q_vert, q_hom_double_category, uncurry_cell,
     uncurry_mod, vcompose_q_hor, vcompose_q_mod, vcompose_q_vert)
 from dblcheck.strictify import (
@@ -540,8 +539,8 @@ def sign_cells(signs):
             strictify_cell(vert, dom), q.A, q.B),
         "destrictify_mod": destrictify_mod(
             strictify_mod(mod, dom), q.A, q.B),
-        "uncurry_hor": uncurry_cell(curry_hor(hor, hom), hom),
-        "uncurry_vert": uncurry_cell(curry_vert(vert, hom), hom),
+        "uncurry_hor": uncurry_cell(curry_cell(hor, hom), hom),
+        "uncurry_vert": uncurry_cell(curry_cell(vert, hom), hom),
         "uncurry_mod": uncurry_mod(curry_mod(mod, hom), hom),
     }
     return {name: _q_cell(c) for name, c in cells.items()}
@@ -561,7 +560,7 @@ def sign_q_hor_cells():
         "vcompose_q_hor-id-before": vcompose_q_hor(identity_q_hor(q1), t),
         "destrictify_hor": destrictify_cell(
             strictify_cell(t, dom), q1.A, q1.B),
-        "uncurry_hor": uncurry_cell(curry_hor(t, hom), hom),
+        "uncurry_hor": uncurry_cell(curry_cell(t, hom), hom),
     }
     return {name: _q_cell(c) for name, c in cells.items()}
 

@@ -7,6 +7,9 @@ cells in the same order.  Every test here runs with ``_derive_square``
 raising, so no search reads a square it has not assigned.
 """
 
+from itertools import chain, product
+from operator import attrgetter
+
 import pytest
 
 import hom_reference as ref
@@ -18,8 +21,11 @@ from dblcheck.hom import (
     FLAVORS, HOP, HOP_STAR, ST_U, enumerate_lax_functors,
     enumerate_modifications, enumerate_transforms, hom_double_category,
     populate_squares)
-from dblcheck.quasi import check_quasi_functor, curry0, uncurry0
-from dblcheck.transform import HorTransform, VertTransform, field_squares
+from dblcheck.quasi import (
+    check_q_cell, check_q_mod, check_quasi_functor, curry0, curry_cell,
+    curry_mod, uncurry0, uncurry_cell, uncurry_mod)
+from dblcheck.transform import (
+    HorTransform, VertTransform, field_squares, transform_equal)
 from test_core import bool2_minus_random
 
 
@@ -32,7 +38,7 @@ def no_derived_square(monkeypatch):
 
 
 def functor_cells(F):
-    return hom._functor_key(F)
+    return functor._functor_key(F)
 
 
 def transform_cells(t):
@@ -133,6 +139,39 @@ def test_functors_into_an_interned_hom(A, count):
         q = uncurry0(P)
         assert check_quasi_functor(q).passed
         assert functor_equal(curry0(q, h), P)
+
+
+def test_curry_round_trips_on_every_enumerated_cell():
+    """ROADMAP D16 with A = B = *: each of the 32 horizontal and 32
+    vertical transformations between the 4 functors * -> hom(*, parity)
+    uncurries to a lawful q-cell, and ``curry_cell`` gives back the same
+    cell; so does each of the 60 modifications between them through
+    ``uncurry_mod`` and ``curry_mod``.  This hom holds only the composition
+    closure of the identity modifications (ROADMAP Defect 8), so the
+    transformations' squares and the modifications are drawn from it."""
+    h = populate_squares(hom_double_category(trivial(), parity(),
+                                             bound=20000))
+    functors = list(enumerate_lax_functors(trivial(), h))
+    pairs = list(product(functors, repeat=2))
+    hor, vert = ({(F, G): list(enumerate_transforms(cls, F, G))
+                  for F, G in pairs} for cls in (HorTransform, VertTransform))
+    assert [sum(map(len, kind.values())) for kind in (hor, vert)] == [32, 32]
+    for t in chain(*hor.values(), *vert.values()):
+        q = uncurry_cell(t, h)
+        assert check_q_cell(q).passed
+        assert transform_equal(curry_cell(q, h), t)
+    mods = [m for (F, G), (Fp, Gp) in product(pairs, repeat=2)
+            for frame in product(hor[F, G], hor[Fp, Gp], vert[F, Fp],
+                                 vert[G, Gp])
+            for m in enumerate_modifications(*frame)]
+    assert len(mods) == 60
+    edges = attrgetter("top", "bottom", "left", "right")
+    for m in mods:
+        qm = uncurry_mod(m, h)
+        assert check_q_mod(qm).passed
+        back = curry_mod(qm, h)
+        assert back.comp == m.comp
+        assert all(map(transform_equal, edges(back), edges(m)))
 
 
 def test_a_misbucketed_instance_fails_loudly(monkeypatch):

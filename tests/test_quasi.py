@@ -14,11 +14,12 @@ from dblcheck.functor import (
     LaxDoubleFunctor, check_lax_functor, functor_equal, identity_functor,
     strict_functor)
 from dblcheck.hom import HOP, HomDoubleCat
+from dblcheck.monads import enumerate_distributive_laws
 from dblcheck.quasi import (
     QHorTransform, QuasiFunctor, _stored_cells, check_q_cell, check_q_mod,
-    check_quasi_functor, curry0, curry_hor, curry_mod,
-    curry_vert, identity_q_hor, identity_q_vert, q_hom_double_category,
-    uncurry0, uncurry_cell, uncurry_mod, vcompose_q_hor, vcompose_q_vert)
+    check_quasi_functor, curry0, curry_cell, curry_mod, identity_q_hor,
+    identity_q_vert, q_hom_double_category, uncurry0, uncurry_cell,
+    uncurry_mod, vcompose_q_hor, vcompose_q_vert)
 from dblcheck.strictify import product_dom, strictify0
 from dblcheck.tensor import verify_universal_property
 from dblcheck.transform import (
@@ -388,7 +389,7 @@ def test_curry_roundtrip_hor():
     q2 = sign_quasi({0: 0, 1: 0}, w=q1.A, t=q1.B, p=q1.C)
     th = sign_q_hor(q1, q2)
     hom = HomDoubleCat(q1.B, q1.C, HOP)
-    tr = curry_hor(th, hom)
+    tr = curry_cell(th, hom)
     rep = check_hor_transform(tr)
     assert rep.passed, rep.laws_failed()
     back = uncurry_cell(tr, hom)
@@ -404,7 +405,7 @@ def test_curry_roundtrip_vert():
     q = sign_quasi({0: 0, 1: 1})
     tv = identity_q_vert(q)
     hom = HomDoubleCat(q.B, q.C, HOP)
-    tr = curry_vert(tv, hom)
+    tr = curry_cell(tv, hom)
     rep = check_vert_transform(tr)
     assert rep.passed, rep.laws_failed()
     back = uncurry_cell(tr, hom)
@@ -526,3 +527,17 @@ def test_quasi_catalogue_instance_counts(make):
     quasi._quasi_laws(
         q, instances(lambda law, lhs, rhs, **w: emitted.update((law,))))
     assert emitted == _quasi_closed_form_counts(q.A, q.B)
+
+
+def test_derived_unit_laws_fail_where_the_swap_is_not_invertible():
+    """ROADMAP D6: on bool3 at carrier 3, the distributive law of T1 over
+    T6 passes the quasi functor laws, but its swap, the interchanger at
+    the identities, is not vertically invertible; so ``derive_unit_laws``
+    cannot grant the two unit laws and names each as derived."""
+    laws = enumerate_distributive_laws(bool_matrix_double_category(3), 3)
+    law = next(L for L in laws if (L.mt.name, L.ms.name) == ("T1", "T6"))
+    assert check_quasi_functor(law.quasi).passed
+    assert law.d.vertical_inverse(law.swap) is None
+    assert check_quasi_functor(law.quasi, derive_unit_laws=True).failures == [
+        ("(1_B,K)", {"b": 0, "K": 0, "derived": True}),
+        ("(k,1_A)", {"a": 0, "k": 0, "derived": True})]

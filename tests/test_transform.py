@@ -188,6 +188,80 @@ def test_vcompose_rejects_mismatched_chain():
         vcompose_hor(al, al)
 
 
+def _chain_cells():
+    """Identity cells on the identity functor F of parity, the sign
+    functor, and for each modification composite a pair whose shared edge
+    is the identity on F in the first and, in the second, the same cell
+    but for one square that carries sign 1."""
+    d = parity()
+    F, sign = identity_functor(d), parity_sign_functor(1, d=d)
+    hor = lambda orientation=OPLAX: identity_hor_transform(F, orientation)
+    vert = lambda orientation=LAX: identity_vert_transform(F, orientation)
+    m, flipped = identity_modification(hor()), sign_square(d, 0, 0, 0, 0, 1)
+    edge_v = VertTransform(F, F, vert().comp0, {**vert().comp_h, 0: flipped},
+                           vert().comp_v)
+    edge_h = HorTransform(F, F, hor().comp0, hor().comp_v,
+                          {**hor().delta, 0: flipped})
+    return collections.namedtuple(
+        "ChainCells", "F sign hor vert m beside below")(
+        F, sign, hor, vert, m, Modification(hor(), hor(), edge_v, vert(),
+                                            m.comp),
+        Modification(edge_h, hor(), vert(), vert(), m.comp))
+
+
+# every ChainMismatch that transform.py raises, with its message; the
+# last two pairs of modifications share an edge only up to one square
+CHAIN_MISMATCHES = [
+    ("frame", "endpoints must be parallel",
+     lambda c: HorTransform(c.F, identity_functor(trivial()), {})),
+    ("mod-top-bottom", "matching horizontal orientations",
+     lambda c: Modification(c.hor(), c.hor(LAX), c.vert(), c.vert(), {})),
+    ("mod-left-right", "matching vertical orientations",
+     lambda c: Modification(c.hor(), c.hor(), c.vert(), c.vert(OPLAX), {})),
+    ("mod-pairing", "unsupported orientation pairing",
+     lambda c: Modification(c.hor(), c.hor(), c.vert(OPLAX), c.vert(OPLAX),
+                            {})),
+    ("vcompose-hor-orientation", "vcompose_hor needs matching orientations",
+     lambda c: vcompose_hor(c.hor(), c.hor(LAX))),
+    ("vcompose-vert-chain", "vcompose_vert needs alpha.G to be beta.F",
+     lambda c: vcompose_vert(vlt_to_sign(c.F, c.sign),
+                             vlt_to_sign(c.F, c.sign))),
+    ("vcompose-vert-orientation", "vcompose_vert needs matching orientations",
+     lambda c: vcompose_vert(c.vert(), c.vert(OPLAX))),
+    ("hcompose-mod-functor", "shared vertical edge",
+     lambda c: hcompose_modifications(c.m, identity_modification(
+         identity_hor_transform(c.sign)))),
+    ("vcompose-mod-functor", "shared horizontal edge",
+     lambda c: vcompose_modifications(c.m, identity_modification(
+         identity_hor_transform(c.sign)))),
+    ("hcompose-mod-square", "shared vertical edge",
+     lambda c: hcompose_modifications(c.m, c.beside)),
+    ("vcompose-mod-square", "shared horizontal edge",
+     lambda c: vcompose_modifications(c.m, c.below)),
+]
+
+
+@pytest.mark.parametrize("build, message",
+                         [(b, m) for _, m, b in CHAIN_MISMATCHES],
+                         ids=[case for case, _, _ in CHAIN_MISMATCHES])
+def test_cells_that_do_not_chain_are_refused(build, message):
+    with pytest.raises(ChainMismatch, match=message):
+        build(_chain_cells())
+
+
+def test_an_edge_equal_as_a_cell_chains():
+    """A shared edge that is another object, whose squares a flat
+    codomain derives where the first one stores them, is the same cell:
+    the stored dicts differ, the keys do not."""
+    F = identity_functor(trivial())
+    m = identity_modification(identity_hor_transform(F))
+    edge = identity_vert_transform(F)
+    edge.comp_h.clear()
+    composite = hcompose_modifications(m, Modification(
+        m.top, m.bottom, edge, m.right, m.comp))
+    assert check_modification(composite).passed
+
+
 def walk_h_into_parity():
     d = walk_h()
     p = parity()
@@ -395,9 +469,11 @@ def _separate_g_without_object(t):
 # so the entry is missing, where the parent raised the KeyError
 UNREADABLE_FRAMES = [
     ("modification", _without_top_component,
-     ("wf-component-missing", {"object": 0, "error": "0"})),
+     ("wf-component-missing", {
+         "object": 0, "error": "_bounds(0) read a missing entry: 0"})),
     ("hor", _without_functor_vcell,
-     ("wf-square-missing", {"vcell": 0, "error": "0"})),
+     ("wf-square-missing", {
+         "vcell": 0, "error": "_sq_v_bounds(0) read a missing entry: 0"})),
     ("hor", _separate_g_without_object,
      ("wf-component-missing", {"object": 0})),
 ]
@@ -409,6 +485,16 @@ def test_entry_with_an_unreadable_frame_is_missing(kind, damage, failure):
     t = _parity_cell(kind)
     damage(t)
     assert CHECKS[kind](t).failures == [failure]
+
+
+def test_an_unreadable_derived_square_names_its_accessor():
+    """Over a flat codomain a left-out square is derived in its accessor,
+    which then reads the missing entry."""
+    t = identity_hor_transform(identity_functor(trivial()))
+    t.comp_v.clear()
+    del t.F.vmap[0]
+    assert check_hor_transform(t).failures == [("wf-square-missing", {
+        "vcell": 0, "error": "sq_v(0) read a missing entry: 0"})]
 
 
 def _law_counts(laws, x):
