@@ -301,9 +301,11 @@ class DoubleCat:
         return s
 
     def set_flat(self, pred):
-        """Switch to the flat backend with the given boundary predicate."""
+        """Switch to the flat backend with the given boundary predicate,
+        dropping the record of a boundary scan taken under the old one."""
         self.flat = True
         self.square_pred = pred
+        self._flat_scan = None
 
     def set_hh(self, f, g, h):
         self._hh[(f, g)] = h
@@ -598,19 +600,49 @@ class DoubleCat:
         return None
 
     def iter_squares(self):
-        """All square ids; flat squares are interned during the scan."""
+        """All square ids.  A flat self interns its squares during its
+        first scan that reaches them and records their ids beside the
+        scan's boundaries, so a later scan interns nothing."""
         if not self.flat:
             yield from range(self.n_squares)
             return
+        key, rec = self._flat_key(), self._flat_scan
+        if rec is not None and rec[0] == key and rec[2] is not None:
+            yield from rec[2]
+            return
+        ids = []
         for bound in self.iter_flat_boundaries():
-            yield self.find_square(*bound)
+            ids.append(self.find_square(*bound))
+            yield ids[-1]
+        rec = self._flat_scan
+        if rec is not None and rec[0] == key == self._flat_key():
+            rec[2] = ids
 
     # -- enumeration of flat squares ---------------------------------------
 
+    # the record of the last complete scan of a flat self's boundary
+    # space: [its _flat_key, the boundaries with a square in scan order,
+    # their square ids once iter_squares has interned them, or None]
+    _flat_scan = None
+
+    def _flat_key(self):
+        """What a flat self's squares depend on: its 1-cell counts, since a
+        lazy 1-cell composite can add 1-cells, its predicate, and those of
+        the factors a flat product's predicate reads."""
+        return (len(self.hnames), len(self.vnames), self.square_pred,
+                *(d._flat_key() for d in getattr(self, "_factors", ())))
+
     def iter_flat_boundaries(self):
-        """All boundary quadruples with a square, scanning the boundary space."""
+        """All boundary quadruples with a square, scanning the boundary
+        space.  The first complete scan is recorded, and later scans read
+        the record while ``_flat_key`` is what it was."""
         if not self.flat:
             raise NotFlat("iter_flat_boundaries needs the flat backend")
+        key, rec = self._flat_key(), self._flat_scan
+        if rec is not None and rec[0] == key:
+            yield from rec[1]
+            return
+        found = []
         hgrp = {}
         for f in range(self.n_hcells):
             hgrp.setdefault((self.hsrc[f], self.htgt[f]), []).append(f)
@@ -621,12 +653,15 @@ class DoubleCat:
                 for top in tops:
                     for bottom in bottoms:
                         if self.square_pred(top, bottom, left, right):
-                            yield (top, bottom, left, right)
+                            found.append((top, bottom, left, right))
+                            yield found[-1]
+        if self._flat_key() == key:
+            self._flat_scan = [key, found, None]
 
     def materialize_flat_squares(self):
         """Intern every flat square; returns the number of squares."""
-        for bound in self.iter_flat_boundaries():
-            self.find_square(*bound)
+        for _ in self.iter_squares():
+            pass
         return self.n_squares
 
     # -- cell refs ---------------------------------------------------------
@@ -1492,9 +1527,12 @@ def trivial():
 
 def _derive_flat_tables(d):
     """Fill explicit square tables by boundary lookup (flat data only),
-    in the order of the first square of a pair and then of the second."""
+    in the order of the first square of a pair and then of the second.
+    Outer edges repeat across pairs, so each distinct pair of them is
+    composed once."""
     bounds, by_bound = d.sq_bounds, d._sq_by_bound
-    hcomp, vcomp, hs, vs = d.hcomp_h, d.vcomp_v, d._hs, d._vs
+    hcomp, vcomp = lru_cache(None)(d.hcomp_h), lru_cache(None)(d.vcomp_v)
+    hs, vs = d._hs, d._vs
 
     def only(bound):
         hit = by_bound.get(bound)

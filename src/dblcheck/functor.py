@@ -360,10 +360,10 @@ def _functor_key(F):
     its stored compositors and unitors.  A hom files F under it."""
     d = F.dom
     return ("functor",
-            tuple(F.obj(a) for a in range(d.n_objects)),
-            tuple(F.h(f) for f in range(d.n_hcells)),
-            tuple(F.v(u) for u in range(d.n_vcells)),
-            tuple(F.sq(s) for s in d.iter_squares()),
+            tuple(map(F.obj, range(d.n_objects))),
+            tuple(map(F.h, range(d.n_hcells))),
+            tuple(map(F.v, range(d.n_vcells))),
+            tuple(map(F.sq, d.iter_squares())),
             tuple(sorted(F.comp.items())),
             tuple(sorted(F.unit.items())))
 

@@ -106,10 +106,13 @@ class DistributiveLaw:
     with identity verticals.  The law is also a quasi functor from the
     terminal pair, ``quasi``, with t as the first family and s as the
     second, so strictification applies verbatim.  It is built on first
-    use: enumerating the laws of bool3 makes hundreds of laws.
+    use: enumerating the laws of bool3 makes hundreds of laws.  The pair
+    is ``pair`` when given: ``enumerate_distributive_laws`` hands one pair
+    to every law it makes, so they all strictify over one product
+    (``strictify.product_dom``).  A law built without one gets its own.
     """
 
-    def __init__(self, mt, ms, swap, name="L"):
+    def __init__(self, mt, ms, swap, name="L", pair=None):
         if mt.d is not ms.d or mt.carrier != ms.carrier:
             raise CarrierMismatch("distributive law needs both monads on "
                                   "one carrier")
@@ -117,10 +120,11 @@ class DistributiveLaw:
         self.ms = ms
         self.swap = swap
         self.name = name
+        self.pair = pair
 
     @functools.cached_property
     def quasi(self):
-        t1, t2 = trivial(), trivial()
+        t1, t2 = self.pair or (trivial(), trivial())
         return QuasiFunctor(
             t1, t2, self.mt.d,
             {0: lax_from_monad(self.mt, t2)}, {0: lax_from_monad(self.ms, t1)},
@@ -131,8 +135,9 @@ class DistributiveLaw:
         return self.mt.d
 
     def __repr__(self):
-        return "DistributiveLaw(%s: %s over %s)" % (
-            self.name, self.mt.name, self.ms.name)
+        return "DistributiveLaw(%s: %s over %s on %s)" % (
+            self.name, self.mt.name, self.ms.name,
+            self.d.objects[self.mt.carrier])
 
 
 def check_distributive_law(lw):
@@ -207,16 +212,18 @@ def enumerate_monads(d, carrier):
 
 
 def enumerate_distributive_laws(d, carrier):
-    """All distributive laws between monads on a carrier of a flat d."""
+    """All distributive laws between monads on a carrier of a flat d, as
+    quasi functors out of one terminal pair."""
     vid = d.v_id(carrier)
     laws = []
     monads = enumerate_monads(d, carrier)
+    pair = trivial(), trivial()
     for mt in monads:
         for ms in monads:
             swap = d.find_square(d.hcomp_h(mt.endo, ms.endo),
                                  d.hcomp_h(ms.endo, mt.endo), vid, vid)
             if swap is not None:
-                laws.append(DistributiveLaw(mt, ms, swap))
+                laws.append(DistributiveLaw(mt, ms, swap, pair=pair))
     return laws
 
 

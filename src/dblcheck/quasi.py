@@ -850,8 +850,8 @@ def uncurry_mod(mod, hom):
 def _quasi_key(q):
     A, B = q.A, q.B
     return ("quasi",
-            tuple(_functor_key(q.fA(a)) for a in range(A.n_objects)),
-            tuple(_functor_key(q.fB(b)) for b in range(B.n_objects)),
+            tuple(map(_functor_key, map(q.fA, range(A.n_objects)))),
+            tuple(map(_functor_key, map(q.fB, range(B.n_objects)))),
             tuple(sorted(q.kk.items())), tuple(sorted(q.uk.items())),
             tuple(sorted(q.ku.items())), tuple(sorted(q.uu.items())))
 

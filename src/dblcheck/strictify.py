@@ -24,24 +24,36 @@ from .errors import NontrivialUU, NotDecomposable, NotUnitary
 from .functor import LaxDoubleFunctor
 from .quasi import (
     _INTERCHANGERS, Q_TRANSFORMS, QHorTransform, QModification, QuasiFunctor,
-    _cell_ends, _cell_terms, _memberwise, _stored_cells, check_q_cell,
-    check_q_mod, vcompose_q_hor)
+    _cell_ends, _cell_terms, _memberwise, _quasi_key, _stored_cells,
+    check_q_cell, check_q_mod, vcompose_q_hor)
 from .transform import (
     OPLAX, TRANSFORM_KINDS, HorTransform, Modification, check_hor_transform,
     check_modification, transform_equal, vcompose_hor)
 
 
 def product_dom(A, B):
-    """Cartesian product of A and B with explicit square tables.
+    """Cartesian product of A and B with explicit square tables, one per
+    pair of flat factors.
 
     Flat factors are cloned to the explicit backend first; the clone keeps
     every cell id, so indices computed against the originals stay valid.
-    ``dc_product`` keeps the factors on the result, and a memo of functors
-    already built over this product is attached so repeated
-    strictifications share one domain.
+    ``dc_product`` keeps the factors on the result, and ``_strictified``,
+    a memo of the functors ``strictify0`` has built over it, is attached.
+    The product of two flat factors is kept on A, keyed by B itself, and
+    returned again while each factor has the 1-cells and predicate it was
+    cloned with (``DoubleCat._flat_key``).  So the distributive laws of
+    one enumeration, which share one terminal pair, are strictified over
+    one domain.  An explicit factor gets a new product on every call.
     """
+    key = (A._flat_key(), B._flat_key()) if A.flat and B.flat else None
+    if key is not None:
+        hit = vars(A).setdefault("_product_doms", {}).get(B)
+        if hit is not None and hit[0] == key:
+            return hit[1]
     dom = dc_product(explicit_clone(A), explicit_clone(B))
     dom._strictified = {}
+    if key is not None:
+        A._product_doms[B] = (key, dom)
     return dom
 
 
@@ -62,12 +74,16 @@ def strictify0(q, dom=None):
     horizontal factors together with the family compositors; the unitors
     set the two families' unitors side by side.  The result is cached on
     the domain, keyed by ``q`` itself, as ``quasi.curry0`` caches on the
-    hom.
+    hom, and served again while q has the codomain and the cells
+    (``quasi._quasi_key``) it was built from: the laws of one enumeration
+    share a domain, so a q edited in place after its strictification
+    would otherwise be served the functor of what it was.
     """
     if dom is None:
         dom = product_dom(q.A, q.B)
-    if q in dom._strictified:
-        return dom._strictified[q]
+    hit = dom._strictified.get(q)
+    if hit is not None and hit[0] == (q.C, _quasi_key(q)):
+        return hit[1]
     _check_trivial_uu(q)
     C = q.C
     A, B = dom._factors
@@ -101,7 +117,7 @@ def strictify0(q, dom=None):
             for x, a, b in product_cells(dom, OBJECT)}
     P = LaxDoubleFunctor(dom, C, ob, hmap, vmap, sqmap, comp, unit,
                          name="st(%s)" % q.name)
-    dom._strictified[q] = P
+    dom._strictified[q] = ((C, _quasi_key(q)), P)
     return P
 
 

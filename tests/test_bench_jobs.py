@@ -5,6 +5,7 @@ that flips a verdict fails here before it reaches a benchmark run."""
 
 import importlib.util
 import os
+import random
 import sys
 from collections import deque
 from types import SimpleNamespace
@@ -32,10 +33,12 @@ def _load_jobs():
 jobs = _load_jobs()
 
 
-@pytest.mark.parametrize("workload", ["flat-check", "explicit-build",
-                                      "mutants"])
-def test_benchmark_verdicts(workload):
-    queue = deque(jobs.BUILDERS[workload](SEED, SimpleNamespace(root=ROOT)))
+def _round(workload):
+    return jobs.BUILDERS[workload](SEED, SimpleNamespace(root=ROOT))
+
+
+def _wrong_verdicts(items):
+    queue = deque(items)
     wrong = []
     while queue:
         job = queue.popleft()
@@ -47,7 +50,27 @@ def test_benchmark_verdicts(workload):
         outcome = job.fn()
         if not jobs.judge(job, outcome):
             wrong.append((job.id, outcome, job.want))
-    assert not wrong
+    return wrong
+
+
+@pytest.mark.parametrize("workload", ["flat-check", "explicit-build",
+                                      "mutants"])
+def test_benchmark_verdicts(workload):
+    assert not _wrong_verdicts(_round(workload))
+
+
+@pytest.mark.parametrize("order", ["reversed", "shuffled"])
+def test_flat_check_verdicts_do_not_depend_on_job_order(order):
+    """The jobs of a ``flat-check`` round share product domains and the
+    functors strictified over them, so which job builds a shared object
+    and which reads it follows the order; every order must judge alike."""
+    items = _round("flat-check")
+    assert not any(isinstance(job, jobs.Expand) for job in items)
+    if order == "reversed":
+        items.reverse()
+    else:
+        random.Random(SEED).shuffle(items)
+    assert not _wrong_verdicts(items)
 
 
 def test_explicit_build_q_hom_is_the_pinned_sign_q_hom():

@@ -136,6 +136,96 @@ def test_square_exists_only_on_closing_boundaries(backend):
     assert not d.square_exists(99, 0, 0, 0)
 
 
+def _counted(d):
+    """d with its predicate and ``find_square`` counting their calls."""
+    calls, pred, find = {"pred": 0, "find": 0}, d.square_pred, d.find_square
+
+    def counted_pred(*bound):
+        calls["pred"] += 1
+        return pred(*bound)
+
+    def counted_find(*bound):
+        calls["find"] += 1
+        return find(*bound)
+    d.set_flat(counted_pred)
+    d.find_square = counted_find
+    return calls
+
+
+def test_a_complete_boundary_scan_is_read_again():
+    """The first complete scan of a flat category is recorded: later
+    scans give the same boundaries without calling the predicate, and
+    once a scan has interned the squares, ``iter_squares`` and
+    ``materialize_flat_squares`` give their ids without ``find_square``."""
+    d = bool_matrix_double_category(1)
+    calls = _counted(d)
+    next(d.iter_flat_boundaries())  # a partial scan records nothing
+    calls["pred"] = 0
+    bounds = list(d.iter_flat_boundaries())
+    assert calls["pred"] == 15 and len(bounds) == 14
+    assert list(d.iter_flat_boundaries()) == bounds
+    assert calls == {"pred": 15, "find": 0}
+    ids = list(d.iter_squares())
+    assert [d.sq_bounds[s] for s in ids] == bounds
+    assert calls == {"pred": 29, "find": 14}
+    assert list(d.iter_squares()) == ids
+    assert d.materialize_flat_squares() == 14
+    assert list(d.iter_flat_boundaries()) == bounds
+    assert calls == {"pred": 29, "find": 14}
+
+
+def _a_composite():
+    """The boundary of a square of bool1 that composes two others."""
+    d = bool_matrix_double_category(1)
+    squares = list(d.iter_squares())
+    return next(d.sq_bounds[s] for s1 in squares for s2 in squares
+                if d.sq_right(s1) == d.sq_left(s2)
+                and (s := d.hcomp_sq(s1, s2)) not in (s1, s2))
+
+
+def _drop_a_square(d):
+    pred, bound = d.square_pred, _a_composite()
+    d.set_flat(lambda *b: b != bound and pred(*b))
+    return bound
+
+
+def _assign_a_predicate(d):
+    pred, bound = d.square_pred, _a_composite()
+    d.square_pred = lambda *b: b != bound and pred(*b)
+    return bound
+
+
+@pytest.mark.parametrize("change", [_drop_a_square, _assign_a_predicate])
+def test_a_new_predicate_scans_again(change):
+    """``set_flat`` drops the record, and a predicate assigned in its
+    place is not the one the record was taken under: a composite square
+    removed after a complete scan, as the mutants benchmark removes one
+    from bool2, is missing from the next scan and fails closure."""
+    d = bool_matrix_double_category(1)
+    before = list(d.iter_squares())
+    gone = change(d)
+    after = list(d.iter_flat_boundaries())
+    assert gone not in after and len(after) == len(before) - 1
+    assert not validate_double_category(d).passed
+
+
+def test_a_new_one_cell_scans_again():
+    d = trivial()
+    assert list(d.iter_squares()) == [0]
+    x = d.add_hcell("x", 0, 0)
+    assert list(d.iter_flat_boundaries()) == [
+        (0, 0, 0, 0), (0, x, 0, 0), (x, 0, 0, 0), (x, x, 0, 0)]
+    assert list(d.iter_squares()) == [0, 1, 2, 3]
+
+
+def test_a_flat_product_scans_again_when_a_factor_changes():
+    d1 = bool_matrix_double_category(1)
+    p = dc_product(d1, trivial())
+    assert len(list(p.iter_squares())) == 14
+    _drop_a_square(d1)
+    assert len(list(p.iter_flat_boundaries())) == 13
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_bool_matrix_flat_closure_property(data):

@@ -426,6 +426,28 @@ def test_both_boundaries_list_mult_first():
     assert got.laws_failed() == want.laws_failed()
 
 
+@pytest.mark.parametrize("n, count", [(2, 18), (3, 712)])
+def test_every_law_label_is_distinct(n, count):
+    """A comp-diagram witness names its law by ``repr``, which gives the
+    carrier: monad names are counted per carrier, so laws on two carriers
+    can pair monads of the same names."""
+    d = bool_matrix_double_category(n)
+    labels = [repr(lw) for c in range(d.n_objects)
+              for lw in enumerate_distributive_laws(d, c)]
+    assert len(set(labels)) == len(labels) == count
+
+
+def test_laws_of_one_enumeration_share_their_terminal_pair():
+    laws = enumerate_distributive_laws(bool_matrix_double_category(2), 2)
+    pairs = {(lw.quasi.A, lw.quasi.B) for lw in laws}
+    assert len(laws) > 1 and len(pairs) == 1
+    lw = laws[0]
+    (A, B), = pairs
+    assert A is not B and A.n_objects == B.n_objects == 1
+    by_hand = DistributiveLaw(lw.mt, lw.ms, lw.swap).quasi
+    assert by_hand.A not in (A, B) and by_hand.B not in (A, B)
+
+
 def test_comp_diagram_witness_names_the_law(monkeypatch):
     b2 = bool_matrix_double_category(2)
     real = monads._direct_composite

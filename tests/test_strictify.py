@@ -2,9 +2,11 @@
 
 import pytest
 
-from dblcheck.core import HCELL, bool_matrix_double_category, product_cell
+from dblcheck.core import (
+    HCELL, bool_matrix_double_category, parity, product_cell, trivial)
 from dblcheck.errors import NontrivialUU, NotDecomposable, NotUnitary
-from dblcheck.functor import check_lax_functor
+from dblcheck.functor import _functor_key, check_lax_functor
+from dblcheck.monads import comp, enumerate_distributive_laws, monad_from_lax
 from dblcheck.quasi import (
     QHorTransform, check_q_cell, check_q_mod, check_quasi_functor,
     identity_q_vert)
@@ -29,6 +31,82 @@ def test_strictify_sign_quasi_is_lax_functor():
     assert rep.passed, rep.laws_failed()
     # the product domain memoizes functors already strictified over it
     assert strictify0(q, P.dom) is P
+
+
+def test_product_dom_is_kept_per_pair_of_flat_factors():
+    A, B = trivial(), bool_matrix_double_category(1)
+    dom = product_dom(A, B)
+    assert product_dom(A, B) is dom
+    assert product_dom(B, A) is not dom
+    assert product_dom(A, trivial()) is not dom
+    assert product_dom(A, B) is dom
+
+
+def _new_predicate(A, B):
+    pred = B.square_pred
+    B.set_flat(lambda *bound: pred(*bound))
+
+
+def _new_hcell(A, B):
+    x = A.add_hcell("x", 0, 0)
+    for f, g in ((0, x), (x, 0), (x, x)):
+        A.set_hh(f, g, x)
+
+
+@pytest.mark.parametrize("edit", [_new_predicate, _new_hcell])
+def test_product_dom_is_built_again_after_a_factor_changes(edit):
+    A, B = trivial(), bool_matrix_double_category(1)
+    dom = product_dom(A, B)
+    edit(A, B)
+    again = product_dom(A, B)
+    assert again is not dom
+    assert product_dom(A, B) is again
+    assert again.n_hcells == A.n_hcells * B.n_hcells
+
+
+def test_product_dom_of_an_explicit_factor_is_new_on_every_call():
+    A, B = parity(), trivial()
+    dom = product_dom(A, B)
+    assert dom._factors[0] is A
+    pair = next(iter(A._hs))
+    edited = A._hs[pair] = (A._hs[pair] + 1) % A.n_squares
+    again = product_dom(A, B)
+    assert again is not dom and again._factors[0] is A
+    # B has one square, so a product square's id is A's
+    assert again._hs[pair] == edited != dom._hs[pair]
+
+
+def test_strictify0_is_not_served_for_an_edited_quasi_functor():
+    q = sign_quasi({0: 0, 1: 1})
+    P = strictify0(q)
+    (k, K), s = next(iter(q.kk.items()))
+    top, bottom, left, right = q.C.sq_bounds[s]
+    q.kk[k, K] = next(t for t in q.C.squares_with_boundary(
+        top, bottom, left, right) if t != s)
+    again = strictify0(q, P.dom)
+    assert again is not P and again.comp != P.comp
+    assert _functor_key(again) == _functor_key(strictify0(q))
+    assert strictify0(q, P.dom) is again
+
+
+def test_laws_strictify_over_a_shared_domain_as_over_a_fresh_one():
+    """The 18 distributive laws of bool2: the laws of a carrier share one
+    product domain, and over it ``strictify0`` and ``comp`` give what they
+    give over a product built for the law alone."""
+    b2 = bool_matrix_double_category(2)
+    doms, n = set(), 0
+    for carrier in range(b2.n_objects):
+        for lw in enumerate_distributive_laws(b2, carrier):
+            q = lw.quasi
+            shared, fresh = product_dom(q.A, q.B), product_dom(trivial(),
+                                                               trivial())
+            doms.add(shared)
+            P, Q = strictify0(q), strictify0(q, fresh)
+            assert P.dom is shared and Q.dom is fresh
+            assert _functor_key(P) == _functor_key(Q)
+            assert comp(lw).data() == monad_from_lax(Q).data()
+            n += 1
+    assert n == 18 and len(doms) == b2.n_objects
 
 
 def test_strictify_all_sign_patterns():
